@@ -9,7 +9,7 @@
 //! the *SP-side* work differs, which is the point of the ring. The
 //! incremental group then shows the round cost collapsing from
 //! O(members) decodes + merges to O(stale subset) + one canonical
-//! store.
+//! store, and the store group times that store on its own.
 
 use bytes::Bytes;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
@@ -143,10 +143,31 @@ fn bench_incremental_vs_full(c: &mut Criterion) {
     group.finish();
 }
 
+/// The store step alone: what the SP pays at the end of every pull once
+/// the stale subset is decoded — the canonical merged view plus its
+/// encoded size (`DomainCore::store_merged`). Timed apart from decoding
+/// at a small and a large domain.
+fn bench_store(c: &mut Criterion) {
+    let mut group = c.benchmark_group("reconciliation_store");
+    group.sample_size(10);
+    for &peers in &[50usize, 1_000] {
+        let mut acc = GsAccumulator::new("medical-cbk-v1", vec![3, 3, 3, 12]);
+        for (i, s) in local_summaries(peers, 5).iter().enumerate() {
+            acc.update_source_encoded(SourceId(i as u32), s)
+                .expect("decodes");
+        }
+        group.bench_with_input(BenchmarkId::from_parameter(peers), &acc, |b, acc| {
+            b.iter(|| wire::encoded_size(&acc.build_merged()))
+        });
+    }
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_rebuild,
     bench_ring_vs_star,
-    bench_incremental_vs_full
+    bench_incremental_vs_full,
+    bench_store
 );
 criterion_main!(benches);

@@ -19,19 +19,22 @@
 //! wire encodings — the property the domain layer's full-rebuild oracle
 //! and the `gs_incremental` property tests rely on.
 //!
-//! Cost model, stated honestly: an update decodes and flattens only
-//! the changed source — the *merge/decode work* per round (the paper's
-//! §6.1 cost unit) scales with the stale subset. `build_merged` itself
-//! is Θ(total contributions): the merged summary physically stores one
-//! per-source entry per (source, cell) pair, so materializing it — like
-//! encoding it, or like the SP receiving and storing the full `NewGS`
-//! token in §4.2.2 — is inherently linear in Σ per-source cells. What
-//! the accumulator removes is the per-partner wire decode and Cobweb
-//! re-merge that used to dominate the round; the remaining canonical
-//! store is a small-constant pass over the cell map (measured ≈3×
-//! end-to-end at 1% drift in `BENCH_reconcile.json`, with the gap
-//! widening as summaries grow, since decode cost scales with encoded
-//! size while the store pass does not).
+//! Cost model: an update decodes and flattens only the changed source,
+//! so the *merge/decode work* per round (the paper's §6.1 cost unit)
+//! scales with the stale subset. `build_merged` is Θ(total
+//! contributions) — the merged summary stores one per-source entry per
+//! (source, cell) pair, so materializing it, like the SP storing the
+//! full `NewGS` token in §4.2.2, is linear in Σ per-source cells — but
+//! a contribution costs only its own arithmetic. The contributions to
+//! one cell are folded as one run
+//! ([`crate::engine::incorporate_contributions`]): one Cobweb descent
+//! for the contribution that creates the leaf, one cell-map lookup, and
+//! one leaf-to-root walk that adds each weight to the count and the
+//! key's histogram slots only (arity + 1 additions per node, not a sweep
+//! over every label). Per cell that leaves the descent and the walk;
+//! per contribution, those additions plus the content and statistics
+//! folds. At 1000 members a build takes about 4 ms (traced
+//! `domain_pull` runs of `perfbench/` on a 2-core Xeon host).
 
 use std::collections::BTreeMap;
 
@@ -39,9 +42,9 @@ use fuzzy::descriptor::Grade;
 use relation::stats::AttributeStats;
 
 use crate::cell::{CellKey, SourceId};
-use crate::engine::{incorporate_cell, EngineConfig};
+use crate::engine::{incorporate_contributions, EngineConfig};
 use crate::error::SummaryError;
-use crate::hierarchy::SummaryTree;
+use crate::hierarchy::{Contribution, StatsUpdate, SummaryTree};
 
 /// One contributed cell: the coordinate plus everything the merge needs
 /// to replay it into a fresh tree.
@@ -205,19 +208,16 @@ impl GsAccumulator {
             }
         }
         let mut tree = SummaryTree::new(self.bk_name.clone(), self.label_counts.clone());
+        let mut run = Vec::new();
         for (key, contribs) in by_cell {
-            for (src, cell) in contribs {
-                incorporate_cell(
-                    &mut tree,
-                    &self.config,
-                    key,
-                    src,
-                    cell.weight,
-                    &cell.grades,
-                    None,
-                );
-                tree.merge_cell_stats(key, &cell.stats);
-            }
+            run.clear();
+            run.extend(contribs.into_iter().map(|(source, cell)| Contribution {
+                source,
+                weight: cell.weight,
+                grades: &cell.grades,
+                stats: StatsUpdate::Merge(&cell.stats),
+            }));
+            incorporate_contributions(&mut tree, &self.config, key, &run);
         }
         tree
     }
@@ -226,13 +226,16 @@ impl GsAccumulator {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::SaintEtiQEngine;
+    use crate::engine::{incorporate_cell, SaintEtiQEngine};
+    use crate::hierarchy::Node;
     use crate::merge::merge_all;
     use crate::wire;
     use fuzzy::bk::BackgroundKnowledge;
-    use rand::SeedableRng;
+    use fuzzy::descriptor::LabelId;
+    use rand::{Rng, SeedableRng};
     use relation::generator::{patient_table, MatchTarget, PatientDistributions};
     use relation::schema::Schema;
+    use std::collections::BTreeSet;
 
     fn local_summary(seed: u64, source: u32, n: usize) -> SummaryTree {
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
@@ -355,6 +358,149 @@ mod tests {
         assert!(a.contains(SourceId(3)));
         assert!(a.update_source_encoded(SourceId(4), &bytes[..10]).is_err());
         assert!(!a.contains(SourceId(4)), "failed decode leaves no entry");
+    }
+
+    /// The build before cells were folded as runs, kept as the reference:
+    /// every contribution goes through `incorporate_cell` and
+    /// `merge_cell_stats` on its own.
+    fn reference_build(a: &GsAccumulator) -> SummaryTree {
+        let mut by_cell: BTreeMap<&CellKey, Vec<(SourceId, &DeltaCell)>> = BTreeMap::new();
+        for (&src, delta) in &a.sources {
+            for cell in &delta.cells {
+                by_cell.entry(&cell.key).or_default().push((src, cell));
+            }
+        }
+        let mut tree = SummaryTree::new(a.bk_name.clone(), a.label_counts.clone());
+        for (key, contribs) in by_cell {
+            for (src, cell) in contribs {
+                incorporate_cell(
+                    &mut tree,
+                    &a.config,
+                    key,
+                    src,
+                    cell.weight,
+                    &cell.grades,
+                    None,
+                );
+                tree.merge_cell_stats(key, &cell.stats);
+            }
+        }
+        tree
+    }
+
+    /// Asserts that two trees are equal node for node, down to the bits of
+    /// every count and histogram slot, and that every intent is its
+    /// histogram's support.
+    fn assert_same_tree(a: &SummaryTree, b: &SummaryTree) {
+        assert_eq!(wire::encode(a), wire::encode(b));
+        let hist_bits =
+            |n: &Node| -> Vec<u64> { n.hist.iter().flatten().map(|w| w.to_bits()).collect() };
+        let support =
+            |n: &Node| -> Vec<bool> { n.hist.iter().flatten().map(|&w| w > 1e-12).collect() };
+        let intent_bits = |n: &Node| -> Vec<bool> {
+            n.hist
+                .iter()
+                .zip(&n.intent.sets)
+                .flat_map(|(h, s)| (0..h.len()).map(|l| s.contains(LabelId(l as u16))))
+                .collect()
+        };
+        let mut stack = vec![(a.root(), b.root())];
+        while let Some((x, y)) = stack.pop() {
+            let (nx, ny) = (a.node(x), b.node(y));
+            assert_eq!(nx.count.to_bits(), ny.count.to_bits(), "count at {x:?}");
+            assert_eq!(hist_bits(nx), hist_bits(ny), "hist at {x:?}");
+            assert_eq!(nx.intent, ny.intent, "intent at {x:?}");
+            assert_eq!(intent_bits(nx), support(nx), "intent != support at {x:?}");
+            assert_eq!(nx.cell, ny.cell, "cell at {x:?}");
+            assert_eq!(nx.children.len(), ny.children.len(), "arity at {x:?}");
+            stack.extend(nx.children.iter().copied().zip(ny.children.iter().copied()));
+        }
+    }
+
+    /// `n` synthetic sources over the CBK grid. Every source contributes to
+    /// one hot cell; the first 27 also own a private cell each; the rest
+    /// of the cells are random. Weights mix ordinary values with zero and
+    /// negative ones (which add nothing) and positive ones at or below the
+    /// intent threshold.
+    fn synthetic(n: u32, seed: u64) -> GsAccumulator {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let key = |l: [u16; 4]| CellKey(l.iter().map(|&x| LabelId(x)).collect());
+        let mut a = acc();
+        for s in 0..n {
+            let mut keys = BTreeSet::from([key([0, 0, 0, 0])]);
+            if s < 27 {
+                keys.insert(key([
+                    (s % 3) as u16,
+                    (s / 3 % 3) as u16,
+                    (s / 9) as u16,
+                    11,
+                ]));
+            }
+            for _ in 0..rng.gen_range(0..8) {
+                keys.insert(key([
+                    rng.gen_range(0..3),
+                    rng.gen_range(0..3),
+                    rng.gen_range(0..3),
+                    rng.gen_range(0..11),
+                ]));
+            }
+            let cells = keys
+                .into_iter()
+                .map(|key| {
+                    let weight = match (s, rng.gen_range(0..10)) {
+                        (0, _) | (_, 0) => -0.5,
+                        (1, _) | (_, 1) => 0.0,
+                        (2, _) | (_, 2) => 1e-13,
+                        (_, 3) => 1e-12,
+                        _ => rng.gen_range(0.01..2.0),
+                    };
+                    let mut stats = vec![AttributeStats::new(); 4];
+                    for st in &mut stats {
+                        if rng.gen_bool(0.5) {
+                            st.push_weighted(rng.gen_range(0.0..100.0), rng.gen_range(0.1..2.0));
+                        }
+                    }
+                    let grades = (0..4).map(|_| rng.gen_range(0.0..1.0)).collect();
+                    DeltaCell {
+                        key,
+                        weight,
+                        grades,
+                        stats,
+                    }
+                })
+                .collect();
+            a.sources.insert(
+                SourceId(s),
+                SourceDelta {
+                    cells,
+                    encoded_bytes: 0,
+                },
+            );
+        }
+        a
+    }
+
+    #[test]
+    fn folded_runs_match_the_one_at_a_time_build() {
+        for (n, seed) in [(3, 1), (40, 2), (400, 3)] {
+            let a = synthetic(n, seed);
+            let built = a.build_merged();
+            assert_same_tree(&built, &reference_build(&a));
+            if n == 400 {
+                let sources = |e: &crate::hierarchy::CellEntry| e.content.per_source.len();
+                assert!(built.cells().values().any(|e| sources(e) == 1));
+                assert!(built.cells().values().any(|e| sources(e) >= 200));
+            }
+        }
+        // Real local summaries, one source per cell and many.
+        let mut a = acc();
+        for i in 0..60 {
+            a.update_source(SourceId(i), &local_summary(300 + i as u64, i, 40))
+                .unwrap();
+        }
+        let built = a.build_merged();
+        built.check_invariants();
+        assert_same_tree(&built, &reference_build(&a));
     }
 
     #[test]

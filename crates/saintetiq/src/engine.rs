@@ -26,7 +26,7 @@ use relation::table::{ChangeKind, Table, TableChange};
 
 use crate::cell::{CellKey, SourceId};
 use crate::error::SummaryError;
-use crate::hierarchy::{NodeId, SummaryTree};
+use crate::hierarchy::{Contribution, NodeId, StatsUpdate, SummaryTree};
 use crate::mapping::Mapper;
 use crate::score::{category_utility, category_utility_with_new_child};
 
@@ -67,7 +67,8 @@ enum Operator {
 /// Incorporates one weighted cell contribution into `tree`.
 ///
 /// This free function is the engine's core; [`SaintEtiQEngine`] wraps it
-/// for local tables and [`crate::merge`] reuses it to merge hierarchies.
+/// for local tables. It is the one-contribution case of
+/// [`incorporate_contributions`].
 pub fn incorporate_cell(
     tree: &mut SummaryTree,
     config: &EngineConfig,
@@ -77,18 +78,48 @@ pub fn incorporate_cell(
     grades: &[Grade],
     raw_values: Option<&[Option<f64>]>,
 ) {
-    if weight <= 0.0 {
-        return;
-    }
-    if tree.leaf_of(key).is_some() {
-        // Stable case: the coordinate exists; sorting in the tree is a
-        // single path update.
-        tree.add_to_cell(key, source, weight, grades, raw_values);
-        return;
-    }
-    let leaf_parent = descend(tree, config, key, weight);
-    tree.create_leaf(leaf_parent, key.clone());
-    tree.add_to_cell(key, source, weight, grades, raw_values);
+    let stats = raw_values.map_or(StatsUpdate::None, StatsUpdate::Raw);
+    incorporate_contributions(
+        tree,
+        config,
+        key,
+        &[Contribution {
+            source,
+            weight,
+            grades,
+            stats,
+        }],
+    );
+}
+
+/// Incorporates a run of contributions to one cell, in order.
+///
+/// The tree is the one [`incorporate_cell`] would build contribution by
+/// contribution, but the run takes at most one Cobweb descent and one
+/// path walk. No decision is taken between two contributions to the
+/// same cell: once the coordinate exists, sorting in the tree is a path
+/// update. A new cell is placed by the descent at its first positive
+/// weight; contributions before it add nothing, as there is no leaf to
+/// hold their statistics. [`crate::merge`] and
+/// [`crate::delta::GsAccumulator::build_merged`] fold whole cells with
+/// it.
+pub fn incorporate_contributions(
+    tree: &mut SummaryTree,
+    config: &EngineConfig,
+    key: &CellKey,
+    contributions: &[Contribution<'_>],
+) {
+    let run = if tree.leaf_of(key).is_some() {
+        contributions
+    } else {
+        let Some(first) = contributions.iter().position(|c| c.weight > 0.0) else {
+            return;
+        };
+        let leaf_parent = descend(tree, config, key, contributions[first].weight);
+        tree.create_leaf(leaf_parent, key.clone());
+        &contributions[first..]
+    };
+    tree.fold_into_cell(key, run);
 }
 
 /// Cobweb descent: returns the internal node that should directly parent

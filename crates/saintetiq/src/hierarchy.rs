@@ -134,6 +134,34 @@ pub struct CellEntry {
     pub stats: Vec<AttributeStats>,
 }
 
+/// How one [`Contribution`] updates its cell's per-attribute statistics.
+#[derive(Debug, Clone, Copy)]
+pub enum StatsUpdate<'a> {
+    /// The contribution carries no statistics.
+    None,
+    /// Raw numeric values, one per BK attribute, pushed at the
+    /// contribution's weight (local summarization).
+    Raw(&'a [Option<f64>]),
+    /// Already-folded statistics, merged in (merging hierarchies, where
+    /// raw values are no longer available).
+    Merge(&'a [AttributeStats]),
+}
+
+/// One source's contribution to a grid cell, as folded by
+/// [`SummaryTree::fold_into_cell`].
+#[derive(Debug, Clone, Copy)]
+pub struct Contribution<'a> {
+    /// The contributing source.
+    pub source: SourceId,
+    /// Weight added to the cell. A non-positive weight adds nothing; only
+    /// its statistics are folded.
+    pub weight: f64,
+    /// Per-attribute membership grades.
+    pub grades: &'a [Grade],
+    /// The statistics update.
+    pub stats: StatsUpdate<'a>,
+}
+
 /// A hierarchy of summaries over a fixed Background Knowledge.
 #[derive(Debug, Clone)]
 pub struct SummaryTree {
@@ -426,9 +454,11 @@ impl SummaryTree {
 
     /// Adds `weight` of cell `key` from `source`, updating the leaf's
     /// content and aggregates along the path to the root. Optional raw
-    /// numeric values update the cell statistics.
+    /// numeric values update the cell statistics. A non-positive weight
+    /// adds nothing.
     ///
-    /// The cell must already have a leaf (see [`SummaryTree::create_leaf`]).
+    /// The one-contribution case of [`SummaryTree::fold_into_cell`]; the
+    /// cell must already have a leaf (see [`SummaryTree::create_leaf`]).
     pub fn add_to_cell(
         &mut self,
         key: &CellKey,
@@ -437,25 +467,71 @@ impl SummaryTree {
         grades: &[Grade],
         raw_values: Option<&[Option<f64>]>,
     ) {
+        let stats = raw_values.map_or(StatsUpdate::None, StatsUpdate::Raw);
+        self.fold_into_cell(
+            key,
+            &[Contribution {
+                source,
+                weight,
+                grades,
+                stats,
+            }],
+        );
+    }
+
+    /// Folds a run of contributions into cell `key`, in order. Each
+    /// positive weight is added to the cell's content and to every node
+    /// on the leaf-to-root path; every contribution's statistics are
+    /// folded into the cell's.
+    ///
+    /// Bit for bit the same as adding the contributions one at a time:
+    /// each node receives the same additions in the same order. Only the
+    /// key's histogram slots and their intent bits are touched — every
+    /// other slot would only receive `+0.0`, and its intent bit already
+    /// equals its support (see [`SummaryTree::check_invariants`]).
+    ///
+    /// The cell must already have a leaf (see [`SummaryTree::create_leaf`]).
+    pub fn fold_into_cell(&mut self, key: &CellKey, contributions: &[Contribution<'_>]) {
         let entry = self.cells.get_mut(key).expect("cell registered");
-        entry.content.add(source, weight, grades);
-        if let Some(raw) = raw_values {
-            for (s, v) in entry.stats.iter_mut().zip(raw) {
-                if let Some(x) = v {
-                    s.push_weighted(*x, weight);
+        for c in contributions {
+            if c.weight > 0.0 {
+                entry.content.add(c.source, c.weight, c.grades);
+            }
+            match c.stats {
+                StatsUpdate::None => {}
+                StatsUpdate::Raw(raw) => {
+                    for (s, v) in entry.stats.iter_mut().zip(raw) {
+                        if let Some(x) = v {
+                            s.push_weighted(*x, c.weight);
+                        }
+                    }
+                }
+                StatsUpdate::Merge(stats) => {
+                    for (own, other) in entry.stats.iter_mut().zip(stats) {
+                        own.merge(other);
+                    }
                 }
             }
         }
-        let leaf = entry.leaf;
-        // Build the single-cell histogram delta once.
-        let mut hist: Vec<Vec<f64>> = self.label_counts.iter().map(|&n| vec![0.0; n]).collect();
-        for (attr, &l) in key.0.iter().enumerate() {
-            hist[attr][l.index()] = weight;
-        }
-        let mut cur = Some(leaf);
+        let weights = || contributions.iter().map(|c| c.weight).filter(|&w| w > 0.0);
+        let mut cur = Some(entry.leaf);
         while let Some(id) = cur {
-            self.apply_delta(id, weight, &hist, 1.0);
-            cur = self.node(id).parent;
+            let node = &mut self.nodes[id.idx()];
+            for w in weights() {
+                node.count = (node.count + w).max(0.0);
+            }
+            for (attr, &label) in key.0.iter().enumerate() {
+                let slot = &mut node.hist[attr][label.index()];
+                for w in weights() {
+                    *slot = (*slot + w).max(0.0);
+                }
+                if *slot > 1e-12 {
+                    node.intent.sets[attr].insert(label);
+                } else {
+                    node.intent.sets[attr].remove(label);
+                }
+            }
+            cur = node.parent;
         }
     }
 
@@ -656,6 +732,17 @@ impl SummaryTree {
         while let Some(id) = stack.pop() {
             let node = self.node(id);
             assert!(node.alive, "dead node {id:?} reachable");
+            // Intent bits are exactly the histogram support: the sparse
+            // path update of `fold_into_cell` never revisits other slots.
+            for (attr, attr_hist) in node.hist.iter().enumerate() {
+                for (l, &w) in attr_hist.iter().enumerate() {
+                    assert_eq!(
+                        node.intent.sets[attr].contains(LabelId(l as u16)),
+                        w > 1e-12,
+                        "intent bit ({attr}, {l}) != histogram support at {id:?}"
+                    );
+                }
+            }
             if let Some(key) = &node.cell {
                 assert!(node.children.is_empty(), "leaf with children");
                 assert!(self.cells.contains_key(key), "leaf for unregistered cell");
@@ -890,6 +977,94 @@ mod tests {
             model > real * 0.4 && model < real * 2.5,
             "model {model} real {real}"
         );
+    }
+
+    /// The dense path update `add_to_cell` used to make: a full-histogram
+    /// delta swept over every slot of every node on the path.
+    fn add_dense(t: &mut SummaryTree, key: &CellKey, source: SourceId, weight: f64) {
+        let entry = t.cells.get_mut(key).expect("cell registered");
+        entry.content.add(source, weight, &[1.0, 1.0]);
+        let leaf = entry.leaf;
+        let mut hist: Vec<Vec<f64>> = t.label_counts.iter().map(|&n| vec![0.0; n]).collect();
+        for (attr, &l) in key.0.iter().enumerate() {
+            hist[attr][l.index()] = weight;
+        }
+        let mut cur = Some(leaf);
+        while let Some(id) = cur {
+            t.apply_delta(id, weight, &hist, 1.0);
+            cur = t.node(id).parent;
+        }
+    }
+
+    #[test]
+    fn sparse_path_update_matches_the_dense_sweep() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(5);
+        // (cell, source, weight, remove the source instead of adding)
+        let ops: Vec<(CellKey, u32, f64, bool)> = (0..600)
+            .map(|_| {
+                let k = key(&[rng.gen_range(0..3), rng.gen_range(0..4)]);
+                let w = match rng.gen_range(0..6) {
+                    0 => 1e-13,
+                    1 => 1e-12,
+                    _ => rng.gen_range(0.01..3.0),
+                };
+                (k, rng.gen_range(0..4), w, rng.gen_bool(0.2))
+            })
+            .collect();
+        let (mut sparse, mut dense) = (tree(), tree());
+        let root = sparse.root();
+        let mut hosts = [root; 3];
+        for t in [&mut sparse, &mut dense] {
+            hosts = [root, t.create_internal(root), t.create_internal(root)];
+        }
+        // Both trees take the same steps; after each one they must agree
+        // on every node, down to the bits.
+        for (i, (k, src, w, remove)) in ops.iter().enumerate() {
+            let src = SourceId(*src);
+            for (t, is_dense) in [(&mut sparse, false), (&mut dense, true)] {
+                if *remove {
+                    t.remove_source_from_cell(k, src);
+                    continue;
+                }
+                if t.leaf_of(k).is_none() {
+                    let host = hosts[i % 3];
+                    let parent = if t.node(host).alive { host } else { root };
+                    t.create_leaf(parent, k.clone());
+                }
+                if is_dense {
+                    add_dense(t, k, src, *w);
+                } else {
+                    t.add_to_cell(k, src, *w, &[1.0, 1.0], None);
+                }
+            }
+            assert_eq!(sparse.nodes.len(), dense.nodes.len(), "step {i}");
+            for (n, (s, d)) in sparse.nodes.iter().zip(&dense.nodes).enumerate() {
+                assert_eq!(s.alive, d.alive, "step {i}, node {n}");
+                assert_eq!(s.count.to_bits(), d.count.to_bits(), "step {i}, node {n}");
+                for (hs, hd) in s.hist.iter().flatten().zip(d.hist.iter().flatten()) {
+                    assert_eq!(hs.to_bits(), hd.to_bits(), "step {i}, node {n}");
+                }
+                assert_eq!(s.intent, d.intent, "step {i}, node {n}");
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "histogram support")]
+    fn invariants_catch_an_intent_bit_without_support() {
+        let mut t = tree();
+        let root = t.root();
+        let k = key(&[1, 2]);
+        t.create_leaf(root, k.clone());
+        t.add_to_cell(&k, SourceId(1), 1.0, &[1.0, 1.0], None);
+        t.check_invariants();
+        // The same stale bit on the leaf and the root still passes the
+        // union-of-children check; only the support check sees it.
+        for id in [t.leaf_of(&k).unwrap(), root] {
+            t.node_mut(id).intent.sets[0].insert(LabelId(0));
+        }
+        t.check_invariants();
     }
 
     #[test]

@@ -11,9 +11,9 @@
 //! Each merged leaf carries its per-source weights, so the peer-extent
 //! (Definition 3) survives merging, and its statistics are folded in.
 
-use crate::engine::{incorporate_cell, EngineConfig};
+use crate::engine::{incorporate_contributions, EngineConfig};
 use crate::error::SummaryError;
-use crate::hierarchy::SummaryTree;
+use crate::hierarchy::{Contribution, StatsUpdate, SummaryTree};
 
 /// Merges `source`'s leaves into `target`.
 ///
@@ -30,10 +30,22 @@ pub fn merge_into(
             right: source.bk_name().to_string(),
         });
     }
+    let mut run = Vec::new();
     for (key, entry) in source.cells() {
-        for (&src, &w) in &entry.content.per_source {
-            incorporate_cell(target, config, key, src, w, &entry.content.max_grades, None);
-        }
+        run.clear();
+        run.extend(
+            entry
+                .content
+                .per_source
+                .iter()
+                .map(|(&source, &weight)| Contribution {
+                    source,
+                    weight,
+                    grades: &entry.content.max_grades,
+                    stats: StatsUpdate::None,
+                }),
+        );
+        incorporate_contributions(target, config, key, &run);
         target.merge_cell_stats(key, &entry.stats);
     }
     Ok(())

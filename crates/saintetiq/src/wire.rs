@@ -14,7 +14,7 @@ use relation::stats::AttributeStats;
 
 use crate::cell::{CellKey, SourceId};
 use crate::error::SummaryError;
-use crate::hierarchy::{NodeId, SummaryTree};
+use crate::hierarchy::{CellEntry, Contribution, NodeId, StatsUpdate, SummaryTree};
 
 const MAGIC: &[u8; 4] = b"SETQ";
 const VERSION: u8 = 1;
@@ -142,9 +142,9 @@ fn decode_node(
             if buf.remaining() < n_sources * 12 {
                 return Err(err("truncated sources"));
             }
-            let sources: Vec<(SourceId, f64)> = (0..n_sources)
-                .map(|_| (SourceId(buf.get_u32()), buf.get_f64()))
-                .collect();
+            // Read once the grades are known, as the cell's run.
+            let (mut sources, rest) = buf.split_at(n_sources * 12);
+            *buf = rest;
             if buf.remaining() < arity * 8 {
                 return Err(err("truncated grades"));
             }
@@ -173,9 +173,15 @@ fn decode_node(
             // A leaf directly at the root slot: the decoded parent here is
             // always an internal node we created, so attach normally.
             tree.create_leaf(parent, key.clone());
-            for (s, w) in sources {
-                tree.add_to_cell(&key, s, w, &grades, None);
-            }
+            let run: Vec<Contribution> = (0..n_sources)
+                .map(|_| Contribution {
+                    source: SourceId(sources.get_u32()),
+                    weight: sources.get_f64(),
+                    grades: &grades,
+                    stats: StatsUpdate::None,
+                })
+                .collect();
+            tree.fold_into_cell(&key, &run);
             tree.merge_cell_stats(&key, &stats);
             Ok(())
         }
@@ -198,9 +204,41 @@ fn decode_node(
     }
 }
 
-/// Encoded size in bytes.
+/// Encoded size in bytes, `encode(tree).len()`, computed by walking the
+/// tree instead of encoding it.
 pub fn encoded_size(tree: &SummaryTree) -> usize {
-    encode(tree).len()
+    // Magic, version, name, arity, label counts.
+    let mut size = MAGIC.len() + 1 + 2 + tree.bk_name().len() + 2 + 2 * tree.arity();
+    let mut stack = vec![tree.root()];
+    while let Some(id) = stack.pop() {
+        let node = tree.node(id);
+        match &node.cell {
+            Some(key) => size += leaf_size(key, &tree.cells()[key]),
+            None => {
+                // Tag and child count.
+                size += 3;
+                stack.extend(node.children.iter().copied());
+            }
+        }
+    }
+    size
+}
+
+/// Encoded size of one leaf, mirroring `encode_node`: tag, key, total
+/// weight, source count, `(id, weight)` per source, grades, and a flag
+/// plus five `f64`s per non-empty statistics slot.
+fn leaf_size(key: &CellKey, entry: &CellEntry) -> usize {
+    let stats: usize = entry
+        .stats
+        .iter()
+        .map(|st| if st.raw_parts().0 > 0.0 { 41 } else { 1 })
+        .sum();
+    1 + 2 * key.0.len()
+        + 8
+        + 4
+        + 12 * entry.content.per_source.len()
+        + 8 * entry.content.max_grades.len()
+        + stats
 }
 
 /// Average encoded bytes per live node — comparable to the paper's
@@ -221,6 +259,10 @@ mod tests {
     use relation::table::Table;
 
     fn summary(seed: u64, n: usize) -> SummaryTree {
+        summary_of(seed, n, 7)
+    }
+
+    fn summary_of(seed: u64, n: usize, source: u32) -> SummaryTree {
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
         let dist = PatientDistributions::default();
         let table = patient_table(&mut rng, n, &dist, &MatchTarget::default(), 0);
@@ -228,11 +270,38 @@ mod tests {
             BackgroundKnowledge::medical_cbk(),
             &Schema::patient(),
             EngineConfig::default(),
-            crate::cell::SourceId(7),
+            crate::cell::SourceId(source),
         )
         .unwrap();
         e.summarize_table(&table);
         e.into_tree()
+    }
+
+    #[test]
+    fn encoded_size_matches_the_encoder() {
+        let same = |t: &SummaryTree| assert_eq!(encoded_size(t), encode(t).len());
+        same(&SummaryTree::new("bk", vec![3, 4]));
+        same(&SummaryTree::new("", vec![]));
+        for seed in 0..20 {
+            same(&summary(100 + seed, 1 + 37 * seed as usize));
+        }
+        // A merged multi-source GS, as the summary peer stores it.
+        let mut acc = crate::delta::GsAccumulator::new("medical-cbk-v1", vec![3, 3, 3, 12]);
+        for s in 0..40 {
+            acc.update_source(SourceId(s), &summary_of(200 + s as u64, 30, s))
+                .unwrap();
+        }
+        let gs = acc.build_merged();
+        let slots: Vec<f64> = gs
+            .cells()
+            .values()
+            .flat_map(|e| e.stats.iter().map(|st| st.raw_parts().0))
+            .collect();
+        assert!(slots.iter().any(|&c| c > 0.0), "no non-empty stats slot");
+        assert!(slots.iter().any(|&c| c <= 0.0), "no empty stats slot");
+        assert!(gs.cells().values().any(|e| e.content.per_source.len() > 1));
+        same(&gs);
+        same(&decode(&encode(&gs)).unwrap());
     }
 
     #[test]
