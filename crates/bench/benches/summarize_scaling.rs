@@ -9,7 +9,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use fuzzy::bk::BackgroundKnowledge;
 use rand::SeedableRng;
-use relation::generator::numeric_table;
+use relation::generator::{numeric_table, patient_table, MatchTarget, PatientDistributions};
 use relation::schema::{AttrType, Attribute, Schema};
 use saintetiq::cell::SourceId;
 use saintetiq::engine::{EngineConfig, SaintEtiQEngine};
@@ -75,6 +75,34 @@ fn bench_granularity(c: &mut Criterion) {
     group.finish();
 }
 
+/// Local summaries as a drift push makes them: the medical CBK over a
+/// whole patient table, at 16 records (the kernel benchmark's shape) and
+/// 24 (the paper's). Every regeneration pays this.
+fn bench_local(c: &mut Criterion) {
+    let mut group = c.benchmark_group("summarize_local");
+    let bk = BackgroundKnowledge::medical_cbk();
+    let dist = PatientDistributions::default();
+    for &n in &[16usize, 24] {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(4);
+        let table = patient_table(&mut rng, n, &dist, &MatchTarget::default(), 0);
+        group.throughput(Throughput::Elements(n as u64));
+        group.bench_with_input(BenchmarkId::from_parameter(n), &table, |b, table| {
+            b.iter(|| {
+                let mut e = SaintEtiQEngine::new(
+                    bk.clone(),
+                    &Schema::patient(),
+                    EngineConfig::default(),
+                    SourceId(0),
+                )
+                .expect("BK binds");
+                e.summarize_table(table);
+                e.tree().leaf_count()
+            })
+        });
+    }
+    group.finish();
+}
+
 /// Ablation (DESIGN.md): the merge/split operators' cost.
 fn bench_operators(c: &mut Criterion) {
     let mut group = c.benchmark_group("summarize_operators");
@@ -105,5 +133,11 @@ fn bench_operators(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_records, bench_granularity, bench_operators);
+criterion_group!(
+    benches,
+    bench_records,
+    bench_granularity,
+    bench_local,
+    bench_operators
+);
 criterion_main!(benches);

@@ -114,18 +114,9 @@ impl LinguisticVariable {
     /// reading is pruned and `young` is renormalized to 1, so `t3` lands
     /// entirely in cell `c1` and the cell's tuple count is 2.
     pub fn fuzzify_pruned(&self, x: f64, tau: f64) -> Vec<(LabelId, Grade)> {
-        let mut kept: Vec<(LabelId, Grade)> = self
-            .fuzzify(x)
-            .into_iter()
-            .filter(|&(_, g)| g >= tau)
-            .collect();
-        let total: f64 = kept.iter().map(|&(_, g)| g).sum();
-        if total > 0.0 {
-            for (_, g) in &mut kept {
-                *g /= total;
-            }
-        }
-        kept
+        prune_and_renormalize(&self.fuzzify(x), tau)
+            .map(|(l, g, _)| (l, g))
+            .collect()
     }
 
     /// The set of labels whose α-cut (at `alpha`) intersects `[lo, hi]`.
@@ -150,6 +141,23 @@ impl LinguisticVariable {
             .into_iter()
             .max_by(|a, b| a.1.partial_cmp(&b.1).unwrap_or(std::cmp::Ordering::Equal))
     }
+}
+
+/// The prune-and-renormalize step of
+/// [`LinguisticVariable::fuzzify_pruned`], over grades already computed
+/// by [`LinguisticVariable::fuzzify`]: drops the grades below `tau` and
+/// yields each kept label with its grade renormalized so the kept grades
+/// sum to 1, and with its raw grade.
+///
+/// Callers that need both readings (the mapping service annotates cells
+/// with raw grades) evaluate the membership functions once.
+pub fn prune_and_renormalize(
+    raw: &[(LabelId, Grade)],
+    tau: f64,
+) -> impl Iterator<Item = (LabelId, Grade, Grade)> + '_ {
+    let kept = move || raw.iter().copied().filter(move |&(_, g)| g >= tau);
+    let total: f64 = kept().map(|(_, g)| g).sum();
+    kept().map(move |(l, g)| (l, if total > 0.0 { g / total } else { g }, g))
 }
 
 #[cfg(test)]
@@ -209,6 +217,40 @@ mod tests {
         assert_eq!(pairs.len(), 2, "0.7/0.3 split must survive tau=0.2");
         let total: f64 = pairs.iter().map(|p| p.1).sum();
         assert!((total - 1.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn pruning_helper_matches_the_inline_filter() {
+        // The filter-then-renormalize loop `fuzzify_pruned` had before the
+        // step became `prune_and_renormalize`.
+        let inline = |v: &LinguisticVariable, x: f64, tau: f64| {
+            let mut kept: Vec<(LabelId, Grade)> = v
+                .fuzzify(x)
+                .into_iter()
+                .filter(|&(_, g)| g >= tau)
+                .collect();
+            let total: f64 = kept.iter().map(|&(_, g)| g).sum();
+            if total > 0.0 {
+                for (_, g) in &mut kept {
+                    *g /= total;
+                }
+            }
+            kept
+        };
+        let v = age_variable();
+        for tau in [0.0, 0.1, 0.2, 0.3, 0.5, 1.0] {
+            for x in (-20..=260).map(|i| i as f64 * 0.5) {
+                let raw = v.fuzzify(x);
+                let helper: Vec<_> = prune_and_renormalize(&raw, tau).collect();
+                let want = inline(&v, x, tau);
+                assert_eq!(helper.len(), want.len(), "x = {x}, tau = {tau}");
+                for (&(l, g, r), &(wl, wg)) in helper.iter().zip(&want) {
+                    assert_eq!((l, g.to_bits()), (wl, wg.to_bits()), "x = {x}, tau = {tau}");
+                    assert_eq!(Some(r), raw.iter().find(|p| p.0 == l).map(|p| p.1));
+                }
+                assert_eq!(v.fuzzify_pruned(x, tau), want);
+            }
+        }
     }
 
     #[test]

@@ -393,15 +393,13 @@ mod tests {
     /// histogram's support.
     fn assert_same_tree(a: &SummaryTree, b: &SummaryTree) {
         assert_eq!(wire::encode(a), wire::encode(b));
-        let hist_bits =
-            |n: &Node| -> Vec<u64> { n.hist.iter().flatten().map(|w| w.to_bits()).collect() };
-        let support =
-            |n: &Node| -> Vec<bool> { n.hist.iter().flatten().map(|&w| w > 1e-12).collect() };
+        let hist_bits = |n: &Node| -> Vec<u64> { n.hist.iter().map(|w| w.to_bits()).collect() };
+        let support = |n: &Node| -> Vec<bool> { n.hist.iter().map(|&w| w > 1e-12).collect() };
         let intent_bits = |n: &Node| -> Vec<bool> {
-            n.hist
+            a.label_counts()
                 .iter()
                 .zip(&n.intent.sets)
-                .flat_map(|(h, s)| (0..h.len()).map(|l| s.contains(LabelId(l as u16))))
+                .flat_map(|(&len, s)| (0..len).map(|l| s.contains(LabelId(l as u16))))
                 .collect()
         };
         let mut stack = vec![(a.root(), b.root())];

@@ -13,6 +13,15 @@
 //! * **split** — dissolve the best child, promoting its children, and
 //!   rescore.
 //!
+//! Each level is scored once: the parent's expected-correct term and
+//! every child's CU term, with and without the cell, are computed up
+//! front, and every operator's score is a sum of those cached terms in
+//! the order [`crate::score`] adds them (so the scores are bit-identical
+//! to its reference functions). A level with `k` children thus costs
+//! `O(k)` histogram passes — two per child, one for the parent, one for a
+//! merge candidate, two per grandchild of a split candidate — plus
+//! `O(k²)` scalar additions for the `k` host hypotheses.
+//!
 //! Once a cell's coordinate already exists in the tree, incorporation
 //! degenerates to "sorting it in a tree" (§4.2.1) — a count update along
 //! one root-to-leaf path — which is why summaries stabilize and the
@@ -28,7 +37,7 @@ use crate::cell::{CellKey, SourceId};
 use crate::error::SummaryError;
 use crate::hierarchy::{Contribution, NodeId, StatsUpdate, SummaryTree};
 use crate::mapping::Mapper;
-use crate::score::{category_utility, category_utility_with_new_child};
+use crate::score::expected_correct;
 
 /// Tunables of the summarization service.
 ///
@@ -130,22 +139,18 @@ fn descend(tree: &mut SummaryTree, config: &EngineConfig, key: &CellKey, weight:
     // progress through host/create, so restructuring can't loop.
     let mut merged_here = false;
     let mut split_here = false;
+    // Buffers reused across levels.
+    let mut children: Vec<NodeId> = Vec::new();
+    let mut terms: Vec<ChildTerms> = Vec::new();
     loop {
-        let children = tree.node(node).children.clone();
+        children.clear();
+        children.extend_from_slice(&tree.node(node).children);
         if children.is_empty() {
             return node;
         }
 
-        let op = choose_operator(
-            tree,
-            config,
-            node,
-            &children,
-            key,
-            weight,
-            merged_here,
-            split_here,
-        );
+        let level = Level::score(tree, node, &children, &key.0, weight, &mut terms);
+        let op = level.choose(config, merged_here, split_here);
         match op {
             Operator::Create => return node,
             Operator::Host(i) => {
@@ -176,184 +181,227 @@ fn descend(tree: &mut SummaryTree, config: &EngineConfig, key: &CellKey, weight:
     }
 }
 
-#[allow(clippy::too_many_arguments)]
-fn choose_operator(
-    tree: &SummaryTree,
-    config: &EngineConfig,
-    node: NodeId,
-    children: &[NodeId],
-    key: &CellKey,
-    weight: f64,
-    merged_here: bool,
-    split_here: bool,
-) -> Operator {
-    let labels: &[LabelId] = &key.0;
-
-    // Score hosting in each child.
-    let mut best: (f64, usize) = (f64::NEG_INFINITY, 0);
-    let mut second: (f64, usize) = (f64::NEG_INFINITY, 0);
-    for i in 0..children.len() {
-        let s = category_utility(tree, node, Some((i, labels, weight)));
-        if s > best.0 {
-            second = best;
-            best = (s, i);
-        } else if s > second.0 {
-            second = (s, i);
-        }
-    }
-    let create_score = category_utility_with_new_child(tree, node, labels, weight);
-
-    let mut winner = if create_score > best.0 {
-        (create_score, Operator::Create)
-    } else {
-        (best.0, Operator::Host(best.1))
-    };
-
-    // Merge: fuse the two best hosts, place the cell inside the fusion.
-    if config.enable_merge && !merged_here && children.len() >= 3 && second.0 > f64::NEG_INFINITY {
-        let s = merge_score(tree, node, children, best.1, second.1, labels, weight);
-        if s > winner.0 + config.restructure_epsilon {
-            winner = (s, Operator::Merge(best.1, second.1));
-        }
-    }
-
-    // Split: dissolve the best host if it is internal.
-    if config.enable_split && !split_here {
-        let host = children[best.1];
-        if !tree.node(host).is_leaf() {
-            let s = split_score(tree, node, children, best.1, labels, weight);
-            if s > winner.0 + config.restructure_epsilon {
-                winner = (s, Operator::Split(best.1));
-            }
-        }
-    }
-
-    winner.1
+/// A child's two CU terms at one level, `(total / parent_total) * (ec −
+/// parent_ec)`: as it stands (`plain`) and hosting the pending cell
+/// (`hosted`). `None` when that total is not positive (the term is
+/// skipped).
+#[derive(Debug, Clone, Copy)]
+struct ChildTerms {
+    plain: Option<f64>,
+    hosted: Option<f64>,
 }
 
-/// Σ_a Σ_l p² over an explicit histogram with the pending cell added.
-fn ec_of(hist: &[Vec<f64>], count: f64, pending: Option<(&[LabelId], f64)>) -> f64 {
-    let total = count + pending.map(|(_, w)| w).unwrap_or(0.0);
-    if total <= 0.0 {
-        return 0.0;
+/// One descent level, scored once: the parent's expected-correct term
+/// with the pending cell in it, and every child's [`ChildTerms`]. Each
+/// operator's score sums cached terms in the order the reference scorers
+/// ([`crate::score::category_utility`] and
+/// [`crate::score::category_utility_with_new_child`]) add them, so every
+/// score is bit-identical to theirs.
+struct Level<'a> {
+    tree: &'a SummaryTree,
+    children: &'a [NodeId],
+    labels: &'a [LabelId],
+    weight: f64,
+    parent_total: f64,
+    parent_ec: f64,
+    /// `terms[i]` belongs to `children[i]`; empty when `parent_total` is
+    /// not positive (every score is then 0).
+    terms: &'a [ChildTerms],
+}
+
+impl<'a> Level<'a> {
+    /// Scores the level of `node`, whose children are `children`, for a
+    /// pending cell `labels` of weight `weight`. `buf` holds the cached
+    /// terms.
+    fn score(
+        tree: &'a SummaryTree,
+        node: NodeId,
+        children: &'a [NodeId],
+        labels: &'a [LabelId],
+        weight: f64,
+        buf: &'a mut Vec<ChildTerms>,
+    ) -> Self {
+        let parent = tree.node(node);
+        let parent_total = parent.count + weight;
+        let mut level = Level {
+            tree,
+            children,
+            labels,
+            weight,
+            parent_total,
+            parent_ec: 0.0,
+            terms: &[],
+        };
+        buf.clear();
+        if parent_total > 0.0 {
+            level.parent_ec =
+                expected_correct(tree.offsets(), parent_total, Some((labels, weight)), |s| {
+                    parent.hist[s]
+                });
+            buf.extend(children.iter().map(|&c| level.terms_of(c)));
+        }
+        level.terms = buf;
+        level
     }
-    let mut sum = 0.0;
-    for (attr, labels) in hist.iter().enumerate() {
-        for (l, &w) in labels.iter().enumerate() {
-            let mut w = w;
-            if let Some((key, pw)) = pending {
-                if key[attr].index() == l {
-                    w += pw;
+
+    /// `child`'s terms at this level.
+    fn terms_of(&self, child: NodeId) -> ChildTerms {
+        let c = self.tree.node(child);
+        let offsets = self.tree.offsets();
+        let term = |total: f64, pending| {
+            (total > 0.0).then(|| {
+                let ec = expected_correct(offsets, total, pending, |s| c.hist[s]);
+                (total / self.parent_total) * (ec - self.parent_ec)
+            })
+        };
+        ChildTerms {
+            plain: term(c.count, None),
+            hosted: term(c.count + self.weight, Some((self.labels, self.weight))),
+        }
+    }
+
+    /// CU with the cell hosted in child `i`.
+    fn host(&self, i: usize) -> f64 {
+        if self.parent_total <= 0.0 {
+            return 0.0;
+        }
+        cu_hosted_in(0.0, self.terms, Some(i)) / self.children.len() as f64
+    }
+
+    /// CU with the cell in a new singleton child.
+    fn create(&self) -> f64 {
+        if self.parent_total <= 0.0 {
+            return 0.0;
+        }
+        let mut cu = cu_hosted_in(0.0, self.terms, None);
+        // A singleton's Σ P(l|C)² is the number of attributes.
+        let singleton_ec = self.labels.len() as f64;
+        cu += (self.weight / self.parent_total) * (singleton_ec - self.parent_ec);
+        cu / (self.children.len() + 1) as f64
+    }
+
+    /// CU if children `i` and `j` were fused into one host that also
+    /// receives the cell.
+    fn merge(&self, i: usize, j: usize) -> f64 {
+        if self.parent_total <= 0.0 {
+            return 0.0;
+        }
+        let k = self.children.len() - 1; // i and j fuse into one
+        let mut cu = 0.0;
+        let (ci, cj) = (
+            self.tree.node(self.children[i]),
+            self.tree.node(self.children[j]),
+        );
+        let fused_count = ci.count + cj.count;
+        let fused_total = fused_count + self.weight;
+        if fused_total > 0.0 {
+            // Fused histogram = hist_i + hist_j, slot by slot.
+            let ec = expected_correct(
+                self.tree.offsets(),
+                fused_total,
+                Some((self.labels, self.weight)),
+                |s| ci.hist[s] + cj.hist[s],
+            );
+            cu += (fused_total / self.parent_total) * (ec - self.parent_ec);
+        }
+        for (idx, t) in self.terms.iter().enumerate() {
+            if idx != i && idx != j {
+                if let Some(t) = t.plain {
+                    cu += t;
                 }
             }
-            if w > 0.0 {
-                let p = w / total;
-                sum += p * p;
+        }
+        cu / k as f64
+    }
+
+    /// CU if child `i` (internal) were dissolved, its children promoted,
+    /// and the cell placed in the best promoted grandchild.
+    fn split(&self, i: usize) -> f64 {
+        if self.parent_total <= 0.0 {
+            return 0.0;
+        }
+        let grandchildren = &self.tree.node(self.children[i]).children;
+        let k = self.children.len() - 1 + grandchildren.len();
+        if k == 0 {
+            return f64::NEG_INFINITY;
+        }
+        // Contribution of the unaffected children.
+        let mut base = 0.0;
+        for (idx, t) in self.terms.iter().enumerate() {
+            if idx != i {
+                if let Some(t) = t.plain {
+                    base += t;
+                }
             }
         }
+        // Try the cell in each promoted grandchild; keep the best.
+        let promoted: Vec<ChildTerms> = grandchildren.iter().map(|&g| self.terms_of(g)).collect();
+        let mut best = f64::NEG_INFINITY;
+        for gi in 0..promoted.len() {
+            best = best.max(cu_hosted_in(base, &promoted, Some(gi)));
+        }
+        best / k as f64
     }
-    sum
-}
 
-/// CU of `node`'s partition if children `i` and `j` were fused into one
-/// host that also receives the pending cell.
-fn merge_score(
-    tree: &SummaryTree,
-    node: NodeId,
-    children: &[NodeId],
-    i: usize,
-    j: usize,
-    labels: &[LabelId],
-    weight: f64,
-) -> f64 {
-    let parent = tree.node(node);
-    let parent_total = parent.count + weight;
-    if parent_total <= 0.0 {
-        return 0.0;
-    }
-    let parent_ec = ec_of(&parent.hist, parent.count, Some((labels, weight)));
-    let k = children.len() - 1; // i and j fuse into one
-    let mut cu = 0.0;
-    // Fused host histogram = hist_i + hist_j (+ pending cell).
-    let (ci, cj) = (tree.node(children[i]), tree.node(children[j]));
-    let mut fused: Vec<Vec<f64>> = ci.hist.clone();
-    for (attr, labels_h) in fused.iter_mut().enumerate() {
-        for (l, slot) in labels_h.iter_mut().enumerate() {
-            *slot += cj.hist[attr][l];
-        }
-    }
-    let fused_count = ci.count + cj.count;
-    let fused_total = fused_count + weight;
-    if fused_total > 0.0 {
-        let ec = ec_of(&fused, fused_count, Some((labels, weight)));
-        cu += (fused_total / parent_total) * (ec - parent_ec);
-    }
-    for (idx, &c) in children.iter().enumerate() {
-        if idx == i || idx == j {
-            continue;
-        }
-        let child = tree.node(c);
-        if child.count <= 0.0 {
-            continue;
-        }
-        let ec = ec_of(&child.hist, child.count, None);
-        cu += (child.count / parent_total) * (ec - parent_ec);
-    }
-    cu / k as f64
-}
-
-/// CU of `node`'s partition if child `i` (internal) were dissolved, its
-/// children promoted, and the pending cell placed in the best promoted
-/// grandchild.
-fn split_score(
-    tree: &SummaryTree,
-    node: NodeId,
-    children: &[NodeId],
-    i: usize,
-    labels: &[LabelId],
-    weight: f64,
-) -> f64 {
-    let parent = tree.node(node);
-    let parent_total = parent.count + weight;
-    if parent_total <= 0.0 {
-        return 0.0;
-    }
-    let parent_ec = ec_of(&parent.hist, parent.count, Some((labels, weight)));
-    let grandchildren = tree.node(children[i]).children.clone();
-    let k = children.len() - 1 + grandchildren.len();
-    if k == 0 {
-        return f64::NEG_INFINITY;
-    }
-    // Contribution of the unaffected children.
-    let mut base = 0.0;
-    for (idx, &c) in children.iter().enumerate() {
-        if idx == i {
-            continue;
-        }
-        let child = tree.node(c);
-        if child.count <= 0.0 {
-            continue;
-        }
-        base += (child.count / parent_total) * (ec_of(&child.hist, child.count, None) - parent_ec);
-    }
-    // Try the pending cell in each promoted grandchild; keep the best.
-    let mut best = f64::NEG_INFINITY;
-    for (gi, &g) in grandchildren.iter().enumerate() {
-        let mut cu = base;
-        for (gj, &h) in grandchildren.iter().enumerate() {
-            let gc = tree.node(h);
-            let pending = (gi == gj).then_some((labels, weight));
-            let total = gc.count + pending.map(|(_, w)| w).unwrap_or(0.0);
-            if total <= 0.0 {
-                continue;
+    /// Picks the operator for this level.
+    fn choose(&self, config: &EngineConfig, merged_here: bool, split_here: bool) -> Operator {
+        // Score hosting in each child.
+        let mut best: (f64, usize) = (f64::NEG_INFINITY, 0);
+        let mut second: (f64, usize) = (f64::NEG_INFINITY, 0);
+        for i in 0..self.children.len() {
+            let s = self.host(i);
+            if s > best.0 {
+                second = best;
+                best = (s, i);
+            } else if s > second.0 {
+                second = (s, i);
             }
-            let ec = ec_of(&gc.hist, gc.count, pending);
-            cu += (total / parent_total) * (ec - parent_ec);
         }
-        let _ = g;
-        best = best.max(cu);
+        let create_score = self.create();
+
+        let mut winner = if create_score > best.0 {
+            (create_score, Operator::Create)
+        } else {
+            (best.0, Operator::Host(best.1))
+        };
+
+        // Merge: fuse the two best hosts, place the cell inside the fusion.
+        if config.enable_merge
+            && !merged_here
+            && self.children.len() >= 3
+            && second.0 > f64::NEG_INFINITY
+        {
+            let s = self.merge(best.1, second.1);
+            if s > winner.0 + config.restructure_epsilon {
+                winner = (s, Operator::Merge(best.1, second.1));
+            }
+        }
+
+        // Split: dissolve the best host if it is internal.
+        if config.enable_split && !split_here {
+            let host = self.children[best.1];
+            if !self.tree.node(host).is_leaf() {
+                let s = self.split(best.1);
+                if s > winner.0 + config.restructure_epsilon {
+                    winner = (s, Operator::Split(best.1));
+                }
+            }
+        }
+
+        winner.1
     }
-    best / k as f64
+}
+
+/// `cu` plus every term of a partition, in child order: child `host`'s
+/// hosted term and every other child's plain term.
+fn cu_hosted_in(mut cu: f64, terms: &[ChildTerms], host: Option<usize>) -> f64 {
+    for (j, t) in terms.iter().enumerate() {
+        let term = if Some(j) == host { t.hosted } else { t.plain };
+        if let Some(term) = term {
+            cu += term;
+        }
+    }
+    cu
 }
 
 /// The per-peer summarization engine: a [`Mapper`] feeding a
@@ -752,6 +800,445 @@ mod tests {
             let wb = backward.tree().cells()[k].content.weight;
             assert!((wf - wb).abs() < 1e-9);
         }
+    }
+
+    // ---- the scorer before per-level caching, kept as the reference ----
+
+    /// A node's histogram in the nested per-attribute layout the reference
+    /// scorer read, rebuilt from the flat one.
+    fn nested(tree: &SummaryTree, id: NodeId) -> Vec<Vec<f64>> {
+        let n = tree.node(id);
+        tree.label_counts()
+            .iter()
+            .enumerate()
+            .map(|(a, &len)| {
+                (0..len)
+                    .map(|l| n.hist[tree.slot(a, LabelId(l as u16))])
+                    .collect()
+            })
+            .collect()
+    }
+
+    fn ref_ec_of(hist: &[Vec<f64>], count: f64, pending: Option<(&[LabelId], f64)>) -> f64 {
+        let total = count + pending.map(|(_, w)| w).unwrap_or(0.0);
+        if total <= 0.0 {
+            return 0.0;
+        }
+        let mut sum = 0.0;
+        for (attr, labels) in hist.iter().enumerate() {
+            for (l, &w) in labels.iter().enumerate() {
+                let mut w = w;
+                if let Some((key, pw)) = pending {
+                    if key[attr].index() == l {
+                        w += pw;
+                    }
+                }
+                if w > 0.0 {
+                    let p = w / total;
+                    sum += p * p;
+                }
+            }
+        }
+        sum
+    }
+
+    fn ref_category_utility(
+        tree: &SummaryTree,
+        parent: NodeId,
+        pending: Option<(usize, &[LabelId], f64)>,
+    ) -> f64 {
+        let p = tree.node(parent);
+        let k = p.children.len();
+        if k == 0 {
+            return 0.0;
+        }
+        let extra_w = pending.map(|(_, _, w)| w).unwrap_or(0.0);
+        let parent_total = p.count + extra_w;
+        if parent_total <= 0.0 {
+            return 0.0;
+        }
+        let parent_ec = ref_ec_of(
+            &nested(tree, parent),
+            p.count,
+            pending.map(|(_, key, w)| (key, w)),
+        );
+        let mut cu = 0.0;
+        for (i, &child) in p.children.iter().enumerate() {
+            let c = tree.node(child);
+            let child_pending = match pending {
+                Some((idx, key, w)) if idx == i => Some((key, w)),
+                _ => None,
+            };
+            let child_total = c.count + child_pending.map(|(_, w)| w).unwrap_or(0.0);
+            if child_total <= 0.0 {
+                continue;
+            }
+            let child_ec = ref_ec_of(&nested(tree, child), c.count, child_pending);
+            cu += (child_total / parent_total) * (child_ec - parent_ec);
+        }
+        cu / k as f64
+    }
+
+    fn ref_create_score(tree: &SummaryTree, parent: NodeId, key: &[LabelId], weight: f64) -> f64 {
+        let p = tree.node(parent);
+        let k = p.children.len() + 1;
+        let parent_total = p.count + weight;
+        if parent_total <= 0.0 {
+            return 0.0;
+        }
+        let parent_ec = ref_ec_of(&nested(tree, parent), p.count, Some((key, weight)));
+        let mut cu = 0.0;
+        for &child in &p.children {
+            let c = tree.node(child);
+            if c.count <= 0.0 {
+                continue;
+            }
+            let child_ec = ref_ec_of(&nested(tree, child), c.count, None);
+            cu += (c.count / parent_total) * (child_ec - parent_ec);
+        }
+        let singleton_ec = key.len() as f64;
+        cu += (weight / parent_total) * (singleton_ec - parent_ec);
+        cu / k as f64
+    }
+
+    fn ref_merge_score(
+        tree: &SummaryTree,
+        node: NodeId,
+        children: &[NodeId],
+        i: usize,
+        j: usize,
+        labels: &[LabelId],
+        weight: f64,
+    ) -> f64 {
+        let parent = tree.node(node);
+        let parent_total = parent.count + weight;
+        if parent_total <= 0.0 {
+            return 0.0;
+        }
+        let parent_ec = ref_ec_of(&nested(tree, node), parent.count, Some((labels, weight)));
+        let k = children.len() - 1;
+        let mut cu = 0.0;
+        let (ci, cj) = (tree.node(children[i]), tree.node(children[j]));
+        let mut fused: Vec<Vec<f64>> = nested(tree, children[i]);
+        let hist_j = nested(tree, children[j]);
+        for (attr, labels_h) in fused.iter_mut().enumerate() {
+            for (l, slot) in labels_h.iter_mut().enumerate() {
+                *slot += hist_j[attr][l];
+            }
+        }
+        let fused_count = ci.count + cj.count;
+        let fused_total = fused_count + weight;
+        if fused_total > 0.0 {
+            let ec = ref_ec_of(&fused, fused_count, Some((labels, weight)));
+            cu += (fused_total / parent_total) * (ec - parent_ec);
+        }
+        for (idx, &c) in children.iter().enumerate() {
+            if idx == i || idx == j {
+                continue;
+            }
+            let child = tree.node(c);
+            if child.count <= 0.0 {
+                continue;
+            }
+            let ec = ref_ec_of(&nested(tree, c), child.count, None);
+            cu += (child.count / parent_total) * (ec - parent_ec);
+        }
+        cu / k as f64
+    }
+
+    fn ref_split_score(
+        tree: &SummaryTree,
+        node: NodeId,
+        children: &[NodeId],
+        i: usize,
+        labels: &[LabelId],
+        weight: f64,
+    ) -> f64 {
+        let parent = tree.node(node);
+        let parent_total = parent.count + weight;
+        if parent_total <= 0.0 {
+            return 0.0;
+        }
+        let parent_ec = ref_ec_of(&nested(tree, node), parent.count, Some((labels, weight)));
+        let grandchildren = tree.node(children[i]).children.clone();
+        let k = children.len() - 1 + grandchildren.len();
+        if k == 0 {
+            return f64::NEG_INFINITY;
+        }
+        let mut base = 0.0;
+        for (idx, &c) in children.iter().enumerate() {
+            if idx == i {
+                continue;
+            }
+            let child = tree.node(c);
+            if child.count <= 0.0 {
+                continue;
+            }
+            base += (child.count / parent_total)
+                * (ref_ec_of(&nested(tree, c), child.count, None) - parent_ec);
+        }
+        let mut best = f64::NEG_INFINITY;
+        for gi in 0..grandchildren.len() {
+            let mut cu = base;
+            for (gj, &h) in grandchildren.iter().enumerate() {
+                let gc = tree.node(h);
+                let pending = (gi == gj).then_some((labels, weight));
+                let total = gc.count + pending.map(|(_, w)| w).unwrap_or(0.0);
+                if total <= 0.0 {
+                    continue;
+                }
+                let ec = ref_ec_of(&nested(tree, h), gc.count, pending);
+                cu += (total / parent_total) * (ec - parent_ec);
+            }
+            best = best.max(cu);
+        }
+        best / k as f64
+    }
+
+    #[allow(clippy::too_many_arguments)]
+    fn ref_choose_operator(
+        tree: &SummaryTree,
+        config: &EngineConfig,
+        node: NodeId,
+        children: &[NodeId],
+        labels: &[LabelId],
+        weight: f64,
+        merged_here: bool,
+        split_here: bool,
+    ) -> Operator {
+        let mut best: (f64, usize) = (f64::NEG_INFINITY, 0);
+        let mut second: (f64, usize) = (f64::NEG_INFINITY, 0);
+        for i in 0..children.len() {
+            let s = ref_category_utility(tree, node, Some((i, labels, weight)));
+            if s > best.0 {
+                second = best;
+                best = (s, i);
+            } else if s > second.0 {
+                second = (s, i);
+            }
+        }
+        let create_score = ref_create_score(tree, node, labels, weight);
+        let mut winner = if create_score > best.0 {
+            (create_score, Operator::Create)
+        } else {
+            (best.0, Operator::Host(best.1))
+        };
+        if config.enable_merge
+            && !merged_here
+            && children.len() >= 3
+            && second.0 > f64::NEG_INFINITY
+        {
+            let s = ref_merge_score(tree, node, children, best.1, second.1, labels, weight);
+            if s > winner.0 + config.restructure_epsilon {
+                winner = (s, Operator::Merge(best.1, second.1));
+            }
+        }
+        if config.enable_split && !split_here {
+            let host = children[best.1];
+            if !tree.node(host).is_leaf() {
+                let s = ref_split_score(tree, node, children, best.1, labels, weight);
+                if s > winner.0 + config.restructure_epsilon {
+                    winner = (s, Operator::Split(best.1));
+                }
+            }
+        }
+        winner.1
+    }
+
+    /// What the scorer comparison has exercised.
+    #[derive(Debug, Default)]
+    struct Seen {
+        levels: usize,
+        arity: [usize; 3],
+        leaf_hosts: usize,
+        internal_hosts: usize,
+        zero_count_children: usize,
+        /// Reference decisions: host, create, merge, split.
+        ops: [usize; 4],
+    }
+
+    /// Scores one level both ways and asserts bit-equal scores and the
+    /// same decision under every guard and config.
+    fn assert_level_matches(
+        tree: &SummaryTree,
+        node: NodeId,
+        labels: &[LabelId],
+        weight: f64,
+        seen: &mut Seen,
+    ) {
+        let children = tree.node(node).children.clone();
+        let k = children.len();
+        let mut buf = Vec::new();
+        let level = Level::score(tree, node, &children, labels, weight, &mut buf);
+        let ctx = format!("node {node:?}, key {labels:?}, weight {weight}");
+        for i in 0..k {
+            let want = ref_category_utility(tree, node, Some((i, labels, weight)));
+            assert_eq!(level.host(i).to_bits(), want.to_bits(), "host {i}, {ctx}");
+            let public = crate::score::category_utility(tree, node, Some((i, labels, weight)));
+            assert_eq!(public.to_bits(), want.to_bits(), "public host {i}, {ctx}");
+            for j in (0..k).filter(|&j| j != i) {
+                let want = ref_merge_score(tree, node, &children, i, j, labels, weight);
+                assert_eq!(
+                    level.merge(i, j).to_bits(),
+                    want.to_bits(),
+                    "merge {i} {j}, {ctx}"
+                );
+            }
+            let child = tree.node(children[i]);
+            if child.is_leaf() {
+                seen.leaf_hosts += 1;
+            } else {
+                seen.internal_hosts += 1;
+                let want = ref_split_score(tree, node, &children, i, labels, weight);
+                assert_eq!(level.split(i).to_bits(), want.to_bits(), "split {i}, {ctx}");
+            }
+            if child.count == 0.0 {
+                seen.zero_count_children += 1;
+            }
+        }
+        let want = ref_create_score(tree, node, labels, weight);
+        assert_eq!(level.create().to_bits(), want.to_bits(), "create, {ctx}");
+        let public = crate::score::category_utility_with_new_child(tree, node, labels, weight);
+        assert_eq!(public.to_bits(), want.to_bits(), "public create, {ctx}");
+
+        let configs = [
+            EngineConfig::default(),
+            EngineConfig {
+                restructure_epsilon: 0.0,
+                ..Default::default()
+            },
+        ];
+        for config in &configs {
+            for (merged_here, split_here) in
+                [(false, false), (false, true), (true, false), (true, true)]
+            {
+                let op = level.choose(config, merged_here, split_here);
+                let want = ref_choose_operator(
+                    tree,
+                    config,
+                    node,
+                    &children,
+                    labels,
+                    weight,
+                    merged_here,
+                    split_here,
+                );
+                assert_eq!(
+                    op, want,
+                    "{ctx}, merged_here {merged_here}, split_here {split_here}"
+                );
+                seen.ops[match want {
+                    Operator::Host(_) => 0,
+                    Operator::Create => 1,
+                    Operator::Merge(..) => 2,
+                    Operator::Split(_) => 3,
+                }] += 1;
+            }
+        }
+        seen.levels += 1;
+        seen.arity[k.min(3) - 1] += 1;
+    }
+
+    /// Compares the scorers at every internal node of `tree`, for random
+    /// keys and weights.
+    fn assert_tree_levels_match(tree: &SummaryTree, rng: &mut rand::rngs::StdRng, seen: &mut Seen) {
+        let mut stack = vec![tree.root()];
+        while let Some(id) = stack.pop() {
+            let node = tree.node(id);
+            if node.children.is_empty() {
+                continue;
+            }
+            stack.extend(node.children.iter().copied());
+            for _ in 0..3 {
+                let labels: Vec<LabelId> = tree
+                    .label_counts()
+                    .iter()
+                    .map(|&n| LabelId(rng.gen_range(0..n) as u16))
+                    .collect();
+                let weight = match rng.gen_range(0..4) {
+                    0 => 1.0,
+                    1 => rng.gen_range(1e-6..1e-3),
+                    2 => rng.gen_range(1.0..8.0),
+                    _ => rng.gen_range(0.0..1.0),
+                };
+                assert_level_matches(tree, id, &labels, weight, seen);
+            }
+        }
+    }
+
+    #[test]
+    fn level_scores_match_the_reference_scorer() {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(41);
+        let dist = PatientDistributions::default();
+        let mut trees = Vec::new();
+        // Local summaries of random tables, from a single record up.
+        let mut locals = Vec::new();
+        for (i, n) in [1usize, 2, 5, 16, 24, 60, 200].into_iter().enumerate() {
+            let table = patient_table(&mut rng, n, &dist, &MatchTarget::default(), 0);
+            let mut e = SaintEtiQEngine::new(
+                BackgroundKnowledge::medical_cbk(),
+                &Schema::patient(),
+                EngineConfig::default(),
+                SourceId(i as u32),
+            )
+            .unwrap();
+            e.summarize_table(&table);
+            locals.push(e.into_tree());
+        }
+        // Merged multi-source global summaries.
+        let bk = BackgroundKnowledge::medical_cbk();
+        let label_counts: Vec<usize> = bk.attributes().iter().map(|a| a.label_count()).collect();
+        for sources in [&locals[3..5], &locals[..]] {
+            let gs = crate::merge::merge_all(
+                bk.name(),
+                &label_counts,
+                sources.iter(),
+                &EngineConfig::default(),
+            )
+            .unwrap();
+            trees.push(gs);
+        }
+        trees.extend(locals);
+        // The same trees with a zero-count child under every internal node.
+        let unused = CellKey(vec![LabelId(0), LabelId(0), LabelId(0), LabelId(0)]);
+        let with_empty: Vec<SummaryTree> = trees
+            .iter()
+            .filter(|t| t.leaf_of(&unused).is_none())
+            .map(|t| {
+                let mut t = t.clone();
+                let mut internal = Vec::new();
+                let mut stack = vec![t.root()];
+                while let Some(id) = stack.pop() {
+                    if !t.node(id).is_leaf() {
+                        internal.push(id);
+                        stack.extend(t.node(id).children.iter().copied());
+                    }
+                }
+                let empty =
+                    t.create_leaf(internal[rng.gen_range(0..internal.len())], unused.clone());
+                assert_eq!(t.node(empty).count, 0.0);
+                t
+            })
+            .collect();
+        trees.extend(with_empty);
+        // A single internal child holding two leaves: k = 1, split-able.
+        let mut narrow = SummaryTree::new(bk.name(), label_counts.clone());
+        let host = narrow.create_internal(narrow.root());
+        for labels in [[0u16, 1, 0, 2], [1, 1, 2, 2]] {
+            let key = CellKey(labels.iter().map(|&l| LabelId(l)).collect());
+            narrow.create_leaf(host, key.clone());
+            narrow.add_to_cell(&key, SourceId(1), 1.0, &[1.0; 4], None);
+        }
+        trees.push(narrow);
+
+        let mut seen = Seen::default();
+        for tree in &trees {
+            assert_tree_levels_match(tree, &mut rng, &mut seen);
+        }
+        assert!(seen.arity.iter().all(|&n| n > 0), "{seen:?}");
+        assert!(seen.leaf_hosts > 0 && seen.internal_hosts > 0, "{seen:?}");
+        assert!(seen.zero_count_children > 0, "{seen:?}");
+        assert!(seen.ops.iter().all(|&n| n > 0), "{seen:?}");
     }
 
     #[test]

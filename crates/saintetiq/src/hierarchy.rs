@@ -94,9 +94,11 @@ pub struct Node {
     pub intent: Intent,
     /// Total cell weight below (fractional tuple count).
     pub count: f64,
-    /// Per-attribute, per-label weight histogram (drives the partition
-    /// score and keeps intents exact under removals).
-    pub hist: Vec<Vec<f64>>,
+    /// Per-label weight histogram (drives the partition score and keeps
+    /// intents exact under removals), flat and attribute-major: the
+    /// labels of attribute 0, then those of attribute 1, and so on. Label
+    /// `l` of attribute `a` sits at [`SummaryTree::slot`]`(a, l)`.
+    pub hist: Vec<f64>,
     /// For a leaf: the grid cell it stands for.
     pub cell: Option<CellKey>,
     /// Tombstone flag: dead nodes stay in the arena until rebuild.
@@ -104,13 +106,13 @@ pub struct Node {
 }
 
 impl Node {
-    fn new(arity: usize, label_counts: &[usize], parent: Option<NodeId>) -> Self {
+    fn new(arity: usize, slots: usize, parent: Option<NodeId>) -> Self {
         Self {
             parent,
             children: Vec::new(),
             intent: Intent::empty(arity),
             count: 0.0,
-            hist: label_counts.iter().map(|&n| vec![0.0; n]).collect(),
+            hist: vec![0.0; slots],
             cell: None,
             alive: true,
         }
@@ -169,6 +171,9 @@ pub struct SummaryTree {
     bk_name: String,
     /// Labels per attribute (histogram dimensions).
     label_counts: Vec<usize>,
+    /// `offsets[a]` = flat histogram index of attribute `a`'s first label;
+    /// the last entry is the histogram length.
+    offsets: Vec<usize>,
     nodes: Vec<Node>,
     root: NodeId,
     cells: BTreeMap<CellKey, CellEntry>,
@@ -179,10 +184,16 @@ impl SummaryTree {
     /// counts.
     pub fn new(bk_name: impl Into<String>, label_counts: Vec<usize>) -> Self {
         let arity = label_counts.len();
-        let root_node = Node::new(arity, &label_counts, None);
+        let mut offsets = Vec::with_capacity(arity + 1);
+        offsets.push(0);
+        for &n in &label_counts {
+            offsets.push(offsets[offsets.len() - 1] + n);
+        }
+        let root_node = Node::new(arity, offsets[arity], None);
         Self {
             bk_name: bk_name.into(),
             label_counts,
+            offsets,
             nodes: vec![root_node],
             root: NodeId(0),
             cells: BTreeMap::new(),
@@ -202,6 +213,18 @@ impl SummaryTree {
     /// Number of attributes.
     pub fn arity(&self) -> usize {
         self.label_counts.len()
+    }
+
+    /// Index of label `label` of attribute `attr` in a node's flat
+    /// [`Node::hist`].
+    pub fn slot(&self, attr: usize, label: LabelId) -> usize {
+        self.offsets[attr] + label.index()
+    }
+
+    /// The flat histogram's attribute boundaries: attribute `a` spans
+    /// `offsets[a]..offsets[a + 1]`.
+    pub(crate) fn offsets(&self) -> &[usize] {
+        &self.offsets
     }
 
     /// The root node id.
@@ -364,7 +387,7 @@ impl SummaryTree {
 
     fn alloc(&mut self, parent: Option<NodeId>) -> NodeId {
         let id = NodeId(self.nodes.len() as u32);
-        let node = Node::new(self.arity(), &self.label_counts.clone(), parent);
+        let node = Node::new(self.arity(), self.offsets[self.arity()], parent);
         self.nodes.push(node);
         id
     }
@@ -413,11 +436,10 @@ impl SummaryTree {
             .position(|&c| c == child)
             .expect("child listed under parent");
         self.node_mut(old_parent).children.remove(pos);
-        // Subtract aggregates along the old ancestor chain.
-        let (count, hist) = {
-            let n = self.node(child);
-            (n.count, n.hist.clone())
-        };
+        // Subtract aggregates along the old ancestor chain. The child is
+        // on neither chain, so its histogram is lent out meanwhile.
+        let count = self.node(child).count;
+        let hist = std::mem::take(&mut self.node_mut(child).hist);
         let mut cur = Some(old_parent);
         while let Some(id) = cur {
             self.apply_delta(id, -count, &hist, -1.0);
@@ -431,15 +453,17 @@ impl SummaryTree {
             self.apply_delta(id, count, &hist, 1.0);
             cur = self.node(id).parent;
         }
+        self.node_mut(child).hist = hist;
     }
 
     /// Applies a signed histogram/count delta to one node and refreshes
     /// its cached intent bits. `sign` tells whether `hist` is added or
     /// subtracted (+1 / −1).
-    fn apply_delta(&mut self, id: NodeId, dcount: f64, hist: &[Vec<f64>], sign: f64) {
-        let node = self.node_mut(id);
+    fn apply_delta(&mut self, id: NodeId, dcount: f64, hist: &[f64], sign: f64) {
+        let node = &mut self.nodes[id.idx()];
         node.count = (node.count + dcount).max(0.0);
-        for (attr, (own, delta)) in node.hist.iter_mut().zip(hist).enumerate() {
+        for (attr, span) in self.offsets.windows(2).enumerate() {
+            let (own, delta) = (&mut node.hist[span[0]..span[1]], &hist[span[0]..span[1]]);
             for (l, (slot, &d)) in own.iter_mut().zip(delta).enumerate() {
                 *slot = (*slot + sign * d).max(0.0);
                 let label = LabelId(l as u16);
@@ -450,6 +474,15 @@ impl SummaryTree {
                 }
             }
         }
+    }
+
+    /// A flat histogram holding `weight` in the key's slots only.
+    fn key_delta(&self, key: &CellKey, weight: f64) -> Vec<f64> {
+        let mut hist = vec![0.0; self.offsets[self.arity()]];
+        for (attr, &l) in key.0.iter().enumerate() {
+            hist[self.slot(attr, l)] = weight;
+        }
+        hist
     }
 
     /// Adds `weight` of cell `key` from `source`, updating the leaf's
@@ -521,7 +554,7 @@ impl SummaryTree {
                 node.count = (node.count + w).max(0.0);
             }
             for (attr, &label) in key.0.iter().enumerate() {
-                let slot = &mut node.hist[attr][label.index()];
+                let slot = &mut node.hist[self.offsets[attr] + label.index()];
                 for w in weights() {
                     *slot = (*slot + w).max(0.0);
                 }
@@ -560,10 +593,7 @@ impl SummaryTree {
             return 0.0;
         }
         let drained = entry.content.is_empty();
-        let mut hist: Vec<Vec<f64>> = self.label_counts.iter().map(|&n| vec![0.0; n]).collect();
-        for (attr, &l) in key.0.iter().enumerate() {
-            hist[attr][l.index()] = removed;
-        }
+        let hist = self.key_delta(key, removed);
         let mut cur = Some(leaf);
         while let Some(id) = cur {
             self.apply_delta(id, -removed, &hist, -1.0);
@@ -588,10 +618,7 @@ impl SummaryTree {
             return 0.0;
         }
         let drained = entry.content.is_empty();
-        let mut hist: Vec<Vec<f64>> = self.label_counts.iter().map(|&n| vec![0.0; n]).collect();
-        for (attr, &l) in key.0.iter().enumerate() {
-            hist[attr][l.index()] = removed;
-        }
+        let hist = self.key_delta(key, removed);
         let mut cur = Some(leaf);
         while let Some(id) = cur {
             self.apply_delta(id, -removed, &hist, -1.0);
@@ -734,8 +761,8 @@ impl SummaryTree {
             assert!(node.alive, "dead node {id:?} reachable");
             // Intent bits are exactly the histogram support: the sparse
             // path update of `fold_into_cell` never revisits other slots.
-            for (attr, attr_hist) in node.hist.iter().enumerate() {
-                for (l, &w) in attr_hist.iter().enumerate() {
+            for (attr, span) in self.offsets.windows(2).enumerate() {
+                for (l, &w) in node.hist[span[0]..span[1]].iter().enumerate() {
                     assert_eq!(
                         node.intent.sets[attr].contains(LabelId(l as u16)),
                         w > 1e-12,
@@ -746,6 +773,25 @@ impl SummaryTree {
             if let Some(key) = &node.cell {
                 assert!(node.children.is_empty(), "leaf with children");
                 assert!(self.cells.contains_key(key), "leaf for unregistered cell");
+                // A leaf's weight sits in its key's slots and nowhere else;
+                // a wrong flat offset would move it.
+                let key_slots: Vec<usize> = key
+                    .0
+                    .iter()
+                    .enumerate()
+                    .map(|(a, &l)| self.slot(a, l))
+                    .collect();
+                for (s, &w) in node.hist.iter().enumerate() {
+                    if key_slots.contains(&s) {
+                        assert!(
+                            (w - node.count).abs() < 1e-6,
+                            "leaf slot {s} holds {w}, not the leaf count {} at {id:?}",
+                            node.count
+                        );
+                    } else {
+                        assert_eq!(w, 0.0, "leaf support outside its key: slot {s} at {id:?}");
+                    }
+                }
                 seen_leaves += 1;
             } else {
                 let mut count = 0.0;
@@ -767,8 +813,8 @@ impl SummaryTree {
                     assert_eq!(node.intent, intent, "intent != union of children at {id:?}");
                 }
                 // Histogram totals must match the count on every attribute.
-                for attr_hist in &node.hist {
-                    let total: f64 = attr_hist.iter().sum();
+                for span in self.offsets.windows(2) {
+                    let total: f64 = node.hist[span[0]..span[1]].iter().sum();
                     assert!(
                         (total - node.count).abs() < 1e-6,
                         "hist mass {total} != count {} at {id:?}",
@@ -985,10 +1031,7 @@ mod tests {
         let entry = t.cells.get_mut(key).expect("cell registered");
         entry.content.add(source, weight, &[1.0, 1.0]);
         let leaf = entry.leaf;
-        let mut hist: Vec<Vec<f64>> = t.label_counts.iter().map(|&n| vec![0.0; n]).collect();
-        for (attr, &l) in key.0.iter().enumerate() {
-            hist[attr][l.index()] = weight;
-        }
+        let hist = t.key_delta(key, weight);
         let mut cur = Some(leaf);
         while let Some(id) = cur {
             t.apply_delta(id, weight, &hist, 1.0);
@@ -1042,7 +1085,7 @@ mod tests {
             for (n, (s, d)) in sparse.nodes.iter().zip(&dense.nodes).enumerate() {
                 assert_eq!(s.alive, d.alive, "step {i}, node {n}");
                 assert_eq!(s.count.to_bits(), d.count.to_bits(), "step {i}, node {n}");
-                for (hs, hd) in s.hist.iter().flatten().zip(d.hist.iter().flatten()) {
+                for (hs, hd) in s.hist.iter().zip(&d.hist) {
                     assert_eq!(hs.to_bits(), hd.to_bits(), "step {i}, node {n}");
                 }
                 assert_eq!(s.intent, d.intent, "step {i}, node {n}");
@@ -1065,6 +1108,39 @@ mod tests {
             t.node_mut(id).intent.sets[0].insert(LabelId(0));
         }
         t.check_invariants();
+    }
+
+    #[test]
+    #[should_panic(expected = "leaf support outside its key")]
+    fn invariants_catch_leaf_weight_in_the_wrong_slot() {
+        let mut t = tree();
+        let root = t.root();
+        let k = key(&[1, 2]);
+        t.create_leaf(root, k.clone());
+        t.add_to_cell(&k, SourceId(1), 1.0, &[1.0, 1.0], None);
+        t.check_invariants();
+        // What an off-by-one offset would write: attribute 0's weight in
+        // label 0's slot instead of label 1's, with intent bits to match,
+        // on the leaf and the root alike. Counts, masses, supports and
+        // unions all still agree; only the leaf check sees it.
+        let (right, wrong) = (t.slot(0, LabelId(1)), t.slot(0, LabelId(0)));
+        for id in [t.leaf_of(&k).unwrap(), root] {
+            let node = t.node_mut(id);
+            node.hist.swap(right, wrong);
+            node.intent.sets[0] = DescriptorSet::singleton(LabelId(0));
+        }
+        t.check_invariants();
+    }
+
+    #[test]
+    fn slots_are_attribute_major() {
+        let t = tree();
+        let slots: Vec<usize> = (0..3)
+            .map(|l| t.slot(0, LabelId(l)))
+            .chain((0..4).map(|l| t.slot(1, LabelId(l))))
+            .collect();
+        assert_eq!(slots, (0..7).collect::<Vec<_>>());
+        assert_eq!(t.node(t.root()).hist.len(), 7);
     }
 
     #[test]

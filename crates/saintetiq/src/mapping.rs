@@ -3,7 +3,9 @@
 //! For each record, every summarized attribute is fuzzified against the
 //! Background Knowledge; grades below the BK's pruning threshold τ are
 //! dropped and the survivors renormalized (see
-//! [`fuzzy::linguistic::LinguisticVariable::fuzzify_pruned`]). The record
+//! [`fuzzy::linguistic::LinguisticVariable::fuzzify_pruned`]; the mapper
+//! evaluates each value once and keeps the raw grades too, through
+//! [`fuzzy::linguistic::prune_and_renormalize`]). The record
 //! is then split over the cartesian product of its per-attribute label
 //! sets, each cell weighted by the product of grades. This reproduces the
 //! paper's Table 2 exactly: three patients map to `c1 = (young,
@@ -12,6 +14,7 @@
 
 use fuzzy::bk::{AttributeVocabulary, BackgroundKnowledge};
 use fuzzy::descriptor::{Grade, LabelId};
+use fuzzy::linguistic::prune_and_renormalize;
 use relation::schema::Schema;
 use relation::value::Value;
 
@@ -87,8 +90,9 @@ impl Mapper {
     /// is unmappable on that dimension and yields `Err`; the caller
     /// decides whether to skip or fail (the engine skips and counts).
     pub fn map_record(&self, row: &[Value]) -> Result<Vec<CandidateCell>, SummaryError> {
+        let arity = self.bk.arity();
         // Per attribute: the (label, renormalized grade, raw grade) kept.
-        let mut per_attr: Vec<Vec<(LabelId, Grade, Grade)>> = Vec::with_capacity(self.bk.arity());
+        let mut per_attr: Vec<Vec<(LabelId, Grade, Grade)>> = Vec::with_capacity(arity);
         for (attr_idx, attr) in self.bk.attributes().iter().enumerate() {
             let value = &row[self.columns[attr_idx]];
             let kept: Vec<(LabelId, Grade, Grade)> = match attr {
@@ -97,21 +101,10 @@ impl Mapper {
                         attribute: attr.name().to_string(),
                         value: value.to_string(),
                     })?;
-                    // Keep the raw grade alongside the renormalized one:
-                    // raw grades become the cell's "0.3/adult" annotations.
-                    let raw = var.fuzzify(x);
-                    let pruned = var.fuzzify_pruned(x, self.bk.tau);
-                    pruned
-                        .into_iter()
-                        .map(|(l, g)| {
-                            let rawg = raw
-                                .iter()
-                                .find(|(rl, _)| *rl == l)
-                                .map(|&(_, g)| g)
-                                .unwrap_or(g);
-                            (l, g, rawg)
-                        })
-                        .collect()
+                    // One evaluation gives both readings: the renormalized
+                    // grade weighs the cell, the raw one becomes its
+                    // "0.3/adult" annotation.
+                    prune_and_renormalize(&var.fuzzify(x), self.bk.tau).collect()
                 }
                 AttributeVocabulary::Categorical(tax) => {
                     let s = value.as_str().ok_or_else(|| SummaryError::Unmappable {
@@ -133,28 +126,33 @@ impl Mapper {
             per_attr.push(kept);
         }
 
-        // Cartesian product of kept labels; weight = Π renormalized grades.
-        let mut cells: Vec<CandidateCell> = vec![CandidateCell {
-            key: CellKey(Vec::with_capacity(self.bk.arity())),
-            weight: 1.0,
-            grades: Vec::with_capacity(self.bk.arity()),
-        }];
-        for kept in &per_attr {
-            let mut next = Vec::with_capacity(cells.len() * kept.len());
-            for cell in &cells {
-                for &(label, g, raw) in kept {
-                    let mut key = cell.key.0.clone();
-                    key.push(label);
-                    let mut grades = cell.grades.clone();
-                    grades.push(raw);
-                    next.push(CandidateCell {
-                        key: CellKey(key),
-                        weight: cell.weight * g,
-                        grades,
-                    });
-                }
+        // Cartesian product of kept labels, the last attribute varying
+        // fastest; weight = Π renormalized grades, in attribute order.
+        let count: usize = per_attr.iter().map(Vec::len).product();
+        let mut cells = Vec::with_capacity(count);
+        let mut pick = vec![0usize; arity];
+        for _ in 0..count {
+            let mut key = Vec::with_capacity(arity);
+            let mut grades = Vec::with_capacity(arity);
+            let mut weight = 1.0;
+            for (kept, &i) in per_attr.iter().zip(&pick) {
+                let (label, g, raw) = kept[i];
+                key.push(label);
+                grades.push(raw);
+                weight *= g;
             }
-            cells = next;
+            cells.push(CandidateCell {
+                key: CellKey(key),
+                weight,
+                grades,
+            });
+            for (i, kept) in pick.iter_mut().zip(&per_attr).rev() {
+                *i += 1;
+                if *i < kept.len() {
+                    break;
+                }
+                *i = 0;
+            }
         }
         Ok(cells)
     }
@@ -330,6 +328,243 @@ mod tests {
             Mapper::bind(bk, &schema),
             Err(SummaryError::KindMismatch { .. })
         ));
+    }
+
+    /// The mapper before it evaluated each value once, kept as the
+    /// reference: `fuzzify` for the raw grades, `fuzzify_pruned` for the
+    /// kept ones, and a product grown attribute by attribute.
+    fn reference_map_record(m: &Mapper, row: &[Value]) -> Result<Vec<CandidateCell>, SummaryError> {
+        let mut per_attr: Vec<Vec<(LabelId, Grade, Grade)>> = Vec::new();
+        for (attr_idx, attr) in m.bk.attributes().iter().enumerate() {
+            let value = &row[m.columns[attr_idx]];
+            let unmappable = || SummaryError::Unmappable {
+                attribute: attr.name().to_string(),
+                value: value.to_string(),
+            };
+            let kept: Vec<(LabelId, Grade, Grade)> = match attr {
+                AttributeVocabulary::Numeric(var) => {
+                    let x = value.as_f64().ok_or_else(unmappable)?;
+                    let raw = var.fuzzify(x);
+                    var.fuzzify_pruned(x, m.bk.tau)
+                        .into_iter()
+                        .map(|(l, g)| {
+                            let rawg = raw
+                                .iter()
+                                .find(|(rl, _)| *rl == l)
+                                .map(|&(_, g)| g)
+                                .unwrap_or(g);
+                            (l, g, rawg)
+                        })
+                        .collect()
+                }
+                AttributeVocabulary::Categorical(tax) => {
+                    let s = value.as_str().ok_or_else(unmappable)?;
+                    tax.categorize(s)
+                        .into_iter()
+                        .map(|(l, g)| (l, g, g))
+                        .collect()
+                }
+            };
+            if kept.is_empty() {
+                return Err(unmappable());
+            }
+            per_attr.push(kept);
+        }
+        let mut cells = vec![CandidateCell {
+            key: CellKey(Vec::new()),
+            weight: 1.0,
+            grades: Vec::new(),
+        }];
+        for kept in &per_attr {
+            let mut next = Vec::new();
+            for cell in &cells {
+                for &(label, g, raw) in kept {
+                    let mut key = cell.key.0.clone();
+                    key.push(label);
+                    let mut grades = cell.grades.clone();
+                    grades.push(raw);
+                    next.push(CandidateCell {
+                        key: CellKey(key),
+                        weight: cell.weight * g,
+                        grades,
+                    });
+                }
+            }
+            cells = next;
+        }
+        Ok(cells)
+    }
+
+    /// Asserts the mapper and the reference agree on `row`: the same error,
+    /// or the same cells in the same order with bit-equal weights and
+    /// grades. Returns whether the row mapped.
+    fn assert_maps_like_reference(m: &Mapper, row: &[Value]) -> bool {
+        let (got, want) = (m.map_record(row), reference_map_record(m, row));
+        match (got, want) {
+            (Ok(got), Ok(want)) => {
+                assert_eq!(got.len(), want.len(), "{row:?}");
+                for (g, w) in got.iter().zip(&want) {
+                    assert_eq!(g.key, w.key, "{row:?}");
+                    assert_eq!(g.weight.to_bits(), w.weight.to_bits(), "{row:?}");
+                    let bits = |c: &CandidateCell| -> Vec<u64> {
+                        c.grades.iter().map(|g| g.to_bits()).collect()
+                    };
+                    assert_eq!(bits(g), bits(w), "{row:?}");
+                }
+                true
+            }
+            (got, want) => {
+                assert_eq!(got, want, "{row:?}");
+                false
+            }
+        }
+    }
+
+    /// Interesting numeric inputs for `var`: every corner point of every
+    /// term, points just inside and outside each, values outside the
+    /// domain, and non-finite values.
+    fn probe_values(var: &fuzzy::LinguisticVariable) -> Vec<f64> {
+        let (lo, hi) = var.domain();
+        let mut xs = vec![
+            lo - 10.0,
+            hi + 10.0,
+            f64::NAN,
+            f64::INFINITY,
+            (lo + hi) / 2.0,
+        ];
+        for t in var.terms() {
+            let corners = match t.mf {
+                fuzzy::MembershipFunction::Trapezoidal { a, b, c, d } => vec![a, b, c, d],
+                fuzzy::MembershipFunction::Triangular { a, b, c } => vec![a, b, c],
+                fuzzy::MembershipFunction::Crisp { lo, hi } => vec![lo, hi],
+                fuzzy::MembershipFunction::Singleton { at } => vec![at],
+            };
+            for x in corners {
+                xs.extend([x, x - 0.25, x + 0.25, x - 1e-9, x + 1e-9]);
+            }
+        }
+        xs
+    }
+
+    /// A BK with overlapping (non-Ruspini) triangles, so kept grades do
+    /// not sum to 1, next to the paper's age partition and a flat
+    /// taxonomy.
+    fn overlapping_mapper(tau: f64) -> Mapper {
+        use fuzzy::linguistic::{LinguisticVariable, Term};
+        use fuzzy::MembershipFunction as Mf;
+        let term = |label: &str, mf: Mf| Term {
+            label: label.into(),
+            mf,
+        };
+        let x = LinguisticVariable::new(
+            "x",
+            (0.0, 10.0),
+            vec![
+                term("low", Mf::triangle(0.0, 2.0, 6.0).unwrap()),
+                term("mid", Mf::triangle(1.0, 4.0, 8.0).unwrap()),
+                term("high", Mf::trapezoid(3.0, 5.0, 9.0, 10.0).unwrap()),
+            ],
+        )
+        .unwrap();
+        let medical = BackgroundKnowledge::medical_cbk();
+        let mut bk = BackgroundKnowledge::new("overlapping");
+        bk.push_attribute(AttributeVocabulary::Numeric(x)).unwrap();
+        bk.push_attribute(medical.attribute("age").unwrap().clone())
+            .unwrap();
+        bk.push_attribute(medical.attribute("sex").unwrap().clone())
+            .unwrap();
+        bk.tau = tau;
+        let schema = Schema::new(vec![
+            relation::schema::Attribute::new("sex", relation::schema::AttrType::Text),
+            relation::schema::Attribute::new("x", relation::schema::AttrType::Float),
+            relation::schema::Attribute::new("age", relation::schema::AttrType::Int),
+        ])
+        .unwrap();
+        Mapper::bind(bk, &schema).unwrap()
+    }
+
+    #[test]
+    fn one_pass_mapping_matches_the_reference() {
+        let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(3);
+        let dist = relation::generator::PatientDistributions::default();
+        let numeric = |m: &Mapper, name: &str| match m.bk().attribute(name).unwrap() {
+            AttributeVocabulary::Numeric(var) => var.clone(),
+            AttributeVocabulary::Categorical(_) => unreachable!("{name} is numeric"),
+        };
+        let categories = [
+            Value::text("female"),
+            Value::text("male"),
+            Value::text("unknown"),
+            Value::Null,
+            Value::Int(3),
+        ];
+        let (mut mapped, mut failed, mut at_tau) = (0usize, 0usize, 0usize);
+
+        // The medical CBK (tau = 0.2): age 25 and 19 grade exactly tau.
+        let m = mapper();
+        let (age, bmi) = (numeric(&m, "age"), numeric(&m, "bmi"));
+        let mut ages: Vec<Value> = probe_values(&age).into_iter().map(Value::Float).collect();
+        ages.extend([
+            Value::Int(19),
+            Value::Int(25),
+            Value::Null,
+            Value::text("old"),
+        ]);
+        let mut bmis: Vec<Value> = probe_values(&bmi).into_iter().map(Value::Float).collect();
+        bmis.push(Value::Null);
+        let diseases = [Value::text("malaria"), Value::text("gout"), Value::Null];
+        for a in &ages {
+            for b in &bmis {
+                for (s, d) in categories.iter().zip(diseases.iter().cycle()) {
+                    let row = vec![a.clone(), s.clone(), b.clone(), d.clone()];
+                    if assert_maps_like_reference(&m, &row) {
+                        mapped += 1;
+                    } else {
+                        failed += 1;
+                    }
+                }
+            }
+        }
+        for _ in 0..500 {
+            let row = relation::generator::random_patient(&mut rng, &dist);
+            assert!(assert_maps_like_reference(&m, &row));
+        }
+        for x in [19.0, 25.0] {
+            at_tau += age
+                .fuzzify(x)
+                .iter()
+                .filter(|&&(_, g)| g == m.bk().tau)
+                .count();
+        }
+
+        // Overlapping triangles, with tau at grades that occur exactly.
+        for tau in [0.0, 0.2, 0.25, 0.5, 0.75, 1.0] {
+            let m = overlapping_mapper(tau);
+            let x = numeric(&m, "x");
+            let xs = probe_values(&x);
+            at_tau += xs
+                .iter()
+                .flat_map(|&v| x.fuzzify(v))
+                .filter(|&(_, g)| g == tau)
+                .count();
+            for &v in &xs {
+                for a in [Value::Int(20), Value::Float(25.0), Value::Null] {
+                    for s in &categories {
+                        let row = vec![s.clone(), Value::Float(v), a.clone()];
+                        if assert_maps_like_reference(&m, &row) {
+                            mapped += 1;
+                        } else {
+                            failed += 1;
+                        }
+                    }
+                }
+            }
+        }
+        assert!(
+            mapped > 1000 && failed > 1000,
+            "mapped {mapped}, failed {failed}"
+        );
+        assert!(at_tau >= 4, "only {at_tau} grades exactly at tau");
     }
 
     #[test]

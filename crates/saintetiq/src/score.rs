@@ -14,27 +14,43 @@
 //! where `P(l|X)` is label weight / node count. Weights are fractional
 //! (cells carry fuzzy tuple counts) which generalizes the classic formula
 //! without changing its fixed points on crisp data.
+//!
+//! Every score is a sum of per-node terms `P(C) [EC(C) − EC(N)]`, each
+//! built on `expected_correct` — the one implementation of
+//! `Σ_a Σ_l P(l|X)²`. [`category_utility`] and
+//! [`category_utility_with_new_child`] score one hypothesis each; the
+//! descent ([`crate::engine`]) computes the terms of a level once and
+//! sums them per hypothesis in the same order, so its scores are
+//! bit-identical to these.
+
+use fuzzy::descriptor::LabelId;
 
 use crate::hierarchy::{NodeId, SummaryTree};
 
-/// Σ_a Σ_l P(l|node)² for one node's histogram; `extra` optionally adds a
-/// hypothetical cell (label per attribute with a weight) before scoring.
-fn expected_correct(
-    hist: &[Vec<f64>],
-    count: f64,
-    extra: Option<(&[fuzzy::descriptor::LabelId], f64)>,
+/// Σ_a Σ_l P(l|X)² of a flat histogram at total weight `total`; returns 0
+/// unless `total` is positive.
+///
+/// `slot(s)` is the weight in slot `s`; `offsets` are the histogram's
+/// attribute boundaries (attribute `a` spans `offsets[a]..offsets[a +
+/// 1]`). `pending` adds a hypothetical cell's weight to its label on
+/// every attribute before scoring; the caller's `total` includes it.
+pub(crate) fn expected_correct(
+    offsets: &[usize],
+    total: f64,
+    pending: Option<(&[LabelId], f64)>,
+    slot: impl Fn(usize) -> f64,
 ) -> f64 {
-    let total = count + extra.map(|(_, w)| w).unwrap_or(0.0);
     if total <= 0.0 {
         return 0.0;
     }
     let mut sum = 0.0;
-    for (attr, labels) in hist.iter().enumerate() {
-        for (l, &w) in labels.iter().enumerate() {
-            let mut w = w;
-            if let Some((key, extra_w)) = extra {
-                if key[attr].index() == l {
-                    w += extra_w;
+    for (attr, span) in offsets.windows(2).enumerate() {
+        let hit = pending.map(|(key, w)| (span[0] + key[attr].index(), w));
+        for s in span[0]..span[1] {
+            let mut w = slot(s);
+            if let Some((pending_slot, pw)) = hit {
+                if pending_slot == s {
+                    w += pw;
                 }
             }
             if w > 0.0 {
@@ -54,7 +70,7 @@ fn expected_correct(
 pub fn category_utility(
     tree: &SummaryTree,
     parent: NodeId,
-    pending: Option<(usize, &[fuzzy::descriptor::LabelId], f64)>,
+    pending: Option<(usize, &[LabelId], f64)>,
 ) -> f64 {
     let p = tree.node(parent);
     let k = p.children.len();
@@ -66,7 +82,13 @@ pub fn category_utility(
     if parent_total <= 0.0 {
         return 0.0;
     }
-    let parent_ec = expected_correct(&p.hist, p.count, pending.map(|(_, key, w)| (key, w)));
+    let offsets = tree.offsets();
+    let parent_ec = expected_correct(
+        offsets,
+        parent_total,
+        pending.map(|(_, key, w)| (key, w)),
+        |s| p.hist[s],
+    );
     let mut cu = 0.0;
     for (i, &child) in p.children.iter().enumerate() {
         let c = tree.node(child);
@@ -78,7 +100,7 @@ pub fn category_utility(
         if child_total <= 0.0 {
             continue;
         }
-        let child_ec = expected_correct(&c.hist, c.count, child_pending);
+        let child_ec = expected_correct(offsets, child_total, child_pending, |s| c.hist[s]);
         cu += (child_total / parent_total) * (child_ec - parent_ec);
     }
     cu / k as f64
@@ -90,7 +112,7 @@ pub fn category_utility(
 pub fn category_utility_with_new_child(
     tree: &SummaryTree,
     parent: NodeId,
-    key: &[fuzzy::descriptor::LabelId],
+    key: &[LabelId],
     weight: f64,
 ) -> f64 {
     let p = tree.node(parent);
@@ -99,14 +121,15 @@ pub fn category_utility_with_new_child(
     if parent_total <= 0.0 {
         return 0.0;
     }
-    let parent_ec = expected_correct(&p.hist, p.count, Some((key, weight)));
+    let offsets = tree.offsets();
+    let parent_ec = expected_correct(offsets, parent_total, Some((key, weight)), |s| p.hist[s]);
     let mut cu = 0.0;
     for &child in &p.children {
         let c = tree.node(child);
         if c.count <= 0.0 {
             continue;
         }
-        let child_ec = expected_correct(&c.hist, c.count, None);
+        let child_ec = expected_correct(offsets, c.count, None, |s| c.hist[s]);
         cu += (c.count / parent_total) * (child_ec - parent_ec);
     }
     // The hypothetical singleton child.
