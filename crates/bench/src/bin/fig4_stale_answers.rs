@@ -11,7 +11,7 @@
 use summary_p2p::config::SimConfig;
 use summary_p2p::scenario::figure4;
 
-use sumq_bench::{f4, render_csv, render_table, Cli};
+use sumq_bench::{exit_on_domain_errors, f4, render_csv, render_table, Cli};
 
 fn main() {
     let cli = Cli::parse();
@@ -62,4 +62,5 @@ fn main() {
             r.worst_stale
         );
     }
+    exit_on_domain_errors(rows.iter().map(|r| r.report.domain_errors).sum());
 }

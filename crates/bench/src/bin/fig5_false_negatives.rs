@@ -12,7 +12,7 @@
 use summary_p2p::config::SimConfig;
 use summary_p2p::scenario::{figure4, figure5};
 
-use sumq_bench::{f4, render_csv, render_table, Cli};
+use sumq_bench::{exit_on_domain_errors, f4, render_csv, render_table, Cli};
 
 fn main() {
     let cli = Cli::parse();
@@ -56,4 +56,10 @@ fn main() {
         let max_fn = below_2000.iter().map(|r| r.real_fn).fold(0.0, f64::max);
         println!("paper check: max real-FN fraction below n=2000 is {max_fn:.3} (paper: <=0.03)");
     }
+    exit_on_domain_errors(
+        real.iter()
+            .chain(&worst)
+            .map(|r| r.report.domain_errors)
+            .sum(),
+    );
 }

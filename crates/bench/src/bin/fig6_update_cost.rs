@@ -9,7 +9,7 @@
 use summary_p2p::config::SimConfig;
 use summary_p2p::scenario::figure6;
 
-use sumq_bench::{render_csv, render_table, Cli};
+use sumq_bench::{exit_on_domain_errors, render_csv, render_table, Cli};
 
 fn main() {
     let cli = Cli::parse();
@@ -71,4 +71,5 @@ fn main() {
              / {token:.2} (token-counted); paper: ~1.2"
         );
     }
+    exit_on_domain_errors(rows.iter().map(|r| r.domain_errors).sum());
 }

@@ -13,7 +13,7 @@
 use summary_p2p::config::SimConfig;
 use summary_p2p::scenario::{figure4, figure7};
 
-use sumq_bench::{f1, f4, render_csv, render_table, Cli};
+use sumq_bench::{exit_on_domain_errors, f1, f4, render_csv, render_table, Cli};
 
 fn main() {
     let cli = Cli::parse();
@@ -24,12 +24,12 @@ fn main() {
     // Measure the FP fraction the paper injects into the SQ curve
     // (Figure 4, worst case, alpha = 0.3, 500-peer domain).
     eprintln!("fig7: measuring worst-case FP at alpha=0.3 ...");
-    let fp = {
+    let (fp, fp_errors) = {
         let mut cfg = base;
         cfg.horizon = p2psim::time::SimTime::from_hours(8);
         let pts =
             figure4(&[if cli.quick { 100 } else { 500 }], &[0.3], &cfg).expect("valid config");
-        pts[0].worst_stale
+        (pts[0].worst_stale, pts[0].report.domain_errors)
     };
     eprintln!(
         "fig7: using FP = {fp:.3} (paper: ~0.11); sweeping {} sizes ...",
@@ -72,4 +72,5 @@ fn main() {
             r.flooding / r.summary_querying
         );
     }
+    exit_on_domain_errors(fp_errors);
 }

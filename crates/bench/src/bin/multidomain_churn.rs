@@ -60,7 +60,7 @@ use summary_p2p::scenario::{
     reconcile_cost_sweep, with_heterogeneous_drift, with_latency,
 };
 
-use sumq_bench::{f1, f4, render_csv, render_table, Cli};
+use sumq_bench::{exit_on_domain_errors, f1, f4, render_csv, render_table, Cli};
 
 fn main() {
     let cli = Cli::parse();
@@ -69,11 +69,11 @@ fn main() {
         return;
     }
     if cli.adaptive {
-        write_alpha_summary(&cli);
+        exit_on_domain_errors(write_alpha_summary(&cli));
         return;
     }
     if cli.rebirth {
-        write_rebirth_summary(&cli);
+        exit_on_domain_errors(write_rebirth_summary(&cli));
         return;
     }
     let n = if cli.quick { 300 } else { 1500 };
@@ -85,6 +85,7 @@ fn main() {
     let alphas = [0.3, 0.8];
 
     let mut rows = Vec::new();
+    let mut errors = 0;
     for &alpha in &alphas {
         let mut base = SimConfig::paper_defaults(n, alpha);
         base.seed = cli.seed;
@@ -111,6 +112,7 @@ fn main() {
         let points =
             figure_multidomain_churn(scales, &base, 50, LookupTarget::Total).expect("valid config");
         for p in points {
+            errors += p.report.domain_errors;
             rows.push(vec![
                 f1(p.churn_scale),
                 format!("{alpha:.1}"),
@@ -144,13 +146,15 @@ fn main() {
     println!("{}", render_csv(&headers, &rows));
 
     if cli.latency {
-        write_latency_summary(&cli, n);
+        errors += write_latency_summary(&cli, n);
     }
+    exit_on_domain_errors(errors);
 }
 
 /// Runs the hop-latency sweep and writes `BENCH_latency.json` — the
-/// perf-trajectory summary of the message plane.
-fn write_latency_summary(cli: &Cli, n: usize) {
+/// perf-trajectory summary of the message plane. Returns the
+/// domain-state errors its runs swallowed.
+fn write_latency_summary(cli: &Cli, n: usize) -> u64 {
     let hops: &[u64] = if cli.quick {
         &[5, 200, 2000]
     } else {
@@ -187,14 +191,16 @@ fn write_latency_summary(cli: &Cli, n: usize) {
     );
     fs::write("BENCH_latency.json", &json).expect("write BENCH_latency.json");
     eprintln!("wrote BENCH_latency.json");
+    points.iter().map(|p| p.report.domain_errors).sum()
 }
 
 /// Runs the heterogeneous-drift fixed-α sweep vs the adaptive control
 /// plane and writes `BENCH_alpha.json`: the staleness/bandwidth
 /// frontier plus the acceptance comparison — adaptive within ±20% of
 /// its staleness target, at no more pull bytes than the best fixed α
-/// of comparable staleness.
-fn write_alpha_summary(cli: &Cli) {
+/// of comparable staleness. Returns the domain-state errors its runs
+/// swallowed.
+fn write_alpha_summary(cli: &Cli) -> u64 {
     let n = if cli.quick { 300 } else { 1500 };
     let fixed: &[f64] = &[0.1, 0.2, 0.3, 0.5, 0.8];
     let target_staleness = 0.2;
@@ -328,14 +334,16 @@ fn write_alpha_summary(cli: &Cli) {
         "wrote BENCH_alpha.json (stale_within_band: {stale_within_band}, \
          bytes_within_best_fixed: {bytes_within_best_fixed})"
     );
+    points.iter().map(|p| p.report.domain_errors).sum()
 }
 
 /// Runs the long-horizon SP-churn stationarity experiment — terminal
 /// dissolutions vs latency-aware SP rebirth — and writes
 /// `BENCH_rebirth.json`: both rows, the rebirth run's live-domain
 /// trajectory, and the ±10% stationarity check on the time-weighted
-/// mean live-domain count.
-fn write_rebirth_summary(cli: &Cli) {
+/// mean live-domain count. Returns the domain-state errors its runs
+/// swallowed.
+fn write_rebirth_summary(cli: &Cli) -> u64 {
     let n = if cli.quick { 300 } else { 1500 };
     let horizon_h = if cli.quick { 12 } else { 24 };
     let sp_mean_s = if cli.quick {
@@ -440,6 +448,7 @@ fn write_rebirth_summary(cli: &Cli) {
          {stationary_within_10pct}, off decayed to {}/{} domains)",
         on.rebirths, off.final_domains, off.initial_domains
     );
+    points.iter().map(|p| p.report.domain_errors).sum()
 }
 
 /// Runs the full-vs-incremental reconciliation sweep and writes

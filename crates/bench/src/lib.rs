@@ -144,6 +144,16 @@ BENCH artifacts (written to the working directory)
   BENCH_rebirth.json    live-domain trajectory, rebirth counts, the
                         ±10% stationarity check";
 
+/// Exits with status 1 when the simulation runs behind the printed
+/// tables swallowed domain-state errors (the reports' `domain_errors`,
+/// summed): their numbers describe a corrupted domain.
+pub fn exit_on_domain_errors(errors: u64) {
+    if errors > 0 {
+        eprintln!("error: {errors} domain-state error(s) swallowed; the results above are invalid");
+        std::process::exit(1);
+    }
+}
+
 /// Renders an aligned text table: a header row plus data rows.
 pub fn render_table(headers: &[&str], rows: &[Vec<String>]) -> String {
     let mut widths: Vec<usize> = headers.iter().map(|h| h.len()).collect();

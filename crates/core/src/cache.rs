@@ -10,8 +10,13 @@
 //!
 //! Cached entries are *descriptions of the past* — exactly like summary
 //! freshness, they can go stale; consumers decide how to validate.
+//!
+//! Answer lists are shared, not copied: every peer that answered a
+//! query together holds the same `Rc<[NodeId]>`, and a cache hit hands
+//! out another reference to it.
 
 use std::collections::VecDeque;
+use std::rc::Rc;
 
 use p2psim::network::NodeId;
 
@@ -20,8 +25,9 @@ use p2psim::network::NodeId;
 pub struct CachedAnswer {
     /// Workload template index.
     pub template: usize,
-    /// Peers observed answering.
-    pub answering: Vec<NodeId>,
+    /// Peers observed answering (shared with every cache that
+    /// recorded the same answer).
+    pub answering: Rc<[NodeId]>,
 }
 
 /// A bounded per-peer LRU cache of query answers.
@@ -53,7 +59,7 @@ impl QueryCache {
 
     /// Inserts or refreshes the answer for a template (moves it to the
     /// MRU position; evicts the LRU entry when full).
-    pub fn insert(&mut self, template: usize, answering: Vec<NodeId>) {
+    pub fn insert(&mut self, template: usize, answering: Rc<[NodeId]>) {
         self.entries.retain(|e| e.template != template);
         self.entries.push_front(CachedAnswer {
             template,
@@ -88,7 +94,11 @@ impl QueryCache {
 mod tests {
     use super::*;
 
-    fn peers(ids: &[u32]) -> Vec<NodeId> {
+    fn peers(ids: &[u32]) -> Rc<[NodeId]> {
+        ids.iter().map(|&i| NodeId(i)).collect()
+    }
+
+    fn ids(ids: &[u32]) -> Vec<NodeId> {
         ids.iter().map(|&i| NodeId(i)).collect()
     }
 
@@ -99,7 +109,7 @@ mod tests {
         c.insert(0, peers(&[1, 2]));
         c.insert(1, peers(&[3]));
         assert_eq!(c.len(), 2);
-        assert_eq!(c.lookup(0).unwrap().answering, peers(&[1, 2]));
+        assert_eq!(&*c.lookup(0).unwrap().answering, &ids(&[1, 2])[..]);
         assert!(c.lookup(9).is_none());
     }
 
@@ -123,7 +133,7 @@ mod tests {
         c.insert(1, peers(&[2]));
         c.insert(0, peers(&[9, 10]));
         assert_eq!(c.len(), 2);
-        assert_eq!(c.peek(0).unwrap().answering, peers(&[9, 10]));
+        assert_eq!(&*c.peek(0).unwrap().answering, &ids(&[9, 10])[..]);
         // 1 is now LRU.
         c.insert(2, peers(&[3]));
         assert!(c.peek(1).is_none());

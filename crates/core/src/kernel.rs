@@ -38,12 +38,17 @@
 //!
 //! Under [`crate::config::DeliveryMode::Latency`] no protocol message
 //! applies synchronously: every push, `localsum`, reconciliation token,
-//! query, query-hit, flood request and `release` is sent as a
+//! query, flood request and `release` is sent as a
 //! [`KernelEvent::Deliver`] scheduled at `now + transit`, where transit
 //! is the topology link latency (partner↔SP hops use the construction
 //! broadcast-tree latency, unknown hops the configured default) plus
 //! the per-class serialization cost of [`Message::wire_bytes`] at the
-//! configured bandwidth. Effects happen at *delivery* time:
+//! configured bandwidth. Query hits are costed the same way, but the
+//! answers one sender schedules for the same arrival instant share one
+//! [`KernelEvent::Hits`] event, handled member by member in send order
+//! — the event queue would have popped them back to back anyway, since
+//! equal-time events leave in push order. Every hit is still counted
+//! as its own message. Effects happen at *delivery* time:
 //!
 //! * a reconciliation ring is a conversation of token deliveries
 //!   (`RingConversation`): each live member snapshots its summary into
@@ -70,6 +75,7 @@
 //! stay synchronous oracles in both modes.
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::rc::Rc;
 
 use fuzzy::bk::BackgroundKnowledge;
 use p2psim::churn::{ChurnConfig, SessionEvent, SessionSchedule};
@@ -196,9 +202,10 @@ pub enum KernelEvent {
         template: usize,
     },
     /// Latency mode: a protocol message reaches its destination — all
-    /// effects of the message happen now, not at send time.
+    /// effects of the message happen now, not at send time. Query hits
+    /// never travel this way; they arrive as [`KernelEvent::Hits`].
     Deliver {
-        /// Sender (for query hits: the peer the answer is about).
+        /// Sender.
         from: NodeId,
         /// Receiver.
         to: NodeId,
@@ -209,6 +216,10 @@ pub enum KernelEvent {
         /// Virtual send time (delivery latency = now − sent_at).
         sent_at: SimTime,
     },
+    /// Latency mode: a run of query hits reaches a lookup's originator.
+    /// Boxed so that the variant does not grow every queued event: the
+    /// queue holds thousands of pending events in both delivery modes.
+    Hits(Box<HitRun>),
     /// Latency mode: watchdog of a reconciliation ring — if the token
     /// was dropped at a churned-out member, the SP completes the pull
     /// with the snapshots gathered so far.
@@ -263,6 +274,24 @@ pub enum KernelEvent {
     /// so fixed-α runs keep their event streams byte-identical. Draws
     /// no randomness.
     ControlTick,
+}
+
+/// A run of query hits that one sender scheduled for the same arrival
+/// instant at a lookup's originator ([`KernelEvent::Hits`]): one
+/// `QueryHit` message per peer of `peers[range]`, each about the peer
+/// it names, handled in send order.
+#[derive(Debug, Clone)]
+pub struct HitRun {
+    conv: u64,
+    /// The answer list the run is a range of, shared with the caches
+    /// that hold it.
+    peers: Rc<[NodeId]>,
+    range: std::ops::Range<usize>,
+    /// True for answers the SP's global summary selected, false for
+    /// answers recovered from a flooded neighbour's cache.
+    summary_selected: bool,
+    /// Virtual send time (delivery latency = now − sent_at).
+    sent_at: SimTime,
 }
 
 /// The unified simulation state: peers + domains + (optionally) the
@@ -358,6 +387,15 @@ fn build_workload(
         .map(|t| reformulate(&t.query, &bk))
         .collect::<Result<_, _>>()?;
     Ok((bk, templates, reformulated))
+}
+
+/// The answer a peer returns to a lookup's originator: one result tuple
+/// when the SP's global summary selected the peer, none when a flooded
+/// neighbour's cache named it.
+fn hit_msg(summary_selected: bool) -> Message {
+    Message::QueryHit {
+        results: u32::from(summary_selected),
+    }
 }
 
 /// Query sample times: `(template, at)` pairs spread across
@@ -878,14 +916,15 @@ impl SimKernel {
                 conv,
                 sent_at,
             } => self.deliver(from, to, msg, conv, sent_at),
+            KernelEvent::Hits(run) => self.deliver_hits(&run),
             KernelEvent::RingTimeout { conv } => {
                 if self.rings.get(&conv).is_some_and(|rc| !rc.done) {
                     self.finish_ring(conv);
                 }
             }
             KernelEvent::LookupTimeout { conv } => {
-                if self.lookups.get(&conv).is_some_and(|lc| !lc.done) {
-                    self.finish_lookup(conv);
+                if let Some(lc) = self.lookups.get_mut(&conv) {
+                    self.inter_outcomes.extend(lc.finish(self.sim.now()));
                 }
             }
             KernelEvent::SpDeparture { sp } => self.handle_sp_departure_event(sp),
@@ -987,6 +1026,10 @@ impl SimKernel {
     /// Latency mode: counts the message in the ledger and schedules its
     /// delivery at `now + transit + extra`.
     fn send_msg(&mut self, from: NodeId, to: NodeId, msg: Message, conv: u64, extra: SimTime) {
+        debug_assert!(
+            !matches!(msg, Message::QueryHit { .. }),
+            "query hits travel as KernelEvent::Hits"
+        );
         let lat = self.lat.expect("latency mode");
         let transit = msg.transit_time(self.hop_latency(from, to), &lat) + extra;
         self.ledger.count(&msg, 1);
@@ -1030,7 +1073,7 @@ impl SimKernel {
     fn deliver(&mut self, from: NodeId, to: NodeId, msg: Message, conv: u64, sent_at: SimTime) {
         self.in_flight = self.in_flight.saturating_sub(1);
         let latency = self.sim.now().saturating_sub(sent_at);
-        self.ledger.count_delivery(msg.class(), latency);
+        self.ledger.count_deliveries(msg.class(), latency, 1);
         match msg {
             Message::Push { value } => self.deliver_push(from, value),
             Message::LocalSum { .. } if conv != 0 && self.rebirth_convs.contains_key(&conv) => {
@@ -1048,7 +1091,6 @@ impl SimKernel {
                     self.deliver_query_at_sp(conv, to);
                 }
             }
-            Message::QueryHit { results } => self.deliver_hit(conv, from, results > 0),
             Message::FloodRequest { ttl } => self.deliver_flood(conv, to, ttl),
             // Construction-time and §4.3 control messages have no
             // delivery-time effect here (re-homing is driven off the
@@ -1219,58 +1261,142 @@ impl SimKernel {
         };
         let conv = self.next_conv;
         self.next_conv += 1;
-        let lc = LookupConversation::new(origin, template, need, self.sim.now(), results_total);
+        let mut lc = LookupConversation::new(origin, template, need, self.sim.now(), results_total);
+        self.schedule_domain_query(&mut lc, conv, home, origin, SimTime::ZERO);
         self.lookups.insert(conv, lc);
-        self.schedule_domain_query(conv, home, origin, SimTime::ZERO);
         self.sim.schedule_in(
             lat.conversation_timeout,
             KernelEvent::LookupTimeout { conv },
         );
     }
 
+    /// Puts back a conversation a handler took out of `lookups` — so
+    /// the handler pays one map lookup, not one per message it sends —
+    /// completing it first when no branch is left in flight.
+    fn settle_lookup(&mut self, conv: u64, mut lc: LookupConversation) {
+        if lc.branches == 0 {
+            self.inter_outcomes.extend(lc.finish(self.sim.now()));
+        }
+        self.lookups.insert(conv, lc);
+    }
+
     /// Sends this lookup's query to one domain's SP (once per domain).
-    fn schedule_domain_query(&mut self, conv: u64, d: usize, from: NodeId, extra: SimTime) {
-        let template = {
-            let Some(lc) = self.lookups.get_mut(&conv) else {
-                return;
-            };
-            if lc.done || !lc.seen_domains.insert(d) {
-                return;
-            }
-            lc.messages += 1;
-            lc.branches += 1;
-            lc.template
-        };
+    fn schedule_domain_query(
+        &mut self,
+        lc: &mut LookupConversation,
+        conv: u64,
+        d: usize,
+        from: NodeId,
+        extra: SimTime,
+    ) {
+        if lc.done || !lc.seen_domains.insert(d) {
+            return;
+        }
+        lc.messages += 1;
+        lc.branches += 1;
         if let Some(net) = self.net.as_mut() {
             net.count_messages(MessageClass::Query, 1);
         }
         let sp = self.sp_node(d);
-        self.send_msg(from, sp, Message::Query { template }, conv, extra);
+        let msg = Message::Query {
+            template: lc.template,
+        };
+        self.send_msg(from, sp, msg, conv, extra);
+    }
+
+    /// Sends one `QueryHit` per peer of `peers` to the lookup's
+    /// originator, each `extra(peer)` later than its own transit. A run
+    /// of consecutive answers that arrive at the same instant travels
+    /// as one [`KernelEvent::Hits`]; every answer is still counted as a
+    /// message of its own.
+    fn send_hits(
+        &mut self,
+        lc: &mut LookupConversation,
+        conv: u64,
+        peers: &Rc<[NodeId]>,
+        summary_selected: bool,
+        extra: impl Fn(&Self, NodeId) -> SimTime,
+    ) {
+        let lat = self.lat.expect("latency mode");
+        let msg = hit_msg(summary_selected);
+        let origin = lc.origin;
+        let mut run: Option<(usize, SimTime)> = None;
+        for (i, &q) in peers.iter().enumerate() {
+            let transit = msg.transit_time(self.hop_latency(q, origin), &lat) + extra(self, q);
+            match run {
+                Some((_, t)) if t == transit => continue,
+                Some((start, t)) => {
+                    self.send_hit_run(lc, conv, peers, start..i, t, summary_selected)
+                }
+                None => {}
+            }
+            run = Some((i, transit));
+        }
+        if let Some((start, t)) = run {
+            self.send_hit_run(lc, conv, peers, start..peers.len(), t, summary_selected);
+        }
+    }
+
+    /// Schedules `peers[run]` as one [`KernelEvent::Hits`] `transit`
+    /// from now, counting each answer as one message and one branch.
+    fn send_hit_run(
+        &mut self,
+        lc: &mut LookupConversation,
+        conv: u64,
+        peers: &Rc<[NodeId]>,
+        run: std::ops::Range<usize>,
+        transit: SimTime,
+        summary_selected: bool,
+    ) {
+        let n = run.len() as u64;
+        lc.branches += n;
+        lc.messages += n;
+        if let Some(net) = self.net.as_mut() {
+            net.count_messages(MessageClass::QueryResponse, n);
+        }
+        self.ledger.count(&hit_msg(summary_selected), n);
+        self.in_flight += n;
+        self.peak_in_flight = self.peak_in_flight.max(self.in_flight);
+        let sent_at = self.sim.now();
+        self.sim.schedule_in(
+            transit,
+            KernelEvent::Hits(Box::new(HitRun {
+                conv,
+                peers: Rc::clone(peers),
+                range: run,
+                summary_selected,
+                sent_at,
+            })),
+        );
     }
 
     /// A lookup's query arrives at a domain SP: the SP consults its
-    /// GS/CL, forwards to the selected peers (whose answers travel as
-    /// separate hit deliveries), floods, and follows long links.
+    /// GS/CL, forwards to the selected peers (whose answers travel back
+    /// as hit runs), floods, and follows long links.
     fn deliver_query_at_sp(&mut self, conv: u64, to: NodeId) {
-        let d_opt = self.sp_index.get(&to).copied();
-        let (template, origin, done) = {
-            let Some(lc) = self.lookups.get_mut(&conv) else {
-                return;
-            };
-            lc.branches = lc.branches.saturating_sub(1);
-            (lc.template, lc.origin, lc.done)
-        };
-        let sp_up = self.net.as_ref().map(|n| n.is_up(to)).unwrap_or(false);
-        let Some(d) = d_opt.filter(|&d| !done && !self.domains[d].dissolved && sp_up) else {
-            // Dissolved domain, departed SP or finished lookup: the
-            // branch dies here.
-            self.finish_lookup_if_idle(conv);
+        let Some(mut lc) = self.lookups.remove(&conv) else {
             return;
         };
+        lc.branches = lc.branches.saturating_sub(1);
+        self.query_at_sp(&mut lc, conv, to);
+        self.settle_lookup(conv, lc);
+    }
+
+    /// The body of [`Self::deliver_query_at_sp`] on the borrowed
+    /// conversation.
+    fn query_at_sp(&mut self, lc: &mut LookupConversation, conv: u64, to: NodeId) {
+        let sp_up = self.net.as_ref().is_some_and(|n| n.is_up(to));
+        let live = |d: &usize| !lc.done && !self.domains[*d].dissolved && sp_up;
+        let Some(d) = self.sp_index.get(&to).copied().filter(live) else {
+            // Dissolved domain, departed SP or finished lookup: the
+            // branch dies here.
+            return;
+        };
+        let template = lc.template;
         let (answering, stale, msgs) = self.query_domain(d, template);
         // Controller feedback, part 1: peers the summary selected that
         // were already down or drifted at SP time. The answers now sent
-        // in flight are judged at *arrival* (`deliver_hit`), so peers
+        // in flight are judged at *arrival* (`deliver_hits`), so peers
         // that churn out mid-flight feed the controller as stale too —
         // keeping the control signal aligned with the per-outcome
         // stale-answer accounting.
@@ -1279,198 +1405,152 @@ impl SimKernel {
         if let Some(net) = self.net.as_mut() {
             net.count_messages(MessageClass::Query, forwards);
         }
-        {
-            let lc = self.lookups.get_mut(&conv).expect("checked above");
-            lc.visited_domains += 1;
-            lc.messages += forwards;
-            lc.stale_answers += stale;
-        }
+        lc.visited_domains += 1;
+        lc.messages += forwards;
+        lc.stale_answers += stale;
         // Group locality: the answering peers remember they answered
-        // this template together.
-        for &p in &answering {
-            self.caches[p.index()].insert(template, answering.clone());
+        // this template together, all sharing one list.
+        let answering: Rc<[NodeId]> = answering.into();
+        for &p in answering.iter() {
+            self.caches[p.index()].insert(template, Rc::clone(&answering));
         }
         // Each answer travels SP → peer → originator; it is
         // re-validated on arrival (the peer may churn out in flight).
         let lat = self.lat.expect("latency mode");
-        for &p in &answering {
-            let fwd = Message::Query { template }.transit_time(self.hop_latency(to, p), &lat);
-            {
-                let lc = self.lookups.get_mut(&conv).expect("checked above");
-                lc.branches += 1;
-                lc.messages += 1;
-            }
-            if let Some(net) = self.net.as_mut() {
-                net.count_messages(MessageClass::QueryResponse, 1);
-            }
-            self.send_msg(p, origin, Message::QueryHit { results: 1 }, conv, fwd);
-        }
+        self.send_hits(lc, conv, &answering, true, |k, p| {
+            Message::Query { template }.transit_time(k.hop_latency(to, p), &lat)
+        });
         // §5.2.2 flooding requests to the answering peers and — in its
         // home domain — the originator.
-        let mut flooders = answering;
-        if self.domain_of[origin.index()] == Some(d) {
-            flooders.push(origin);
+        let home = self.domain_of[lc.origin.index()] == Some(d);
+        let flooders = answering.iter().copied().chain(home.then_some(lc.origin));
+        let n = answering.len() as u64 + u64::from(home);
+        lc.branches += n;
+        lc.messages += n;
+        if let Some(net) = self.net.as_mut() {
+            net.count_messages(MessageClass::Flood, n);
         }
         let ttl = self.cfg.flood_ttl;
         for f in flooders {
-            {
-                let lc = self.lookups.get_mut(&conv).expect("checked above");
-                lc.branches += 1;
-                lc.messages += 1;
-            }
-            if let Some(net) = self.net.as_mut() {
-                net.count_messages(MessageClass::Flood, 1);
-            }
             self.send_msg(to, f, Message::FloodRequest { ttl }, conv, SimTime::ZERO);
         }
         // Long-range SP links fan the query out.
         let links = self.domains[d].long_links.clone();
         for sp2 in links {
             if let Some(&other) = self.sp_index.get(&sp2) {
-                self.schedule_domain_query(conv, other, to, SimTime::ZERO);
+                self.schedule_domain_query(lc, conv, other, to, SimTime::ZERO);
             }
         }
-        self.finish_lookup_if_idle(conv);
     }
 
     /// A flood request arrives at a flooder, which forwards outside its
     /// domain with the TTL: cached answers reply to the originator, and
     /// newly discovered domains receive the query.
     fn deliver_flood(&mut self, conv: u64, f: NodeId, ttl: u32) {
-        let (template, origin, done) = {
-            let Some(lc) = self.lookups.get_mut(&conv) else {
-                return;
-            };
-            lc.branches = lc.branches.saturating_sub(1);
-            (lc.template, lc.origin, lc.done)
+        let Some(mut lc) = self.lookups.remove(&conv) else {
+            return;
         };
+        lc.branches = lc.branches.saturating_sub(1);
+        self.flood(&mut lc, conv, f, ttl);
+        self.settle_lookup(conv, lc);
+    }
+
+    /// The body of [`Self::deliver_flood`] on the borrowed conversation.
+    fn flood(&mut self, lc: &mut LookupConversation, conv: u64, f: NodeId, ttl: u32) {
         let f_up = self
             .peers
             .get(f.index())
             .and_then(|s| s.as_ref())
             .is_some_and(|s| s.up);
-        if done || !f_up || self.net.is_none() {
+        let Some(net) = self.net.as_mut().filter(|_| !lc.done && f_up) else {
             // A churned-out flooder drops the request.
-            self.finish_lookup_if_idle(conv);
             return;
-        }
-        let reach = self
-            .net
-            .as_ref()
-            .expect("checked above")
-            .flood_reach_timed(f, ttl);
+        };
+        let reach = net.flood_reach_timed(f, ttl);
+        // Each forward is a message.
+        net.count_messages(MessageClass::Flood, reach.len() as u64);
+        lc.messages += reach.len() as u64;
         for (reached, _hops, plat) in reach {
-            {
-                let lc = self.lookups.get_mut(&conv).expect("conv exists");
-                lc.messages += 1;
-            }
-            if let Some(net) = self.net.as_mut() {
-                net.count_messages(MessageClass::Flood, 1);
-            }
             // "Its neighbors may have cached answers to similar
             // queries": each cached candidate is re-validated when its
             // reply reaches the originator.
-            if let Some(hit) = self.caches[reached.index()].lookup(template) {
-                let cached = hit.answering.clone();
+            if let Some(hit) = self.caches[reached.index()].lookup(lc.template) {
+                let cached = Rc::clone(&hit.answering);
                 self.cache_hits += 1;
-                for q in cached {
-                    {
-                        let lc = self.lookups.get_mut(&conv).expect("conv exists");
-                        lc.branches += 1;
-                        lc.messages += 1;
-                    }
-                    if let Some(net) = self.net.as_mut() {
-                        net.count_messages(MessageClass::QueryResponse, 1);
-                    }
-                    self.send_msg(q, origin, Message::QueryHit { results: 0 }, conv, plat);
-                }
+                self.send_hits(lc, conv, &cached, false, |_, _| plat);
             }
             if let Some(other_d) = self.domain_of[reached.index()] {
-                self.schedule_domain_query(conv, other_d, reached, plat);
+                self.schedule_domain_query(lc, conv, other_d, reached, plat);
             }
         }
-        self.finish_lookup_if_idle(conv);
     }
 
-    /// An answer about peer `q` reaches the originator and is validated
-    /// against the world as it is *now* — peers that churned out or
-    /// drifted while the answer was in flight do not count, and
-    /// summary-selected ones surface as stale answers.
-    fn deliver_hit(&mut self, conv: u64, q: NodeId, summary_selected: bool) {
-        let (template, origin, done) = {
-            let Some(lc) = self.lookups.get_mut(&conv) else {
-                return;
-            };
-            lc.branches = lc.branches.saturating_sub(1);
-            (lc.template, lc.origin, lc.done)
-        };
-        if done {
-            self.finish_lookup_if_idle(conv);
+    /// A run of answers reaches the originator. Each answer is about one
+    /// peer and is validated against the world as it is *now* — peers
+    /// that churned out or drifted while it was in flight do not count,
+    /// and summary-selected ones surface as stale answers. The run is
+    /// handled in send order, exactly as if each answer had arrived on
+    /// its own: once the lookup completes, later answers only drain
+    /// their branch.
+    fn deliver_hits(&mut self, run: &HitRun) {
+        let HitRun {
+            conv,
+            summary_selected,
+            sent_at,
+            ..
+        } = *run;
+        let peers = &run.peers[run.range.clone()];
+        let n = peers.len() as u64;
+        let now = self.sim.now();
+        self.in_flight = self.in_flight.saturating_sub(n);
+        self.ledger
+            .count_deliveries(MessageClass::QueryResponse, now.saturating_sub(sent_at), n);
+        let Some(lc) = self.lookups.get_mut(&conv) else {
             return;
-        }
-        let valid = self
-            .peers
-            .get(q.index())
-            .and_then(|s| s.as_ref())
-            .is_some_and(|s| s.up && s.data.matches(template));
-        // Controller feedback, part 2: the summary-selected answer's
-        // verdict *as delivered* — a peer that churned out while its
-        // answer was in flight counts as stale here, exactly as it does
-        // in the lookup's outcome. Attributed to the peer's current
-        // domain (gone only if it was orphaned mid-flight).
-        if summary_selected {
-            if let Some(dq) = self.domain_of.get(q.index()).copied().flatten() {
-                self.ctl
-                    .record_query(dq, usize::from(valid), usize::from(!valid));
+        };
+        let mut answered_live = false;
+        for &q in peers {
+            lc.branches = lc.branches.saturating_sub(1);
+            if lc.done {
+                continue;
             }
-        }
-        {
-            let lc = self.lookups.get_mut(&conv).expect("checked above");
+            let valid = self
+                .peers
+                .get(q.index())
+                .and_then(|s| s.as_ref())
+                .is_some_and(|s| s.up && s.data.matches(lc.template));
+            // Controller feedback, part 2: the summary-selected answer's
+            // verdict *as delivered* — a peer that churned out while its
+            // answer was in flight counts as stale here, exactly as it
+            // does in the lookup's outcome. Attributed to the peer's
+            // current domain (gone only if it was orphaned mid-flight).
+            if summary_selected {
+                if let Some(dq) = self.domain_of.get(q.index()).copied().flatten() {
+                    self.ctl
+                        .record_query(dq, usize::from(valid), usize::from(!valid));
+                }
+            }
             if valid {
                 lc.answered.insert(q);
+                answered_live = true;
                 if summary_selected {
                     lc.summary_ok += 1;
                 }
             } else if summary_selected {
                 lc.stale_answers += 1;
             }
+            if lc.satisfied() || lc.branches == 0 {
+                self.inter_outcomes.extend(lc.finish(now));
+            }
         }
-        if valid {
-            let answered: Vec<NodeId> = self.lookups[&conv].answered.iter().copied().collect();
-            self.caches[origin.index()].insert(template, answered);
+        // The originator remembers everyone who answered. Every valid
+        // answer of the run would re-insert the same template with
+        // nothing reading the cache in between, so one insert of the
+        // final set leaves the cache in the same state.
+        if answered_live {
+            let answered: Rc<[NodeId]> = lc.answered.iter().copied().collect();
+            self.caches[lc.origin.index()].insert(lc.template, answered);
         }
-        if self.lookups[&conv].satisfied() {
-            self.finish_lookup(conv);
-        } else {
-            self.finish_lookup_if_idle(conv);
-        }
-    }
-
-    /// Completes the lookup when no branch is left in flight.
-    fn finish_lookup_if_idle(&mut self, conv: u64) {
-        if self
-            .lookups
-            .get(&conv)
-            .is_some_and(|lc| !lc.done && lc.branches == 0)
-        {
-            self.finish_lookup(conv);
-        }
-    }
-
-    /// Records the lookup's outcome (target met, branches drained, or
-    /// watchdog) at the current virtual time.
-    fn finish_lookup(&mut self, conv: u64) {
-        let now = self.sim.now();
-        let Some(lc) = self.lookups.get_mut(&conv) else {
-            return;
-        };
-        if lc.done {
-            return;
-        }
-        lc.done = true;
-        let started = lc.started;
-        let out = lc.outcome(now);
-        self.inter_outcomes.push((started, out));
     }
 
     // ------------------------------------------------------------------
@@ -2143,8 +2223,9 @@ impl SimKernel {
             if !answered.is_empty() {
                 self.caches[origin.index()].insert(template, answered.iter().copied().collect());
             }
-            for &p in &answering {
-                self.caches[p.index()].insert(template, answering.clone());
+            let answering: Rc<[NodeId]> = answering.into();
+            for &p in answering.iter() {
+                self.caches[p.index()].insert(template, Rc::clone(&answering));
             }
             if answered.len() >= need {
                 break;
@@ -2153,14 +2234,13 @@ impl SimKernel {
             // §5.2.2: flood requests to the answering peers and the
             // originator, who forward the query outside their domain with
             // a limited TTL; plus the SP's long-range links.
-            let mut flooders: Vec<NodeId> = answering;
-            if self.domain_of[origin.index()] == Some(d) {
-                flooders.push(origin);
-            }
+            let home = self.domain_of[origin.index()] == Some(d);
+            let flooders = answering.iter().copied().chain(home.then_some(origin));
+            let n = answering.len() as u64 + u64::from(home);
             if let Some(net) = self.net.as_mut() {
-                net.count_messages(MessageClass::Flood, flooders.len() as u64);
+                net.count_messages(MessageClass::Flood, n);
             }
-            messages += flooders.len() as u64;
+            messages += n;
             for f in flooders {
                 let reach = self
                     .net
@@ -2173,10 +2253,10 @@ impl SimKernel {
                                    // template replies immediately — "its neighbors may
                                    // have cached answers to similar queries".
                     if let Some(hit) = self.caches[reached.index()].lookup(template) {
-                        let cached = hit.answering.clone();
+                        let cached = Rc::clone(&hit.answering);
                         self.cache_hits += 1;
                         messages += 1; // the cache-holder's reply
-                        for q in cached {
+                        for &q in cached.iter() {
                             // Validate against ground truth: stale cache
                             // entries (peer gone or drifted) add nothing.
                             let valid = self.peers[q.index()]
@@ -2243,6 +2323,7 @@ impl SimKernel {
         report.reconcile_delta_bytes = work.delta_bytes;
         report.final_alpha = self.ctl.alpha(0);
         report.alpha_trajectory = self.ctl.trajectory(0).to_vec();
+        report.domain_errors = self.domain_errors;
         report
     }
 
@@ -2335,6 +2416,7 @@ impl SimKernel {
             .map(|&(_, n)| n)
             .min()
             .unwrap_or(report.n_domains);
+        report.domain_errors = self.domain_errors;
         report
     }
 
@@ -2628,6 +2710,110 @@ mod tests {
         assert!(k.domains[0].reconciliations > 0, "token rings completed");
         let report = k.single_report();
         assert_eq!(report.queries, 30, "all workload queries processed");
+    }
+
+    /// The queue holds thousands of pending events in both delivery
+    /// modes; a variant that grows the event grows every one of them.
+    #[test]
+    #[cfg(target_pointer_width = "64")]
+    fn kernel_events_stay_small() {
+        assert!(std::mem::size_of::<KernelEvent>() <= 40);
+    }
+
+    #[test]
+    fn healthy_runs_report_no_domain_errors() {
+        use crate::config::{DeliveryMode, LatencyConfig};
+        let instant = MultiDomainSim::new(cfg(100, 12), 20, LookupTarget::Total)
+            .unwrap()
+            .run();
+        assert_eq!(instant.domain_errors, 0);
+        let mut c = cfg(100, 12);
+        c.delivery = DeliveryMode::Latency(LatencyConfig::wan_default());
+        let latency = MultiDomainSim::new(c, 20, LookupTarget::Total)
+            .unwrap()
+            .run();
+        assert_eq!(latency.domain_errors, 0);
+        let single = crate::domain::DomainSim::new(cfg(24, 12)).unwrap().run();
+        assert_eq!(single.domain_errors, 0);
+    }
+
+    /// A cached answer list whose peers sit at different distances from
+    /// the originator leaves as one event per run of equal arrival
+    /// time, with every answer still counted, and a partial lookup met
+    /// in the middle of a run lets the rest of the run only drain.
+    #[test]
+    fn hit_runs_split_by_arrival_and_finish_mid_run() {
+        use crate::config::{DeliveryMode, LatencyConfig};
+        let lat = LatencyConfig::wan_default();
+        let mut c = cfg(120, 11);
+        c.delivery = DeliveryMode::Latency(lat);
+        let mut k = SimKernel::networked(c, 20, None).unwrap();
+        let partners = |k: &SimKernel, t: usize| -> Vec<NodeId> {
+            let mut m = k.true_matches(t);
+            m.retain(|p| !k.sp_index.contains_key(p));
+            m
+        };
+        let template = (0..k.template_count())
+            .find(|&t| partners(&k, t).len() >= 7)
+            .expect("a template with seven matching partners");
+        let m = partners(&k, template);
+        let (origin, near, far) = (m[0], m[1], &m[2..7]);
+        // A hand-built physical network: isolated peers, except for one
+        // 7 ms link between the originator and `near`. Every other
+        // answer takes the 50 ms default hop.
+        let mut g = Graph::empty(k.cfg.n_peers);
+        g.add_edge(origin, near, SimTime::from_millis(7));
+        k.net = Some(Network::new(g));
+        let hit = Message::QueryHit { results: 0 };
+        let t_far = hit.transit_time(lat.default_hop, &lat);
+        let t_near = hit.transit_time(SimTime::from_millis(7), &lat);
+        assert_ne!(t_far, t_near);
+
+        let list: Rc<[NodeId]> = [far[0], far[1], far[2], near, far[3], far[4]].into();
+        let conv = 99;
+        let mut lc = LookupConversation::new(origin, template, 2, SimTime::ZERO, 7);
+        k.send_hits(&mut lc, conv, &list, false, |_, _| SimTime::ZERO);
+        k.lookups.insert(conv, lc);
+        assert_eq!(k.in_flight(), 6);
+        let mut events = 0;
+        while let Some((_, ev)) = k.sim.next_event() {
+            assert!(matches!(ev, KernelEvent::Hits(_)), "{ev:?}");
+            events += 1;
+            k.handle(ev);
+        }
+        assert_eq!(events, 3, "far ×3, near, far ×2: three runs");
+
+        // Per-message accounting: six answers, whatever the runs.
+        let net = k.net.as_ref().unwrap();
+        assert_eq!(k.ledger.sent(MessageClass::QueryResponse), 6);
+        assert_eq!(net.sent(MessageClass::QueryResponse), 6);
+        assert_eq!(
+            k.ledger
+                .latency_counters()
+                .get(&MessageClass::QueryResponse),
+            Some(&(6, 5 * t_far.0 + t_near.0))
+        );
+        assert_eq!(k.peak_in_flight(), 6);
+        assert_eq!(k.in_flight(), 0);
+
+        // `near` arrives first; `far[0]`, first of the next run, meets
+        // the target; `far[1]`, `far[2]` and the last run only drain.
+        let lc = &k.lookups[&conv];
+        assert!(lc.done);
+        assert_eq!(lc.branches, 0);
+        assert_eq!(lc.messages, 6);
+        let mut want = vec![near, far[0]];
+        want.sort_unstable();
+        assert_eq!(lc.answered.iter().copied().collect::<Vec<_>>(), want);
+        assert_eq!(k.inter_outcomes.len(), 1);
+        let out = &k.inter_outcomes[0].1;
+        assert_eq!(out.results, 2);
+        assert!(out.satisfied);
+        assert_eq!(out.time_to_answer_s, t_far.as_secs_f64());
+        // The originator's cache holds the set as of the answer that met
+        // the target.
+        let cached = k.caches[origin.index()].peek(template).unwrap();
+        assert_eq!(&*cached.answering, &want[..]);
     }
 
     #[test]

@@ -80,6 +80,10 @@ pub struct DomainReport {
     /// the initial point plus one sample per control epoch (just the
     /// initial point under the fixed policy).
     pub alpha_trajectory: Vec<(f64, f64)>,
+    /// Domain-state errors the event loop swallowed
+    /// ([`crate::kernel::SimKernel::error_status`]); 0 on every healthy
+    /// run.
+    pub domain_errors: u64,
 }
 
 impl DomainReport {
@@ -144,6 +148,7 @@ impl DomainReport {
             approx_weight_with_departed: Vec::new(),
             final_alpha: cfg.alpha,
             alpha_trajectory: Vec::new(),
+            domain_errors: 0,
         }
     }
 
@@ -317,6 +322,10 @@ pub struct MultiDomainReport {
     pub initial_domains: usize,
     /// Minimum live-domain count ever sampled over the run.
     pub min_live_domains: usize,
+    /// Domain-state errors the event loop swallowed
+    /// ([`crate::kernel::SimKernel::error_status`]); 0 on every healthy
+    /// run.
+    pub domain_errors: u64,
 }
 
 impl MultiDomainReport {
@@ -390,6 +399,7 @@ impl MultiDomainReport {
             domain_count_trajectory: Vec::new(),
             initial_domains: n_domains,
             min_live_domains: n_domains,
+            domain_errors: 0,
         }
     }
 

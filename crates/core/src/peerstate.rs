@@ -194,12 +194,12 @@ impl MessageLedger {
         self.counters.get(&class).copied().unwrap_or(0)
     }
 
-    /// Records one latency-mode delivery: the message spent `latency`
-    /// virtual time in flight.
-    pub fn count_delivery(&mut self, class: MessageClass, latency: SimTime) {
+    /// Records `n` latency-mode deliveries of one class that each spent
+    /// `latency` virtual time in flight.
+    pub fn count_deliveries(&mut self, class: MessageClass, latency: SimTime, n: u64) {
         let slot = self.latency_counters.entry(class).or_insert((0, 0));
-        slot.0 += 1;
-        slot.1 += latency.0;
+        slot.0 += n;
+        slot.1 += n * latency.0;
     }
 
     /// Per-class `(deliveries, total in-flight µs)` — the raw latency
@@ -1020,14 +1020,20 @@ mod tests {
     fn ledger_latency_accounting() {
         let mut ledger = MessageLedger::new();
         assert_eq!(ledger.mean_latency_s(MessageClass::Push), 0.0);
-        ledger.count_delivery(MessageClass::Push, SimTime::from_millis(50));
-        ledger.count_delivery(MessageClass::Push, SimTime::from_millis(150));
-        ledger.count_delivery(MessageClass::Query, SimTime::from_millis(10));
+        ledger.count_deliveries(MessageClass::Push, SimTime::from_millis(50), 1);
+        ledger.count_deliveries(MessageClass::Push, SimTime::from_millis(150), 1);
+        ledger.count_deliveries(MessageClass::Query, SimTime::from_millis(10), 1);
         assert!((ledger.mean_latency_s(MessageClass::Push) - 0.1).abs() < 1e-12);
         assert!((ledger.mean_latency_s(MessageClass::Query) - 0.01).abs() < 1e-12);
         assert_eq!(
             ledger.latency_counters().get(&MessageClass::Push),
             Some(&(2, 200_000))
+        );
+        // A run of three equal-latency deliveries counts as three.
+        ledger.count_deliveries(MessageClass::Push, SimTime::from_millis(20), 3);
+        assert_eq!(
+            ledger.latency_counters().get(&MessageClass::Push),
+            Some(&(5, 260_000))
         );
     }
 

@@ -205,6 +205,17 @@ impl LookupConversation {
         self.answered.len() >= self.need
     }
 
+    /// Completes the conversation at `now` (target met, branches
+    /// drained, or watchdog): returns its `(started, outcome)` the first
+    /// time, `None` once it is done — later deliveries are no-ops.
+    pub fn finish(&mut self, now: SimTime) -> Option<(SimTime, MultiDomainOutcome)> {
+        if self.done {
+            return None;
+        }
+        self.done = true;
+        Some((self.started, self.outcome(now)))
+    }
+
     /// The recorded outcome when the conversation completes at
     /// `finished` virtual time.
     pub fn outcome(&self, finished: SimTime) -> MultiDomainOutcome {

@@ -107,6 +107,8 @@ pub struct UpdateCostPoint {
     pub per_node_s: f64,
     /// Reconciliation rounds.
     pub reconciliations: u64,
+    /// Domain-state errors the run swallowed (0 on a healthy run).
+    pub domain_errors: u64,
 }
 
 /// Figure 6: update cost vs domain size for the given α values.
@@ -130,6 +132,7 @@ pub fn figure6(
                 token_counted: report.update_messages_token_counted(),
                 per_node_s: report.update_messages_per_node_s(),
                 reconciliations: report.reconciliations,
+                domain_errors: report.domain_errors,
             });
         }
     }

@@ -109,11 +109,11 @@ proptest! {
             std::collections::BTreeMap::new();
         for (template, payload) in ops {
             let answering = vec![NodeId(payload), NodeId(payload + 1)];
-            cache.insert(template, answering.clone());
+            cache.insert(template, answering.as_slice().into());
             latest.insert(template, answering);
             prop_assert!(cache.len() <= capacity, "len {} > cap {capacity}", cache.len());
             let hit = cache.lookup(template).expect("just inserted");
-            prop_assert_eq!(&hit.answering, latest.get(&template).expect("tracked"));
+            prop_assert_eq!(&*hit.answering, &latest.get(&template).expect("tracked")[..]);
         }
     }
 
@@ -130,7 +130,7 @@ proptest! {
         let mut model: Vec<usize> = Vec::new();
         for (is_insert, template) in ops {
             if is_insert {
-                cache.insert(template, vec![NodeId(template as u32)]);
+                cache.insert(template, [NodeId(template as u32)].into());
                 model.retain(|&t| t != template);
                 model.insert(0, template);
                 model.truncate(capacity);
@@ -161,7 +161,7 @@ proptest! {
     ) {
         let mut cache = QueryCache::new(capacity);
         for &t in &templates {
-            cache.insert(t, vec![NodeId(1)]);
+            cache.insert(t, [NodeId(1)].into());
         }
         cache.clear();
         prop_assert!(cache.is_empty());
