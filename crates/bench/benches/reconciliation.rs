@@ -9,7 +9,9 @@
 //! the *SP-side* work differs, which is the point of the ring. The
 //! incremental group then shows the round cost collapsing from
 //! O(members) decodes + merges to O(stale subset) + one canonical
-//! store, and the store group times that store on its own.
+//! store, and the store group times that store on its own. The
+//! localization group compares the accumulator scan queries route on
+//! with building the tree and selecting over it.
 
 use bytes::Bytes;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
@@ -20,6 +22,8 @@ use saintetiq::delta::GsAccumulator;
 use saintetiq::engine::EngineConfig;
 use saintetiq::hierarchy::SummaryTree;
 use saintetiq::merge::merge_into;
+use saintetiq::query::proposition::{reformulate, Proposition};
+use saintetiq::query::relevant_sources;
 use saintetiq::wire;
 use summary_p2p::workload::{generate_peer_data, make_templates};
 
@@ -34,6 +38,16 @@ fn local_summaries(peers: usize, seed: u64) -> Vec<Bytes> {
                 .summary
         })
         .collect()
+}
+
+/// An accumulator holding `peers` generated local summaries.
+fn accumulator(peers: usize, seed: u64) -> GsAccumulator {
+    let mut acc = GsAccumulator::new("medical-cbk-v1", vec![3, 3, 3, 12]);
+    for (i, s) in local_summaries(peers, seed).iter().enumerate() {
+        acc.update_source_encoded(SourceId(i as u32), s)
+            .expect("decodes");
+    }
+    acc
 }
 
 /// Full reconciliation rebuild: decode + merge every partner.
@@ -143,22 +157,61 @@ fn bench_incremental_vs_full(c: &mut Criterion) {
     group.finish();
 }
 
-/// The store step alone: what the SP pays at the end of every pull once
-/// the stale subset is decoded — the canonical merged view plus its
-/// encoded size (`DomainCore::store_merged`). Timed apart from decoding
-/// at a small and a large domain.
+/// The store step alone: what the SP pays when its GS is observed — the
+/// canonical merged view plus its encoded size
+/// (`DomainCore::materialize`). Timed apart from decoding at a small and
+/// a large domain.
 fn bench_store(c: &mut Criterion) {
     let mut group = c.benchmark_group("reconciliation_store");
     group.sample_size(10);
     for &peers in &[50usize, 1_000] {
-        let mut acc = GsAccumulator::new("medical-cbk-v1", vec![3, 3, 3, 12]);
-        for (i, s) in local_summaries(peers, 5).iter().enumerate() {
-            acc.update_source_encoded(SourceId(i as u32), s)
-                .expect("decodes");
-        }
+        let acc = accumulator(peers, 5);
         group.bench_with_input(BenchmarkId::from_parameter(peers), &acc, |b, acc| {
             b.iter(|| wire::encoded_size(&acc.build_merged()))
         });
+    }
+    group.finish();
+}
+
+/// Peer localization (§5.2.1) of the three workload templates: the
+/// accumulator scan the kernel routes on, against building the canonical
+/// tree and selecting its most abstract satisfying nodes (what a pull
+/// paid for before the build waited for an observer).
+fn bench_localization(c: &mut Criterion) {
+    let bk = BackgroundKnowledge::medical_cbk();
+    let props: Vec<Proposition> = make_templates(3)
+        .iter()
+        .map(|t| {
+            reformulate(&t.query, &bk)
+                .expect("reformulates")
+                .proposition
+        })
+        .collect();
+    let mut group = c.benchmark_group("peer_localization");
+    group.sample_size(10);
+    for &peers in &[50usize, 1_000] {
+        let acc = accumulator(peers, 6);
+        group.bench_with_input(BenchmarkId::new("scan", peers), &acc, |b, acc| {
+            b.iter(|| {
+                props
+                    .iter()
+                    .map(|p| acc.relevant_sources(p).len())
+                    .sum::<usize>()
+            })
+        });
+        group.bench_with_input(
+            BenchmarkId::new("build_and_select", peers),
+            &acc,
+            |b, acc| {
+                b.iter(|| {
+                    let tree = acc.build_merged();
+                    props
+                        .iter()
+                        .map(|p| relevant_sources(&tree, p).len())
+                        .sum::<usize>()
+                })
+            },
+        );
     }
     group.finish();
 }
@@ -168,6 +221,7 @@ criterion_group!(
     bench_rebuild,
     bench_ring_vs_star,
     bench_incremental_vs_full,
-    bench_store
+    bench_store,
+    bench_localization
 );
 criterion_main!(benches);

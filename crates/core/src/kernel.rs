@@ -18,13 +18,17 @@
 //!   (`RingConversation::stale_route`); fresh members' contributions
 //!   stay in the domain's [`saintetiq::delta::GsAccumulator`] untouched
 //!   and departed members are expired in O(1), so per-round merge work
-//!   scales with how much actually changed, not with membership (see
-//!   the [`crate::peerstate`] module docs for the full design and the
+//!   scales with how much actually changed, not with membership. A pull
+//!   builds no GS tree: queries localize on the accumulator, and each
+//!   domain's GS is materialized when [`SimKernel::run_until`] or
+//!   [`SimKernel::run_to_horizon`] hands control back (see the
+//!   [`crate::peerstate`] module docs for the full design and the
 //!   byte-identical full-rebuild oracle);
 //! * **queries** — intra-domain workload samples
 //!   ([`KernelEvent::LocalQuery`]) and, in networked mode, inter-domain
 //!   lookups ([`KernelEvent::InterQuery`]) routed against the *live*
-//!   per-domain GS/CL state via §5.2.2's flooding + long-link protocol;
+//!   per-domain accumulator/CL state via §5.2.2's flooding + long-link
+//!   protocol;
 //! * **α control** — every α-gated decision reads the domain's
 //!   *effective* threshold from the maintenance control plane
 //!   ([`crate::control`]). The default fixed policy never moves it and
@@ -104,7 +108,7 @@ use crate::messages::Message;
 use crate::metrics::{DomainReport, MultiDomainReport};
 use crate::peerstate::{empty_accumulator, DomainCore, MessageLedger, PeerState, SummarySnapshot};
 use crate::routing::{
-    LookupConversation, QueryOutcome, RebirthConversation, RingConversation, RoutingPolicy,
+    visited_peers, LookupConversation, QueryOutcome, RebirthConversation, RingConversation,
 };
 use crate::workload::{generate_peer_data, make_templates, QueryTemplate, ZipfSampler};
 
@@ -1145,9 +1149,8 @@ impl SimKernel {
         });
         if route.is_empty() {
             // Every stale entry is a departed member: nothing to pull,
-            // just expire them and store the rebuilt view at once.
-            if let Err(e) =
-                self.domains[d].reconcile_from_snapshots(&[], &mut self.peers, &mut self.ledger)
+            // just expire them at once.
+            if let Err(e) = self.domains[d].apply_snapshots(&[], &mut self.peers, &mut self.ledger)
             {
                 self.note_error(e);
             }
@@ -1214,8 +1217,9 @@ impl SimKernel {
         );
     }
 
-    /// Completes a ring (token returned, or watchdog): the SP stores
-    /// `NewGS` from the gathered snapshots and resets the CL.
+    /// Completes a ring (token returned, or watchdog): the SP folds the
+    /// gathered snapshots into its accumulator (`NewGS`, built when
+    /// observed) and resets the CL.
     fn finish_ring(&mut self, conv: u64) {
         let Some(rc) = self.rings.get_mut(&conv) else {
             return;
@@ -1231,11 +1235,9 @@ impl SimKernel {
             self.ring_of_domain[d] = None;
         }
         if !self.domains[d].dissolved {
-            if let Err(e) = self.domains[d].reconcile_from_snapshots(
-                &gathered,
-                &mut self.peers,
-                &mut self.ledger,
-            ) {
+            if let Err(e) =
+                self.domains[d].apply_snapshots(&gathered, &mut self.peers, &mut self.ledger)
+            {
                 self.note_error(e);
             }
             // Members the token missed kept their stale flags, so α may
@@ -2050,10 +2052,12 @@ impl SimKernel {
 
     /// Debug / verification probe: checks every live domain's
     /// incrementally maintained GS against its from-scratch
-    /// [`DomainCore::full_rebuild_oracle`], byte-for-byte. After a
-    /// completed reconciliation round in instantaneous mode the two
-    /// must agree — including for domains reborn from retained
-    /// descriptions (the rebirth property tests rely on this probe).
+    /// [`DomainCore::full_rebuild_oracle`], byte-for-byte, and the
+    /// accumulator's peer localization against selection over the
+    /// oracle tree for every query template. After a completed
+    /// reconciliation round in instantaneous mode both must agree —
+    /// including for domains reborn from retained descriptions (the
+    /// rebirth property tests rely on this probe).
     pub fn live_gs_matches_oracle(&self) -> Result<bool, P2pError> {
         for dom in &self.domains {
             if dom.dissolved {
@@ -2062,6 +2066,12 @@ impl SimKernel {
             let oracle = dom.full_rebuild_oracle(&self.peers)?;
             if wire::encode(&dom.gs) != wire::encode(&oracle) {
                 return Ok(false);
+            }
+            for sq in &self.reformulated {
+                let prop = &sq.proposition;
+                if dom.acc.relevant_sources(prop) != relevant_sources(&oracle, prop) {
+                    return Ok(false);
+                }
             }
         }
         Ok(true)
@@ -2077,11 +2087,20 @@ impl SimKernel {
         self.peak_in_flight
     }
 
+    /// Builds every domain's GS that a pull left stale, so that what a
+    /// caller observes after a run is the stored merged view.
+    fn materialize(&mut self) {
+        for dom in &mut self.domains {
+            dom.materialize();
+        }
+    }
+
     /// Runs every scheduled event to the horizon.
     pub fn run_to_horizon(&mut self) {
         while let Some((_, ev)) = self.sim.next_event() {
             self.handle(ev);
         }
+        self.materialize();
         if let (n, Some(e)) = self.error_status() {
             eprintln!("warning: {n} domain-state error(s) swallowed during the run; first: {e}");
         }
@@ -2094,6 +2113,7 @@ impl SimKernel {
             self.handle(ev);
         }
         self.sim.fast_forward(t);
+        self.materialize();
     }
 
     /// The current virtual time.
@@ -2127,31 +2147,16 @@ impl SimKernel {
         let dom = &self.domains[d];
         let prop = &self.reformulated[template].proposition;
         // Only current partners are contacted: the CL is the membership
-        // authority even when the GS still carries departed peers' cells.
-        let pq: Vec<NodeId> = relevant_sources(&dom.gs, prop)
+        // authority even when the accumulator still carries departed
+        // peers' contributions.
+        let pq: Vec<NodeId> = dom
+            .acc
+            .relevant_sources(prop)
             .into_iter()
             .map(|s| NodeId(s.0))
             .filter(|p| dom.cl.contains(*p))
             .collect();
-        let visited: Vec<NodeId> = match self.cfg.policy {
-            RoutingPolicy::All => pq,
-            RoutingPolicy::FreshOnly => pq
-                .into_iter()
-                .filter(|&p| {
-                    dom.cl
-                        .freshness(p)
-                        .map(|f| !f.as_stale_bit())
-                        .unwrap_or(false)
-                })
-                .collect(),
-            RoutingPolicy::Extended => {
-                let mut v = pq;
-                v.extend(dom.cl.old_partners());
-                v.sort_unstable_by_key(|p| p.0);
-                v.dedup();
-                v
-            }
-        };
+        let visited = visited_peers(&pq, &dom.cl, self.cfg.policy);
         let mut answering = Vec::new();
         let mut stale = 0usize;
         for p in &visited {
@@ -2814,6 +2819,42 @@ mod tests {
         // the target.
         let cached = k.caches[origin.index()].peek(template).unwrap();
         assert_eq!(&*cached.answering, &want[..]);
+    }
+
+    /// The observation contract: pulls only update the accumulators, and
+    /// whenever the kernel hands control back every live domain's `gs`
+    /// is the canonical build of its accumulator, with its encoded size.
+    #[test]
+    fn observed_gs_is_the_accumulators_merged_view() {
+        use crate::config::{DeliveryMode, LatencyConfig};
+        for latency in [false, true] {
+            let mode = |n: usize| {
+                let mut c = cfg(n, 8);
+                if latency {
+                    c.delivery = DeliveryMode::Latency(LatencyConfig::wan_default());
+                }
+                c
+            };
+            let kernels = [
+                SimKernel::networked(mode(120), 20, Some(LookupTarget::Total)).unwrap(),
+                SimKernel::single_domain(mode(40)).unwrap(),
+            ];
+            for mut k in kernels {
+                for hours in 1..=4 {
+                    k.run_until(SimTime::from_hours(hours));
+                    for dom in k.domains.iter().filter(|d| !d.dissolved) {
+                        assert_eq!(
+                            wire::encode(&dom.gs),
+                            wire::encode(&dom.acc.build_merged()),
+                            "latency {latency}, hour {hours}: stale GS observed"
+                        );
+                        assert_eq!(dom.gs_bytes_last, wire::encoded_size(&dom.gs));
+                    }
+                }
+                let pulls: u64 = k.domains.iter().map(|d| d.reconciliations).sum();
+                assert!(pulls > 0, "latency {latency}: the run must pull");
+            }
+        }
     }
 
     #[test]

@@ -26,16 +26,23 @@
 //!    `update_source` (O(|stale|) decode + merge work — the paper's
 //!    §6.1 cost unit now scales with what changed);
 //! 2. expires departed members via `remove_source` (O(1) each);
-//! 3. stores the canonical merged view ([`GsAccumulator::build_merged`])
-//!    and its size ([`wire::encoded_size`], computed from the tree
-//!    without encoding it). This store is Θ(|GS|) — and the GS's
-//!    per-source cell entries make |GS| itself linear in total
-//!    contributions — which is inherent to materializing `NewGS` at all
-//!    (the §4.2.2 token's final hop carries the same payload). Within
-//!    that bound it does only the arithmetic it needs: each cell is
-//!    folded as one run, with one Cobweb descent, one path walk and a
-//!    few additions per contribution and node. At 1000 members the store
-//!    takes about 4 ms, and the size walk well under 0.1 ms.
+//! 3. marks the stored GS stale. The canonical merged view
+//!    ([`GsAccumulator::build_merged`]) and its size
+//!    ([`wire::encoded_size`], computed from the tree without encoding
+//!    it) are built by [`DomainCore::materialize`], only when an outside
+//!    caller can observe them: on return from
+//!    [`DomainCore::enroll_all`], [`DomainCore::reconcile`],
+//!    [`DomainCore::reconcile_from_snapshots`] and [`DomainCore::revive`],
+//!    and when the kernel hands control back
+//!    ([`crate::kernel::SimKernel::run_until`] and
+//!    [`crate::kernel::SimKernel::run_to_horizon`]). The kernel's own
+//!    pulls ([`DomainCore::maybe_reconcile`] and the `on_*` transitions,
+//!    and ring completions on the message plane) never build: queries
+//!    route on the accumulator's cell extents
+//!    ([`GsAccumulator::relevant_sources`], equal to selection over the
+//!    built tree). A build is Θ(|GS|) — the GS's per-source cell entries
+//!    make |GS| itself linear in total contributions — about 4 ms at
+//!    1000 members, so a run now pays it per observation, not per pull.
 //!
 //! Fresh live members are *skipped*: their stored contribution is, by
 //! the push-protocol invariant, identical to their current local
@@ -270,8 +277,11 @@ pub struct DomainCore {
     pub members: Vec<NodeId>,
     /// The cooperation list.
     pub cl: CooperationList,
-    /// The cached merged view of [`DomainCore::acc`] — rebuilt
-    /// canonically after every pull, always what queries route against.
+    /// The merged view of [`DomainCore::acc`], built canonically by
+    /// [`DomainCore::materialize`]. Current on return from
+    /// [`DomainCore::enroll_all`], [`DomainCore::reconcile`],
+    /// [`DomainCore::reconcile_from_snapshots`], [`DomainCore::revive`]
+    /// and `materialize`; queries route on the accumulator directly.
     pub gs: SummaryTree,
     /// The per-member accumulator behind the GS: one entry per
     /// contributing member, updated/removed incrementally.
@@ -282,7 +292,7 @@ pub struct DomainCore {
     /// — the per-domain reconciliation cost signal the control plane
     /// ([`crate::control`]) differences per epoch.
     pub delta_bytes_total: u64,
-    /// Encoded GS size after the last rebuild.
+    /// Encoded size of [`DomainCore::gs`], kept with it.
     pub gs_bytes_last: usize,
     /// Long-range links to other summary peers (§5.2.2's `k`-degree
     /// inter-domain shortcuts; empty in the single-domain simulation).
@@ -291,6 +301,8 @@ pub struct DomainCore {
     /// queries, forwards tokens or accepts pushes; its former members
     /// re-home to surviving domains.
     pub dissolved: bool,
+    /// True when a round ran on [`DomainCore::acc`] since `gs` was built.
+    gs_stale: bool,
 }
 
 impl DomainCore {
@@ -307,6 +319,7 @@ impl DomainCore {
             gs_bytes_last: 0,
             long_links: Vec::new(),
             dissolved: false,
+            gs_stale: false,
         }
     }
 
@@ -321,6 +334,7 @@ impl DomainCore {
         self.acc.clear();
         self.gs = empty_gs();
         self.gs_bytes_last = 0;
+        self.gs_stale = false;
         self.long_links.clear();
     }
 
@@ -352,13 +366,18 @@ impl DomainCore {
             self.acc.remove_source(s);
         }
         self.long_links.clear();
-        self.store_merged();
+        self.gs_stale = true;
+        self.materialize();
     }
 
-    /// Stores the accumulator's canonical merged view as the GS.
-    fn store_merged(&mut self) {
-        self.gs = self.acc.build_merged();
-        self.gs_bytes_last = wire::encoded_size(&self.gs);
+    /// Builds the accumulator's canonical merged view into `gs` and its
+    /// encoded size into `gs_bytes_last`, unless they are current.
+    pub fn materialize(&mut self) {
+        if self.gs_stale {
+            self.gs = self.acc.build_merged();
+            self.gs_bytes_last = wire::encoded_size(&self.gs);
+            self.gs_stale = false;
+        }
     }
 
     /// Decodes `m`'s current local summary into the accumulator and
@@ -397,6 +416,7 @@ impl DomainCore {
         peers: &mut [Option<PeerState>],
         ledger: &mut MessageLedger,
     ) -> Result<(), P2pError> {
+        self.gs_stale = true;
         for i in 0..self.members.len() {
             let m = self.members[i];
             let bytes = peer_ref(peers, m)?.data.summary.len();
@@ -406,7 +426,7 @@ impl DomainCore {
                 self.pull_member(m, peers)?;
             }
         }
-        self.store_merged();
+        self.materialize();
         Ok(())
     }
 
@@ -431,7 +451,9 @@ impl DomainCore {
     }
 
     /// §4.2.2's pull phase, fired when the CL crosses α. Returns true
-    /// when a reconciliation round ran.
+    /// when a reconciliation round ran. The round updates the
+    /// accumulator and leaves `gs` stale until
+    /// [`DomainCore::materialize`].
     pub fn maybe_reconcile(
         &mut self,
         alpha: f64,
@@ -441,11 +463,25 @@ impl DomainCore {
         if !self.cl.needs_reconciliation(alpha) {
             return Ok(false);
         }
-        self.reconcile(peers, ledger)?;
+        self.pull_round(peers, ledger)?;
         Ok(true)
     }
 
-    /// Runs one reconciliation round unconditionally: the token ring
+    /// Runs one reconciliation round unconditionally, then stores the
+    /// merged view. The round itself is `pull_round`: the token visits
+    /// the stale live members, departed members are expired, and the CL
+    /// resets to the live membership.
+    pub fn reconcile(
+        &mut self,
+        peers: &mut [Option<PeerState>],
+        ledger: &mut MessageLedger,
+    ) -> Result<ReconcileWork, P2pError> {
+        let work = self.pull_round(peers, ledger)?;
+        self.materialize();
+        Ok(work)
+    }
+
+    /// One reconciliation round, without building the GS: the token ring
     /// visits only the *stale* live members (plus the final store hop),
     /// each visited member's summary replaces its accumulator entry,
     /// departed members' contributions are expired, and the CL resets
@@ -457,13 +493,14 @@ impl DomainCore {
     /// matching `routing::RingConversation::token_bytes` on
     /// the latency plane. A round that visits nobody (every stale entry
     /// was a departed member) circulates no token at all — the SP just
-    /// expires them and stores locally, exactly like the latency
-    /// plane's empty-route case.
-    pub fn reconcile(
+    /// expires them locally, exactly like the latency plane's
+    /// empty-route case.
+    fn pull_round(
         &mut self,
         peers: &mut [Option<PeerState>],
         ledger: &mut MessageLedger,
     ) -> Result<ReconcileWork, P2pError> {
+        self.gs_stale = true;
         let mut work = ReconcileWork::default();
         let mut token_bytes = 0usize;
         let members = self.members.clone();
@@ -504,7 +541,6 @@ impl DomainCore {
                 1,
             );
         }
-        self.store_merged();
         self.cl.reconcile(|p| peer_up(peers, p));
         ledger.count_reconcile_work(work);
         self.delta_bytes_total += work.delta_bytes;
@@ -568,21 +604,38 @@ impl DomainCore {
         true
     }
 
-    /// Latency-mode completion of a reconciliation ring: each gathered
-    /// snapshot replaces its member's accumulator entry, and the SP
-    /// stores the rebuilt merged view. Members the token *missed* (it
-    /// was dropped at a churned-out peer and the watchdog fired) keep
-    /// both their stale flags *and* their previous GS contributions if
-    /// they are up — α re-arms a follow-up ring while the old
-    /// descriptions keep serving queries; missed members that are down
-    /// are expired and removed. Token/message accounting happened per
-    /// hop at send time; only the merge work is tallied here.
+    /// Latency-mode completion of a reconciliation ring, then the merged
+    /// view stored. The round itself is `apply_snapshots`: each gathered
+    /// snapshot replaces its member's accumulator entry; missed live
+    /// members keep their flags and previous descriptions; missed down
+    /// members are expired and removed.
     pub fn reconcile_from_snapshots(
         &mut self,
         gathered: &[SummarySnapshot],
         peers: &mut [Option<PeerState>],
         ledger: &mut MessageLedger,
     ) -> Result<ReconcileWork, P2pError> {
+        let work = self.apply_snapshots(gathered, peers, ledger)?;
+        self.materialize();
+        Ok(work)
+    }
+
+    /// Latency-mode completion of a reconciliation ring, without building
+    /// the GS: each gathered snapshot replaces its member's accumulator
+    /// entry and `gs` is left stale. Members the token *missed* (it
+    /// was dropped at a churned-out peer and the watchdog fired) keep
+    /// both their stale flags *and* their previous GS contributions if
+    /// they are up — α re-arms a follow-up ring while the old
+    /// descriptions keep serving queries; missed members that are down
+    /// are expired and removed. Token/message accounting happened per
+    /// hop at send time; only the merge work is tallied here.
+    pub(crate) fn apply_snapshots(
+        &mut self,
+        gathered: &[SummarySnapshot],
+        peers: &mut [Option<PeerState>],
+        ledger: &mut MessageLedger,
+    ) -> Result<ReconcileWork, P2pError> {
+        self.gs_stale = true;
         let mut work = ReconcileWork::default();
         let visited: std::collections::BTreeSet<NodeId> = gathered.iter().map(|s| s.peer).collect();
         for snap in gathered {
@@ -610,7 +663,6 @@ impl DomainCore {
                 work.removed += 1;
             }
         }
-        self.store_merged();
         // Token-visited members reset to fresh; unvisited live members
         // keep their flags (partial pull); unvisited down members drop.
         let stale_survivors: Vec<(NodeId, Freshness)> = self
@@ -648,8 +700,11 @@ impl DomainCore {
         Ok(())
     }
 
-    /// Routes one query against this domain's current GS/CL state and
-    /// scores it against exact ground truth over the member set.
+    /// Routes one query against this domain's current accumulator/CL
+    /// state and scores it against exact ground truth over the member
+    /// set. Localization scans the accumulator
+    /// ([`GsAccumulator::relevant_sources`]), so it never waits for a
+    /// GS build.
     pub fn route_local(
         &self,
         prop: &Proposition,
@@ -657,17 +712,18 @@ impl DomainCore {
         peers: &[Option<PeerState>],
         template: usize,
     ) -> QueryOutcome {
-        route_query_scoped(
-            &self.gs,
-            &self.cl,
-            prop,
-            policy,
-            &self.members,
-            |p| match peers[p.index()].as_ref() {
+        let pq = self
+            .acc
+            .relevant_sources(prop)
+            .into_iter()
+            .map(|s| NodeId(s.0))
+            .collect();
+        route_query_scoped(pq, &self.cl, policy, &self.members, |p| {
+            match peers[p.index()].as_ref() {
                 Some(st) => (st.up, st.data.matches(template)),
                 None => (false, false),
-            },
-        )
+            }
+        })
     }
 
     /// Live members right now.

@@ -247,49 +247,53 @@ pub fn route_query<F: Fn(NodeId) -> (bool, bool)>(
     truth: F,
 ) -> QueryOutcome {
     let members: Vec<NodeId> = (0..domain_size as u32).map(NodeId).collect();
-    route_query_scoped(gs, cl, prop, policy, &members, truth)
-}
-
-/// [`route_query`] over an explicit member set: the shared-kernel entry
-/// point, where a domain's peers carry network-global ids.
-pub fn route_query_scoped<F: Fn(NodeId) -> (bool, bool)>(
-    gs: &SummaryTree,
-    cl: &CooperationList,
-    prop: &Proposition,
-    policy: RoutingPolicy,
-    members: &[NodeId],
-    truth: F,
-) -> QueryOutcome {
-    let pq: Vec<NodeId> = relevant_sources(gs, prop)
+    let pq = relevant_sources(gs, prop)
         .into_iter()
         .map(|s| NodeId(s.0))
         .collect();
+    route_query_scoped(pq, cl, policy, &members, truth)
+}
 
-    let visited: Vec<NodeId> = match policy {
-        RoutingPolicy::All => pq.clone(),
+/// The peers a query visits under `policy`, sorted, given the sorted
+/// localized peers `pq`: all of them, the fresh ones only, or all of
+/// them plus every stale-flagged partner — the one implementation of
+/// §6.1.2's policies.
+pub(crate) fn visited_peers(
+    pq: &[NodeId],
+    cl: &CooperationList,
+    policy: RoutingPolicy,
+) -> Vec<NodeId> {
+    match policy {
+        RoutingPolicy::All => pq.to_vec(),
         RoutingPolicy::FreshOnly => pq
             .iter()
             .copied()
-            .filter(|&p| cl.freshness(p).map(|f| !f.as_stale_bit()).unwrap_or(false))
+            .filter(|&p| cl.freshness(p).is_some_and(|f| !f.as_stale_bit()))
             .collect(),
         RoutingPolicy::Extended => {
-            let mut v = pq.clone();
-            for p in cl.old_partners() {
-                if !v.contains(&p) {
-                    v.push(p);
-                }
-            }
+            let mut v = pq.to_vec();
+            v.extend(cl.old_partners());
             v.sort_unstable_by_key(|p| p.0);
             v.dedup();
             v
         }
-    };
+    }
+}
 
-    let mut out = QueryOutcome {
-        pq: pq.clone(),
-        visited: visited.clone(),
-        ..Default::default()
-    };
+/// [`route_query`] over an explicit member set, from the localized peers
+/// `pq` (`P_Q`, sorted): the shared-kernel entry point, where a domain's
+/// peers carry network-global ids and `P_Q` comes from the domain's
+/// accumulator.
+pub fn route_query_scoped<F: Fn(NodeId) -> (bool, bool)>(
+    pq: Vec<NodeId>,
+    cl: &CooperationList,
+    policy: RoutingPolicy,
+    members: &[NodeId],
+    truth: F,
+) -> QueryOutcome {
+    let visited = visited_peers(&pq, cl, policy);
+
+    let mut out = QueryOutcome::default();
 
     // Worst-case stale accounting (Figure 4): every stale-flagged partner
     // is assumed wrong — FP if selected, FN otherwise.
@@ -324,6 +328,8 @@ pub fn route_query_scoped<F: Fn(NodeId) -> (bool, bool)>(
         .count();
 
     out.messages = 1 + visited.len() as u64 + out.answered as u64;
+    out.pq = pq;
+    out.visited = visited;
     out
 }
 

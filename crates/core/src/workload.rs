@@ -262,6 +262,34 @@ mod tests {
         Ok(())
     }
 
+    /// Localization scans the accumulator instead of the built GS
+    /// (`GsAccumulator::relevant_sources`), which is exact only while no
+    /// stored contribution is too faint to enter an intent; otherwise it
+    /// falls back to building the tree per query. Generated summaries
+    /// must therefore never carry such a weight.
+    #[test]
+    fn generated_summaries_carry_no_faint_weight() -> Result<(), P2pError> {
+        use saintetiq::hierarchy::INTENT_THRESHOLD;
+        let bk = BackgroundKnowledge::medical_cbk();
+        let templates = make_templates(3);
+        let mut rng = StdRng::seed_from_u64(21);
+        for (fraction, records) in [(0.0, 1), (0.1, 10), (0.1, 16), (0.5, 24), (1.0, 24)] {
+            for peer in 0..40 {
+                let pd = generate_peer_data(&mut rng, peer, &bk, &templates, fraction, records)?;
+                let tree = wire::decode(&pd.summary)?;
+                for (key, entry) in tree.cells() {
+                    for (&source, &w) in &entry.content.per_source {
+                        assert!(
+                            w > INTENT_THRESHOLD,
+                            "peer {peer}: source {source:?} weighs {w} in cell {key:?}"
+                        );
+                    }
+                }
+            }
+        }
+        Ok(())
+    }
+
     #[test]
     fn match_probability_is_respected() {
         let bk = BackgroundKnowledge::medical_cbk();

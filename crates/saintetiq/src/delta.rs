@@ -19,38 +19,51 @@
 //! wire encodings — the property the domain layer's full-rebuild oracle
 //! and the `gs_incremental` property tests rely on.
 //!
+//! Peer localization needs no tree: [`GsAccumulator::relevant_sources`]
+//! walks the stored contributions in source order and keeps each source
+//! that has a positive-weight cell satisfying every clause. That is
+//! exactly `query::relevant_sources(&acc.build_merged(), prop)` as long
+//! as no contribution weighs in (0, [`INTENT_THRESHOLD`]]. Every leaf's
+//! intent is then its own key and every node's intent the union of its
+//! leaves' keys, so the most abstract satisfying nodes cover exactly the
+//! satisfying cells. The accumulator counts such faint contributions
+//! and, while any are stored, answers from a freshly built tree instead.
+//!
 //! Cost model: an update decodes and flattens only the changed source,
 //! so the *merge/decode work* per round (the paper's §6.1 cost unit)
-//! scales with the stale subset. `build_merged` is Θ(total
-//! contributions) — the merged summary stores one per-source entry per
-//! (source, cell) pair, so materializing it, like the SP storing the
-//! full `NewGS` token in §4.2.2, is linear in Σ per-source cells — but
-//! a contribution costs only its own arithmetic. The contributions to
-//! one cell are folded as one run
-//! ([`crate::engine::incorporate_contributions`]): one Cobweb descent
-//! for the contribution that creates the leaf, one cell-map lookup, and
-//! one leaf-to-root walk that adds each weight to the count and the
-//! key's histogram slots only (arity + 1 additions per node, not a sweep
-//! over every label). Per cell that leaves the descent and the walk;
-//! per contribution, those additions plus the content and statistics
-//! folds. At 1000 members a build takes about 4 ms (traced
-//! `domain_pull` runs of `perfbench/` on a 2-core Xeon host).
+//! scales with the stale subset. Localization is one pass over the
+//! stored cell keys, O(Σ per-source cells × clauses); each source keeps
+//! its keys back to back in one label run, and no index is kept between
+//! calls. `build_merged` is Θ(total contributions) — the merged summary
+//! stores one per-source entry per (source, cell) pair, so materializing
+//! it, like the SP storing the full `NewGS` token in §4.2.2, is linear in
+//! Σ per-source cells — but a contribution costs only its own
+//! arithmetic. The contributions to one cell are folded as one run
+//! ([`crate::engine::incorporate_contributions`]): one Cobweb descent for
+//! the contribution that creates the leaf, one cell-map lookup, and one
+//! leaf-to-root walk that adds each weight to the count and the key's
+//! histogram slots only (arity + 1 additions per node, not a sweep over
+//! every label). Per cell that leaves the descent and the walk; per
+//! contribution, those additions plus the content and statistics folds.
+//! At 1000 members a build takes about 4 ms (traced `domain_pull` runs
+//! of `perfbench/` on a 2-core Xeon host), so the P2P layer builds only
+//! when the stored GS is observed, not per pull.
 
 use std::collections::BTreeMap;
 
-use fuzzy::descriptor::Grade;
+use fuzzy::descriptor::{Grade, LabelId};
 use relation::stats::AttributeStats;
 
 use crate::cell::{CellKey, SourceId};
 use crate::engine::{incorporate_contributions, EngineConfig};
 use crate::error::SummaryError;
-use crate::hierarchy::{Contribution, StatsUpdate, SummaryTree};
+use crate::hierarchy::{Contribution, StatsUpdate, SummaryTree, INTENT_THRESHOLD};
+use crate::query::proposition::Proposition;
 
-/// One contributed cell: the coordinate plus everything the merge needs
-/// to replay it into a fresh tree.
+/// One contributed cell: everything the merge needs to replay it into a
+/// fresh tree, besides its key (kept in [`SourceDelta`]'s label run).
 #[derive(Debug, Clone)]
 struct DeltaCell {
-    key: CellKey,
     weight: f64,
     grades: Vec<Grade>,
     stats: Vec<AttributeStats>,
@@ -61,6 +74,10 @@ struct DeltaCell {
 /// per-cell weights.
 #[derive(Debug, Clone)]
 pub struct SourceDelta {
+    /// The cells' keys, one label per attribute each, back to back in
+    /// cell order: localization reads them contiguously, and a cell
+    /// costs no key allocation of its own.
+    labels: Vec<LabelId>,
     cells: Vec<DeltaCell>,
     /// Encoded size of the summary this delta was flattened from (what
     /// the wire carried; 0 when built straight from a tree).
@@ -76,23 +93,37 @@ impl SourceDelta {
     /// and statistics are shared across contributors, so the flattening
     /// is an upper bound; the P2P layer never needs that case.
     pub fn from_tree(tree: &SummaryTree, source: SourceId) -> Self {
-        let cells = tree
-            .cells()
-            .iter()
-            .filter_map(|(key, entry)| {
-                let weight = entry.content.per_source.get(&source).copied()?;
-                Some(DeltaCell {
-                    key: key.clone(),
-                    weight,
-                    grades: entry.content.max_grades.clone(),
-                    stats: entry.stats.clone(),
-                })
+        Self::from_cells(tree.cells().iter().filter_map(|(key, entry)| {
+            let weight = entry.content.per_source.get(&source).copied()?;
+            let cell = DeltaCell {
+                weight,
+                grades: entry.content.max_grades.clone(),
+                stats: entry.stats.clone(),
+            };
+            Some((key, cell))
+        }))
+    }
+
+    /// A delta over `(key, cell)` pairs.
+    fn from_cells<'k>(cells: impl IntoIterator<Item = (&'k CellKey, DeltaCell)>) -> Self {
+        let mut labels = Vec::new();
+        let cells = cells
+            .into_iter()
+            .map(|(key, cell)| {
+                labels.extend_from_slice(&key.0);
+                cell
             })
             .collect();
         Self {
+            labels,
             cells,
             encoded_bytes: 0,
         }
+    }
+
+    /// Each cell with its key's labels, over a BK of `arity` attributes.
+    fn keyed_cells(&self, arity: usize) -> impl Iterator<Item = (&[LabelId], &DeltaCell)> {
+        self.labels.chunks_exact(arity).zip(&self.cells)
     }
 
     /// Number of cells this source contributes.
@@ -103,6 +134,14 @@ impl SourceDelta {
     /// Encoded size of the summary the delta was flattened from.
     pub fn encoded_bytes(&self) -> usize {
         self.encoded_bytes
+    }
+
+    /// Cells whose weight is positive but too faint to enter an intent.
+    fn faint_cells(&self) -> usize {
+        self.cells
+            .iter()
+            .filter(|c| c.weight > 0.0 && c.weight <= INTENT_THRESHOLD)
+            .count()
     }
 }
 
@@ -116,6 +155,9 @@ pub struct GsAccumulator {
     label_counts: Vec<usize>,
     config: EngineConfig,
     sources: BTreeMap<SourceId, SourceDelta>,
+    /// Stored contributions weighing in (0, [`INTENT_THRESHOLD`]]; while
+    /// any exist, localization falls back to the built tree.
+    faint: usize,
 }
 
 impl GsAccumulator {
@@ -126,6 +168,16 @@ impl GsAccumulator {
             label_counts,
             config: EngineConfig::default(),
             sources: BTreeMap::new(),
+            faint: 0,
+        }
+    }
+
+    /// Stores `delta` as `source`'s contribution, replacing any previous
+    /// one, and keeps the faint-contribution count.
+    fn insert(&mut self, source: SourceId, delta: SourceDelta) {
+        self.faint += delta.faint_cells();
+        if let Some(old) = self.sources.insert(source, delta) {
+            self.faint -= old.faint_cells();
         }
     }
 
@@ -142,8 +194,7 @@ impl GsAccumulator {
                 right: tree.bk_name().to_string(),
             });
         }
-        self.sources
-            .insert(source, SourceDelta::from_tree(tree, source));
+        self.insert(source, SourceDelta::from_tree(tree, source));
         Ok(())
     }
 
@@ -165,7 +216,11 @@ impl GsAccumulator {
 
     /// Drops `source`'s contribution. Returns whether it was present.
     pub fn remove_source(&mut self, source: SourceId) -> bool {
-        self.sources.remove(&source).is_some()
+        let Some(old) = self.sources.remove(&source) else {
+            return false;
+        };
+        self.faint -= old.faint_cells();
+        true
     }
 
     /// True when `source` currently contributes.
@@ -191,6 +246,29 @@ impl GsAccumulator {
     /// Drops every contribution (domain dissolution).
     pub fn clear(&mut self) {
         self.sources.clear();
+        self.faint = 0;
+    }
+
+    /// Peer localization (§5.2.1) without building the tree: the sources
+    /// with a positive-weight cell that satisfies every clause of `prop`,
+    /// sorted — equal to [`crate::query::relevant_sources`] over
+    /// [`GsAccumulator::build_merged`] (see the module docs). While a
+    /// faint contribution is stored, it answers from the built tree.
+    pub fn relevant_sources(&self, prop: &Proposition) -> Vec<SourceId> {
+        if self.faint > 0 {
+            return crate::query::relevant_sources(&self.build_merged(), prop);
+        }
+        let arity = self.label_counts.len();
+        // Labels first: they sit back to back, while a weight is a load
+        // from the cell's payload.
+        let satisfies = |(key, cell): (&[LabelId], &DeltaCell)| {
+            prop.clauses.iter().all(|c| c.set.contains(key[c.attr])) && cell.weight > 0.0
+        };
+        self.sources
+            .iter()
+            .filter(|(_, delta)| delta.keyed_cells(arity).any(satisfies))
+            .map(|(&source, _)| source)
+            .collect()
     }
 
     /// Builds the canonical merged summary of the current contributions.
@@ -201,15 +279,10 @@ impl GsAccumulator {
     /// the folded statistics — depends only on what is contributed, not
     /// on the order updates and removals happened in.
     pub fn build_merged(&self) -> SummaryTree {
-        let mut by_cell: BTreeMap<&CellKey, Vec<(SourceId, &DeltaCell)>> = BTreeMap::new();
-        for (&src, delta) in &self.sources {
-            for cell in &delta.cells {
-                by_cell.entry(&cell.key).or_default().push((src, cell));
-            }
-        }
         let mut tree = SummaryTree::new(self.bk_name.clone(), self.label_counts.clone());
         let mut run = Vec::new();
-        for (key, contribs) in by_cell {
+        for (labels, contribs) in self.by_cell() {
+            let key = CellKey(labels.to_vec());
             run.clear();
             run.extend(contribs.into_iter().map(|(source, cell)| Contribution {
                 source,
@@ -217,9 +290,22 @@ impl GsAccumulator {
                 grades: &cell.grades,
                 stats: StatsUpdate::Merge(&cell.stats),
             }));
-            incorporate_contributions(&mut tree, &self.config, key, &run);
+            incorporate_contributions(&mut tree, &self.config, &key, &run);
         }
         tree
+    }
+
+    /// Every stored contribution grouped by cell, cells in key order and
+    /// contributors in source-id order.
+    fn by_cell(&self) -> BTreeMap<&[LabelId], Vec<(SourceId, &DeltaCell)>> {
+        let arity = self.label_counts.len();
+        let mut by_cell: BTreeMap<&[LabelId], Vec<(SourceId, &DeltaCell)>> = BTreeMap::new();
+        for (&src, delta) in &self.sources {
+            for (key, cell) in delta.keyed_cells(arity) {
+                by_cell.entry(key).or_default().push((src, cell));
+            }
+        }
+        by_cell
     }
 }
 
@@ -231,7 +317,6 @@ mod tests {
     use crate::merge::merge_all;
     use crate::wire;
     use fuzzy::bk::BackgroundKnowledge;
-    use fuzzy::descriptor::LabelId;
     use rand::{Rng, SeedableRng};
     use relation::generator::{patient_table, MatchTarget, PatientDistributions};
     use relation::schema::Schema;
@@ -364,14 +449,9 @@ mod tests {
     /// every contribution goes through `incorporate_cell` and
     /// `merge_cell_stats` on its own.
     fn reference_build(a: &GsAccumulator) -> SummaryTree {
-        let mut by_cell: BTreeMap<&CellKey, Vec<(SourceId, &DeltaCell)>> = BTreeMap::new();
-        for (&src, delta) in &a.sources {
-            for cell in &delta.cells {
-                by_cell.entry(&cell.key).or_default().push((src, cell));
-            }
-        }
         let mut tree = SummaryTree::new(a.bk_name.clone(), a.label_counts.clone());
-        for (key, contribs) in by_cell {
+        for (labels, contribs) in a.by_cell() {
+            let key = &CellKey(labels.to_vec());
             for (src, cell) in contribs {
                 incorporate_cell(
                     &mut tree,
@@ -394,7 +474,8 @@ mod tests {
     fn assert_same_tree(a: &SummaryTree, b: &SummaryTree) {
         assert_eq!(wire::encode(a), wire::encode(b));
         let hist_bits = |n: &Node| -> Vec<u64> { n.hist.iter().map(|w| w.to_bits()).collect() };
-        let support = |n: &Node| -> Vec<bool> { n.hist.iter().map(|&w| w > 1e-12).collect() };
+        let support =
+            |n: &Node| -> Vec<bool> { n.hist.iter().map(|&w| w > INTENT_THRESHOLD).collect() };
         let intent_bits = |n: &Node| -> Vec<bool> {
             a.label_counts()
                 .iter()
@@ -442,38 +523,29 @@ mod tests {
                     rng.gen_range(0..11),
                 ]));
             }
-            let cells = keys
-                .into_iter()
-                .map(|key| {
-                    let weight = match (s, rng.gen_range(0..10)) {
-                        (0, _) | (_, 0) => -0.5,
-                        (1, _) | (_, 1) => 0.0,
-                        (2, _) | (_, 2) => 1e-13,
-                        (_, 3) => 1e-12,
-                        _ => rng.gen_range(0.01..2.0),
-                    };
-                    let mut stats = vec![AttributeStats::new(); 4];
-                    for st in &mut stats {
-                        if rng.gen_bool(0.5) {
-                            st.push_weighted(rng.gen_range(0.0..100.0), rng.gen_range(0.1..2.0));
-                        }
+            let cells = keys.iter().map(|key| {
+                let weight = match (s, rng.gen_range(0..10)) {
+                    (0, _) | (_, 0) => -0.5,
+                    (1, _) | (_, 1) => 0.0,
+                    (2, _) | (_, 2) => 1e-13,
+                    (_, 3) => 1e-12,
+                    _ => rng.gen_range(0.01..2.0),
+                };
+                let mut stats = vec![AttributeStats::new(); 4];
+                for st in &mut stats {
+                    if rng.gen_bool(0.5) {
+                        st.push_weighted(rng.gen_range(0.0..100.0), rng.gen_range(0.1..2.0));
                     }
-                    let grades = (0..4).map(|_| rng.gen_range(0.0..1.0)).collect();
-                    DeltaCell {
-                        key,
-                        weight,
-                        grades,
-                        stats,
-                    }
-                })
-                .collect();
-            a.sources.insert(
-                SourceId(s),
-                SourceDelta {
-                    cells,
-                    encoded_bytes: 0,
-                },
-            );
+                }
+                let grades = (0..4).map(|_| rng.gen_range(0.0..1.0)).collect();
+                let cell = DeltaCell {
+                    weight,
+                    grades,
+                    stats,
+                };
+                (key, cell)
+            });
+            a.insert(SourceId(s), SourceDelta::from_cells(cells));
         }
         a
     }
@@ -499,6 +571,96 @@ mod tests {
         let built = a.build_merged();
         built.check_invariants();
         assert_same_tree(&built, &reference_build(&a));
+    }
+
+    /// Every one-clause proposition over each attribute's label subsets
+    /// (the 12-label attribute: every subset when `all_subsets`, else its
+    /// singletons and their complements), two-clause ones, an
+    /// unsatisfiable one and the empty one.
+    fn propositions(all_subsets: bool) -> Vec<Proposition> {
+        use crate::query::proposition::Clause;
+        use fuzzy::descriptor::DescriptorSet;
+        let counts = acc().label_counts;
+        let set = |mask: u32| {
+            DescriptorSet::from_labels((0..12u16).filter(|l| mask >> l & 1 == 1).map(LabelId))
+        };
+        let clause = |attr: usize, mask: u32| Clause {
+            attr,
+            set: set(mask),
+        };
+        let mut out = vec![Proposition::default()];
+        for (attr, &n) in counts.iter().enumerate() {
+            let full = (1u32 << n) - 1;
+            let masks: Vec<u32> = if n <= 3 || all_subsets {
+                (1..=full).collect()
+            } else {
+                (0..n).flat_map(|l| [1 << l, full ^ (1 << l)]).collect()
+            };
+            out.extend(masks.into_iter().map(|m| Proposition {
+                clauses: vec![clause(attr, m)],
+            }));
+        }
+        for (a, b) in [(0b001, 0b011), (0b110, 0b010), (0b101, 0b111)] {
+            out.push(Proposition {
+                clauses: vec![clause(0, a), clause(2, b)],
+            });
+            out.push(Proposition {
+                clauses: vec![clause(1, a), clause(3, b << 9 | b)],
+            });
+        }
+        out.push(Proposition {
+            clauses: vec![clause(0, 0b001), clause(1, 0)],
+        });
+        out
+    }
+
+    fn assert_scan_matches_tree(a: &GsAccumulator, props: &[Proposition]) {
+        let tree = a.build_merged();
+        for p in props {
+            assert_eq!(
+                a.relevant_sources(p),
+                crate::query::relevant_sources(&tree, p),
+                "localization differs for {p:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn localization_scan_matches_tree_selection() {
+        // Zero, negative and faint weights: faint ones take the fallback.
+        for (n, seed) in [(3, 1), (40, 2), (400, 3)] {
+            let a = synthetic(n, seed);
+            assert!(a.faint > 0, "the synthetic sources carry faint cells");
+            assert_scan_matches_tree(&a, &propositions(false));
+        }
+        // Real local summaries: the scan itself.
+        let mut a = acc();
+        for i in 0..60 {
+            a.update_source(SourceId(i), &local_summary(300 + i as u64, i, 40))
+                .unwrap();
+        }
+        assert_eq!(a.faint, 0);
+        assert_scan_matches_tree(&a, &propositions(true));
+        // The faint count follows replacements and removals.
+        let mut b = synthetic(40, 2);
+        let faint: Vec<SourceId> = b
+            .sources
+            .iter()
+            .filter(|(_, d)| d.faint_cells() > 0)
+            .map(|(&s, _)| s)
+            .collect();
+        for s in faint {
+            if s.0 % 2 == 0 {
+                b.remove_source(s);
+            } else {
+                b.update_source(s, &local_summary(500 + u64::from(s.0), s.0, 20))
+                    .unwrap();
+            }
+        }
+        assert_eq!(b.faint, 0);
+        assert_scan_matches_tree(&b, &propositions(false));
+        b.clear();
+        assert!(b.relevant_sources(&Proposition::default()).is_empty());
     }
 
     #[test]

@@ -22,6 +22,12 @@ use relation::stats::AttributeStats;
 
 use crate::cell::{CellContent, CellKey, SourceId};
 
+/// The weight a histogram slot must exceed for its label to enter the
+/// node's intent. Fainter support counts as absent, so a cell whose
+/// contributions sum to this or less has an empty intent on every
+/// attribute.
+pub const INTENT_THRESHOLD: f64 = 1e-12;
+
 /// Node identifier inside one [`SummaryTree`] arena.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct NodeId(pub u32);
@@ -467,7 +473,7 @@ impl SummaryTree {
             for (l, (slot, &d)) in own.iter_mut().zip(delta).enumerate() {
                 *slot = (*slot + sign * d).max(0.0);
                 let label = LabelId(l as u16);
-                if *slot > 1e-12 {
+                if *slot > INTENT_THRESHOLD {
                     node.intent.sets[attr].insert(label);
                 } else {
                     node.intent.sets[attr].remove(label);
@@ -558,7 +564,7 @@ impl SummaryTree {
                 for w in weights() {
                     *slot = (*slot + w).max(0.0);
                 }
-                if *slot > 1e-12 {
+                if *slot > INTENT_THRESHOLD {
                     node.intent.sets[attr].insert(label);
                 } else {
                     node.intent.sets[attr].remove(label);
@@ -765,7 +771,7 @@ impl SummaryTree {
                 for (l, &w) in node.hist[span[0]..span[1]].iter().enumerate() {
                     assert_eq!(
                         node.intent.sets[attr].contains(LabelId(l as u16)),
-                        w > 1e-12,
+                        w > INTENT_THRESHOLD,
                         "intent bit ({attr}, {l}) != histogram support at {id:?}"
                     );
                 }
