@@ -1,6 +1,7 @@
 //! Golden fixtures of instantaneous delivery: a small churning
 //! multi-domain run (Total lookups), the same run with summary-peer
-//! churn and rebirth, and a Figure 4 single-domain run,
+//! churn and rebirth, the same run under adaptive α, a Figure 4
+//! single-domain run and a Figure 5 (`FreshOnly`) single-domain run,
 //! each folded into a 64-bit hash over every scalar of its report and
 //! compared with the values recorded in `tests/golden/instant_plane.txt`.
 //! The single-domain hash covers the materialized GS (`gs_bytes`,
@@ -17,10 +18,12 @@ use std::collections::BTreeMap;
 
 use p2psim::time::SimTime;
 use summary_p2p::config::SimConfig;
+use summary_p2p::control::ControlPolicy;
 use summary_p2p::domain::DomainSim;
 use summary_p2p::kernel::{LookupTarget, MultiDomainSim};
 use summary_p2p::metrics::{DomainReport, MultiDomainReport};
-use summary_p2p::scenario::with_sp_churn;
+use summary_p2p::routing::RoutingPolicy;
+use summary_p2p::scenario::{with_heterogeneous_drift, with_sp_churn};
 
 use common::{check_fixture, multi_report_hash, Fnv};
 
@@ -96,13 +99,43 @@ fn rebirth_report() -> MultiDomainReport {
     report
 }
 
-/// One Figure 4 domain: 100 peers at α = 0.3.
-fn single_report() -> u64 {
+/// The same network with heterogeneous drift and per-domain adaptive α:
+/// pulls are also armed by the control plane's epoch ticks.
+fn adaptive_report() -> MultiDomainReport {
+    let mut cfg = with_heterogeneous_drift(&multi_config(), 4.0);
+    cfg.control = Some(ControlPolicy::Adaptive {
+        target_staleness: 0.2,
+        alpha_min: 0.05,
+        alpha_max: 0.9,
+        gain: 0.6,
+        epoch_s: 600.0,
+    });
+    multi_report(cfg)
+}
+
+fn single_config() -> SimConfig {
     let mut c = SimConfig::paper_defaults(100, 0.3);
     c.horizon = SimTime::from_hours(6);
     c.query_count = 60;
     c.records_per_peer = 10;
     c.seed = 5;
+    c
+}
+
+/// One Figure 4 domain: 100 peers at α = 0.3.
+fn single_report() -> u64 {
+    single_hash(single_config())
+}
+
+/// One Figure 5 domain: the same peers, queries routed to fresh
+/// partners only.
+fn fresh_only_report() -> u64 {
+    let mut c = single_config();
+    c.policy = RoutingPolicy::FreshOnly;
+    single_hash(c)
+}
+
+fn single_hash(c: SimConfig) -> u64 {
     let report = DomainSim::new(c).expect("config builds").run();
     assert!(report.reconciliations > 0, "drift armed pulls");
     assert!(report.gs_cells > 0, "the stored GS describes the domain");
@@ -117,7 +150,9 @@ fn instant_runs_match_the_recorded_fixture() {
     let got = BTreeMap::from([
         ("multi", multi_report_hash(&multi_report(multi_config()))),
         ("rebirth", multi_report_hash(&rebirth_report())),
+        ("adaptive", multi_report_hash(&adaptive_report())),
         ("single", single_report()),
+        ("fresh_only", fresh_only_report()),
     ]);
     check_fixture(FIXTURE, "instant-delivery", &got);
 }
