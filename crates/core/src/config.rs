@@ -49,9 +49,11 @@ use crate::routing::RoutingPolicy;
 /// How protocol messages move through virtual time.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum DeliveryMode {
-    /// Messages apply synchronously inside the sending event — the seed
-    /// semantics every Figure 4–7 driver uses. Counts and bytes are
-    /// accounted, but no virtual time elapses between send and effect.
+    /// The zero-transit message plane — the seed semantics every
+    /// Figure 4–7 driver uses. Each message is counted and delivered
+    /// through the same handler as on the latency plane, but within the
+    /// event that sent it: no virtual time elapses between send and
+    /// effect.
     Instantaneous,
     /// Every message becomes a scheduled delivery event whose firing
     /// time is drawn from topology link latencies: reconciliation rings,

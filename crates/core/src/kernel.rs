@@ -12,8 +12,8 @@
 //!   when [`crate::config::SimConfig::sp_lifetime`] is set — summary-peer
 //!   departures that dissolve a domain mid-run and re-home its partners
 //!   (§4.3, [`crate::construction::handle_sp_departure`]);
-//! * **reconciliation** — per-domain α-gated token rings
-//!   ([`DomainCore::maybe_reconcile`]). Rings are *incremental*: the
+//! * **reconciliation** — per-domain α-gated token rings, one
+//!   `RingConversation` at a time per domain. Rings are *incremental*: the
 //!   token only visits the stale subset of the cooperation list
 //!   (`RingConversation::stale_route`); fresh members' contributions
 //!   stay in the domain's [`saintetiq::delta::GsAccumulator`] untouched
@@ -40,43 +40,53 @@
 //!
 //! ## The message plane
 //!
-//! Under [`crate::config::DeliveryMode::Latency`] no protocol message
-//! applies synchronously: every push, `localsum`, reconciliation token,
-//! query, flood request and `release` is sent as a
-//! [`KernelEvent::Deliver`] scheduled at `now + transit`, where transit
-//! is the topology link latency (partner↔SP hops use the construction
-//! broadcast-tree latency, unknown hops the configured default) plus
-//! the per-class serialization cost of [`Message::wire_bytes`] at the
-//! configured bandwidth. Query hits are costed the same way, but the
-//! answers one sender schedules for the same arrival instant share one
-//! [`KernelEvent::Hits`] event, handled member by member in send order
-//! — the event queue would have popped them back to back anyway, since
-//! equal-time events leave in push order. Every hit is still counted
-//! as its own message. Effects happen at *delivery* time:
+//! Every push, `localsum`, workload query, reconciliation token and
+//! rebirth confirmation is sent through one `send_msg`, counted once,
+//! and its effects have one implementation, applied when it is
+//! delivered. The delivery mode only sets the transit:
 //!
-//! * a reconciliation ring is a conversation of token deliveries
-//!   (`RingConversation`): each live member snapshots its summary into
-//!   the token; a member that churned out mid-ring silently drops the
-//!   token and the SP's watchdog completes the pull with what was
-//!   gathered (missed live members keep their stale flags, re-arming α);
-//! * an inter-domain lookup is a conversation of query / flood / hit
-//!   deliveries (`LookupConversation`): per-peer answers are
-//!   re-validated on arrival, so peers that churn out while their
-//!   answer is in flight surface as stale answers, and the recorded
-//!   [`MultiDomainOutcome::time_to_answer_s`] is the genuine virtual
-//!   time between posing the query and meeting (or abandoning) its
-//!   target.
+//! * [`crate::config::DeliveryMode::Instantaneous`] (the default) is
+//!   the zero-transit plane. A message joins a same-instant FIFO that
+//!   the outermost send drains before it returns, so a send completes
+//!   its whole cascade (token hops, ring completion, a follow-up ring)
+//!   before the sender's next statement, and no timed event runs in
+//!   between. Nothing is in flight across events, so the plane's
+//!   in-flight and per-class latency tallies stay empty; §5.2.2
+//!   lookups are routed synchronously by [`SimKernel::route_live`].
+//!   This is byte-identical to the Figure 4–7 pipelines.
+//! * Under [`crate::config::DeliveryMode::Latency`] each message is a
+//!   [`KernelEvent::Deliver`] scheduled at `now + transit`, where
+//!   transit is the topology link latency (partner↔SP hops use the
+//!   construction broadcast-tree latency, unknown hops the configured
+//!   default) plus the per-class serialization cost of
+//!   [`Message::wire_bytes`] at the configured bandwidth. Query hits
+//!   are costed the same way, but the answers one sender schedules for
+//!   the same arrival instant share one [`KernelEvent::Hits`] event,
+//!   handled member by member in send order — the event queue would
+//!   have popped them back to back anyway, since equal-time events
+//!   leave in push order. Every hit is still counted as its own
+//!   message. Conversations then take virtual time:
+//!   - a reconciliation ring (`RingConversation`): each live member
+//!     snapshots its summary into the token; a member that churned out
+//!     mid-ring silently drops the token and the SP's watchdog
+//!     completes the pull with what was gathered (missed live members
+//!     keep their stale flags, re-arming α);
+//!   - an inter-domain lookup (`LookupConversation`) of query / flood /
+//!     hit deliveries: per-peer answers are re-validated on arrival, so
+//!     peers that churn out while their answer is in flight surface as
+//!     stale answers, and the recorded
+//!     [`MultiDomainOutcome::time_to_answer_s`] is the genuine virtual
+//!     time between posing the query and meeting (or abandoning) its
+//!     target.
 //!
-//! [`crate::config::DeliveryMode::Instantaneous`] (the default) is the
-//! escape hatch: the pre-latency synchronous semantics, byte-identical
-//! to the Figure 4–7 pipelines. Both modes are deterministic under a
-//! fixed seed — the message plane draws no randomness.
+//! Both modes are deterministic under a fixed seed — the message plane
+//! draws no randomness.
 //!
 //! [`crate::domain::DomainSim`] and [`crate::system::MultiDomainSystem`]
 //! are thin facades over this kernel; [`MultiDomainSim`] is the dynamic
 //! entry point the churn-under-routing experiments use. Probe entry
-//! points ([`SimKernel::route_live`], [`MultiDomainSim::route_now`])
-//! stay synchronous oracles in both modes.
+//! points ([`SimKernel::route_live`], [`MultiDomainSim::route_now`],
+//! [`SimKernel::reconcile_all`]) stay synchronous in both modes.
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::rc::Rc;
@@ -256,9 +266,8 @@ pub enum KernelEvent {
     },
     /// Rebirth, step 2: the elected SP takes the domain over — the
     /// slot revives seeded from the retained member descriptions, the
-    /// orphans re-home to the newborn SP, and (on the message plane)
-    /// their `localsum` confirmations start a
-    /// `routing::RebirthConversation`.
+    /// orphans re-home to the newborn SP, and their `localsum`
+    /// confirmations start a `routing::RebirthConversation`.
     SpTakeover {
         /// The reborn domain slot.
         domain: usize,
@@ -326,6 +335,11 @@ pub struct SimKernel {
     /// Active ring conversation per domain (at most one at a time).
     ring_of_domain: Vec<Option<u64>>,
     lookups: BTreeMap<u64, LookupConversation>,
+    /// Instantaneous delivery: zero-transit messages sent but not yet
+    /// handled, in send order (`(from, to, msg, conv)`).
+    now_queue: VecDeque<(NodeId, NodeId, Message, u64)>,
+    /// True while [`Self::send_msg`] drains `now_queue`.
+    draining: bool,
     /// Messages currently in flight (latency mode).
     in_flight: u64,
     /// High-water mark of `in_flight`.
@@ -343,7 +357,7 @@ pub struct SimKernel {
     /// the retained membership, accumulator and CL flags the reborn
     /// domain is seeded from ([`crate::config::SimConfig::rebirth`]).
     pending_rebirths: BTreeMap<usize, RebirthSeed>,
-    /// In-flight rebirth hand-over conversations (latency mode).
+    /// Open rebirth hand-over conversations.
     rebirth_convs: BTreeMap<u64, RebirthConversation>,
     /// Summary peers that were promoted out of the partner pool by a
     /// rebirth. When such an SP's own session ends, its node returns
@@ -467,6 +481,8 @@ impl SimKernel {
             rings: BTreeMap::new(),
             ring_of_domain: vec![None; 1],
             lookups: BTreeMap::new(),
+            now_queue: VecDeque::new(),
+            draining: false,
             in_flight: 0,
             peak_in_flight: 0,
             domain_errors: 0,
@@ -597,6 +613,8 @@ impl SimKernel {
             rings: BTreeMap::new(),
             ring_of_domain: vec![None; n_domains],
             lookups: BTreeMap::new(),
+            now_queue: VecDeque::new(),
+            draining: false,
             in_flight: 0,
             peak_in_flight: 0,
             domain_errors: 0,
@@ -627,12 +645,6 @@ impl SimKernel {
         if let Some(epoch) = self.ctl.epoch() {
             self.sim.schedule_in(epoch, KernelEvent::ControlTick);
         }
-    }
-
-    /// The current effective α of domain `d` — every α-gated decision
-    /// of the kernel reads this instead of `cfg.alpha`.
-    fn alpha_of(&self, d: usize) -> f64 {
-        self.ctl.alpha(d)
     }
 
     /// Samples one drift interval for peer `p`, scaled by its domain's
@@ -757,19 +769,7 @@ impl SimKernel {
                         st.dirty = true;
                     }
                     if let Some(d) = self.domain_of[idx] {
-                        if self.lat.is_some() {
-                            self.send_push(p, d, 1);
-                        } else {
-                            let alpha = self.alpha_of(d);
-                            if let Err(e) = self.domains[d].on_drift(
-                                p,
-                                alpha,
-                                &mut self.peers,
-                                &mut self.ledger,
-                            ) {
-                                self.note_error(e);
-                            }
-                        }
+                        self.send_push(p, d, 1);
                     }
                     let dt = self.drift_interval(p);
                     self.sim.schedule_in(dt, KernelEvent::Drift(p));
@@ -781,27 +781,15 @@ impl SimKernel {
             KernelEvent::Session(SessionEvent::Leave(p)) => {
                 let idx = p.index();
                 if self.peers[idx].as_ref().is_some_and(|s| s.up) {
-                    // The graceful `v = 2` push leaves the peer's NIC
-                    // just before it disconnects.
-                    if let (Some(d), true) = (self.domain_of[idx], self.lat.is_some()) {
-                        self.send_push(p, d, 2);
-                    }
+                    // The peer is down before its graceful `v = 2` push
+                    // lands, so a pull the push arms already sees it
+                    // gone (transit reads links, never liveness).
                     self.peers[idx].as_mut().expect("checked").up = false;
                     if let Some(net) = self.net.as_mut() {
                         net.take_down(p);
                     }
-                    if self.lat.is_none() {
-                        if let Some(d) = self.domain_of[idx] {
-                            let alpha = self.alpha_of(d);
-                            if let Err(e) = self.domains[d].on_leave(
-                                p,
-                                alpha,
-                                &mut self.peers,
-                                &mut self.ledger,
-                            ) {
-                                self.note_error(e);
-                            }
-                        }
+                    if let Some(d) = self.domain_of[idx] {
+                        self.send_push(p, d, 2);
                     }
                 }
             }
@@ -823,16 +811,7 @@ impl SimKernel {
                         net.bring_up(p);
                     }
                     if let Some(d) = self.domain_of[idx] {
-                        if self.lat.is_some() {
-                            self.send_localsum(p, d, SimTime::ZERO, 0);
-                        } else {
-                            let alpha = self.alpha_of(d);
-                            if let Err(e) =
-                                self.domains[d].on_join(p, alpha, &mut self.peers, &mut self.ledger)
-                            {
-                                self.note_error(e);
-                            }
-                        }
+                        self.send_localsum(p, d, SimTime::ZERO, 0);
                     } else if self.cfg.sp_lifetime.is_some() {
                         // A rejoiner whose former domain still awaits a
                         // replacement SP re-triggers the stalled
@@ -856,24 +835,7 @@ impl SimKernel {
                         // surviving one on rejoin (gated on SP churn so
                         // legacy event streams stay byte-identical).
                         else if let Some(d) = self.rehome_orphan(p) {
-                            if self.lat.is_some() {
-                                self.send_localsum(p, d, SimTime::ZERO, 0);
-                            } else {
-                                let bytes = self.peers[idx]
-                                    .as_ref()
-                                    .map(|s| s.data.summary.len())
-                                    .unwrap_or(0);
-                                self.ledger.count(&Message::LocalSum { bytes }, 1);
-                                self.domains[d].apply_localsum(p);
-                                let alpha = self.alpha_of(d);
-                                if let Err(e) = self.domains[d].maybe_reconcile(
-                                    alpha,
-                                    &mut self.peers,
-                                    &mut self.ledger,
-                                ) {
-                                    self.note_error(e);
-                                }
-                            }
+                            self.send_localsum(p, d, SimTime::ZERO, 0);
                         }
                     }
                     let st = self.peers[idx].as_mut().expect("checked");
@@ -886,19 +848,15 @@ impl SimKernel {
                 }
             }
             KernelEvent::LocalQuery { template } => {
-                if self.lat.is_some() {
-                    // The query travels to the (implicit) SP first; its
-                    // processing happens at delivery time.
-                    self.send_msg(
-                        IMPLICIT_SP,
-                        self.sp_node(0),
-                        Message::Query { template },
-                        0,
-                        SimTime::ZERO,
-                    );
-                } else {
-                    self.process_local_query(template, false);
-                }
+                // The query travels to the (implicit) SP first; its
+                // processing happens at delivery time.
+                self.send_msg(
+                    IMPLICIT_SP,
+                    self.sp_node(0),
+                    Message::Query { template },
+                    0,
+                    SimTime::ZERO,
+                );
             }
             KernelEvent::InterQuery { origin, template } => {
                 // Only live peers pose queries; a down origin's sample is
@@ -946,6 +904,10 @@ impl SimKernel {
             }
             KernelEvent::ControlTick => self.control_tick(),
         }
+        debug_assert!(
+            self.now_queue.is_empty(),
+            "zero-transit messages outlived their event"
+        );
     }
 
     /// One control epoch: every live domain's controller folds the
@@ -962,30 +924,20 @@ impl SimKernel {
             }
             let fallback = self.domains[d].cl.stale_fraction();
             let spent = self.domains[d].delta_bytes_total;
-            let alpha = self.ctl.tick_domain(d, now_s, fallback, spent);
-            if self.lat.is_some() {
-                self.maybe_start_ring(d);
-            } else if let Err(e) =
-                self.domains[d].maybe_reconcile(alpha, &mut self.peers, &mut self.ledger)
-            {
-                self.note_error(e);
-            }
+            self.ctl.tick_domain(d, now_s, fallback, spent);
+            self.maybe_start_ring(d);
         }
         self.sim.schedule_in(epoch, KernelEvent::ControlTick);
     }
 
-    /// The intra-domain workload query body (shared by the synchronous
-    /// path and the latency-mode delivery at the SP). `sp_hop_counted`
-    /// is true on the delivery path, where `send_msg` already counted
-    /// the client→SP query message.
-    fn process_local_query(&mut self, template: usize, sp_hop_counted: bool) {
+    /// An intra-domain workload query arrives at the (implicit) SP, which
+    /// routes it to the localized peers. `send_msg` already counted the
+    /// client→SP query message.
+    fn process_local_query(&mut self, template: usize) {
         let prop = &self.reformulated[template].proposition;
         let outcome = self.domains[0].route_local(prop, self.cfg.policy, &self.peers, template);
-        let sp_hop = u64::from(!sp_hop_counted);
-        self.ledger.count(
-            &Message::Query { template },
-            sp_hop + outcome.visited.len() as u64,
-        );
+        self.ledger
+            .count(&Message::Query { template }, outcome.visited.len() as u64);
         self.ledger
             .count(&Message::QueryHit { results: 1 }, outcome.answered as u64);
         self.ctl.record_query(0, outcome.answered, outcome.real_fp);
@@ -993,7 +945,7 @@ impl SimKernel {
     }
 
     // ------------------------------------------------------------------
-    // The latency message plane: send / deliver plumbing.
+    // The message plane: send / deliver plumbing.
     // ------------------------------------------------------------------
 
     /// The delivery-event node id of a domain's SP.
@@ -1027,16 +979,31 @@ impl SimKernel {
         lat.default_hop
     }
 
-    /// Latency mode: counts the message in the ledger and schedules its
-    /// delivery at `now + transit + extra`.
+    /// Sends one protocol message, counted once in the ledger. On the
+    /// latency plane its delivery is scheduled at `now + transit +
+    /// extra`. With instantaneous delivery transit is zero: the message
+    /// joins the same-instant FIFO, which is drained before this call
+    /// returns unless a drain is already running — so a top-level send
+    /// completes its whole cascade (token hops, ring completion, a
+    /// follow-up ring) before the sender's next statement.
     fn send_msg(&mut self, from: NodeId, to: NodeId, msg: Message, conv: u64, extra: SimTime) {
         debug_assert!(
             !matches!(msg, Message::QueryHit { .. }),
             "query hits travel as KernelEvent::Hits"
         );
-        let lat = self.lat.expect("latency mode");
-        let transit = msg.transit_time(self.hop_latency(from, to), &lat) + extra;
         self.ledger.count(&msg, 1);
+        let Some(lat) = self.lat else {
+            self.now_queue.push_back((from, to, msg, conv));
+            if !self.draining {
+                self.draining = true;
+                while let Some((from, to, msg, conv)) = self.now_queue.pop_front() {
+                    self.dispatch(from, to, msg, conv);
+                }
+                self.draining = false;
+            }
+            return;
+        };
+        let transit = msg.transit_time(self.hop_latency(from, to), &lat) + extra;
         self.in_flight += 1;
         self.peak_in_flight = self.peak_in_flight.max(self.in_flight);
         let sent_at = self.sim.now();
@@ -1072,12 +1039,18 @@ impl SimKernel {
         self.send_msg(p, to, Message::LocalSum { bytes }, conv, extra);
     }
 
-    /// Dispatches a delivered message — all protocol effects happen
-    /// here, at delivery time.
+    /// A message reaches its destination on the latency plane: the
+    /// plane's tallies, then its effects.
     fn deliver(&mut self, from: NodeId, to: NodeId, msg: Message, conv: u64, sent_at: SimTime) {
         self.in_flight = self.in_flight.saturating_sub(1);
         let latency = self.sim.now().saturating_sub(sent_at);
         self.ledger.count_deliveries(msg.class(), latency, 1);
+        self.dispatch(from, to, msg, conv);
+    }
+
+    /// Applies a delivered message — all protocol effects happen here,
+    /// at delivery time, whatever the transit was.
+    fn dispatch(&mut self, from: NodeId, to: NodeId, msg: Message, conv: u64) {
         match msg {
             Message::Push { value } => self.deliver_push(from, value),
             Message::LocalSum { .. } if conv != 0 && self.rebirth_convs.contains_key(&conv) => {
@@ -1088,9 +1061,8 @@ impl SimKernel {
             Message::Query { template } => {
                 if self.net.is_none() {
                     // Single-domain mode: the implicit SP processes the
-                    // workload query on arrival (its own hop was
-                    // counted at send time).
-                    self.process_local_query(template, true);
+                    // workload query on arrival.
+                    self.process_local_query(template);
                 } else {
                     self.deliver_query_at_sp(conv, to);
                 }
@@ -1137,10 +1109,9 @@ impl SimKernel {
     /// needs nothing from fresh ones — their contributions already sit
     /// in the SP's accumulator).
     fn maybe_start_ring(&mut self, d: usize) {
-        let Some(lat) = self.lat else { return };
         if self.domains[d].dissolved
             || self.ring_of_domain[d].is_some()
-            || !self.domains[d].cl.needs_reconciliation(self.alpha_of(d))
+            || !self.domains[d].cl.needs_reconciliation(self.ctl.alpha(d))
         {
             return;
         }
@@ -1160,7 +1131,7 @@ impl SimKernel {
         self.next_conv += 1;
         let mut rc = RingConversation::new(d, route);
         let first = rc.route.pop_front().expect("non-empty route");
-        let bytes = rc.token_bytes();
+        let bytes = RingConversation::token_bytes(&rc.gathered);
         self.rings.insert(conv, rc);
         self.ring_of_domain[d] = Some(conv);
         let sp = self.sp_node(d);
@@ -1171,8 +1142,10 @@ impl SimKernel {
             conv,
             SimTime::ZERO,
         );
-        self.sim
-            .schedule_in(lat.conversation_timeout, KernelEvent::RingTimeout { conv });
+        if let Some(lat) = self.lat {
+            self.sim
+                .schedule_in(lat.conversation_timeout, KernelEvent::RingTimeout { conv });
+        }
     }
 
     /// The token arrives at its next hop (or back at the SP).
@@ -1198,15 +1171,11 @@ impl SimKernel {
         if !st.up {
             return;
         }
-        let snap = SummarySnapshot {
-            peer: to,
-            summary: st.data.summary.clone(),
-            match_bits: st.data.match_bits,
-        };
+        let snap = SummarySnapshot::of(to, st);
         let rc = self.rings.get_mut(&conv).expect("checked above");
         rc.gathered.push(snap);
         let next = rc.route.pop_front();
-        let bytes = rc.token_bytes();
+        let bytes = RingConversation::token_bytes(&rc.gathered);
         let target = next.unwrap_or(sp);
         self.send_msg(
             to,
@@ -1562,7 +1531,7 @@ impl SimKernel {
     /// A summary peer's session ends: §4.3's release / detection runs
     /// on the physical network ([`handle_sp_departure`]), the domain
     /// dissolves, and every re-homed partner ships its `localsum` to
-    /// its new SP — over the message plane when latency is enabled.
+    /// its new SP over the message plane.
     /// With [`crate::config::SimConfig::rebirth`] the members are not
     /// scattered: the domain retains its member descriptions and a
     /// [`KernelEvent::SpElection`] is scheduled to re-elect a
@@ -1612,13 +1581,39 @@ impl SimKernel {
             };
             handle_sp_departure(net, topo, sp, graceful);
         }
-        // Mirror the §4.3 control traffic in the ledger (the physical
-        // counters live on the network).
+        self.retire_domain(d, sp, graceful, members.len());
+        // Re-homes: graceful partners act on the release; failed-SP
+        // partners discover the failure on their next (timed-out) push.
+        let delay = match (graceful, self.lat) {
+            (false, Some(lat)) => lat.conversation_timeout,
+            _ => SimTime::ZERO,
+        };
+        for m in members {
+            let new_sp = self.topo.as_ref().expect("networked kernel").assignment[m.index()];
+            match new_sp {
+                Some(nsp) => {
+                    let nd = self.sp_index[&nsp];
+                    self.domain_of[m.index()] = Some(nd);
+                    self.send_localsum(m, nd, delay, 0);
+                }
+                None => {
+                    self.domain_of[m.index()] = None;
+                }
+            }
+        }
+        self.record_domain_count();
+    }
+
+    /// The tail every §4.3 dissolution shares: the release / detection
+    /// traffic mirrored in the ledger (the physical counters live on the
+    /// network), the SP unregistered, the domain torn down, its
+    /// controller frozen and every long link to the SP dropped.
+    fn retire_domain(&mut self, d: usize, sp: NodeId, graceful: bool, members: usize) {
         if graceful {
-            self.ledger.count(&Message::Release, members.len() as u64);
+            self.ledger.count(&Message::Release, members as u64);
         } else {
             self.ledger
-                .count(&Message::Push { value: 1 }, members.len() as u64);
+                .count(&Message::Push { value: 1 }, members as u64);
         }
         self.sp_index.remove(&sp);
         self.domains[d].dissolve();
@@ -1629,44 +1624,6 @@ impl SimKernel {
         for dom in &mut self.domains {
             dom.long_links.retain(|&l| l != sp);
         }
-        // Re-homes: graceful partners act on the release; failed-SP
-        // partners discover the failure on their next (timed-out) push.
-        let delay = match (graceful, self.lat) {
-            (true, _) => SimTime::ZERO,
-            (false, Some(lat)) => lat.conversation_timeout,
-            (false, None) => SimTime::ZERO,
-        };
-        for m in members {
-            let new_sp = self.topo.as_ref().expect("networked kernel").assignment[m.index()];
-            match new_sp {
-                Some(nsp) => {
-                    let nd = self.sp_index[&nsp];
-                    self.domain_of[m.index()] = Some(nd);
-                    if self.lat.is_some() {
-                        self.send_localsum(m, nd, delay, 0);
-                    } else {
-                        let bytes = self.peers[m.index()]
-                            .as_ref()
-                            .map(|s| s.data.summary.len())
-                            .unwrap_or(0);
-                        self.ledger.count(&Message::LocalSum { bytes }, 1);
-                        self.domains[nd].apply_localsum(m);
-                        let alpha = self.alpha_of(nd);
-                        if let Err(e) = self.domains[nd].maybe_reconcile(
-                            alpha,
-                            &mut self.peers,
-                            &mut self.ledger,
-                        ) {
-                            self.note_error(e);
-                        }
-                    }
-                }
-                None => {
-                    self.domain_of[m.index()] = None;
-                }
-            }
-        }
-        self.record_domain_count();
     }
 
     /// The rebirth flavour of a §4.3 dissolution: the release /
@@ -1700,20 +1657,7 @@ impl SimKernel {
             };
             dissolve_domain(net, topo, sp, graceful);
         }
-        // Mirror the §4.3 control traffic in the ledger (the physical
-        // counters live on the network).
-        if graceful {
-            self.ledger.count(&Message::Release, members.len() as u64);
-        } else {
-            self.ledger
-                .count(&Message::Push { value: 1 }, members.len() as u64);
-        }
-        self.sp_index.remove(&sp);
-        self.domains[d].dissolve();
-        self.ctl.on_dissolve(d);
-        for dom in &mut self.domains {
-            dom.long_links.retain(|&l| l != sp);
-        }
+        self.retire_domain(d, sp, graceful, members.len());
         for &m in &members {
             self.domain_of[m.index()] = None;
         }
@@ -1822,10 +1766,10 @@ impl SimKernel {
     /// re-homed partners' distances, and the domain slot revives
     /// seeded from the retained descriptions — members whose push
     /// invariant survived the hand-over re-enter `Fresh`, everyone
-    /// else stale, so the first α-gated pull is a delta. On the
-    /// message plane the members' `localsum` confirmations run as a
-    /// [`RebirthConversation`] with a watchdog; in instantaneous mode
-    /// they apply (and may arm the first pull) on the spot.
+    /// else stale, so the first α-gated pull is a delta. The members'
+    /// `localsum` confirmations run as a [`RebirthConversation`] (with a
+    /// watchdog on the latency plane); the last one in may arm the
+    /// first pull.
     fn handle_sp_takeover(&mut self, d: usize, ns: NodeId) {
         let Some(seed) = self.pending_rebirths.remove(&d) else {
             return;
@@ -1914,40 +1858,27 @@ impl SimKernel {
         self.record_domain_count();
         // Re-home confirmations: every live member ships its `localsum`
         // to the newborn SP.
+        if live.is_empty() {
+            return;
+        }
+        let conv = self.next_conv;
+        self.next_conv += 1;
+        self.rebirth_convs.insert(
+            conv,
+            RebirthConversation {
+                domain: d,
+                outstanding: live.len() as u64,
+                done: false,
+            },
+        );
+        for &m in &live {
+            self.send_localsum(m, d, SimTime::ZERO, conv);
+        }
         if let Some(lat) = self.lat {
-            if !live.is_empty() {
-                let conv = self.next_conv;
-                self.next_conv += 1;
-                self.rebirth_convs.insert(
-                    conv,
-                    RebirthConversation {
-                        domain: d,
-                        outstanding: live.len() as u64,
-                        done: false,
-                    },
-                );
-                for &m in &live {
-                    self.send_localsum(m, d, SimTime::ZERO, conv);
-                }
-                self.sim.schedule_in(
-                    lat.conversation_timeout,
-                    KernelEvent::RebirthTimeout { conv },
-                );
-            }
-        } else {
-            for &m in &live {
-                let bytes = self.peers[m.index()]
-                    .as_ref()
-                    .map(|s| s.data.summary.len())
-                    .unwrap_or(0);
-                self.ledger.count(&Message::LocalSum { bytes }, 1);
-            }
-            let alpha = self.alpha_of(d);
-            if let Err(e) =
-                self.domains[d].maybe_reconcile(alpha, &mut self.peers, &mut self.ledger)
-            {
-                self.note_error(e);
-            }
+            self.sim.schedule_in(
+                lat.conversation_timeout,
+                KernelEvent::RebirthTimeout { conv },
+            );
         }
     }
 
@@ -2573,16 +2504,6 @@ impl MultiDomainSim {
         self.kernel.live_gs_matches_oracle()
     }
 
-    /// Fraction of assigned peers currently live.
-    pub fn live_fraction(&self) -> f64 {
-        self.kernel.live_fraction()
-    }
-
-    /// The current virtual time.
-    pub fn now(&self) -> SimTime {
-        self.kernel.now()
-    }
-
     /// Number of query templates.
     pub fn template_count(&self) -> usize {
         self.kernel.template_count()
@@ -2854,6 +2775,60 @@ mod tests {
                 let pulls: u64 = k.domains.iter().map(|d| d.reconciliations).sum();
                 assert!(pulls > 0, "latency {latency}: the run must pull");
             }
+        }
+    }
+
+    /// Drifts send one `v = 1` push each; with α = 0.3 over ten
+    /// partners two stale entries wait, and the third arms a ring that
+    /// runs whole within the event and visits exactly the three. A
+    /// graceful leave then takes its peer down and sends one `v = 2`
+    /// push, which flags the entry without arming a pull below α.
+    #[test]
+    fn alpha_threshold_gates_the_instant_ring() {
+        let mut k = SimKernel::single_domain(cfg(10, 13)).unwrap();
+        for p in [0, 1] {
+            k.handle(KernelEvent::Drift(NodeId(p)));
+        }
+        assert_eq!(k.ledger.sent(MessageClass::Push), 2);
+        assert_eq!(k.domains[0].reconciliations, 0);
+        k.handle(KernelEvent::Drift(NodeId(2)));
+        assert_eq!(k.domains[0].reconciliations, 1);
+        let cl = &k.domains[0].cl;
+        assert_eq!(cl.stale_fraction(), 0.0, "reset after the pull");
+        let work = k.ledger.reconcile_work();
+        assert_eq!((work.merged, work.skipped), (3, 7));
+        let hops = k.ledger.sent(MessageClass::Reconciliation);
+        assert_eq!(hops, 4, "3 hops + store");
+        assert!(k.rings.is_empty() && k.ring_of_domain[0].is_none());
+
+        k.handle(KernelEvent::Session(SessionEvent::Leave(NodeId(3))));
+        assert_eq!(k.ledger.sent(MessageClass::Push), 4);
+        assert!(!k.peers[3].as_ref().unwrap().up);
+        let flag = k.domains[0].cl.freshness(NodeId(3));
+        assert_eq!(flag, Some(Freshness::Unavailable));
+        assert_eq!(k.domains[0].reconciliations, 1);
+    }
+
+    /// Zero-transit delivery never touches the latency plane's tallies:
+    /// runs that pull (and, with SP churn, hand reborn domains over)
+    /// end with nothing in flight, no peak and no delivery latencies.
+    #[test]
+    fn instant_runs_leave_the_latency_tallies_empty() {
+        let mut rebirth = crate::scenario::with_sp_churn(&cfg(120, 8), 3600.0);
+        rebirth.rebirth = true;
+        let kernels = [
+            SimKernel::networked(cfg(120, 8), 20, Some(LookupTarget::Total)).unwrap(),
+            SimKernel::networked(rebirth, 20, Some(LookupTarget::Total)).unwrap(),
+            SimKernel::single_domain(cfg(40, 8)).unwrap(),
+        ];
+        for mut k in kernels {
+            k.run_to_horizon();
+            let pulls: u64 = k.domains.iter().map(|d| d.reconciliations).sum();
+            assert!(pulls > 0, "the run must pull");
+            assert_eq!(k.in_flight(), 0);
+            assert_eq!(k.peak_in_flight(), 0);
+            assert!(k.ledger.latency_counters().is_empty());
+            assert!(k.rings.is_empty() && k.rebirth_convs.is_empty());
         }
     }
 

@@ -8,23 +8,26 @@
 //!   the paper's §6.1 cost unit, plus the reconciliation merge-work
 //!   counters ([`ReconcileWork`]);
 //! * [`DomainCore`] — one domain's summary peer state: the global
-//!   summary (GS), the cooperation list (CL) and the push/pull protocol
-//!   transitions. [`crate::domain::DomainSim`] drives exactly one
-//!   `DomainCore`; the unified kernel ([`crate::kernel`]) drives many,
-//!   interleaved in a single virtual clock.
+//!   summary (GS), the cooperation list (CL) and what each maintenance
+//!   message does on arrival ([`DomainCore::apply_push`],
+//!   [`DomainCore::apply_localsum`], `DomainCore::apply_snapshots`);
+//!   sending, α gating and the token ring live in the kernel.
+//!   [`crate::domain::DomainSim`] drives exactly one `DomainCore`; the
+//!   unified kernel ([`crate::kernel`]) drives many, interleaved in a
+//!   single virtual clock.
 //!
 //! ## Incremental GS maintenance
 //!
 //! The GS is **not** rebuilt from every member on every pull. Each
 //! domain owns a [`saintetiq::delta::GsAccumulator`] holding one entry
 //! per contributing member — the flattened leaves of the summary that
-//! member last shipped. A reconciliation round (§4.2.2's pull) then
-//! only
+//! member last shipped. A reconciliation round (§4.2.2's pull, one
+//! token ring) then only
 //!
-//! 1. pulls the *stale subset*: CL entries flagged `NeedsRefresh` /
-//!    `Unavailable` that are still live are decoded and re-folded via
-//!    `update_source` (O(|stale|) decode + merge work — the paper's
-//!    §6.1 cost unit now scales with what changed);
+//! 1. folds in the *stale subset*: the ring visits the live CL entries
+//!    flagged `NeedsRefresh` / `Unavailable`, and each gathered summary
+//!    is decoded and re-folded via `update_source` (O(|stale|) decode +
+//!    merge work — the paper's §6.1 cost unit scales with what changed);
 //! 2. expires departed members via `remove_source` (O(1) each);
 //! 3. marks the stored GS stale. The canonical merged view
 //!    ([`GsAccumulator::build_merged`]) and its size
@@ -36,9 +39,8 @@
 //!    and when the kernel hands control back
 //!    ([`crate::kernel::SimKernel::run_until`] and
 //!    [`crate::kernel::SimKernel::run_to_horizon`]). The kernel's own
-//!    pulls ([`DomainCore::maybe_reconcile`] and the `on_*` transitions,
-//!    and ring completions on the message plane) never build: queries
-//!    route on the accumulator's cell extents
+//!    pulls (ring completions, `DomainCore::apply_snapshots`) never
+//!    build: queries route on the accumulator's cell extents
 //!    ([`GsAccumulator::relevant_sources`], equal to selection over the
 //!    built tree). A build is Θ(|GS|) — the GS's per-source cell entries
 //!    make |GS| itself linear in total contributions — about 4 ms at
@@ -54,7 +56,7 @@
 //! the `gs_incremental` property tests and the debug paths.
 //!
 //! A second behavioral refinement rides along: a *partial* pull (a
-//! latency-mode ring whose token was dropped mid-ring) now keeps the
+//! latency-plane ring whose token was dropped mid-ring) keeps the
 //! still-live members the token missed in the GS with their previous
 //! descriptions, instead of dropping them until a follow-up ring — the
 //! paper's descriptions persist until refreshed or expired (§4.3),
@@ -75,7 +77,7 @@ use crate::coop::CooperationList;
 use crate::error::P2pError;
 use crate::freshness::Freshness;
 use crate::messages::Message;
-use crate::routing::{route_query_scoped, QueryOutcome, RoutingPolicy};
+use crate::routing::{route_query_scoped, QueryOutcome, RingConversation, RoutingPolicy};
 use crate::workload::PeerData;
 
 /// The CBK name every generated summary binds to.
@@ -235,19 +237,31 @@ impl MessageLedger {
     }
 }
 
-/// One member's summary snapshot as carried by a latency-mode
-/// reconciliation token: the member's local summary and match bits *at
-/// the virtual time the token passed through it*. If the member drifts
-/// or departs after its token hop, the stored GS keeps describing this
-/// snapshot — exactly the staleness window instantaneous delivery hides.
+/// One member's summary snapshot as carried by a reconciliation token:
+/// the member's local summary and match bits *at the virtual time the
+/// token passed through it*. If the member drifts or departs after its
+/// token hop, the stored GS keeps describing this snapshot — exactly
+/// the staleness window instantaneous delivery hides.
 #[derive(Debug, Clone)]
 pub struct SummarySnapshot {
     /// The member the token visited.
     pub peer: NodeId,
-    /// Its encoded local summary at token-pass time.
+    /// Its encoded local summary at token-pass time (shared with the
+    /// peer's own copy, not duplicated).
     pub summary: Bytes,
     /// Its exact match bits at token-pass time.
     pub match_bits: u32,
+}
+
+impl SummarySnapshot {
+    /// `peer`'s summary and match bits as they are now.
+    pub fn of(peer: NodeId, st: &PeerState) -> Self {
+        Self {
+            peer,
+            summary: st.data.summary.clone(),
+            match_bits: st.data.match_bits,
+        }
+    }
 }
 
 /// Immutable peer lookup that maps a missing slot to [`P2pError`].
@@ -450,138 +464,39 @@ impl DomainCore {
         Ok(acc.build_merged())
     }
 
-    /// §4.2.2's pull phase, fired when the CL crosses α. Returns true
-    /// when a reconciliation round ran. The round updates the
-    /// accumulator and leaves `gs` stale until
-    /// [`DomainCore::materialize`].
-    pub fn maybe_reconcile(
-        &mut self,
-        alpha: f64,
-        peers: &mut [Option<PeerState>],
-        ledger: &mut MessageLedger,
-    ) -> Result<bool, P2pError> {
-        if !self.cl.needs_reconciliation(alpha) {
-            return Ok(false);
-        }
-        self.pull_round(peers, ledger)?;
-        Ok(true)
-    }
-
-    /// Runs one reconciliation round unconditionally, then stores the
-    /// merged view. The round itself is `pull_round`: the token visits
-    /// the stale live members, departed members are expired, and the CL
-    /// resets to the live membership.
+    /// One whole reconciliation ring at once (§4.2.2's pull), then the
+    /// merged view stored — what the kernel's ring conversation does
+    /// with zero transit: the token visits the stale live members
+    /// (`RingConversation::stale_route`), each hop charged at the
+    /// token's cumulative size (`RingConversation::token_bytes` —
+    /// `NewGS` grows as it collects summaries, so the final store hop
+    /// carries everything), and the gathered snapshots are folded in by
+    /// `DomainCore::apply_snapshots`. A ring with no stale live member
+    /// circulates no token: the SP just expires departed members.
     pub fn reconcile(
         &mut self,
         peers: &mut [Option<PeerState>],
         ledger: &mut MessageLedger,
     ) -> Result<ReconcileWork, P2pError> {
-        let work = self.pull_round(peers, ledger)?;
-        self.materialize();
-        Ok(work)
-    }
-
-    /// One reconciliation round, without building the GS: the token ring
-    /// visits only the *stale* live members (plus the final store hop),
-    /// each visited member's summary replaces its accumulator entry,
-    /// departed members' contributions are expired, and the CL resets
-    /// to the live membership.
-    ///
-    /// Token bytes are charged per hop at the token's *cumulative* size
-    /// — `NewGS` grows as it collects the stale members' summaries, so
-    /// early hops are cheap and the final store hop carries everything,
-    /// matching `routing::RingConversation::token_bytes` on
-    /// the latency plane. A round that visits nobody (every stale entry
-    /// was a departed member) circulates no token at all — the SP just
-    /// expires them locally, exactly like the latency plane's
-    /// empty-route case.
-    fn pull_round(
-        &mut self,
-        peers: &mut [Option<PeerState>],
-        ledger: &mut MessageLedger,
-    ) -> Result<ReconcileWork, P2pError> {
-        self.gs_stale = true;
-        let mut work = ReconcileWork::default();
-        let mut token_bytes = 0usize;
-        let members = self.members.clone();
-        for m in members {
-            if !peer_up(peers, m) {
-                if self.expire_member(m, peers) {
-                    work.removed += 1;
-                }
-                continue;
-            }
-            // Live and fresh: the stored contribution is current (drift
-            // always flags before the next pull); skip the hop. Members
-            // missing from the CL (pre-enrollment state) are pulled.
-            let stale = self.cl.freshness(m).is_none_or(|f| f.as_stale_bit());
-            if !stale {
-                work.skipped += 1;
-                continue;
-            }
-            // The hop *to* this member carries the token gathered so far.
-            ledger.count(
-                &Message::ReconciliationToken {
-                    bytes: token_bytes.max(64),
-                },
-                1,
-            );
-            let pulled = self.pull_member(m, peers)?;
-            token_bytes += pulled;
-            work.merged += 1;
-            work.delta_bytes += pulled as u64;
+        let mut gathered = Vec::new();
+        for m in RingConversation::stale_route(&self.cl, |m| peer_up(peers, m)) {
+            let bytes = RingConversation::token_bytes(&gathered);
+            ledger.count(&Message::ReconciliationToken { bytes }, 1);
+            gathered.push(SummarySnapshot::of(m, peer_ref(peers, m)?));
         }
-        // The final hop returns the gathered token to the SP — unless
-        // no member was visited, in which case no token ever left it.
-        if work.merged > 0 {
-            ledger.count(
-                &Message::ReconciliationToken {
-                    bytes: token_bytes.max(64),
-                },
-                1,
-            );
+        if !gathered.is_empty() {
+            let bytes = RingConversation::token_bytes(&gathered);
+            ledger.count(&Message::ReconciliationToken { bytes }, 1);
         }
-        self.cl.reconcile(|p| peer_up(peers, p));
-        ledger.count_reconcile_work(work);
-        self.delta_bytes_total += work.delta_bytes;
-        self.reconciliations += 1;
-        Ok(work)
+        self.reconcile_from_snapshots(&gathered, peers, ledger)
     }
 
-    /// A member's data drifted: its freshness flag is pushed (§4.2.1).
-    /// The caller regenerates the data and re-schedules the drift timer.
-    pub fn on_drift(
-        &mut self,
-        peer: NodeId,
-        alpha: f64,
-        peers: &mut [Option<PeerState>],
-        ledger: &mut MessageLedger,
-    ) -> Result<(), P2pError> {
-        ledger.count(&Message::Push { value: 1 }, 1);
-        self.cl.set_freshness(peer, Freshness::NeedsRefresh);
-        self.maybe_reconcile(alpha, peers, ledger)?;
-        Ok(())
-    }
-
-    /// A member leaves gracefully: §4.3's `v = 2` push.
-    pub fn on_leave(
-        &mut self,
-        peer: NodeId,
-        alpha: f64,
-        peers: &mut [Option<PeerState>],
-        ledger: &mut MessageLedger,
-    ) -> Result<(), P2pError> {
-        ledger.count(&Message::Push { value: 2 }, 1);
-        self.cl.set_freshness(peer, Freshness::Unavailable);
-        self.maybe_reconcile(alpha, peers, ledger)?;
-        Ok(())
-    }
-
-    /// Latency-mode arrival of a freshness push at the SP: the CL
-    /// transition alone. The α check and the ring *conversation* live in
-    /// the kernel, which owns the virtual clock; message accounting
-    /// happened at send time. A push from a non-member (e.g. one that
-    /// was removed while the push was in flight) is dropped.
+    /// A freshness push (§4.2.1's `v = 1` on drift, §4.3's `v = 2` on a
+    /// graceful leave) arrives at the SP: the CL transition alone. The α
+    /// check and the ring *conversation* live in the kernel, which owns
+    /// the clock; message accounting happened at send time. A push from
+    /// a non-member (e.g. one that was removed while the push was in
+    /// flight) is dropped.
     pub fn apply_push(&mut self, peer: NodeId, freshness: Freshness) -> bool {
         if self.dissolved {
             return false;
@@ -589,10 +504,11 @@ impl DomainCore {
         self.cl.set_freshness(peer, freshness)
     }
 
-    /// Latency-mode arrival of a (re)joining member's `localsum` at the
-    /// SP: the member enters the CL stale, awaiting the next pull. If
-    /// the peer was never a member of this domain (an SP-churn re-home),
-    /// it also enters the member list.
+    /// A (re)joining member's `localsum` arrives at the SP (§4.3): the
+    /// member enters the CL stale, awaiting the next pull. If the peer
+    /// is not a member of this domain (an SP-churn re-home, or a member
+    /// a pull dropped while it was away), it also enters the member
+    /// list.
     pub fn apply_localsum(&mut self, peer: NodeId) -> bool {
         if self.dissolved {
             return false;
@@ -604,8 +520,8 @@ impl DomainCore {
         true
     }
 
-    /// Latency-mode completion of a reconciliation ring, then the merged
-    /// view stored. The round itself is `apply_snapshots`: each gathered
+    /// Completion of a reconciliation ring, then the merged view stored.
+    /// The round itself is `apply_snapshots`: each gathered
     /// snapshot replaces its member's accumulator entry; missed live
     /// members keep their flags and previous descriptions; missed down
     /// members are expired and removed.
@@ -620,10 +536,10 @@ impl DomainCore {
         Ok(work)
     }
 
-    /// Latency-mode completion of a reconciliation ring, without building
-    /// the GS: each gathered snapshot replaces its member's accumulator
-    /// entry and `gs` is left stale. Members the token *missed* (it
-    /// was dropped at a churned-out peer and the watchdog fired) keep
+    /// Completion of a reconciliation ring, without building the GS:
+    /// each gathered snapshot replaces its member's accumulator entry,
+    /// and `gs` is left stale. Members the token *missed* (on the latency
+    /// plane it was dropped at a churned-out peer and the watchdog fired) keep
     /// both their stale flags *and* their previous GS contributions if
     /// they are up — α re-arms a follow-up ring while the old
     /// descriptions keep serving queries; missed members that are down
@@ -665,9 +581,11 @@ impl DomainCore {
         }
         // Token-visited members reset to fresh; unvisited live members
         // keep their flags (partial pull); unvisited down members drop.
+        // Only stale flags need restoring: the reset leaves the rest
+        // fresh.
         let stale_survivors: Vec<(NodeId, Freshness)> = self
             .cl
-            .partners()
+            .old_partners()
             .filter(|p| !visited.contains(p) && peer_up(peers, *p))
             .map(|p| (p, self.cl.freshness(p).unwrap_or(Freshness::NeedsRefresh)))
             .collect();
@@ -682,22 +600,6 @@ impl DomainCore {
         self.delta_bytes_total += work.delta_bytes;
         self.reconciliations += 1;
         Ok(work)
-    }
-
-    /// A member rejoins: ships its `localsum` and awaits the next pull
-    /// before the GS describes it.
-    pub fn on_join(
-        &mut self,
-        peer: NodeId,
-        alpha: f64,
-        peers: &mut [Option<PeerState>],
-        ledger: &mut MessageLedger,
-    ) -> Result<(), P2pError> {
-        let bytes = peer_ref(peers, peer)?.data.summary.len();
-        ledger.count(&Message::LocalSum { bytes }, 1);
-        self.cl.add_partner(peer, Freshness::NeedsRefresh);
-        self.maybe_reconcile(alpha, peers, ledger)?;
-        Ok(())
     }
 
     /// Routes one query against this domain's current accumulator/CL
@@ -796,9 +698,7 @@ mod tests {
         core.enroll_all(&mut peers, &mut ledger).unwrap();
 
         peers[3].as_mut().unwrap().up = false;
-        core.on_leave(NodeId(3), 1.1, &mut peers, &mut ledger)
-            .unwrap();
-        assert_eq!(ledger.sent(MessageClass::Push), 1);
+        assert!(core.apply_push(NodeId(3), Freshness::Unavailable));
         assert_eq!(
             core.gs.all_sources().len(),
             10,
@@ -816,33 +716,6 @@ mod tests {
         assert_eq!(work.skipped, 9);
         assert_eq!(work.removed, 1);
         assert_eq!(ledger.sent(MessageClass::Reconciliation), 0);
-    }
-
-    #[test]
-    fn alpha_threshold_gates_the_pull() {
-        let (mut core, mut peers) = domain_with_peers(10);
-        let mut ledger = MessageLedger::new();
-        core.enroll_all(&mut peers, &mut ledger).unwrap();
-        // 2 of 10 stale: below α = 0.3.
-        for p in [0u32, 1] {
-            core.on_drift(NodeId(p), 0.3, &mut peers, &mut ledger)
-                .unwrap();
-        }
-        assert_eq!(core.reconciliations, 0);
-        // The third crosses 0.3.
-        core.on_drift(NodeId(2), 0.3, &mut peers, &mut ledger)
-            .unwrap();
-        assert_eq!(core.reconciliations, 1);
-        assert_eq!(core.cl.stale_fraction(), 0.0, "reset after the pull");
-        // The ring visited exactly the 3 stale members.
-        let work = ledger.reconcile_work();
-        assert_eq!(work.merged, 3);
-        assert_eq!(work.skipped, 7);
-        assert_eq!(
-            ledger.sent(MessageClass::Reconciliation),
-            4,
-            "3 hops + store"
-        );
     }
 
     #[test]
@@ -915,14 +788,7 @@ mod tests {
         peers[4].as_mut().unwrap().up = false;
         // The token visited members 0..3 and was dropped before 3..6.
         let gathered: Vec<SummarySnapshot> = (0..3u32)
-            .map(|p| {
-                let st = peers[p as usize].as_ref().unwrap();
-                SummarySnapshot {
-                    peer: NodeId(p),
-                    summary: st.data.summary.clone(),
-                    match_bits: st.data.match_bits,
-                }
-            })
+            .map(|p| SummarySnapshot::of(NodeId(p), peers[p as usize].as_ref().unwrap()))
             .collect();
         core.reconcile_from_snapshots(&gathered, &mut peers, &mut ledger)
             .unwrap();
@@ -1019,14 +885,7 @@ mod tests {
         let mut ledger = MessageLedger::new();
         core.enroll_all(&mut peers, &mut ledger).unwrap();
         // Snapshot peer 1, then drift it after the token passed.
-        let snap = {
-            let st = peers[1].as_ref().unwrap();
-            SummarySnapshot {
-                peer: NodeId(1),
-                summary: st.data.summary.clone(),
-                match_bits: st.data.match_bits,
-            }
-        };
+        let snap = SummarySnapshot::of(NodeId(1), peers[1].as_ref().unwrap());
         drift(&mut core, &mut peers, 1, 400);
         peers[1].as_mut().unwrap().dirty = true;
         core.reconcile_from_snapshots(&[snap], &mut peers, &mut ledger)
@@ -1036,14 +895,7 @@ mod tests {
             "a post-snapshot drift keeps the dirty bit"
         );
         // A current snapshot clears it.
-        let snap2 = {
-            let st = peers[1].as_ref().unwrap();
-            SummarySnapshot {
-                peer: NodeId(1),
-                summary: st.data.summary.clone(),
-                match_bits: st.data.match_bits,
-            }
-        };
+        let snap2 = SummarySnapshot::of(NodeId(1), peers[1].as_ref().unwrap());
         core.reconcile_from_snapshots(&[snap2], &mut peers, &mut ledger)
             .unwrap();
         assert!(!peers[1].as_ref().unwrap().dirty);
@@ -1067,9 +919,6 @@ mod tests {
         core.members.push(NodeId(40)); // no backing slot
         let err = core.enroll_all(&mut peers, &mut ledger);
         assert_eq!(err, Err(P2pError::UnknownPeer(40)));
-        // on_join against an unknown peer errors cleanly too.
-        let err = core.on_join(NodeId(77), 1.1, &mut peers, &mut ledger);
-        assert_eq!(err, Err(P2pError::UnknownPeer(77)));
     }
 
     #[test]
@@ -1100,14 +949,12 @@ mod tests {
         core.enroll_all(&mut peers, &mut ledger).unwrap();
 
         peers[5].as_mut().unwrap().up = false;
-        core.on_leave(NodeId(5), 1.1, &mut peers, &mut ledger)
-            .unwrap();
+        core.apply_push(NodeId(5), Freshness::Unavailable);
         core.reconcile(&mut peers, &mut ledger).unwrap();
         assert!(!core.cl.contains(NodeId(5)));
 
         peers[5].as_mut().unwrap().up = true;
-        core.on_join(NodeId(5), 1.1, &mut peers, &mut ledger)
-            .unwrap();
+        assert!(core.apply_localsum(NodeId(5)));
         assert_eq!(core.cl.freshness(NodeId(5)), Some(Freshness::NeedsRefresh));
         assert_eq!(
             core.gs.all_sources().len(),

@@ -63,12 +63,13 @@ pub struct QueryOutcome {
     pub messages: u64,
 }
 
-/// State of one latency-mode reconciliation ring (§4.2.2 as a
-/// multi-event conversation): the token hops from *stale* live member
-/// to stale live member as scheduled deliveries, gathering summary
-/// snapshots — fresh members are not visited at all, since their
-/// contributions already sit in the SP's accumulator (incremental GS
-/// maintenance; see [`crate::peerstate`]). A hop that lands on a
+/// State of one reconciliation ring (§4.2.2 as a conversation of token
+/// deliveries): the token hops from *stale* live member to stale live
+/// member, gathering summary snapshots — fresh members are not visited
+/// at all, since their contributions already sit in the SP's
+/// accumulator (incremental GS maintenance; see [`crate::peerstate`]).
+/// With instantaneous delivery the whole ring runs within the event
+/// that armed it. On the latency plane a hop that lands on a
 /// churned-out peer silently drops the token; the SP's watchdog then
 /// completes the pull with whatever was gathered.
 #[derive(Debug)]
@@ -103,10 +104,10 @@ impl RingConversation {
         cl.old_partners().filter(|&p| up(p)).collect()
     }
 
-    /// Current token payload size: the gathered summaries (`NewGS`
-    /// grows along the ring), floored at one header's worth.
-    pub fn token_bytes(&self) -> usize {
-        self.gathered
+    /// Token payload size after `gathered`: the gathered summaries
+    /// (`NewGS` grows along the ring), floored at one header's worth.
+    pub fn token_bytes(gathered: &[SummarySnapshot]) -> usize {
+        gathered
             .iter()
             .map(|s| s.summary.len())
             .sum::<usize>()
@@ -114,16 +115,16 @@ impl RingConversation {
     }
 }
 
-/// State of one latency-mode SP-rebirth hand-over (§4.3 rebirth as a
-/// multi-event conversation): at takeover every live member of the
-/// reborn domain ships a `localsum` confirmation to the newborn SP as
-/// a scheduled delivery. The domain is already seeded (descriptions
-/// were retained across the dissolution), so each arrival only
-/// re-validates the member — one that churned out while its
-/// confirmation was in flight is flagged `Unavailable` for the next
-/// pull. The conversation completes when every confirmation landed or
-/// the watchdog fires; completion re-checks α so a stale-seeded
-/// membership can arm the reborn domain's first (delta) pull at once.
+/// State of one SP-rebirth hand-over (§4.3 rebirth as a conversation):
+/// at takeover every live member of the reborn domain ships a
+/// `localsum` confirmation to the newborn SP. The domain is already
+/// seeded (descriptions were retained across the dissolution), so each
+/// arrival only re-validates the member — on the latency plane, one
+/// that churned out while its confirmation was in flight is flagged
+/// `Unavailable` for the next pull. The conversation completes when
+/// every confirmation landed or (latency plane) the watchdog fires;
+/// completion re-checks α so a stale-seeded membership can arm the
+/// reborn domain's first (delta) pull at once.
 #[derive(Debug)]
 pub(crate) struct RebirthConversation {
     /// The reborn domain slot.

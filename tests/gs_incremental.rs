@@ -159,23 +159,21 @@ proptest! {
     ) {
         let (mut core, mut peers) = setup(seed);
         let mut ledger = MessageLedger::new();
-        // α = 2.0: pulls never self-trigger, only explicit Reconcile ops
-        // run them — maximizing how much staleness each round absorbs.
-        let alpha = 2.0;
+        // The ops are the SP-side arrivals alone: pulls never
+        // self-trigger, only explicit Reconcile ops run them —
+        // maximizing how much staleness each round absorbs.
         for (kind, peer, op_seed) in raw_ops {
             match decode_op(kind, peer, op_seed) {
                 Op::Drift(p, s) => {
                     if peers[p as usize].as_ref().is_some_and(|st| st.up) {
                         regenerate(&mut peers, p, s);
-                        core.on_drift(NodeId(p), alpha, &mut peers, &mut ledger)
-                            .expect("drift");
+                        core.apply_push(NodeId(p), Freshness::NeedsRefresh);
                     }
                 }
                 Op::Leave(p) => {
                     if peers[p as usize].as_ref().is_some_and(|st| st.up) {
                         peers[p as usize].as_mut().expect("slot").up = false;
-                        core.on_leave(NodeId(p), alpha, &mut peers, &mut ledger)
-                            .expect("leave");
+                        core.apply_push(NodeId(p), Freshness::Unavailable);
                     }
                 }
                 Op::Crash(p) => {
@@ -184,14 +182,9 @@ proptest! {
                     }
                 }
                 Op::Rejoin(p) => {
-                    let down = peers[p as usize].as_ref().is_some_and(|st| !st.up);
-                    if down && core.members.contains(&NodeId(p)) {
-                        peers[p as usize].as_mut().expect("slot").up = true;
-                        core.on_join(NodeId(p), alpha, &mut peers, &mut ledger)
-                            .expect("rejoin");
-                    } else if down {
-                        // Dropped from the membership while away: walks
-                        // back in like a re-homed orphan.
+                    // A member a pull dropped while it was away walks
+                    // back in like a re-homed orphan.
+                    if peers[p as usize].as_ref().is_some_and(|st| !st.up) {
                         peers[p as usize].as_mut().expect("slot").up = true;
                         core.apply_localsum(NodeId(p));
                     }
@@ -245,14 +238,7 @@ fn partial_ring_leaves_accumulator_consistent() {
     peers[5].as_mut().unwrap().up = false; // crashes before its hop
     let gathered: Vec<SummarySnapshot> = [1u32, 3]
         .iter()
-        .map(|&p| {
-            let st = peers[p as usize].as_ref().unwrap();
-            SummarySnapshot {
-                peer: NodeId(p),
-                summary: st.data.summary.clone(),
-                match_bits: st.data.match_bits,
-            }
-        })
+        .map(|&p| SummarySnapshot::of(NodeId(p), peers[p as usize].as_ref().unwrap()))
         .collect();
     core.reconcile_from_snapshots(&gathered, &mut peers, &mut ledger)
         .expect("partial pull");
