@@ -5,7 +5,9 @@
 //! `1 + 2·(0.1·n)`; SQ is `C_Q = 10·C_d + 9·C_f` from the cost model
 //! with the worst-case false-positive fraction measured in Figure 4 at
 //! α = 0.3; flooding is measured on the simulated power-law topology and
-//! reported both raw and normalized to full recall (see EXPERIMENTS.md).
+//! reported both raw and normalized to full recall, since a TTL-3 flood
+//! reaches only part of a large network and its raw count understates
+//! what delivering the whole result set costs.
 //!
 //! Paper's reference point: SQ reduces query cost ≈3.5× vs flooding at
 //! n = 2000, and the gap widens with network size.

@@ -24,7 +24,7 @@
 //! surviving domains. The kernel drives the election/takeover events;
 //! this module holds the topology-level mechanics.
 
-use p2psim::network::{MessageClass, Network, NodeId};
+use p2psim::network::{Network, NodeId};
 use p2psim::time::SimTime;
 
 /// The outcome of domain construction.
@@ -38,6 +38,11 @@ pub struct Domains {
     /// Latency distance (µs along the broadcast path) from each peer to
     /// its SP.
     pub distance: Vec<u64>,
+    /// Messages the construction protocol cost, all of the
+    /// `Construction` class: the `sumpeer` broadcasts, one `drop` per
+    /// abandoned partnership, the selective walks' `find` hops and one
+    /// `localsum` per partnership formed.
+    pub messages: u64,
 }
 
 impl Domains {
@@ -66,18 +71,6 @@ impl Domains {
             _ => None,
         }
     }
-
-    /// Virtual time at which the construction broadcast completed: the
-    /// latest broadcast-tree delivery across all assigned peers. The
-    /// latency-aware kernel reports this as the construction span — the
-    /// window during which a real deployment's domains were still
-    /// forming.
-    pub fn completion_time(&self) -> SimTime {
-        (0..self.assignment.len() as u32)
-            .filter_map(|i| self.join_time(NodeId(i)))
-            .max()
-            .unwrap_or(SimTime::ZERO)
-    }
 }
 
 /// Elects `count` summary peers: the highest-degree live nodes, the
@@ -92,50 +85,49 @@ pub fn elect_superpeers(net: &Network, count: usize) -> Vec<NodeId> {
     by_degree
 }
 
-/// Runs the construction protocol. Counts every message on `net`'s
-/// counters (`Construction` class) and returns the domain map.
-pub fn construct_domains(net: &mut Network, superpeers: &[NodeId], ttl: u32) -> Domains {
+/// §4.1's `find`: a selective walk from `p` that stops at the first
+/// summary peer or partner it reaches ("once a partner or a summary
+/// peer is reached, the find message is stopped"); `p` adopts that
+/// SP. Returns the walk's hops, one `find` message each, and the
+/// adopted SP (`None` when the walk found nobody).
+pub(crate) fn find_domain(
+    net: &Network,
+    superpeers: &[NodeId],
+    assignment: &[Option<NodeId>],
+    p: NodeId,
+) -> (u64, Option<NodeId>) {
+    let max_hops = (net.len() as u32).min(64);
+    let (path, found) = net.selective_walk(p, max_hops, |v| {
+        superpeers.contains(&v) || assignment[v.index()].is_some()
+    });
+    let sp = found.then(|| {
+        let reached = *path.last().expect("found implies non-empty path");
+        if superpeers.contains(&reached) {
+            reached
+        } else {
+            assignment[reached.index()].expect("partner has an SP")
+        }
+    });
+    (path.len() as u64, sp)
+}
+
+/// Runs the construction protocol and returns the domain map, with the
+/// messages it cost in [`Domains::messages`].
+pub fn construct_domains(net: &Network, superpeers: &[NodeId], ttl: u32) -> Domains {
     let n = net.len();
     let mut assignment: Vec<Option<NodeId>> = vec![None; n];
     let mut distance: Vec<u64> = vec![u64::MAX; n];
+    let mut messages = 0;
 
     // Each SP broadcasts `sumpeer` with the TTL; the flood cost is the
     // standard duplicate-counting broadcast cost.
     for &sp in superpeers {
-        let msgs = net.flood_message_count(sp, ttl);
-        net.count_messages(MessageClass::Construction, msgs);
+        messages += net.flood_message_count(sp, ttl);
     }
 
-    // Peers adopt the closest SP (latency along the broadcast tree). We
-    // recompute reach with per-path latencies: BFS by hops, accumulating
-    // link latency.
+    // Peers adopt the closest SP (latency along the broadcast tree).
     for &sp in superpeers {
-        let mut dist: Vec<Option<u64>> = vec![None; n];
-        dist[sp.index()] = Some(0);
-        let mut frontier = vec![sp];
-        for _ in 0..ttl {
-            let mut next = Vec::new();
-            for &u in &frontier {
-                let du = dist[u.index()].expect("frontier has distance");
-                let nbrs: Vec<(NodeId, SimTime)> = net
-                    .graph()
-                    .neighbors(u)
-                    .iter()
-                    .map(|e| (e.node, e.latency))
-                    .collect();
-                for (v, lat) in nbrs {
-                    if !net.is_up(v) {
-                        continue;
-                    }
-                    let dv = du + lat.0;
-                    if dist[v.index()].map(|old| dv < old).unwrap_or(true) {
-                        dist[v.index()] = Some(dv);
-                        next.push(v);
-                    }
-                }
-            }
-            frontier = next;
-        }
+        let dist = broadcast_distances(net, sp, ttl);
         for i in 0..n {
             let p = NodeId(i as u32);
             if p == sp || superpeers.contains(&p) {
@@ -145,39 +137,28 @@ pub fn construct_domains(net: &mut Network, superpeers: &[NodeId], ttl: u32) -> 
                 if d < distance[i] {
                     if assignment[i].is_some() {
                         // §4.1: drop the farther partnership first.
-                        net.count_message(MessageClass::Construction); // drop
+                        messages += 1;
                     }
                     assignment[i] = Some(sp);
                     distance[i] = d;
-                    net.count_message(MessageClass::Construction); // localsum
+                    messages += 1; // localsum
                 }
             }
         }
     }
 
-    // Unreached peers run a selective walk that stops at the first
-    // partner or summary peer (§4.1: "once a partner or a summary peer
-    // is reached, the find message is stopped").
+    // Unreached peers walk to the first partner or summary peer.
     for i in 0..n {
         let p = NodeId(i as u32);
         if assignment[i].is_some() || superpeers.contains(&p) || !net.is_up(p) {
             continue;
         }
-        let max_hops = (n as u32).min(64);
-        let (path, found) = net.selective_walk(p, max_hops, |v| {
-            superpeers.contains(&v) || assignment[v.index()].is_some()
-        });
-        net.count_messages(MessageClass::Construction, path.len() as u64); // find hops
-        if found {
-            let reached = *path.last().expect("found implies non-empty path");
-            let sp = if superpeers.contains(&reached) {
-                reached
-            } else {
-                assignment[reached.index()].expect("partner has an SP")
-            };
+        let (hops, sp) = find_domain(net, superpeers, &assignment, p);
+        messages += hops;
+        if let Some(sp) = sp {
             assignment[i] = Some(sp);
             distance[i] = u64::MAX - 1; // out-of-broadcast partner: distance unknown
-            net.count_message(MessageClass::Construction); // localsum
+            messages += 1; // localsum
         }
     }
 
@@ -185,31 +166,21 @@ pub fn construct_domains(net: &mut Network, superpeers: &[NodeId], ttl: u32) -> 
         superpeers: superpeers.to_vec(),
         assignment,
         distance,
+        messages,
     }
 }
 
 /// The dissolution half of a §4.3 summary-peer departure: takes the SP
-/// down, counts the control traffic — `release` to every partner when
-/// graceful, one wasted (timed-out) push per partner discovering the
-/// failure otherwise — removes the SP from the superpeer roster and
-/// orphans its members (assignment cleared, broadcast distance
-/// forgotten). Returns the orphaned members. [`handle_sp_departure`]
-/// follows this with selective walks to surviving domains; the rebirth
-/// path instead hands the orphans to a freshly elected replacement SP.
-pub fn dissolve_domain(
-    net: &mut Network,
-    domains: &mut Domains,
-    sp: NodeId,
-    graceful: bool,
-) -> Vec<NodeId> {
+/// down, removes it from the superpeer roster and orphans its members
+/// (assignment cleared, broadcast distance forgotten). Returns the
+/// orphaned members. The `release` to every partner (graceful) or the
+/// timed-out push each partner wastes discovering the failure is the
+/// caller's to charge. [`handle_sp_departure`] follows this with
+/// selective walks to surviving domains; the rebirth path instead
+/// hands the orphans to a freshly elected replacement SP.
+pub fn dissolve_domain(net: &mut Network, domains: &mut Domains, sp: NodeId) -> Vec<NodeId> {
     let members = domains.members(sp);
     net.take_down(sp);
-    if graceful {
-        net.count_messages(MessageClass::Control, members.len() as u64); // release
-    } else {
-        // Failure detection: a wasted push/query attempt per partner.
-        net.count_messages(MessageClass::Push, members.len() as u64);
-    }
     domains.superpeers.retain(|&s| s != sp);
     for &p in &members {
         domains.assignment[p.index()] = None;
@@ -221,44 +192,26 @@ pub fn dissolve_domain(
     members
 }
 
-/// Handles a summary peer departure (§4.3). Graceful: the SP sends
-/// `release` to every partner; failed: each partner pays one extra
-/// (timed-out) message discovering the failure. Every orphaned partner
-/// then walks to a new SP. Returns the number of re-homed partners.
-pub fn handle_sp_departure(
-    net: &mut Network,
-    domains: &mut Domains,
-    sp: NodeId,
-    graceful: bool,
-) -> usize {
-    let members = dissolve_domain(net, domains, sp, graceful);
-    let remaining = domains.superpeers.clone();
-    let mut rehomed = 0;
+/// Handles a summary peer departure (§4.3): the domain dissolves and
+/// every live orphaned partner walks to a new SP. Returns the number of
+/// re-homed partners and the `Construction` messages the re-homes cost
+/// (`find` hops plus one `localsum` per re-homed partner).
+pub fn handle_sp_departure(net: &mut Network, domains: &mut Domains, sp: NodeId) -> (usize, u64) {
+    let members = dissolve_domain(net, domains, sp);
+    let (mut rehomed, mut messages) = (0, 0);
     for p in members {
         if !net.is_up(p) {
             continue;
         }
-        let max_hops = (net.len() as u32).min(64);
-        let (path, found) = net.selective_walk(p, max_hops, |v| {
-            remaining.contains(&v)
-                || domains.assignment[v.index()]
-                    .map(|s| s != sp)
-                    .unwrap_or(false)
-        });
-        net.count_messages(MessageClass::Construction, path.len() as u64);
-        if found {
-            let reached = *path.last().expect("non-empty");
-            let new_sp = if remaining.contains(&reached) {
-                reached
-            } else {
-                domains.assignment[reached.index()].expect("partner has an SP")
-            };
+        let (hops, new_sp) = find_domain(net, &domains.superpeers, &domains.assignment, p);
+        messages += hops;
+        if let Some(new_sp) = new_sp {
             domains.assignment[p.index()] = Some(new_sp);
-            net.count_message(MessageClass::Construction); // localsum
+            messages += 1; // localsum
             rehomed += 1;
         }
     }
-    rehomed
+    (rehomed, messages)
 }
 
 /// How many of the highest-degree live members stand as candidates in
@@ -367,19 +320,16 @@ pub fn elect_replacement_sp(
 }
 
 /// The newborn SP's takeover broadcast: `sumpeer` floods over `ttl`
-/// hops (counted as construction traffic, like the initial §4.1
-/// broadcast) and the broadcast-tree latencies become the re-homed
-/// partners' distances. Registers `new_sp` in the superpeer roster and
-/// returns the per-node tree distance so the caller can re-assign the
-/// orphans (partners out of reach keep an unknown distance).
+/// hops and the broadcast-tree latencies become the re-homed partners'
+/// distances. Registers `new_sp` in the superpeer roster and returns
+/// the per-node tree distance so the caller can re-assign the orphans
+/// (partners out of reach keep an unknown distance).
 pub fn rebirth_broadcast(
-    net: &mut Network,
+    net: &Network,
     domains: &mut Domains,
     new_sp: NodeId,
     ttl: u32,
 ) -> Vec<Option<u64>> {
-    let msgs = net.flood_message_count(new_sp, ttl);
-    net.count_messages(MessageClass::Construction, msgs);
     if !domains.superpeers.contains(&new_sp) {
         domains.superpeers.push(new_sp);
     }
@@ -416,9 +366,9 @@ mod tests {
 
     #[test]
     fn construction_assigns_most_peers() {
-        let mut n = net(400, 2);
+        let n = net(400, 2);
         let sps = elect_superpeers(&n, 8);
-        let domains = construct_domains(&mut n, &sps, 2);
+        let domains = construct_domains(&n, &sps, 2);
         // Power-law hubs with TTL 2 + selective-walk fallback reach
         // essentially everyone.
         let assignable = n.len() - sps.len();
@@ -427,7 +377,7 @@ mod tests {
             "assigned {}/{assignable}",
             domains.assigned_count()
         );
-        assert!(n.sent(MessageClass::Construction) > 0);
+        assert!(domains.messages > 0);
         // No SP is assigned to another SP.
         for &sp in &sps {
             assert!(domains.assignment[sp.index()].is_none());
@@ -441,8 +391,8 @@ mod tests {
         g.add_edge(NodeId(0), NodeId(1), SimTime::from_millis(1));
         g.add_edge(NodeId(1), NodeId(2), SimTime::from_millis(1));
         g.add_edge(NodeId(2), NodeId(3), SimTime::from_millis(1));
-        let mut n = Network::new(g);
-        let domains = construct_domains(&mut n, &[NodeId(0), NodeId(3)], 2);
+        let n = Network::new(g);
+        let domains = construct_domains(&n, &[NodeId(0), NodeId(3)], 2);
         assert_eq!(domains.assignment[1], Some(NodeId(0)), "a is closer to sp0");
         assert_eq!(domains.assignment[2], Some(NodeId(3)), "b is closer to sp1");
     }
@@ -453,19 +403,18 @@ mod tests {
         let mut g = Graph::empty(3);
         g.add_edge(NodeId(0), NodeId(1), SimTime::from_millis(1));
         g.add_edge(NodeId(1), NodeId(2), SimTime::from_millis(1));
-        let mut n = Network::new(g);
-        let domains = construct_domains(&mut n, &[NodeId(0)], 2);
+        let n = Network::new(g);
+        let domains = construct_domains(&n, &[NodeId(0)], 2);
         assert_eq!(domains.join_time(NodeId(1)), Some(SimTime::from_millis(1)));
         assert_eq!(domains.join_time(NodeId(2)), Some(SimTime::from_millis(2)));
         assert_eq!(domains.join_time(NodeId(0)), None, "SPs do not join");
-        assert_eq!(domains.completion_time(), SimTime::from_millis(2));
     }
 
     #[test]
     fn members_listing() {
-        let mut n = net(100, 3);
+        let n = net(100, 3);
         let sps = elect_superpeers(&n, 3);
-        let domains = construct_domains(&mut n, &sps, 2);
+        let domains = construct_domains(&n, &sps, 2);
         let total: usize = sps.iter().map(|&s| domains.members(s).len()).sum();
         assert_eq!(total, domains.assigned_count());
     }
@@ -474,20 +423,18 @@ mod tests {
     fn graceful_sp_departure_rehomes_partners() {
         let mut n = net(200, 4);
         let sps = elect_superpeers(&n, 4);
-        let mut domains = construct_domains(&mut n, &sps, 2);
+        let mut domains = construct_domains(&n, &sps, 2);
         let sp = sps[0];
         let orphans = domains.members(sp).len();
-        n.reset_counters();
-        let rehomed = handle_sp_departure(&mut n, &mut domains, sp, true);
+        let (rehomed, messages) = handle_sp_departure(&mut n, &mut domains, sp);
         assert!(orphans > 0);
         assert!(
             rehomed as f64 >= 0.9 * orphans as f64,
             "{rehomed}/{orphans}"
         );
-        assert_eq!(
-            n.sent(MessageClass::Control),
-            orphans as u64,
-            "release msgs"
+        assert!(
+            messages >= 2 * rehomed as u64,
+            "each re-home costs at least one find hop and a localsum"
         );
         assert!(!domains.superpeers.contains(&sp));
         // Nobody points at the departed SP anymore.
@@ -559,11 +506,11 @@ mod tests {
     fn dissolve_then_rebirth_broadcast_reassigns_the_roster() {
         let mut n = net(200, 6);
         let sps = elect_superpeers(&n, 4);
-        let mut domains = construct_domains(&mut n, &sps, 2);
+        let mut domains = construct_domains(&n, &sps, 2);
         let sp = sps[0];
         let members = domains.members(sp);
         assert!(!members.is_empty());
-        let orphans = dissolve_domain(&mut n, &mut domains, sp, true);
+        let orphans = dissolve_domain(&mut n, &mut domains, sp);
         assert_eq!(orphans, members);
         assert!(!domains.superpeers.contains(&sp));
         assert!(domains.assignment.iter().all(|a| *a != Some(sp)));
@@ -571,28 +518,11 @@ mod tests {
         let live: Vec<NodeId> = orphans.iter().copied().filter(|&m| n.is_up(m)).collect();
         let ns = elect_replacement_sp(&n, &live, &live, ElectionPolicy::Degree)
             .expect("live members exist");
-        let dist = rebirth_broadcast(&mut n, &mut domains, ns, 2);
+        let dist = rebirth_broadcast(&n, &mut domains, ns, 2);
         assert!(domains.superpeers.contains(&ns));
         assert_eq!(domains.assignment[ns.index()], None, "SPs are not partners");
         // Nodes in broadcast reach got genuine tree latencies.
         assert!(dist.iter().flatten().any(|&d| d > 0));
         assert_eq!(dist[ns.index()], Some(0));
-    }
-
-    #[test]
-    fn failed_sp_costs_detection_messages() {
-        let mut n = net(200, 5);
-        let sps = elect_superpeers(&n, 4);
-        let mut domains = construct_domains(&mut n, &sps, 2);
-        let sp = sps[1];
-        let orphans = domains.members(sp).len();
-        n.reset_counters();
-        handle_sp_departure(&mut n, &mut domains, sp, false);
-        assert_eq!(
-            n.sent(MessageClass::Push),
-            orphans as u64,
-            "timed-out probes"
-        );
-        assert_eq!(n.sent(MessageClass::Control), 0, "no release on failure");
     }
 }

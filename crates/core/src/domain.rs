@@ -23,7 +23,6 @@
 use saintetiq::hierarchy::SummaryTree;
 
 use crate::config::SimConfig;
-use crate::coop::CooperationList;
 use crate::error::P2pError;
 use crate::kernel::SimKernel;
 use crate::metrics::DomainReport;
@@ -54,11 +53,6 @@ impl DomainSim {
     pub fn gs(&self) -> &SummaryTree {
         &self.kernel.domains[0].gs
     }
-
-    /// The cooperation list (inspection/testing).
-    pub fn cooperation_list(&self) -> &CooperationList {
-        &self.kernel.domains[0].cl
-    }
 }
 
 #[cfg(test)]
@@ -85,8 +79,9 @@ mod tests {
     #[test]
     fn initial_gs_covers_all_partners() {
         let sim = DomainSim::new(small_cfg(20, 0.3)).unwrap();
-        assert_eq!(sim.cooperation_list().len(), 20);
-        assert_eq!(sim.cooperation_list().stale_fraction(), 0.0);
+        let cl = &sim.kernel.domains[0].cl;
+        assert_eq!(cl.len(), 20);
+        assert_eq!(cl.stale_fraction(), 0.0);
         let sources = sim.gs().all_sources();
         assert_eq!(sources.len(), 20, "every partner merged into the GS");
         sim.gs().check_invariants();

@@ -40,10 +40,10 @@
 //!
 //! ## The message plane
 //!
-//! Every push, `localsum`, workload query, reconciliation token and
-//! rebirth confirmation is sent through one `send_msg`, counted once,
-//! and its effects have one implementation, applied when it is
-//! delivered. The delivery mode only sets the transit:
+//! Every push, `localsum`, workload query, reconciliation token,
+//! rebirth confirmation, lookup query and flood request is sent through
+//! one `send_msg`, and its effects have one implementation, applied
+//! when it is delivered. The delivery mode only sets the transit:
 //!
 //! * [`crate::config::DeliveryMode::Instantaneous`] (the default) is
 //!   the zero-transit plane. A message joins a same-instant FIFO that
@@ -82,18 +82,31 @@
 //! Both modes are deterministic under a fixed seed — the message plane
 //! draws no randomness.
 //!
+//! ## Message accounting
+//!
+//! The ledger ([`SimKernel::ledger`]) is the run's only message counter,
+//! §6.1's cost unit, and each message is counted at one call. `send_msg`
+//! counts what it sends; a lookup sends through `send_lookup`, which
+//! also bumps the lookup's own tally ([`MultiDomainOutcome::messages`]).
+//! `send_hit_run` (query hits) and `charge` (SP→peer forwards, flood
+//! forwards and all of [`SimKernel::route_live`]'s messages, which
+//! travel as no event of their own) bump the ledger and the tally
+//! together. So the ledger's query, response and flood counts always
+//! equal the lookups' summed `messages`. `retire_domain` charges a
+//! departing SP's `release`s or failure probes.
+//!
 //! [`crate::domain::DomainSim`] and [`crate::system::MultiDomainSystem`]
 //! are thin facades over this kernel; [`MultiDomainSim`] is the dynamic
 //! entry point the churn-under-routing experiments use. Probe entry
-//! points ([`SimKernel::route_live`], [`MultiDomainSim::route_now`],
-//! [`SimKernel::reconcile_all`]) stay synchronous in both modes.
+//! points ([`SimKernel::route_live`], [`SimKernel::reconcile_all`]) stay
+//! synchronous in both modes.
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::rc::Rc;
 
 use fuzzy::bk::BackgroundKnowledge;
 use p2psim::churn::{ChurnConfig, SessionEvent, SessionSchedule};
-use p2psim::network::{MessageClass, Network, NodeId};
+use p2psim::network::{Network, NodeId};
 use p2psim::sim::Simulator;
 use p2psim::time::SimTime;
 use p2psim::topology::{Graph, TopologyConfig};
@@ -108,13 +121,13 @@ use saintetiq::wire;
 use crate::cache::QueryCache;
 use crate::config::{LatencyConfig, SimConfig};
 use crate::construction::{
-    construct_domains, dissolve_domain, elect_replacement_sp, elect_superpeers,
+    construct_domains, dissolve_domain, elect_replacement_sp, elect_superpeers, find_domain,
     handle_sp_departure, rebirth_broadcast, Domains, ElectionPolicy,
 };
 use crate::control::AlphaController;
 use crate::error::P2pError;
 use crate::freshness::Freshness;
-use crate::messages::Message;
+use crate::messages::{Message, MessageClass};
 use crate::metrics::{DomainReport, MultiDomainReport};
 use crate::peerstate::{empty_accumulator, DomainCore, MessageLedger, PeerState, SummarySnapshot};
 use crate::routing::{
@@ -531,11 +544,11 @@ impl SimKernel {
             m: cfg.topology_m,
             ..Default::default()
         };
-        let mut net = Network::new(Graph::barabasi_albert(&topo_cfg, &mut rng));
+        let net = Network::new(Graph::barabasi_albert(&topo_cfg, &mut rng));
 
         let sp_count = (cfg.n_peers / domain_target.max(2)).max(1);
         let superpeers = elect_superpeers(&net, sp_count);
-        let topo = construct_domains(&mut net, &superpeers, cfg.sumpeer_ttl);
+        let topo = construct_domains(&net, &superpeers, cfg.sumpeer_ttl);
 
         let (bk, templates, reformulated) = build_workload(&cfg)?;
 
@@ -1019,6 +1032,30 @@ impl SimKernel {
         );
     }
 
+    /// Sends one of a lookup's messages through [`Self::send_msg`] and
+    /// adds it to the lookup's own tally.
+    fn send_lookup(
+        &mut self,
+        lc: &mut LookupConversation,
+        from: NodeId,
+        to: NodeId,
+        msg: Message,
+        conv: u64,
+        extra: SimTime,
+    ) {
+        lc.messages += 1;
+        self.send_msg(from, to, msg, conv, extra);
+    }
+
+    /// Charges `n` copies of `msg` that travel as no event of their own
+    /// (SP→peer forwards, flood forwards, and every message of a
+    /// synchronous [`Self::route_live`] lookup) to the ledger and to
+    /// `tally`, the lookup's own count.
+    fn charge(&mut self, tally: &mut u64, msg: &Message, n: u64) {
+        *tally += n;
+        self.ledger.count(msg, n);
+    }
+
     /// Sends a freshness push from partner `p` to its domain's SP.
     fn send_push(&mut self, p: NodeId, d: usize, value: u8) {
         let to = self.sp_node(d);
@@ -1263,16 +1300,12 @@ impl SimKernel {
         if lc.done || !lc.seen_domains.insert(d) {
             return;
         }
-        lc.messages += 1;
         lc.branches += 1;
-        if let Some(net) = self.net.as_mut() {
-            net.count_messages(MessageClass::Query, 1);
-        }
         let sp = self.sp_node(d);
         let msg = Message::Query {
             template: lc.template,
         };
-        self.send_msg(from, sp, msg, conv, extra);
+        self.send_lookup(lc, from, sp, msg, conv, extra);
     }
 
     /// Sends one `QueryHit` per peer of `peers` to the lookup's
@@ -1309,7 +1342,7 @@ impl SimKernel {
     }
 
     /// Schedules `peers[run]` as one [`KernelEvent::Hits`] `transit`
-    /// from now, counting each answer as one message and one branch.
+    /// from now, charging each answer as one message and one branch.
     fn send_hit_run(
         &mut self,
         lc: &mut LookupConversation,
@@ -1321,11 +1354,7 @@ impl SimKernel {
     ) {
         let n = run.len() as u64;
         lc.branches += n;
-        lc.messages += n;
-        if let Some(net) = self.net.as_mut() {
-            net.count_messages(MessageClass::QueryResponse, n);
-        }
-        self.ledger.count(&hit_msg(summary_selected), n);
+        self.charge(&mut lc.messages, &hit_msg(summary_selected), n);
         self.in_flight += n;
         self.peak_in_flight = self.peak_in_flight.max(self.in_flight);
         let sent_at = self.sim.now();
@@ -1364,7 +1393,7 @@ impl SimKernel {
             return;
         };
         let template = lc.template;
-        let (answering, stale, msgs) = self.query_domain(d, template);
+        let (answering, stale, forwards) = self.query_domain(d, template);
         // Controller feedback, part 1: peers the summary selected that
         // were already down or drifted at SP time. The answers now sent
         // in flight are judged at *arrival* (`deliver_hits`), so peers
@@ -1372,12 +1401,8 @@ impl SimKernel {
         // keeping the control signal aligned with the per-outcome
         // stale-answer accounting.
         self.ctl.record_query(d, 0, stale);
-        let forwards = msgs - answering.len() as u64;
-        if let Some(net) = self.net.as_mut() {
-            net.count_messages(MessageClass::Query, forwards);
-        }
+        self.charge(&mut lc.messages, &Message::Query { template }, forwards);
         lc.visited_domains += 1;
-        lc.messages += forwards;
         lc.stale_answers += stale;
         // Group locality: the answering peers remember they answered
         // this template together, all sharing one list.
@@ -1395,15 +1420,11 @@ impl SimKernel {
         // home domain — the originator.
         let home = self.domain_of[lc.origin.index()] == Some(d);
         let flooders = answering.iter().copied().chain(home.then_some(lc.origin));
-        let n = answering.len() as u64 + u64::from(home);
-        lc.branches += n;
-        lc.messages += n;
-        if let Some(net) = self.net.as_mut() {
-            net.count_messages(MessageClass::Flood, n);
-        }
+        lc.branches += answering.len() as u64 + u64::from(home);
         let ttl = self.cfg.flood_ttl;
         for f in flooders {
-            self.send_msg(to, f, Message::FloodRequest { ttl }, conv, SimTime::ZERO);
+            let msg = Message::FloodRequest { ttl };
+            self.send_lookup(lc, to, f, msg, conv, SimTime::ZERO);
         }
         // Long-range SP links fan the query out.
         let links = self.domains[d].long_links.clone();
@@ -1433,14 +1454,14 @@ impl SimKernel {
             .get(f.index())
             .and_then(|s| s.as_ref())
             .is_some_and(|s| s.up);
-        let Some(net) = self.net.as_mut().filter(|_| !lc.done && f_up) else {
+        let Some(net) = self.net.as_ref().filter(|_| !lc.done && f_up) else {
             // A churned-out flooder drops the request.
             return;
         };
         let reach = net.flood_reach_timed(f, ttl);
         // Each forward is a message.
-        net.count_messages(MessageClass::Flood, reach.len() as u64);
-        lc.messages += reach.len() as u64;
+        let forward = Message::FloodRequest { ttl };
+        self.charge(&mut lc.messages, &forward, reach.len() as u64);
         for (reached, _hops, plat) in reach {
             // "Its neighbors may have cached answers to similar
             // queries": each cached candidate is re-validated when its
@@ -1528,10 +1549,11 @@ impl SimKernel {
     // Summary-peer churn (§4.3).
     // ------------------------------------------------------------------
 
-    /// A summary peer's session ends: §4.3's release / detection runs
-    /// on the physical network ([`handle_sp_departure`]), the domain
-    /// dissolves, and every re-homed partner ships its `localsum` to
-    /// its new SP over the message plane.
+    /// A summary peer's session ends (§4.3): the domain dissolves on the
+    /// physical network ([`handle_sp_departure`]), [`Self::retire_domain`]
+    /// charges the release or failure-detection traffic, and every
+    /// re-homed partner ships its `localsum` to its new SP over the
+    /// message plane.
     /// With [`crate::config::SimConfig::rebirth`] the members are not
     /// scattered: the domain retains its member descriptions and a
     /// [`KernelEvent::SpElection`] is scheduled to re-elect a
@@ -1579,7 +1601,9 @@ impl SimKernel {
             let (Some(net), Some(topo)) = (self.net.as_mut(), self.topo.as_mut()) else {
                 return;
             };
-            handle_sp_departure(net, topo, sp, graceful);
+            // The re-home walks' `find` hops (the returned cost) are
+            // not charged to the ledger; the partners' `localsum`s are.
+            handle_sp_departure(net, topo, sp);
         }
         self.retire_domain(d, sp, graceful, members.len());
         // Re-homes: graceful partners act on the release; failed-SP
@@ -1604,9 +1628,9 @@ impl SimKernel {
         self.record_domain_count();
     }
 
-    /// The tail every §4.3 dissolution shares: the release / detection
-    /// traffic mirrored in the ledger (the physical counters live on the
-    /// network), the SP unregistered, the domain torn down, its
+    /// The tail every §4.3 dissolution shares: the one place the release
+    /// (graceful) or timed-out push (failed) to every partner is
+    /// charged, then the SP unregistered, the domain torn down, its
     /// controller frozen and every long link to the SP dropped.
     fn retire_domain(&mut self, d: usize, sp: NodeId, graceful: bool, members: usize) {
         if graceful {
@@ -1655,7 +1679,7 @@ impl SimKernel {
             let (Some(net), Some(topo)) = (self.net.as_mut(), self.topo.as_mut()) else {
                 return;
             };
-            dissolve_domain(net, topo, sp, graceful);
+            dissolve_domain(net, topo, sp);
         }
         self.retire_domain(d, sp, graceful, members.len());
         for &m in &members {
@@ -1792,7 +1816,7 @@ impl SimKernel {
         self.promoted_sps.insert(ns);
         let tree_dist = {
             let (net, topo) = (
-                self.net.as_mut().expect("networked kernel"),
+                self.net.as_ref().expect("networked kernel"),
                 self.topo.as_mut().expect("networked kernel"),
             );
             rebirth_broadcast(net, topo, ns, self.cfg.sumpeer_ttl)
@@ -1941,25 +1965,12 @@ impl SimKernel {
     /// surviving partner or SP and adopts that domain. Returns the new
     /// domain index, or `None` when the walk found nobody.
     fn rehome_orphan(&mut self, p: NodeId) -> Option<usize> {
-        let sps: Vec<NodeId> = self.sp_index.keys().copied().collect();
-        let (path, found) = {
-            let net = self.net.as_ref()?;
+        let (hops, sp) = {
             let topo = self.topo.as_ref()?;
-            let max_hops = (net.len() as u32).min(64);
-            net.selective_walk(p, max_hops, |v| {
-                sps.contains(&v) || topo.assignment[v.index()].is_some()
-            })
+            find_domain(self.net.as_ref()?, &topo.superpeers, &topo.assignment, p)
         };
-        self.ledger.count(&Message::Find, path.len() as u64);
-        if !found {
-            return None;
-        }
-        let reached = *path.last().expect("found implies non-empty path");
-        let sp = if sps.contains(&reached) {
-            reached
-        } else {
-            self.topo.as_ref()?.assignment[reached.index()].expect("partner has an SP")
-        };
+        self.ledger.count(&Message::Find, hops);
+        let sp = sp?;
         // Adopt the domain only if its SP is actually alive — never
         // leave the assignment pointing at a departed one.
         let d = *self.sp_index.get(&sp)?;
@@ -2067,13 +2078,9 @@ impl SimKernel {
         self.cache_hits
     }
 
-    /// Number of query templates.
-    pub fn template_count(&self) -> usize {
-        self.templates.len()
-    }
-
     /// Queries one domain's *live* GS/CL under the configured routing
-    /// policy: (answering peers, stale answers, messages).
+    /// policy: (answering peers, stale answers, forwards to the visited
+    /// peers).
     fn query_domain(&self, d: usize, template: usize) -> (Vec<NodeId>, usize, u64) {
         let dom = &self.domains[d];
         let prop = &self.reformulated[template].proposition;
@@ -2100,14 +2107,14 @@ impl SimKernel {
                 stale += 1;
             }
         }
-        // 1 query to the SP happens at the caller; here: forwards + hits.
-        let messages = visited.len() as u64 + answering.len() as u64;
-        (answering, stale, messages)
+        (answering, stale, visited.len() as u64)
     }
 
     /// Routes a query posed at `origin` through the network (§5.2.2),
     /// against the *current* per-domain GS/CL state — under churn this is
-    /// where stale summaries become measurable network-wide.
+    /// where stale summaries become measurable network-wide. Every
+    /// message the lookup cost is charged to the ledger as well as to
+    /// the outcome's `messages`, probes included.
     pub fn route_live(
         &mut self,
         origin: NodeId,
@@ -2129,7 +2136,10 @@ impl SimKernel {
             return MultiDomainOutcome::empty(results_total);
         }
 
-        let mut messages: u64 = 0;
+        // Messages by kind, charged once when the lookup ends: queries
+        // (to each SP, its forwards and long links), summary-selected
+        // hits, cache replies, and flood requests and forwards.
+        let (mut queries, mut hits, mut cache_replies, mut floods) = (0, 0, 0, 0);
         let mut stale_answers = 0usize;
         let mut summary_results = 0usize;
         let mut answered: BTreeSet<NodeId> = BTreeSet::new();
@@ -2142,16 +2152,13 @@ impl SimKernel {
             if !visited_domains.insert(d) {
                 continue;
             }
-            messages += 1; // the query message to this domain's SP
-            let (answering, stale, msgs) = self.query_domain(d, template);
+            let (answering, stale, forwards) = self.query_domain(d, template);
             self.ctl.record_query(d, answering.len(), stale);
-            messages += msgs;
+            queries += 1 + forwards; // the query to this domain's SP and its forwards
+            hits += answering.len() as u64;
             stale_answers += stale;
             summary_results += answering.len();
             answered.extend(answering.iter().copied());
-            if let Some(net) = self.net.as_mut() {
-                net.count_messages(MessageClass::Query, 1 + msgs);
-            }
             // Group locality (§5.2.2): the originator and the answering
             // peers remember who answered this template. The originator
             // accumulates everyone seen so far — a later domain with no
@@ -2172,11 +2179,7 @@ impl SimKernel {
             // a limited TTL; plus the SP's long-range links.
             let home = self.domain_of[origin.index()] == Some(d);
             let flooders = answering.iter().copied().chain(home.then_some(origin));
-            let n = answering.len() as u64 + u64::from(home);
-            if let Some(net) = self.net.as_mut() {
-                net.count_messages(MessageClass::Flood, n);
-            }
-            messages += n;
+            floods += answering.len() as u64 + u64::from(home);
             for f in flooders {
                 let reach = self
                     .net
@@ -2184,14 +2187,15 @@ impl SimKernel {
                     .expect("networked kernel")
                     .flood_reach(f, self.cfg.flood_ttl);
                 for (reached, _) in reach {
-                    messages += 1; // each forward is a message
-                                   // A reached neighbor with a cached answer for this
-                                   // template replies immediately — "its neighbors may
-                                   // have cached answers to similar queries".
+                    // Each forward is a message. A reached neighbor with
+                    // a cached answer for this template replies at once —
+                    // "its neighbors may have cached answers to similar
+                    // queries".
+                    floods += 1;
                     if let Some(hit) = self.caches[reached.index()].lookup(template) {
                         let cached = Rc::clone(&hit.answering);
                         self.cache_hits += 1;
-                        messages += 1; // the cache-holder's reply
+                        cache_replies += 1;
                         for &q in cached.iter() {
                             // Validate against ground truth: stale cache
                             // entries (peer gone or drifted) add nothing.
@@ -2215,7 +2219,7 @@ impl SimKernel {
             }
             let links = self.domains[d].long_links.clone();
             for sp in links {
-                messages += 1;
+                queries += 1;
                 // A link may point at an SP that departed since (§4.3).
                 if let Some(&other) = self.sp_index.get(&sp) {
                     if !visited_domains.contains(&other) {
@@ -2225,6 +2229,14 @@ impl SimKernel {
             }
         }
 
+        let mut messages = 0;
+        self.charge(&mut messages, &Message::Query { template }, queries);
+        self.charge(&mut messages, &hit_msg(true), hits);
+        self.charge(&mut messages, &hit_msg(false), cache_replies);
+        let flood = Message::FloodRequest {
+            ttl: self.cfg.flood_ttl,
+        };
+        self.charge(&mut messages, &flood, floods);
         MultiDomainOutcome {
             results: answered.len(),
             results_total,
@@ -2302,14 +2314,13 @@ impl SimKernel {
         (live, weight_of(&with_departed))
     }
 
-    /// Builds the multi-domain report after a completed dynamic run.
-    pub(crate) fn multi_report(&self) -> MultiDomainReport {
-        let reconciliations = self.domains.iter().map(|d| d.reconciliations).sum();
-        // Lookups posed close to the horizon never saw their remaining
-        // deliveries (the simulator drops events past the horizon);
-        // record them as cut off at the horizon instead of silently
-        // discarding the tail — otherwise slow-link sweeps would
-        // compare survivorship-biased query populations.
+    /// Every inter-domain lookup's `(posing time, outcome)` so far, in
+    /// posing order. Lookups posed close to the horizon never see their
+    /// remaining deliveries (the simulator drops events past the
+    /// horizon); they are recorded as cut off at the horizon instead of
+    /// silently discarding the tail — otherwise slow-link sweeps would
+    /// compare survivorship-biased query populations.
+    pub fn lookup_outcomes(&self) -> Vec<(SimTime, MultiDomainOutcome)> {
         let mut outcomes = self.inter_outcomes.clone();
         for lc in self.lookups.values() {
             if !lc.done {
@@ -2317,6 +2328,13 @@ impl SimKernel {
             }
         }
         outcomes.sort_by_key(|o| o.0);
+        outcomes
+    }
+
+    /// Builds the multi-domain report after a completed dynamic run.
+    pub(crate) fn multi_report(&self) -> MultiDomainReport {
+        let reconciliations = self.domains.iter().map(|d| d.reconciliations).sum();
+        let outcomes = self.lookup_outcomes();
         let mut report = MultiDomainReport::from_run(
             &self.cfg,
             self.live_domains(),
@@ -2402,14 +2420,20 @@ impl SimKernel {
             / self.domains.len() as f64
     }
 
-    /// Fraction of assigned peers currently live.
-    pub fn live_fraction(&self) -> f64 {
-        let assigned = self.peers.iter().flatten().count();
-        if assigned == 0 {
-            return 0.0;
-        }
-        let live = self.peers.iter().flatten().filter(|s| s.up).count();
-        live as f64 / assigned as f64
+    /// Live assigned partners: the peers that can pose a query now.
+    pub fn live_origins(&self) -> Vec<NodeId> {
+        (0..self.cfg.n_peers as u32)
+            .map(NodeId)
+            .filter(|p| {
+                self.peers[p.index()].as_ref().is_some_and(|s| s.up)
+                    && self.domain_of[p.index()].is_some()
+            })
+            .collect()
+    }
+
+    /// The run's message ledger: every message counted once, per class.
+    pub fn ledger(&self) -> &MessageLedger {
+        &self.ledger
     }
 }
 
@@ -2443,70 +2467,12 @@ impl MultiDomainSim {
         self.kernel.run_until(t);
     }
 
-    /// Routes one lookup right now, against the current (possibly stale)
-    /// per-domain summaries.
-    pub fn route_now(
-        &mut self,
-        origin: NodeId,
-        template: usize,
-        target: LookupTarget,
-    ) -> MultiDomainOutcome {
-        self.kernel.route_live(origin, template, target)
-    }
-
-    /// Forces a reconciliation round in every domain.
-    pub fn reconcile_all(&mut self) {
-        self.kernel.reconcile_all();
-    }
-
     /// The domain construction map.
     pub fn domains(&self) -> &Domains {
         self.kernel
             .topo
             .as_ref()
             .expect("networked kernel has a topology")
-    }
-
-    /// Live assigned partners (candidate query origins).
-    pub fn live_origins(&self) -> Vec<NodeId> {
-        (0..self.kernel.cfg.n_peers as u32)
-            .map(NodeId)
-            .filter(|p| {
-                self.kernel.peers[p.index()].as_ref().is_some_and(|s| s.up)
-                    && self.kernel.domain_of[p.index()].is_some()
-            })
-            .collect()
-    }
-
-    /// Ground truth: live peers matching `template`.
-    pub fn true_matches(&self, template: usize) -> Vec<NodeId> {
-        self.kernel.true_matches(template)
-    }
-
-    /// Mean CL stale fraction across domains.
-    pub fn mean_stale_fraction(&self) -> f64 {
-        self.kernel.mean_stale_fraction()
-    }
-
-    /// Completed SP rebirths so far.
-    pub fn rebirths(&self) -> u64 {
-        self.kernel.rebirths()
-    }
-
-    /// Domains currently live (not dissolved).
-    pub fn live_domains(&self) -> usize {
-        self.kernel.live_domains()
-    }
-
-    /// Checks every live domain's GS against its from-scratch oracle
-    /// (see [`SimKernel::live_gs_matches_oracle`]).
-    pub fn gs_matches_oracle(&self) -> Result<bool, P2pError> {
-        self.kernel.live_gs_matches_oracle()
-    }
-
-    /// Number of query templates.
-    pub fn template_count(&self) -> usize {
-        self.kernel.template_count()
     }
 }
 
@@ -2541,7 +2507,7 @@ mod tests {
             assert_eq!(dom.cl.len(), dom.members.len());
             assert_eq!(dom.cl.stale_fraction(), 0.0);
         }
-        assert_eq!(k.live_fraction(), 1.0);
+        assert!(k.peers.iter().flatten().all(|s| s.up));
     }
 
     #[test]
@@ -2579,19 +2545,21 @@ mod tests {
 
     #[test]
     fn probe_reconcile_restores_freshness() {
-        let mut sim = MultiDomainSim::new(cfg(120, 5), 20, LookupTarget::Total).unwrap();
-        sim.advance_to(SimTime::from_hours(2));
-        sim.reconcile_all();
-        assert_eq!(sim.mean_stale_fraction(), 0.0);
+        let mut k = SimKernel::networked(cfg(120, 5), 20, Some(LookupTarget::Total)).unwrap();
+        k.run_until(SimTime::from_hours(2));
+        k.reconcile_all();
+        assert_eq!(k.mean_stale_fraction(), 0.0);
     }
 
     #[test]
     fn down_origin_probe_yields_empty_outcome() {
-        let mut sim = MultiDomainSim::new(cfg(150, 7), 25, LookupTarget::Total).unwrap();
-        sim.advance_to(SimTime::from_hours(2));
-        let live = sim.live_origins();
-        let down = sim
-            .domains()
+        let mut k = SimKernel::networked(cfg(150, 7), 25, Some(LookupTarget::Total)).unwrap();
+        k.run_until(SimTime::from_hours(2));
+        let live = k.live_origins();
+        let down = k
+            .topo
+            .as_ref()
+            .unwrap()
             .assignment
             .iter()
             .enumerate()
@@ -2599,7 +2567,7 @@ mod tests {
             .map(|(i, _)| NodeId(i as u32))
             .find(|p| !live.contains(p));
         let down = down.expect("two hours of churn took someone down");
-        let out = sim.route_now(down, 0, LookupTarget::Total);
+        let out = k.route_live(down, 0, LookupTarget::Total);
         assert_eq!(out.messages, 0, "nobody is there to ask");
         assert!(!out.satisfied);
     }
@@ -2679,7 +2647,7 @@ mod tests {
             m.retain(|p| !k.sp_index.contains_key(p));
             m
         };
-        let template = (0..k.template_count())
+        let template = (0..k.templates.len())
             .find(|&t| partners(&k, t).len() >= 7)
             .expect("a template with seven matching partners");
         let m = partners(&k, template);
@@ -2710,9 +2678,7 @@ mod tests {
         assert_eq!(events, 3, "far ×3, near, far ×2: three runs");
 
         // Per-message accounting: six answers, whatever the runs.
-        let net = k.net.as_ref().unwrap();
         assert_eq!(k.ledger.sent(MessageClass::QueryResponse), 6);
-        assert_eq!(net.sent(MessageClass::QueryResponse), 6);
         assert_eq!(
             k.ledger
                 .latency_counters()
@@ -2829,6 +2795,31 @@ mod tests {
             assert_eq!(k.peak_in_flight(), 0);
             assert!(k.ledger.latency_counters().is_empty());
             assert!(k.rings.is_empty() && k.rebirth_convs.is_empty());
+        }
+    }
+
+    /// §4.3's departure traffic is charged in one place, the ledger:
+    /// one `release` (`Control`) per partner when the SP leaves
+    /// gracefully, one timed-out `Push` per partner when it fails, and
+    /// none of the other.
+    #[test]
+    fn sp_departure_charges_release_or_probes() {
+        for graceful in [true, false] {
+            let mut k = SimKernel::networked(cfg(200, 4), 30, None).unwrap();
+            k.cfg.failure_fraction = if graceful { 0.0 } else { 1.0 };
+            let sp = k.domains[0].sp.unwrap();
+            let partners = k.domains[0].members.len() as u64;
+            assert!(partners > 0);
+            k.handle(KernelEvent::SpDeparture { sp });
+            assert!(k.domains[0].dissolved);
+            let release = k.ledger.sent(MessageClass::Control);
+            let probes = k.ledger.sent(MessageClass::Push);
+            let want = if graceful {
+                (partners, 0)
+            } else {
+                (0, partners)
+            };
+            assert_eq!((release, probes), want, "graceful {graceful}");
         }
     }
 

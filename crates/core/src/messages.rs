@@ -5,7 +5,7 @@
 //! paper's unit is messages; bytes are a bonus the summary codec makes
 //! cheap to provide).
 
-use p2psim::network::{MessageClass, NodeId};
+use p2psim::network::NodeId;
 use p2psim::time::SimTime;
 
 use crate::config::LatencyConfig;
@@ -64,6 +64,28 @@ pub enum Message {
         /// Remaining TTL for the inter-domain hop.
         ttl: u32,
     },
+}
+
+/// Classes of protocol messages, for cost accounting (§6.1's update vs
+/// query traffic decomposition, and Figure 6/7's series). Every message
+/// of a run is counted once, under its class, in the kernel's
+/// [`crate::peerstate::MessageLedger`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub enum MessageClass {
+    /// Domain construction: `sumpeer` broadcasts, `localsum`, `drop`, `find`.
+    Construction,
+    /// Maintenance `push` messages (freshness flags).
+    Push,
+    /// Reconciliation token hops.
+    Reconciliation,
+    /// Query messages sent to summary peers / relevant peers.
+    Query,
+    /// Query responses.
+    QueryResponse,
+    /// Inter-domain flooding requests.
+    Flood,
+    /// Departure notifications (`release`).
+    Control,
 }
 
 impl Message {

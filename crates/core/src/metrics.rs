@@ -2,11 +2,11 @@
 
 use std::collections::BTreeMap;
 
-use p2psim::network::MessageClass;
 use p2psim::time::SimTime;
 
 use crate::config::SimConfig;
 use crate::kernel::MultiDomainOutcome;
+use crate::messages::MessageClass;
 use crate::peerstate::MessageLedger;
 use crate::routing::QueryOutcome;
 
@@ -207,8 +207,8 @@ impl DomainReport {
 
     /// The paper's §6.1.1 accounting: "during reconciliation, only one
     /// message is propagated among all partner peers" — each round counts
-    /// once. The two views bracket Figure 6's reading; EXPERIMENTS.md
-    /// discusses the gap.
+    /// once. The two views bracket Figure 6's reading: the paper counts
+    /// a round once, while every hop is traffic on the network.
     pub fn update_messages_token_counted(&self) -> u64 {
         self.push_messages + self.reconciliations
     }

@@ -5,8 +5,8 @@
 //! * [`PeerState`] — one partner peer: liveness, generated database
 //!   artifacts, and the bookkeeping the maintenance protocols need;
 //! * [`MessageLedger`] — message/byte accounting per [`MessageClass`],
-//!   the paper's §6.1 cost unit, plus the reconciliation merge-work
-//!   counters ([`ReconcileWork`]);
+//!   the paper's §6.1 cost unit and a run's only message counter, plus
+//!   the reconciliation merge-work counters ([`ReconcileWork`]);
 //! * [`DomainCore`] — one domain's summary peer state: the global
 //!   summary (GS), the cooperation list (CL) and what each maintenance
 //!   message does on arrival ([`DomainCore::apply_push`],
@@ -65,7 +65,7 @@
 use std::collections::BTreeMap;
 
 use bytes::Bytes;
-use p2psim::network::{MessageClass, NodeId};
+use p2psim::network::NodeId;
 use p2psim::time::SimTime;
 use saintetiq::cell::SourceId;
 use saintetiq::delta::GsAccumulator;
@@ -76,7 +76,7 @@ use saintetiq::wire;
 use crate::coop::CooperationList;
 use crate::error::P2pError;
 use crate::freshness::Freshness;
-use crate::messages::Message;
+use crate::messages::{Message, MessageClass};
 use crate::routing::{route_query_scoped, QueryOutcome, RingConversation, RoutingPolicy};
 use crate::workload::PeerData;
 
@@ -215,15 +215,6 @@ impl MessageLedger {
     /// distribution data.
     pub fn latency_counters(&self) -> &BTreeMap<MessageClass, (u64, u64)> {
         &self.latency_counters
-    }
-
-    /// Mean in-flight seconds of one class (0.0 when nothing of that
-    /// class was delivered — instantaneous mode, or the class is unused).
-    pub fn mean_latency_s(&self, class: MessageClass) -> f64 {
-        match self.latency_counters.get(&class) {
-            Some(&(n, total_us)) if n > 0 => total_us as f64 / n as f64 / 1_000_000.0,
-            _ => 0.0,
-        }
     }
 
     /// Folds one reconciliation round's merge work into the tally.
@@ -924,12 +915,14 @@ mod tests {
     #[test]
     fn ledger_latency_accounting() {
         let mut ledger = MessageLedger::new();
-        assert_eq!(ledger.mean_latency_s(MessageClass::Push), 0.0);
+        assert!(ledger.latency_counters().is_empty());
         ledger.count_deliveries(MessageClass::Push, SimTime::from_millis(50), 1);
         ledger.count_deliveries(MessageClass::Push, SimTime::from_millis(150), 1);
         ledger.count_deliveries(MessageClass::Query, SimTime::from_millis(10), 1);
-        assert!((ledger.mean_latency_s(MessageClass::Push) - 0.1).abs() < 1e-12);
-        assert!((ledger.mean_latency_s(MessageClass::Query) - 0.01).abs() < 1e-12);
+        assert_eq!(
+            ledger.latency_counters().get(&MessageClass::Query),
+            Some(&(1, 10_000))
+        );
         assert_eq!(
             ledger.latency_counters().get(&MessageClass::Push),
             Some(&(2, 200_000))

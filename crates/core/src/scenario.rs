@@ -8,7 +8,7 @@ use std::time::Instant;
 
 use fuzzy::bk::BackgroundKnowledge;
 use p2psim::churn::LifetimeDistribution;
-use p2psim::network::{MessageClass, Network, NodeId};
+use p2psim::network::{Network, NodeId};
 use p2psim::time::SimTime;
 use p2psim::topology::{Graph, TopologyConfig};
 use rand::rngs::StdRng;
@@ -23,6 +23,7 @@ use crate::domain::DomainSim;
 use crate::error::P2pError;
 use crate::freshness::Freshness;
 use crate::kernel::{LookupTarget, MultiDomainSim};
+use crate::messages::MessageClass;
 use crate::metrics::{DomainReport, MultiDomainReport};
 use crate::peerstate::{DomainCore, MessageLedger, PeerState};
 use crate::routing::RoutingPolicy;
@@ -153,8 +154,7 @@ pub struct QueryCostPoint {
     /// by measured recall. A TTL-3 flood on a degree-4 power-law graph
     /// reaches only part of a large network, so its raw message count
     /// understates what it costs flooding to deliver the result set the
-    /// other algorithms deliver; this is the comparable series (see
-    /// EXPERIMENTS.md for the discussion).
+    /// other algorithms deliver; this is the comparable series.
     pub flooding: f64,
     /// Raw measured flooding messages (TTL 3, duplicates included).
     pub flooding_raw: f64,
@@ -624,17 +624,6 @@ pub fn reconcile_cost_sweep(
     Ok(out)
 }
 
-/// A compact run of the full pipeline at small scale — used by tests and
-/// the quickstart example to sanity-check the whole stack end to end.
-pub fn smoke_run(seed: u64) -> Result<DomainReport, P2pError> {
-    let mut cfg = SimConfig::paper_defaults(24, 0.3);
-    cfg.horizon = SimTime::from_hours(4);
-    cfg.query_count = 20;
-    cfg.records_per_peer = 10;
-    cfg.seed = seed;
-    Ok(DomainSim::new(cfg)?.run())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -825,13 +814,5 @@ mod tests {
         // Merge work tracks the stale subset, not the membership.
         assert!(points[0].incr_merged < points[1].incr_merged);
         assert_eq!(points[0].incr_merged, 3, "5% of 60");
-    }
-
-    #[test]
-    fn smoke_run_is_deterministic() {
-        let a = smoke_run(7).unwrap();
-        let b = smoke_run(7).unwrap();
-        assert_eq!(a.push_messages, b.push_messages);
-        assert_eq!(a.queries, b.queries);
     }
 }

@@ -51,7 +51,7 @@ impl MultiDomainSystem {
         self.kernel.cache_hits()
     }
 
-    /// The underlying network (counters, topology).
+    /// The underlying network (liveness, topology).
     pub fn network(&self) -> &Network {
         self.kernel.net.as_ref().expect("networked kernel")
     }
@@ -59,11 +59,6 @@ impl MultiDomainSystem {
     /// The domain map.
     pub fn domains(&self) -> &Domains {
         self.kernel.topo.as_ref().expect("networked kernel")
-    }
-
-    /// Number of query templates.
-    pub fn template_count(&self) -> usize {
-        self.kernel.template_count()
     }
 
     /// Ground truth: all peers currently matching `template`.

@@ -1,13 +1,12 @@
-//! Network state over a topology: node liveness, message accounting and
-//! the search walks the paper relies on.
+//! Network state over a topology: node liveness, link latencies, TTL
+//! floods and the search walks the paper relies on.
 //!
-//! The paper's costs are counted in **messages** (§6.1), so the network
-//! tracks a counter per [`MessageClass`]. Latency matters only for the
-//! closest-summary-peer choice during construction (§4.1), so the network
-//! exposes link latencies but message delivery scheduling stays in the
+//! The network counts no messages. Floods and walks return what they
+//! reached (nodes, hops, path latencies) and the application charges
+//! the messages they cost to its own ledger. Latency matters for the
+//! closest-summary-peer choice during construction (§4.1) and for the
+//! application's message transit; delivery scheduling stays in the
 //! application's simulator loop.
-
-use std::collections::BTreeMap;
 
 use rand::Rng;
 
@@ -25,33 +24,11 @@ impl NodeId {
     }
 }
 
-/// Classes of protocol messages, for cost accounting (§6.1's update vs
-/// query traffic decomposition, and Figure 6/7's series).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub enum MessageClass {
-    /// Domain construction: `sumpeer` broadcasts, `localsum`, `drop`, `find`.
-    Construction,
-    /// Maintenance `push` messages (freshness flags).
-    Push,
-    /// Reconciliation token hops.
-    Reconciliation,
-    /// Query messages sent to summary peers / relevant peers.
-    Query,
-    /// Query responses.
-    QueryResponse,
-    /// Inter-domain flooding requests.
-    Flood,
-    /// Departure notifications (`release`).
-    Control,
-}
-
-/// Mutable network state: liveness + counters over an immutable topology.
+/// Mutable network state: liveness over an immutable topology.
 #[derive(Debug, Clone)]
 pub struct Network {
     graph: Graph,
     up: Vec<bool>,
-    counters: BTreeMap<MessageClass, u64>,
-    total_sent: u64,
 }
 
 impl Network {
@@ -61,8 +38,6 @@ impl Network {
         Self {
             graph,
             up: vec![true; n],
-            counters: BTreeMap::new(),
-            total_sent: 0,
         }
     }
 
@@ -113,39 +88,6 @@ impl Network {
     /// Latency of the direct link, if adjacent.
     pub fn latency(&self, a: NodeId, b: NodeId) -> Option<SimTime> {
         self.graph.link_latency(a, b)
-    }
-
-    /// Counts one sent message of the given class.
-    pub fn count_message(&mut self, class: MessageClass) {
-        *self.counters.entry(class).or_insert(0) += 1;
-        self.total_sent += 1;
-    }
-
-    /// Counts `n` messages at once.
-    pub fn count_messages(&mut self, class: MessageClass, n: u64) {
-        *self.counters.entry(class).or_insert(0) += n;
-        self.total_sent += n;
-    }
-
-    /// Messages sent in one class.
-    pub fn sent(&self, class: MessageClass) -> u64 {
-        self.counters.get(&class).copied().unwrap_or(0)
-    }
-
-    /// Total messages sent.
-    pub fn total_sent(&self) -> u64 {
-        self.total_sent
-    }
-
-    /// Snapshot of all counters.
-    pub fn counters(&self) -> &BTreeMap<MessageClass, u64> {
-        &self.counters
-    }
-
-    /// Resets counters (between experiment phases).
-    pub fn reset_counters(&mut self) {
-        self.counters.clear();
-        self.total_sent = 0;
     }
 
     /// The set of live nodes within `ttl` hops of `origin` (excluding the
@@ -310,19 +252,6 @@ mod tests {
         assert_eq!(n.up_count(), 9);
         n.bring_up(NodeId(3));
         assert_eq!(n.up_count(), 10);
-    }
-
-    #[test]
-    fn counters_accumulate() {
-        let mut n = net(5, 2);
-        n.count_message(MessageClass::Push);
-        n.count_messages(MessageClass::Query, 10);
-        assert_eq!(n.sent(MessageClass::Push), 1);
-        assert_eq!(n.sent(MessageClass::Query), 10);
-        assert_eq!(n.sent(MessageClass::Flood), 0);
-        assert_eq!(n.total_sent(), 11);
-        n.reset_counters();
-        assert_eq!(n.total_sent(), 0);
     }
 
     #[test]

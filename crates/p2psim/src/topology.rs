@@ -121,31 +121,6 @@ impl Graph {
         g
     }
 
-    /// Waxman random topology (BRITE's other classic mode):
-    /// `P(u,v) = alpha * exp(-d(u,v) / (beta * L))`.
-    pub fn waxman<R: Rng + ?Sized>(
-        cfg: &TopologyConfig,
-        alpha: f64,
-        beta: f64,
-        rng: &mut R,
-    ) -> Self {
-        let n = cfg.nodes;
-        let mut g = Graph::empty(n);
-        for p in g.pos.iter_mut() {
-            *p = (rng.gen_range(0.0..cfg.side), rng.gen_range(0.0..cfg.side));
-        }
-        let l = cfg.side * std::f64::consts::SQRT_2;
-        for i in 0..n {
-            for j in (i + 1)..n {
-                let d = g.distance(NodeId(i as u32), NodeId(j as u32));
-                if rng.gen_bool((alpha * (-d / (beta * l)).exp()).clamp(0.0, 1.0)) {
-                    g.connect(NodeId(i as u32), NodeId(j as u32), cfg);
-                }
-            }
-        }
-        g
-    }
-
     /// A ring of `n` nodes (tests/debugging).
     pub fn ring(n: usize, latency: SimTime) -> Self {
         let mut g = Graph::empty(n);
@@ -352,13 +327,6 @@ mod tests {
                 assert_eq!(g.link_latency(e.node, NodeId(i as u32)), Some(e.latency));
             }
         }
-    }
-
-    #[test]
-    fn waxman_generates_some_edges() {
-        let mut rng = StdRng::seed_from_u64(5);
-        let g = Graph::waxman(&cfg(150), 0.4, 0.2, &mut rng);
-        assert!(g.edge_count() > 50, "edges {}", g.edge_count());
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //!
 //! Run with: `cargo run --release --example semantic_routing`
 
-use p2psim::network::{MessageClass, Network, NodeId};
+use p2psim::network::{Network, NodeId};
 use p2psim::topology::{Graph, TopologyConfig};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -35,12 +35,12 @@ fn main() {
         sps.len(),
         net.graph().degree(sps[0])
     );
-    let mut domains = construct_domains(&mut net, &sps, 2);
+    let mut domains = construct_domains(&net, &sps, 2);
     println!(
         "Construction: {} of {} peers joined a domain with {} messages",
         domains.assigned_count(),
         n - sps.len(),
-        net.sent(MessageClass::Construction)
+        domains.messages
     );
     for &sp in &sps {
         println!("  SP {:>4}: {} partners", sp.0, domains.members(sp).len());
@@ -49,16 +49,12 @@ fn main() {
     // --- Summary-peer dynamicity (§4.3) ----------------------------------
     let departing = sps[2];
     let orphans = domains.members(departing).len();
-    net.reset_counters();
-    let rehomed = handle_sp_departure(&mut net, &mut domains, departing, true);
+    let (rehomed, walk_msgs) = handle_sp_departure(&mut net, &mut domains, departing);
+    // A graceful departure sends one `release` to each partner.
     println!(
         "\nSP {} leaves gracefully: {} release msgs, {}/{} partners re-homed \
          via selective walks ({} find msgs)",
-        departing.0,
-        net.sent(MessageClass::Control),
-        rehomed,
-        orphans,
-        net.sent(MessageClass::Construction)
+        departing.0, orphans, rehomed, orphans, walk_msgs
     );
 
     // --- Query-cost comparison on this network (§6.2.3) -----------------

@@ -52,8 +52,7 @@
 //!
 //! The experiment harness regenerating every figure of the paper lives in
 //! the `sumq-bench` crate (`cargo run -p sumq-bench --release --bin
-//! fig4_stale_answers`, etc.); see `EXPERIMENTS.md` at the workspace root
-//! for the reproduction log.
+//! fig4_stale_answers`, etc.): one binary per figure, printing its rows.
 
 pub use fuzzy;
 pub use p2psim;

@@ -1,6 +1,6 @@
 //! Shape tests for the figure drivers: at reduced scale, every trend the
-//! paper reports must already be visible. These are the claims
-//! EXPERIMENTS.md records at paper scale.
+//! paper reports must already be visible. The `sumq-bench` figure
+//! binaries make the same runs at paper scale.
 
 use p2psim::time::SimTime;
 use summary_p2p::config::SimConfig;

@@ -4,11 +4,11 @@
 //! default instantaneous mode keeps the seed semantics byte-identical.
 
 use p2psim::churn::LifetimeDistribution;
-use p2psim::network::MessageClass;
 use p2psim::time::SimTime;
 use summary_p2p::config::{DeliveryMode, SimConfig};
 use summary_p2p::domain::DomainSim;
 use summary_p2p::kernel::{LookupTarget, MultiDomainSim};
+use summary_p2p::messages::MessageClass;
 use summary_p2p::scenario::with_latency;
 
 fn base(n: usize, seed: u64) -> SimConfig {

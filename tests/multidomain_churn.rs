@@ -5,7 +5,7 @@
 
 use p2psim::time::SimTime;
 use summary_p2p::config::SimConfig;
-use summary_p2p::kernel::{LookupTarget, MultiDomainSim};
+use summary_p2p::kernel::{LookupTarget, MultiDomainSim, SimKernel};
 use summary_p2p::scenario::{figure_multidomain_churn, scale_churn, with_latency};
 
 fn base(n: usize, seed: u64) -> SimConfig {
@@ -60,23 +60,23 @@ fn reconciliation_recovers_recall_mid_run() {
     };
     let probe_at = SimTime::from_hours(3);
 
-    let probe = |sim: &mut MultiDomainSim| -> (f64, usize) {
-        let origins = sim.live_origins();
+    let probe = |k: &mut SimKernel| -> (f64, usize) {
+        let origins = k.live_origins();
         assert!(!origins.is_empty(), "someone is online at the probe time");
         let mut recall_sum = 0.0;
         let mut totals = 0usize;
         let picks: Vec<_> = origins.iter().copied().take(6).collect();
         let n = picks.len();
         for origin in picks {
-            let out = sim.route_now(origin, 0, LookupTarget::Total);
+            let out = k.route_live(origin, 0, LookupTarget::Total);
             recall_sum += out.recall();
             totals += out.results_total;
         }
         (recall_sum / n as f64, totals)
     };
 
-    let mut stale_sim = MultiDomainSim::new(cfg, 25, LookupTarget::Total).unwrap();
-    stale_sim.advance_to(probe_at);
+    let mut stale_sim = SimKernel::networked(cfg, 25, Some(LookupTarget::Total)).unwrap();
+    stale_sim.run_until(probe_at);
     assert!(
         stale_sim.mean_stale_fraction() > 0.0,
         "three hours of drift must have flagged someone"
@@ -84,8 +84,8 @@ fn reconciliation_recovers_recall_mid_run() {
     let (recall_stale, totals) = probe(&mut stale_sim);
     assert!(totals > 0, "ground truth exists at the probe time");
 
-    let mut fresh_sim = MultiDomainSim::new(cfg, 25, LookupTarget::Total).unwrap();
-    fresh_sim.advance_to(probe_at);
+    let mut fresh_sim = SimKernel::networked(cfg, 25, Some(LookupTarget::Total)).unwrap();
+    fresh_sim.run_until(probe_at);
     fresh_sim.reconcile_all();
     assert_eq!(
         fresh_sim.mean_stale_fraction(),

@@ -12,7 +12,7 @@
 
 use p2psim::time::SimTime;
 use summary_p2p::config::SimConfig;
-use summary_p2p::kernel::{LookupTarget, MultiDomainSim};
+use summary_p2p::kernel::{LookupTarget, MultiDomainSim, SimKernel};
 use summary_p2p::metrics::MultiDomainReport;
 use summary_p2p::scenario::{figure_rebirth, with_latency, with_sp_churn};
 
@@ -157,14 +157,14 @@ fn reborn_domains_incremental_gs_matches_full_rebuild_oracle() {
     for seed in [1u64, 7, 42] {
         let mut cfg = churny(140, seed);
         cfg.rebirth = true;
-        let mut sim = MultiDomainSim::new(cfg, 25, LookupTarget::Total).unwrap();
+        let mut sim = SimKernel::networked(cfg, 25, Some(LookupTarget::Total)).unwrap();
         let mut saw_rebirth = false;
         for hours in [2u64, 4, 6, 8] {
-            sim.advance_to(SimTime::from_hours(hours));
+            sim.run_until(SimTime::from_hours(hours));
             saw_rebirth |= sim.rebirths() > 0;
             sim.reconcile_all();
             assert!(
-                sim.gs_matches_oracle().unwrap(),
+                sim.live_gs_matches_oracle().unwrap(),
                 "seed {seed}: live GS diverged from the oracle at {hours} h \
                  ({} rebirths so far)",
                 sim.rebirths()
@@ -181,14 +181,14 @@ fn reborn_domains_incremental_gs_matches_full_rebuild_oracle() {
 fn reborn_domains_keep_answering_queries() {
     let mut cfg = churny(150, 33);
     cfg.rebirth = true;
-    let mut sim = MultiDomainSim::new(cfg, 25, LookupTarget::Total).unwrap();
-    sim.advance_to(SimTime::from_hours(7));
+    let mut sim = SimKernel::networked(cfg, 25, Some(LookupTarget::Total)).unwrap();
+    sim.run_until(SimTime::from_hours(7));
     assert!(sim.rebirths() > 0, "the run must exercise rebirth");
     assert!(sim.live_domains() > 0);
     sim.reconcile_all();
     let origins = sim.live_origins();
     assert!(!origins.is_empty());
-    let out = sim.route_now(origins[0], 0, LookupTarget::Total);
+    let out = sim.route_live(origins[0], 0, LookupTarget::Total);
     assert!(
         out.results > 0,
         "a network of reborn domains still localizes matches: {out:?}"
