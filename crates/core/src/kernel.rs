@@ -40,10 +40,13 @@
 //!
 //! ## The message plane
 //!
-//! Every push, `localsum`, workload query, reconciliation token,
-//! rebirth confirmation, lookup query and flood request is sent through
-//! one `send_msg`, and its effects have one implementation, applied
-//! when it is delivered. The delivery mode only sets the transit:
+//! Every push, `localsum`, workload query, reconciliation token and
+//! rebirth confirmation is sent through one `send_msg`, and its effects
+//! have one implementation, applied when it is delivered. Under the
+//! latency plane a lookup's query and flood requests go through
+//! `send_lookup` over the same `send_msg`; instantaneous lookups are
+//! the exception noted below. Otherwise the delivery mode only sets the
+//! transit:
 //!
 //! * [`crate::config::DeliveryMode::Instantaneous`] (the default) is
 //!   the zero-transit plane. A message joins a same-instant FIFO that
@@ -52,7 +55,9 @@
 //!   before the sender's next statement, and no timed event runs in
 //!   between. Nothing is in flight across events, so the plane's
 //!   in-flight and per-class latency tallies stay empty; §5.2.2
-//!   lookups are routed synchronously by [`SimKernel::route_live`].
+//!   lookups are routed synchronously by [`SimKernel::route_live`],
+//!   which sends no message through `send_msg` and charges its
+//!   messages with `charge` when the lookup ends.
 //!   This is byte-identical to the Figure 4–7 pipelines.
 //! * Under [`crate::config::DeliveryMode::Latency`] each message is a
 //!   [`KernelEvent::Deliver`] scheduled at `now + transit`, where

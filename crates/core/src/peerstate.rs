@@ -217,6 +217,15 @@ impl MessageLedger {
         &self.latency_counters
     }
 
+    /// Mean in-flight seconds of one class (0.0 when nothing of that
+    /// class was delivered — instantaneous mode, or the class is unused).
+    pub fn mean_latency_s(&self, class: MessageClass) -> f64 {
+        match self.latency_counters.get(&class) {
+            Some(&(n, total_us)) if n > 0 => total_us as f64 / n as f64 / 1_000_000.0,
+            _ => 0.0,
+        }
+    }
+
     /// Folds one reconciliation round's merge work into the tally.
     pub fn count_reconcile_work(&mut self, work: ReconcileWork) {
         self.reconcile_work.absorb(work);
@@ -915,14 +924,12 @@ mod tests {
     #[test]
     fn ledger_latency_accounting() {
         let mut ledger = MessageLedger::new();
-        assert!(ledger.latency_counters().is_empty());
+        assert_eq!(ledger.mean_latency_s(MessageClass::Push), 0.0);
         ledger.count_deliveries(MessageClass::Push, SimTime::from_millis(50), 1);
         ledger.count_deliveries(MessageClass::Push, SimTime::from_millis(150), 1);
         ledger.count_deliveries(MessageClass::Query, SimTime::from_millis(10), 1);
-        assert_eq!(
-            ledger.latency_counters().get(&MessageClass::Query),
-            Some(&(1, 10_000))
-        );
+        assert!((ledger.mean_latency_s(MessageClass::Push) - 0.1).abs() < 1e-12);
+        assert!((ledger.mean_latency_s(MessageClass::Query) - 0.01).abs() < 1e-12);
         assert_eq!(
             ledger.latency_counters().get(&MessageClass::Push),
             Some(&(2, 200_000))

@@ -624,6 +624,17 @@ pub fn reconcile_cost_sweep(
     Ok(out)
 }
 
+/// A compact run of the full pipeline at small scale — used by tests and
+/// the quickstart example to sanity-check the whole stack end to end.
+pub fn smoke_run(seed: u64) -> Result<DomainReport, P2pError> {
+    let mut cfg = SimConfig::paper_defaults(24, 0.3);
+    cfg.horizon = SimTime::from_hours(4);
+    cfg.query_count = 20;
+    cfg.records_per_peer = 10;
+    cfg.seed = seed;
+    Ok(DomainSim::new(cfg)?.run())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -814,5 +825,13 @@ mod tests {
         // Merge work tracks the stale subset, not the membership.
         assert!(points[0].incr_merged < points[1].incr_merged);
         assert_eq!(points[0].incr_merged, 3, "5% of 60");
+    }
+
+    #[test]
+    fn smoke_run_is_deterministic() {
+        let a = smoke_run(7).unwrap();
+        let b = smoke_run(7).unwrap();
+        assert_eq!(a.push_messages, b.push_messages);
+        assert_eq!(a.queries, b.queries);
     }
 }
