@@ -9,7 +9,11 @@
 //! the *SP-side* work differs, which is the point of the ring. The
 //! incremental group then shows the round cost collapsing from
 //! O(members) decodes + merges to O(stale subset) + one canonical
-//! store, and the store group times that store on its own. The
+//! store: `incremental_1pct` decodes each drifted member's wire bytes,
+//! while `incremental_1pct_flat` stores the flat form each peer built
+//! with its summary, as the P2P layer's pulls do, so the gap between the
+//! two is the decode a pull no longer pays. The store group times that
+//! store on its own. The
 //! localization group compares the accumulator scan queries route on
 //! with building the tree and selecting over it.
 
@@ -25,9 +29,9 @@ use saintetiq::merge::merge_into;
 use saintetiq::query::proposition::{reformulate, Proposition};
 use saintetiq::query::relevant_sources;
 use saintetiq::wire;
-use summary_p2p::workload::{generate_peer_data, make_templates};
+use summary_p2p::workload::{generate_peer_data, make_templates, PeerData};
 
-fn local_summaries(peers: usize, seed: u64) -> Vec<Bytes> {
+fn local_data(peers: usize, seed: u64) -> Vec<PeerData> {
     let bk = BackgroundKnowledge::medical_cbk();
     let templates = make_templates(3);
     let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
@@ -35,8 +39,14 @@ fn local_summaries(peers: usize, seed: u64) -> Vec<Bytes> {
         .map(|p| {
             generate_peer_data(&mut rng, p as u32, &bk, &templates, 0.1, 24)
                 .expect("valid workload")
-                .summary
         })
+        .collect()
+}
+
+fn local_summaries(peers: usize, seed: u64) -> Vec<Bytes> {
+    local_data(peers, seed)
+        .into_iter()
+        .map(|d| d.summary)
         .collect()
 }
 
@@ -110,14 +120,15 @@ fn bench_ring_vs_star(c: &mut Criterion) {
 
 /// Incremental vs full: one 1%-drift round at growing membership. The
 /// full path decodes + merges every partner; the incremental path
-/// re-pulls only the drifted partners into a primed accumulator and
-/// stores the canonical merged view.
+/// re-pulls only the drifted partners into a primed accumulator, from
+/// their wire bytes or from their shared flat forms, and stores the
+/// canonical merged view.
 fn bench_incremental_vs_full(c: &mut Criterion) {
     let mut group = c.benchmark_group("reconciliation_incremental");
     group.sample_size(10);
     for &peers in &[200usize, 1_000] {
         let summaries = local_summaries(peers, 3);
-        let drifted = local_summaries(peers, 4);
+        let drifted = local_data(peers, 4);
         let dirty: Vec<usize> = (0..peers).step_by(100).collect(); // 1%
         let mut primed = GsAccumulator::new("medical-cbk-v1", vec![3, 3, 3, 12]);
         for (i, s) in summaries.iter().enumerate() {
@@ -147,8 +158,20 @@ fn bench_incremental_vs_full(c: &mut Criterion) {
             b.iter(|| {
                 for &i in &dirty {
                     primed
-                        .update_source_encoded(SourceId(i as u32), &drifted[i])
+                        .update_source_encoded(SourceId(i as u32), &drifted[i].summary)
                         .expect("decodes");
+                }
+                primed.build_merged().leaf_count()
+            })
+        });
+        // The same round as pulls run it: no decode, each drifted
+        // member's flat form shared + the canonical store.
+        group.bench_function(BenchmarkId::new("incremental_1pct_flat", peers), |b| {
+            b.iter(|| {
+                for &i in &dirty {
+                    primed
+                        .update_source_flat(SourceId(i as u32), &drifted[i].flat)
+                        .expect("same CBK");
                 }
                 primed.build_merged().leaf_count()
             })

@@ -2257,7 +2257,7 @@ impl SimKernel {
     /// Builds the single-domain report after a completed run.
     pub(crate) fn single_report(&self) -> DomainReport {
         let dom = &self.domains[0];
-        let (approx_live, approx_with_departed) = self.approximate_coverage();
+        let (approx_live, approx_with_departed, approx_errors) = self.approximate_coverage();
         let mut report = DomainReport::from_run(
             &self.cfg,
             &self.outcomes,
@@ -2276,7 +2276,7 @@ impl SimKernel {
         report.reconcile_delta_bytes = work.delta_bytes;
         report.final_alpha = self.ctl.alpha(0);
         report.alpha_trajectory = self.ctl.trajectory(0).to_vec();
-        report.domain_errors = self.domain_errors;
+        report.domain_errors = self.domain_errors + approx_errors;
         report
     }
 
@@ -2286,7 +2286,9 @@ impl SimKernel {
     /// and this simulation's routing choice) versus a GS that *keeps*
     /// the last known summaries of down peers (alternative 1 — richer
     /// approximate answers at the price of describing unavailable data).
-    fn approximate_coverage(&self) -> (Vec<f64>, Vec<f64>) {
+    /// The third value counts the down peers whose summary failed to
+    /// decode or merge; they contribute nothing.
+    fn approximate_coverage(&self) -> (Vec<f64>, Vec<f64>, u64) {
         let gs = &self.domains[0].gs;
         let weight_of = |gs: &saintetiq::hierarchy::SummaryTree| -> Vec<f64> {
             self.reformulated
@@ -2302,21 +2304,20 @@ impl SimKernel {
         let live = weight_of(gs);
         let mut with_departed = gs.clone();
         let ecfg = EngineConfig::default();
+        let mut errors = 0;
         for peer in self.peers.iter().flatten() {
             if !peer.up && peer.merged_bits == 0 {
                 // Down and absent from the GS: its last summary is the
-                // description alternative 1 would have retained. A
-                // summary that fails to decode (impossible for locally
-                // encoded data) simply contributes nothing.
-                let Ok(tree) = wire::decode(&peer.data.summary) else {
-                    continue;
-                };
-                if saintetiq::merge::merge_into(&mut with_departed, &tree, &ecfg).is_err() {
-                    continue;
+                // description alternative 1 would have retained.
+                let merged = wire::decode(&peer.data.summary).and_then(|tree| {
+                    saintetiq::merge::merge_into(&mut with_departed, &tree, &ecfg)
+                });
+                if merged.is_err() {
+                    errors += 1;
                 }
             }
         }
-        (live, weight_of(&with_departed))
+        (live, weight_of(&with_departed), errors)
     }
 
     /// Every inter-domain lookup's `(posing time, outcome)` so far, in
@@ -2502,6 +2503,20 @@ mod tests {
         let report = k.single_report();
         assert_eq!(report.queries, 30);
         assert!(report.total_messages() > 0);
+    }
+
+    #[test]
+    fn undecodable_departed_summary_is_counted_as_an_error() {
+        let mut k = SimKernel::single_domain(cfg(24, 1)).unwrap();
+        k.run_to_horizon();
+        assert_eq!(k.single_report().domain_errors, 0);
+        // A down peer absent from the GS whose last summary is cut short:
+        // the with-departed coverage cannot decode it.
+        let st = k.peers[0].as_mut().unwrap();
+        st.up = false;
+        st.merged_bits = 0;
+        st.data.summary = bytes::Bytes::copy_from_slice(&st.data.summary[..10]);
+        assert_eq!(k.single_report().domain_errors, 1);
     }
 
     #[test]

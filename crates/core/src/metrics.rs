@@ -57,7 +57,7 @@ pub struct DomainReport {
     pub gs_cells: usize,
     /// Live nodes in the final GS hierarchy.
     pub gs_nodes: usize,
-    /// Member summaries decoded + folded by reconciliation rounds —
+    /// Member summaries folded by reconciliation rounds —
     /// with the incremental accumulator this scales with the stale
     /// subsets, not with membership × rounds.
     pub reconcile_merged_members: u64,
@@ -272,9 +272,9 @@ pub struct MultiDomainReport {
     pub reconciliation_messages: u64,
     /// Construction messages (initial localsums + rejoins).
     pub construction_messages: u64,
-    /// Member summaries decoded + folded by reconciliation rounds
-    /// across all domains (scales with the stale subsets under
-    /// incremental GS maintenance).
+    /// Member summaries folded by reconciliation rounds across all
+    /// domains (scales with the stale subsets under incremental GS
+    /// maintenance).
     pub reconcile_merged_members: u64,
     /// Live members reconciliation rounds skipped network-wide.
     pub reconcile_skipped_members: u64,

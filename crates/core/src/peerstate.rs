@@ -25,9 +25,11 @@
 //! token ring) then only
 //!
 //! 1. folds in the *stale subset*: the ring visits the live CL entries
-//!    flagged `NeedsRefresh` / `Unavailable`, and each gathered summary
-//!    is decoded and re-folded via `update_source` (O(|stale|) decode +
-//!    merge work — the paper's §6.1 cost unit scales with what changed);
+//!    flagged `NeedsRefresh` / `Unavailable`, and each gathered
+//!    snapshot's flat form — the summary its peer flattened once when it
+//!    built it ([`PeerData::flat`]) — replaces the member's entry via
+//!    `update_source_flat`, shared rather than decoded (O(|stale|) merge
+//!    work — the paper's §6.1 cost unit scales with what changed);
 //! 2. expires departed members via `remove_source` (O(1) each);
 //! 3. marks the stored GS stale. The canonical merged view
 //!    ([`GsAccumulator::build_merged`]) and its size
@@ -50,10 +52,10 @@
 //! the push-protocol invariant, identical to their current local
 //! summary (drift always flags before the next pull can run). The
 //! retained escape hatch [`DomainCore::full_rebuild_oracle`] rebuilds
-//! from scratch over every live member; because the accumulator's
-//! merged view is canonical in the contribution set, the oracle and the
-//! incrementally maintained GS agree **byte-for-byte** — asserted by
-//! the `gs_incremental` property tests and the debug paths.
+//! from scratch over every live member's decoded wire bytes; because the
+//! accumulator's merged view is canonical in the contribution set, the
+//! oracle and the incrementally maintained GS agree **byte-for-byte** —
+//! asserted by the `gs_incremental` property tests and the debug paths.
 //!
 //! A second behavioral refinement rides along: a *partial* pull (a
 //! latency-plane ring whose token was dropped mid-ring) keeps the
@@ -63,12 +65,13 @@
 //! only departed members' data is removed.
 
 use std::collections::BTreeMap;
+use std::rc::Rc;
 
 use bytes::Bytes;
 use p2psim::network::NodeId;
 use p2psim::time::SimTime;
 use saintetiq::cell::SourceId;
-use saintetiq::delta::GsAccumulator;
+use saintetiq::delta::{GsAccumulator, SourceDelta};
 use saintetiq::hierarchy::SummaryTree;
 use saintetiq::query::proposition::Proposition;
 use saintetiq::wire;
@@ -133,9 +136,9 @@ impl PeerState {
 }
 
 /// Merge work done by GS maintenance rounds: how many member summaries
-/// were actually decoded and folded (`merged`), how many live members
-/// were skipped because their stored contribution was still fresh
-/// (`skipped`), how many departed contributions were expired
+/// were actually folded into the accumulator (`merged`), how many live
+/// members were skipped because their stored contribution was still
+/// fresh (`skipped`), how many departed contributions were expired
 /// (`removed`), and the delta payload bytes pulled (`delta_bytes`).
 ///
 /// `merged` scaling with the stale subset — not total membership — is
@@ -143,7 +146,7 @@ impl PeerState {
 /// tracks it.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ReconcileWork {
-    /// Member summaries decoded and folded into the accumulator.
+    /// Member summaries folded into the accumulator.
     pub merged: u64,
     /// Live members skipped (contribution reused unchanged).
     pub skipped: u64,
@@ -249,6 +252,9 @@ pub struct SummarySnapshot {
     /// Its encoded local summary at token-pass time (shared with the
     /// peer's own copy, not duplicated).
     pub summary: Bytes,
+    /// The same summary's flat form, shared with the peer's
+    /// ([`PeerData::flat`]); what the SP folds in.
+    pub flat: Rc<SourceDelta>,
     /// Its exact match bits at token-pass time.
     pub match_bits: u32,
 }
@@ -259,6 +265,7 @@ impl SummarySnapshot {
         Self {
             peer,
             summary: st.data.summary.clone(),
+            flat: Rc::clone(&st.data.flat),
             match_bits: st.data.match_bits,
         }
     }
@@ -394,8 +401,9 @@ impl DomainCore {
         }
     }
 
-    /// Decodes `m`'s current local summary into the accumulator and
-    /// refreshes its merged bits. Returns the pulled payload size.
+    /// Stores `m`'s current local summary, in its shared flat form, in
+    /// the accumulator and refreshes its merged bits. Returns the pulled
+    /// payload size.
     fn pull_member(
         &mut self,
         m: NodeId,
@@ -405,9 +413,7 @@ impl DomainCore {
             .get_mut(m.index())
             .and_then(|s| s.as_mut())
             .ok_or(P2pError::UnknownPeer(m.0))?;
-        let bytes = self
-            .acc
-            .update_source_encoded(SourceId(m.0), &st.data.summary)?;
+        let bytes = self.acc.update_source_flat(SourceId(m.0), &st.data.flat)?;
         st.merged_bits = st.data.match_bits;
         st.dirty = false;
         Ok(bytes)
@@ -448,7 +454,9 @@ impl DomainCore {
     /// every live member's *current* local summary — what a full §4.2.2
     /// pull over the whole membership would store. The incremental path
     /// must agree with this byte-for-byte after every completed round
-    /// (asserted by the `gs_incremental` property tests).
+    /// (asserted by the `gs_incremental` property tests). It decodes each
+    /// member's wire bytes rather than sharing its flat form, so it checks
+    /// the flattening too.
     pub fn full_rebuild_oracle(
         &self,
         peers: &[Option<PeerState>],
@@ -556,7 +564,7 @@ impl DomainCore {
         let visited: std::collections::BTreeSet<NodeId> = gathered.iter().map(|s| s.peer).collect();
         for snap in gathered {
             self.acc
-                .update_source_encoded(SourceId(snap.peer.0), &snap.summary)?;
+                .update_source_flat(SourceId(snap.peer.0), &snap.flat)?;
             if let Some(st) = peers.get_mut(snap.peer.index()).and_then(|s| s.as_mut()) {
                 st.merged_bits = snap.match_bits;
                 // The merged contribution is current again — unless the
@@ -861,7 +869,7 @@ mod tests {
         assert_eq!(core.sp, Some(NodeId(0)));
         assert_eq!(core.members.len(), 8);
         // The first GS is stored straight from the surviving
-        // contributions — no member was decoded again.
+        // contributions — no member was pulled again.
         assert_eq!(core.gs.all_sources().len(), 8);
         assert!(!core.acc.contains(SourceId(0)), "promoted SP expired");
         assert!(!core.acc.contains(SourceId(9)), "departed member expired");

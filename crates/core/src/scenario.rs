@@ -524,7 +524,7 @@ pub struct ReconcilePoint {
     pub drift_fraction: f64,
     /// Members actually flagged stale (⌈fraction·n⌉, at least 1).
     pub stale_members: usize,
-    /// Member summaries the incremental round decoded + folded.
+    /// Member summaries the incremental round folded.
     pub incr_merged: u64,
     /// Live members the incremental round skipped.
     pub incr_skipped: u64,

@@ -8,6 +8,8 @@
 //! from a disjoint disease pool). Ground truth is therefore exact, which
 //! the stale-answer accounting of Figures 4–5 requires.
 
+use std::rc::Rc;
+
 use bytes::Bytes;
 use fuzzy::bk::BackgroundKnowledge;
 use rand::Rng;
@@ -17,6 +19,7 @@ use relation::query::SelectQuery;
 use relation::schema::Schema;
 use relation::table::Table;
 use saintetiq::cell::SourceId;
+use saintetiq::delta::SourceDelta;
 use saintetiq::engine::{EngineConfig, SaintEtiQEngine};
 use saintetiq::wire;
 
@@ -127,6 +130,12 @@ impl ZipfSampler {
 }
 
 /// One peer's generated state: its database-derived artifacts.
+///
+/// The local summary is kept in two forms built from the same tree:
+/// `summary`, its wire encoding, which every message and byte count
+/// measures, and `flat`, the peer's contribution flattened once, which
+/// every accumulator that pulls the peer stores as is. A pull therefore
+/// decodes nothing.
 #[derive(Debug, Clone)]
 pub struct PeerData {
     /// Bit `t` set ⇔ the database currently holds ≥1 tuple matching
@@ -134,8 +143,10 @@ pub struct PeerData {
     pub match_bits: u32,
     /// The encoded local summary (what `localsum`/reconciliation ships).
     pub summary: Bytes,
-    /// Number of distinct grid cells in the local summary.
-    pub cells: usize,
+    /// The local summary flattened for this peer's source id, its
+    /// encoded size recorded as `summary.len()`; shared by the
+    /// accumulators that hold it.
+    pub flat: Rc<SourceDelta>,
 }
 
 impl PeerData {
@@ -196,10 +207,12 @@ pub fn generate_peer_data<R: Rng + ?Sized>(
     )?;
     engine.summarize_table(&table);
     let tree = engine.into_tree();
+    let summary = wire::encode(&tree);
+    let flat = SourceDelta::from_tree(&tree, SourceId(peer)).with_encoded_bytes(summary.len());
     Ok(PeerData {
         match_bits,
-        cells: tree.leaf_count(),
-        summary: wire::encode(&tree),
+        summary,
+        flat: Rc::new(flat),
     })
 }
 
@@ -257,34 +270,6 @@ mod tests {
                     "peer {peer} template {t}: summary routing must agree with \
                      ground truth on fresh data (crisp disease attribute)"
                 );
-            }
-        }
-        Ok(())
-    }
-
-    /// Localization scans the accumulator instead of the built GS
-    /// (`GsAccumulator::relevant_sources`), which is exact only while no
-    /// stored contribution is too faint to enter an intent; otherwise it
-    /// falls back to building the tree per query. Generated summaries
-    /// must therefore never carry such a weight.
-    #[test]
-    fn generated_summaries_carry_no_faint_weight() -> Result<(), P2pError> {
-        use saintetiq::hierarchy::INTENT_THRESHOLD;
-        let bk = BackgroundKnowledge::medical_cbk();
-        let templates = make_templates(3);
-        let mut rng = StdRng::seed_from_u64(21);
-        for (fraction, records) in [(0.0, 1), (0.1, 10), (0.1, 16), (0.5, 24), (1.0, 24)] {
-            for peer in 0..40 {
-                let pd = generate_peer_data(&mut rng, peer, &bk, &templates, fraction, records)?;
-                let tree = wire::decode(&pd.summary)?;
-                for (key, entry) in tree.cells() {
-                    for (&source, &w) in &entry.content.per_source {
-                        assert!(
-                            w > INTENT_THRESHOLD,
-                            "peer {peer}: source {source:?} weighs {w} in cell {key:?}"
-                        );
-                    }
-                }
             }
         }
         Ok(())
@@ -361,7 +346,8 @@ mod tests {
         let templates = make_templates(3);
         let mut rng = StdRng::seed_from_u64(13);
         let pd = generate_peer_data(&mut rng, 0, &bk, &templates, 0.1, 24).expect("valid workload");
-        assert!(pd.cells <= 24 * 4, "cells {}", pd.cells);
+        let cells = pd.flat.cell_count();
+        assert!(cells <= 24 * 4, "cells {cells}");
         assert!(
             pd.summary.len() < 64 * 1024,
             "summary bytes {}",

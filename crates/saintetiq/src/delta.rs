@@ -29,27 +29,36 @@
 //! satisfying cells. The accumulator counts such faint contributions
 //! and, while any are stored, answers from a freshly built tree instead.
 //!
-//! Cost model: an update decodes and flattens only the changed source,
-//! so the *merge/decode work* per round (the paper's §6.1 cost unit)
-//! scales with the stale subset. Localization is one pass over the
-//! stored cell keys, O(Σ per-source cells × clauses); each source keeps
-//! its keys back to back in one label run, and no index is kept between
-//! calls. `build_merged` is Θ(total contributions) — the merged summary
-//! stores one per-source entry per (source, cell) pair, so materializing
-//! it, like the SP storing the full `NewGS` token in §4.2.2, is linear in
-//! Σ per-source cells — but a contribution costs only its own
-//! arithmetic. The contributions to one cell are folded as one run
-//! ([`crate::engine::incorporate_contributions`]): one Cobweb descent for
-//! the contribution that creates the leaf, one cell-map lookup, and one
-//! leaf-to-root walk that adds each weight to the count and the key's
-//! histogram slots only (arity + 1 additions per node, not a sweep over
-//! every label). Per cell that leaves the descent and the walk; per
-//! contribution, those additions plus the content and statistics folds.
-//! At 1000 members a build takes about 4 ms (traced `domain_pull` runs
-//! of `perfbench/` on a 2-core Xeon host), so the P2P layer builds only
-//! when the stored GS is observed, not per pull.
+//! Cost model: an update stores the changed source's flattened
+//! contribution and nothing else. A peer flattens its summary once,
+//! when it builds it ([`SourceDelta::from_tree`]), and every accumulator
+//! that pulls it shares that flat form
+//! ([`GsAccumulator::update_source_flat`]), so a pull pays no decode and
+//! no flatten; [`GsAccumulator::update_source_encoded`] still decodes
+//! and flattens wire bytes, for callers that hold only the encoding.
+//! The *merge work* per round (the paper's §6.1 cost unit) scales with
+//! the stale subset. A flat form stores its cells as a structure of
+//! arrays: keys, weights and grades back to back, and only the
+//! non-empty statistics, each with its attribute index (merging an
+//! empty statistic changes nothing). Localization is one pass over the
+//! stored cell keys, O(Σ per-source cells × clauses), and no index is
+//! kept between calls. `build_merged` is Θ(total contributions) — the
+//! merged summary stores one per-source entry per (source, cell) pair,
+//! so materializing it, like the SP storing the full `NewGS` token in
+//! §4.2.2, is linear in Σ per-source cells — but a contribution costs
+//! only its own arithmetic. The contributions to one cell are folded as
+//! one run ([`crate::engine::incorporate_contributions`]): one Cobweb
+//! descent for the contribution that creates the leaf, one cell-map
+//! lookup, and one leaf-to-root walk that adds each weight to the count
+//! and the key's histogram slots only (arity + 1 additions per node,
+//! not a sweep over every label). Per cell that leaves the descent and
+//! the walk; per contribution, those additions plus the content and
+//! statistics folds. At 1000 members a build takes about 4 ms (traced
+//! `domain_pull` runs of `perfbench/` on a 2-core Xeon host), so the
+//! P2P layer builds only when the stored GS is observed, not per pull.
 
 use std::collections::BTreeMap;
+use std::rc::Rc;
 
 use fuzzy::descriptor::{Grade, LabelId};
 use relation::stats::AttributeStats;
@@ -60,28 +69,47 @@ use crate::error::SummaryError;
 use crate::hierarchy::{Contribution, StatsUpdate, SummaryTree, INTENT_THRESHOLD};
 use crate::query::proposition::Proposition;
 
-/// One contributed cell: everything the merge needs to replay it into a
-/// fresh tree, besides its key (kept in [`SourceDelta`]'s label run).
-#[derive(Debug, Clone)]
-struct DeltaCell {
-    weight: f64,
-    grades: Vec<Grade>,
-    stats: Vec<AttributeStats>,
-}
-
 /// One source's flattened contribution to a merged summary: the leaves
 /// of its (local) summary hierarchy, restricted to that source's own
-/// per-cell weights.
+/// per-cell weights, as a structure of arrays in cell order.
 #[derive(Debug, Clone)]
 pub struct SourceDelta {
-    /// The cells' keys, one label per attribute each, back to back in
-    /// cell order: localization reads them contiguously, and a cell
-    /// costs no key allocation of its own.
+    /// The source the cells were flattened for.
+    source: SourceId,
+    /// The BK the cells are keyed over: its name and label counts.
+    bk_name: String,
+    label_counts: Vec<usize>,
+    /// The cells' keys, one label per attribute each, back to back:
+    /// localization reads them contiguously.
     labels: Vec<LabelId>,
-    cells: Vec<DeltaCell>,
+    weights: Vec<f64>,
+    /// One grade per attribute and cell, back to back.
+    grades: Vec<Grade>,
+    /// Cell `i`'s statistics end at `stat_ends[i]` in `stat_attrs` and
+    /// `stats`, and start where cell `i - 1`'s end.
+    stat_ends: Vec<u32>,
+    /// The attribute index of each stored statistic.
+    stat_attrs: Vec<u16>,
+    /// The non-empty statistics (positive count) only.
+    stats: Vec<AttributeStats>,
     /// Encoded size of the summary this delta was flattened from (what
-    /// the wire carried; 0 when built straight from a tree).
+    /// the wire carries; 0 unless recorded).
     encoded_bytes: usize,
+}
+
+/// One cell of a [`SourceDelta`], borrowed from its arrays.
+#[derive(Debug, Clone, Copy)]
+pub struct FlatCell<'a> {
+    /// The cell's key, one label per attribute.
+    pub key: &'a [LabelId],
+    /// The source's weight in the cell.
+    pub weight: f64,
+    /// The cell's grades, one per attribute.
+    pub grades: &'a [Grade],
+    /// The attribute index of each entry of `stats`.
+    pub stat_attrs: &'a [u16],
+    /// The cell's non-empty statistics.
+    pub stats: &'a [AttributeStats],
 }
 
 impl SourceDelta {
@@ -93,42 +121,107 @@ impl SourceDelta {
     /// and statistics are shared across contributors, so the flattening
     /// is an upper bound; the P2P layer never needs that case.
     pub fn from_tree(tree: &SummaryTree, source: SourceId) -> Self {
-        Self::from_cells(tree.cells().iter().filter_map(|(key, entry)| {
+        let cells = tree.cells().iter().filter_map(|(key, entry)| {
             let weight = entry.content.per_source.get(&source).copied()?;
-            let cell = DeltaCell {
-                weight,
-                grades: entry.content.max_grades.clone(),
-                stats: entry.stats.clone(),
-            };
-            Some((key, cell))
-        }))
+            Some((key, weight, &entry.content.max_grades[..], &entry.stats[..]))
+        });
+        Self::from_cells(source, tree.bk_name(), tree.label_counts(), cells)
     }
 
-    /// A delta over `(key, cell)` pairs.
-    fn from_cells<'k>(cells: impl IntoIterator<Item = (&'k CellKey, DeltaCell)>) -> Self {
-        let mut labels = Vec::new();
-        let cells = cells
-            .into_iter()
-            .map(|(key, cell)| {
-                labels.extend_from_slice(&key.0);
-                cell
-            })
-            .collect();
-        Self {
-            labels,
-            cells,
+    /// A delta of explicit `(key, weight, grades, statistics)` cells for
+    /// `source`, over the BK `bk_name` with `label_counts` labels per
+    /// attribute: one grade and one statistic per attribute and cell.
+    /// Statistics with no positive count are dropped.
+    pub fn from_cells<'c>(
+        source: SourceId,
+        bk_name: &str,
+        label_counts: &[usize],
+        cells: impl IntoIterator<Item = (&'c CellKey, f64, &'c [Grade], &'c [AttributeStats])>,
+    ) -> Self {
+        let cells = cells.into_iter();
+        let n = cells.size_hint().1.unwrap_or(0);
+        let arity = label_counts.len();
+        let mut delta = Self {
+            source,
+            bk_name: bk_name.to_string(),
+            label_counts: label_counts.to_vec(),
+            labels: Vec::with_capacity(n * arity),
+            weights: Vec::with_capacity(n),
+            grades: Vec::with_capacity(n * arity),
+            stat_ends: Vec::with_capacity(n),
+            stat_attrs: Vec::new(),
+            stats: Vec::new(),
             encoded_bytes: 0,
+        };
+        for (key, weight, grades, stats) in cells {
+            assert_eq!((key.0.len(), grades.len()), (arity, arity), "cell shape");
+            delta.labels.extend_from_slice(&key.0);
+            delta.weights.push(weight);
+            delta.grades.extend_from_slice(grades);
+            for (attr, st) in stats.iter().enumerate() {
+                if st.count() > 0.0 {
+                    delta.stat_attrs.push(attr as u16);
+                    delta.stats.push(*st);
+                }
+            }
+            delta.stat_ends.push(delta.stats.len() as u32);
         }
+        // Every peer keeps its flat form resident: hold no spare capacity.
+        delta.labels.shrink_to_fit();
+        delta.weights.shrink_to_fit();
+        delta.grades.shrink_to_fit();
+        delta.stat_ends.shrink_to_fit();
+        delta.stat_attrs.shrink_to_fit();
+        delta.stats.shrink_to_fit();
+        delta
     }
 
-    /// Each cell with its key's labels, over a BK of `arity` attributes.
-    fn keyed_cells(&self, arity: usize) -> impl Iterator<Item = (&[LabelId], &DeltaCell)> {
-        self.labels.chunks_exact(arity).zip(&self.cells)
+    /// Records `bytes` as the encoded size of the summary the delta was
+    /// flattened from.
+    pub fn with_encoded_bytes(mut self, bytes: usize) -> Self {
+        self.encoded_bytes = bytes;
+        self
+    }
+
+    /// The source the delta was flattened for.
+    pub fn source(&self) -> SourceId {
+        self.source
+    }
+
+    /// The name of the BK the delta's cells are keyed over.
+    pub fn bk_name(&self) -> &str {
+        &self.bk_name
+    }
+
+    /// Per-attribute label counts of that BK.
+    pub fn label_counts(&self) -> &[usize] {
+        &self.label_counts
+    }
+
+    /// The cells, in the order they were flattened.
+    pub fn cells(&self) -> impl Iterator<Item = FlatCell<'_>> {
+        let arity = self.label_counts.len();
+        let starts = std::iter::once(0).chain(self.stat_ends.iter().copied());
+        let stat_ranges = starts
+            .zip(&self.stat_ends)
+            .map(|(a, &b)| a as usize..b as usize);
+        self.labels
+            .chunks_exact(arity)
+            .zip(&self.weights)
+            .zip(self.grades.chunks_exact(arity))
+            .zip(stat_ranges)
+            .map(|(((key, &weight), grades), range)| FlatCell {
+                key,
+                weight,
+                grades,
+                stat_attrs: &self.stat_attrs[range.clone()],
+                stats: &self.stats[range],
+            })
     }
 
     /// Number of cells this source contributes.
     pub fn cell_count(&self) -> usize {
-        self.cells.len()
+        self.weights.len()
     }
 
     /// Encoded size of the summary the delta was flattened from.
@@ -137,10 +230,10 @@ impl SourceDelta {
     }
 
     /// Cells whose weight is positive but too faint to enter an intent.
-    fn faint_cells(&self) -> usize {
-        self.cells
+    pub fn faint_cells(&self) -> usize {
+        self.weights
             .iter()
-            .filter(|c| c.weight > 0.0 && c.weight <= INTENT_THRESHOLD)
+            .filter(|&&w| w > 0.0 && w <= INTENT_THRESHOLD)
             .count()
     }
 }
@@ -154,7 +247,8 @@ pub struct GsAccumulator {
     bk_name: String,
     label_counts: Vec<usize>,
     config: EngineConfig,
-    sources: BTreeMap<SourceId, SourceDelta>,
+    /// Each source's contribution, shared with whoever flattened it.
+    sources: BTreeMap<SourceId, Rc<SourceDelta>>,
     /// Stored contributions weighing in (0, [`INTENT_THRESHOLD`]]; while
     /// any exist, localization falls back to the built tree.
     faint: usize,
@@ -172,15 +266,6 @@ impl GsAccumulator {
         }
     }
 
-    /// Stores `delta` as `source`'s contribution, replacing any previous
-    /// one, and keeps the faint-contribution count.
-    fn insert(&mut self, source: SourceId, delta: SourceDelta) {
-        self.faint += delta.faint_cells();
-        if let Some(old) = self.sources.insert(source, delta) {
-            self.faint -= old.faint_cells();
-        }
-    }
-
     /// Replaces (or inserts) `source`'s contribution with the leaves of
     /// `tree`. The tree must be built over the accumulator's BK.
     pub fn update_source(
@@ -188,14 +273,8 @@ impl GsAccumulator {
         source: SourceId,
         tree: &SummaryTree,
     ) -> Result<(), SummaryError> {
-        if tree.bk_name() != self.bk_name || tree.label_counts() != &self.label_counts[..] {
-            return Err(SummaryError::IncompatibleBk {
-                left: self.bk_name.clone(),
-                right: tree.bk_name().to_string(),
-            });
-        }
-        self.insert(source, SourceDelta::from_tree(tree, source));
-        Ok(())
+        let delta = Rc::new(SourceDelta::from_tree(tree, source));
+        self.update_source_flat(source, &delta).map(drop)
     }
 
     /// [`GsAccumulator::update_source`] from an encoded summary: decodes
@@ -207,11 +286,36 @@ impl GsAccumulator {
         bytes: &[u8],
     ) -> Result<usize, SummaryError> {
         let tree = crate::wire::decode(bytes)?;
-        self.update_source(source, &tree)?;
-        if let Some(delta) = self.sources.get_mut(&source) {
-            delta.encoded_bytes = bytes.len();
+        let delta = SourceDelta::from_tree(&tree, source).with_encoded_bytes(bytes.len());
+        self.update_source_flat(source, &Rc::new(delta))
+    }
+
+    /// Stores `delta` — shared, not copied — as `source`'s contribution,
+    /// replacing any previous one. The delta must be keyed over the
+    /// accumulator's BK and flattened for `source`; otherwise nothing
+    /// changes. Returns the delta's recorded encoded size.
+    pub fn update_source_flat(
+        &mut self,
+        source: SourceId,
+        delta: &Rc<SourceDelta>,
+    ) -> Result<usize, SummaryError> {
+        if delta.bk_name != self.bk_name || delta.label_counts != self.label_counts {
+            return Err(SummaryError::IncompatibleBk {
+                left: self.bk_name.clone(),
+                right: delta.bk_name.clone(),
+            });
         }
-        Ok(bytes.len())
+        if delta.source != source {
+            return Err(SummaryError::ForeignSource {
+                source: source.0,
+                flattened_for: delta.source.0,
+            });
+        }
+        self.faint += delta.faint_cells();
+        if let Some(old) = self.sources.insert(source, Rc::clone(delta)) {
+            self.faint -= old.faint_cells();
+        }
+        Ok(delta.encoded_bytes)
     }
 
     /// Drops `source`'s contribution. Returns whether it was present.
@@ -243,6 +347,17 @@ impl GsAccumulator {
         self.sources.keys().copied()
     }
 
+    /// Each contributing source with its stored delta, in id order.
+    pub fn deltas(&self) -> impl Iterator<Item = (SourceId, &SourceDelta)> + '_ {
+        self.sources.iter().map(|(&s, d)| (s, &**d))
+    }
+
+    /// Stored cells weighing in (0, [`INTENT_THRESHOLD`]]; while any
+    /// exist, [`GsAccumulator::relevant_sources`] builds the tree.
+    pub fn faint_cells(&self) -> usize {
+        self.faint
+    }
+
     /// Drops every contribution (domain dissolution).
     pub fn clear(&mut self) {
         self.sources.clear();
@@ -259,14 +374,17 @@ impl GsAccumulator {
             return crate::query::relevant_sources(&self.build_merged(), prop);
         }
         let arity = self.label_counts.len();
-        // Labels first: they sit back to back, while a weight is a load
-        // from the cell's payload.
-        let satisfies = |(key, cell): (&[LabelId], &DeltaCell)| {
-            prop.clauses.iter().all(|c| c.set.contains(key[c.attr])) && cell.weight > 0.0
+        // Labels first: they sit back to back, weights in a run of their
+        // own.
+        let satisfies = |(key, &weight): (&[LabelId], &f64)| {
+            prop.clauses.iter().all(|c| c.set.contains(key[c.attr])) && weight > 0.0
         };
         self.sources
             .iter()
-            .filter(|(_, delta)| delta.keyed_cells(arity).any(satisfies))
+            .filter(|(_, delta)| {
+                let mut cells = delta.labels.chunks_exact(arity).zip(&delta.weights);
+                cells.any(satisfies)
+            })
             .map(|(&source, _)| source)
             .collect()
     }
@@ -280,47 +398,34 @@ impl GsAccumulator {
     /// on the order updates and removals happened in.
     pub fn build_merged(&self) -> SummaryTree {
         let mut tree = SummaryTree::new(self.bk_name.clone(), self.label_counts.clone());
-        let mut run = Vec::new();
-        for (labels, contribs) in self.by_cell() {
-            let key = CellKey(labels.to_vec());
-            run.clear();
-            run.extend(contribs.into_iter().map(|(source, cell)| Contribution {
-                source,
-                weight: cell.weight,
-                grades: &cell.grades,
-                stats: StatsUpdate::Merge(&cell.stats),
-            }));
-            incorporate_contributions(&mut tree, &self.config, &key, &run);
-        }
-        tree
-    }
-
-    /// Every stored contribution grouped by cell, cells in key order and
-    /// contributors in source-id order.
-    fn by_cell(&self) -> BTreeMap<&[LabelId], Vec<(SourceId, &DeltaCell)>> {
-        let arity = self.label_counts.len();
-        let mut by_cell: BTreeMap<&[LabelId], Vec<(SourceId, &DeltaCell)>> = BTreeMap::new();
-        for (&src, delta) in &self.sources {
-            for (key, cell) in delta.keyed_cells(arity) {
-                by_cell.entry(key).or_default().push((src, cell));
+        let mut by_cell: BTreeMap<&[LabelId], Vec<Contribution<'_>>> = BTreeMap::new();
+        for (&source, delta) in &self.sources {
+            for cell in delta.cells() {
+                by_cell.entry(cell.key).or_default().push(Contribution {
+                    source,
+                    weight: cell.weight,
+                    grades: cell.grades,
+                    stats: StatsUpdate::Merge(cell.stat_attrs, cell.stats),
+                });
             }
         }
-        by_cell
+        for (labels, run) in by_cell {
+            incorporate_contributions(&mut tree, &self.config, &CellKey(labels.to_vec()), &run);
+        }
+        tree
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::{incorporate_cell, SaintEtiQEngine};
-    use crate::hierarchy::Node;
+    use crate::engine::SaintEtiQEngine;
     use crate::merge::merge_all;
     use crate::wire;
     use fuzzy::bk::BackgroundKnowledge;
-    use rand::{Rng, SeedableRng};
+    use rand::SeedableRng;
     use relation::generator::{patient_table, MatchTarget, PatientDistributions};
     use relation::schema::Schema;
-    use std::collections::BTreeSet;
 
     fn local_summary(seed: u64, source: u32, n: usize) -> SummaryTree {
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
@@ -445,224 +550,6 @@ mod tests {
         assert!(!a.contains(SourceId(4)), "failed decode leaves no entry");
     }
 
-    /// The build before cells were folded as runs, kept as the reference:
-    /// every contribution goes through `incorporate_cell` and
-    /// `merge_cell_stats` on its own.
-    fn reference_build(a: &GsAccumulator) -> SummaryTree {
-        let mut tree = SummaryTree::new(a.bk_name.clone(), a.label_counts.clone());
-        for (labels, contribs) in a.by_cell() {
-            let key = &CellKey(labels.to_vec());
-            for (src, cell) in contribs {
-                incorporate_cell(
-                    &mut tree,
-                    &a.config,
-                    key,
-                    src,
-                    cell.weight,
-                    &cell.grades,
-                    None,
-                );
-                tree.merge_cell_stats(key, &cell.stats);
-            }
-        }
-        tree
-    }
-
-    /// Asserts that two trees are equal node for node, down to the bits of
-    /// every count and histogram slot, and that every intent is its
-    /// histogram's support.
-    fn assert_same_tree(a: &SummaryTree, b: &SummaryTree) {
-        assert_eq!(wire::encode(a), wire::encode(b));
-        let hist_bits = |n: &Node| -> Vec<u64> { n.hist.iter().map(|w| w.to_bits()).collect() };
-        let support =
-            |n: &Node| -> Vec<bool> { n.hist.iter().map(|&w| w > INTENT_THRESHOLD).collect() };
-        let intent_bits = |n: &Node| -> Vec<bool> {
-            a.label_counts()
-                .iter()
-                .zip(&n.intent.sets)
-                .flat_map(|(&len, s)| (0..len).map(|l| s.contains(LabelId(l as u16))))
-                .collect()
-        };
-        let mut stack = vec![(a.root(), b.root())];
-        while let Some((x, y)) = stack.pop() {
-            let (nx, ny) = (a.node(x), b.node(y));
-            assert_eq!(nx.count.to_bits(), ny.count.to_bits(), "count at {x:?}");
-            assert_eq!(hist_bits(nx), hist_bits(ny), "hist at {x:?}");
-            assert_eq!(nx.intent, ny.intent, "intent at {x:?}");
-            assert_eq!(intent_bits(nx), support(nx), "intent != support at {x:?}");
-            assert_eq!(nx.cell, ny.cell, "cell at {x:?}");
-            assert_eq!(nx.children.len(), ny.children.len(), "arity at {x:?}");
-            stack.extend(nx.children.iter().copied().zip(ny.children.iter().copied()));
-        }
-    }
-
-    /// `n` synthetic sources over the CBK grid. Every source contributes to
-    /// one hot cell; the first 27 also own a private cell each; the rest
-    /// of the cells are random. Weights mix ordinary values with zero and
-    /// negative ones (which add nothing) and positive ones at or below the
-    /// intent threshold.
-    fn synthetic(n: u32, seed: u64) -> GsAccumulator {
-        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-        let key = |l: [u16; 4]| CellKey(l.iter().map(|&x| LabelId(x)).collect());
-        let mut a = acc();
-        for s in 0..n {
-            let mut keys = BTreeSet::from([key([0, 0, 0, 0])]);
-            if s < 27 {
-                keys.insert(key([
-                    (s % 3) as u16,
-                    (s / 3 % 3) as u16,
-                    (s / 9) as u16,
-                    11,
-                ]));
-            }
-            for _ in 0..rng.gen_range(0..8) {
-                keys.insert(key([
-                    rng.gen_range(0..3),
-                    rng.gen_range(0..3),
-                    rng.gen_range(0..3),
-                    rng.gen_range(0..11),
-                ]));
-            }
-            let cells = keys.iter().map(|key| {
-                let weight = match (s, rng.gen_range(0..10)) {
-                    (0, _) | (_, 0) => -0.5,
-                    (1, _) | (_, 1) => 0.0,
-                    (2, _) | (_, 2) => 1e-13,
-                    (_, 3) => 1e-12,
-                    _ => rng.gen_range(0.01..2.0),
-                };
-                let mut stats = vec![AttributeStats::new(); 4];
-                for st in &mut stats {
-                    if rng.gen_bool(0.5) {
-                        st.push_weighted(rng.gen_range(0.0..100.0), rng.gen_range(0.1..2.0));
-                    }
-                }
-                let grades = (0..4).map(|_| rng.gen_range(0.0..1.0)).collect();
-                let cell = DeltaCell {
-                    weight,
-                    grades,
-                    stats,
-                };
-                (key, cell)
-            });
-            a.insert(SourceId(s), SourceDelta::from_cells(cells));
-        }
-        a
-    }
-
-    #[test]
-    fn folded_runs_match_the_one_at_a_time_build() {
-        for (n, seed) in [(3, 1), (40, 2), (400, 3)] {
-            let a = synthetic(n, seed);
-            let built = a.build_merged();
-            assert_same_tree(&built, &reference_build(&a));
-            if n == 400 {
-                let sources = |e: &crate::hierarchy::CellEntry| e.content.per_source.len();
-                assert!(built.cells().values().any(|e| sources(e) == 1));
-                assert!(built.cells().values().any(|e| sources(e) >= 200));
-            }
-        }
-        // Real local summaries, one source per cell and many.
-        let mut a = acc();
-        for i in 0..60 {
-            a.update_source(SourceId(i), &local_summary(300 + i as u64, i, 40))
-                .unwrap();
-        }
-        let built = a.build_merged();
-        built.check_invariants();
-        assert_same_tree(&built, &reference_build(&a));
-    }
-
-    /// Every one-clause proposition over each attribute's label subsets
-    /// (the 12-label attribute: every subset when `all_subsets`, else its
-    /// singletons and their complements), two-clause ones, an
-    /// unsatisfiable one and the empty one.
-    fn propositions(all_subsets: bool) -> Vec<Proposition> {
-        use crate::query::proposition::Clause;
-        use fuzzy::descriptor::DescriptorSet;
-        let counts = acc().label_counts;
-        let set = |mask: u32| {
-            DescriptorSet::from_labels((0..12u16).filter(|l| mask >> l & 1 == 1).map(LabelId))
-        };
-        let clause = |attr: usize, mask: u32| Clause {
-            attr,
-            set: set(mask),
-        };
-        let mut out = vec![Proposition::default()];
-        for (attr, &n) in counts.iter().enumerate() {
-            let full = (1u32 << n) - 1;
-            let masks: Vec<u32> = if n <= 3 || all_subsets {
-                (1..=full).collect()
-            } else {
-                (0..n).flat_map(|l| [1 << l, full ^ (1 << l)]).collect()
-            };
-            out.extend(masks.into_iter().map(|m| Proposition {
-                clauses: vec![clause(attr, m)],
-            }));
-        }
-        for (a, b) in [(0b001, 0b011), (0b110, 0b010), (0b101, 0b111)] {
-            out.push(Proposition {
-                clauses: vec![clause(0, a), clause(2, b)],
-            });
-            out.push(Proposition {
-                clauses: vec![clause(1, a), clause(3, b << 9 | b)],
-            });
-        }
-        out.push(Proposition {
-            clauses: vec![clause(0, 0b001), clause(1, 0)],
-        });
-        out
-    }
-
-    fn assert_scan_matches_tree(a: &GsAccumulator, props: &[Proposition]) {
-        let tree = a.build_merged();
-        for p in props {
-            assert_eq!(
-                a.relevant_sources(p),
-                crate::query::relevant_sources(&tree, p),
-                "localization differs for {p:?}"
-            );
-        }
-    }
-
-    #[test]
-    fn localization_scan_matches_tree_selection() {
-        // Zero, negative and faint weights: faint ones take the fallback.
-        for (n, seed) in [(3, 1), (40, 2), (400, 3)] {
-            let a = synthetic(n, seed);
-            assert!(a.faint > 0, "the synthetic sources carry faint cells");
-            assert_scan_matches_tree(&a, &propositions(false));
-        }
-        // Real local summaries: the scan itself.
-        let mut a = acc();
-        for i in 0..60 {
-            a.update_source(SourceId(i), &local_summary(300 + i as u64, i, 40))
-                .unwrap();
-        }
-        assert_eq!(a.faint, 0);
-        assert_scan_matches_tree(&a, &propositions(true));
-        // The faint count follows replacements and removals.
-        let mut b = synthetic(40, 2);
-        let faint: Vec<SourceId> = b
-            .sources
-            .iter()
-            .filter(|(_, d)| d.faint_cells() > 0)
-            .map(|(&s, _)| s)
-            .collect();
-        for s in faint {
-            if s.0 % 2 == 0 {
-                b.remove_source(s);
-            } else {
-                b.update_source(s, &local_summary(500 + u64::from(s.0), s.0, 20))
-                    .unwrap();
-            }
-        }
-        assert_eq!(b.faint, 0);
-        assert_scan_matches_tree(&b, &propositions(false));
-        b.clear();
-        assert!(b.relevant_sources(&Proposition::default()).is_empty());
-    }
-
     #[test]
     fn incompatible_bk_rejected() {
         let t = local_summary(80, 1, 20);
@@ -673,5 +560,38 @@ mod tests {
         ));
         let mut wrong_shape = GsAccumulator::new(t.bk_name(), vec![1, 2]);
         assert!(wrong_shape.update_source(SourceId(1), &t).is_err());
+
+        // The shared flat form is checked the same way, and a delta
+        // flattened for another source is refused too. A refused update
+        // leaves the accumulator as it was.
+        let flat = Rc::new(SourceDelta::from_tree(&t, SourceId(1)));
+        for acc in [&mut wrong, &mut wrong_shape] {
+            assert!(matches!(
+                acc.update_source_flat(SourceId(1), &flat),
+                Err(SummaryError::IncompatibleBk { .. })
+            ));
+            assert!(acc.is_empty());
+        }
+        let mut a = acc();
+        a.update_source(SourceId(1), &local_summary(81, 1, 20))
+            .unwrap();
+        a.update_source(SourceId(2), &local_summary(82, 2, 20))
+            .unwrap();
+        let before = wire::encode(&a.build_merged());
+        assert!(matches!(
+            a.update_source_flat(SourceId(2), &flat),
+            Err(SummaryError::ForeignSource {
+                source: 2,
+                flattened_for: 1
+            })
+        ));
+        assert!(matches!(
+            a.update_source_flat(SourceId(3), &flat),
+            Err(SummaryError::ForeignSource { .. })
+        ));
+        assert_eq!(a.sources().collect::<Vec<_>>(), [SourceId(1), SourceId(2)]);
+        assert_eq!(wire::encode(&a.build_merged()), before);
+        assert_eq!(a.update_source_flat(SourceId(1), &flat), Ok(0));
+        assert_ne!(wire::encode(&a.build_merged()), before);
     }
 }

@@ -23,6 +23,14 @@ pub enum SummaryError {
         /// BK name of the right summary.
         right: String,
     },
+    /// A flattened contribution was offered for a source other than the
+    /// one it was flattened for.
+    ForeignSource {
+        /// The source the contribution was offered for.
+        source: u32,
+        /// The source it was flattened for.
+        flattened_for: u32,
+    },
     /// Wire decoding failed.
     Codec(String),
     /// A value fell outside every label of its vocabulary (BK does not
@@ -53,6 +61,13 @@ impl fmt::Display for SummaryError {
                     "incompatible background knowledge: `{left}` vs `{right}`"
                 )
             }
+            SummaryError::ForeignSource {
+                source,
+                flattened_for,
+            } => write!(
+                f,
+                "contribution flattened for source {flattened_for} offered for source {source}"
+            ),
             SummaryError::Codec(msg) => write!(f, "summary codec error: {msg}"),
             SummaryError::Unmappable { attribute, value } => {
                 write!(f, "value `{value}` of `{attribute}` matches no BK label")

@@ -151,8 +151,9 @@ pub enum StatsUpdate<'a> {
     /// contribution's weight (local summarization).
     Raw(&'a [Option<f64>]),
     /// Already-folded statistics, merged in (merging hierarchies, where
-    /// raw values are no longer available).
-    Merge(&'a [AttributeStats]),
+    /// raw values are no longer available): `stats[i]` is attribute
+    /// `attrs[i]`'s, and attributes left out carry none.
+    Merge(&'a [u16], &'a [AttributeStats]),
 }
 
 /// One source's contribution to a grid cell, as folded by
@@ -545,9 +546,9 @@ impl SummaryTree {
                         }
                     }
                 }
-                StatsUpdate::Merge(stats) => {
-                    for (own, other) in entry.stats.iter_mut().zip(stats) {
-                        own.merge(other);
+                StatsUpdate::Merge(attrs, stats) => {
+                    for (&attr, other) in attrs.iter().zip(stats) {
+                        entry.stats[usize::from(attr)].merge(other);
                     }
                 }
             }

@@ -26,7 +26,8 @@
 //!   hierarchy into another (Bechchi et al., CIKM 2007 \[27\]), with cost
 //!   independent of the number of raw tuples;
 //! * **delta reconciliation** ([`delta`]) — a per-source accumulator
-//!   over merged summaries (`update_source` / `remove_source`) whose
+//!   over merged summaries (`update_source_flat` / `remove_source`),
+//!   fed each source's summary in a flat form built once, whose
 //!   canonical rebuild lets global summaries be maintained by pulling
 //!   only the stale subset of partners instead of re-merging everyone;
 //! * **incremental maintenance** ([`maintenance`]) — a summary changes
