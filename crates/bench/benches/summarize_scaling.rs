@@ -13,6 +13,7 @@ use relation::generator::{numeric_table, patient_table, MatchTarget, PatientDist
 use relation::schema::{AttrType, Attribute, Schema};
 use saintetiq::cell::SourceId;
 use saintetiq::engine::{EngineConfig, SaintEtiQEngine};
+use summary_p2p::workload::{make_templates, PeerGenerator};
 
 fn numeric_schema(arity: usize) -> Schema {
     Schema::new(
@@ -100,6 +101,20 @@ fn bench_local(c: &mut Criterion) {
             })
         });
     }
+    // One drift's regeneration as the kernel makes it: a bound generator
+    // draws a fresh 16-record database (3 templates, match fraction 0.1),
+    // verifies its ground truth, summarizes it, encodes and flattens it.
+    let mut generator = PeerGenerator::new(&bk, &make_templates(3)).expect("BK binds");
+    let mut rng = rand::rngs::StdRng::seed_from_u64(5);
+    group.throughput(Throughput::Elements(16));
+    group.bench_function("regenerate_peer", |b| {
+        b.iter(|| {
+            let data = generator
+                .generate(&mut rng, 0, 0.1, 16)
+                .expect("valid workload");
+            data.summary.len()
+        })
+    });
     group.finish();
 }
 

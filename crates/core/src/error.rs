@@ -17,6 +17,15 @@ pub enum P2pError {
     Relation(relation::RelationError),
     /// A configuration value is out of its legal range.
     BadConfig(String),
+    /// A generated database disagrees with its ground truth: exact
+    /// evaluation of template `template` says `!claimed`, where the
+    /// generator claimed `claimed`.
+    GroundTruth {
+        /// The template index.
+        template: usize,
+        /// Whether the generator claimed a match.
+        claimed: bool,
+    },
 }
 
 impl fmt::Display for P2pError {
@@ -28,6 +37,13 @@ impl fmt::Display for P2pError {
             P2pError::Summary(e) => write!(f, "summarization error: {e}"),
             P2pError::Relation(e) => write!(f, "relational error: {e}"),
             P2pError::BadConfig(msg) => write!(f, "bad configuration: {msg}"),
+            P2pError::GroundTruth { template, claimed } => write!(
+                f,
+                "generated database breaks its ground truth: template {template} \
+                 {} by construction but {} by exact evaluation",
+                if *claimed { "matches" } else { "misses" },
+                if *claimed { "misses" } else { "matches" },
+            ),
         }
     }
 }

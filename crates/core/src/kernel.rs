@@ -138,7 +138,7 @@ use crate::peerstate::{empty_accumulator, DomainCore, MessageLedger, PeerState, 
 use crate::routing::{
     visited_peers, LookupConversation, QueryOutcome, RebirthConversation, RingConversation,
 };
-use crate::workload::{generate_peer_data, make_templates, QueryTemplate, ZipfSampler};
+use crate::workload::{make_templates, PeerGenerator, ZipfSampler};
 
 /// Sentinel id for the implicit summary peer of the single-domain
 /// simulation (it has no slot in the peer vector or the topology).
@@ -329,8 +329,9 @@ pub struct HitRun {
 /// physical network, driven by one event loop.
 pub struct SimKernel {
     pub(crate) cfg: SimConfig,
-    bk: BackgroundKnowledge,
-    templates: Vec<QueryTemplate>,
+    /// Generates every peer's database and local summary, at
+    /// construction, drift and promoted-SP re-entry.
+    generator: PeerGenerator,
     reformulated: Vec<SummaryQuery>,
     sim: Simulator<KernelEvent>,
     pub(crate) peers: Vec<Option<PeerState>>,
@@ -411,18 +412,17 @@ struct RebirthSeed {
     stalled: bool,
 }
 
-/// The medical workload every kernel mode shares: the CBK plus the
-/// query templates reformulated against it.
-fn build_workload(
-    cfg: &SimConfig,
-) -> Result<(BackgroundKnowledge, Vec<QueryTemplate>, Vec<SummaryQuery>), P2pError> {
+/// The medical workload every kernel mode shares: a peer generator bound
+/// to the CBK and the query templates, plus the templates reformulated
+/// against the CBK.
+fn build_workload(cfg: &SimConfig) -> Result<(PeerGenerator, Vec<SummaryQuery>), P2pError> {
     let bk = BackgroundKnowledge::medical_cbk();
     let templates = make_templates(cfg.template_count);
     let reformulated: Vec<SummaryQuery> = templates
         .iter()
         .map(|t| reformulate(&t.query, &bk))
         .collect::<Result<_, _>>()?;
-    Ok((bk, templates, reformulated))
+    Ok((PeerGenerator::new(&bk, &templates)?, reformulated))
 }
 
 /// The answer a peer returns to a lookup's originator: one result tuple
@@ -454,18 +454,16 @@ impl SimKernel {
     /// [`crate::domain::DomainSim`] semantics.
     pub fn single_domain(cfg: SimConfig) -> Result<Self, P2pError> {
         cfg.validate()?;
-        let (bk, templates, reformulated) = build_workload(&cfg)?;
+        let (mut generator, reformulated) = build_workload(&cfg)?;
 
         let mut sim = Simulator::<KernelEvent>::new(cfg.seed);
         sim.set_horizon(cfg.horizon);
 
         let mut peers: Vec<Option<PeerState>> = Vec::with_capacity(cfg.n_peers);
         for p in 0..cfg.n_peers {
-            let data = generate_peer_data(
+            let data = generator.generate(
                 sim.rng(),
                 p as u32,
-                &bk,
-                &templates,
                 cfg.match_fraction,
                 cfg.records_per_peer,
             )?;
@@ -478,8 +476,7 @@ impl SimKernel {
 
         let mut this = Self {
             cfg,
-            bk,
-            templates,
+            generator,
             reformulated,
             sim,
             peers,
@@ -517,8 +514,8 @@ impl SimKernel {
         let zipf = this
             .cfg
             .zipf_exponent
-            .map(|s| ZipfSampler::new(this.templates.len(), s));
-        for (template, at) in query_sample_times(&this.cfg, this.templates.len()) {
+            .map(|s| ZipfSampler::new(this.generator.templates().len(), s));
+        for (template, at) in query_sample_times(&this.cfg, this.generator.templates().len()) {
             let template = match &zipf {
                 Some(z) => z.sample(this.sim.rng()),
                 None => template,
@@ -555,16 +552,14 @@ impl SimKernel {
         let superpeers = elect_superpeers(&net, sp_count);
         let topo = construct_domains(&net, &superpeers, cfg.sumpeer_ttl);
 
-        let (bk, templates, reformulated) = build_workload(&cfg)?;
+        let (mut generator, reformulated) = build_workload(&cfg)?;
 
         let mut peers: Vec<Option<PeerState>> = vec![None; cfg.n_peers];
         for (i, assignment) in topo.assignment.iter().enumerate() {
             if assignment.is_some() {
-                peers[i] = Some(PeerState::new(generate_peer_data(
+                peers[i] = Some(PeerState::new(generator.generate(
                     &mut rng,
                     i as u32,
-                    &bk,
-                    &templates,
                     cfg.match_fraction,
                     cfg.records_per_peer,
                 )?));
@@ -610,8 +605,7 @@ impl SimKernel {
         let n_domains = domains.len();
         let mut this = Self {
             cfg,
-            bk,
-            templates,
+            generator,
             reformulated,
             sim,
             peers,
@@ -748,8 +742,8 @@ impl SimKernel {
         let zipf = self
             .cfg
             .zipf_exponent
-            .map(|s| ZipfSampler::new(self.templates.len(), s));
-        for (template, at) in query_sample_times(&self.cfg, self.templates.len()) {
+            .map(|s| ZipfSampler::new(self.generator.templates().len(), s));
+        for (template, at) in query_sample_times(&self.cfg, self.generator.templates().len()) {
             let origin = partners[self.sim.rng().gen_range(0..partners.len())];
             let template = match &zipf {
                 Some(z) => z.sample(self.sim.rng()),
@@ -770,21 +764,23 @@ impl SimKernel {
                     // The data drifted: regenerate the database and its
                     // local summary, then push the stale flag. A
                     // generation failure (impossible for a config that
-                    // built) keeps the previous data.
-                    if let Ok(data) = generate_peer_data(
+                    // built) is counted and keeps the previous data.
+                    match self.generator.generate(
                         self.sim.rng(),
                         p.0,
-                        &self.bk,
-                        &self.templates,
                         self.cfg.match_fraction,
                         self.cfg.records_per_peer,
                     ) {
-                        let st = self.peers[idx].as_mut().expect("up peer has state");
-                        st.data = data;
-                        // Stays set until the new summary is merged into
-                        // an accumulator — the rebirth seeding signal
-                        // for pushes lost to a dissolving domain.
-                        st.dirty = true;
+                        Ok(data) => {
+                            let st = self.peers[idx].as_mut().expect("up peer has state");
+                            st.data = data;
+                            // Stays set until the new summary is merged
+                            // into an accumulator — the rebirth seeding
+                            // signal for pushes lost to a dissolving
+                            // domain.
+                            st.dirty = true;
+                        }
+                        Err(e) => self.note_error(e),
                     }
                     if let Some(d) = self.domain_of[idx] {
                         self.send_push(p, d, 1);
@@ -1704,19 +1700,22 @@ impl SimKernel {
         // database) and its next scheduled session join revives it —
         // otherwise every rebirth would permanently drain one peer.
         if self.promoted_sps.remove(&sp) {
-            if let Ok(data) = generate_peer_data(
+            // A generation failure is counted and keeps the previous
+            // data.
+            match self.generator.generate(
                 self.sim.rng(),
                 sp.0,
-                &self.bk,
-                &self.templates,
                 self.cfg.match_fraction,
                 self.cfg.records_per_peer,
             ) {
-                let mut st = PeerState::new(data);
-                st.up = false;
-                st.merged_bits = 0;
-                st.drift_scheduled = false;
-                self.peers[sp.index()] = Some(st);
+                Ok(data) => {
+                    let mut st = PeerState::new(data);
+                    st.up = false;
+                    st.merged_bits = 0;
+                    st.drift_scheduled = false;
+                    self.peers[sp.index()] = Some(st);
+                }
+                Err(e) => self.note_error(e),
             }
         }
         // Graceful: the release names the hand-over, so the election
@@ -2667,7 +2666,7 @@ mod tests {
             m.retain(|p| !k.sp_index.contains_key(p));
             m
         };
-        let template = (0..k.templates.len())
+        let template = (0..k.generator.templates().len())
             .find(|&t| partners(&k, t).len() >= 7)
             .expect("a template with seven matching partners");
         let m = partners(&k, template);

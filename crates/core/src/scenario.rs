@@ -27,7 +27,7 @@ use crate::messages::MessageClass;
 use crate::metrics::{DomainReport, MultiDomainReport};
 use crate::peerstate::{DomainCore, MessageLedger, PeerState};
 use crate::routing::RoutingPolicy;
-use crate::workload::{generate_peer_data, make_templates};
+use crate::workload::{make_templates, PeerGenerator};
 
 /// One point of Figure 4 / Figure 5.
 #[derive(Debug, Clone)]
@@ -558,18 +558,18 @@ pub fn reconcile_cost_sweep(
     drift_fractions: &[f64],
     base: &SimConfig,
 ) -> Result<Vec<ReconcilePoint>, P2pError> {
-    let bk = BackgroundKnowledge::medical_cbk();
-    let templates = make_templates(base.template_count);
+    let mut generator = PeerGenerator::new(
+        &BackgroundKnowledge::medical_cbk(),
+        &make_templates(base.template_count),
+    )?;
     let mut out = Vec::new();
     for &n in sizes {
         let mut rng = StdRng::seed_from_u64(base.seed ^ (n as u64).wrapping_mul(0xA24B_AED4));
         let mut peers: Vec<Option<PeerState>> = Vec::with_capacity(n);
         for p in 0..n {
-            peers.push(Some(PeerState::new(generate_peer_data(
+            peers.push(Some(PeerState::new(generator.generate(
                 &mut rng,
                 p as u32,
-                &bk,
-                &templates,
                 base.match_fraction,
                 base.records_per_peer,
             )?)));
@@ -584,14 +584,8 @@ pub fn reconcile_cost_sweep(
             // Spread the drifted members across the id space.
             for k in 0..stale {
                 let p = (k * n / stale) as u32;
-                let data = generate_peer_data(
-                    &mut rng,
-                    p,
-                    &bk,
-                    &templates,
-                    base.match_fraction,
-                    base.records_per_peer,
-                )?;
+                let data =
+                    generator.generate(&mut rng, p, base.match_fraction, base.records_per_peer)?;
                 peers_i[p as usize].as_mut().expect("generated above").data = data;
                 core_i.cl.set_freshness(NodeId(p), Freshness::NeedsRefresh);
             }

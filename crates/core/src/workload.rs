@@ -7,6 +7,13 @@
 //! (templates select on distinct diseases, and background tuples draw
 //! from a disjoint disease pool). Ground truth is therefore exact, which
 //! the stale-answer accounting of Figures 4–5 requires.
+//!
+//! A [`PeerGenerator`] is bound once to the BK and the templates, and
+//! then generates peer after peer: it keeps the patient schema, the
+//! background distributions and one summarization engine whose mapper is
+//! bound once, whose buffers are reused, and whose tree is taken out for
+//! each peer. A simulation kernel owns one and regenerates a drifted
+//! database with it. [`generate_peer_data`] binds one for a single call.
 
 use std::rc::Rc;
 
@@ -156,14 +163,114 @@ impl PeerData {
     }
 }
 
-/// Generates one peer's database and local summary.
+/// Generates peers' databases and local summaries, bound once to a BK
+/// and a template set.
 ///
-/// Each template is matched independently with probability
-/// `match_fraction`; matched templates contribute one guaranteed matching
-/// tuple, the rest of the `records` rows are background. Ground truth is
-/// re-verified by exact evaluation before the table is discarded.
-/// Relational and summarization failures propagate as [`P2pError`]
-/// instead of panicking.
+/// Binding once changes nothing a peer's data depends on: each
+/// [`PeerGenerator::generate`] makes the same RNG draws and returns the
+/// same [`PeerData`] as a generator bound for that call alone. Nothing
+/// carries over from one peer to the next but the buffers the engine
+/// reuses.
+#[derive(Debug, Clone)]
+pub struct PeerGenerator {
+    templates: Vec<QueryTemplate>,
+    schema: Schema,
+    background: PatientDistributions,
+    engine: SaintEtiQEngine,
+}
+
+impl PeerGenerator {
+    /// Binds a generator to `bk` and `templates`.
+    pub fn new(bk: &BackgroundKnowledge, templates: &[QueryTemplate]) -> Result<Self, P2pError> {
+        let schema = Schema::patient();
+        let engine =
+            SaintEtiQEngine::new(bk.clone(), &schema, EngineConfig::default(), SourceId(0))?;
+        Ok(Self {
+            templates: templates.to_vec(),
+            schema,
+            background: background_distributions(),
+            engine,
+        })
+    }
+
+    /// The templates the generator is bound to.
+    pub fn templates(&self) -> &[QueryTemplate] {
+        &self.templates
+    }
+
+    /// Generates one peer's database and local summary.
+    ///
+    /// Each template is matched independently with probability
+    /// `match_fraction`; matched templates contribute one guaranteed
+    /// matching tuple, the rest of the `records` rows are background.
+    /// Ground truth is re-verified by exact evaluation before the table
+    /// is discarded, in every build: a mismatch is a
+    /// [`P2pError::GroundTruth`]. Relational and summarization failures
+    /// propagate as [`P2pError`] instead of panicking.
+    pub fn generate<R: Rng + ?Sized>(
+        &mut self,
+        rng: &mut R,
+        peer: u32,
+        match_fraction: f64,
+        records: usize,
+    ) -> Result<PeerData, P2pError> {
+        let bg = &self.background;
+        let mut table = Table::new(self.schema.clone());
+        let mut match_bits = 0u32;
+        for (t, tpl) in self.templates.iter().enumerate() {
+            if rng.gen_bool(match_fraction.clamp(0.0, 1.0)) {
+                match_bits |= 1 << t;
+                table.insert(matching_patient(rng, bg, &tpl.target))?;
+            }
+        }
+        while table.len() < records.max(1) {
+            // Background rows avoid every template disease by construction
+            // (the background distribution's pool is disjoint); `avoiding`
+            // against the first template keeps the intent explicit.
+            let row = match self.templates.first() {
+                None => relation::generator::random_patient(rng, bg),
+                Some(first) => avoiding_patient(rng, bg, &first.target),
+            };
+            table.insert(row)?;
+        }
+        check_ground_truth(&self.templates, &table, match_bits)?;
+
+        self.engine.set_source(SourceId(peer));
+        self.engine.summarize_table(&table);
+        let tree = self.engine.take_tree();
+        let summary = wire::encode(&tree);
+        let flat = SourceDelta::from_tree(&tree, SourceId(peer)).with_encoded_bytes(summary.len());
+        Ok(PeerData {
+            match_bits,
+            summary,
+            flat: Rc::new(flat),
+        })
+    }
+}
+
+/// Exact ground-truth verification (the workload's core guarantee):
+/// `table` matches template `t` exactly when bit `t` of `match_bits` is
+/// set.
+fn check_ground_truth(
+    templates: &[QueryTemplate],
+    table: &Table,
+    match_bits: u32,
+) -> Result<(), P2pError> {
+    for (t, tpl) in templates.iter().enumerate() {
+        let claimed = match_bits & (1 << t) != 0;
+        if tpl.query.matches_any(table)? != claimed {
+            return Err(P2pError::GroundTruth {
+                template: t,
+                claimed,
+            });
+        }
+    }
+    Ok(())
+}
+
+/// Generates one peer's database and local summary with a generator
+/// bound for this call only; see [`PeerGenerator::generate`]. Code that
+/// generates many peers keeps one [`PeerGenerator`] instead.
 pub fn generate_peer_data<R: Rng + ?Sized>(
     rng: &mut R,
     peer: u32,
@@ -172,48 +279,7 @@ pub fn generate_peer_data<R: Rng + ?Sized>(
     match_fraction: f64,
     records: usize,
 ) -> Result<PeerData, P2pError> {
-    let bg = background_distributions();
-    let mut table = Table::new(Schema::patient());
-    let mut match_bits = 0u32;
-    for (t, tpl) in templates.iter().enumerate() {
-        if rng.gen_bool(match_fraction.clamp(0.0, 1.0)) {
-            match_bits |= 1 << t;
-            table.insert(matching_patient(rng, &bg, &tpl.target))?;
-        }
-    }
-    while table.len() < records.max(1) {
-        // Background rows avoid every template disease by construction
-        // (the background distribution's pool is disjoint); `avoiding`
-        // against the first template keeps the intent explicit.
-        let row = if templates.is_empty() {
-            relation::generator::random_patient(rng, &bg)
-        } else {
-            avoiding_patient(rng, &bg, &templates[0].target)
-        };
-        table.insert(row)?;
-    }
-
-    // Exact ground-truth verification (the workload's core guarantee).
-    for (t, tpl) in templates.iter().enumerate() {
-        let truly = tpl.query.matches_any(&table)?;
-        debug_assert_eq!(truly, match_bits & (1 << t) != 0, "ground truth drift");
-    }
-
-    let mut engine = SaintEtiQEngine::new(
-        bk.clone(),
-        &Schema::patient(),
-        EngineConfig::default(),
-        SourceId(peer),
-    )?;
-    engine.summarize_table(&table);
-    let tree = engine.into_tree();
-    let summary = wire::encode(&tree);
-    let flat = SourceDelta::from_tree(&tree, SourceId(peer)).with_encoded_bytes(summary.len());
-    Ok(PeerData {
-        match_bits,
-        summary,
-        flat: Rc::new(flat),
-    })
+    PeerGenerator::new(bk, templates)?.generate(rng, peer, match_fraction, records)
 }
 
 #[cfg(test)]
@@ -303,6 +369,29 @@ mod tests {
         for p in 0..20 {
             let pd = generate_peer_data(&mut rng, p, &bk, &templates, 0.0, 15)?;
             assert_eq!(pd.match_bits, 0);
+        }
+        Ok(())
+    }
+
+    #[test]
+    fn broken_ground_truth_is_an_error() -> Result<(), P2pError> {
+        let templates = make_templates(2);
+        let mut table = Table::new(Schema::patient());
+        let mut rng = StdRng::seed_from_u64(3);
+        table.insert(matching_patient(
+            &mut rng,
+            &background_distributions(),
+            &templates[1].target,
+        ))?;
+        check_ground_truth(&templates, &table, 0b10)?;
+        // The table matches template 1, not template 0.
+        for (bits, template, claimed) in [(0b00, 1, false), (0b11, 0, true), (0b01, 0, true)] {
+            let err = check_ground_truth(&templates, &table, bits).unwrap_err();
+            assert_eq!(err, P2pError::GroundTruth { template, claimed });
+            assert!(
+                err.to_string().contains(&format!("template {template}")),
+                "{err}"
+            );
         }
         Ok(())
     }

@@ -95,14 +95,19 @@ impl LinguisticVariable {
     /// Fuzzifies a raw value: every label with a non-zero grade, in label
     /// order. This is the *mapping service*'s per-attribute step.
     pub fn fuzzify(&self, x: f64) -> Vec<(LabelId, Grade)> {
-        self.terms
-            .iter()
-            .enumerate()
-            .filter_map(|(i, t)| {
-                let g = t.mf.eval(x);
-                (g > 0.0).then_some((LabelId(i as u16), g))
-            })
-            .collect()
+        let mut out = Vec::new();
+        self.fuzzify_into(x, &mut out);
+        out
+    }
+
+    /// [`LinguisticVariable::fuzzify`] into a caller-owned buffer, which is
+    /// cleared first.
+    pub fn fuzzify_into(&self, x: f64, out: &mut Vec<(LabelId, Grade)>) {
+        out.clear();
+        out.extend(self.terms.iter().enumerate().filter_map(|(i, t)| {
+            let g = t.mf.eval(x);
+            (g > 0.0).then_some((LabelId(i as u16), g))
+        }));
     }
 
     /// Fuzzifies, drops grades below `tau`, and renormalizes the kept

@@ -159,10 +159,12 @@ impl Taxonomy {
     /// grade 1; unknown values map to the root (the "anything" reading), so
     /// summarization never loses tuples.
     pub fn categorize(&self, value: &str) -> Vec<(LabelId, Grade)> {
-        match self.label_id(value) {
-            Some(id) => vec![(id, 1.0)],
-            None => vec![(self.root(), 1.0)],
-        }
+        vec![self.category(value)]
+    }
+
+    /// The one descriptor [`Taxonomy::categorize`] maps `value` to.
+    pub fn category(&self, value: &str) -> (LabelId, Grade) {
+        (self.label_id(value).unwrap_or(self.root()), 1.0)
     }
 
     /// The ancestors of a term from its parent up to the root.

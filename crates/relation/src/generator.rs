@@ -113,18 +113,24 @@ fn clamped_normal<R: Rng + ?Sized>(rng: &mut R, mean: f64, std: f64, range: (f64
     (mean + std * standard_normal(rng)).clamp(range.0, range.1)
 }
 
-/// Weighted choice over `(name, weight)` pairs.
-fn weighted_choice<'a, R: Rng + ?Sized>(rng: &mut R, items: &'a [(String, f64)]) -> &'a str {
-    let total: f64 = items.iter().map(|(_, w)| w.max(0.0)).sum();
+/// Weighted choice over `(name, weight)` pairs; the last pair absorbs
+/// rounding.
+fn weighted_choice<'a, R: Rng + ?Sized>(
+    rng: &mut R,
+    items: impl Iterator<Item = &'a (String, f64)> + Clone,
+) -> &'a str {
+    let total: f64 = items.clone().map(|(_, w)| w.max(0.0)).sum();
     debug_assert!(total > 0.0, "weights must be positive");
     let mut pick = rng.gen_range(0.0..total);
+    let mut last = "";
     for (name, w) in items {
         pick -= w.max(0.0);
         if pick <= 0.0 {
             return name;
         }
+        last = name;
     }
-    &items[items.len() - 1].0
+    last
 }
 
 /// Generates one background patient row from the distributions.
@@ -136,7 +142,7 @@ pub fn random_patient<R: Rng + ?Sized>(rng: &mut R, dist: &PatientDistributions)
         "male"
     };
     let bmi = clamped_normal(rng, dist.bmi.0, dist.bmi.1, dist.bmi_range);
-    let disease = weighted_choice(rng, &dist.diseases);
+    let disease = weighted_choice(rng, dist.diseases.iter());
     vec![
         Value::Int(age as i64),
         Value::text(sex),
@@ -168,7 +174,7 @@ pub fn matching_patient<R: Rng + ?Sized>(
     let bmi = rng.gen_range(bmi_lo..=bmi_hi);
     let disease = match &target.disease {
         Some(d) => d.clone(),
-        None => weighted_choice(rng, &dist.diseases).to_string(),
+        None => weighted_choice(rng, dist.diseases.iter()).to_string(),
     };
     vec![
         Value::Int(age as i64),
@@ -191,17 +197,12 @@ pub fn avoiding_patient<R: Rng + ?Sized>(
 ) -> Vec<Value> {
     let mut row = random_patient(rng, dist);
     if let Some(d) = &target.disease {
-        let pool: Vec<(String, f64)> = dist
-            .diseases
-            .iter()
-            .filter(|(n, _)| n != d)
-            .cloned()
-            .collect();
+        let pool = dist.diseases.iter().filter(|(n, _)| n != d);
         assert!(
-            !pool.is_empty(),
+            pool.clone().next().is_some(),
             "cannot avoid the only disease in the pool"
         );
-        row[3] = Value::text(weighted_choice(rng, &pool));
+        row[3] = Value::text(weighted_choice(rng, pool));
         return row;
     }
     if let Some(s) = &target.sex {

@@ -34,6 +34,11 @@ pub mod table;
 pub mod tuple;
 pub mod value;
 
+/// The random-number crate the generators are generic over, re-exported
+/// so that a dependent crate's self-checks can seed them.
+#[doc(hidden)]
+pub use rand;
+
 pub use error::RelationError;
 pub use predicate::{CompareOp, Predicate};
 pub use query::SelectQuery;

@@ -6,6 +6,7 @@
 //! overlapping cells a record falls into; "there are finally many more
 //! records than cells" (§3.2.1), which is what makes summarization pay.
 
+use std::borrow::Borrow;
 use std::collections::BTreeMap;
 
 use fuzzy::descriptor::{Grade, LabelId};
@@ -31,6 +32,14 @@ impl CellKey {
     /// The label on dimension `attr`.
     pub fn label(&self, attr: usize) -> LabelId {
         self.0[attr]
+    }
+}
+
+/// A key compares, orders and hashes as its label slice, so a cell can be
+/// looked up by labels without building a key.
+impl Borrow<[LabelId]> for CellKey {
+    fn borrow(&self) -> &[LabelId] {
+        &self.0
     }
 }
 

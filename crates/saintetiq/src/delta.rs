@@ -64,7 +64,7 @@ use fuzzy::descriptor::{Grade, LabelId};
 use relation::stats::AttributeStats;
 
 use crate::cell::{CellKey, SourceId};
-use crate::engine::{incorporate_contributions, EngineConfig};
+use crate::engine::{incorporate_contributions, DescentBuffers, EngineConfig};
 use crate::error::SummaryError;
 use crate::hierarchy::{Contribution, StatsUpdate, SummaryTree, INTENT_THRESHOLD};
 use crate::query::proposition::Proposition;
@@ -409,8 +409,9 @@ impl GsAccumulator {
                 });
             }
         }
+        let mut buffers = DescentBuffers::default();
         for (labels, run) in by_cell {
-            incorporate_contributions(&mut tree, &self.config, &CellKey(labels.to_vec()), &run);
+            incorporate_contributions(&mut tree, &self.config, labels, &run, &mut buffers);
         }
         tree
     }

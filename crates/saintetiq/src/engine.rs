@@ -18,15 +18,27 @@
 //! front, and every operator's score is a sum of those cached terms in
 //! the order [`crate::score`] adds them (so the scores are bit-identical
 //! to its reference functions). A level with `k` children thus costs
-//! `O(k)` histogram passes — two per child, one for the parent, one for a
-//! merge candidate, two per grandchild of a split candidate — plus
-//! `O(k²)` scalar additions for the `k` host hypotheses.
+//! `O(k)` histogram passes — two per internal child, one for the parent,
+//! one for a merge candidate, two per internal grandchild of a split
+//! candidate — plus `O(k²)` scalar additions for the `k` host
+//! hypotheses. A leaf's terms read only its key's slots and the pending
+//! cell's, one or two per attribute, since a leaf holds no weight
+//! elsewhere ([`crate::score`]'s `leaf_expected_correct`). Most children
+//! are leaves: a local summary's levels have two or three children.
 //!
 //! Once a cell's coordinate already exists in the tree, incorporation
 //! degenerates to "sorting it in a tree" (§4.2.1) — a count update along
 //! one root-to-leaf path — which is why summaries stabilize and the
 //! whole process is `O(K)` in the number of cells (§6.1.1; benchmarked
-//! in `sumq-bench`).
+//! in `sumq-bench`). The cell is looked up once, by its labels; a key is
+//! allocated only for a new leaf.
+//!
+//! The [`SaintEtiQEngine`] owns the buffers a record passes through: the
+//! mapped cells ([`crate::mapping::MappedCells`]), the raw values, and
+//! the descent's children and terms ([`DescentBuffers`]). After the
+//! first records, summarizing allocates only the nodes and cells the
+//! tree gains, and [`SaintEtiQEngine::take_tree`] lets one engine, with
+//! its mapper bound once, summarize table after table.
 
 use fuzzy::bk::BackgroundKnowledge;
 use fuzzy::descriptor::{Grade, LabelId};
@@ -36,8 +48,8 @@ use relation::table::{ChangeKind, Table, TableChange};
 use crate::cell::{CellKey, SourceId};
 use crate::error::SummaryError;
 use crate::hierarchy::{Contribution, NodeId, StatsUpdate, SummaryTree};
-use crate::mapping::Mapper;
-use crate::score::expected_correct;
+use crate::mapping::{MappedCells, Mapper};
+use crate::score::{expected_correct, leaf_expected_correct};
 
 /// Tunables of the summarization service.
 ///
@@ -91,13 +103,14 @@ pub fn incorporate_cell(
     incorporate_contributions(
         tree,
         config,
-        key,
+        &key.0,
         &[Contribution {
             source,
             weight,
             grades,
             stats,
         }],
+        &mut DescentBuffers::default(),
     );
 }
 
@@ -112,45 +125,93 @@ pub fn incorporate_cell(
 /// hold their statistics. [`crate::merge`] and
 /// [`crate::delta::GsAccumulator::build_merged`] fold whole cells with
 /// it.
+///
+/// The cell (grid coordinate `labels`) is looked up once; its key is
+/// allocated only when a leaf is created for it. `buffers` serve the
+/// descent and can be reused from call to call.
 pub fn incorporate_contributions(
     tree: &mut SummaryTree,
     config: &EngineConfig,
-    key: &CellKey,
+    labels: &[LabelId],
     contributions: &[Contribution<'_>],
+    buffers: &mut DescentBuffers,
 ) {
-    let run = if tree.leaf_of(key).is_some() {
-        contributions
-    } else {
-        let Some(first) = contributions.iter().position(|c| c.weight > 0.0) else {
-            return;
-        };
-        let leaf_parent = descend(tree, config, key, contributions[first].weight);
-        tree.create_leaf(leaf_parent, key.clone());
-        &contributions[first..]
+    if tree.fold_into_existing(labels, contributions) {
+        return;
+    }
+    let Some(first) = contributions.iter().position(|c| c.weight > 0.0) else {
+        return;
     };
-    tree.fold_into_cell(key, run);
+    let leaf_parent = descend(tree, config, labels, contributions[first].weight, buffers);
+    tree.attach_leaf(
+        leaf_parent,
+        CellKey(labels.to_vec()),
+        &contributions[first..],
+    );
 }
 
+/// The buffers a Cobweb descent works in: a level's children, their
+/// CU terms, a split candidate's promoted grandchildren's, and the
+/// expected-correct sums known so far. They are reused from level to
+/// level and, when the caller keeps them, from cell to cell.
+#[derive(Debug, Clone, Default)]
+pub struct DescentBuffers {
+    children: Vec<NodeId>,
+    terms: Vec<ChildTerms>,
+    promoted: Vec<ChildTerms>,
+    known: KnownEcs,
+}
+
+/// The [`ChildEc`]s one descent has computed, by node, cleared when a
+/// descent starts. A level below an internal host finds the sums the
+/// level above computed: its parent's as that child's `hosted`, its
+/// children's as the split candidate's grandchildren. They stay exact for
+/// the whole descent: descending into an internal child and splitting
+/// move no weight, and a merge changes the weights of the node being
+/// descended and its ancestors only, which the descent never scores
+/// again. Debug builds recompute every sum they lend and compare.
+#[derive(Debug, Clone, Default)]
+struct KnownEcs(Vec<(NodeId, ChildEc)>);
+
 /// Cobweb descent: returns the internal node that should directly parent
-/// the new leaf for `key`.
-fn descend(tree: &mut SummaryTree, config: &EngineConfig, key: &CellKey, weight: f64) -> NodeId {
+/// the new leaf for cell `labels`.
+fn descend(
+    tree: &mut SummaryTree,
+    config: &EngineConfig,
+    labels: &[LabelId],
+    weight: f64,
+    buf: &mut DescentBuffers,
+) -> NodeId {
     let mut node = tree.root();
     // Per-node guards: after a merge/split at this node we must make
     // progress through host/create, so restructuring can't loop.
     let mut merged_here = false;
     let mut split_here = false;
-    // Buffers reused across levels.
-    let mut children: Vec<NodeId> = Vec::new();
-    let mut terms: Vec<ChildTerms> = Vec::new();
+    buf.known.0.clear();
     loop {
-        children.clear();
-        children.extend_from_slice(&tree.node(node).children);
-        if children.is_empty() {
+        buf.children.clear();
+        buf.children.extend_from_slice(&tree.node(node).children);
+        if buf.children.is_empty() {
             return node;
         }
 
-        let level = Level::score(tree, node, &children, &key.0, weight, &mut terms);
-        let op = level.choose(config, merged_here, split_here);
+        let level = Level::score(
+            tree,
+            node,
+            &buf.children,
+            labels,
+            weight,
+            &mut buf.terms,
+            &mut buf.known,
+        );
+        let op = level.choose(
+            config,
+            merged_here,
+            split_here,
+            &mut buf.promoted,
+            &mut buf.known,
+        );
+        let children = &buf.children;
         match op {
             Operator::Create => return node,
             Operator::Host(i) => {
@@ -191,6 +252,15 @@ struct ChildTerms {
     hosted: Option<f64>,
 }
 
+/// A child's two expected-correct sums `ec`, as it stands and hosting the
+/// pending cell; `None` when that total is not positive. They depend on
+/// the child and the pending cell only, not on the level.
+#[derive(Debug, Clone, Copy)]
+struct ChildEc {
+    plain: Option<f64>,
+    hosted: Option<f64>,
+}
+
 /// One descent level, scored once: the parent's expected-correct term
 /// with the pending cell in it, and every child's [`ChildTerms`]. Each
 /// operator's score sums cached terms in the order the reference scorers
@@ -212,7 +282,8 @@ struct Level<'a> {
 impl<'a> Level<'a> {
     /// Scores the level of `node`, whose children are `children`, for a
     /// pending cell `labels` of weight `weight`. `buf` holds the cached
-    /// terms.
+    /// terms; `known` lends the sums computed earlier in the descent and
+    /// keeps the new ones.
     fn score(
         tree: &'a SummaryTree,
         node: NodeId,
@@ -220,6 +291,7 @@ impl<'a> Level<'a> {
         labels: &'a [LabelId],
         weight: f64,
         buf: &'a mut Vec<ChildTerms>,
+        known: &mut KnownEcs,
     ) -> Self {
         let parent = tree.node(node);
         let parent_total = parent.count + weight;
@@ -234,29 +306,68 @@ impl<'a> Level<'a> {
         };
         buf.clear();
         if parent_total > 0.0 {
-            level.parent_ec =
+            let computed = || {
                 expected_correct(tree.offsets(), parent_total, Some((labels, weight)), |s| {
                     parent.hist[s]
-                });
-            buf.extend(children.iter().map(|&c| level.terms_of(c)));
+                })
+            };
+            // The parent's sum is the one it had as a child hosting the
+            // cell, at the same total.
+            level.parent_ec = match known.get(node).and_then(|ec| ec.hosted) {
+                Some(ec) => {
+                    debug_assert_eq!(ec.to_bits(), computed().to_bits(), "stale sum for {node:?}");
+                    ec
+                }
+                None => computed(),
+            };
+            buf.extend(children.iter().map(|&c| level.terms_of(c, known)));
         }
         level.terms = buf;
         level
     }
 
-    /// `child`'s terms at this level.
-    fn terms_of(&self, child: NodeId) -> ChildTerms {
-        let c = self.tree.node(child);
-        let offsets = self.tree.offsets();
-        let term = |total: f64, pending| {
-            (total > 0.0).then(|| {
-                let ec = expected_correct(offsets, total, pending, |s| c.hist[s]);
-                (total / self.parent_total) * (ec - self.parent_ec)
-            })
+    /// `child`'s terms at this level, from its sums in `known` or, when
+    /// they are not there yet, computed and kept there.
+    fn terms_of(&self, child: NodeId, known: &mut KnownEcs) -> ChildTerms {
+        let ec = match known.get(child) {
+            Some(ec) => {
+                debug_assert_eq!(
+                    ec.bits(),
+                    self.ec_of(child).bits(),
+                    "stale sums for {child:?}"
+                );
+                ec
+            }
+            None => {
+                let ec = self.ec_of(child);
+                known.0.push((child, ec));
+                ec
+            }
+        };
+        let count = self.tree.node(child).count;
+        let term = |total: f64, ec: Option<f64>| {
+            ec.map(|ec| (total / self.parent_total) * (ec - self.parent_ec))
         };
         ChildTerms {
-            plain: term(c.count, None),
-            hosted: term(c.count + self.weight, Some((self.labels, self.weight))),
+            plain: term(count, ec.plain),
+            hosted: term(count + self.weight, ec.hosted),
+        }
+    }
+
+    /// `child`'s sums for this level's pending cell. A leaf's read only
+    /// its key's slots and the pending cell's.
+    fn ec_of(&self, child: NodeId) -> ChildEc {
+        let c = self.tree.node(child);
+        let offsets = self.tree.offsets();
+        let ec = |total: f64, pending| {
+            (total > 0.0).then(|| match &c.cell {
+                Some(key) => leaf_expected_correct(offsets, total, pending, &key.0, &c.hist),
+                None => expected_correct(offsets, total, pending, |s| c.hist[s]),
+            })
+        };
+        ChildEc {
+            plain: ec(c.count, None),
+            hosted: ec(c.count + self.weight, Some((self.labels, self.weight))),
         }
     }
 
@@ -315,8 +426,9 @@ impl<'a> Level<'a> {
     }
 
     /// CU if child `i` (internal) were dissolved, its children promoted,
-    /// and the cell placed in the best promoted grandchild.
-    fn split(&self, i: usize) -> f64 {
+    /// and the cell placed in the best promoted grandchild. `promoted`
+    /// holds the grandchildren's terms; their sums are kept in `known`.
+    fn split(&self, i: usize, promoted: &mut Vec<ChildTerms>, known: &mut KnownEcs) -> f64 {
         if self.parent_total <= 0.0 {
             return 0.0;
         }
@@ -335,16 +447,25 @@ impl<'a> Level<'a> {
             }
         }
         // Try the cell in each promoted grandchild; keep the best.
-        let promoted: Vec<ChildTerms> = grandchildren.iter().map(|&g| self.terms_of(g)).collect();
+        promoted.clear();
+        promoted.extend(grandchildren.iter().map(|&g| self.terms_of(g, known)));
         let mut best = f64::NEG_INFINITY;
         for gi in 0..promoted.len() {
-            best = best.max(cu_hosted_in(base, &promoted, Some(gi)));
+            best = best.max(cu_hosted_in(base, promoted, Some(gi)));
         }
         best / k as f64
     }
 
-    /// Picks the operator for this level.
-    fn choose(&self, config: &EngineConfig, merged_here: bool, split_here: bool) -> Operator {
+    /// Picks the operator for this level; `promoted` and `known` serve a
+    /// split candidate's scoring.
+    fn choose(
+        &self,
+        config: &EngineConfig,
+        merged_here: bool,
+        split_here: bool,
+        promoted: &mut Vec<ChildTerms>,
+        known: &mut KnownEcs,
+    ) -> Operator {
         // Score hosting in each child.
         let mut best: (f64, usize) = (f64::NEG_INFINITY, 0);
         let mut second: (f64, usize) = (f64::NEG_INFINITY, 0);
@@ -381,7 +502,7 @@ impl<'a> Level<'a> {
         if config.enable_split && !split_here {
             let host = self.children[best.1];
             if !self.tree.node(host).is_leaf() {
-                let s = self.split(best.1);
+                let s = self.split(best.1, promoted, known);
                 if s > winner.0 + config.restructure_epsilon {
                     winner = (s, Operator::Split(best.1));
                 }
@@ -389,6 +510,19 @@ impl<'a> Level<'a> {
         }
 
         winner.1
+    }
+}
+
+impl KnownEcs {
+    fn get(&self, node: NodeId) -> Option<ChildEc> {
+        self.0.iter().find(|(id, _)| *id == node).map(|&(_, ec)| ec)
+    }
+}
+
+impl ChildEc {
+    /// The sums' bits, for comparisons.
+    fn bits(self) -> [Option<u64>; 2] {
+        [self.plain.map(f64::to_bits), self.hosted.map(f64::to_bits)]
     }
 }
 
@@ -406,6 +540,12 @@ fn cu_hosted_in(mut cu: f64, terms: &[ChildTerms], host: Option<usize>) -> f64 {
 
 /// The per-peer summarization engine: a [`Mapper`] feeding a
 /// [`SummaryTree`], consuming tables and push-mode change feeds.
+///
+/// The engine owns the buffers a record passes through — its mapped
+/// cells, its raw values and the descent's — so summarizing a table
+/// allocates only for the tree it grows. [`SaintEtiQEngine::take_tree`]
+/// hands that tree out and keeps the bound mapper and the buffers for the
+/// next table.
 #[derive(Debug, Clone)]
 pub struct SaintEtiQEngine {
     mapper: Mapper,
@@ -413,6 +553,11 @@ pub struct SaintEtiQEngine {
     config: EngineConfig,
     source: SourceId,
     unmappable: usize,
+    /// The current record's candidate cells.
+    cells: MappedCells,
+    /// The current record's raw numeric values, per BK attribute.
+    raw: Vec<Option<f64>>,
+    descent: DescentBuffers,
 }
 
 impl SaintEtiQEngine {
@@ -433,12 +578,20 @@ impl SaintEtiQEngine {
             config,
             source,
             unmappable: 0,
+            cells: MappedCells::default(),
+            raw: Vec::new(),
+            descent: DescentBuffers::default(),
         })
     }
 
     /// The engine's source id (the owning peer).
     pub fn source(&self) -> SourceId {
         self.source
+    }
+
+    /// Attributes the records incorporated from now on to `source`.
+    pub fn set_source(&mut self, source: SourceId) {
+        self.source = source;
     }
 
     /// The mapper (BK binding).
@@ -456,45 +609,47 @@ impl SaintEtiQEngine {
         self.tree
     }
 
+    /// Takes the hierarchy out, leaving an empty one over the same BK and
+    /// no unmappable record counted: the engine then summarizes its next
+    /// table as a fresh one would.
+    pub fn take_tree(&mut self) -> SummaryTree {
+        let empty = SummaryTree::new(
+            self.tree.bk_name().to_string(),
+            self.tree.label_counts().to_vec(),
+        );
+        self.unmappable = 0;
+        std::mem::replace(&mut self.tree, empty)
+    }
+
     /// Records skipped as unmappable so far.
     pub fn unmappable(&self) -> usize {
         self.unmappable
     }
 
-    /// Extracts raw numeric values (per BK attribute) for statistics.
-    fn raw_values(&self, row: &[relation::value::Value]) -> Vec<Option<f64>> {
-        let bk = self.mapper.bk();
-        let schema_cols: Vec<Option<f64>> = bk
-            .attributes()
-            .iter()
-            .enumerate()
-            .map(|(i, _)| {
-                // Column index resolution mirrors the mapper's binding.
-                let col = self.mapper.column(i);
-                row[col].as_f64()
-            })
-            .collect();
-        schema_cols
-    }
-
     /// Incorporates one record.
     pub fn add_record(&mut self, row: &[relation::value::Value]) {
-        match self.mapper.map_record(row) {
-            Ok(cells) => {
-                let raw = self.raw_values(row);
-                for cand in cells {
-                    incorporate_cell(
-                        &mut self.tree,
-                        &self.config,
-                        &cand.key,
-                        self.source,
-                        cand.weight,
-                        &cand.grades,
-                        Some(&raw),
-                    );
-                }
-            }
-            Err(_) => self.unmappable += 1,
+        if self.mapper.map_record_into(row, &mut self.cells).is_err() {
+            self.unmappable += 1;
+            return;
+        }
+        // Raw numeric values per BK attribute, for the cell statistics.
+        self.raw.clear();
+        let columns = (0..self.mapper.bk().arity()).map(|i| self.mapper.column(i));
+        self.raw.extend(columns.map(|col| row[col].as_f64()));
+        for i in 0..self.cells.len() {
+            let run = [Contribution {
+                source: self.source,
+                weight: self.cells.weight(i),
+                grades: self.cells.grades(i),
+                stats: StatsUpdate::Raw(&self.raw),
+            }];
+            incorporate_contributions(
+                &mut self.tree,
+                &self.config,
+                self.cells.labels(i),
+                &run,
+                &mut self.descent,
+            );
         }
     }
 
@@ -541,9 +696,7 @@ impl SaintEtiQEngine {
     /// used after heavy churn, mirroring the paper's global-summary
     /// reconciliation which reconstructs `NewGS`.
     pub fn rebuild(&mut self, table: &Table) {
-        let label_counts = self.tree.label_counts().to_vec();
-        self.tree = SummaryTree::new(self.tree.bk_name().to_string(), label_counts);
-        self.unmappable = 0;
+        self.take_tree();
         self.summarize_table(table);
     }
 }
@@ -802,7 +955,50 @@ mod tests {
         }
     }
 
-    // ---- the scorer before per-level caching, kept as the reference ----
+    #[test]
+    fn random_small_batches_keep_invariants() {
+        // Smoke-level property test: random add/remove interleavings
+        // never break structural invariants.
+        let mut rng = rand::rngs::StdRng::seed_from_u64(31);
+        let dist = PatientDistributions::default();
+        for round in 0..10 {
+            let mut e = engine();
+            let mut live: Vec<Vec<relation::value::Value>> = Vec::new();
+            for _ in 0..60 {
+                if !live.is_empty() && rng.gen_bool(0.3) {
+                    let idx = rng.gen_range(0..live.len());
+                    let row = live.swap_remove(idx);
+                    e.remove_record(&row);
+                } else {
+                    let row = relation::generator::random_patient(&mut rng, &dist);
+                    e.add_record(&row);
+                    live.push(row);
+                }
+                e.tree().check_invariants();
+            }
+            assert!(
+                (e.tree().total_count() - live.len() as f64).abs() < 1e-6,
+                "round {round}: mass {} vs {}",
+                e.tree().total_count(),
+                live.len()
+            );
+        }
+    }
+}
+
+/// The descent's bit-exact reference, kept as a self-check that tests
+/// call.
+mod reference {
+    use fuzzy::bk::BackgroundKnowledge;
+    use fuzzy::descriptor::LabelId;
+    use relation::generator::{patient_table, MatchTarget, PatientDistributions};
+    use relation::rand::rngs::StdRng;
+    use relation::rand::{Rng, SeedableRng};
+    use relation::schema::Schema;
+
+    use super::{EngineConfig, KnownEcs, Level, Operator, SaintEtiQEngine};
+    use crate::cell::{CellKey, SourceId};
+    use crate::hierarchy::{NodeId, SummaryTree};
 
     /// A node's histogram in the nested per-attribute layout the reference
     /// scorer read, rebuilt from the flat one.
@@ -1068,8 +1264,8 @@ mod tests {
     ) {
         let children = tree.node(node).children.clone();
         let k = children.len();
-        let mut buf = Vec::new();
-        let level = Level::score(tree, node, &children, labels, weight, &mut buf);
+        let (mut buf, mut promoted, mut known) = (Vec::new(), Vec::new(), KnownEcs::default());
+        let level = Level::score(tree, node, &children, labels, weight, &mut buf, &mut known);
         let ctx = format!("node {node:?}, key {labels:?}, weight {weight}");
         for i in 0..k {
             let want = ref_category_utility(tree, node, Some((i, labels, weight)));
@@ -1090,7 +1286,11 @@ mod tests {
             } else {
                 seen.internal_hosts += 1;
                 let want = ref_split_score(tree, node, &children, i, labels, weight);
-                assert_eq!(level.split(i).to_bits(), want.to_bits(), "split {i}, {ctx}");
+                assert_eq!(
+                    level.split(i, &mut promoted, &mut known).to_bits(),
+                    want.to_bits(),
+                    "split {i}, {ctx}"
+                );
             }
             if child.count == 0.0 {
                 seen.zero_count_children += 1;
@@ -1100,6 +1300,43 @@ mod tests {
         assert_eq!(level.create().to_bits(), want.to_bits(), "create, {ctx}");
         let public = crate::score::category_utility_with_new_child(tree, node, labels, weight);
         assert_eq!(public.to_bits(), want.to_bits(), "public create, {ctx}");
+
+        // The level below an internal child, scored from the sums this
+        // level and its split scoring left, scores as one scored afresh.
+        for &c in children.iter().filter(|&&c| !tree.node(c).is_leaf()) {
+            let grandchildren = tree.node(c).children.clone();
+            let (mut reused_buf, mut fresh_buf) = (Vec::new(), Vec::new());
+            let reused = Level::score(
+                tree,
+                c,
+                &grandchildren,
+                labels,
+                weight,
+                &mut reused_buf,
+                &mut known,
+            );
+            let fresh = Level::score(
+                tree,
+                c,
+                &grandchildren,
+                labels,
+                weight,
+                &mut fresh_buf,
+                &mut KnownEcs::default(),
+            );
+            for g in 0..grandchildren.len() {
+                assert_eq!(
+                    reused.host(g).to_bits(),
+                    fresh.host(g).to_bits(),
+                    "host {g} below {c:?}, {ctx}"
+                );
+            }
+            assert_eq!(
+                reused.create().to_bits(),
+                fresh.create().to_bits(),
+                "create below {c:?}, {ctx}"
+            );
+        }
 
         let configs = [
             EngineConfig::default(),
@@ -1112,7 +1349,7 @@ mod tests {
             for (merged_here, split_here) in
                 [(false, false), (false, true), (true, false), (true, true)]
             {
-                let op = level.choose(config, merged_here, split_here);
+                let op = level.choose(config, merged_here, split_here, &mut promoted, &mut known);
                 let want = ref_choose_operator(
                     tree,
                     config,
@@ -1141,7 +1378,7 @@ mod tests {
 
     /// Compares the scorers at every internal node of `tree`, for random
     /// keys and weights.
-    fn assert_tree_levels_match(tree: &SummaryTree, rng: &mut rand::rngs::StdRng, seen: &mut Seen) {
+    fn assert_tree_levels_match(tree: &SummaryTree, rng: &mut StdRng, seen: &mut Seen) {
         let mut stack = vec![tree.root()];
         while let Some(id) = stack.pop() {
             let node = tree.node(id);
@@ -1166,9 +1403,14 @@ mod tests {
         }
     }
 
-    #[test]
-    fn level_scores_match_the_reference_scorer() {
-        let mut rng = rand::rngs::StdRng::seed_from_u64(41);
+    /// Self-check: every level's cached scores against the scorer before
+    /// per-level caching, bit for bit, and the same operator under every
+    /// guard and config, at every internal node of local summaries, merged
+    /// global summaries, trees with a zero-count child and a one-child
+    /// level. Panics on the first difference.
+    #[doc(hidden)]
+    pub fn level_scores_match_the_reference_scorer() {
+        let mut rng = StdRng::seed_from_u64(41);
         let dist = PatientDistributions::default();
         let mut trees = Vec::new();
         // Local summaries of random tables, from a single record up.
@@ -1240,34 +1482,7 @@ mod tests {
         assert!(seen.zero_count_children > 0, "{seen:?}");
         assert!(seen.ops.iter().all(|&n| n > 0), "{seen:?}");
     }
-
-    #[test]
-    fn random_small_batches_keep_invariants() {
-        // Smoke-level property test: random add/remove interleavings
-        // never break structural invariants.
-        let mut rng = rand::rngs::StdRng::seed_from_u64(31);
-        let dist = PatientDistributions::default();
-        for round in 0..10 {
-            let mut e = engine();
-            let mut live: Vec<Vec<relation::value::Value>> = Vec::new();
-            for _ in 0..60 {
-                if !live.is_empty() && rng.gen_bool(0.3) {
-                    let idx = rng.gen_range(0..live.len());
-                    let row = live.swap_remove(idx);
-                    e.remove_record(&row);
-                } else {
-                    let row = relation::generator::random_patient(&mut rng, &dist);
-                    e.add_record(&row);
-                    live.push(row);
-                }
-                e.tree().check_invariants();
-            }
-            assert!(
-                (e.tree().total_count() - live.len() as f64).abs() < 1e-6,
-                "round {round}: mass {} vs {}",
-                e.tree().total_count(),
-                live.len()
-            );
-        }
-    }
 }
+
+#[doc(hidden)]
+pub use reference::level_scores_match_the_reference_scorer;

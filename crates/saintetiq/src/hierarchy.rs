@@ -14,6 +14,20 @@
 //! create internal host, promote children, prune). Every primitive keeps
 //! the cached per-node histograms, counts and intents consistent, and
 //! [`SummaryTree::check_invariants`] verifies all of it for tests.
+//!
+//! Two of those invariants let the hot paths skip work without changing
+//! a bit:
+//!
+//! * **intent support** — a node's intent holds label `l` of attribute
+//!   `a` exactly when its histogram slot for it exceeds
+//!   [`INTENT_THRESHOLD`]. A path update therefore touches only the
+//!   slots whose weight changes: [`SummaryTree::fold_into_cell`] the
+//!   cell's key slots, a move ([`SummaryTree::reparent`], and so
+//!   [`SummaryTree::merge_children`]) the non-zero slots of the moved
+//!   histogram.
+//! * **leaf support** — a leaf's histogram is zero off its key's slots,
+//!   each of which holds the leaf's count. The descent scores a leaf
+//!   from those slots alone.
 
 use std::collections::BTreeMap;
 
@@ -128,6 +142,15 @@ impl Node {
     pub fn is_leaf(&self) -> bool {
         self.cell.is_some()
     }
+}
+
+/// One non-zero slot of a histogram delta: its flat index, its attribute
+/// and its weight.
+#[derive(Debug, Clone, Copy)]
+struct SlotDelta {
+    slot: usize,
+    attr: usize,
+    weight: f64,
 }
 
 /// Per-cell bookkeeping held by the tree.
@@ -393,8 +416,12 @@ impl SummaryTree {
     // ---- structural primitives (used by the engine) ----
 
     fn alloc(&mut self, parent: Option<NodeId>) -> NodeId {
-        let id = NodeId(self.nodes.len() as u32);
         let node = Node::new(self.arity(), self.offsets[self.arity()], parent);
+        self.push(node)
+    }
+
+    fn push(&mut self, node: Node) -> NodeId {
+        let id = NodeId(self.nodes.len() as u32);
         self.nodes.push(node);
         id
     }
@@ -402,20 +429,39 @@ impl SummaryTree {
     /// Creates an empty leaf for `key` under `parent` and registers the
     /// cell. The caller then adds weight via [`SummaryTree::add_to_cell`].
     pub fn create_leaf(&mut self, parent: NodeId, key: CellKey) -> NodeId {
+        self.attach_leaf(parent, key, &[])
+    }
+
+    /// Creates the leaf for `key` under `parent`, registers the cell and
+    /// folds `run` into it as [`SummaryTree::fold_into_cell`] would.
+    pub(crate) fn attach_leaf(
+        &mut self,
+        parent: NodeId,
+        key: CellKey,
+        run: &[Contribution<'_>],
+    ) -> NodeId {
         debug_assert!(!self.node(parent).is_leaf(), "cannot parent under a leaf");
         debug_assert!(!self.cells.contains_key(&key), "cell already present");
-        let id = self.alloc(Some(parent));
-        self.node_mut(id).cell = Some(key.clone());
-        self.node_mut(id).intent = Intent::of_cell(&key);
+        let id = self.push(Node {
+            parent: Some(parent),
+            children: Vec::new(),
+            intent: Intent::of_cell(&key),
+            count: 0.0,
+            hist: vec![0.0; self.offsets[self.arity()]],
+            cell: None,
+            alive: true,
+        });
         self.node_mut(parent).children.push(id);
-        self.cells.insert(
-            key,
-            CellEntry {
-                content: CellContent::default(),
-                leaf: id,
-                stats: vec![AttributeStats::new(); self.arity()],
-            },
-        );
+        let stats = vec![AttributeStats::new(); self.arity()];
+        let entry = self.cells.entry(key.clone()).or_insert(CellEntry {
+            content: CellContent::default(),
+            leaf: id,
+            stats,
+        });
+        if !run.is_empty() {
+            Self::fold(&mut self.nodes, &self.offsets, entry, &key.0, run);
+        }
+        self.node_mut(id).cell = Some(key);
         id
     }
 
@@ -443,13 +489,13 @@ impl SummaryTree {
             .position(|&c| c == child)
             .expect("child listed under parent");
         self.node_mut(old_parent).children.remove(pos);
-        // Subtract aggregates along the old ancestor chain. The child is
-        // on neither chain, so its histogram is lent out meanwhile.
+        // Subtract aggregates along the old ancestor chain, add them along
+        // the new one.
         let count = self.node(child).count;
-        let hist = std::mem::take(&mut self.node_mut(child).hist);
+        let delta = self.nonzero_slots(&self.node(child).hist);
         let mut cur = Some(old_parent);
         while let Some(id) = cur {
-            self.apply_delta(id, -count, &hist, -1.0);
+            self.apply_delta(id, -count, &delta, -1.0);
             cur = self.node(id).parent;
         }
         // Attach.
@@ -457,39 +503,56 @@ impl SummaryTree {
         self.node_mut(new_parent).children.push(child);
         let mut cur = Some(new_parent);
         while let Some(id) = cur {
-            self.apply_delta(id, count, &hist, 1.0);
+            self.apply_delta(id, count, &delta, 1.0);
             cur = self.node(id).parent;
         }
-        self.node_mut(child).hist = hist;
     }
 
-    /// Applies a signed histogram/count delta to one node and refreshes
-    /// its cached intent bits. `sign` tells whether `hist` is added or
-    /// subtracted (+1 / −1).
-    fn apply_delta(&mut self, id: NodeId, dcount: f64, hist: &[f64], sign: f64) {
+    /// Applies a signed count delta and the histogram delta `delta` to one
+    /// node, and refreshes the touched slots' intent bits. `sign` tells
+    /// whether `delta` is added or subtracted (+1 / −1).
+    ///
+    /// `delta` lists the non-zero slots of the histogram moved. A zero slot
+    /// would leave its (non-negative) weight as it is, and its intent bit
+    /// already equals its support (the intent-support invariant; see the
+    /// module docs), so it is not visited.
+    fn apply_delta(&mut self, id: NodeId, dcount: f64, delta: &[SlotDelta], sign: f64) {
         let node = &mut self.nodes[id.idx()];
         node.count = (node.count + dcount).max(0.0);
-        for (attr, span) in self.offsets.windows(2).enumerate() {
-            let (own, delta) = (&mut node.hist[span[0]..span[1]], &hist[span[0]..span[1]]);
-            for (l, (slot, &d)) in own.iter_mut().zip(delta).enumerate() {
-                *slot = (*slot + sign * d).max(0.0);
-                let label = LabelId(l as u16);
-                if *slot > INTENT_THRESHOLD {
-                    node.intent.sets[attr].insert(label);
-                } else {
-                    node.intent.sets[attr].remove(label);
-                }
+        for d in delta {
+            let slot = &mut node.hist[d.slot];
+            *slot = (*slot + sign * d.weight).max(0.0);
+            let label = LabelId((d.slot - self.offsets[d.attr]) as u16);
+            if *slot > INTENT_THRESHOLD {
+                node.intent.sets[d.attr].insert(label);
+            } else {
+                node.intent.sets[d.attr].remove(label);
             }
         }
     }
 
-    /// A flat histogram holding `weight` in the key's slots only.
-    fn key_delta(&self, key: &CellKey, weight: f64) -> Vec<f64> {
-        let mut hist = vec![0.0; self.offsets[self.arity()]];
-        for (attr, &l) in key.0.iter().enumerate() {
-            hist[self.slot(attr, l)] = weight;
+    /// The non-zero slots of a flat histogram, in slot order.
+    fn nonzero_slots(&self, hist: &[f64]) -> Vec<SlotDelta> {
+        let mut delta = Vec::new();
+        for (attr, span) in self.offsets.windows(2).enumerate() {
+            for (slot, &weight) in hist.iter().enumerate().take(span[1]).skip(span[0]) {
+                if weight != 0.0 {
+                    delta.push(SlotDelta { slot, attr, weight });
+                }
+            }
         }
-        hist
+        delta
+    }
+
+    /// The key's slots, each holding `weight`.
+    fn key_slots(&self, key: &CellKey, weight: f64) -> Vec<SlotDelta> {
+        (key.0.iter().enumerate())
+            .map(|(attr, &l)| SlotDelta {
+                slot: self.slot(attr, l),
+                attr,
+                weight,
+            })
+            .collect()
     }
 
     /// Adds `weight` of cell `key` from `source`, updating the leaf's
@@ -528,11 +591,39 @@ impl SummaryTree {
     /// each node receives the same additions in the same order. Only the
     /// key's histogram slots and their intent bits are touched — every
     /// other slot would only receive `+0.0`, and its intent bit already
-    /// equals its support (see [`SummaryTree::check_invariants`]).
+    /// equals its support (the intent-support invariant; see the module
+    /// docs).
     ///
     /// The cell must already have a leaf (see [`SummaryTree::create_leaf`]).
     pub fn fold_into_cell(&mut self, key: &CellKey, contributions: &[Contribution<'_>]) {
-        let entry = self.cells.get_mut(key).expect("cell registered");
+        let found = self.fold_into_existing(&key.0, contributions);
+        assert!(found, "cell registered");
+    }
+
+    /// [`SummaryTree::fold_into_cell`] for the cell with these labels, if
+    /// it has a leaf; returns whether it had one. The cell is looked up
+    /// once.
+    pub(crate) fn fold_into_existing(
+        &mut self,
+        labels: &[LabelId],
+        contributions: &[Contribution<'_>],
+    ) -> bool {
+        let Some(entry) = self.cells.get_mut(labels) else {
+            return false;
+        };
+        Self::fold(&mut self.nodes, &self.offsets, entry, labels, contributions);
+        true
+    }
+
+    /// The body of [`SummaryTree::fold_into_cell`], on the cell's entry
+    /// and labels.
+    fn fold(
+        nodes: &mut [Node],
+        offsets: &[usize],
+        entry: &mut CellEntry,
+        labels: &[LabelId],
+        contributions: &[Contribution<'_>],
+    ) {
         for c in contributions {
             if c.weight > 0.0 {
                 entry.content.add(c.source, c.weight, c.grades);
@@ -556,12 +647,12 @@ impl SummaryTree {
         let weights = || contributions.iter().map(|c| c.weight).filter(|&w| w > 0.0);
         let mut cur = Some(entry.leaf);
         while let Some(id) = cur {
-            let node = &mut self.nodes[id.idx()];
+            let node = &mut nodes[id.idx()];
             for w in weights() {
                 node.count = (node.count + w).max(0.0);
             }
-            for (attr, &label) in key.0.iter().enumerate() {
-                let slot = &mut node.hist[self.offsets[attr] + label.index()];
+            for (attr, &label) in labels.iter().enumerate() {
+                let slot = &mut node.hist[offsets[attr] + label.index()];
                 for w in weights() {
                     *slot = (*slot + w).max(0.0);
                 }
@@ -600,10 +691,10 @@ impl SummaryTree {
             return 0.0;
         }
         let drained = entry.content.is_empty();
-        let hist = self.key_delta(key, removed);
+        let delta = self.key_slots(key, removed);
         let mut cur = Some(leaf);
         while let Some(id) = cur {
-            self.apply_delta(id, -removed, &hist, -1.0);
+            self.apply_delta(id, -removed, &delta, -1.0);
             cur = self.node(id).parent;
         }
         if drained {
@@ -625,10 +716,10 @@ impl SummaryTree {
             return 0.0;
         }
         let drained = entry.content.is_empty();
-        let hist = self.key_delta(key, removed);
+        let delta = self.key_slots(key, removed);
         let mut cur = Some(leaf);
         while let Some(id) = cur {
-            self.apply_delta(id, -removed, &hist, -1.0);
+            self.apply_delta(id, -removed, &delta, -1.0);
             cur = self.node(id).parent;
         }
         if drained {
@@ -745,8 +836,10 @@ impl SummaryTree {
         host
     }
 
-    /// Verifies every structural invariant; panics with a description on
-    /// violation. Used heavily by tests and property tests.
+    /// Verifies every structural invariant, the intent-support and
+    /// leaf-support ones of the module docs included; panics with a
+    /// description on violation. Used heavily by tests and property
+    /// tests.
     pub fn check_invariants(&self) {
         // Cell registry ↔ leaves.
         for (key, entry) in &self.cells {
@@ -1038,11 +1131,27 @@ mod tests {
         let entry = t.cells.get_mut(key).expect("cell registered");
         entry.content.add(source, weight, &[1.0, 1.0]);
         let leaf = entry.leaf;
-        let hist = t.key_delta(key, weight);
+        let mut hist = vec![0.0; t.offsets[t.arity()]];
+        for (attr, &l) in key.0.iter().enumerate() {
+            hist[t.slot(attr, l)] = weight;
+        }
+        let offsets = t.offsets.clone();
         let mut cur = Some(leaf);
         while let Some(id) = cur {
-            t.apply_delta(id, weight, &hist, 1.0);
-            cur = t.node(id).parent;
+            let node = &mut t.nodes[id.idx()];
+            node.count = (node.count + weight).max(0.0);
+            for (attr, span) in offsets.windows(2).enumerate() {
+                for (l, s) in (span[0]..span[1]).enumerate() {
+                    node.hist[s] = (node.hist[s] + hist[s]).max(0.0);
+                    let label = LabelId(l as u16);
+                    if node.hist[s] > INTENT_THRESHOLD {
+                        node.intent.sets[attr].insert(label);
+                    } else {
+                        node.intent.sets[attr].remove(label);
+                    }
+                }
+            }
+            cur = node.parent;
         }
     }
 

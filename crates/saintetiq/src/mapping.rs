@@ -90,71 +90,79 @@ impl Mapper {
     /// is unmappable on that dimension and yields `Err`; the caller
     /// decides whether to skip or fail (the engine skips and counts).
     pub fn map_record(&self, row: &[Value]) -> Result<Vec<CandidateCell>, SummaryError> {
-        let arity = self.bk.arity();
-        // Per attribute: the (label, renormalized grade, raw grade) kept.
-        let mut per_attr: Vec<Vec<(LabelId, Grade, Grade)>> = Vec::with_capacity(arity);
+        let mut cells = MappedCells::default();
+        self.map_record_into(row, &mut cells)?;
+        Ok((0..cells.len())
+            .map(|i| CandidateCell {
+                key: CellKey(cells.labels(i).to_vec()),
+                weight: cells.weight(i),
+                grades: cells.grades(i).to_vec(),
+            })
+            .collect())
+    }
+
+    /// [`Mapper::map_record`] into buffers the caller keeps across
+    /// records: nothing is allocated once they have grown to a record's
+    /// size. On `Err` the buffers hold no usable cells.
+    pub fn map_record_into(
+        &self,
+        row: &[Value],
+        out: &mut MappedCells,
+    ) -> Result<(), SummaryError> {
+        out.clear(self.bk.arity());
+        // Per attribute: the (label, renormalized grade, raw grade) kept,
+        // attribute `a`'s ending at `out.ends[a]`.
         for (attr_idx, attr) in self.bk.attributes().iter().enumerate() {
             let value = &row[self.columns[attr_idx]];
-            let kept: Vec<(LabelId, Grade, Grade)> = match attr {
+            let unmappable = || SummaryError::Unmappable {
+                attribute: attr.name().to_string(),
+                value: value.to_string(),
+            };
+            let start = out.kept.len();
+            match attr {
                 AttributeVocabulary::Numeric(var) => {
-                    let x = value.as_f64().ok_or_else(|| SummaryError::Unmappable {
-                        attribute: attr.name().to_string(),
-                        value: value.to_string(),
-                    })?;
+                    let x = value.as_f64().ok_or_else(unmappable)?;
                     // One evaluation gives both readings: the renormalized
                     // grade weighs the cell, the raw one becomes its
                     // "0.3/adult" annotation.
-                    prune_and_renormalize(&var.fuzzify(x), self.bk.tau).collect()
+                    var.fuzzify_into(x, &mut out.raw);
+                    out.kept
+                        .extend(prune_and_renormalize(&out.raw, self.bk.tau));
                 }
                 AttributeVocabulary::Categorical(tax) => {
-                    let s = value.as_str().ok_or_else(|| SummaryError::Unmappable {
-                        attribute: attr.name().to_string(),
-                        value: value.to_string(),
-                    })?;
-                    tax.categorize(s)
-                        .into_iter()
-                        .map(|(l, g)| (l, g, g))
-                        .collect()
+                    let (l, g) = tax.category(value.as_str().ok_or_else(unmappable)?);
+                    out.kept.push((l, g, g));
                 }
-            };
-            if kept.is_empty() {
-                return Err(SummaryError::Unmappable {
-                    attribute: attr.name().to_string(),
-                    value: value.to_string(),
-                });
             }
-            per_attr.push(kept);
+            if out.kept.len() == start {
+                return Err(unmappable());
+            }
+            out.ends.push(out.kept.len());
         }
 
         // Cartesian product of kept labels, the last attribute varying
         // fastest; weight = Π renormalized grades, in attribute order.
-        let count: usize = per_attr.iter().map(Vec::len).product();
-        let mut cells = Vec::with_capacity(count);
-        let mut pick = vec![0usize; arity];
+        let span = |a: usize| if a == 0 { 0 } else { out.ends[a - 1] }..out.ends[a];
+        let count: usize = (0..out.arity).map(|a| span(a).len()).product();
+        out.pick.resize(out.arity, 0);
         for _ in 0..count {
-            let mut key = Vec::with_capacity(arity);
-            let mut grades = Vec::with_capacity(arity);
             let mut weight = 1.0;
-            for (kept, &i) in per_attr.iter().zip(&pick) {
-                let (label, g, raw) = kept[i];
-                key.push(label);
-                grades.push(raw);
+            for (a, &i) in out.pick.iter().enumerate() {
+                let (label, g, raw) = out.kept[span(a).start + i];
+                out.labels.push(label);
+                out.grades.push(raw);
                 weight *= g;
             }
-            cells.push(CandidateCell {
-                key: CellKey(key),
-                weight,
-                grades,
-            });
-            for (i, kept) in pick.iter_mut().zip(&per_attr).rev() {
+            out.weights.push(weight);
+            for (a, i) in out.pick.iter_mut().enumerate().rev() {
                 *i += 1;
-                if *i < kept.len() {
+                if *i < span(a).len() {
                     break;
                 }
                 *i = 0;
             }
         }
-        Ok(cells)
+        Ok(())
     }
 
     /// Maps a whole table; unmappable records are skipped and counted in
@@ -182,6 +190,66 @@ impl Mapper {
             .map(|(attr, &l)| attr.label_name(l).unwrap_or("?"))
             .collect();
         format!("({})", names.join(", "))
+    }
+}
+
+/// One record's candidate cells as [`Mapper::map_record_into`] writes
+/// them: cell `i` has labels [`MappedCells::labels`]`(i)`, weight
+/// [`MappedCells::weight`]`(i)` and raw grades
+/// [`MappedCells::grades`]`(i)`, in [`Mapper::map_record`]'s order. The
+/// buffers are reused from record to record.
+#[derive(Debug, Clone, Default)]
+pub struct MappedCells {
+    arity: usize,
+    /// Every cell's labels, back to back.
+    labels: Vec<LabelId>,
+    /// Every cell's raw grades, back to back.
+    grades: Vec<Grade>,
+    weights: Vec<f64>,
+    /// The kept (label, renormalized grade, raw grade) triples of every
+    /// attribute, back to back; attribute `a`'s end at `ends[a]`.
+    kept: Vec<(LabelId, Grade, Grade)>,
+    ends: Vec<usize>,
+    /// One numeric attribute's raw grades.
+    raw: Vec<(LabelId, Grade)>,
+    /// The product's current pick per attribute.
+    pick: Vec<usize>,
+}
+
+impl MappedCells {
+    fn clear(&mut self, arity: usize) {
+        self.arity = arity;
+        self.labels.clear();
+        self.grades.clear();
+        self.weights.clear();
+        self.kept.clear();
+        self.ends.clear();
+        self.pick.clear();
+    }
+
+    /// Number of cells.
+    pub fn len(&self) -> usize {
+        self.weights.len()
+    }
+
+    /// True when the record mapped to no cell.
+    pub fn is_empty(&self) -> bool {
+        self.weights.is_empty()
+    }
+
+    /// Cell `i`'s grid coordinate.
+    pub fn labels(&self, i: usize) -> &[LabelId] {
+        &self.labels[i * self.arity..(i + 1) * self.arity]
+    }
+
+    /// Cell `i`'s weight (see [`CandidateCell::weight`]).
+    pub fn weight(&self, i: usize) -> f64 {
+        self.weights[i]
+    }
+
+    /// Cell `i`'s raw grades (see [`CandidateCell::grades`]).
+    pub fn grades(&self, i: usize) -> &[Grade] {
+        &self.grades[i * self.arity..(i + 1) * self.arity]
     }
 }
 
@@ -329,6 +397,33 @@ mod tests {
             Err(SummaryError::KindMismatch { .. })
         ));
     }
+
+    #[test]
+    fn describe_renders_label_names() {
+        let m = mapper();
+        let table = Table::patient_table1();
+        let t1 = table.get(relation::tuple::TupleId(1)).unwrap();
+        let cells = m.map_record(&t1.values).unwrap();
+        let s = m.describe(&cells[0].key);
+        assert!(
+            s.contains("young") && s.contains("underweight") && s.contains("anorexia"),
+            "{s}"
+        );
+    }
+}
+
+/// The mapper's bit-exact reference, kept as a self-check that tests call.
+mod reference {
+    use fuzzy::bk::{AttributeVocabulary, BackgroundKnowledge};
+    use fuzzy::descriptor::{Grade, LabelId};
+    use relation::rand::rngs::StdRng;
+    use relation::rand::SeedableRng;
+    use relation::schema::Schema;
+    use relation::value::Value;
+
+    use super::Mapper;
+    use crate::cell::{CandidateCell, CellKey};
+    use crate::error::SummaryError;
 
     /// The mapper before it evaluated each value once, kept as the
     /// reference: `fuzzify` for the raw grades, `fuzzify_pruned` for the
@@ -483,9 +578,14 @@ mod tests {
         Mapper::bind(bk, &schema).unwrap()
     }
 
-    #[test]
-    fn one_pass_mapping_matches_the_reference() {
-        let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(3);
+    /// Self-check: [`Mapper::map_record`] against the mapper before it
+    /// evaluated each value once, bit for bit, over probe values at every
+    /// membership-function corner, NULLs, out-of-vocabulary values, random
+    /// patients and overlapping partitions with `tau` at grades that occur
+    /// exactly. Panics on the first difference.
+    #[doc(hidden)]
+    pub fn one_pass_mapping_matches_the_reference() {
+        let mut rng = <StdRng as SeedableRng>::seed_from_u64(3);
         let dist = relation::generator::PatientDistributions::default();
         let numeric = |m: &Mapper, name: &str| match m.bk().attribute(name).unwrap() {
             AttributeVocabulary::Numeric(var) => var.clone(),
@@ -501,7 +601,7 @@ mod tests {
         let (mut mapped, mut failed, mut at_tau) = (0usize, 0usize, 0usize);
 
         // The medical CBK (tau = 0.2): age 25 and 19 grade exactly tau.
-        let m = mapper();
+        let m = Mapper::bind(BackgroundKnowledge::medical_cbk(), &Schema::patient()).unwrap();
         let (age, bmi) = (numeric(&m, "age"), numeric(&m, "bmi"));
         let mut ages: Vec<Value> = probe_values(&age).into_iter().map(Value::Float).collect();
         ages.extend([
@@ -566,17 +666,7 @@ mod tests {
         );
         assert!(at_tau >= 4, "only {at_tau} grades exactly at tau");
     }
-
-    #[test]
-    fn describe_renders_label_names() {
-        let m = mapper();
-        let table = Table::patient_table1();
-        let t1 = table.get(relation::tuple::TupleId(1)).unwrap();
-        let cells = m.map_record(&t1.values).unwrap();
-        let s = m.describe(&cells[0].key);
-        assert!(
-            s.contains("young") && s.contains("underweight") && s.contains("anorexia"),
-            "{s}"
-        );
-    }
 }
+
+#[doc(hidden)]
+pub use reference::one_pass_mapping_matches_the_reference;

@@ -11,7 +11,7 @@
 //! Each merged leaf carries its per-source weights, so the peer-extent
 //! (Definition 3) survives merging, and its statistics are folded in.
 
-use crate::engine::{incorporate_contributions, EngineConfig};
+use crate::engine::{incorporate_contributions, DescentBuffers, EngineConfig};
 use crate::error::SummaryError;
 use crate::hierarchy::{Contribution, StatsUpdate, SummaryTree};
 
@@ -31,6 +31,7 @@ pub fn merge_into(
         });
     }
     let mut run = Vec::new();
+    let mut buffers = DescentBuffers::default();
     for (key, entry) in source.cells() {
         run.clear();
         run.extend(
@@ -45,7 +46,7 @@ pub fn merge_into(
                     stats: StatsUpdate::None,
                 }),
         );
-        incorporate_contributions(target, config, key, &run);
+        incorporate_contributions(target, config, &key.0, &run, &mut buffers);
         target.merge_cell_stats(key, &entry.stats);
     }
     Ok(())

@@ -16,12 +16,14 @@
 //! without changing its fixed points on crisp data.
 //!
 //! Every score is a sum of per-node terms `P(C) [EC(C) − EC(N)]`, each
-//! built on `expected_correct` — the one implementation of
-//! `Σ_a Σ_l P(l|X)²`. [`category_utility`] and
-//! [`category_utility_with_new_child`] score one hypothesis each; the
-//! descent ([`crate::engine`]) computes the terms of a level once and
-//! sums them per hypothesis in the same order, so its scores are
-//! bit-identical to these.
+//! built on `expected_correct` — the one full pass of
+//! `Σ_a Σ_l P(l|X)²`, which adds every slot's `p²` without a branch.
+//! `leaf_expected_correct` is its shortcut for a leaf: it reads only the
+//! slots that can hold weight, in the same order, so it returns the same
+//! bits. [`category_utility`] and [`category_utility_with_new_child`]
+//! score one hypothesis each; the descent ([`crate::engine`]) computes
+//! the terms of a level once and sums them per hypothesis in the same
+//! order, so its scores are bit-identical to these.
 
 use fuzzy::descriptor::LabelId;
 
@@ -34,6 +36,12 @@ use crate::hierarchy::{NodeId, SummaryTree};
 /// attribute boundaries (attribute `a` spans `offsets[a]..offsets[a +
 /// 1]`). `pending` adds a hypothetical cell's weight to its label on
 /// every attribute before scoring; the caller's `total` includes it.
+///
+/// Every slot adds its `p²`, in slot order, without a branch: a slot off
+/// the pending label gets `+0.0` added to its weight, which changes no
+/// square, and an empty slot adds `+0.0` to the sum, which leaves the
+/// non-negative sum as it is. The sum is therefore bit for bit the one
+/// that adds only the non-empty slots.
 pub(crate) fn expected_correct(
     offsets: &[usize],
     total: f64,
@@ -45,17 +53,54 @@ pub(crate) fn expected_correct(
     }
     let mut sum = 0.0;
     for (attr, span) in offsets.windows(2).enumerate() {
-        let hit = pending.map(|(key, w)| (span[0] + key[attr].index(), w));
+        let (hit, pw) = match pending {
+            Some((key, pw)) => (span[0] + key[attr].index(), pw),
+            None => (usize::MAX, 0.0),
+        };
         for s in span[0]..span[1] {
-            let mut w = slot(s);
-            if let Some((pending_slot, pw)) = hit {
-                if pending_slot == s {
-                    w += pw;
+            let p = (slot(s) + if s == hit { pw } else { 0.0 }) / total;
+            sum += p * p;
+        }
+    }
+    sum
+}
+
+/// [`expected_correct`] of a leaf standing for cell `key`, whose
+/// histogram `hist` is zero off the key's slots (the leaf-support
+/// invariant of [`SummaryTree::check_invariants`]). Only the key's slot
+/// and the pending cell's slot of each attribute can add anything, so
+/// only they are read, in slot order: the sum is bit-identical to the
+/// full pass.
+pub(crate) fn leaf_expected_correct(
+    offsets: &[usize],
+    total: f64,
+    pending: Option<(&[LabelId], f64)>,
+    key: &[LabelId],
+    hist: &[f64],
+) -> f64 {
+    if total <= 0.0 {
+        return 0.0;
+    }
+    let mut sum = 0.0;
+    let mut add = |w: f64| {
+        let p = w / total;
+        sum += p * p;
+    };
+    for (attr, &label) in key.iter().enumerate() {
+        let own = offsets[attr] + label.index();
+        match pending {
+            None => add(hist[own]),
+            Some((labels, pw)) => {
+                let hit = offsets[attr] + labels[attr].index();
+                if hit < own {
+                    add(pw);
+                    add(hist[own]);
+                } else if hit == own {
+                    add(hist[own] + pw);
+                } else {
+                    add(hist[own]);
+                    add(pw);
                 }
-            }
-            if w > 0.0 {
-                let p = w / total;
-                sum += p * p;
             }
         }
     }
