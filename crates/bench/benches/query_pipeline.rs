@@ -1,10 +1,11 @@
 //! Query-side microbenchmarks: reformulation, valuation/selection over a
-//! populated global summary, approximate answering, and the routing
-//! policies of §6.1.2.
+//! populated global summary, approximate answering, the routing
+//! policies of §6.1.2 and §5.2.2's TTL flood.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use fuzzy::bk::BackgroundKnowledge;
-use p2psim::network::NodeId;
+use p2psim::network::{FloodScratch, Network, NodeId};
+use p2psim::topology::{Graph, TopologyConfig};
 use rand::SeedableRng;
 use relation::query::SelectQuery;
 use saintetiq::engine::EngineConfig;
@@ -107,12 +108,60 @@ fn bench_routing_policies(c: &mut Criterion) {
     group.finish();
 }
 
+/// One TTL-3 flood from each of 64 origins on a Barabási–Albert
+/// overlay: a fresh `flood_reach_timed` per flood against
+/// `flood_reach_into` with one reused scratch and output buffer.
+fn bench_flood_reach(c: &mut Criterion) {
+    const TTL: u32 = 3;
+    let mut group = c.benchmark_group("flood_reach");
+    for &peers in &[400usize, 1_000] {
+        let cfg = TopologyConfig {
+            nodes: peers,
+            ..Default::default()
+        };
+        let mut rng = rand::rngs::StdRng::seed_from_u64(7);
+        let net = Network::new(Graph::barabasi_albert(&cfg, &mut rng));
+        let origins: Vec<NodeId> = (0..64).map(|i| NodeId((i * 37 % peers) as u32)).collect();
+        group.bench_with_input(
+            BenchmarkId::new("flood_reach_timed", peers),
+            &net,
+            |b, net| {
+                b.iter(|| {
+                    origins
+                        .iter()
+                        .map(|&o| net.flood_reach_timed(o, TTL).len())
+                        .sum::<usize>()
+                })
+            },
+        );
+        let mut scratch = FloodScratch::default();
+        let mut out = Vec::new();
+        group.bench_with_input(
+            BenchmarkId::new("flood_reach_into", peers),
+            &net,
+            |b, net| {
+                b.iter(|| {
+                    origins
+                        .iter()
+                        .map(|&o| {
+                            net.flood_reach_into(o, TTL, &mut scratch, &mut out);
+                            out.len()
+                        })
+                        .sum::<usize>()
+                })
+            },
+        );
+    }
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_reformulation,
     bench_selection,
     bench_peer_localization,
     bench_approximate_answering,
-    bench_routing_policies
+    bench_routing_policies,
+    bench_flood_reach
 );
 criterion_main!(benches);

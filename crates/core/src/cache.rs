@@ -14,6 +14,12 @@
 //! Answer lists are shared, not copied: every peer that answered a
 //! query together holds the same `Rc<[NodeId]>`, and a cache hit hands
 //! out another reference to it.
+//!
+//! A flood looks the cache up at every reached peer, and a lookup's
+//! originator re-inserts the same template after every run of valid
+//! answers, so both operations return early when the template is
+//! already the most recently used entry: nothing moves, and the cache
+//! ends in the state the full remove-and-push-front would leave.
 
 use std::collections::VecDeque;
 use std::rc::Rc;
@@ -60,6 +66,11 @@ impl QueryCache {
     /// Inserts or refreshes the answer for a template (moves it to the
     /// MRU position; evicts the LRU entry when full).
     pub fn insert(&mut self, template: usize, answering: Rc<[NodeId]>) {
+        if let Some(front) = self.entries.front_mut().filter(|e| e.template == template) {
+            // Already the most recently used: only the answer changes.
+            front.answering = answering;
+            return;
+        }
         self.entries.retain(|e| e.template != template);
         self.entries.push_front(CachedAnswer {
             template,
@@ -70,12 +81,20 @@ impl QueryCache {
         }
     }
 
-    /// Looks a template up, refreshing its recency on hit.
+    /// Looks a template up, refreshing its recency on hit. A hit on the
+    /// most recently used entry moves nothing.
     pub fn lookup(&mut self, template: usize) -> Option<&CachedAnswer> {
-        let pos = self.entries.iter().position(|e| e.template == template)?;
-        let entry = self.entries.remove(pos).expect("position just found");
-        self.entries.push_front(entry);
+        if self.entries.front()?.template != template {
+            let pos = self.entries.iter().position(|e| e.template == template)?;
+            let entry = self.entries.remove(pos).expect("position just found");
+            self.entries.push_front(entry);
+        }
         self.entries.front()
+    }
+
+    /// The cached answers, most recently used first.
+    pub fn iter(&self) -> impl Iterator<Item = &CachedAnswer> + '_ {
+        self.entries.iter()
     }
 
     /// Peeks without touching recency (for tests/metrics).

@@ -82,7 +82,11 @@
 //!     stale answers, and the recorded
 //!     [`MultiDomainOutcome::time_to_answer_s`] is the genuine virtual
 //!     time between posing the query and meeting (or abandoning) its
-//!     target.
+//!     target. The conversation is dropped once it completes.
+//!
+//! Floods in both modes reuse the kernel's one `FloodScratch` and reach
+//! buffer, so a flood allocates nothing (see `docs/ARCHITECTURE.md`,
+//! "The lookup hot path").
 //!
 //! Both modes are deterministic under a fixed seed — the message plane
 //! draws no randomness.
@@ -111,7 +115,7 @@ use std::rc::Rc;
 
 use fuzzy::bk::BackgroundKnowledge;
 use p2psim::churn::{ChurnConfig, SessionEvent, SessionSchedule};
-use p2psim::network::{Network, NodeId};
+use p2psim::network::{FloodScratch, Network, NodeId};
 use p2psim::sim::Simulator;
 use p2psim::time::SimTime;
 use p2psim::topology::{Graph, TopologyConfig};
@@ -136,7 +140,8 @@ use crate::messages::{Message, MessageClass};
 use crate::metrics::{DomainReport, MultiDomainReport};
 use crate::peerstate::{empty_accumulator, DomainCore, MessageLedger, PeerState, SummarySnapshot};
 use crate::routing::{
-    visited_peers, LookupConversation, QueryOutcome, RebirthConversation, RingConversation,
+    visited_peers, DenseSet, LookupConversation, QueryOutcome, RebirthConversation,
+    RingConversation,
 };
 use crate::workload::{make_templates, PeerGenerator, ZipfSampler};
 
@@ -343,6 +348,13 @@ pub struct SimKernel {
     inter_outcomes: Vec<(SimTime, MultiDomainOutcome)>,
     pub(crate) net: Option<Network>,
     pub(crate) topo: Option<Domains>,
+    /// Bumped wherever `topo`'s assignments or distances may change:
+    /// lookups memoize hop latencies to their originator under it.
+    topo_epoch: u64,
+    /// The flood BFS's seen stamps and frontiers, reused by every flood.
+    flood_scratch: FloodScratch,
+    /// The last flood's reach, reused by every flood.
+    flood_out: Vec<(NodeId, u32, SimTime)>,
     caches: Vec<QueryCache>,
     cache_hits: u64,
     target: LookupTarget,
@@ -488,6 +500,9 @@ impl SimKernel {
             inter_outcomes: Vec::new(),
             net: None,
             topo: None,
+            topo_epoch: 0,
+            flood_scratch: FloodScratch::default(),
+            flood_out: Vec::new(),
             caches: Vec::new(),
             cache_hits: 0,
             target: LookupTarget::Total,
@@ -617,6 +632,9 @@ impl SimKernel {
             inter_outcomes: Vec::new(),
             net: Some(net),
             topo: Some(topo),
+            topo_epoch: 0,
+            flood_scratch: FloodScratch::default(),
+            flood_out: Vec::new(),
             caches,
             cache_hits: 0,
             target: dynamics.unwrap_or(LookupTarget::Total),
@@ -892,14 +910,18 @@ impl SimKernel {
                 conv,
                 sent_at,
             } => self.deliver(from, to, msg, conv, sent_at),
-            KernelEvent::Hits(run) => self.deliver_hits(&run),
+            KernelEvent::Hits(run) => {
+                if self.deliver_hits(&run) {
+                    self.lookups.remove(&run.conv);
+                }
+            }
             KernelEvent::RingTimeout { conv } => {
                 if self.rings.get(&conv).is_some_and(|rc| !rc.done) {
                     self.finish_ring(conv);
                 }
             }
             KernelEvent::LookupTimeout { conv } => {
-                if let Some(lc) = self.lookups.get_mut(&conv) {
+                if let Some(mut lc) = self.lookups.remove(&conv) {
                     self.inter_outcomes.extend(lc.finish(self.sim.now()));
                 }
             }
@@ -1281,12 +1303,17 @@ impl SimKernel {
 
     /// Puts back a conversation a handler took out of `lookups` — so
     /// the handler pays one map lookup, not one per message it sends —
-    /// completing it first when no branch is left in flight.
+    /// completing it first when no branch is left in flight. A
+    /// completed conversation is dropped: later deliveries find no
+    /// conversation, which leaves them as the no-ops a done one made
+    /// them.
     fn settle_lookup(&mut self, conv: u64, mut lc: LookupConversation) {
         if lc.branches == 0 {
             self.inter_outcomes.extend(lc.finish(self.sim.now()));
         }
-        self.lookups.insert(conv, lc);
+        if !lc.done {
+            self.lookups.insert(conv, lc);
+        }
     }
 
     /// Sends this lookup's query to one domain's SP (once per domain).
@@ -1325,9 +1352,26 @@ impl SimKernel {
         let lat = self.lat.expect("latency mode");
         let msg = hit_msg(summary_selected);
         let origin = lc.origin;
+        if lc.hop_epoch != self.topo_epoch {
+            lc.hop_to_origin.clear();
+            lc.hop_epoch = self.topo_epoch;
+        }
+        if lc.hop_to_origin.len() < self.peers.len() {
+            lc.hop_to_origin
+                .resize(self.peers.len(), LookupConversation::HOP_UNKNOWN);
+        }
         let mut run: Option<(usize, SimTime)> = None;
         for (i, &q) in peers.iter().enumerate() {
-            let transit = msg.transit_time(self.hop_latency(q, origin), &lat) + extra(self, q);
+            let hop = match lc.hop_to_origin.get_mut(q.index()) {
+                Some(h) if *h != LookupConversation::HOP_UNKNOWN => *h,
+                Some(h) => {
+                    *h = self.hop_latency(q, origin);
+                    *h
+                }
+                None => self.hop_latency(q, origin),
+            };
+            debug_assert_eq!(hop, self.hop_latency(q, origin), "stale hop memo");
+            let transit = msg.transit_time(hop, &lat) + extra(self, q);
             match run {
                 Some((_, t)) if t == transit => continue,
                 Some((start, t)) => {
@@ -1428,8 +1472,8 @@ impl SimKernel {
             self.send_lookup(lc, to, f, msg, conv, SimTime::ZERO);
         }
         // Long-range SP links fan the query out.
-        let links = self.domains[d].long_links.clone();
-        for sp2 in links {
+        for i in 0..self.domains[d].long_links.len() {
+            let sp2 = self.domains[d].long_links[i];
             if let Some(&other) = self.sp_index.get(&sp2) {
                 self.schedule_domain_query(lc, conv, other, to, SimTime::ZERO);
             }
@@ -1459,11 +1503,12 @@ impl SimKernel {
             // A churned-out flooder drops the request.
             return;
         };
-        let reach = net.flood_reach_timed(f, ttl);
+        let mut reach = std::mem::take(&mut self.flood_out);
+        net.flood_reach_into(f, ttl, &mut self.flood_scratch, &mut reach);
         // Each forward is a message.
         let forward = Message::FloodRequest { ttl };
         self.charge(&mut lc.messages, &forward, reach.len() as u64);
-        for (reached, _hops, plat) in reach {
+        for &(reached, _hops, plat) in &reach {
             // "Its neighbors may have cached answers to similar
             // queries": each cached candidate is re-validated when its
             // reply reaches the originator.
@@ -1476,6 +1521,7 @@ impl SimKernel {
                 self.schedule_domain_query(lc, conv, other_d, reached, plat);
             }
         }
+        self.flood_out = reach;
     }
 
     /// A run of answers reaches the originator. Each answer is about one
@@ -1484,8 +1530,9 @@ impl SimKernel {
     /// and summary-selected ones surface as stale answers. The run is
     /// handled in send order, exactly as if each answer had arrived on
     /// its own: once the lookup completes, later answers only drain
-    /// their branch.
-    fn deliver_hits(&mut self, run: &HitRun) {
+    /// their branch. Returns true when the lookup is done, so the
+    /// caller can drop it.
+    fn deliver_hits(&mut self, run: &HitRun) -> bool {
         let HitRun {
             conv,
             summary_selected,
@@ -1499,7 +1546,7 @@ impl SimKernel {
         self.ledger
             .count_deliveries(MessageClass::QueryResponse, now.saturating_sub(sent_at), n);
         let Some(lc) = self.lookups.get_mut(&conv) else {
-            return;
+            return false;
         };
         let mut answered_live = false;
         for &q in peers {
@@ -1539,11 +1586,13 @@ impl SimKernel {
         // The originator remembers everyone who answered. Every valid
         // answer of the run would re-insert the same template with
         // nothing reading the cache in between, so one insert of the
-        // final set leaves the cache in the same state.
+        // final set leaves the cache in the same state. The list is
+        // rebuilt only when the set grew since the last insert.
         if answered_live {
-            let answered: Rc<[NodeId]> = lc.answered.iter().copied().collect();
+            let answered = lc.answered.shared_list(&mut lc.answer_list);
             self.caches[lc.origin.index()].insert(lc.template, answered);
         }
+        lc.done
     }
 
     // ------------------------------------------------------------------
@@ -1599,6 +1648,7 @@ impl SimKernel {
             return;
         }
         {
+            self.topo_epoch += 1;
             let (Some(net), Some(topo)) = (self.net.as_mut(), self.topo.as_mut()) else {
                 return;
             };
@@ -1677,6 +1727,7 @@ impl SimKernel {
             })
             .collect();
         {
+            self.topo_epoch += 1;
             let (Some(net), Some(topo)) = (self.net.as_mut(), self.topo.as_mut()) else {
                 return;
             };
@@ -1818,6 +1869,7 @@ impl SimKernel {
         self.peers[ns.index()] = None;
         self.domain_of[ns.index()] = None;
         self.promoted_sps.insert(ns);
+        self.topo_epoch += 1;
         let tree_dist = {
             let (net, topo) = (
                 self.net.as_ref().expect("networked kernel"),
@@ -1859,6 +1911,7 @@ impl SimKernel {
         self.ctl
             .on_rebirth(d, now_s, self.domains[d].delta_bytes_total);
         {
+            self.topo_epoch += 1;
             let topo = self.topo.as_mut().expect("networked kernel");
             for &m in &live {
                 topo.assignment[m.index()] = Some(ns);
@@ -1978,6 +2031,7 @@ impl SimKernel {
         // Adopt the domain only if its SP is actually alive — never
         // leave the assignment pointing at a departed one.
         let d = *self.sp_index.get(&sp)?;
+        self.topo_epoch += 1;
         let topo = self.topo.as_mut()?;
         topo.assignment[p.index()] = Some(sp);
         topo.distance[p.index()] = u64::MAX - 1;
@@ -2021,6 +2075,13 @@ impl SimKernel {
             }
         }
         Ok(true)
+    }
+
+    /// Every domain slot's state, dissolved slots included. Whenever the
+    /// kernel hands control back, each live domain's `gs` is the
+    /// canonical build of its accumulator.
+    pub fn domain_cores(&self) -> &[DomainCore] {
+        &self.domains
     }
 
     /// Messages currently in flight on the message plane.
@@ -2146,8 +2207,11 @@ impl SimKernel {
         let (mut queries, mut hits, mut cache_replies, mut floods) = (0, 0, 0, 0);
         let mut stale_answers = 0usize;
         let mut summary_results = 0usize;
-        let mut answered: BTreeSet<NodeId> = BTreeSet::new();
-        let mut visited_domains: BTreeSet<usize> = BTreeSet::new();
+        let mut answered: DenseSet<NodeId> = DenseSet::default();
+        // `answered` as last stored in the originator's cache.
+        let mut answer_list = None;
+        let mut visited_domains: DenseSet<usize> = DenseSet::default();
+        let mut reach = std::mem::take(&mut self.flood_out);
         // Domains to process next: discovered through flooding/long links.
         let mut frontier: VecDeque<usize> = VecDeque::new();
         frontier.push_back(home);
@@ -2162,13 +2226,16 @@ impl SimKernel {
             hits += answering.len() as u64;
             stale_answers += stale;
             summary_results += answering.len();
-            answered.extend(answering.iter().copied());
+            for &p in &answering {
+                answered.insert(p);
+            }
             // Group locality (§5.2.2): the originator and the answering
             // peers remember who answered this template. The originator
             // accumulates everyone seen so far — a later domain with no
             // answerers must not wipe the entry it already earned.
             if !answered.is_empty() {
-                self.caches[origin.index()].insert(template, answered.iter().copied().collect());
+                let list = answered.shared_list(&mut answer_list);
+                self.caches[origin.index()].insert(template, list);
             }
             let answering: Rc<[NodeId]> = answering.into();
             for &p in answering.iter() {
@@ -2185,12 +2252,9 @@ impl SimKernel {
             let flooders = answering.iter().copied().chain(home.then_some(origin));
             floods += answering.len() as u64 + u64::from(home);
             for f in flooders {
-                let reach = self
-                    .net
-                    .as_ref()
-                    .expect("networked kernel")
-                    .flood_reach(f, self.cfg.flood_ttl);
-                for (reached, _) in reach {
+                let net = self.net.as_ref().expect("networked kernel");
+                net.flood_reach_into(f, self.cfg.flood_ttl, &mut self.flood_scratch, &mut reach);
+                for &(reached, _, _) in &reach {
                     // Each forward is a message. A reached neighbor with
                     // a cached answer for this template replies at once —
                     // "its neighbors may have cached answers to similar
@@ -2215,24 +2279,24 @@ impl SimKernel {
                         }
                     }
                     if let Some(other) = self.domain_of[reached.index()] {
-                        if !visited_domains.contains(&other) {
+                        if !visited_domains.contains(other) {
                             frontier.push_back(other);
                         }
                     }
                 }
             }
-            let links = self.domains[d].long_links.clone();
-            for sp in links {
+            for sp in &self.domains[d].long_links {
                 queries += 1;
                 // A link may point at an SP that departed since (§4.3).
-                if let Some(&other) = self.sp_index.get(&sp) {
-                    if !visited_domains.contains(&other) {
+                if let Some(&other) = self.sp_index.get(sp) {
+                    if !visited_domains.contains(other) {
                         frontier.push_back(other);
                     }
                 }
             }
         }
 
+        self.flood_out = reach;
         let mut messages = 0;
         self.charge(&mut messages, &Message::Query { template }, queries);
         self.charge(&mut messages, &hit_msg(true), hits);
@@ -2689,10 +2753,15 @@ mod tests {
         k.lookups.insert(conv, lc);
         assert_eq!(k.in_flight(), 6);
         let mut events = 0;
+        // Runs are handed to `deliver_hits` itself, which leaves the
+        // done conversation in place for the checks below (`handle`
+        // drops it).
         while let Some((_, ev)) = k.sim.next_event() {
-            assert!(matches!(ev, KernelEvent::Hits(_)), "{ev:?}");
+            let KernelEvent::Hits(run) = ev else {
+                panic!("{ev:?}")
+            };
             events += 1;
-            k.handle(ev);
+            k.deliver_hits(&run);
         }
         assert_eq!(events, 3, "far ×3, near, far ×2: three runs");
 
@@ -2715,7 +2784,7 @@ mod tests {
         assert_eq!(lc.messages, 6);
         let mut want = vec![near, far[0]];
         want.sort_unstable();
-        assert_eq!(lc.answered.iter().copied().collect::<Vec<_>>(), want);
+        assert_eq!(lc.answered.iter().collect::<Vec<_>>(), want);
         assert_eq!(k.inter_outcomes.len(), 1);
         let out = &k.inter_outcomes[0].1;
         assert_eq!(out.results, 2);
@@ -2727,40 +2796,97 @@ mod tests {
         assert_eq!(&*cached.answering, &want[..]);
     }
 
-    /// The observation contract: pulls only update the accumulators, and
-    /// whenever the kernel hands control back every live domain's `gs`
-    /// is the canonical build of its accumulator, with its encoded size.
+    /// A lookup's conversation is dropped when it completes, whether
+    /// its target was met, its branches drained or its watchdog fired:
+    /// once the run is past a lookup's watchdog the lookup is gone, and
+    /// no conversation left in `lookups` is done.
     #[test]
-    fn observed_gs_is_the_accumulators_merged_view() {
+    fn completed_lookups_are_dropped() {
         use crate::config::{DeliveryMode, LatencyConfig};
-        for latency in [false, true] {
-            let mode = |n: usize| {
-                let mut c = cfg(n, 8);
-                if latency {
-                    c.delivery = DeliveryMode::Latency(LatencyConfig::wan_default());
+        let lat = LatencyConfig::wan_default();
+        for target in [LookupTarget::Total, LookupTarget::Partial(3)] {
+            let mut c = cfg(120, 5);
+            c.delivery = DeliveryMode::Latency(lat);
+            let mut k = SimKernel::networked(c, 20, Some(target)).unwrap();
+            for hours in 1..=4 {
+                let now = SimTime::from_hours(hours);
+                k.run_until(now);
+                for lc in k.lookups.values() {
+                    assert!(!lc.done, "{target:?}: a done lookup is kept");
+                    assert!(
+                        lc.started + lat.conversation_timeout >= now,
+                        "{target:?}: a lookup outlived its watchdog"
+                    );
                 }
-                c
-            };
-            let kernels = [
-                SimKernel::networked(mode(120), 20, Some(LookupTarget::Total)).unwrap(),
-                SimKernel::single_domain(mode(40)).unwrap(),
-            ];
-            for mut k in kernels {
-                for hours in 1..=4 {
-                    k.run_until(SimTime::from_hours(hours));
-                    for dom in k.domains.iter().filter(|d| !d.dissolved) {
-                        assert_eq!(
-                            wire::encode(&dom.gs),
-                            wire::encode(&dom.acc.build_merged()),
-                            "latency {latency}, hour {hours}: stale GS observed"
-                        );
-                        assert_eq!(dom.gs_bytes_last, wire::encoded_size(&dom.gs));
-                    }
-                }
-                let pulls: u64 = k.domains.iter().map(|d| d.reconciliations).sum();
-                assert!(pulls > 0, "latency {latency}: the run must pull");
             }
+            assert!(k.inter_outcomes.len() > 10, "{target:?}: lookups completed");
         }
+
+        // A query that reaches a departed SP kills the lookup's only
+        // branch: the lookup completes as its delivery settles, and is
+        // dropped there; its watchdog then finds nothing.
+        let mut c = cfg(120, 5);
+        c.delivery = DeliveryMode::Latency(lat);
+        let mut k = SimKernel::networked(c, 20, None).unwrap();
+        let origin = k.live_origins()[0];
+        let sp = k.sp_node(k.domain_of[origin.index()].expect("a partner"));
+        k.net.as_mut().expect("networked").take_down(sp);
+        k.start_lookup(origin, 0);
+        let mut handled = 0;
+        while let Some((_, ev)) = k.sim.next_event() {
+            handled += 1;
+            k.handle(ev);
+            assert!(k.lookups.is_empty(), "completed at the dead SP");
+            assert_eq!(k.inter_outcomes.len(), 1);
+        }
+        assert_eq!(handled, 2, "the query and the watchdog");
+
+        // A watchdog that fires while the query is still in flight
+        // completes and drops the lookup; the late query only drains.
+        k.net.as_mut().expect("networked").bring_up(sp);
+        let conv = k.next_conv;
+        k.start_lookup(origin, 0);
+        k.handle(KernelEvent::LookupTimeout { conv });
+        assert!(k.lookups.is_empty(), "dropped by its watchdog");
+        assert_eq!(k.inter_outcomes.len(), 2);
+        while let Some((_, ev)) = k.sim.next_event() {
+            k.handle(ev);
+        }
+        assert_eq!(k.inter_outcomes.len(), 2, "late deliveries record nothing");
+        assert_eq!(k.in_flight(), 0);
+    }
+
+    /// `send_hits` memoizes each answer's hop to the originator per
+    /// lookup. Re-homing the originator forgets its broadcast-tree
+    /// distance to its SP, which changes the SP's hop to it: the
+    /// topology epoch must invalidate the memo.
+    #[test]
+    fn hop_memo_follows_topology_changes() {
+        use crate::config::{DeliveryMode, LatencyConfig};
+        let lat = LatencyConfig::wan_default();
+        let mut c = cfg(120, 11);
+        c.delivery = DeliveryMode::Latency(lat);
+        let mut k = SimKernel::networked(c, 20, None).unwrap();
+        let (origin, sp) = k
+            .live_origins()
+            .into_iter()
+            .find_map(|p| {
+                let sp = k.topo.as_ref()?.assignment[p.index()]?;
+                let tree = k.topo.as_ref()?.join_time(p)?;
+                let linked = k.net.as_ref()?.latency(p, sp).is_some();
+                (!linked && tree != lat.default_hop).then_some((p, sp))
+            })
+            .expect("a partner reached over the broadcast tree");
+        let list: Rc<[NodeId]> = [sp].into();
+        let mut lc = LookupConversation::new(origin, 0, usize::MAX, SimTime::ZERO, 1);
+        k.send_hits(&mut lc, 1, &list, false, |_, _| SimTime::ZERO);
+        let before = lc.hop_to_origin[sp.index()];
+        assert_eq!(before, k.hop_latency(sp, origin));
+        k.rehome_orphan(origin).expect("a surviving domain");
+        k.send_hits(&mut lc, 1, &list, false, |_, _| SimTime::ZERO);
+        let after = lc.hop_to_origin[sp.index()];
+        assert_eq!(after, k.hop_latency(sp, origin));
+        assert_ne!(after, before, "the re-homing changed the hop");
     }
 
     /// Drifts send one `v = 1` push each; with α = 0.3 over ten

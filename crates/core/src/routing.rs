@@ -14,8 +14,17 @@
 //! The outcome carries both the paper's **worst-case** accounting (every
 //! stale-flagged peer counts as wrong) and the **real** accounting
 //! against exact ground truth.
+//!
+//! The module also holds the state of the kernel's multi-event
+//! conversations: reconciliation rings, rebirth hand-overs and
+//! inter-domain lookups. A lookup keeps its answering peers and the
+//! domains it reached in `DenseSet`s — one bit per id, iterated in id
+//! order — and the answer list it last gave the originator's cache,
+//! rebuilt only when the answer set grew.
 
-use std::collections::{BTreeSet, VecDeque};
+use std::collections::VecDeque;
+use std::marker::PhantomData;
+use std::rc::Rc;
 
 use p2psim::network::NodeId;
 use p2psim::time::SimTime;
@@ -136,11 +145,117 @@ pub(crate) struct RebirthConversation {
     pub done: bool,
 }
 
+/// An index a [`DenseSet`] can hold: a peer id or a domain slot.
+pub(crate) trait DenseKey: Copy {
+    /// The key as a bit index.
+    fn index(self) -> usize;
+    /// The key of a bit index.
+    fn from_index(i: usize) -> Self;
+}
+
+impl DenseKey for NodeId {
+    fn index(self) -> usize {
+        NodeId::index(self)
+    }
+    fn from_index(i: usize) -> Self {
+        NodeId(i as u32)
+    }
+}
+
+impl DenseKey for usize {
+    fn index(self) -> usize {
+        self
+    }
+    fn from_index(i: usize) -> Self {
+        i
+    }
+}
+
+/// A set of small dense keys, one bit each, grown on demand and
+/// iterated in increasing key order — a lookup's answering peers and
+/// the domains it reached.
+#[derive(Debug, Clone)]
+pub(crate) struct DenseSet<K> {
+    words: Vec<u64>,
+    len: usize,
+    key: PhantomData<K>,
+}
+
+impl<K> Default for DenseSet<K> {
+    fn default() -> Self {
+        Self {
+            words: Vec::new(),
+            len: 0,
+            key: PhantomData,
+        }
+    }
+}
+
+impl<K: DenseKey> DenseSet<K> {
+    /// Adds `k`; true when it was not in the set yet.
+    pub fn insert(&mut self, k: K) -> bool {
+        let (w, bit) = (k.index() / 64, 1u64 << (k.index() % 64));
+        if w >= self.words.len() {
+            self.words.resize(w + 1, 0);
+        }
+        if self.words[w] & bit != 0 {
+            return false;
+        }
+        self.words[w] |= bit;
+        self.len += 1;
+        true
+    }
+
+    /// True when `k` is in the set.
+    pub fn contains(&self, k: K) -> bool {
+        self.words
+            .get(k.index() / 64)
+            .is_some_and(|w| w & (1u64 << (k.index() % 64)) != 0)
+    }
+
+    /// Number of keys in the set.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// True when the set is empty.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// The keys in increasing order.
+    pub fn iter(&self) -> impl Iterator<Item = K> + '_ {
+        self.words.iter().enumerate().flat_map(|(w, &word)| {
+            let mut rest = word;
+            std::iter::from_fn(move || {
+                (rest != 0).then(|| {
+                    let bit = rest.trailing_zeros() as usize;
+                    rest &= rest - 1;
+                    K::from_index(w * 64 + bit)
+                })
+            })
+        })
+    }
+}
+
+impl DenseSet<NodeId> {
+    /// The set as a shared id-ordered list, reusing `last` — the list
+    /// this set gave out before — unless the set grew since. Keys are
+    /// never removed, so an unchanged length means unchanged contents.
+    pub fn shared_list(&self, last: &mut Option<Rc<[NodeId]>>) -> Rc<[NodeId]> {
+        match last {
+            Some(list) if list.len() == self.len => Rc::clone(list),
+            _ => Rc::clone(last.insert(self.iter().collect())),
+        }
+    }
+}
+
 /// State of one latency-mode inter-domain lookup (§5.2.2 as a
 /// multi-event conversation): query deliveries fan out to domain SPs,
 /// per-peer answers and flood discoveries come back as further
 /// deliveries, and the lookup completes when its target is met, every
-/// branch has drained, or the watchdog fires.
+/// branch has drained, or the watchdog fires. The kernel drops the
+/// conversation once it completes.
 #[derive(Debug)]
 pub(crate) struct LookupConversation {
     /// The partner that posed the query.
@@ -154,10 +269,12 @@ pub(crate) struct LookupConversation {
     /// Ground-truth matches network-wide when the query was posed.
     pub results_total: usize,
     /// Peers whose (re-validated) answers reached the originator.
-    pub answered: BTreeSet<NodeId>,
+    pub answered: DenseSet<NodeId>,
+    /// `answered` as last stored in the originator's cache.
+    pub answer_list: Option<Rc<[NodeId]>>,
     /// Domains already queried *or* with a query in flight — dedup at
     /// schedule time so a domain is contacted once per lookup.
-    pub seen_domains: BTreeSet<usize>,
+    pub seen_domains: DenseSet<usize>,
     /// Domains whose SP actually processed the query.
     pub visited_domains: usize,
     /// Summary-selected peers that turned out down or drifted —
@@ -173,9 +290,18 @@ pub(crate) struct LookupConversation {
     pub branches: u64,
     /// Set once the outcome was recorded: late deliveries are no-ops.
     pub done: bool,
+    /// `hop_latency(peer, origin)` per peer id, filled as answers are
+    /// sent ([`LookupConversation::HOP_UNKNOWN`] = not computed yet).
+    pub hop_to_origin: Vec<SimTime>,
+    /// The kernel's topology epoch `hop_to_origin` was filled under;
+    /// a newer epoch invalidates it.
+    pub hop_epoch: u64,
 }
 
 impl LookupConversation {
+    /// A `hop_to_origin` slot not computed yet (no hop takes that long).
+    pub const HOP_UNKNOWN: SimTime = SimTime(u64::MAX);
+
     /// A fresh conversation.
     pub fn new(
         origin: NodeId,
@@ -190,14 +316,17 @@ impl LookupConversation {
             need,
             started,
             results_total,
-            answered: BTreeSet::new(),
-            seen_domains: BTreeSet::new(),
+            answered: DenseSet::default(),
+            answer_list: None,
+            seen_domains: DenseSet::default(),
             visited_domains: 0,
             stale_answers: 0,
             summary_ok: 0,
             messages: 0,
             branches: 0,
             done: false,
+            hop_to_origin: Vec::new(),
+            hop_epoch: 0,
         }
     }
 
@@ -445,6 +574,31 @@ mod tests {
         let out = route_query(&gs, &cl, &prop, RoutingPolicy::All, 10, |p| (true, p.0 < 5));
         assert_eq!(out.stale_selected, 1);
         assert_eq!(out.stale_unselected, 1);
+    }
+
+    #[test]
+    fn dense_sets_iterate_in_id_order_and_share_unchanged_lists() {
+        let mut set: DenseSet<NodeId> = DenseSet::default();
+        for p in [130u32, 3, 64, 3, 0, 63] {
+            set.insert(NodeId(p));
+        }
+        let want: Vec<NodeId> = [0u32, 3, 63, 64, 130].map(NodeId).to_vec();
+        assert_eq!(set.iter().collect::<Vec<_>>(), want);
+        assert_eq!(set.len(), 5);
+        assert!(set.contains(NodeId(64)) && !set.contains(NodeId(65)));
+        assert!(!set.contains(NodeId(10_000)), "beyond the grown words");
+
+        let mut last = None;
+        let first = set.shared_list(&mut last);
+        assert_eq!(&*first, &want[..]);
+        assert!(Rc::ptr_eq(&first, &set.shared_list(&mut last)), "unchanged");
+        assert!(!set.insert(NodeId(3)));
+        assert!(Rc::ptr_eq(&first, &set.shared_list(&mut last)), "no growth");
+        set.insert(NodeId(1));
+        let grown = set.shared_list(&mut last);
+        assert!(!Rc::ptr_eq(&first, &grown));
+        assert_eq!(grown.len(), 6);
+        assert_eq!(grown[1], NodeId(1));
     }
 
     #[test]

@@ -7,6 +7,11 @@
 //! closest-summary-peer choice during construction (§4.1) and for the
 //! application's message transit; delivery scheduling stays in the
 //! application's simulator loop.
+//!
+//! [`Network::flood_reach_into`] is the one flood BFS: a caller that
+//! floods often keeps a [`FloodScratch`] and an output buffer and
+//! allocates nothing per flood, and [`Network::flood_reach`] and
+//! [`Network::flood_reach_timed`] wrap it for one-shot use.
 
 use rand::Rng;
 
@@ -29,6 +34,42 @@ impl NodeId {
 pub struct Network {
     graph: Graph,
     up: Vec<bool>,
+}
+
+/// Reusable buffers of [`Network::flood_reach_into`]: a seen stamp per
+/// node and the BFS frontiers. A node counts as seen by the current
+/// flood when its stamp equals the current epoch, so starting a flood
+/// costs one increment instead of clearing `n` flags; the stamps are
+/// cleared only when the epoch wraps.
+#[derive(Debug, Clone, Default)]
+pub struct FloodScratch {
+    seen: Vec<u32>,
+    epoch: u32,
+    frontier: Vec<(NodeId, SimTime)>,
+    next: Vec<(NodeId, SimTime)>,
+}
+
+impl FloodScratch {
+    /// Starts a flood over `n` nodes: sizes the stamps and returns a
+    /// fresh epoch that no stamp holds.
+    fn next_epoch(&mut self, n: usize) -> u32 {
+        if self.seen.len() < n {
+            // New stamps are 0, which no flood uses as its epoch.
+            self.seen.resize(n, 0);
+        }
+        self.epoch = self.epoch.wrapping_add(1);
+        if self.epoch == 0 {
+            self.seen.fill(0);
+            self.epoch = 1;
+        }
+        self.epoch
+    }
+
+    /// Sets the epoch of the last flood, so a test can reach the wrap.
+    #[cfg(test)]
+    fn set_epoch(&mut self, epoch: u32) {
+        self.epoch = epoch;
+    }
 }
 
 impl Network {
@@ -93,59 +134,70 @@ impl Network {
     /// The set of live nodes within `ttl` hops of `origin` (excluding the
     /// origin), in BFS order — a TTL-limited broadcast's reach. Each BFS
     /// edge traversal is one message if actually flooded; the returned
-    /// `(node, hops)` pairs let callers do exact accounting.
+    /// `(node, hops)` pairs let callers do exact accounting. A one-shot
+    /// wrapper over [`Network::flood_reach_into`].
     pub fn flood_reach(&self, origin: NodeId, ttl: u32) -> Vec<(NodeId, u32)> {
-        let mut seen = vec![false; self.len()];
-        seen[origin.index()] = true;
-        let mut frontier = vec![origin];
-        let mut out = Vec::new();
-        for hop in 1..=ttl {
-            let mut next = Vec::new();
-            for &u in &frontier {
-                for v in self.live_neighbors(u) {
-                    if !seen[v.index()] {
-                        seen[v.index()] = true;
-                        out.push((v, hop));
-                        next.push(v);
-                    }
-                }
-            }
-            frontier = next;
-            if frontier.is_empty() {
-                break;
-            }
-        }
-        out
+        self.flood_reach_timed(origin, ttl)
+            .into_iter()
+            .map(|(v, hops, _)| (v, hops))
+            .collect()
     }
 
     /// [`Network::flood_reach`] with per-node arrival latency: each
     /// reached node is annotated with the accumulated link latency along
     /// its BFS discovery path — when a latency-aware caller floods at
     /// virtual time `t`, node `v` receives the request at `t + latency`.
+    /// A one-shot wrapper over [`Network::flood_reach_into`] with a
+    /// fresh [`FloodScratch`].
     pub fn flood_reach_timed(&self, origin: NodeId, ttl: u32) -> Vec<(NodeId, u32, SimTime)> {
-        let mut seen = vec![false; self.len()];
-        seen[origin.index()] = true;
-        let mut frontier = vec![(origin, SimTime::ZERO)];
         let mut out = Vec::new();
+        self.flood_reach_into(origin, ttl, &mut FloodScratch::default(), &mut out);
+        out
+    }
+
+    /// The one TTL-flood BFS: clears `out` and fills it with every live
+    /// node within `ttl` hops of `origin` (the origin excluded) as
+    /// `(node, hops, path latency)`, in BFS order — neighbours in
+    /// adjacency order, each node reported at its first discovery.
+    /// `scratch` holds the seen stamps and frontiers; a caller that
+    /// floods repeatedly reuses one and allocates nothing once it has
+    /// grown to the network's size.
+    pub fn flood_reach_into(
+        &self,
+        origin: NodeId,
+        ttl: u32,
+        scratch: &mut FloodScratch,
+        out: &mut Vec<(NodeId, u32, SimTime)>,
+    ) {
+        out.clear();
+        let epoch = scratch.next_epoch(self.len());
+        let FloodScratch {
+            seen,
+            frontier,
+            next,
+            ..
+        } = scratch;
+        seen[origin.index()] = epoch;
+        frontier.clear();
+        frontier.push((origin, SimTime::ZERO));
         for hop in 1..=ttl {
-            let mut next = Vec::new();
-            for &(u, du) in &frontier {
+            next.clear();
+            for &(u, du) in frontier.iter() {
                 for e in self.graph.neighbors(u) {
                     let v = e.node;
-                    if self.is_up(v) && !seen[v.index()] {
-                        seen[v.index()] = true;
+                    if self.is_up(v) && seen[v.index()] != epoch {
+                        seen[v.index()] = epoch;
                         let dv = du + e.latency;
                         out.push((v, hop, dv));
                         next.push((v, dv));
                     }
                 }
             }
-            frontier = next;
+            std::mem::swap(frontier, next);
             if frontier.is_empty() {
                 break;
             }
         }
-        out
     }
 
     /// Number of edge messages a TTL flood from `origin` would send
@@ -232,7 +284,7 @@ mod tests {
     use super::*;
     use crate::topology::{Graph, TopologyConfig};
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{Rng, SeedableRng};
 
     fn net(n: usize, seed: u64) -> Network {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -286,6 +338,87 @@ mod tests {
         let untimed = n.flood_reach(NodeId(0), 3);
         let plain: Vec<(NodeId, u32)> = reach.iter().map(|&(v, h, _)| (v, h)).collect();
         assert_eq!(plain, untimed);
+    }
+
+    /// The BFS `flood_reach_timed` ran before it became a wrapper over
+    /// `flood_reach_into`: fresh seen flags and frontiers per call.
+    fn reference_flood(n: &Network, origin: NodeId, ttl: u32) -> Vec<(NodeId, u32, SimTime)> {
+        let mut seen = vec![false; n.len()];
+        seen[origin.index()] = true;
+        let mut frontier = vec![(origin, SimTime::ZERO)];
+        let mut out = Vec::new();
+        for hop in 1..=ttl {
+            let mut next = Vec::new();
+            for &(u, du) in &frontier {
+                for e in n.graph().neighbors(u) {
+                    let v = e.node;
+                    if n.is_up(v) && !seen[v.index()] {
+                        seen[v.index()] = true;
+                        let dv = du + e.latency;
+                        out.push((v, hop, dv));
+                        next.push((v, dv));
+                    }
+                }
+            }
+            frontier = next;
+            if frontier.is_empty() {
+                break;
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn reused_scratch_floods_like_a_fresh_one() {
+        let mut rng = StdRng::seed_from_u64(21);
+        let mut scratch = FloodScratch::default();
+        let mut out = Vec::new();
+        let mut floods = 0;
+        for (size, seed) in [(60, 1), (300, 2), (40, 3)] {
+            let mut n = net(size, seed);
+            for _ in 0..150 {
+                let v = NodeId(rng.gen_range(0..size as u32));
+                if n.is_up(v) {
+                    n.take_down(v);
+                } else {
+                    n.bring_up(v);
+                }
+                let origin = NodeId(rng.gen_range(0..size as u32));
+                let ttl = rng.gen_range(1..=8);
+                n.flood_reach_into(origin, ttl, &mut scratch, &mut out);
+                assert_eq!(
+                    out,
+                    n.flood_reach_timed(origin, ttl),
+                    "{origin:?} ttl {ttl}"
+                );
+                assert_eq!(
+                    out,
+                    reference_flood(&n, origin, ttl),
+                    "{origin:?} ttl {ttl}"
+                );
+                floods += 1;
+            }
+        }
+        assert_eq!(scratch.epoch, floods);
+    }
+
+    #[test]
+    fn flood_epoch_wrap_clears_the_stamps() {
+        let n = net(200, 5);
+        let mut scratch = FloodScratch::default();
+        let mut out = Vec::new();
+        // Epoch 1 stamps the TTL-3 neighbourhood of node 0. The next
+        // flood wraps the epoch back to 1 and starts from node 0 again:
+        // unless the wrap clears the stamps, it sees that whole
+        // neighbourhood as already reached.
+        n.flood_reach_into(NodeId(0), 3, &mut scratch, &mut out);
+        assert!(!out.is_empty());
+        scratch.set_epoch(u32::MAX);
+        for (i, origin) in [0u32, 7, 0, 19].into_iter().enumerate() {
+            n.flood_reach_into(NodeId(origin), 3, &mut scratch, &mut out);
+            assert_eq!(out, reference_flood(&n, NodeId(origin), 3), "flood {i}");
+        }
+        assert_eq!(scratch.epoch, 4, "1 after the wrap, then 2, 3, 4");
     }
 
     #[test]

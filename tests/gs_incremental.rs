@@ -283,3 +283,48 @@ fn partial_ring_leaves_accumulator_consistent() {
         "two snapshot merges + the one remaining stale member"
     );
 }
+
+/// The observation contract: pulls only update the accumulators, and
+/// whenever the kernel hands control back every live domain's `gs` is
+/// the canonical build of its accumulator, with its encoded size.
+#[test]
+fn observed_gs_is_the_accumulators_merged_view() {
+    use p2psim::time::SimTime;
+    use summary_p2p::{DeliveryMode, LatencyConfig, LookupTarget, SimConfig, SimKernel};
+    let cfg = |n: usize, seed: u64| {
+        let mut c = SimConfig::paper_defaults(n, 0.3);
+        c.horizon = SimTime::from_hours(4);
+        c.query_count = 30;
+        c.records_per_peer = 10;
+        c.seed = seed;
+        c
+    };
+    for latency in [false, true] {
+        let mode = |n: usize| {
+            let mut c = cfg(n, 8);
+            if latency {
+                c.delivery = DeliveryMode::Latency(LatencyConfig::wan_default());
+            }
+            c
+        };
+        let kernels = [
+            SimKernel::networked(mode(120), 20, Some(LookupTarget::Total)).unwrap(),
+            SimKernel::single_domain(mode(40)).unwrap(),
+        ];
+        for mut k in kernels {
+            for hours in 1..=4 {
+                k.run_until(SimTime::from_hours(hours));
+                for dom in k.domain_cores().iter().filter(|d| !d.dissolved) {
+                    assert_eq!(
+                        wire::encode(&dom.gs),
+                        wire::encode(&dom.acc.build_merged()),
+                        "latency {latency}, hour {hours}: stale GS observed"
+                    );
+                    assert_eq!(dom.gs_bytes_last, wire::encoded_size(&dom.gs));
+                }
+            }
+            let pulls: u64 = k.domain_cores().iter().map(|d| d.reconciliations).sum();
+            assert!(pulls > 0, "latency {latency}: the run must pull");
+        }
+    }
+}

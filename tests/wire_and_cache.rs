@@ -3,6 +3,8 @@
 //! network on every `localsum` and reconciliation token) and the
 //! `summary_p2p::cache::QueryCache` (§5.2.2's group-locality device).
 
+use std::rc::Rc;
+
 use proptest::prelude::*;
 
 use fuzzy::descriptor::LabelId;
@@ -149,6 +151,61 @@ proptest! {
             cached.sort_unstable();
             expected.sort_unstable();
             prop_assert_eq!(cached, expected, "retained sets diverge");
+        }
+    }
+
+    /// Full model check: `QueryCache` and a plain most-recently-used-first
+    /// `Vec` agree on every result and on every entry, in order and down
+    /// to the shared answer list, after each random `insert`, `lookup`,
+    /// `peek` or `clear` — the hit on the most recently used entry
+    /// included, which moves nothing.
+    #[test]
+    fn cache_matches_reference_lru_step_by_step(
+        capacity in 1usize..9,
+        ops in prop::collection::vec((0u8..10, 0usize..6, 0u32..40), 1..120),
+    ) {
+        let mut cache = QueryCache::new(capacity);
+        let mut model: Vec<(usize, Rc<[NodeId]>)> = Vec::new();
+        let same = |got: Option<&summary_p2p::cache::CachedAnswer>,
+                    want: Option<&(usize, Rc<[NodeId]>)>| {
+            match (got, want) {
+                (None, None) => true,
+                (Some(g), Some((t, a))) => g.template == *t && Rc::ptr_eq(&g.answering, a),
+                _ => false,
+            }
+        };
+        for (op, template, payload) in ops {
+            // Inserts, lookups, peeks and clears in the ratio 4:3:2:1.
+            match op {
+                0..=3 => {
+                    let answering: Rc<[NodeId]> = [NodeId(payload), NodeId(payload + 1)].into();
+                    cache.insert(template, Rc::clone(&answering));
+                    model.retain(|(t, _)| *t != template);
+                    model.insert(0, (template, answering));
+                    model.truncate(capacity);
+                }
+                4..=6 => {
+                    let pos = model.iter().position(|(t, _)| *t == template);
+                    if let Some(pos) = pos {
+                        let entry = model.remove(pos);
+                        model.insert(0, entry);
+                    }
+                    let want = pos.map(|_| &model[0]);
+                    prop_assert!(same(cache.lookup(template), want), "lookup {template}");
+                }
+                7 | 8 => {
+                    let want = model.iter().find(|(t, _)| *t == template);
+                    prop_assert!(same(cache.peek(template), want), "peek {template}");
+                }
+                _ => {
+                    cache.clear();
+                    model.clear();
+                }
+            }
+            prop_assert_eq!(cache.len(), model.len());
+            for (got, want) in cache.iter().zip(&model) {
+                prop_assert!(same(Some(got), Some(want)), "entries diverge");
+            }
         }
     }
 
