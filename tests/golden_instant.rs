@@ -1,6 +1,7 @@
 //! Golden fixtures of instantaneous delivery: a small churning
-//! multi-domain run (Total lookups), the same run with summary-peer
-//! churn and rebirth, the same run under adaptive α, a Figure 4
+//! multi-domain run (Total lookups), the same run with Partial lookups,
+//! the same run with summary-peer churn (without and with rebirth), the
+//! same run under adaptive α, a Figure 4
 //! single-domain run and a Figure 5 (`FreshOnly`) single-domain run,
 //! each folded into a 64-bit hash over every scalar of its report and
 //! compared with the values recorded in `tests/golden/instant_plane.txt`.
@@ -80,12 +81,35 @@ fn multi_config() -> SimConfig {
 }
 
 fn multi_report(cfg: SimConfig) -> MultiDomainReport {
-    let report = MultiDomainSim::new(cfg, 25, LookupTarget::Total)
+    target_report(cfg, LookupTarget::Total)
+}
+
+fn target_report(cfg: SimConfig, target: LookupTarget) -> MultiDomainReport {
+    let report = MultiDomainSim::new(cfg, 25, target)
         .expect("config builds")
         .run();
     assert!(report.queries > 0, "lookups were posed");
     assert!(report.reconciliations > 0, "churn armed pulls");
     assert_eq!(report.domain_errors, 0, "a healthy run swallows nothing");
+    report
+}
+
+/// The same network with Partial lookups: routing stops once ten
+/// answers are in.
+fn partial_report() -> MultiDomainReport {
+    target_report(multi_config(), LookupTarget::Partial(10))
+}
+
+/// The same network with summary peers departing hourly and no
+/// rebirth: a terminal departure merges its members into a neighbour.
+fn sp_churn_report() -> MultiDomainReport {
+    let cfg = with_sp_churn(&multi_config(), 3600.0);
+    assert!(!cfg.rebirth, "SP churn alone leaves rebirth off");
+    let report = multi_report(cfg);
+    assert!(
+        report.min_live_domains < report.initial_domains,
+        "the run must exercise terminal departures"
+    );
     report
 }
 
@@ -149,6 +173,8 @@ fn single_hash(c: SimConfig) -> u64 {
 fn instant_runs_match_the_recorded_fixture() {
     let got = BTreeMap::from([
         ("multi", multi_report_hash(&multi_report(multi_config()))),
+        ("partial", multi_report_hash(&partial_report())),
+        ("sp_churn", multi_report_hash(&sp_churn_report())),
         ("rebirth", multi_report_hash(&rebirth_report())),
         ("adaptive", multi_report_hash(&adaptive_report())),
         ("single", single_report()),
