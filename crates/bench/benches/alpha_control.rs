@@ -16,7 +16,7 @@ use summary_p2p::kernel::{LookupTarget, MultiDomainSim};
 use summary_p2p::scenario::with_heterogeneous_drift;
 
 fn policy() -> ControlPolicy {
-    ControlPolicy::Adaptive {
+    ControlPolicy {
         target_staleness: 0.2,
         alpha_min: 0.05,
         alpha_max: 0.9,
@@ -34,7 +34,7 @@ fn bench_controller_tick(c: &mut Criterion) {
             BenchmarkId::from_parameter(domains),
             &domains,
             |b, &domains| {
-                let mut ctl = AlphaController::new(policy(), domains, 0.3);
+                let mut ctl = AlphaController::new(Some(policy()), domains, 0.3);
                 let mut epoch = 0u64;
                 b.iter(|| {
                     epoch += 1;

@@ -41,11 +41,7 @@ fn main() {
         vec![200usize, 800, 3000]
     }) {
         let mut rng = StdRng::seed_from_u64(cli.seed);
-        let topo = TopologyConfig {
-            nodes: n,
-            m: 2,
-            ..Default::default()
-        };
+        let topo = TopologyConfig { nodes: n, m: 2 };
         let net = Network::new(Graph::barabasi_albert(&topo, &mut rng));
         let sps = elect_superpeers(&net, (n / 60).max(2));
         let max_hops = 64u32;

@@ -112,19 +112,20 @@ fn main() {
         let points =
             figure_multidomain_churn(scales, &base, 50, LookupTarget::Total).expect("valid config");
         for p in points {
-            errors += p.report.domain_errors;
+            let r = &p.report;
+            errors += r.domain_errors;
             rows.push(vec![
                 f1(p.churn_scale),
                 format!("{alpha:.1}"),
-                p.report.queries.to_string(),
-                f4(p.mean_recall),
-                f4(p.mean_stale_answers),
-                f4(p.mean_false_negatives),
-                f1(p.mean_messages),
-                f4(p.mean_time_to_answer_s),
-                p.reconciliations.to_string(),
-                p.report.push_messages.to_string(),
-                p.report.cache_hits.to_string(),
+                r.queries.to_string(),
+                f4(r.mean_recall),
+                f4(r.mean_stale_answers),
+                f4(r.mean_false_negatives),
+                f1(r.mean_messages),
+                f4(r.mean_time_to_answer_s),
+                r.reconciliations.to_string(),
+                r.push_messages.to_string(),
+                r.cache_hits.to_string(),
             ]);
         }
     }
@@ -176,14 +177,14 @@ fn write_latency_summary(cli: &Cli, n: usize) -> u64 {
             "\n    {{\"hop_ms\": {}, \"mean_time_to_answer_s\": {:.6}, \"peak_in_flight\": {}, \
              \"mean_recall\": {:.6}, \"mean_stale_answers\": {:.6}, \"mean_messages\": {:.2}}}",
             p.hop_ms,
-            p.mean_time_to_answer_s,
-            p.peak_in_flight,
-            p.mean_recall,
-            p.mean_stale_answers,
-            p.mean_messages
+            p.report.mean_time_to_answer_s,
+            p.report.peak_in_flight,
+            p.report.mean_recall,
+            p.report.mean_stale_answers,
+            p.report.mean_messages
         ));
     }
-    let mid = &points[points.len() / 2];
+    let mid = &points[points.len() / 2].report;
     let json = format!(
         "{{\n  \"bench\": \"latency_plane\",\n  \"n_peers\": {},\n  \"seed\": {},\n  \
          \"mean_time_to_answer_s\": {:.6},\n  \"peak_in_flight\": {},\n  \"sweep\": [{}\n  ]\n}}\n",
@@ -204,7 +205,7 @@ fn write_alpha_summary(cli: &Cli) -> u64 {
     let n = if cli.quick { 300 } else { 1500 };
     let fixed: &[f64] = &[0.1, 0.2, 0.3, 0.5, 0.8];
     let target_staleness = 0.2;
-    let policy = ControlPolicy::Adaptive {
+    let policy = ControlPolicy {
         target_staleness,
         alpha_min: 0.05,
         alpha_max: 0.9,
@@ -250,7 +251,8 @@ fn write_alpha_summary(cli: &Cli) -> u64 {
     let rows: Vec<Vec<String>> = points
         .iter()
         .map(|p| {
-            let (lo, hi) = p
+            let r = &p.report;
+            let (lo, hi) = r
                 .final_alphas
                 .iter()
                 .fold((f64::INFINITY, f64::NEG_INFINITY), |(lo, hi), &a| {
@@ -258,11 +260,11 @@ fn write_alpha_summary(cli: &Cli) -> u64 {
                 });
             vec![
                 p.label.clone(),
-                f4(p.stale_answer_fraction),
-                f4(p.mean_recall),
-                f1(p.reconcile_delta_bytes as f64 / 1024.0),
-                p.reconciliations.to_string(),
-                f4(p.mean_final_alpha),
+                f4(r.mean_stale_answer_fraction),
+                f4(r.mean_recall),
+                f1(r.reconcile_delta_bytes as f64 / 1024.0),
+                r.reconciliations.to_string(),
+                f4(r.mean_final_alpha),
                 format!("{lo:.2}..{hi:.2}"),
             ]
         })
@@ -270,26 +272,32 @@ fn write_alpha_summary(cli: &Cli) -> u64 {
     println!("{}", render_table(&headers, &rows));
     println!("{}", render_csv(&headers, &rows));
 
-    let adaptive = points.last().expect("adaptive row is always appended");
+    let adaptive = &points
+        .last()
+        .expect("adaptive row is always appended")
+        .report;
     let stale_within_band =
-        (adaptive.stale_answer_fraction - target_staleness).abs() <= 0.2 * target_staleness;
+        (adaptive.mean_stale_answer_fraction - target_staleness).abs() <= 0.2 * target_staleness;
     // The fixed comparator: cheapest pull bytes among the fixed rows
     // achieving staleness at least as good as the adaptive run did (a
     // staler fixed α is not achieving comparable staleness — it sits
     // on an easier point of the frontier).
     let best_fixed = points[..points.len() - 1]
         .iter()
-        .filter(|p| p.stale_answer_fraction <= adaptive.stale_answer_fraction * 1.05)
-        .min_by_key(|p| p.reconcile_delta_bytes);
+        .filter(|p| {
+            p.report.mean_stale_answer_fraction <= adaptive.mean_stale_answer_fraction * 1.05
+        })
+        .min_by_key(|p| p.report.reconcile_delta_bytes);
     let bytes_within_best_fixed =
-        best_fixed.is_none_or(|b| adaptive.reconcile_delta_bytes <= b.reconcile_delta_bytes);
+        best_fixed.is_none_or(|b| adaptive.reconcile_delta_bytes <= b.report.reconcile_delta_bytes);
 
     let mut sweep = String::new();
     for (i, p) in points.iter().enumerate() {
         if i > 0 {
             sweep.push(',');
         }
-        let alphas = p
+        let r = &p.report;
+        let alphas = r
             .final_alphas
             .iter()
             .map(|a| format!("{a:.4}"))
@@ -301,11 +309,11 @@ fn write_alpha_summary(cli: &Cli) -> u64 {
              \"reconciliations\": {}, \"mean_final_alpha\": {:.6}, \
              \"final_alphas\": [{}]}}",
             p.label,
-            p.stale_answer_fraction,
-            p.mean_recall,
-            p.reconcile_delta_bytes,
-            p.reconciliations,
-            p.mean_final_alpha,
+            r.mean_stale_answer_fraction,
+            r.mean_recall,
+            r.reconcile_delta_bytes,
+            r.reconciliations,
+            r.mean_final_alpha,
             alphas
         ));
     }
@@ -319,13 +327,16 @@ fn write_alpha_summary(cli: &Cli) -> u64 {
         n,
         cli.seed,
         target_staleness,
-        adaptive.stale_answer_fraction,
+        adaptive.mean_stale_answer_fraction,
         stale_within_band,
         adaptive.reconcile_delta_bytes,
         best_fixed
             .and_then(|b| b.fixed_alpha)
             .map_or("null".into(), |a| format!("{a:.2}")),
-        best_fixed.map_or("null".into(), |b| b.reconcile_delta_bytes.to_string()),
+        best_fixed.map_or("null".into(), |b| b
+            .report
+            .reconcile_delta_bytes
+            .to_string()),
         bytes_within_best_fixed,
         sweep
     );
@@ -389,29 +400,28 @@ fn write_rebirth_summary(cli: &Cli) -> u64 {
     let rows: Vec<Vec<String>> = points
         .iter()
         .map(|p| {
+            let r = &p.report;
             vec![
                 p.rebirth.to_string(),
-                p.initial_domains.to_string(),
-                p.final_domains.to_string(),
-                p.min_live_domains.to_string(),
-                f1(p.mean_live_domains),
-                p.rebirths.to_string(),
-                f4(p.mean_recall),
-                f4(p.mean_stale_answers),
-                p.reconciliations.to_string(),
+                r.initial_domains.to_string(),
+                r.n_domains.to_string(),
+                r.min_live_domains.to_string(),
+                f1(r.mean_live_domains()),
+                r.rebirths.to_string(),
+                f4(r.mean_recall),
+                f4(r.mean_stale_answers),
+                r.reconciliations.to_string(),
             ]
         })
         .collect();
     println!("{}", render_table(&headers, &rows));
     println!("{}", render_csv(&headers, &rows));
 
-    let off = &points[0];
-    let on = &points[1];
+    let (off, on) = (&points[0].report, &points[1].report);
     let initial = on.initial_domains as f64;
     let stationary_within_10pct =
-        initial > 0.0 && (on.mean_live_domains - initial).abs() <= 0.1 * initial;
+        initial > 0.0 && (on.mean_live_domains() - initial).abs() <= 0.1 * initial;
     let trajectory = on
-        .report
         .domain_count_trajectory
         .iter()
         .map(|(t, n)| format!("[{t:.1}, {n}]"))
@@ -431,11 +441,11 @@ fn write_rebirth_summary(cli: &Cli) -> u64 {
         horizon_h,
         sp_mean_s,
         on.initial_domains,
-        off.final_domains,
-        off.mean_live_domains,
-        on.final_domains,
+        off.n_domains,
+        off.mean_live_domains(),
+        on.n_domains,
         on.min_live_domains,
-        on.mean_live_domains,
+        on.mean_live_domains(),
         on.rebirths,
         stationary_within_10pct,
         off.mean_recall,
@@ -446,7 +456,7 @@ fn write_rebirth_summary(cli: &Cli) -> u64 {
     eprintln!(
         "wrote BENCH_rebirth.json (rebirths: {}, stationary_within_10pct: \
          {stationary_within_10pct}, off decayed to {}/{} domains)",
-        on.rebirths, off.final_domains, off.initial_domains
+        on.rebirths, off.n_domains, off.initial_domains
     );
     points.iter().map(|p| p.report.domain_errors).sum()
 }

@@ -171,7 +171,7 @@ fn print_table3() {
         vec!["flooding TTL".into(), cfg.flood_ttl.to_string()],
         vec![
             "inter-domain degree k".into(),
-            cfg.interdomain_k.to_string(),
+            SimConfig::INTERDOMAIN_K.to_string(),
         ],
     ];
     println!("{}", render_table(&["parameter", "value"], &rows));

@@ -19,18 +19,24 @@
 //! [`SimConfig::paper_defaults`] reproduces Table 3 at a given domain
 //! size and α: lognormal lifetimes (mean 3 h / median 1 h), 30 min
 //! mean downtime, 30 % silent failures, 200 queries over a 12 h
-//! horizon, 10 % match fraction, `flood_ttl` 3, `interdomain_k` 3.5,
-//! `sumpeer_ttl` 2, `topology_m` 2, seed 42 — and every *optional*
-//! subsystem off:
+//! horizon, 10 % match fraction, `flood_ttl` 3, `sumpeer_ttl` 2,
+//! `topology_m` 2, seed 42 — and every *optional* subsystem off:
 //!
 //! | knob | default | when enabled |
 //! |---|---|---|
 //! | [`SimConfig::delivery`] | [`DeliveryMode::Instantaneous`] | [`DeliveryMode::Latency`] schedules every message as a virtual-time delivery event |
 //! | [`SimConfig::sp_lifetime`] | `None` (immortal SPs) | `Some(dist)` schedules §4.3 SP departures |
 //! | [`SimConfig::rebirth`] | `false` (terminal dissolutions) | `true` re-elects a replacement SP per dissolved domain |
-//! | [`SimConfig::control`] | `None` ⇒ fixed α | `Adaptive { .. }` runs the per-domain feedback control plane |
+//! | [`SimConfig::control`] | `None` ⇒ α fixed at [`SimConfig::alpha`] | `Some(policy)` runs the per-domain feedback control plane |
 //! | [`SimConfig::drift_spread`] | `1.0` (homogeneous) | `> 1` gives domains log-spaced drift rates |
 //! | [`SimConfig::zipf_exponent`] | `None` (round-robin) | `Some(s)` draws templates from a Zipf(s) law |
+//!
+//! What the paper fixes is a constant, not a knob:
+//! [`SimConfig::INTERDOMAIN_K`] (`k = 3.5` long links per SP),
+//! [`CONVERSATION_TIMEOUT`] (10 min) and
+//! [`crate::messages::BANDWIDTH_BYTES_PER_S`] (10 Mbit/s) on the
+//! latency plane, and the topology's plane side and link latencies
+//! ([`p2psim::topology`]).
 //!
 //! The determinism contract: every run is reproducible per
 //! [`SimConfig::seed`] in both delivery modes, and each disabled
@@ -58,71 +64,23 @@ pub enum DeliveryMode {
     /// Every message becomes a scheduled delivery event whose firing
     /// time is drawn from topology link latencies: reconciliation rings,
     /// floods and §5.2.2 lookups take virtual time, and peers that churn
-    /// out mid-conversation actually drop tokens.
-    Latency(LatencyConfig),
+    /// out mid-conversation actually drop tokens. Transit is
+    /// propagation plus serialization at
+    /// [`crate::messages::BANDWIDTH_BYTES_PER_S`]; multi-event
+    /// conversations time out after [`CONVERSATION_TIMEOUT`].
+    Latency {
+        /// Fallback one-way latency for hops with no known topology link
+        /// (the implicit SP of the single-domain simulation, SP
+        /// long-range links, selective-walk partners).
+        default_hop: SimTime,
+    },
 }
 
-/// Tunables of the latency-aware message plane.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct LatencyConfig {
-    /// Fallback one-way latency for hops with no known topology link
-    /// (the implicit SP of the single-domain simulation, SP long-range
-    /// links, selective-walk partners).
-    pub default_hop: SimTime,
-    /// Multiplier applied to topology link latencies (1.0 = the
-    /// topology's euclidean-embedding latencies verbatim).
-    pub scale: f64,
-    /// Serialization rate in wire bytes per second: transit time is
-    /// propagation + `wire_bytes / bandwidth`.
-    pub bandwidth_bytes_per_s: u64,
-    /// Watchdog for multi-event conversations (reconciliation rings,
-    /// inter-domain lookups): a conversation whose token or branches
-    /// went silent for this long completes with what it gathered.
-    pub conversation_timeout: SimTime,
-}
-
-impl LatencyConfig {
-    /// A WAN-flavoured default: 50 ms hops, 10 Mbit/s serialization and
-    /// a 10-minute conversation watchdog.
-    pub fn wan_default() -> Self {
-        Self {
-            default_hop: SimTime::from_millis(50),
-            scale: 1.0,
-            bandwidth_bytes_per_s: 1_250_000,
-            conversation_timeout: SimTime::from_mins(10),
-        }
-    }
-
-    /// Validates ranges.
-    pub fn validate(&self) -> Result<(), P2pError> {
-        if self.default_hop == SimTime::ZERO {
-            // `SimTime` is unsigned microseconds, so negative and
-            // non-finite hops cannot be represented; zero is the one
-            // degenerate value left and it would let "unknown" hops
-            // (implicit SP, long links, walks) transit for free.
-            return Err(P2pError::BadConfig(
-                "latency default_hop must be positive".into(),
-            ));
-        }
-        if !(self.scale.is_finite() && self.scale > 0.0) {
-            return Err(P2pError::BadConfig(format!(
-                "latency scale {} must be finite and positive",
-                self.scale
-            )));
-        }
-        if self.bandwidth_bytes_per_s == 0 {
-            return Err(P2pError::BadConfig(
-                "latency bandwidth must be positive".into(),
-            ));
-        }
-        if self.conversation_timeout == SimTime::ZERO {
-            return Err(P2pError::BadConfig(
-                "conversation timeout must be positive".into(),
-            ));
-        }
-        Ok(())
-    }
-}
+/// Watchdog for multi-event conversations on the latency plane
+/// (reconciliation rings, inter-domain lookups): a conversation whose
+/// token or branches went silent for this long completes with what it
+/// gathered.
+pub const CONVERSATION_TIMEOUT: SimTime = SimTime::from_mins(10);
 
 /// All tunables of a summary-management experiment.
 #[derive(Debug, Clone, Copy)]
@@ -152,8 +110,6 @@ pub struct SimConfig {
     pub policy: RoutingPolicy,
     /// TTL of the pure-flooding baseline (§6.2.3: 3).
     pub flood_ttl: u32,
-    /// Average long-range degree between summary peers (`k = 3.5`).
-    pub interdomain_k: f64,
     /// TTL of the `sumpeer` construction broadcast (§4.1's example: 2).
     pub sumpeer_ttl: u32,
     /// Barabási–Albert attachment parameter (m = 2 → average degree 4).
@@ -181,12 +137,11 @@ pub struct SimConfig {
     /// binaries in both delivery modes. Only meaningful together with
     /// [`SimConfig::sp_lifetime`].
     pub rebirth: bool,
-    /// How the per-domain effective α is chosen. `None` (the default)
-    /// resolves to [`ControlPolicy::Fixed`] at [`SimConfig::alpha`] —
-    /// today's single-threshold behavior, byte-identical event and RNG
-    /// streams. `Some(policy)` overrides: an explicit `Fixed(α)` pins a
-    /// different threshold, `Adaptive { .. }` turns on the per-domain
-    /// feedback control plane ([`crate::control`]).
+    /// The per-domain adaptive α control plane. `None` (the default)
+    /// keeps every domain at [`SimConfig::alpha`] for the whole run —
+    /// the paper's single threshold, with no control ticks and
+    /// byte-identical event and RNG streams. `Some(policy)` turns on
+    /// the per-domain feedback control plane ([`crate::control`]).
     pub control: Option<ControlPolicy>,
     /// Heterogeneous per-domain drift: domain `d` of `D` drifts at a
     /// rate scaled by `drift_spread^(2d/(D−1) − 1)` — log-spaced rates
@@ -242,7 +197,6 @@ impl SimConfig {
             horizon: SimTime::from_hours(12),
             policy: RoutingPolicy::All,
             flood_ttl: 3,
-            interdomain_k: 3.5,
             sumpeer_ttl: 2,
             topology_m: 2,
             delivery: DeliveryMode::Instantaneous,
@@ -255,20 +209,17 @@ impl SimConfig {
         }
     }
 
-    /// The effective control policy: the configured one, or
-    /// [`ControlPolicy::Fixed`] at [`SimConfig::alpha`] when none is
-    /// set.
-    pub fn control_policy(&self) -> ControlPolicy {
-        self.control.unwrap_or(ControlPolicy::Fixed(self.alpha))
-    }
-
-    /// The latency configuration when the message plane is enabled.
-    pub fn latency(&self) -> Option<LatencyConfig> {
+    /// The latency plane's default hop when it is enabled.
+    pub fn latency(&self) -> Option<SimTime> {
         match self.delivery {
             DeliveryMode::Instantaneous => None,
-            DeliveryMode::Latency(lat) => Some(lat),
+            DeliveryMode::Latency { default_hop } => Some(default_hop),
         }
     }
+
+    /// Average long-range degree between summary peers (§6.2.1's
+    /// `k = 3.5`); the kernel links each SP to `round(k)` others.
+    pub const INTERDOMAIN_K: f64 = 3.5;
 
     /// The paper's query rate: 0.00083 queries per node per second
     /// ("1 query per node per 20 mns").
@@ -318,8 +269,14 @@ impl SimConfig {
         if self.sumpeer_ttl == 0 {
             return Err(P2pError::BadConfig("sumpeer_ttl must be >= 1".into()));
         }
-        if let DeliveryMode::Latency(lat) = self.delivery {
-            lat.validate()?;
+        if self.latency() == Some(SimTime::ZERO) {
+            // `SimTime` is unsigned microseconds, so negative and
+            // non-finite hops cannot be represented; zero is the one
+            // degenerate value left and it would let "unknown" hops
+            // (implicit SP, long links, walks) transit for free.
+            return Err(P2pError::BadConfig(
+                "latency default_hop must be positive".into(),
+            ));
         }
         validate_lifetime(&self.lifetime, "lifetime")?;
         if let Some(dist) = &self.sp_lifetime {
@@ -362,7 +319,6 @@ mod tests {
         assert_eq!(c.query_count, 200);
         assert_eq!(c.match_fraction, 0.10);
         assert_eq!(c.flood_ttl, 3);
-        assert_eq!(c.interdomain_k, 3.5);
         assert_eq!(c.sumpeer_ttl, 2);
         assert_eq!(c.topology_m, 2, "average degree 4");
         c.validate().unwrap();
@@ -440,24 +396,28 @@ mod tests {
     #[test]
     fn validation_bounds_latency_default_hop() {
         let mut c = SimConfig::paper_defaults(100, 0.3);
-        let mut bad = LatencyConfig::wan_default();
-        bad.default_hop = SimTime::ZERO;
-        c.delivery = DeliveryMode::Latency(bad);
+        c.delivery = DeliveryMode::Latency {
+            default_hop: SimTime::ZERO,
+        };
         assert!(c.validate().is_err());
+        c.delivery = DeliveryMode::Latency {
+            default_hop: SimTime::from_millis(50),
+        };
+        c.validate().unwrap();
+        assert_eq!(c.latency(), Some(SimTime::from_millis(50)));
     }
 
     #[test]
     fn validation_bounds_control_knobs() {
         let mut c = SimConfig::paper_defaults(100, 0.3);
-        c.control = Some(crate::control::ControlPolicy::Fixed(2.0));
-        assert!(c.validate().is_err());
-        let mut c = SimConfig::paper_defaults(100, 0.3);
-        c.control = Some(crate::control::ControlPolicy::adaptive_default(0.2));
+        c.control = Some(ControlPolicy::adaptive_default(0.2));
         c.validate().unwrap();
-        assert_eq!(
-            c.control_policy(),
-            crate::control::ControlPolicy::adaptive_default(0.2)
-        );
+        c.control = Some(ControlPolicy {
+            alpha_min: 0.6,
+            alpha_max: 0.4,
+            ..ControlPolicy::adaptive_default(0.2)
+        });
+        assert!(c.validate().is_err());
 
         let mut c = SimConfig::paper_defaults(100, 0.3);
         c.drift_spread = 0.5;
@@ -478,10 +438,6 @@ mod tests {
     fn default_control_policy_is_fixed_at_alpha() {
         let c = SimConfig::paper_defaults(100, 0.3);
         assert!(c.control.is_none());
-        assert_eq!(
-            c.control_policy(),
-            crate::control::ControlPolicy::Fixed(0.3)
-        );
         assert_eq!(c.drift_spread, 1.0);
         assert!(c.zipf_exponent.is_none());
     }
@@ -501,28 +457,5 @@ mod tests {
         assert!(c.latency().is_none());
         assert!(c.sp_lifetime.is_none());
         assert!(!c.rebirth, "SP rebirth is opt-in");
-    }
-
-    #[test]
-    fn latency_config_is_validated() {
-        let mut c = SimConfig::paper_defaults(100, 0.3);
-        c.delivery = DeliveryMode::Latency(LatencyConfig::wan_default());
-        c.validate().unwrap();
-        assert!(c.latency().is_some());
-
-        let mut bad = LatencyConfig::wan_default();
-        bad.scale = 0.0;
-        c.delivery = DeliveryMode::Latency(bad);
-        assert!(c.validate().is_err());
-
-        let mut bad = LatencyConfig::wan_default();
-        bad.bandwidth_bytes_per_s = 0;
-        c.delivery = DeliveryMode::Latency(bad);
-        assert!(c.validate().is_err());
-
-        let mut bad = LatencyConfig::wan_default();
-        bad.conversation_timeout = SimTime::ZERO;
-        c.delivery = DeliveryMode::Latency(bad);
-        assert!(c.validate().is_err());
     }
 }

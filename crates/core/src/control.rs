@@ -10,7 +10,7 @@
 //! ## Feedback signals
 //!
 //! Each control **epoch** (a recurring [`crate::kernel::KernelEvent::ControlTick`],
-//! every [`ControlPolicy::Adaptive::epoch_s`] virtual seconds), every
+//! every [`ControlPolicy::epoch_s`] virtual seconds), every
 //! live domain's [`DomainController`] folds two signals:
 //!
 //! * **stale-answer fraction** — every query the domain's SP processes
@@ -52,13 +52,15 @@
 //!
 //! ## Epoch scheduling and determinism
 //!
-//! [`ControlPolicy::Fixed`] — the default — schedules **no** control
-//! ticks and never moves α: the kernel's event and RNG streams are
-//! byte-identical to the pre-control-plane behavior, which is what
-//! keeps the seed figures (and `tests/latency_plane.rs` /
-//! `tests/gs_incremental.rs`) unchanged. `Adaptive` schedules one
-//! recurring `ControlTick`; the tick draws no randomness, so adaptive
-//! runs stay deterministic per seed in both delivery modes.
+//! Without a policy — [`crate::config::SimConfig::control`] of `None`,
+//! the default — every domain keeps [`crate::config::SimConfig::alpha`],
+//! no control tick is scheduled and α never moves: the kernel's event
+//! and RNG streams are byte-identical to the pre-control-plane
+//! behavior, which is what keeps the seed figures (and
+//! `tests/latency_plane.rs` / `tests/gs_incremental.rs`) unchanged. A
+//! [`ControlPolicy`] schedules one recurring `ControlTick`; the tick
+//! draws no randomness, so adaptive runs stay deterministic per seed in
+//! both delivery modes.
 //!
 //! Controller state is **per domain slot** and follows the domain's
 //! §4.3 lifecycle: when a summary peer departs and its domain
@@ -71,35 +73,28 @@ use p2psim::time::SimTime;
 
 use crate::error::P2pError;
 
-/// How the per-domain effective α is chosen over a run.
+/// The parameters of per-domain feedback control: each control epoch,
+/// every domain's α takes one bounded proportional step toward the
+/// staleness target (see the module docs for the law and the signals).
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub enum ControlPolicy {
-    /// Every domain uses this α for the whole run — today's §4.2.2
-    /// behavior. [`crate::config::SimConfig::control`] of `None`
-    /// resolves to `Fixed(cfg.alpha)`.
-    Fixed(f64),
-    /// Per-domain feedback control: each control epoch, every domain's
-    /// α takes one bounded proportional step toward the staleness
-    /// target (see the module docs for the law and the signals).
-    Adaptive {
-        /// The stale-answer fraction the controller steers toward.
-        target_staleness: f64,
-        /// Lower clamp of the effective α.
-        alpha_min: f64,
-        /// Upper clamp of the effective α.
-        alpha_max: f64,
-        /// Proportional gain of the per-epoch step.
-        gain: f64,
-        /// Control epoch length in virtual seconds.
-        epoch_s: f64,
-    },
+pub struct ControlPolicy {
+    /// The stale-answer fraction the controller steers toward.
+    pub target_staleness: f64,
+    /// Lower clamp of the effective α.
+    pub alpha_min: f64,
+    /// Upper clamp of the effective α.
+    pub alpha_max: f64,
+    /// Proportional gain of the per-epoch step.
+    pub gain: f64,
+    /// Control epoch length in virtual seconds.
+    pub epoch_s: f64,
 }
 
 impl ControlPolicy {
     /// A reasonable adaptive default around the given staleness target:
     /// α free in `[0.05, 0.9]`, gain 0.5, 10-minute epochs.
     pub fn adaptive_default(target_staleness: f64) -> Self {
-        Self::Adaptive {
+        Self {
             target_staleness,
             alpha_min: 0.05,
             alpha_max: 0.9,
@@ -110,57 +105,43 @@ impl ControlPolicy {
 
     /// Validates ranges.
     pub fn validate(&self) -> Result<(), P2pError> {
-        match *self {
-            Self::Fixed(a) => {
-                if !(0.0..=1.0).contains(&a) {
-                    return Err(P2pError::BadConfig(format!(
-                        "fixed control alpha {a} not in [0,1]"
-                    )));
-                }
-            }
-            Self::Adaptive {
-                target_staleness,
-                alpha_min,
-                alpha_max,
-                gain,
-                epoch_s,
-            } => {
-                if !(target_staleness.is_finite() && (0.0..1.0).contains(&target_staleness)) {
-                    return Err(P2pError::BadConfig(format!(
-                        "target_staleness {target_staleness} not in [0,1)"
-                    )));
-                }
-                let bounds_ok = (0.0..=1.0).contains(&alpha_min)
-                    && (0.0..=1.0).contains(&alpha_max)
-                    && alpha_min <= alpha_max;
-                if !bounds_ok {
-                    return Err(P2pError::BadConfig(format!(
-                        "alpha bounds [{alpha_min}, {alpha_max}] must satisfy \
-                         0 <= min <= max <= 1"
-                    )));
-                }
-                if !(gain.is_finite() && gain > 0.0) {
-                    return Err(P2pError::BadConfig(format!(
-                        "control gain {gain} must be finite and positive"
-                    )));
-                }
-                if !(epoch_s.is_finite() && epoch_s > 0.0) {
-                    return Err(P2pError::BadConfig(format!(
-                        "control epoch_s {epoch_s} must be finite and positive"
-                    )));
-                }
-            }
+        let Self {
+            target_staleness,
+            alpha_min,
+            alpha_max,
+            gain,
+            epoch_s,
+        } = *self;
+        if !(target_staleness.is_finite() && (0.0..1.0).contains(&target_staleness)) {
+            return Err(P2pError::BadConfig(format!(
+                "target_staleness {target_staleness} not in [0,1)"
+            )));
+        }
+        let bounds_ok = (0.0..=1.0).contains(&alpha_min)
+            && (0.0..=1.0).contains(&alpha_max)
+            && alpha_min <= alpha_max;
+        if !bounds_ok {
+            return Err(P2pError::BadConfig(format!(
+                "alpha bounds [{alpha_min}, {alpha_max}] must satisfy \
+                 0 <= min <= max <= 1"
+            )));
+        }
+        if !(gain.is_finite() && gain > 0.0) {
+            return Err(P2pError::BadConfig(format!(
+                "control gain {gain} must be finite and positive"
+            )));
+        }
+        if !(epoch_s.is_finite() && epoch_s > 0.0) {
+            return Err(P2pError::BadConfig(format!(
+                "control epoch_s {epoch_s} must be finite and positive"
+            )));
         }
         Ok(())
     }
 
-    /// The epoch as virtual time (`None` for the fixed policy, which
-    /// schedules no control ticks at all).
-    pub fn epoch(&self) -> Option<SimTime> {
-        match *self {
-            Self::Fixed(_) => None,
-            Self::Adaptive { epoch_s, .. } => Some(SimTime::from_secs_f64(epoch_s)),
-        }
+    /// The epoch as virtual time.
+    pub fn epoch(&self) -> SimTime {
+        SimTime::from_secs_f64(self.epoch_s)
     }
 }
 
@@ -201,27 +182,22 @@ impl DomainController {
     }
 }
 
-/// The control plane of one kernel run: the policy plus one
+/// The control plane of one kernel run: the policy (if any) plus one
 /// [`DomainController`] per domain slot.
 #[derive(Debug, Clone)]
 pub struct AlphaController {
-    policy: ControlPolicy,
+    policy: Option<ControlPolicy>,
     domains: Vec<DomainController>,
 }
 
 impl AlphaController {
-    /// Builds the controller for `n_domains` slots. Under
-    /// [`ControlPolicy::Fixed`] every slot starts (and stays) at the
-    /// fixed α; under `Adaptive` every slot starts at `alpha0` clamped
-    /// into the policy's bounds.
-    pub fn new(policy: ControlPolicy, n_domains: usize, alpha0: f64) -> Self {
+    /// Builds the controller for `n_domains` slots. Without a policy
+    /// every slot starts (and stays) at `alpha0`; with one every slot
+    /// starts at `alpha0` clamped into the policy's bounds.
+    pub fn new(policy: Option<ControlPolicy>, n_domains: usize, alpha0: f64) -> Self {
         let start = match policy {
-            ControlPolicy::Fixed(a) => a,
-            ControlPolicy::Adaptive {
-                alpha_min,
-                alpha_max,
-                ..
-            } => alpha0.clamp(alpha_min, alpha_max),
+            None => alpha0,
+            Some(p) => alpha0.clamp(p.alpha_min, p.alpha_max),
         };
         Self {
             policy,
@@ -231,14 +207,15 @@ impl AlphaController {
         }
     }
 
-    /// The policy this controller runs.
-    pub fn policy(&self) -> ControlPolicy {
+    /// The policy this controller runs (`None`: α stays fixed).
+    pub fn policy(&self) -> Option<ControlPolicy> {
         self.policy
     }
 
-    /// The control epoch (`None` under the fixed policy).
+    /// The control epoch (`None` without a policy, which schedules no
+    /// control ticks at all).
     pub fn epoch(&self) -> Option<SimTime> {
-        self.policy.epoch()
+        self.policy.map(|p| p.epoch())
     }
 
     /// The current effective α of domain `d`.
@@ -300,8 +277,7 @@ impl AlphaController {
     /// list's current trigger metric (the fallback staleness signal);
     /// `cum_delta_bytes` is the domain's cumulative pull payload
     /// (`DomainCore::delta_bytes_total`), whose per-epoch difference is
-    /// the cost signal. No-op under the fixed policy or after
-    /// dissolution.
+    /// the cost signal. No-op without a policy or after dissolution.
     pub fn tick_domain(
         &mut self,
         d: usize,
@@ -309,13 +285,13 @@ impl AlphaController {
         cl_stale_fraction: f64,
         cum_delta_bytes: u64,
     ) -> f64 {
-        let ControlPolicy::Adaptive {
+        let Some(ControlPolicy {
             target_staleness,
             alpha_min,
             alpha_max,
             gain,
             ..
-        } = self.policy
+        }) = self.policy
         else {
             return self.domains[d].alpha;
         };
@@ -368,21 +344,21 @@ impl AlphaController {
 mod tests {
     use super::*;
 
-    fn adaptive() -> ControlPolicy {
-        ControlPolicy::Adaptive {
+    fn adaptive() -> Option<ControlPolicy> {
+        Some(ControlPolicy {
             target_staleness: 0.2,
             alpha_min: 0.1,
             alpha_max: 0.8,
             gain: 0.5,
             epoch_s: 600.0,
-        }
+        })
     }
 
     #[test]
     fn fixed_policy_never_moves() {
-        let mut c = AlphaController::new(ControlPolicy::Fixed(0.3), 2, 0.7);
-        assert_eq!(c.alpha(0), 0.3, "fixed overrides alpha0");
-        assert!(c.epoch().is_none(), "no ticks under the fixed policy");
+        let mut c = AlphaController::new(None, 2, 0.3);
+        assert_eq!(c.alpha(0), 0.3);
+        assert!(c.epoch().is_none(), "no ticks without a policy");
         c.record_query(0, 1, 99);
         assert_eq!(c.tick_domain(0, 600.0, 1.0, 1 << 20), 0.3);
         assert_eq!(c.trajectory(0), &[(0.0, 0.3)]);
@@ -471,39 +447,25 @@ mod tests {
 
     #[test]
     fn policy_validation() {
-        ControlPolicy::Fixed(0.5).validate().unwrap();
-        assert!(ControlPolicy::Fixed(1.5).validate().is_err());
+        let ok = adaptive().unwrap();
+        ok.validate().unwrap();
         ControlPolicy::adaptive_default(0.2).validate().unwrap();
-        let bad_bounds = ControlPolicy::Adaptive {
-            target_staleness: 0.2,
+        let bad_bounds = ControlPolicy {
             alpha_min: 0.6,
             alpha_max: 0.4,
-            gain: 0.5,
-            epoch_s: 600.0,
+            ..ok
         };
         assert!(bad_bounds.validate().is_err());
-        let bad_gain = ControlPolicy::Adaptive {
-            target_staleness: 0.2,
-            alpha_min: 0.1,
-            alpha_max: 0.8,
-            gain: 0.0,
-            epoch_s: 600.0,
-        };
+        let bad_gain = ControlPolicy { gain: 0.0, ..ok };
         assert!(bad_gain.validate().is_err());
-        let bad_epoch = ControlPolicy::Adaptive {
-            target_staleness: 0.2,
-            alpha_min: 0.1,
-            alpha_max: 0.8,
-            gain: 0.5,
+        let bad_epoch = ControlPolicy {
             epoch_s: f64::NAN,
+            ..ok
         };
         assert!(bad_epoch.validate().is_err());
-        let bad_target = ControlPolicy::Adaptive {
+        let bad_target = ControlPolicy {
             target_staleness: 1.0,
-            alpha_min: 0.1,
-            alpha_max: 0.8,
-            gain: 0.5,
-            epoch_s: 600.0,
+            ..ok
         };
         assert!(bad_target.validate().is_err());
     }

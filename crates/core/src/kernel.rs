@@ -31,9 +31,9 @@
 //!   protocol;
 //! * **α control** — every α-gated decision reads the domain's
 //!   *effective* threshold from the maintenance control plane
-//!   ([`crate::control`]). The default fixed policy never moves it and
-//!   schedules nothing; under
-//!   [`crate::control::ControlPolicy::Adaptive`] a recurring
+//!   ([`crate::control`]). Without a control policy (the default) it
+//!   never moves and nothing is scheduled; under a
+//!   [`crate::control::ControlPolicy`] a recurring
 //!   [`KernelEvent::ControlTick`] feeds each live domain's measured
 //!   stale-answer fraction and pull cost into one bounded proportional
 //!   step per epoch.
@@ -128,7 +128,7 @@ use saintetiq::query::relevant_sources;
 use saintetiq::wire;
 
 use crate::cache::QueryCache;
-use crate::config::{LatencyConfig, SimConfig};
+use crate::config::{SimConfig, CONVERSATION_TIMEOUT};
 use crate::construction::{
     construct_domains, dissolve_domain, elect_replacement_sp, elect_superpeers, find_domain,
     handle_sp_departure, rebirth_broadcast, Domains, ElectionPolicy,
@@ -306,7 +306,7 @@ pub enum KernelEvent {
     /// One control epoch of the maintenance control plane
     /// ([`crate::control`]): every live domain's controller folds the
     /// epoch's measured feedback into its effective α. Scheduled
-    /// recurring only under [`crate::control::ControlPolicy::Adaptive`],
+    /// recurring only under a [`crate::control::ControlPolicy`],
     /// so fixed-α runs keep their event streams byte-identical. Draws
     /// no randomness.
     ControlTick,
@@ -358,8 +358,9 @@ pub struct SimKernel {
     caches: Vec<QueryCache>,
     cache_hits: u64,
     target: LookupTarget,
-    /// The latency plane, when enabled (`cfg.latency()` cached).
-    lat: Option<LatencyConfig>,
+    /// The latency plane's default hop, when the plane is enabled
+    /// (`cfg.latency()` cached).
+    lat: Option<SimTime>,
     /// Conversation id source (0 is reserved for fire-and-forget).
     next_conv: u64,
     rings: BTreeMap<u64, RingConversation>,
@@ -517,7 +518,7 @@ impl SimKernel {
             peak_in_flight: 0,
             domain_errors: 0,
             first_error: None,
-            ctl: AlphaController::new(cfg.control_policy(), 1, cfg.alpha),
+            ctl: AlphaController::new(cfg.control, 1, cfg.alpha),
             pending_rebirths: BTreeMap::new(),
             rebirth_convs: BTreeMap::new(),
             promoted_sps: BTreeSet::new(),
@@ -559,7 +560,6 @@ impl SimKernel {
         let topo_cfg = TopologyConfig {
             nodes: cfg.n_peers,
             m: cfg.topology_m,
-            ..Default::default()
         };
         let net = Network::new(Graph::barabasi_albert(&topo_cfg, &mut rng));
 
@@ -599,7 +599,7 @@ impl SimKernel {
         // Long-range SP links, sampled *without replacement* from a
         // shuffled candidate list so small SP sets still receive their
         // full k links, deterministically from the seeded RNG.
-        let k = cfg.interdomain_k.round() as usize;
+        let k = SimConfig::INTERDOMAIN_K.round() as usize;
         let sp_ids: Vec<NodeId> = superpeers.clone();
         for core in &mut domains {
             let sp = core.sp.expect("networked domains have an SP");
@@ -649,7 +649,7 @@ impl SimKernel {
             peak_in_flight: 0,
             domain_errors: 0,
             first_error: None,
-            ctl: AlphaController::new(cfg.control_policy(), n_domains, cfg.alpha),
+            ctl: AlphaController::new(cfg.control, n_domains, cfg.alpha),
             pending_rebirths: BTreeMap::new(),
             rebirth_convs: BTreeMap::new(),
             promoted_sps: BTreeSet::new(),
@@ -994,9 +994,9 @@ impl SimKernel {
     /// latency for partner↔SP hops, the configured default otherwise
     /// (implicit SP, long links, walk partners).
     fn hop_latency(&self, a: NodeId, b: NodeId) -> SimTime {
-        let lat = self.lat.expect("latency mode");
+        let default_hop = self.lat.expect("latency mode");
         if a == IMPLICIT_SP || b == IMPLICIT_SP {
-            return lat.default_hop;
+            return default_hop;
         }
         if let Some(net) = &self.net {
             if let Some(l) = net.latency(a, b) {
@@ -1012,7 +1012,7 @@ impl SimKernel {
                 }
             }
         }
-        lat.default_hop
+        default_hop
     }
 
     /// Sends one protocol message, counted once in the ledger. On the
@@ -1028,7 +1028,7 @@ impl SimKernel {
             "query hits travel as KernelEvent::Hits"
         );
         self.ledger.count(&msg, 1);
-        let Some(lat) = self.lat else {
+        if self.lat.is_none() {
             self.now_queue.push_back((from, to, msg, conv));
             if !self.draining {
                 self.draining = true;
@@ -1039,7 +1039,7 @@ impl SimKernel {
             }
             return;
         };
-        let transit = msg.transit_time(self.hop_latency(from, to), &lat) + extra;
+        let transit = msg.transit_time(self.hop_latency(from, to)) + extra;
         self.in_flight += 1;
         self.peak_in_flight = self.peak_in_flight.max(self.in_flight);
         let sent_at = self.sim.now();
@@ -1202,9 +1202,9 @@ impl SimKernel {
             conv,
             SimTime::ZERO,
         );
-        if let Some(lat) = self.lat {
+        if self.lat.is_some() {
             self.sim
-                .schedule_in(lat.conversation_timeout, KernelEvent::RingTimeout { conv });
+                .schedule_in(CONVERSATION_TIMEOUT, KernelEvent::RingTimeout { conv });
         }
     }
 
@@ -1281,7 +1281,9 @@ impl SimKernel {
 
     /// Poses an inter-domain lookup on the message plane.
     fn start_lookup(&mut self, origin: NodeId, template: usize) {
-        let Some(lat) = self.lat else { return };
+        if self.lat.is_none() {
+            return;
+        }
         let Some(home) = self.domain_of.get(origin.index()).copied().flatten() else {
             return;
         };
@@ -1295,10 +1297,8 @@ impl SimKernel {
         let mut lc = LookupConversation::new(origin, template, need, self.sim.now(), results_total);
         self.schedule_domain_query(&mut lc, conv, home, origin, SimTime::ZERO);
         self.lookups.insert(conv, lc);
-        self.sim.schedule_in(
-            lat.conversation_timeout,
-            KernelEvent::LookupTimeout { conv },
-        );
+        self.sim
+            .schedule_in(CONVERSATION_TIMEOUT, KernelEvent::LookupTimeout { conv });
     }
 
     /// Puts back a conversation a handler took out of `lookups` — so
@@ -1349,7 +1349,7 @@ impl SimKernel {
         summary_selected: bool,
         extra: impl Fn(&Self, NodeId) -> SimTime,
     ) {
-        let lat = self.lat.expect("latency mode");
+        debug_assert!(self.lat.is_some(), "hit runs travel on the latency plane");
         let msg = hit_msg(summary_selected);
         let origin = lc.origin;
         if lc.hop_epoch != self.topo_epoch {
@@ -1371,7 +1371,7 @@ impl SimKernel {
                 None => self.hop_latency(q, origin),
             };
             debug_assert_eq!(hop, self.hop_latency(q, origin), "stale hop memo");
-            let transit = msg.transit_time(hop, &lat) + extra(self, q);
+            let transit = msg.transit_time(hop) + extra(self, q);
             match run {
                 Some((_, t)) if t == transit => continue,
                 Some((start, t)) => {
@@ -1457,9 +1457,8 @@ impl SimKernel {
         }
         // Each answer travels SP → peer → originator; it is
         // re-validated on arrival (the peer may churn out in flight).
-        let lat = self.lat.expect("latency mode");
         self.send_hits(lc, conv, &answering, true, |k, p| {
-            Message::Query { template }.transit_time(k.hop_latency(to, p), &lat)
+            Message::Query { template }.transit_time(k.hop_latency(to, p))
         });
         // §5.2.2 flooding requests to the answering peers and — in its
         // home domain — the originator.
@@ -1625,7 +1624,7 @@ impl SimKernel {
         // second SP departure would strand them pointing at a
         // dissolved domain forever.
         let mut members = self.topo.as_ref().expect("networked kernel").members(sp);
-        for &m in &self.domains[d].members {
+        for m in self.domains[d].cl.partners() {
             if !members.contains(&m) {
                 members.push(m);
             }
@@ -1660,7 +1659,7 @@ impl SimKernel {
         // Re-homes: graceful partners act on the release; failed-SP
         // partners discover the failure on their next (timed-out) push.
         let delay = match (graceful, self.lat) {
-            (false, Some(lat)) => lat.conversation_timeout,
+            (false, Some(_)) => CONVERSATION_TIMEOUT,
             _ => SimTime::ZERO,
         };
         for m in members {
@@ -1773,8 +1772,8 @@ impl SimKernel {
         // starts one hop later. Failed: partners first discover the
         // failure (their next push times out).
         let delay = match (graceful, self.lat) {
-            (true, Some(lat)) => lat.default_hop,
-            (false, Some(lat)) => lat.conversation_timeout,
+            (true, Some(default_hop)) => default_hop,
+            (false, Some(_)) => CONVERSATION_TIMEOUT,
             (_, None) => SimTime::ZERO,
         };
         self.sim
@@ -1806,9 +1805,9 @@ impl SimKernel {
             })
             .collect();
         let policy = match self.lat {
-            Some(lat) => ElectionPolicy::LatencyAware {
+            Some(default_hop) => ElectionPolicy::LatencyAware {
                 ttl: self.cfg.sumpeer_ttl,
-                default_hop: lat.default_hop,
+                default_hop,
             },
             None => ElectionPolicy::Degree,
         };
@@ -1833,7 +1832,7 @@ impl SimKernel {
         // Election traffic: one candidacy/acknowledgement exchange per
         // live member (the §4.1 `find` vocabulary, construction class).
         self.ledger.count(&Message::Find, live.len() as u64);
-        let delay = self.lat.map(|l| l.default_hop).unwrap_or(SimTime::ZERO);
+        let delay = self.lat.unwrap_or(SimTime::ZERO);
         self.sim
             .schedule_in(delay, KernelEvent::SpTakeover { domain: d, sp: ns });
     }
@@ -1921,7 +1920,7 @@ impl SimKernel {
         }
         // Long-range links for the newborn SP: sampled without
         // replacement from the current SP roster, like construction.
-        let k = self.cfg.interdomain_k.round() as usize;
+        let k = SimConfig::INTERDOMAIN_K.round() as usize;
         let mut candidates: Vec<NodeId> =
             self.sp_index.keys().copied().filter(|&o| o != ns).collect();
         candidates.shuffle(self.sim.rng());
@@ -1955,11 +1954,9 @@ impl SimKernel {
         for &m in &live {
             self.send_localsum(m, d, SimTime::ZERO, conv);
         }
-        if let Some(lat) = self.lat {
-            self.sim.schedule_in(
-                lat.conversation_timeout,
-                KernelEvent::RebirthTimeout { conv },
-            );
+        if self.lat.is_some() {
+            self.sim
+                .schedule_in(CONVERSATION_TIMEOUT, KernelEvent::RebirthTimeout { conv });
         }
     }
 
@@ -2210,16 +2207,17 @@ impl SimKernel {
         let mut answered: DenseSet<NodeId> = DenseSet::default();
         // `answered` as last stored in the originator's cache.
         let mut answer_list = None;
-        let mut visited_domains: DenseSet<usize> = DenseSet::default();
         let mut reach = std::mem::take(&mut self.flood_out);
-        // Domains to process next: discovered through flooding/long links.
+        // Domains to process next, discovered through flooding/long
+        // links; each enters once, at its first discovery.
+        let mut queued: DenseSet<usize> = DenseSet::default();
         let mut frontier: VecDeque<usize> = VecDeque::new();
+        queued.insert(home);
         frontier.push_back(home);
+        let mut domains_visited = 0;
 
         'domains: while let Some(d) = frontier.pop_front() {
-            if !visited_domains.insert(d) {
-                continue;
-            }
+            domains_visited += 1;
             let (answering, stale, forwards) = self.query_domain(d, template);
             self.ctl.record_query(d, answering.len(), stale);
             queries += 1 + forwards; // the query to this domain's SP and its forwards
@@ -2279,7 +2277,7 @@ impl SimKernel {
                         }
                     }
                     if let Some(other) = self.domain_of[reached.index()] {
-                        if !visited_domains.contains(other) {
+                        if queued.insert(other) {
                             frontier.push_back(other);
                         }
                     }
@@ -2289,7 +2287,7 @@ impl SimKernel {
                 queries += 1;
                 // A link may point at an SP that departed since (§4.3).
                 if let Some(&other) = self.sp_index.get(sp) {
-                    if !visited_domains.contains(other) {
+                    if queued.insert(other) {
                         frontier.push_back(other);
                     }
                 }
@@ -2308,7 +2306,7 @@ impl SimKernel {
         MultiDomainOutcome {
             results: answered.len(),
             results_total,
-            domains_visited: visited_domains.len(),
+            domains_visited,
             messages,
             satisfied: answered.len() >= need.min(results_total),
             stale_answers,
@@ -2548,6 +2546,10 @@ impl MultiDomainSim {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::DeliveryMode;
+
+    /// The latency plane's default hop in these tests.
+    const HOP: SimTime = SimTime::from_millis(50);
 
     fn cfg(n: usize, seed: u64) -> SimConfig {
         let mut c = SimConfig::paper_defaults(n, 0.3);
@@ -2587,7 +2589,6 @@ mod tests {
         let k = SimKernel::networked(cfg(200, 2), 30, None).unwrap();
         assert!(k.domains.len() >= 4);
         for dom in &k.domains {
-            assert_eq!(dom.cl.len(), dom.members.len());
             assert_eq!(dom.cl.stale_fraction(), 0.0);
         }
         assert!(k.peers.iter().flatten().all(|s| s.up));
@@ -2596,7 +2597,7 @@ mod tests {
     #[test]
     fn long_links_are_distinct_and_filled() {
         let k = SimKernel::networked(cfg(300, 3), 30, None).unwrap();
-        let k_target = k.cfg.interdomain_k.round() as usize;
+        let k_target = SimConfig::INTERDOMAIN_K.round() as usize;
         let sp_count = k.domains.len();
         for dom in &k.domains {
             let links = &dom.long_links;
@@ -2657,9 +2658,8 @@ mod tests {
 
     #[test]
     fn latency_mode_records_positive_offsets_per_lookup() {
-        use crate::config::{DeliveryMode, LatencyConfig};
         let mut c = cfg(120, 8);
-        c.delivery = DeliveryMode::Latency(LatencyConfig::wan_default());
+        c.delivery = DeliveryMode::Latency { default_hop: HOP };
         let mut k = SimKernel::networked(c, 20, Some(LookupTarget::Total)).unwrap();
         k.run_to_horizon();
         assert_eq!(k.error_status(), (0, None), "healthy run swallows nothing");
@@ -2679,9 +2679,8 @@ mod tests {
 
     #[test]
     fn latency_mode_ring_conversations_reconcile() {
-        use crate::config::{DeliveryMode, LatencyConfig};
         let mut c = cfg(24, 9);
-        c.delivery = DeliveryMode::Latency(LatencyConfig::wan_default());
+        c.delivery = DeliveryMode::Latency { default_hop: HOP };
         let mut k = SimKernel::single_domain(c).unwrap();
         k.run_to_horizon();
         assert!(k.domains[0].reconciliations > 0, "token rings completed");
@@ -2699,13 +2698,12 @@ mod tests {
 
     #[test]
     fn healthy_runs_report_no_domain_errors() {
-        use crate::config::{DeliveryMode, LatencyConfig};
         let instant = MultiDomainSim::new(cfg(100, 12), 20, LookupTarget::Total)
             .unwrap()
             .run();
         assert_eq!(instant.domain_errors, 0);
         let mut c = cfg(100, 12);
-        c.delivery = DeliveryMode::Latency(LatencyConfig::wan_default());
+        c.delivery = DeliveryMode::Latency { default_hop: HOP };
         let latency = MultiDomainSim::new(c, 20, LookupTarget::Total)
             .unwrap()
             .run();
@@ -2720,10 +2718,8 @@ mod tests {
     /// in the middle of a run lets the rest of the run only drain.
     #[test]
     fn hit_runs_split_by_arrival_and_finish_mid_run() {
-        use crate::config::{DeliveryMode, LatencyConfig};
-        let lat = LatencyConfig::wan_default();
         let mut c = cfg(120, 11);
-        c.delivery = DeliveryMode::Latency(lat);
+        c.delivery = DeliveryMode::Latency { default_hop: HOP };
         let mut k = SimKernel::networked(c, 20, None).unwrap();
         let partners = |k: &SimKernel, t: usize| -> Vec<NodeId> {
             let mut m = k.true_matches(t);
@@ -2742,8 +2738,8 @@ mod tests {
         g.add_edge(origin, near, SimTime::from_millis(7));
         k.net = Some(Network::new(g));
         let hit = Message::QueryHit { results: 0 };
-        let t_far = hit.transit_time(lat.default_hop, &lat);
-        let t_near = hit.transit_time(SimTime::from_millis(7), &lat);
+        let t_far = hit.transit_time(HOP);
+        let t_near = hit.transit_time(SimTime::from_millis(7));
         assert_ne!(t_far, t_near);
 
         let list: Rc<[NodeId]> = [far[0], far[1], far[2], near, far[3], far[4]].into();
@@ -2802,11 +2798,9 @@ mod tests {
     /// no conversation left in `lookups` is done.
     #[test]
     fn completed_lookups_are_dropped() {
-        use crate::config::{DeliveryMode, LatencyConfig};
-        let lat = LatencyConfig::wan_default();
         for target in [LookupTarget::Total, LookupTarget::Partial(3)] {
             let mut c = cfg(120, 5);
-            c.delivery = DeliveryMode::Latency(lat);
+            c.delivery = DeliveryMode::Latency { default_hop: HOP };
             let mut k = SimKernel::networked(c, 20, Some(target)).unwrap();
             for hours in 1..=4 {
                 let now = SimTime::from_hours(hours);
@@ -2814,7 +2808,7 @@ mod tests {
                 for lc in k.lookups.values() {
                     assert!(!lc.done, "{target:?}: a done lookup is kept");
                     assert!(
-                        lc.started + lat.conversation_timeout >= now,
+                        lc.started + CONVERSATION_TIMEOUT >= now,
                         "{target:?}: a lookup outlived its watchdog"
                     );
                 }
@@ -2826,7 +2820,7 @@ mod tests {
         // branch: the lookup completes as its delivery settles, and is
         // dropped there; its watchdog then finds nothing.
         let mut c = cfg(120, 5);
-        c.delivery = DeliveryMode::Latency(lat);
+        c.delivery = DeliveryMode::Latency { default_hop: HOP };
         let mut k = SimKernel::networked(c, 20, None).unwrap();
         let origin = k.live_origins()[0];
         let sp = k.sp_node(k.domain_of[origin.index()].expect("a partner"));
@@ -2862,10 +2856,8 @@ mod tests {
     /// topology epoch must invalidate the memo.
     #[test]
     fn hop_memo_follows_topology_changes() {
-        use crate::config::{DeliveryMode, LatencyConfig};
-        let lat = LatencyConfig::wan_default();
         let mut c = cfg(120, 11);
-        c.delivery = DeliveryMode::Latency(lat);
+        c.delivery = DeliveryMode::Latency { default_hop: HOP };
         let mut k = SimKernel::networked(c, 20, None).unwrap();
         let (origin, sp) = k
             .live_origins()
@@ -2874,7 +2866,7 @@ mod tests {
                 let sp = k.topo.as_ref()?.assignment[p.index()]?;
                 let tree = k.topo.as_ref()?.join_time(p)?;
                 let linked = k.net.as_ref()?.latency(p, sp).is_some();
-                (!linked && tree != lat.default_hop).then_some((p, sp))
+                (!linked && tree != HOP).then_some((p, sp))
             })
             .expect("a partner reached over the broadcast tree");
         let list: Rc<[NodeId]> = [sp].into();
@@ -2953,7 +2945,7 @@ mod tests {
             let mut k = SimKernel::networked(cfg(200, 4), 30, None).unwrap();
             k.cfg.failure_fraction = if graceful { 0.0 } else { 1.0 };
             let sp = k.domains[0].sp.unwrap();
-            let partners = k.domains[0].members.len() as u64;
+            let partners = k.domains[0].cl.len() as u64;
             assert!(partners > 0);
             k.handle(KernelEvent::SpDeparture { sp });
             assert!(k.domains[0].dissolved);

@@ -43,10 +43,10 @@
 //!
 //! * [`config`] — Table 3's simulation parameters as a typed config;
 //! * [`control`] — the maintenance control plane: per-domain effective
-//!   α, fixed ([`control::ControlPolicy::Fixed`], the default — the
-//!   paper's single global threshold) or fed back each control epoch
-//!   from measured stale-answer fractions and reconciliation cost
-//!   ([`control::ControlPolicy::Adaptive`]);
+//!   α, fixed at [`config::SimConfig::alpha`] (the default — the
+//!   paper's single global threshold) or, under a
+//!   [`control::ControlPolicy`], fed back each control epoch from
+//!   measured stale-answer fractions and reconciliation cost;
 //! * [`freshness`] / [`coop`] — the 2-bit freshness values and the
 //!   cooperation list (§4.1, §4.3);
 //! * [`messages`] — the protocol vocabulary (`sumpeer`, `localsum`,
@@ -88,7 +88,7 @@ pub mod scenario;
 pub mod system;
 pub mod workload;
 
-pub use config::{DeliveryMode, LatencyConfig, SimConfig};
+pub use config::{DeliveryMode, SimConfig};
 pub use control::{AlphaController, ControlPolicy};
 pub use coop::CooperationList;
 pub use domain::DomainSim;

@@ -8,7 +8,9 @@
 use p2psim::network::NodeId;
 use p2psim::time::SimTime;
 
-use crate::config::LatencyConfig;
+/// Serialization rate of the latency plane in wire bytes per second
+/// (10 Mbit/s): transit time is propagation + `wire_bytes / bandwidth`.
+pub const BANDWIDTH_BYTES_PER_S: u64 = 1_250_000;
 
 /// A protocol message.
 #[derive(Debug, Clone, PartialEq)]
@@ -120,16 +122,14 @@ impl Message {
     }
 
     /// One-way transit time of this message over a link with base
-    /// (propagation) latency `link`: scaled propagation plus
-    /// serialization of the wire bytes at the configured bandwidth.
-    /// Strictly positive — even a zero-latency link costs at least the
-    /// serialization of the header, and a 1 µs floor keeps every
-    /// delivery event at a positive virtual-time offset.
-    pub fn transit_time(&self, link: SimTime, lat: &LatencyConfig) -> SimTime {
-        let prop_us = (link.0 as f64 * lat.scale).round() as u64;
-        let ser_us =
-            (self.wire_bytes() as u64 * 1_000_000).div_ceil(lat.bandwidth_bytes_per_s.max(1));
-        SimTime((prop_us + ser_us).max(1))
+    /// (propagation) latency `link`: propagation plus serialization of
+    /// the wire bytes at [`BANDWIDTH_BYTES_PER_S`]. Strictly positive —
+    /// even a zero-latency link costs at least the serialization of the
+    /// header, and a 1 µs floor keeps every delivery event at a positive
+    /// virtual-time offset.
+    pub fn transit_time(&self, link: SimTime) -> SimTime {
+        let ser_us = (self.wire_bytes() as u64 * 1_000_000).div_ceil(BANDWIDTH_BYTES_PER_S);
+        SimTime((link.0 + ser_us).max(1))
     }
 }
 
@@ -183,23 +183,16 @@ mod tests {
 
     #[test]
     fn transit_time_is_positive_and_scales() {
-        let lat = LatencyConfig::wan_default();
         let link = SimTime::from_millis(20);
         // Per-class costing: a fat reconciliation token takes longer
         // than a push over the same link.
-        let push = Message::Push { value: 1 }.transit_time(link, &lat);
-        let token = Message::ReconciliationToken { bytes: 200_000 }.transit_time(link, &lat);
+        let push = Message::Push { value: 1 }.transit_time(link);
+        let token = Message::ReconciliationToken { bytes: 200_000 }.transit_time(link);
         assert!(push >= link, "propagation is a floor");
         assert!(token > push, "serialization shows up per class");
 
         // Even a zero-latency link yields a strictly positive transit.
-        let zero = Message::Drop.transit_time(SimTime::ZERO, &lat);
+        let zero = Message::Drop.transit_time(SimTime::ZERO);
         assert!(zero > SimTime::ZERO);
-
-        // The scale multiplier stretches propagation.
-        let mut double = lat;
-        double.scale = 2.0;
-        let stretched = Message::Push { value: 1 }.transit_time(link, &double);
-        assert!(stretched > push);
     }
 }

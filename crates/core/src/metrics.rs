@@ -73,12 +73,12 @@ pub struct DomainReport {
     /// (§4.3's alternative 1).
     pub approx_weight_with_departed: Vec<f64>,
     /// The domain's effective α at the end of the run — equals
-    /// [`DomainReport::alpha`] under the fixed policy, the converged
-    /// value under [`crate::control::ControlPolicy::Adaptive`].
+    /// [`DomainReport::alpha`] without a control policy, the converged
+    /// value under a [`crate::control::ControlPolicy`].
     pub final_alpha: f64,
     /// `(virtual seconds, α)` trajectory of the domain's controller:
     /// the initial point plus one sample per control epoch (just the
-    /// initial point under the fixed policy).
+    /// initial point without a control policy).
     pub alpha_trajectory: Vec<(f64, f64)>,
     /// Domain-state errors the event loop swallowed
     /// ([`crate::kernel::SimKernel::error_status`]); 0 on every healthy
@@ -234,7 +234,8 @@ impl DomainReport {
 pub struct MultiDomainReport {
     /// Network size.
     pub n_peers: usize,
-    /// Number of constructed domains.
+    /// Live domains at the end of the run (the constructed ones when no
+    /// summary peer departed).
     pub n_domains: usize,
     /// Freshness threshold.
     pub alpha: f64,
@@ -297,8 +298,8 @@ pub struct MultiDomainReport {
     /// order — the raw series behind recall-over-time analyses.
     pub samples: Vec<(f64, f64)>,
     /// Final effective α of every non-dissolved domain — the converged
-    /// α distribution under the adaptive policy, a constant vector
-    /// under the fixed one.
+    /// α distribution under a control policy, a constant vector
+    /// without one.
     pub final_alphas: Vec<f64>,
     /// Mean of [`MultiDomainReport::final_alphas`] (the configured α
     /// when no domain survived).
@@ -425,30 +426,6 @@ impl MultiDomainReport {
             weighted / self.horizon_s
         } else {
             last_n
-        }
-    }
-
-    /// Mean recall of the lookups posed strictly before `t_s` seconds
-    /// (1.0 when none were).
-    pub fn recall_before(&self, t_s: f64) -> f64 {
-        Self::mean_recall_of(self.samples.iter().filter(|(t, _)| *t < t_s))
-    }
-
-    /// Mean recall of the lookups posed at or after `t_s` seconds.
-    pub fn recall_after(&self, t_s: f64) -> f64 {
-        Self::mean_recall_of(self.samples.iter().filter(|(t, _)| *t >= t_s))
-    }
-
-    fn mean_recall_of<'a>(it: impl Iterator<Item = &'a (f64, f64)>) -> f64 {
-        let (mut sum, mut n) = (0.0, 0usize);
-        for (_, r) in it {
-            sum += r;
-            n += 1;
-        }
-        if n == 0 {
-            1.0
-        } else {
-            sum / n as f64
         }
     }
 }

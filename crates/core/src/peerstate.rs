@@ -287,16 +287,15 @@ fn peer_up(peers: &[Option<PeerState>], m: NodeId) -> bool {
         .is_some_and(|p| p.up)
 }
 
-/// One domain's summary-peer state: members, GS, CL and the §4.2–§4.3
-/// protocol transitions.
+/// One domain's summary-peer state: GS, CL and the §4.2–§4.3 protocol
+/// transitions.
 #[derive(Debug, Clone)]
 pub struct DomainCore {
     /// The summary peer hosting this domain (`None` for the standalone
     /// single-domain simulation, whose SP is implicit).
     pub sp: Option<NodeId>,
-    /// The partner peers (network-global ids).
-    pub members: Vec<NodeId>,
-    /// The cooperation list.
+    /// The cooperation list: one entry per partner peer (network-global
+    /// ids), and so the domain's one member set (§4.1).
     pub cl: CooperationList,
     /// The merged view of [`DomainCore::acc`], built canonically by
     /// [`DomainCore::materialize`]. Current on return from
@@ -327,12 +326,16 @@ pub struct DomainCore {
 }
 
 impl DomainCore {
-    /// An empty domain over the given members.
+    /// A domain over the given members, each entered in the CL as
+    /// fresh; nothing is summarized until [`DomainCore::enroll_all`].
     pub fn new(sp: Option<NodeId>, members: Vec<NodeId>) -> Self {
+        let mut cl = CooperationList::new();
+        for m in members {
+            cl.add_partner(m, Freshness::Fresh);
+        }
         Self {
             sp,
-            members,
-            cl: CooperationList::new(),
+            cl,
             gs: empty_gs(),
             acc: empty_accumulator(),
             reconciliations: 0,
@@ -344,13 +347,12 @@ impl DomainCore {
         }
     }
 
-    /// Tears the domain down after its SP departed: members, CL, GS,
-    /// accumulator and long links are cleared; the slot stays in place
-    /// so domain indices held by in-flight conversations remain valid
-    /// (their deliveries no-op against a dissolved domain).
+    /// Tears the domain down after its SP departed: CL (the members),
+    /// GS, accumulator and long links are cleared; the slot stays in
+    /// place so domain indices held by in-flight conversations remain
+    /// valid (their deliveries no-op against a dissolved domain).
     pub fn dissolve(&mut self) {
         self.dissolved = true;
-        self.members.clear();
         self.cl = CooperationList::new();
         self.acc.clear();
         self.gs = empty_gs();
@@ -376,13 +378,15 @@ impl DomainCore {
         self.sp = Some(sp);
         self.acc = acc;
         self.cl = CooperationList::new();
-        self.members = seeded.iter().map(|&(m, _)| m).collect();
-        for &(m, f) in &seeded {
+        for (m, f) in seeded {
             self.cl.add_partner(m, f);
         }
-        let keep: std::collections::BTreeSet<SourceId> =
-            self.members.iter().map(|m| SourceId(m.0)).collect();
-        let drop: Vec<SourceId> = self.acc.sources().filter(|s| !keep.contains(s)).collect();
+        let cl = &self.cl;
+        let drop: Vec<SourceId> = self
+            .acc
+            .sources()
+            .filter(|s| !cl.contains(NodeId(s.0)))
+            .collect();
         for s in drop {
             self.acc.remove_source(s);
         }
@@ -428,20 +432,18 @@ impl DomainCore {
         self.acc.remove_source(SourceId(m.0))
     }
 
-    /// Initial construction (§4.1): every member ships its `localsum`,
-    /// enters the CL fresh, and every live member's summary is pulled
-    /// into the accumulator.
+    /// Initial construction (§4.1): every member ships its `localsum`
+    /// (each entered the CL fresh in [`DomainCore::new`]), and every live
+    /// member's summary is pulled into the accumulator.
     pub fn enroll_all(
         &mut self,
         peers: &mut [Option<PeerState>],
         ledger: &mut MessageLedger,
     ) -> Result<(), P2pError> {
         self.gs_stale = true;
-        for i in 0..self.members.len() {
-            let m = self.members[i];
+        for m in self.cl.partners().collect::<Vec<_>>() {
             let bytes = peer_ref(peers, m)?.data.summary.len();
             ledger.count(&Message::LocalSum { bytes }, 1);
-            self.cl.add_partner(m, Freshness::Fresh);
             if peer_up(peers, m) {
                 self.pull_member(m, peers)?;
             }
@@ -462,7 +464,7 @@ impl DomainCore {
         peers: &[Option<PeerState>],
     ) -> Result<SummaryTree, P2pError> {
         let mut acc = empty_accumulator();
-        for &m in &self.members {
+        for m in self.cl.partners() {
             if let Some(st) = peers.get(m.index()).and_then(|s| s.as_ref()) {
                 if st.up {
                     acc.update_source_encoded(SourceId(m.0), &st.data.summary)?;
@@ -513,16 +515,12 @@ impl DomainCore {
     }
 
     /// A (re)joining member's `localsum` arrives at the SP (§4.3): the
-    /// member enters the CL stale, awaiting the next pull. If the peer
-    /// is not a member of this domain (an SP-churn re-home, or a member
-    /// a pull dropped while it was away), it also enters the member
-    /// list.
+    /// member enters the CL stale, awaiting the next pull — a new
+    /// partner if it was not one (an SP-churn re-home, or a member a
+    /// pull dropped while it was away).
     pub fn apply_localsum(&mut self, peer: NodeId) -> bool {
         if self.dissolved {
             return false;
-        }
-        if !self.members.contains(&peer) {
-            self.members.push(peer);
         }
         self.cl.add_partner(peer, Freshness::NeedsRefresh);
         true
@@ -577,7 +575,7 @@ impl DomainCore {
             work.merged += 1;
             work.delta_bytes += snap.summary.len() as u64;
         }
-        for m in self.members.clone() {
+        for m in self.cl.partners().collect::<Vec<_>>() {
             if visited.contains(&m) {
                 continue;
             }
@@ -602,8 +600,6 @@ impl DomainCore {
         for (p, f) in stale_survivors {
             self.cl.set_freshness(p, f);
         }
-        let cl = &self.cl;
-        self.members.retain(|&m| cl.contains(m));
         ledger.count_reconcile_work(work);
         self.delta_bytes_total += work.delta_bytes;
         self.reconciliations += 1;
@@ -611,8 +607,8 @@ impl DomainCore {
     }
 
     /// Routes one query against this domain's current accumulator/CL
-    /// state and scores it against exact ground truth over the member
-    /// set. Localization scans the accumulator
+    /// state and scores it against exact ground truth over the CL's
+    /// members. Localization scans the accumulator
     /// ([`GsAccumulator::relevant_sources`]), so it never waits for a
     /// GS build.
     pub fn route_local(
@@ -628,23 +624,12 @@ impl DomainCore {
             .into_iter()
             .map(|s| NodeId(s.0))
             .collect();
-        route_query_scoped(pq, &self.cl, policy, &self.members, |p| {
+        route_query_scoped(pq, &self.cl, policy, self.cl.partners(), |p| {
             match peers[p.index()].as_ref() {
                 Some(st) => (st.up, st.data.matches(template)),
                 None => (false, false),
             }
         })
-    }
-
-    /// Live members right now.
-    pub fn live_members<'a>(
-        &'a self,
-        peers: &'a [Option<PeerState>],
-    ) -> impl Iterator<Item = NodeId> + 'a {
-        self.members
-            .iter()
-            .copied()
-            .filter(|m| peers[m.index()].as_ref().is_some_and(|p| p.up))
     }
 }
 
@@ -818,8 +803,6 @@ mod tests {
         );
         assert!(!core.cl.contains(NodeId(4)), "missed down member dropped");
         assert!(!core.acc.contains(saintetiq::cell::SourceId(4)));
-        assert!(core.members.contains(&NodeId(3)));
-        assert!(!core.members.contains(&NodeId(4)));
         assert_eq!(core.reconciliations, 1);
         let work = ledger.reconcile_work();
         assert_eq!((work.merged, work.skipped, work.removed), (3, 2, 1));
@@ -832,7 +815,6 @@ mod tests {
         core.enroll_all(&mut peers, &mut ledger).unwrap();
         core.dissolve();
         assert!(core.dissolved);
-        assert!(core.members.is_empty());
         assert!(core.cl.is_empty());
         assert!(core.acc.is_empty());
         assert_eq!(core.gs.all_sources().len(), 0);
@@ -867,7 +849,7 @@ mod tests {
         core.revive(NodeId(0), seeded, acc);
         assert!(!core.dissolved);
         assert_eq!(core.sp, Some(NodeId(0)));
-        assert_eq!(core.members.len(), 8);
+        assert_eq!(core.cl.len(), 8);
         // The first GS is stored straight from the surviving
         // contributions — no member was pulled again.
         assert_eq!(core.gs.all_sources().len(), 8);
@@ -916,7 +898,6 @@ mod tests {
         core.enroll_all(&mut peers, &mut ledger).unwrap();
         // A re-homed peer from a dissolved domain carries a foreign id.
         assert!(core.apply_localsum(NodeId(99)));
-        assert!(core.members.contains(&NodeId(99)));
         assert_eq!(core.cl.freshness(NodeId(99)), Some(Freshness::NeedsRefresh));
     }
 
@@ -924,7 +905,7 @@ mod tests {
     fn missing_peer_state_is_an_error_not_a_panic() {
         let (mut core, mut peers) = domain_with_peers(4);
         let mut ledger = MessageLedger::new();
-        core.members.push(NodeId(40)); // no backing slot
+        core.cl.add_partner(NodeId(40), Freshness::Fresh); // no backing slot
         let err = core.enroll_all(&mut peers, &mut ledger);
         assert_eq!(err, Err(P2pError::UnknownPeer(40)));
     }

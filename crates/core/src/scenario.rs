@@ -16,7 +16,7 @@ use rand::{Rng, SeedableRng};
 use saintetiq::wire;
 
 use crate::baselines;
-use crate::config::{DeliveryMode, LatencyConfig, SimConfig};
+use crate::config::{DeliveryMode, SimConfig};
 use crate::control::ControlPolicy;
 use crate::costmodel;
 use crate::domain::DomainSim;
@@ -178,7 +178,6 @@ pub fn figure7(
         let topo = TopologyConfig {
             nodes: n,
             m: base.topology_m,
-            ..Default::default()
         };
         let net = Network::new(Graph::barabasi_albert(&topo, &mut rng));
 
@@ -206,7 +205,7 @@ pub fn figure7(
         out.push(QueryCostPoint {
             n,
             centralized: costmodel::centralized_cost(n, base.match_fraction),
-            summary_querying: costmodel::figure7_sq_cost(n, fp, base.interdomain_k),
+            summary_querying: costmodel::figure7_sq_cost(n, fp, SimConfig::INTERDOMAIN_K),
             flooding: flood_msgs / flood_recall.max(0.01),
             flooding_raw: flood_msgs,
             flooding_recall: flood_recall,
@@ -221,20 +220,7 @@ pub struct MultiChurnPoint {
     /// Churn intensity multiplier applied to the base configuration
     /// (sessions and summary lifetimes shortened by this factor).
     pub churn_scale: f64,
-    /// Mean network-wide recall over the sampled lookups.
-    pub mean_recall: f64,
-    /// Mean stale answers per lookup.
-    pub mean_stale_answers: f64,
-    /// Mean network-wide false negatives per lookup.
-    pub mean_false_negatives: f64,
-    /// Mean messages per lookup.
-    pub mean_messages: f64,
-    /// Mean virtual time-to-answer per lookup (seconds; 0.0 in
-    /// instantaneous mode).
-    pub mean_time_to_answer_s: f64,
-    /// Reconciliation rounds across all domains.
-    pub reconciliations: u64,
-    /// Full report for deeper inspection.
+    /// The run's report: recall, stale answers, messages, pulls.
     pub report: MultiDomainReport,
 }
 
@@ -281,12 +267,6 @@ pub fn figure_multidomain_churn(
         let report = MultiDomainSim::new(cfg, domain_target, target)?.run();
         out.push(MultiChurnPoint {
             churn_scale: scale,
-            mean_recall: report.mean_recall,
-            mean_stale_answers: report.mean_stale_answers,
-            mean_false_negatives: report.mean_false_negatives,
-            mean_messages: report.mean_messages,
-            mean_time_to_answer_s: report.mean_time_to_answer_s,
-            reconciliations: report.reconciliations,
             report,
         });
     }
@@ -298,28 +278,16 @@ pub fn figure_multidomain_churn(
 pub struct LatencyPoint {
     /// Default hop latency in milliseconds.
     pub hop_ms: u64,
-    /// Mean virtual time-to-answer per lookup, seconds.
-    pub mean_time_to_answer_s: f64,
-    /// Mean network-wide recall.
-    pub mean_recall: f64,
-    /// Mean stale answers per lookup.
-    pub mean_stale_answers: f64,
-    /// Mean messages per lookup.
-    pub mean_messages: f64,
-    /// Peak messages simultaneously in flight.
-    pub peak_in_flight: u64,
-    /// Full report for deeper inspection.
+    /// The run's report: time-to-answer, recall, messages, peak in
+    /// flight.
     pub report: MultiDomainReport,
 }
 
 /// Enables the message plane on a configuration with the given default
-/// hop latency (other latency knobs at their WAN defaults).
+/// hop latency.
 pub fn with_latency(cfg: &SimConfig, hop: SimTime) -> SimConfig {
     let mut out = *cfg;
-    out.delivery = DeliveryMode::Latency(LatencyConfig {
-        default_hop: hop,
-        ..LatencyConfig::wan_default()
-    });
+    out.delivery = DeliveryMode::Latency { default_hop: hop };
     out
 }
 
@@ -337,15 +305,7 @@ pub fn figure_latency_sweep(
     for &ms in hop_ms {
         let cfg = with_latency(base, SimTime::from_millis(ms));
         let report = MultiDomainSim::new(cfg, domain_target, target)?.run();
-        out.push(LatencyPoint {
-            hop_ms: ms,
-            mean_time_to_answer_s: report.mean_time_to_answer_s,
-            mean_recall: report.mean_recall,
-            mean_stale_answers: report.mean_stale_answers,
-            mean_messages: report.mean_messages,
-            peak_in_flight: report.peak_in_flight,
-            report,
-        });
+        out.push(LatencyPoint { hop_ms: ms, report });
     }
     Ok(out)
 }
@@ -359,37 +319,9 @@ pub struct AlphaAdaptivePoint {
     pub label: String,
     /// The pinned α (`None` for the adaptive row).
     pub fixed_alpha: Option<f64>,
-    /// Network-wide mean stale-answer fraction over the lookups.
-    pub stale_answer_fraction: f64,
-    /// Mean network-wide recall.
-    pub mean_recall: f64,
-    /// Reconciliation delta payload bytes spent over the run — the
-    /// bandwidth side of the staleness/bandwidth frontier.
-    pub reconcile_delta_bytes: u64,
-    /// Reconciliation rounds across all domains.
-    pub reconciliations: u64,
-    /// Mean final effective α across surviving domains.
-    pub mean_final_alpha: f64,
-    /// The converged per-domain α distribution.
-    pub final_alphas: Vec<f64>,
-    /// Full report for deeper inspection.
+    /// The run's report: stale-answer fraction, recall, pull delta
+    /// bytes (the bandwidth side of the frontier) and final αs.
     pub report: MultiDomainReport,
-}
-
-impl AlphaAdaptivePoint {
-    fn from_report(label: String, fixed_alpha: Option<f64>, report: MultiDomainReport) -> Self {
-        Self {
-            label,
-            fixed_alpha,
-            stale_answer_fraction: report.mean_stale_answer_fraction,
-            mean_recall: report.mean_recall,
-            reconcile_delta_bytes: report.reconcile_delta_bytes,
-            reconciliations: report.reconciliations,
-            mean_final_alpha: report.mean_final_alpha,
-            final_alphas: report.final_alphas.clone(),
-            report,
-        }
-    }
 }
 
 /// Gives the configuration a heterogeneous per-domain drift profile:
@@ -403,8 +335,8 @@ pub fn with_heterogeneous_drift(cfg: &SimConfig, spread: f64) -> SimConfig {
 }
 
 /// The staleness/bandwidth frontier: the same heterogeneous-drift
-/// dynamic multi-domain run once per fixed α, then once under
-/// [`ControlPolicy::Adaptive`]. Fixed rows trace the frontier a single
+/// dynamic multi-domain run once per fixed α, then once under the
+/// `adaptive` [`ControlPolicy`]. Fixed rows trace the frontier a single
 /// global threshold can reach; the adaptive row shows where per-domain
 /// feedback control lands — holding the network-wide stale-answer
 /// fraction near the policy's target while spending no more pull
@@ -423,20 +355,20 @@ pub fn figure_alpha_adaptive(
         cfg.alpha = alpha;
         cfg.control = None;
         let report = MultiDomainSim::new(cfg, domain_target, target)?.run();
-        out.push(AlphaAdaptivePoint::from_report(
-            format!("fixed-{alpha:.2}"),
-            Some(alpha),
+        out.push(AlphaAdaptivePoint {
+            label: format!("fixed-{alpha:.2}"),
+            fixed_alpha: Some(alpha),
             report,
-        ));
+        });
     }
     let mut cfg = *base;
     cfg.control = Some(adaptive);
     let report = MultiDomainSim::new(cfg, domain_target, target)?.run();
-    out.push(AlphaAdaptivePoint::from_report(
-        "adaptive".into(),
-        None,
+    out.push(AlphaAdaptivePoint {
+        label: "adaptive".into(),
+        fixed_alpha: None,
         report,
-    ));
+    });
     Ok(out)
 }
 
@@ -448,23 +380,8 @@ pub fn figure_alpha_adaptive(
 pub struct RebirthPoint {
     /// Whether SP rebirth was enabled for this run.
     pub rebirth: bool,
-    /// Live domains at t = 0.
-    pub initial_domains: usize,
-    /// Live domains at the horizon.
-    pub final_domains: usize,
-    /// Minimum live-domain count ever sampled.
-    pub min_live_domains: usize,
-    /// Time-weighted mean live-domain count over the horizon.
-    pub mean_live_domains: f64,
-    /// Completed SP rebirths.
-    pub rebirths: u64,
-    /// Mean network-wide recall over the sampled lookups.
-    pub mean_recall: f64,
-    /// Mean stale answers per lookup.
-    pub mean_stale_answers: f64,
-    /// Reconciliation rounds across all domains.
-    pub reconciliations: u64,
-    /// Full report (carries `domain_count_trajectory`).
+    /// The run's report: live-domain counts and their trajectory,
+    /// rebirths, recall.
     pub report: MultiDomainReport,
 }
 
@@ -499,14 +416,6 @@ pub fn figure_rebirth(
         let report = MultiDomainSim::new(cfg, domain_target, target)?.run();
         out.push(RebirthPoint {
             rebirth: enabled,
-            initial_domains: report.initial_domains,
-            final_domains: report.n_domains,
-            min_live_domains: report.min_live_domains,
-            mean_live_domains: report.mean_live_domains(),
-            rebirths: report.rebirths,
-            mean_recall: report.mean_recall,
-            mean_stale_answers: report.mean_stale_answers,
-            reconciliations: report.reconciliations,
             report,
         });
     }
@@ -715,7 +624,7 @@ mod tests {
         assert_eq!(rows.len(), 2);
         for r in &rows {
             assert!(r.report.queries > 0);
-            assert!((0.0..=1.0 + 1e-12).contains(&r.mean_recall), "{r:?}");
+            assert!((0.0..=1.0 + 1e-12).contains(&r.report.mean_recall), "{r:?}");
         }
     }
 
@@ -738,15 +647,16 @@ mod tests {
         assert!(rows[2].fixed_alpha.is_none());
         // Fixed rows never move off their pinned threshold; the
         // adaptive row stays inside the policy bounds.
-        assert!(rows[0].final_alphas.iter().all(|&a| a == 0.2));
-        assert!(rows[1].final_alphas.iter().all(|&a| a == 0.6));
-        assert!(!rows[2].final_alphas.is_empty());
+        assert!(rows[0].report.final_alphas.iter().all(|&a| a == 0.2));
+        assert!(rows[1].report.final_alphas.iter().all(|&a| a == 0.6));
+        assert!(!rows[2].report.final_alphas.is_empty());
         assert!(rows[2]
+            .report
             .final_alphas
             .iter()
             .all(|&a| (0.05..=0.9).contains(&a)));
         for r in &rows {
-            assert!((0.0..=1.0 + 1e-12).contains(&r.stale_answer_fraction));
+            assert!((0.0..=1.0 + 1e-12).contains(&r.report.mean_stale_answer_fraction));
             assert!(r.report.queries > 0);
         }
     }
@@ -759,20 +669,21 @@ mod tests {
         let rows = figure_rebirth(&base, 3600.0, 25, LookupTarget::Total).unwrap();
         assert_eq!(rows.len(), 2);
         assert!(!rows[0].rebirth && rows[1].rebirth);
-        assert_eq!(rows[0].rebirths, 0, "no rebirths when disabled");
-        assert!(rows[1].rebirths > 0, "departures trigger re-elections");
+        let (off, on) = (&rows[0].report, &rows[1].report);
+        assert_eq!(off.rebirths, 0, "no rebirths when disabled");
+        assert!(on.rebirths > 0, "departures trigger re-elections");
         assert!(
-            rows[0].final_domains < rows[0].initial_domains,
+            off.n_domains < off.initial_domains,
             "terminal dissolutions decay the population"
         );
         assert!(
-            rows[1].mean_live_domains > rows[0].mean_live_domains,
+            on.mean_live_domains() > off.mean_live_domains(),
             "rebirth keeps more domains alive on average"
         );
         // The trajectory starts at the initial count and is sampled on
         // every dissolution/rebirth.
-        let traj = &rows[1].report.domain_count_trajectory;
-        assert_eq!(traj.first().map(|&(_, n)| n), Some(rows[1].initial_domains));
+        let traj = &on.domain_count_trajectory;
+        assert_eq!(traj.first().map(|&(_, n)| n), Some(on.initial_domains));
         assert!(traj.len() > 2);
     }
 

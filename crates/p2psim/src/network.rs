@@ -202,34 +202,28 @@ impl Network {
 
     /// Number of edge messages a TTL flood from `origin` would send
     /// (every live node within reach forwards to all its live neighbors
-    /// except where TTL expires — the classic Gnutella cost).
+    /// except where TTL expires — the classic Gnutella cost): the
+    /// origin's live degree plus that of every node
+    /// [`Network::flood_reach_into`] finds within `ttl − 1` hops, the
+    /// ones that still forward. Duplicates count: every forward is a
+    /// message. 0 for `ttl == 0` or a down origin.
     pub fn flood_message_count(&self, origin: NodeId, ttl: u32) -> u64 {
-        // Each node that receives the query with remaining TTL > 0
-        // forwards to all live neighbors. The origin sends to all of its
-        // neighbors with TTL = ttl.
         if ttl == 0 || !self.is_up(origin) {
             return 0;
         }
-        let mut msgs = 0u64;
-        let mut seen = vec![false; self.len()];
-        seen[origin.index()] = true;
-        let mut frontier = vec![origin];
-        let mut remaining = ttl;
-        while remaining > 0 && !frontier.is_empty() {
-            let mut next = Vec::new();
-            for &u in &frontier {
-                for v in self.live_neighbors(u) {
-                    msgs += 1; // every forward is a message, duplicates too
-                    if !seen[v.index()] {
-                        seen[v.index()] = true;
-                        next.push(v);
-                    }
-                }
-            }
-            frontier = next;
-            remaining -= 1;
-        }
-        msgs
+        let live_degree = |v: NodeId| self.live_neighbors(v).count() as u64;
+        let mut forwarders = Vec::new();
+        self.flood_reach_into(
+            origin,
+            ttl - 1,
+            &mut FloodScratch::default(),
+            &mut forwarders,
+        );
+        live_degree(origin)
+            + forwarders
+                .iter()
+                .map(|&(v, _, _)| live_degree(v))
+                .sum::<u64>()
     }
 
     /// One step of a *random walk* over live neighbors.
@@ -419,6 +413,57 @@ mod tests {
             assert_eq!(out, reference_flood(&n, NodeId(origin), 3), "flood {i}");
         }
         assert_eq!(scratch.epoch, 4, "1 after the wrap, then 2, 3, 4");
+    }
+
+    /// The BFS `flood_message_count` ran before it counted over
+    /// `flood_reach_into`: fresh seen flags, every forward counted.
+    fn reference_flood_message_count(n: &Network, origin: NodeId, ttl: u32) -> u64 {
+        if ttl == 0 || !n.is_up(origin) {
+            return 0;
+        }
+        let mut msgs = 0u64;
+        let mut seen = vec![false; n.len()];
+        seen[origin.index()] = true;
+        let mut frontier = vec![origin];
+        let mut remaining = ttl;
+        while remaining > 0 && !frontier.is_empty() {
+            let mut next = Vec::new();
+            for &u in &frontier {
+                for v in n.live_neighbors(u) {
+                    msgs += 1;
+                    if !seen[v.index()] {
+                        seen[v.index()] = true;
+                        next.push(v);
+                    }
+                }
+            }
+            frontier = next;
+            remaining -= 1;
+        }
+        msgs
+    }
+
+    #[test]
+    fn flood_message_count_matches_the_reference_bfs() {
+        let mut rng = StdRng::seed_from_u64(33);
+        for (size, seed) in [(50, 1), (250, 2), (30, 3)] {
+            let mut n = net(size, seed);
+            for _ in 0..120 {
+                let v = NodeId(rng.gen_range(0..size as u32));
+                n.take_down(v);
+                if rng.gen_bool(0.5) {
+                    n.bring_up(NodeId(rng.gen_range(0..size as u32)));
+                }
+                let origin = NodeId(rng.gen_range(0..size as u32));
+                for ttl in 0..=5 {
+                    assert_eq!(
+                        n.flood_message_count(origin, ttl),
+                        reference_flood_message_count(&n, origin, ttl),
+                        "{origin:?} ttl {ttl}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

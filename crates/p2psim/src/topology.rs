@@ -31,6 +31,17 @@ pub struct Graph {
     pos: Vec<(f64, f64)>,
 }
 
+/// Plane side length, in distance units: two nodes at opposite corners
+/// are `sqrt(2) * PLANE_SIDE * LATENCY_PER_UNIT` apart.
+pub const PLANE_SIDE: f64 = 100.0;
+
+/// Latency per plane-distance unit. 1 unit ≈ 1 ms across a 100-unit
+/// plane: intra-continental RTTs.
+pub const LATENCY_PER_UNIT: SimTime = SimTime::from_millis(1);
+
+/// Minimum link latency (propagation floor).
+pub const MIN_LATENCY: SimTime = SimTime::from_millis(5);
+
 /// Topology generator configuration.
 #[derive(Debug, Clone, Copy)]
 pub struct TopologyConfig {
@@ -39,25 +50,11 @@ pub struct TopologyConfig {
     /// Edges added per arriving node (Barabási–Albert `m`); average
     /// degree converges to `2m`. The paper's setup: `m = 2` → degree 4.
     pub m: usize,
-    /// Plane side length, in latency units: two nodes at opposite corners
-    /// are `sqrt(2) * side * latency_per_unit` apart.
-    pub side: f64,
-    /// Latency per plane-distance unit.
-    pub latency_per_unit: SimTime,
-    /// Minimum link latency (propagation floor).
-    pub min_latency: SimTime,
 }
 
 impl Default for TopologyConfig {
     fn default() -> Self {
-        Self {
-            nodes: 100,
-            m: 2,
-            side: 100.0,
-            // 1 unit ≈ 1 ms across a 100-unit plane: intra-continental RTTs.
-            latency_per_unit: SimTime::from_millis(1),
-            min_latency: SimTime::from_millis(5),
-        }
+        Self { nodes: 100, m: 2 }
     }
 }
 
@@ -79,7 +76,10 @@ impl Graph {
         let m = cfg.m.max(1);
         let mut g = Graph::empty(n);
         for p in g.pos.iter_mut() {
-            *p = (rng.gen_range(0.0..cfg.side), rng.gen_range(0.0..cfg.side));
+            *p = (
+                rng.gen_range(0.0..PLANE_SIDE),
+                rng.gen_range(0.0..PLANE_SIDE),
+            );
         }
         if n == 0 {
             return g;
@@ -88,7 +88,7 @@ impl Graph {
         // Seed clique.
         for i in 0..seed {
             for j in (i + 1)..seed {
-                g.connect(NodeId(i as u32), NodeId(j as u32), cfg);
+                g.connect(NodeId(i as u32), NodeId(j as u32));
             }
         }
         // Repeated-endpoint list: preferential attachment by sampling it.
@@ -113,7 +113,7 @@ impl Graph {
                 }
             }
             for t in targets {
-                g.connect(NodeId(i as u32), NodeId(t), cfg);
+                g.connect(NodeId(i as u32), NodeId(t));
                 endpoints.push(i as u32);
                 endpoints.push(t);
             }
@@ -142,13 +142,9 @@ impl Graph {
         g
     }
 
-    fn connect(&mut self, a: NodeId, b: NodeId, cfg: &TopologyConfig) {
+    fn connect(&mut self, a: NodeId, b: NodeId) {
         let d = self.distance(a, b);
-        let lat = SimTime(
-            cfg.min_latency
-                .0
-                .max((d * cfg.latency_per_unit.0 as f64) as u64),
-        );
+        let lat = SimTime(MIN_LATENCY.0.max((d * LATENCY_PER_UNIT.0 as f64) as u64));
         self.add_edge(a, b, lat);
     }
 
@@ -275,10 +271,7 @@ mod tests {
     use rand::SeedableRng;
 
     fn cfg(n: usize) -> TopologyConfig {
-        TopologyConfig {
-            nodes: n,
-            ..Default::default()
-        }
+        TopologyConfig { nodes: n, m: 2 }
     }
 
     #[test]
@@ -318,11 +311,10 @@ mod tests {
     #[test]
     fn latencies_respect_floor_and_distance() {
         let mut rng = StdRng::seed_from_u64(4);
-        let c = cfg(200);
-        let g = Graph::barabasi_albert(&c, &mut rng);
+        let g = Graph::barabasi_albert(&cfg(200), &mut rng);
         for i in 0..g.len() {
             for e in g.neighbors(NodeId(i as u32)) {
-                assert!(e.latency >= c.min_latency);
+                assert!(e.latency >= MIN_LATENCY);
                 // Symmetric.
                 assert_eq!(g.link_latency(e.node, NodeId(i as u32)), Some(e.latency));
             }

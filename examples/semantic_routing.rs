@@ -15,11 +15,7 @@ use summary_p2p::costmodel;
 fn main() {
     let n = 600;
     let mut rng = StdRng::seed_from_u64(11);
-    let topo = TopologyConfig {
-        nodes: n,
-        m: 2,
-        ..Default::default()
-    };
+    let topo = TopologyConfig { nodes: n, m: 2 };
     let mut net = Network::new(Graph::barabasi_albert(&topo, &mut rng));
     println!(
         "Power-law network: {} peers, average degree {:.2}, connected: {}",

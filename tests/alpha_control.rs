@@ -1,7 +1,7 @@
 //! Integration tests of the maintenance control plane (`core::control`):
 //! bounded per-domain adaptive α, deterministic runs in both delivery
-//! modes, byte-identical fixed-policy behavior, and the Zipf workload
-//! knob that rides along.
+//! modes, a fixed α when no policy is set, and the Zipf workload knob
+//! that rides along.
 
 use p2psim::time::SimTime;
 use summary_p2p::config::SimConfig;
@@ -21,7 +21,7 @@ fn base(n: usize, seed: u64) -> SimConfig {
 }
 
 fn adaptive(target: f64, alpha_min: f64, alpha_max: f64, gain: f64) -> ControlPolicy {
-    ControlPolicy::Adaptive {
+    ControlPolicy {
         target_staleness: target,
         alpha_min,
         alpha_max,
@@ -105,49 +105,30 @@ fn adaptive_runs_are_deterministic_in_both_delivery_modes() {
     assert_bounded(&c, 0.05, 0.9);
 }
 
-/// `ControlPolicy::Fixed` — implicit (the default `control: None`) or
-/// explicit — must reproduce the seed pipelines byte-for-byte: same
-/// messages, same wire bytes, same staleness, same recall.
+/// Without a control policy (the default `control: None`) α stays at
+/// the configured value: no control tick fires, so every trajectory is
+/// its initial point and every final α the configured one.
 #[test]
 fn fixed_policy_reproduces_the_seed_figures_byte_identically() {
     // Multi-domain, instantaneous mode.
-    let implicit = base(150, 4);
-    let mut explicit = implicit;
-    explicit.control = Some(ControlPolicy::Fixed(implicit.alpha));
-    let a = run_multi(implicit);
-    let b = run_multi(explicit);
-    assert_eq!(a.queries, b.queries);
-    assert_eq!(a.push_messages, b.push_messages);
-    assert_eq!(a.reconciliation_messages, b.reconciliation_messages);
-    assert_eq!(a.reconciliations, b.reconciliations);
-    assert_eq!(a.reconcile_delta_bytes, b.reconcile_delta_bytes);
-    assert!((a.mean_recall - b.mean_recall).abs() < 1e-12);
-    assert!((a.mean_stale_answers - b.mean_stale_answers).abs() < 1e-12);
-    assert!((a.mean_messages - b.mean_messages).abs() < 1e-12);
-    // The fixed "trajectory" is the initial point, never a tick.
-    for traj in &b.alpha_trajectories {
+    let cfg = base(150, 4);
+    let report = run_multi(cfg);
+    assert!(report.queries > 0);
+    for traj in &report.alpha_trajectories {
         assert_eq!(traj.len(), 1);
-        assert_eq!(traj[0], (0.0, implicit.alpha));
+        assert_eq!(traj[0], (0.0, cfg.alpha));
     }
-    assert!(b.final_alphas.iter().all(|&x| x == implicit.alpha));
+    assert!(report.final_alphas.iter().all(|&x| x == cfg.alpha));
 
     // Single-domain figure pipeline, both delivery modes.
     for lat in [false, true] {
-        let mut implicit = base(40, 5);
+        let mut cfg = base(40, 5);
         if lat {
-            implicit = with_latency(&implicit, SimTime::from_millis(50));
+            cfg = with_latency(&cfg, SimTime::from_millis(50));
         }
-        let mut explicit = implicit;
-        explicit.control = Some(ControlPolicy::Fixed(implicit.alpha));
-        let a = DomainSim::new(implicit).unwrap().run();
-        let b = DomainSim::new(explicit).unwrap().run();
-        assert_eq!(a.push_messages, b.push_messages);
-        assert_eq!(a.reconciliation_messages, b.reconciliation_messages);
-        assert_eq!(a.reconciliation_bytes, b.reconciliation_bytes);
-        assert_eq!(a.reconciliations, b.reconciliations);
-        assert_eq!(a.gs_bytes, b.gs_bytes);
-        assert!((a.worst_stale_fraction() - b.worst_stale_fraction()).abs() < 1e-12);
-        assert_eq!(b.final_alpha, implicit.alpha);
+        let report = DomainSim::new(cfg).unwrap().run();
+        assert_eq!(report.final_alpha, cfg.alpha);
+        assert_eq!(report.alpha_trajectory, vec![(0.0, cfg.alpha)]);
     }
 }
 

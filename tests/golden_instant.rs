@@ -127,7 +127,7 @@ fn rebirth_report() -> MultiDomainReport {
 /// pulls are also armed by the control plane's epoch ticks.
 fn adaptive_report() -> MultiDomainReport {
     let mut cfg = with_heterogeneous_drift(&multi_config(), 4.0);
-    cfg.control = Some(ControlPolicy::Adaptive {
+    cfg.control = Some(ControlPolicy {
         target_staleness: 0.2,
         alpha_min: 0.05,
         alpha_max: 0.9,

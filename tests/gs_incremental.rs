@@ -123,9 +123,7 @@ fn assert_equivalent(core: &DomainCore, peers: &[Option<PeerState>]) {
     // hierarchy above the cells may legitimately differ).
     let mut legacy = summary_p2p::peerstate::empty_gs();
     let ecfg = saintetiq::engine::EngineConfig::default();
-    let mut live: Vec<NodeId> = core.members.clone();
-    live.sort_unstable_by_key(|m| m.0);
-    for m in live {
+    for m in core.cl.partners() {
         if let Some(st) = peers.get(m.index()).and_then(|s| s.as_ref()) {
             if st.up {
                 let tree = wire::decode(&st.data.summary).expect("decodes");
@@ -290,7 +288,7 @@ fn partial_ring_leaves_accumulator_consistent() {
 #[test]
 fn observed_gs_is_the_accumulators_merged_view() {
     use p2psim::time::SimTime;
-    use summary_p2p::{DeliveryMode, LatencyConfig, LookupTarget, SimConfig, SimKernel};
+    use summary_p2p::{DeliveryMode, LookupTarget, SimConfig, SimKernel};
     let cfg = |n: usize, seed: u64| {
         let mut c = SimConfig::paper_defaults(n, 0.3);
         c.horizon = SimTime::from_hours(4);
@@ -303,7 +301,9 @@ fn observed_gs_is_the_accumulators_merged_view() {
         let mode = |n: usize| {
             let mut c = cfg(n, 8);
             if latency {
-                c.delivery = DeliveryMode::Latency(LatencyConfig::wan_default());
+                c.delivery = DeliveryMode::Latency {
+                    default_hop: SimTime::from_millis(50),
+                };
             }
             c
         };

@@ -15,11 +15,7 @@ use summary_p2p::scenario::{with_latency, with_sp_churn};
 
 fn network(n: usize, seed: u64) -> Network {
     let mut rng = StdRng::seed_from_u64(seed);
-    let cfg = TopologyConfig {
-        nodes: n,
-        m: 2,
-        ..Default::default()
-    };
+    let cfg = TopologyConfig { nodes: n, m: 2 };
     Network::new(Graph::barabasi_albert(&cfg, &mut rng))
 }
 

@@ -31,8 +31,8 @@ fn recall_degrades_with_churn_rate() {
     let rows =
         figure_multidomain_churn(&[0.25, 4.0], &b, 25, LookupTarget::Total).expect("valid config");
     assert_eq!(rows.len(), 2);
-    let (calm, stormy) = (&rows[0], &rows[1]);
-    assert!(calm.report.queries > 0 && stormy.report.queries > 0);
+    let (calm, stormy) = (&rows[0].report, &rows[1].report);
+    assert!(calm.queries > 0 && stormy.queries > 0);
     assert!(
         stormy.mean_recall < calm.mean_recall,
         "churn x4 recall {} must sit below churn x0.25 recall {}",
