@@ -1038,7 +1038,7 @@ impl SimKernel {
                 self.draining = false;
             }
             return;
-        };
+        }
         let transit = msg.transit_time(self.hop_latency(from, to)) + extra;
         self.in_flight += 1;
         self.peak_in_flight = self.peak_in_flight.max(self.in_flight);
