@@ -110,7 +110,7 @@ fn print_node(tree: &SummaryTree, mapper: &Mapper, node: NodeId, depth: usize, o
         .iter()
         .enumerate()
         .map(|(i, attr)| {
-            let labels: Vec<&str> = n.intent.sets[i]
+            let labels: Vec<&str> = n.intent()[i]
                 .iter()
                 .filter_map(|l| attr.label_name(l))
                 .collect();
@@ -120,10 +120,10 @@ fn print_node(tree: &SummaryTree, mapper: &Mapper, node: NodeId, depth: usize, o
     out.push_str(&format!(
         "{indent}{} count={:.1} {}\n",
         if n.is_leaf() { "leaf" } else { "node" },
-        n.count,
+        n.count(),
         intent.join(" ")
     ));
-    for &c in &n.children {
+    for c in n.children() {
         print_node(tree, mapper, c, depth + 1, out);
     }
 }

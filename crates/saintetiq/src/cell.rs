@@ -8,6 +8,7 @@
 
 use std::borrow::Borrow;
 use std::collections::BTreeMap;
+use std::ops::Deref;
 
 use fuzzy::descriptor::{Grade, LabelId};
 
@@ -39,6 +40,16 @@ impl CellKey {
 /// looked up by labels without building a key.
 impl Borrow<[LabelId]> for CellKey {
     fn borrow(&self) -> &[LabelId] {
+        &self.0
+    }
+}
+
+/// A key is its label run: functions that take `&[LabelId]` take
+/// `&CellKey` as well.
+impl Deref for CellKey {
+    type Target = [LabelId];
+
+    fn deref(&self) -> &[LabelId] {
         &self.0
     }
 }

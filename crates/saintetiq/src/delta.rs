@@ -63,7 +63,7 @@ use std::rc::Rc;
 use fuzzy::descriptor::{Grade, LabelId};
 use relation::stats::AttributeStats;
 
-use crate::cell::{CellKey, SourceId};
+use crate::cell::SourceId;
 use crate::engine::{incorporate_contributions, DescentBuffers, EngineConfig};
 use crate::error::SummaryError;
 use crate::hierarchy::{Contribution, StatsUpdate, SummaryTree, INTENT_THRESHOLD};
@@ -121,9 +121,9 @@ impl SourceDelta {
     /// and statistics are shared across contributors, so the flattening
     /// is an upper bound; the P2P layer never needs that case.
     pub fn from_tree(tree: &SummaryTree, source: SourceId) -> Self {
-        let cells = tree.cells().iter().filter_map(|(key, entry)| {
-            let weight = entry.content.per_source.get(&source).copied()?;
-            Some((key, weight, &entry.content.max_grades[..], &entry.stats[..]))
+        let cells = tree.cells().filter_map(|cell| {
+            let weight = cell.source_weight(source)?;
+            Some((cell.key(), weight, cell.max_grades(), cell.stats()))
         });
         Self::from_cells(source, tree.bk_name(), tree.label_counts(), cells)
     }
@@ -136,7 +136,7 @@ impl SourceDelta {
         source: SourceId,
         bk_name: &str,
         label_counts: &[usize],
-        cells: impl IntoIterator<Item = (&'c CellKey, f64, &'c [Grade], &'c [AttributeStats])>,
+        cells: impl IntoIterator<Item = (&'c [LabelId], f64, &'c [Grade], &'c [AttributeStats])>,
     ) -> Self {
         let cells = cells.into_iter();
         let n = cells.size_hint().1.unwrap_or(0);
@@ -154,8 +154,8 @@ impl SourceDelta {
             encoded_bytes: 0,
         };
         for (key, weight, grades, stats) in cells {
-            assert_eq!((key.0.len(), grades.len()), (arity, arity), "cell shape");
-            delta.labels.extend_from_slice(&key.0);
+            assert_eq!((key.len(), grades.len()), (arity, arity), "cell shape");
+            delta.labels.extend_from_slice(key);
             delta.weights.push(weight);
             delta.grades.extend_from_slice(grades);
             for (attr, st) in stats.iter().enumerate() {
@@ -474,12 +474,12 @@ mod tests {
         // contributors per cell by source id), so even the
         // floating-point low bits of weights, grades and statistics
         // must agree — only the hierarchy above the cells may differ.
-        for (k, entry) in merged.cells() {
-            let b = &built.cells()[k];
-            assert_eq!(b.content.per_source, entry.content.per_source);
-            assert_eq!(b.content.weight, entry.content.weight);
-            assert_eq!(b.content.max_grades, entry.content.max_grades);
-            for (bs, ms) in b.stats.iter().zip(&entry.stats) {
+        for m in merged.cells() {
+            let b = built.cell(m.key()).expect("cell in both");
+            assert!(b.sources().eq(m.sources()));
+            assert_eq!(b.weight(), m.weight());
+            assert_eq!(b.max_grades(), m.max_grades());
+            for (bs, ms) in b.stats().iter().zip(m.stats()) {
                 assert_eq!(bs.raw_parts(), ms.raw_parts());
             }
         }

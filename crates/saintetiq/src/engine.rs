@@ -190,7 +190,7 @@ fn descend(
     buf.known.0.clear();
     loop {
         buf.children.clear();
-        buf.children.extend_from_slice(&tree.node(node).children);
+        buf.children.extend(tree.node(node).children());
         if buf.children.is_empty() {
             return node;
         }
@@ -294,7 +294,7 @@ impl<'a> Level<'a> {
         known: &mut KnownEcs,
     ) -> Self {
         let parent = tree.node(node);
-        let parent_total = parent.count + weight;
+        let parent_total = parent.count() + weight;
         let mut level = Level {
             tree,
             children,
@@ -308,7 +308,7 @@ impl<'a> Level<'a> {
         if parent_total > 0.0 {
             let computed = || {
                 expected_correct(tree.offsets(), parent_total, Some((labels, weight)), |s| {
-                    parent.hist[s]
+                    parent.hist()[s]
                 })
             };
             // The parent's sum is the one it had as a child hosting the
@@ -344,7 +344,7 @@ impl<'a> Level<'a> {
                 ec
             }
         };
-        let count = self.tree.node(child).count;
+        let count = self.tree.node(child).count();
         let term = |total: f64, ec: Option<f64>| {
             ec.map(|ec| (total / self.parent_total) * (ec - self.parent_ec))
         };
@@ -360,14 +360,14 @@ impl<'a> Level<'a> {
         let c = self.tree.node(child);
         let offsets = self.tree.offsets();
         let ec = |total: f64, pending| {
-            (total > 0.0).then(|| match &c.cell {
-                Some(key) => leaf_expected_correct(offsets, total, pending, &key.0, &c.hist),
-                None => expected_correct(offsets, total, pending, |s| c.hist[s]),
+            (total > 0.0).then(|| match c.cell() {
+                Some(key) => leaf_expected_correct(offsets, total, pending, key, c.hist()),
+                None => expected_correct(offsets, total, pending, |s| c.hist()[s]),
             })
         };
         ChildEc {
-            plain: ec(c.count, None),
-            hosted: ec(c.count + self.weight, Some((self.labels, self.weight))),
+            plain: ec(c.count(), None),
+            hosted: ec(c.count() + self.weight, Some((self.labels, self.weight))),
         }
     }
 
@@ -403,7 +403,7 @@ impl<'a> Level<'a> {
             self.tree.node(self.children[i]),
             self.tree.node(self.children[j]),
         );
-        let fused_count = ci.count + cj.count;
+        let fused_count = ci.count() + cj.count();
         let fused_total = fused_count + self.weight;
         if fused_total > 0.0 {
             // Fused histogram = hist_i + hist_j, slot by slot.
@@ -411,7 +411,7 @@ impl<'a> Level<'a> {
                 self.tree.offsets(),
                 fused_total,
                 Some((self.labels, self.weight)),
-                |s| ci.hist[s] + cj.hist[s],
+                |s| ci.hist()[s] + cj.hist()[s],
             );
             cu += (fused_total / self.parent_total) * (ec - self.parent_ec);
         }
@@ -432,8 +432,8 @@ impl<'a> Level<'a> {
         if self.parent_total <= 0.0 {
             return 0.0;
         }
-        let grandchildren = &self.tree.node(self.children[i]).children;
-        let k = self.children.len() - 1 + grandchildren.len();
+        let grandchildren = self.tree.node(self.children[i]);
+        let k = self.children.len() - 1 + grandchildren.child_count();
         if k == 0 {
             return f64::NEG_INFINITY;
         }
@@ -448,7 +448,7 @@ impl<'a> Level<'a> {
         }
         // Try the cell in each promoted grandchild; keep the best.
         promoted.clear();
-        promoted.extend(grandchildren.iter().map(|&g| self.terms_of(g, known)));
+        promoted.extend(grandchildren.children().map(|g| self.terms_of(g, known)));
         let mut best = f64::NEG_INFINITY;
         for gi in 0..promoted.len() {
             best = best.max(cu_hosted_in(base, promoted, Some(gi)));
@@ -730,7 +730,7 @@ mod tests {
         assert_eq!(t.leaf_count(), 3, "cells c1, c2, c3");
         assert!((t.total_count() - 3.0).abs() < 1e-9, "three patients");
         // Counts per cell match Table 2.
-        let weights: Vec<f64> = t.cells().values().map(|e| e.content.weight).collect();
+        let weights: Vec<f64> = t.cells().map(|c| c.weight()).collect();
         let mut sorted = weights.clone();
         sorted.sort_by(|a, b| a.partial_cmp(b).unwrap());
         assert!((sorted[0] - 0.3).abs() < 1e-9);
@@ -789,13 +789,14 @@ mod tests {
         // A rebuilt engine over the same table must agree on cells.
         let mut fresh = engine();
         fresh.summarize_table(&table);
-        let keys_inc: Vec<_> = e.tree().cells().keys().cloned().collect();
-        let keys_fresh: Vec<_> = fresh.tree().cells().keys().cloned().collect();
+        let keys_inc: Vec<_> = e.tree().cells().map(|c| c.key().to_vec()).collect();
+        let keys_fresh: Vec<_> = fresh.tree().cells().map(|c| c.key().to_vec()).collect();
         assert_eq!(keys_inc, keys_fresh, "incremental == from-scratch cell set");
-        for (k, entry) in e.tree().cells() {
-            let w_fresh = fresh.tree().cells()[k].content.weight;
+        for entry in e.tree().cells() {
+            let k = entry.key();
+            let w_fresh = fresh.tree().cell(k).unwrap().weight();
             assert!(
-                (entry.content.weight - w_fresh).abs() < 1e-9,
+                (entry.weight() - w_fresh).abs() < 1e-9,
                 "weight drift on {k:?}"
             );
         }
@@ -876,15 +877,13 @@ mod tests {
         let before: Vec<_> = e
             .tree()
             .cells()
-            .iter()
-            .map(|(k, v)| (k.clone(), v.content.weight))
+            .map(|c| (c.key().to_vec(), c.weight()))
             .collect();
         e.rebuild(&table);
         let after: Vec<_> = e
             .tree()
             .cells()
-            .iter()
-            .map(|(k, v)| (k.clone(), v.content.weight))
+            .map(|c| (c.key().to_vec(), c.weight()))
             .collect();
         assert_eq!(before.len(), after.len());
         for ((ka, wa), (kb, wb)) in before.iter().zip(&after) {
@@ -945,12 +944,12 @@ mod tests {
         for r in rows.iter().rev() {
             backward.add_record(r);
         }
-        let f: Vec<_> = forward.tree().cells().keys().cloned().collect();
-        let b: Vec<_> = backward.tree().cells().keys().cloned().collect();
+        let f: Vec<_> = forward.tree().cells().map(|c| c.key().to_vec()).collect();
+        let b: Vec<_> = backward.tree().cells().map(|c| c.key().to_vec()).collect();
         assert_eq!(f, b);
         for k in &f {
-            let wf = forward.tree().cells()[k].content.weight;
-            let wb = backward.tree().cells()[k].content.weight;
+            let wf = forward.tree().cell(k).unwrap().weight();
+            let wb = backward.tree().cell(k).unwrap().weight();
             assert!((wf - wb).abs() < 1e-9);
         }
     }
@@ -1009,7 +1008,7 @@ mod reference {
             .enumerate()
             .map(|(a, &len)| {
                 (0..len)
-                    .map(|l| n.hist[tree.slot(a, LabelId(l as u16))])
+                    .map(|l| n.hist()[tree.slot(a, LabelId(l as u16))])
                     .collect()
             })
             .collect()
@@ -1044,32 +1043,32 @@ mod reference {
         pending: Option<(usize, &[LabelId], f64)>,
     ) -> f64 {
         let p = tree.node(parent);
-        let k = p.children.len();
+        let k = p.child_count();
         if k == 0 {
             return 0.0;
         }
         let extra_w = pending.map(|(_, _, w)| w).unwrap_or(0.0);
-        let parent_total = p.count + extra_w;
+        let parent_total = p.count() + extra_w;
         if parent_total <= 0.0 {
             return 0.0;
         }
         let parent_ec = ref_ec_of(
             &nested(tree, parent),
-            p.count,
+            p.count(),
             pending.map(|(_, key, w)| (key, w)),
         );
         let mut cu = 0.0;
-        for (i, &child) in p.children.iter().enumerate() {
+        for (i, child) in p.children().enumerate() {
             let c = tree.node(child);
             let child_pending = match pending {
                 Some((idx, key, w)) if idx == i => Some((key, w)),
                 _ => None,
             };
-            let child_total = c.count + child_pending.map(|(_, w)| w).unwrap_or(0.0);
+            let child_total = c.count() + child_pending.map(|(_, w)| w).unwrap_or(0.0);
             if child_total <= 0.0 {
                 continue;
             }
-            let child_ec = ref_ec_of(&nested(tree, child), c.count, child_pending);
+            let child_ec = ref_ec_of(&nested(tree, child), c.count(), child_pending);
             cu += (child_total / parent_total) * (child_ec - parent_ec);
         }
         cu / k as f64
@@ -1077,20 +1076,20 @@ mod reference {
 
     fn ref_create_score(tree: &SummaryTree, parent: NodeId, key: &[LabelId], weight: f64) -> f64 {
         let p = tree.node(parent);
-        let k = p.children.len() + 1;
-        let parent_total = p.count + weight;
+        let k = p.child_count() + 1;
+        let parent_total = p.count() + weight;
         if parent_total <= 0.0 {
             return 0.0;
         }
-        let parent_ec = ref_ec_of(&nested(tree, parent), p.count, Some((key, weight)));
+        let parent_ec = ref_ec_of(&nested(tree, parent), p.count(), Some((key, weight)));
         let mut cu = 0.0;
-        for &child in &p.children {
+        for child in p.children() {
             let c = tree.node(child);
-            if c.count <= 0.0 {
+            if c.count() <= 0.0 {
                 continue;
             }
-            let child_ec = ref_ec_of(&nested(tree, child), c.count, None);
-            cu += (c.count / parent_total) * (child_ec - parent_ec);
+            let child_ec = ref_ec_of(&nested(tree, child), c.count(), None);
+            cu += (c.count() / parent_total) * (child_ec - parent_ec);
         }
         let singleton_ec = key.len() as f64;
         cu += (weight / parent_total) * (singleton_ec - parent_ec);
@@ -1107,11 +1106,11 @@ mod reference {
         weight: f64,
     ) -> f64 {
         let parent = tree.node(node);
-        let parent_total = parent.count + weight;
+        let parent_total = parent.count() + weight;
         if parent_total <= 0.0 {
             return 0.0;
         }
-        let parent_ec = ref_ec_of(&nested(tree, node), parent.count, Some((labels, weight)));
+        let parent_ec = ref_ec_of(&nested(tree, node), parent.count(), Some((labels, weight)));
         let k = children.len() - 1;
         let mut cu = 0.0;
         let (ci, cj) = (tree.node(children[i]), tree.node(children[j]));
@@ -1122,7 +1121,7 @@ mod reference {
                 *slot += hist_j[attr][l];
             }
         }
-        let fused_count = ci.count + cj.count;
+        let fused_count = ci.count() + cj.count();
         let fused_total = fused_count + weight;
         if fused_total > 0.0 {
             let ec = ref_ec_of(&fused, fused_count, Some((labels, weight)));
@@ -1133,11 +1132,11 @@ mod reference {
                 continue;
             }
             let child = tree.node(c);
-            if child.count <= 0.0 {
+            if child.count() <= 0.0 {
                 continue;
             }
-            let ec = ref_ec_of(&nested(tree, c), child.count, None);
-            cu += (child.count / parent_total) * (ec - parent_ec);
+            let ec = ref_ec_of(&nested(tree, c), child.count(), None);
+            cu += (child.count() / parent_total) * (ec - parent_ec);
         }
         cu / k as f64
     }
@@ -1151,12 +1150,12 @@ mod reference {
         weight: f64,
     ) -> f64 {
         let parent = tree.node(node);
-        let parent_total = parent.count + weight;
+        let parent_total = parent.count() + weight;
         if parent_total <= 0.0 {
             return 0.0;
         }
-        let parent_ec = ref_ec_of(&nested(tree, node), parent.count, Some((labels, weight)));
-        let grandchildren = tree.node(children[i]).children.clone();
+        let parent_ec = ref_ec_of(&nested(tree, node), parent.count(), Some((labels, weight)));
+        let grandchildren: Vec<NodeId> = tree.node(children[i]).children().collect();
         let k = children.len() - 1 + grandchildren.len();
         if k == 0 {
             return f64::NEG_INFINITY;
@@ -1167,11 +1166,11 @@ mod reference {
                 continue;
             }
             let child = tree.node(c);
-            if child.count <= 0.0 {
+            if child.count() <= 0.0 {
                 continue;
             }
-            base += (child.count / parent_total)
-                * (ref_ec_of(&nested(tree, c), child.count, None) - parent_ec);
+            base += (child.count() / parent_total)
+                * (ref_ec_of(&nested(tree, c), child.count(), None) - parent_ec);
         }
         let mut best = f64::NEG_INFINITY;
         for gi in 0..grandchildren.len() {
@@ -1179,11 +1178,11 @@ mod reference {
             for (gj, &h) in grandchildren.iter().enumerate() {
                 let gc = tree.node(h);
                 let pending = (gi == gj).then_some((labels, weight));
-                let total = gc.count + pending.map(|(_, w)| w).unwrap_or(0.0);
+                let total = gc.count() + pending.map(|(_, w)| w).unwrap_or(0.0);
                 if total <= 0.0 {
                     continue;
                 }
-                let ec = ref_ec_of(&nested(tree, h), gc.count, pending);
+                let ec = ref_ec_of(&nested(tree, h), gc.count(), pending);
                 cu += (total / parent_total) * (ec - parent_ec);
             }
             best = best.max(cu);
@@ -1262,7 +1261,7 @@ mod reference {
         weight: f64,
         seen: &mut Seen,
     ) {
-        let children = tree.node(node).children.clone();
+        let children: Vec<NodeId> = tree.node(node).children().collect();
         let k = children.len();
         let (mut buf, mut promoted, mut known) = (Vec::new(), Vec::new(), KnownEcs::default());
         let level = Level::score(tree, node, &children, labels, weight, &mut buf, &mut known);
@@ -1292,7 +1291,7 @@ mod reference {
                     "split {i}, {ctx}"
                 );
             }
-            if child.count == 0.0 {
+            if child.count() == 0.0 {
                 seen.zero_count_children += 1;
             }
         }
@@ -1304,7 +1303,7 @@ mod reference {
         // The level below an internal child, scored from the sums this
         // level and its split scoring left, scores as one scored afresh.
         for &c in children.iter().filter(|&&c| !tree.node(c).is_leaf()) {
-            let grandchildren = tree.node(c).children.clone();
+            let grandchildren: Vec<NodeId> = tree.node(c).children().collect();
             let (mut reused_buf, mut fresh_buf) = (Vec::new(), Vec::new());
             let reused = Level::score(
                 tree,
@@ -1382,10 +1381,10 @@ mod reference {
         let mut stack = vec![tree.root()];
         while let Some(id) = stack.pop() {
             let node = tree.node(id);
-            if node.children.is_empty() {
+            if node.child_count() == 0 {
                 continue;
             }
-            stack.extend(node.children.iter().copied());
+            stack.extend(node.children());
             for _ in 0..3 {
                 let labels: Vec<LabelId> = tree
                     .label_counts()
@@ -1453,12 +1452,12 @@ mod reference {
                 while let Some(id) = stack.pop() {
                     if !t.node(id).is_leaf() {
                         internal.push(id);
-                        stack.extend(t.node(id).children.iter().copied());
+                        stack.extend(t.node(id).children());
                     }
                 }
                 let empty =
                     t.create_leaf(internal[rng.gen_range(0..internal.len())], unused.clone());
-                assert_eq!(t.node(empty).count, 0.0);
+                assert_eq!(t.node(empty).count(), 0.0);
                 t
             })
             .collect();

@@ -59,6 +59,14 @@ pub struct Intent {
     pub sets: Vec<DescriptorSet>,
 }
 
+impl From<&[DescriptorSet]> for Intent {
+    fn from(sets: &[DescriptorSet]) -> Self {
+        Self {
+            sets: sets.to_vec(),
+        }
+    }
+}
+
 impl Intent {
     /// An empty intent of the given arity.
     pub fn empty(arity: usize) -> Self {
@@ -68,15 +76,15 @@ impl Intent {
     }
 
     /// The intent of a single cell.
-    pub fn of_cell(key: &CellKey) -> Self {
+    pub fn of_cell(key: &[LabelId]) -> Self {
         Self {
-            sets: key.0.iter().map(|&l| DescriptorSet::singleton(l)).collect(),
+            sets: key.iter().map(|&l| DescriptorSet::singleton(l)).collect(),
         }
     }
 
     /// True when the cell's labels are all inside the intent.
-    pub fn covers_cell(&self, key: &CellKey) -> bool {
-        self.sets.iter().zip(&key.0).all(|(s, &l)| s.contains(l))
+    pub fn covers_cell(&self, key: &[LabelId]) -> bool {
+        self.sets.iter().zip(key).all(|(s, &l)| s.contains(l))
     }
 
     /// Component-wise union.
@@ -103,26 +111,27 @@ impl Intent {
     }
 }
 
-/// One tree node.
+/// One tree node. Its fields are private: read them through the
+/// accessors.
 #[derive(Debug, Clone)]
 pub struct Node {
     /// Parent link (`None` for the root).
-    pub parent: Option<NodeId>,
+    parent: Option<NodeId>,
     /// Children in insertion order (empty for leaves).
-    pub children: Vec<NodeId>,
+    children: Vec<NodeId>,
     /// Cached intent: union of the intents below.
-    pub intent: Intent,
+    intent: Intent,
     /// Total cell weight below (fractional tuple count).
-    pub count: f64,
+    count: f64,
     /// Per-label weight histogram (drives the partition score and keeps
     /// intents exact under removals), flat and attribute-major: the
     /// labels of attribute 0, then those of attribute 1, and so on. Label
     /// `l` of attribute `a` sits at [`SummaryTree::slot`]`(a, l)`.
-    pub hist: Vec<f64>,
+    hist: Vec<f64>,
     /// For a leaf: the grid cell it stands for.
-    pub cell: Option<CellKey>,
+    cell: Option<CellKey>,
     /// Tombstone flag: dead nodes stay in the arena until rebuild.
-    pub alive: bool,
+    alive: bool,
 }
 
 impl Node {
@@ -138,9 +147,56 @@ impl Node {
         }
     }
 
+    /// The parent (`None` for the root).
+    pub fn parent(&self) -> Option<NodeId> {
+        self.parent
+    }
+
+    /// The children, in order (none for a leaf).
+    pub fn children(&self) -> impl DoubleEndedIterator<Item = NodeId> + '_ {
+        self.children.iter().copied()
+    }
+
+    /// Number of children.
+    pub fn child_count(&self) -> usize {
+        self.children.len()
+    }
+
+    /// Total cell weight below (fractional tuple count).
+    pub fn count(&self) -> f64 {
+        self.count
+    }
+
+    /// The flat, attribute-major label histogram: label `l` of attribute
+    /// `a` sits at [`SummaryTree::slot`]`(a, l)`.
+    pub fn hist(&self) -> &[f64] {
+        &self.hist
+    }
+
+    /// The intent: one descriptor set per attribute, the labels whose
+    /// histogram slot exceeds [`INTENT_THRESHOLD`].
+    pub fn intent(&self) -> &[DescriptorSet] {
+        &self.intent.sets
+    }
+
+    /// True when every label of `key` is in the intent.
+    pub fn covers_cell(&self, key: &[LabelId]) -> bool {
+        self.intent.covers_cell(key)
+    }
+
+    /// For a leaf, the grid cell it stands for.
+    pub fn cell(&self) -> Option<&[LabelId]> {
+        self.cell.as_ref().map(|k| &k.0[..])
+    }
+
     /// True when the node is a leaf (stands for one cell).
     pub fn is_leaf(&self) -> bool {
         self.cell.is_some()
+    }
+
+    /// False once the node was pruned or dissolved.
+    pub fn is_alive(&self) -> bool {
+        self.alive
     }
 }
 
@@ -155,14 +211,67 @@ struct SlotDelta {
 
 /// Per-cell bookkeeping held by the tree.
 #[derive(Debug, Clone)]
-pub struct CellEntry {
+struct CellEntry {
     /// Aggregated weight / per-source contributions / max grades.
-    pub content: CellContent,
+    content: CellContent,
     /// The leaf node standing for this cell.
-    pub leaf: NodeId,
+    leaf: NodeId,
     /// Per *BK attribute* statistics of the raw numeric values mapped
     /// into the cell (entries for categorical attributes stay empty).
-    pub stats: Vec<AttributeStats>,
+    stats: Vec<AttributeStats>,
+}
+
+/// One cell of a [`SummaryTree`], as [`SummaryTree::cells`] and
+/// [`SummaryTree::cell`] lend it.
+#[derive(Debug, Clone, Copy)]
+pub struct Cell<'a> {
+    key: &'a [LabelId],
+    entry: &'a CellEntry,
+}
+
+impl<'a> Cell<'a> {
+    /// The cell's grid coordinate, one label per attribute.
+    pub fn key(&self) -> &'a [LabelId] {
+        self.key
+    }
+
+    /// The leaf standing for the cell.
+    pub fn leaf(&self) -> NodeId {
+        self.entry.leaf
+    }
+
+    /// Sum of the record weights mapped into the cell (the "tuple count"
+    /// column of Table 2).
+    pub fn weight(&self) -> f64 {
+        self.entry.content.weight
+    }
+
+    /// Each contributing source with its weight, in source-id order (the
+    /// cell's peer-extent).
+    pub fn sources(&self) -> impl Iterator<Item = (SourceId, f64)> + 'a {
+        self.entry.content.per_source.iter().map(|(&s, &w)| (s, w))
+    }
+
+    /// Number of contributing sources.
+    pub fn source_count(&self) -> usize {
+        self.entry.content.per_source.len()
+    }
+
+    /// `source`'s weight in the cell, if it contributes.
+    pub fn source_weight(&self, source: SourceId) -> Option<f64> {
+        self.entry.content.per_source.get(&source).copied()
+    }
+
+    /// Per-attribute maximum membership grade observed in the cell.
+    pub fn max_grades(&self) -> &'a [Grade] {
+        &self.entry.content.max_grades
+    }
+
+    /// Per *BK attribute* statistics of the raw numeric values mapped into
+    /// the cell (entries for categorical attributes stay empty).
+    pub fn stats(&self) -> &'a [AttributeStats] {
+        &self.entry.stats
+    }
 }
 
 /// How one [`Contribution`] updates its cell's per-attribute statistics.
@@ -346,13 +455,21 @@ impl SummaryTree {
         (b.powf(d + 1.0) - 1.0) / (b - 1.0)
     }
 
-    /// The cell registry.
-    pub fn cells(&self) -> &BTreeMap<CellKey, CellEntry> {
-        &self.cells
+    /// The cells, in key order.
+    pub fn cells(&self) -> impl Iterator<Item = Cell<'_>> + '_ {
+        self.cells
+            .iter()
+            .map(|(key, entry)| Cell { key: &key.0, entry })
+    }
+
+    /// The cell with these labels, if present.
+    pub fn cell(&self, key: &[LabelId]) -> Option<Cell<'_>> {
+        let (key, entry) = self.cells.get_key_value(key)?;
+        Some(Cell { key: &key.0, entry })
     }
 
     /// The leaf standing for `key`, if the cell is present.
-    pub fn leaf_of(&self, key: &CellKey) -> Option<NodeId> {
+    pub fn leaf_of(&self, key: &[LabelId]) -> Option<NodeId> {
         self.cells.get(key).map(|e| e.leaf)
     }
 
@@ -398,7 +515,7 @@ impl SummaryTree {
 
     /// Visits every live leaf below `id` (inclusive), passing its cell key
     /// and node id.
-    pub fn for_each_leaf<'a, F: FnMut(&'a CellKey, NodeId)>(&'a self, id: NodeId, mut f: F) {
+    pub fn for_each_leaf<'a, F: FnMut(&'a [LabelId], NodeId)>(&'a self, id: NodeId, mut f: F) {
         let mut stack = vec![id];
         while let Some(n) = stack.pop() {
             let node = self.node(n);
@@ -406,7 +523,7 @@ impl SummaryTree {
                 continue;
             }
             if let Some(key) = &node.cell {
-                f(key, n);
+                f(&key.0, n);
             } else {
                 stack.extend(node.children.iter().copied());
             }
@@ -545,8 +662,8 @@ impl SummaryTree {
     }
 
     /// The key's slots, each holding `weight`.
-    fn key_slots(&self, key: &CellKey, weight: f64) -> Vec<SlotDelta> {
-        (key.0.iter().enumerate())
+    fn key_slots(&self, key: &[LabelId], weight: f64) -> Vec<SlotDelta> {
+        (key.iter().enumerate())
             .map(|(attr, &l)| SlotDelta {
                 slot: self.slot(attr, l),
                 attr,
@@ -564,7 +681,7 @@ impl SummaryTree {
     /// cell must already have a leaf (see [`SummaryTree::create_leaf`]).
     pub fn add_to_cell(
         &mut self,
-        key: &CellKey,
+        key: &[LabelId],
         source: SourceId,
         weight: f64,
         grades: &[Grade],
@@ -595,8 +712,8 @@ impl SummaryTree {
     /// docs).
     ///
     /// The cell must already have a leaf (see [`SummaryTree::create_leaf`]).
-    pub fn fold_into_cell(&mut self, key: &CellKey, contributions: &[Contribution<'_>]) {
-        let found = self.fold_into_existing(&key.0, contributions);
+    pub fn fold_into_cell(&mut self, key: &[LabelId], contributions: &[Contribution<'_>]) {
+        let found = self.fold_into_existing(key, contributions);
         assert!(found, "cell registered");
     }
 
@@ -668,7 +785,7 @@ impl SummaryTree {
 
     /// Merges externally-computed statistics into a cell (used when
     /// merging two hierarchies, where raw values are no longer available).
-    pub fn merge_cell_stats(&mut self, key: &CellKey, stats: &[AttributeStats]) {
+    pub fn merge_cell_stats(&mut self, key: &[LabelId], stats: &[AttributeStats]) {
         if let Some(entry) = self.cells.get_mut(key) {
             for (own, other) in entry.stats.iter_mut().zip(stats) {
                 own.merge(other);
@@ -681,7 +798,7 @@ impl SummaryTree {
     ///
     /// Used by push-mode deletes/updates: the before-image maps to cells
     /// whose weights are retracted.
-    pub fn remove_from_cell(&mut self, key: &CellKey, source: SourceId, weight: f64) -> f64 {
+    pub fn remove_from_cell(&mut self, key: &[LabelId], source: SourceId, weight: f64) -> f64 {
         let Some(entry) = self.cells.get_mut(key) else {
             return 0.0;
         };
@@ -706,7 +823,7 @@ impl SummaryTree {
 
     /// Removes every contribution of `source` from cell `key`; prunes the
     /// leaf if it drains. Returns the removed weight.
-    pub fn remove_source_from_cell(&mut self, key: &CellKey, source: SourceId) -> f64 {
+    pub fn remove_source_from_cell(&mut self, key: &[LabelId], source: SourceId) -> f64 {
         let Some(entry) = self.cells.get_mut(key) else {
             return 0.0;
         };

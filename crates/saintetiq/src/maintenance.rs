@@ -23,21 +23,21 @@ impl SummaryObserver {
     /// Snapshots the current state of `tree`.
     pub fn snapshot(tree: &SummaryTree) -> Self {
         Self {
-            snapshot_intent: tree.node(tree.root()).intent.clone(),
-            snapshot_cells: tree.cells().keys().cloned().collect(),
+            snapshot_intent: Intent::from(tree.node(tree.root()).intent()),
+            snapshot_cells: tree.cells().map(|c| CellKey(c.key().to_vec())).collect(),
         }
     }
 
     /// Number of descriptors that appeared or disappeared in the root
     /// intent since the snapshot.
     pub fn descriptor_drift(&self, tree: &SummaryTree) -> usize {
-        self.snapshot_intent
-            .distance(&tree.node(tree.root()).intent)
+        let now = Intent::from(tree.node(tree.root()).intent());
+        self.snapshot_intent.distance(&now)
     }
 
     /// Number of cells that appeared or disappeared since the snapshot.
     pub fn cell_drift(&self, tree: &SummaryTree) -> usize {
-        let now: BTreeSet<CellKey> = tree.cells().keys().cloned().collect();
+        let now: BTreeSet<CellKey> = tree.cells().map(|c| CellKey(c.key().to_vec())).collect();
         now.symmetric_difference(&self.snapshot_cells).count()
     }
 
@@ -45,9 +45,9 @@ impl SummaryObserver {
     /// size of the union of old and new intents (so both growth and decay
     /// register), with cell drift as a tie-breaking secondary signal.
     pub fn modification_rate(&self, tree: &SummaryTree) -> f64 {
-        let now = &tree.node(tree.root()).intent;
+        let now = Intent::from(tree.node(tree.root()).intent());
         let mut union = self.snapshot_intent.clone();
-        union.union_with(now);
+        union.union_with(&now);
         let denom = union.descriptor_count().max(1);
         (self.descriptor_drift(tree) as f64 / denom as f64).clamp(0.0, 1.0)
     }

@@ -181,12 +181,12 @@ impl Mapper {
 
     /// Renders a cell key with label names, for display/debugging:
     /// `(young, female, underweight, anorexia)`.
-    pub fn describe(&self, key: &CellKey) -> String {
+    pub fn describe(&self, key: &[LabelId]) -> String {
         let names: Vec<&str> = self
             .bk
             .attributes()
             .iter()
-            .zip(&key.0)
+            .zip(key)
             .map(|(attr, &l)| attr.label_name(l).unwrap_or("?"))
             .collect();
         format!("({})", names.join(", "))

@@ -32,22 +32,16 @@ pub fn merge_into(
     }
     let mut run = Vec::new();
     let mut buffers = DescentBuffers::default();
-    for (key, entry) in source.cells() {
+    for cell in source.cells() {
         run.clear();
-        run.extend(
-            entry
-                .content
-                .per_source
-                .iter()
-                .map(|(&source, &weight)| Contribution {
-                    source,
-                    weight,
-                    grades: &entry.content.max_grades,
-                    stats: StatsUpdate::None,
-                }),
-        );
-        incorporate_contributions(target, config, &key.0, &run, &mut buffers);
-        target.merge_cell_stats(key, &entry.stats);
+        run.extend(cell.sources().map(|(source, weight)| Contribution {
+            source,
+            weight,
+            grades: cell.max_grades(),
+            stats: StatsUpdate::None,
+        }));
+        incorporate_contributions(target, config, cell.key(), &run, &mut buffers);
+        target.merge_cell_stats(cell.key(), cell.stats());
     }
     Ok(())
 }
@@ -109,13 +103,14 @@ mod tests {
             "mass is additive"
         );
         // Every cell of either input exists in the merge with summed weight.
-        for (k, entry) in a.cells() {
-            let w_b = b.cells().get(k).map(|e| e.content.weight).unwrap_or(0.0);
-            let w_m = merged.cells()[k].content.weight;
-            assert!((w_m - (entry.content.weight + w_b)).abs() < 1e-6);
+        for cell in a.cells() {
+            let k = cell.key();
+            let w_b = b.cell(k).map(|c| c.weight()).unwrap_or(0.0);
+            let w_m = merged.cell(k).unwrap().weight();
+            assert!((w_m - (cell.weight() + w_b)).abs() < 1e-6);
         }
-        for k in b.cells().keys() {
-            assert!(merged.cells().contains_key(k));
+        for cell in b.cells() {
+            assert!(merged.cell(cell.key()).is_some());
         }
     }
 
@@ -143,8 +138,8 @@ mod tests {
         merge_into(&mut merged, &b, &EngineConfig::default()).unwrap();
         let union_bound = a
             .cells()
-            .keys()
-            .chain(b.cells().keys())
+            .chain(b.cells())
+            .map(|c| c.key())
             .collect::<std::collections::BTreeSet<_>>()
             .len();
         assert_eq!(merged.leaf_count(), union_bound);
@@ -165,11 +160,11 @@ mod tests {
             merge_into(&mut t, &a, &cfg).unwrap();
             t
         };
-        let ka: Vec<_> = ab.cells().keys().cloned().collect();
-        let kb: Vec<_> = ba.cells().keys().cloned().collect();
+        let ka: Vec<_> = ab.cells().map(|c| c.key().to_vec()).collect();
+        let kb: Vec<_> = ba.cells().map(|c| c.key().to_vec()).collect();
         assert_eq!(ka, kb);
         for k in &ka {
-            assert!((ab.cells()[k].content.weight - ba.cells()[k].content.weight).abs() < 1e-9);
+            assert!((ab.cell(k).unwrap().weight() - ba.cell(k).unwrap().weight()).abs() < 1e-9);
         }
     }
 

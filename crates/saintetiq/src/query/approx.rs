@@ -93,7 +93,7 @@ pub fn approximate_answer_with_stats(
             .proposition
             .clauses
             .iter()
-            .map(|c| (c.attr, node.intent.sets[c.attr].0))
+            .map(|c| (c.attr, node.intent()[c.attr].0))
             .collect();
         class_nodes.entry(class_key).or_default().push(z);
     }
@@ -135,7 +135,7 @@ fn approximate_answer_inner(
         let class_key: Vec<(usize, u128)> = prop
             .clauses
             .iter()
-            .map(|c| (c.attr, node.intent.sets[c.attr].0))
+            .map(|c| (c.attr, node.intent()[c.attr].0))
             .collect();
         let entry = classes.entry(class_key).or_insert_with(|| {
             (
@@ -147,9 +147,9 @@ fn approximate_answer_inner(
             )
         });
         for (attr, set) in entry.0.iter_mut() {
-            *set = set.union(node.intent.sets[*attr]);
+            *set = set.union(node.intent()[*attr]);
         }
-        entry.1 += node.count;
+        entry.1 += node.count();
     }
     classes
         .into_iter()

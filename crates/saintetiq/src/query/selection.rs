@@ -13,7 +13,9 @@
 //! and returns the set `Z_Q` of most abstract summaries that satisfy the
 //! query": certain nodes are reported without descending.
 
-use crate::hierarchy::{Intent, NodeId, SummaryTree};
+use fuzzy::descriptor::DescriptorSet;
+
+use crate::hierarchy::{NodeId, SummaryTree};
 
 use super::proposition::Proposition;
 
@@ -28,11 +30,11 @@ pub enum Satisfaction {
     No,
 }
 
-/// Valuates `prop` against an intent.
-pub fn valuate(prop: &Proposition, intent: &Intent) -> Satisfaction {
+/// Valuates `prop` against an intent, one descriptor set per attribute.
+pub fn valuate(prop: &Proposition, intent: &[DescriptorSet]) -> Satisfaction {
     let mut all_certain = true;
     for clause in &prop.clauses {
-        let have = intent.sets[clause.attr];
+        let have = intent[clause.attr];
         if have.is_empty() {
             // An empty attribute set means "no content": nothing to match.
             return Satisfaction::No;
@@ -66,16 +68,12 @@ pub fn select_most_abstract(tree: &SummaryTree, prop: &Proposition) -> Vec<NodeI
     let mut stack = vec![tree.root()];
     while let Some(id) = stack.pop() {
         let node = tree.node(id);
-        if node.count <= 0.0 {
+        if node.count() <= 0.0 {
             continue;
         }
-        match valuate(prop, &node.intent) {
+        match valuate(prop, node.intent()) {
             Satisfaction::Certain => out.push(id),
-            Satisfaction::Possible => {
-                for &c in node.children.iter().rev() {
-                    stack.push(c);
-                }
-            }
+            Satisfaction::Possible => stack.extend(node.children().rev()),
             Satisfaction::No => {}
         }
     }
@@ -87,9 +85,9 @@ pub fn select_most_abstract(tree: &SummaryTree, prop: &Proposition) -> Vec<NodeI
 /// Only used by tests and debug assertions; O(#cells · #clauses).
 pub fn satisfying_cells(tree: &SummaryTree, prop: &Proposition) -> Vec<crate::cell::CellKey> {
     tree.cells()
-        .keys()
-        .filter(|key| prop.clauses.iter().all(|c| c.set.contains(key.0[c.attr])))
-        .cloned()
+        .map(|cell| cell.key())
+        .filter(|key| prop.clauses.iter().all(|c| c.set.contains(key[c.attr])))
+        .map(|key| crate::cell::CellKey(key.to_vec()))
         .collect()
 }
 
@@ -110,13 +108,10 @@ mod tests {
         CellKey(labels.iter().map(|&l| LabelId(l)).collect())
     }
 
-    fn intent_of(sets: &[&[u16]]) -> Intent {
-        Intent {
-            sets: sets
-                .iter()
-                .map(|ls| DescriptorSet::from_labels(ls.iter().map(|&l| LabelId(l))))
-                .collect(),
-        }
+    fn intent_of(sets: &[&[u16]]) -> Vec<DescriptorSet> {
+        sets.iter()
+            .map(|ls| DescriptorSet::from_labels(ls.iter().map(|&l| LabelId(l))))
+            .collect()
     }
 
     #[test]
@@ -180,10 +175,10 @@ mod tests {
         assert!(!zq.is_empty());
         // Every selected node is certain, and no selected node's parent is.
         for &z in &zq {
-            assert_eq!(valuate(&prop, &t.node(z).intent), Satisfaction::Certain);
-            if let Some(p) = t.node(z).parent {
+            assert_eq!(valuate(&prop, t.node(z).intent()), Satisfaction::Certain);
+            if let Some(p) = t.node(z).parent() {
                 assert_ne!(
-                    valuate(&prop, &t.node(p).intent),
+                    valuate(&prop, t.node(p).intent()),
                     Satisfaction::Certain,
                     "parent of a selected node must not be certain"
                 );
@@ -192,7 +187,7 @@ mod tests {
         // The two matching cells are covered by the selection.
         let mut covered = 0.0;
         for &z in &zq {
-            covered += t.node(z).count;
+            covered += t.node(z).count();
         }
         assert!((covered - 4.0).abs() < 1e-9, "both (0,*) cells selected");
     }
@@ -236,7 +231,7 @@ mod tests {
         let sq = reformulate(&SelectQuery::paper_example(), &bk).unwrap();
         let zq = select_most_abstract(tree, &sq.proposition);
         assert!(!zq.is_empty());
-        let covered: f64 = zq.iter().map(|&z| tree.node(z).count).sum();
+        let covered: f64 = zq.iter().map(|&z| tree.node(z).count()).sum();
         // t1 and t3 weigh 1.0 each (cell c1 holds both); t2's cells
         // (male, malaria) must be excluded.
         assert!((covered - 2.0).abs() < 1e-9, "covered {covered}");
@@ -278,14 +273,14 @@ mod tests {
             let zq = select_most_abstract(&t, &prop_q);
             let mut covered: Vec<CellKey> = Vec::new();
             for &z in &zq {
-                t.for_each_leaf(z, |k, _| covered.push(k.clone()));
+                t.for_each_leaf(z, |k, _| covered.push(CellKey(k.to_vec())));
             }
             covered.sort();
             let mut expected = satisfying_cells(&t, &prop_q);
             expected.sort();
             prop_assert_eq!(covered, expected);
             // And no two selected nodes overlap (most-abstract = disjoint).
-            let total: f64 = zq.iter().map(|&z| t.node(z).count).sum();
+            let total: f64 = zq.iter().map(|&z| t.node(z).count()).sum();
             let expected_mass = satisfying_cells(&t, &prop_q).len() as f64;
             prop_assert!((total - expected_mass).abs() < 1e-9);
         }

@@ -118,12 +118,12 @@ pub fn category_utility(
     pending: Option<(usize, &[LabelId], f64)>,
 ) -> f64 {
     let p = tree.node(parent);
-    let k = p.children.len();
+    let k = p.child_count();
     if k == 0 {
         return 0.0;
     }
     let extra_w = pending.map(|(_, _, w)| w).unwrap_or(0.0);
-    let parent_total = p.count + extra_w;
+    let parent_total = p.count() + extra_w;
     if parent_total <= 0.0 {
         return 0.0;
     }
@@ -132,20 +132,20 @@ pub fn category_utility(
         offsets,
         parent_total,
         pending.map(|(_, key, w)| (key, w)),
-        |s| p.hist[s],
+        |s| p.hist()[s],
     );
     let mut cu = 0.0;
-    for (i, &child) in p.children.iter().enumerate() {
+    for (i, child) in p.children().enumerate() {
         let c = tree.node(child);
         let child_pending = match pending {
             Some((idx, key, w)) if idx == i => Some((key, w)),
             _ => None,
         };
-        let child_total = c.count + child_pending.map(|(_, w)| w).unwrap_or(0.0);
+        let child_total = c.count() + child_pending.map(|(_, w)| w).unwrap_or(0.0);
         if child_total <= 0.0 {
             continue;
         }
-        let child_ec = expected_correct(offsets, child_total, child_pending, |s| c.hist[s]);
+        let child_ec = expected_correct(offsets, child_total, child_pending, |s| c.hist()[s]);
         cu += (child_total / parent_total) * (child_ec - parent_ec);
     }
     cu / k as f64
@@ -161,21 +161,21 @@ pub fn category_utility_with_new_child(
     weight: f64,
 ) -> f64 {
     let p = tree.node(parent);
-    let k = p.children.len() + 1;
-    let parent_total = p.count + weight;
+    let k = p.child_count() + 1;
+    let parent_total = p.count() + weight;
     if parent_total <= 0.0 {
         return 0.0;
     }
     let offsets = tree.offsets();
-    let parent_ec = expected_correct(offsets, parent_total, Some((key, weight)), |s| p.hist[s]);
+    let parent_ec = expected_correct(offsets, parent_total, Some((key, weight)), |s| p.hist()[s]);
     let mut cu = 0.0;
-    for &child in &p.children {
+    for child in p.children() {
         let c = tree.node(child);
-        if c.count <= 0.0 {
+        if c.count() <= 0.0 {
             continue;
         }
-        let child_ec = expected_correct(offsets, c.count, None, |s| c.hist[s]);
-        cu += (c.count / parent_total) * (child_ec - parent_ec);
+        let child_ec = expected_correct(offsets, c.count(), None, |s| c.hist()[s]);
+        cu += (c.count() / parent_total) * (child_ec - parent_ec);
     }
     // The hypothetical singleton child.
     let singleton_ec = key.len() as f64;

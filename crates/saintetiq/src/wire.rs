@@ -14,7 +14,7 @@ use relation::stats::AttributeStats;
 
 use crate::cell::{CellKey, SourceId};
 use crate::error::SummaryError;
-use crate::hierarchy::{CellEntry, Contribution, NodeId, StatsUpdate, SummaryTree};
+use crate::hierarchy::{Cell, Contribution, NodeId, StatsUpdate, SummaryTree};
 
 const MAGIC: &[u8; 4] = b"SETQ";
 const VERSION: u8 = 1;
@@ -37,23 +37,23 @@ pub fn encode(tree: &SummaryTree) -> Bytes {
 
 fn encode_node(tree: &SummaryTree, id: NodeId, buf: &mut BytesMut) {
     let node = tree.node(id);
-    if let Some(key) = &node.cell {
+    if let Some(key) = node.cell() {
         buf.put_u8(1); // leaf
-        for &l in &key.0 {
+        for &l in key {
             buf.put_u16(l.0);
         }
-        let entry = &tree.cells()[key];
-        buf.put_f64(entry.content.weight);
-        buf.put_u32(entry.content.per_source.len() as u32);
-        for (&s, &w) in &entry.content.per_source {
+        let cell = tree.cell(key).expect("leaf cell registered");
+        buf.put_f64(cell.weight());
+        buf.put_u32(cell.source_count() as u32);
+        for (s, w) in cell.sources() {
             buf.put_u32(s.0);
             buf.put_f64(w);
         }
-        debug_assert_eq!(entry.content.max_grades.len(), tree.arity());
-        for &g in &entry.content.max_grades {
+        debug_assert_eq!(cell.max_grades().len(), tree.arity());
+        for &g in cell.max_grades() {
             buf.put_f64(g);
         }
-        for st in &entry.stats {
+        for st in cell.stats() {
             let (c, mn, mx, mean, m2) = st.raw_parts();
             if c > 0.0 {
                 buf.put_u8(1);
@@ -68,8 +68,8 @@ fn encode_node(tree: &SummaryTree, id: NodeId, buf: &mut BytesMut) {
         }
     } else {
         buf.put_u8(0); // internal
-        buf.put_u16(node.children.len() as u16);
-        for &c in &node.children {
+        buf.put_u16(node.child_count() as u16);
+        for c in node.children() {
             encode_node(tree, c, buf);
         }
     }
@@ -212,12 +212,12 @@ pub fn encoded_size(tree: &SummaryTree) -> usize {
     let mut stack = vec![tree.root()];
     while let Some(id) = stack.pop() {
         let node = tree.node(id);
-        match &node.cell {
-            Some(key) => size += leaf_size(key, &tree.cells()[key]),
+        match node.cell() {
+            Some(key) => size += leaf_size(tree.cell(key).expect("leaf cell registered")),
             None => {
                 // Tag and child count.
                 size += 3;
-                stack.extend(node.children.iter().copied());
+                stack.extend(node.children());
             }
         }
     }
@@ -227,17 +227,17 @@ pub fn encoded_size(tree: &SummaryTree) -> usize {
 /// Encoded size of one leaf, mirroring `encode_node`: tag, key, total
 /// weight, source count, `(id, weight)` per source, grades, and a flag
 /// plus five `f64`s per non-empty statistics slot.
-fn leaf_size(key: &CellKey, entry: &CellEntry) -> usize {
-    let stats: usize = entry
-        .stats
+fn leaf_size(cell: Cell<'_>) -> usize {
+    let stats: usize = cell
+        .stats()
         .iter()
         .map(|st| if st.raw_parts().0 > 0.0 { 41 } else { 1 })
         .sum();
-    1 + 2 * key.0.len()
+    1 + 2 * cell.key().len()
         + 8
         + 4
-        + 12 * entry.content.per_source.len()
-        + 8 * entry.content.max_grades.len()
+        + 12 * cell.source_count()
+        + 8 * cell.max_grades().len()
         + stats
 }
 
@@ -294,12 +294,11 @@ mod tests {
         let gs = acc.build_merged();
         let slots: Vec<f64> = gs
             .cells()
-            .values()
-            .flat_map(|e| e.stats.iter().map(|st| st.raw_parts().0))
+            .flat_map(|c| c.stats().iter().map(|st| st.raw_parts().0))
             .collect();
         assert!(slots.iter().any(|&c| c > 0.0), "no non-empty stats slot");
         assert!(slots.iter().any(|&c| c <= 0.0), "no empty stats slot");
-        assert!(gs.cells().values().any(|e| e.content.per_source.len() > 1));
+        assert!(gs.cells().any(|c| c.source_count() > 1));
         same(&gs);
         same(&decode(&encode(&gs)).unwrap());
     }
@@ -320,17 +319,17 @@ mod tests {
             "structure preserved"
         );
         assert_eq!(d.depth(), t.depth());
-        for (k, entry) in t.cells() {
-            let de = &d.cells()[k];
-            assert!((de.content.weight - entry.content.weight).abs() < 1e-12);
-            assert_eq!(de.content.per_source, entry.content.per_source);
-            assert_eq!(de.content.max_grades, entry.content.max_grades);
-            for (a, b) in de.stats.iter().zip(&entry.stats) {
+        for cell in t.cells() {
+            let de = d.cell(cell.key()).unwrap();
+            assert!((de.weight() - cell.weight()).abs() < 1e-12);
+            assert!(de.sources().eq(cell.sources()));
+            assert_eq!(de.max_grades(), cell.max_grades());
+            for (a, b) in de.stats().iter().zip(cell.stats()) {
                 assert_eq!(a.raw_parts(), b.raw_parts());
             }
         }
         // Root intents agree.
-        assert_eq!(d.node(d.root()).intent, t.node(t.root()).intent);
+        assert_eq!(d.node(d.root()).intent(), t.node(t.root()).intent());
     }
 
     #[test]

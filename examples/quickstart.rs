@@ -50,11 +50,11 @@ fn main() {
         tree.depth()
     );
     let mapper = engine.mapper();
-    for (key, entry) in tree.cells() {
+    for cell in tree.cells() {
         println!(
             "  cell {} -> count {:.1}",
-            mapper.describe(key),
-            entry.content.weight
+            mapper.describe(cell.key()),
+            cell.weight()
         );
     }
 

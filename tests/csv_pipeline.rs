@@ -110,7 +110,7 @@ fn csv_roundtrip_preserves_summarization() {
     let b = summarize(&reloaded);
     assert_eq!(a.leaf_count(), b.leaf_count());
     assert!((a.total_count() - b.total_count()).abs() < 1e-9);
-    for (k, entry) in a.cells() {
-        assert!((entry.content.weight - b.cells()[k].content.weight).abs() < 1e-9);
+    for cell in a.cells() {
+        assert!((cell.weight() - b.cell(cell.key()).unwrap().weight()).abs() < 1e-9);
     }
 }

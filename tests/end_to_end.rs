@@ -145,13 +145,13 @@ fn wire_roundtrip_through_merge() {
     }
     assert_eq!(direct.leaf_count(), via_wire.leaf_count());
     assert!((direct.total_count() - via_wire.total_count()).abs() < 1e-9);
-    for (k, entry) in direct.cells() {
-        let other = &via_wire.cells()[k];
-        assert!((entry.content.weight - other.content.weight).abs() < 1e-9);
-        assert_eq!(
-            entry.content.per_source.keys().collect::<Vec<_>>(),
-            other.content.per_source.keys().collect::<Vec<_>>()
-        );
+    for cell in direct.cells() {
+        let other = via_wire.cell(cell.key()).expect("cell in both");
+        assert!((cell.weight() - other.weight()).abs() < 1e-9);
+        assert!(cell
+            .sources()
+            .map(|(s, _)| s)
+            .eq(other.sources().map(|(s, _)| s)));
     }
 }
 
@@ -196,8 +196,9 @@ fn incremental_equals_rebuild_after_edit_script() {
     fresh.summarize_table(&table);
     assert_eq!(incremental.tree().leaf_count(), fresh.tree().leaf_count());
     assert!((incremental.tree().total_count() - fresh.tree().total_count()).abs() < 1e-6);
-    for (k, entry) in incremental.tree().cells() {
-        let w = fresh.tree().cells()[k].content.weight;
-        assert!((entry.content.weight - w).abs() < 1e-6, "drift on {k:?}");
+    for entry in incremental.tree().cells() {
+        let k = entry.key();
+        let w = fresh.tree().cell(k).unwrap().weight();
+        assert!((entry.weight() - w).abs() < 1e-6, "drift on {k:?}");
     }
 }

@@ -80,14 +80,17 @@ fn assert_same_flat(a: &SourceDelta, b: &SourceDelta) {
 /// cells, in key order, with its source's weight, its grades and its
 /// non-empty statistics, read straight from the tree.
 fn assert_flat_is_the_tree(flat: &SourceDelta, tree: &SummaryTree) {
-    assert_eq!(flat.cell_count(), tree.cells().len());
-    for (cell, (key, entry)) in flat.cells().zip(tree.cells()) {
-        assert_eq!(cell.key, &key.0[..]);
-        let weight = entry.content.per_source[&flat.source()];
+    assert_eq!(flat.cell_count(), tree.cells().count());
+    for (cell, entry) in flat.cells().zip(tree.cells()) {
+        let key = entry.key();
+        assert_eq!(cell.key, key);
+        let weight = entry
+            .source_weight(flat.source())
+            .expect("the source's cell");
         assert_eq!(cell.weight.to_bits(), weight.to_bits(), "weight at {key:?}");
-        assert_eq!(bits(cell.grades), bits(&entry.content.max_grades));
+        assert_eq!(bits(cell.grades), bits(entry.max_grades()));
         let (attrs, stats): (Vec<u16>, Vec<AttributeStats>) = (0u16..)
-            .zip(&entry.stats)
+            .zip(entry.stats())
             .filter(|(_, s)| s.count() > 0.0)
             .unzip();
         assert_eq!(cell.stat_attrs, &attrs[..], "statistics at {key:?}");
@@ -152,8 +155,9 @@ fn generated_summaries_carry_no_faint_weight() -> Result<(), P2pError> {
         for peer in 0..40 {
             let pd = generate_peer_data(&mut rng, peer, &bk, &templates, fraction, records)?;
             let tree = wire::decode(&pd.summary)?;
-            for (key, entry) in tree.cells() {
-                for (&source, &w) in &entry.content.per_source {
+            for entry in tree.cells() {
+                let key = entry.key();
+                for (source, w) in entry.sources() {
                     assert!(
                         w > INTENT_THRESHOLD,
                         "peer {peer}: source {source:?} weighs {w} in cell {key:?}"
@@ -219,26 +223,26 @@ fn reference_build(a: &GsAccumulator) -> SummaryTree {
 /// histogram's support.
 fn assert_same_tree(a: &SummaryTree, b: &SummaryTree) {
     assert_eq!(wire::encode(a), wire::encode(b));
-    let hist_bits = |n: &Node| -> Vec<u64> { n.hist.iter().map(|w| w.to_bits()).collect() };
+    let hist_bits = |n: &Node| -> Vec<u64> { n.hist().iter().map(|w| w.to_bits()).collect() };
     let support =
-        |n: &Node| -> Vec<bool> { n.hist.iter().map(|&w| w > INTENT_THRESHOLD).collect() };
+        |n: &Node| -> Vec<bool> { n.hist().iter().map(|&w| w > INTENT_THRESHOLD).collect() };
     let intent_bits = |n: &Node| -> Vec<bool> {
         a.label_counts()
             .iter()
-            .zip(&n.intent.sets)
+            .zip(n.intent())
             .flat_map(|(&len, s)| (0..len).map(|l| s.contains(LabelId(l as u16))))
             .collect()
     };
     let mut stack = vec![(a.root(), b.root())];
     while let Some((x, y)) = stack.pop() {
         let (nx, ny) = (a.node(x), b.node(y));
-        assert_eq!(nx.count.to_bits(), ny.count.to_bits(), "count at {x:?}");
+        assert_eq!(nx.count().to_bits(), ny.count().to_bits(), "count at {x:?}");
         assert_eq!(hist_bits(nx), hist_bits(ny), "hist at {x:?}");
-        assert_eq!(nx.intent, ny.intent, "intent at {x:?}");
+        assert_eq!(nx.intent(), ny.intent(), "intent at {x:?}");
         assert_eq!(intent_bits(nx), support(nx), "intent != support at {x:?}");
-        assert_eq!(nx.cell, ny.cell, "cell at {x:?}");
-        assert_eq!(nx.children.len(), ny.children.len(), "arity at {x:?}");
-        stack.extend(nx.children.iter().copied().zip(ny.children.iter().copied()));
+        assert_eq!(nx.cell(), ny.cell(), "cell at {x:?}");
+        assert_eq!(nx.child_count(), ny.child_count(), "arity at {x:?}");
+        stack.extend(nx.children().zip(ny.children()));
     }
 }
 
@@ -293,7 +297,9 @@ fn synthetic(n: u32, seed: u64) -> GsAccumulator {
             SourceId(s),
             CBK_NAME,
             &CBK_SHAPE,
-            cells.iter().map(|(k, w, g, st)| (*k, *w, &g[..], &st[..])),
+            cells
+                .iter()
+                .map(|(k, w, g, st)| (&k[..], *w, &g[..], &st[..])),
         );
         a.update_source_flat(SourceId(s), &Rc::new(delta)).unwrap();
     }
@@ -307,9 +313,8 @@ fn folded_runs_match_the_one_at_a_time_build() {
         let built = a.build_merged();
         assert_same_tree(&built, &reference_build(&a));
         if n == 400 {
-            let sources = |e: &saintetiq::hierarchy::CellEntry| e.content.per_source.len();
-            assert!(built.cells().values().any(|e| sources(e) == 1));
-            assert!(built.cells().values().any(|e| sources(e) >= 200));
+            assert!(built.cells().any(|c| c.source_count() == 1));
+            assert!(built.cells().any(|c| c.source_count() >= 200));
         }
     }
     // Real local summaries, one source per cell and many.

@@ -133,12 +133,12 @@ fn assert_equivalent(core: &DomainCore, peers: &[Option<PeerState>]) {
     }
     assert_eq!(core.gs.leaf_count(), legacy.leaf_count());
     assert_eq!(core.gs.all_sources(), legacy.all_sources());
-    for (k, entry) in legacy.cells() {
-        let g = &core.gs.cells()[k];
-        assert_eq!(g.content.per_source, entry.content.per_source);
-        assert_eq!(g.content.weight, entry.content.weight);
-        assert_eq!(g.content.max_grades, entry.content.max_grades);
-        for (gs_stats, legacy_stats) in g.stats.iter().zip(&entry.stats) {
+    for cell in legacy.cells() {
+        let g = core.gs.cell(cell.key()).expect("cell in both");
+        assert!(g.sources().eq(cell.sources()));
+        assert_eq!(g.weight(), cell.weight());
+        assert_eq!(g.max_grades(), cell.max_grades());
+        for (gs_stats, legacy_stats) in g.stats().iter().zip(cell.stats()) {
             assert_eq!(gs_stats.raw_parts(), legacy_stats.raw_parts());
         }
     }

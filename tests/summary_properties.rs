@@ -110,12 +110,12 @@ proptest! {
         merge_into(&mut ab, &tb, &cfg).expect("same CBK");
         let mut ba = tb.clone();
         merge_into(&mut ba, &ta, &cfg).expect("same CBK");
-        let ka: Vec<_> = ab.cells().keys().cloned().collect();
-        let kb: Vec<_> = ba.cells().keys().cloned().collect();
+        let ka: Vec<_> = ab.cells().map(|c| c.key().to_vec()).collect();
+        let kb: Vec<_> = ba.cells().map(|c| c.key().to_vec()).collect();
         prop_assert_eq!(&ka, &kb);
         for k in &ka {
-            let wa = ab.cells()[k].content.weight;
-            let wb = ba.cells()[k].content.weight;
+            let wa = ab.cell(k).unwrap().weight();
+            let wb = ba.cell(k).unwrap().weight();
             prop_assert!((wa - wb).abs() < 1e-9);
         }
     }
@@ -134,9 +134,9 @@ proptest! {
         merged.check_invariants();
         prop_assert_eq!(merged.leaf_count(), ta.leaf_count());
         prop_assert!((merged.total_count() - ta.total_count()).abs() < 1e-6);
-        for (k, entry) in ta.cells() {
-            let w = merged.cells()[k].content.weight;
-            prop_assert!((entry.content.weight - w).abs() < 1e-6);
+        for cell in ta.cells() {
+            let w = merged.cell(cell.key()).unwrap().weight();
+            prop_assert!((cell.weight() - w).abs() < 1e-6);
         }
     }
 }

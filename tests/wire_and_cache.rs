@@ -67,11 +67,11 @@ proptest! {
         sa.sort_unstable_by_key(|s| s.0);
         sb.sort_unstable_by_key(|s| s.0);
         prop_assert_eq!(sa, sb);
-        for (key, entry) in tree.cells() {
-            let de = &decoded.cells()[key];
-            prop_assert!((de.content.weight - entry.content.weight).abs() < 1e-9);
-            prop_assert_eq!(&de.content.per_source, &entry.content.per_source);
-            prop_assert_eq!(&de.content.max_grades, &entry.content.max_grades);
+        for cell in tree.cells() {
+            let de = decoded.cell(cell.key()).expect("cell decoded");
+            prop_assert!((de.weight() - cell.weight()).abs() < 1e-9);
+            prop_assert_eq!(de.sources().collect::<Vec<_>>(), cell.sources().collect::<Vec<_>>());
+            prop_assert_eq!(de.max_grades(), cell.max_grades());
         }
     }
 
