@@ -399,7 +399,7 @@ impl DomainCore {
     /// encoded size into `gs_bytes_last`, unless they are current.
     pub fn materialize(&mut self) {
         if self.gs_stale {
-            self.gs = self.acc.build_merged();
+            self.acc.build_merged_into(&mut self.gs);
             self.gs_bytes_last = wire::encoded_size(&self.gs);
             self.gs_stale = false;
         }

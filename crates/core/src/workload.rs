@@ -11,9 +11,10 @@
 //! A [`PeerGenerator`] is bound once to the BK and the templates, and
 //! then generates peer after peer: it keeps the patient schema, the
 //! background distributions and one summarization engine whose mapper is
-//! bound once, whose buffers are reused, and whose tree is taken out for
-//! each peer. A simulation kernel owns one and regenerates a drifted
-//! database with it. [`generate_peer_data`] binds one for a single call.
+//! bound once, whose buffers are reused, and whose tree arena is encoded
+//! and flattened in place for each peer, then cleared with its capacity
+//! kept. A simulation kernel owns one and regenerates a drifted database
+//! with it. [`generate_peer_data`] binds one for a single call.
 
 use std::rc::Rc;
 
@@ -169,8 +170,8 @@ impl PeerData {
 /// Binding once changes nothing a peer's data depends on: each
 /// [`PeerGenerator::generate`] makes the same RNG draws and returns the
 /// same [`PeerData`] as a generator bound for that call alone. Nothing
-/// carries over from one peer to the next but the buffers the engine
-/// reuses.
+/// carries over from one peer to the next but the capacity of the
+/// buffers and the tree arena the engine reuses.
 #[derive(Debug, Clone)]
 pub struct PeerGenerator {
     templates: Vec<QueryTemplate>,
@@ -237,9 +238,10 @@ impl PeerGenerator {
 
         self.engine.set_source(SourceId(peer));
         self.engine.summarize_table(&table);
-        let tree = self.engine.take_tree();
-        let summary = wire::encode(&tree);
-        let flat = SourceDelta::from_tree(&tree, SourceId(peer)).with_encoded_bytes(summary.len());
+        let tree = self.engine.tree();
+        let summary = wire::encode(tree);
+        let flat = SourceDelta::from_tree(tree, SourceId(peer)).with_encoded_bytes(summary.len());
+        self.engine.clear_tree();
         Ok(PeerData {
             match_bits,
             summary,

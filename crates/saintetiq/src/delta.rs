@@ -121,11 +121,25 @@ impl SourceDelta {
     /// and statistics are shared across contributors, so the flattening
     /// is an upper bound; the P2P layer never needs that case.
     pub fn from_tree(tree: &SummaryTree, source: SourceId) -> Self {
-        let cells = tree.cells().filter_map(|cell| {
-            let weight = cell.source_weight(source)?;
-            Some((cell.key(), weight, cell.max_grades(), cell.stats()))
-        });
-        Self::from_cells(source, tree.bk_name(), tree.label_counts(), cells)
+        let cells = || {
+            tree.cells().filter_map(move |cell| {
+                let weight = cell.source_weight(source)?;
+                Some((cell.key(), weight, cell.max_grades(), cell.stats()))
+            })
+        };
+        // Every peer keeps its flat form resident: size each array
+        // exactly up front rather than trimming it afterwards.
+        let (mut n, mut n_stats) = (0, 0);
+        for (_, _, _, stats) in cells() {
+            n += 1;
+            n_stats += stats.iter().filter(|st| st.count() > 0.0).count();
+        }
+        let mut delta =
+            Self::with_capacity(source, tree.bk_name(), tree.label_counts(), n, n_stats);
+        for (key, weight, grades, stats) in cells() {
+            delta.push(key, weight, grades, stats);
+        }
+        delta
     }
 
     /// A delta of explicit `(key, weight, grades, statistics)` cells for
@@ -140,31 +154,9 @@ impl SourceDelta {
     ) -> Self {
         let cells = cells.into_iter();
         let n = cells.size_hint().1.unwrap_or(0);
-        let arity = label_counts.len();
-        let mut delta = Self {
-            source,
-            bk_name: bk_name.to_string(),
-            label_counts: label_counts.to_vec(),
-            labels: Vec::with_capacity(n * arity),
-            weights: Vec::with_capacity(n),
-            grades: Vec::with_capacity(n * arity),
-            stat_ends: Vec::with_capacity(n),
-            stat_attrs: Vec::new(),
-            stats: Vec::new(),
-            encoded_bytes: 0,
-        };
+        let mut delta = Self::with_capacity(source, bk_name, label_counts, n, 0);
         for (key, weight, grades, stats) in cells {
-            assert_eq!((key.len(), grades.len()), (arity, arity), "cell shape");
-            delta.labels.extend_from_slice(key);
-            delta.weights.push(weight);
-            delta.grades.extend_from_slice(grades);
-            for (attr, st) in stats.iter().enumerate() {
-                if st.count() > 0.0 {
-                    delta.stat_attrs.push(attr as u16);
-                    delta.stats.push(*st);
-                }
-            }
-            delta.stat_ends.push(delta.stats.len() as u32);
+            delta.push(key, weight, grades, stats);
         }
         // Every peer keeps its flat form resident: hold no spare capacity.
         delta.labels.shrink_to_fit();
@@ -174,6 +166,48 @@ impl SourceDelta {
         delta.stat_attrs.shrink_to_fit();
         delta.stats.shrink_to_fit();
         delta
+    }
+
+    /// An empty delta with room for `cells` cells and `stats` non-empty
+    /// statistics.
+    fn with_capacity(
+        source: SourceId,
+        bk_name: &str,
+        label_counts: &[usize],
+        cells: usize,
+        stats: usize,
+    ) -> Self {
+        let arity = label_counts.len();
+        Self {
+            source,
+            bk_name: bk_name.to_string(),
+            label_counts: label_counts.to_vec(),
+            labels: Vec::with_capacity(cells * arity),
+            weights: Vec::with_capacity(cells),
+            grades: Vec::with_capacity(cells * arity),
+            stat_ends: Vec::with_capacity(cells),
+            stat_attrs: Vec::with_capacity(stats),
+            stats: Vec::with_capacity(stats),
+            encoded_bytes: 0,
+        }
+    }
+
+    /// Appends one cell: its key, the source's weight, one grade and one
+    /// statistic per attribute. Statistics with no positive count are
+    /// dropped.
+    fn push(&mut self, key: &[LabelId], weight: f64, grades: &[Grade], stats: &[AttributeStats]) {
+        let arity = self.label_counts.len();
+        assert_eq!((key.len(), grades.len()), (arity, arity), "cell shape");
+        self.labels.extend_from_slice(key);
+        self.weights.push(weight);
+        self.grades.extend_from_slice(grades);
+        for (attr, st) in stats.iter().enumerate() {
+            if st.count() > 0.0 {
+                self.stat_attrs.push(attr as u16);
+                self.stats.push(*st);
+            }
+        }
+        self.stat_ends.push(self.stats.len() as u32);
     }
 
     /// Records `bytes` as the encoded size of the summary the delta was
@@ -398,6 +432,20 @@ impl GsAccumulator {
     /// on the order updates and removals happened in.
     pub fn build_merged(&self) -> SummaryTree {
         let mut tree = SummaryTree::new(self.bk_name.clone(), self.label_counts.clone());
+        self.build_merged_into(&mut tree);
+        tree
+    }
+
+    /// [`GsAccumulator::build_merged`] into `tree`, which is cleared first
+    /// and keeps its arena's capacity: rebuilding a domain's GS in place
+    /// allocates no tree storage once it has grown. `tree` must be over
+    /// the accumulator's BK.
+    pub fn build_merged_into(&self, tree: &mut SummaryTree) {
+        assert!(
+            tree.bk_name() == self.bk_name && tree.label_counts() == &self.label_counts[..],
+            "a merged view over another BK"
+        );
+        tree.clear();
         let mut by_cell: BTreeMap<&[LabelId], Vec<Contribution<'_>>> = BTreeMap::new();
         for (&source, delta) in &self.sources {
             for cell in delta.cells() {
@@ -411,9 +459,8 @@ impl GsAccumulator {
         }
         let mut buffers = DescentBuffers::default();
         for (labels, run) in by_cell {
-            incorporate_contributions(&mut tree, &self.config, labels, &run, &mut buffers);
+            incorporate_contributions(tree, &self.config, labels, &run, &mut buffers);
         }
-        tree
     }
 }
 

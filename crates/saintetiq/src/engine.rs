@@ -35,10 +35,13 @@
 //!
 //! The [`SaintEtiQEngine`] owns the buffers a record passes through: the
 //! mapped cells ([`crate::mapping::MappedCells`]), the raw values, and
-//! the descent's children and terms ([`DescentBuffers`]). After the
-//! first records, summarizing allocates only the nodes and cells the
-//! tree gains, and [`SaintEtiQEngine::take_tree`] lets one engine, with
-//! its mapper bound once, summarize table after table.
+//! the descent's children and terms ([`DescentBuffers`]), and the tree
+//! itself, one flat arena ([`crate::hierarchy`]). A new leaf or host
+//! node appends rows to the arena's columns; nothing is allocated per
+//! node or cell. [`SaintEtiQEngine::clear_tree`] empties the arena and
+//! keeps its capacity, so one engine, with its mapper bound once,
+//! summarizes table after table and allocates nothing for them once its
+//! buffers and arena have grown to the largest table's summary.
 
 use fuzzy::bk::BackgroundKnowledge;
 use fuzzy::descriptor::{Grade, LabelId};
@@ -143,11 +146,7 @@ pub fn incorporate_contributions(
         return;
     };
     let leaf_parent = descend(tree, config, labels, contributions[first].weight, buffers);
-    tree.attach_leaf(
-        leaf_parent,
-        CellKey(labels.to_vec()),
-        &contributions[first..],
-    );
+    tree.attach_leaf(leaf_parent, labels, &contributions[first..]);
 }
 
 /// The buffers a Cobweb descent works in: a level's children, their
@@ -306,9 +305,10 @@ impl<'a> Level<'a> {
         };
         buf.clear();
         if parent_total > 0.0 {
+            let hist = parent.hist();
             let computed = || {
                 expected_correct(tree.offsets(), parent_total, Some((labels, weight)), |s| {
-                    parent.hist()[s]
+                    hist[s]
                 })
             };
             // The parent's sum is the one it had as a child hosting the
@@ -358,11 +358,11 @@ impl<'a> Level<'a> {
     /// its key's slots and the pending cell's.
     fn ec_of(&self, child: NodeId) -> ChildEc {
         let c = self.tree.node(child);
-        let offsets = self.tree.offsets();
+        let (offsets, hist) = (self.tree.offsets(), c.hist());
         let ec = |total: f64, pending| {
             (total > 0.0).then(|| match c.cell() {
-                Some(key) => leaf_expected_correct(offsets, total, pending, key, c.hist()),
-                None => expected_correct(offsets, total, pending, |s| c.hist()[s]),
+                Some(key) => leaf_expected_correct(offsets, total, pending, key, hist),
+                None => expected_correct(offsets, total, pending, |s| hist[s]),
             })
         };
         ChildEc {
@@ -403,6 +403,7 @@ impl<'a> Level<'a> {
             self.tree.node(self.children[i]),
             self.tree.node(self.children[j]),
         );
+        let (hi, hj) = (ci.hist(), cj.hist());
         let fused_count = ci.count() + cj.count();
         let fused_total = fused_count + self.weight;
         if fused_total > 0.0 {
@@ -411,7 +412,7 @@ impl<'a> Level<'a> {
                 self.tree.offsets(),
                 fused_total,
                 Some((self.labels, self.weight)),
-                |s| ci.hist()[s] + cj.hist()[s],
+                |s| hi[s] + hj[s],
             );
             cu += (fused_total / self.parent_total) * (ec - self.parent_ec);
         }
@@ -542,10 +543,10 @@ fn cu_hosted_in(mut cu: f64, terms: &[ChildTerms], host: Option<usize>) -> f64 {
 /// [`SummaryTree`], consuming tables and push-mode change feeds.
 ///
 /// The engine owns the buffers a record passes through — its mapped
-/// cells, its raw values and the descent's — so summarizing a table
-/// allocates only for the tree it grows. [`SaintEtiQEngine::take_tree`]
-/// hands that tree out and keeps the bound mapper and the buffers for the
-/// next table.
+/// cells, its raw values and the descent's — and the tree's arena.
+/// [`SaintEtiQEngine::clear_tree`] empties the tree for the next table
+/// and keeps the bound mapper, the buffers and the arena's capacity;
+/// [`SaintEtiQEngine::take_tree`] hands the tree out instead.
 #[derive(Debug, Clone)]
 pub struct SaintEtiQEngine {
     mapper: Mapper,
@@ -607,6 +608,14 @@ impl SaintEtiQEngine {
     /// Consumes the engine, returning the hierarchy.
     pub fn into_tree(self) -> SummaryTree {
         self.tree
+    }
+
+    /// Empties the hierarchy, keeping its arena's capacity, and forgets
+    /// the unmappable records counted: the engine then summarizes its
+    /// next table as a fresh one would.
+    pub fn clear_tree(&mut self) {
+        self.tree.clear();
+        self.unmappable = 0;
     }
 
     /// Takes the hierarchy out, leaving an empty one over the same BK and
@@ -696,7 +705,7 @@ impl SaintEtiQEngine {
     /// used after heavy churn, mirroring the paper's global-summary
     /// reconciliation which reconstructs `NewGS`.
     pub fn rebuild(&mut self, table: &Table) {
-        self.take_tree();
+        self.clear_tree();
         self.summarize_table(table);
     }
 }

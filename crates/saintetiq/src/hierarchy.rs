@@ -9,11 +9,37 @@
 //! `R_z ⊆ R_z'` (Definition 2): children specialize parents, leaves are
 //! the grid cells themselves.
 //!
-//! The tree is an arena (`Vec<Node>` + `u32` ids) with tombstones;
-//! structural edits are primitives the engine composes (create leaf,
+//! # Storage
+//!
+//! The tree is one flat arena of columns, indexed by `u32` ids, with
+//! tombstones; nothing is allocated per node or per cell once the columns
+//! have grown, and [`SummaryTree::clear`] empties the arena but keeps
+//! every column's capacity, so one tree can be rebuilt table after table.
+//!
+//! * **Nodes** ([`NodeId`]): a links column (parent, first and last
+//!   child, previous and next sibling, child count, and the cell a leaf
+//!   stands for), a count column, an alive column, and two slabs with
+//!   one row per node: the histograms (`Vec<f64>`, stride = the slot
+//!   count, see [`SummaryTree::slot`]) and the intents (one
+//!   [`DescriptorSet`] per attribute, stride = the arity). Children form
+//!   a doubly linked sibling list, in insertion order.
+//! * **Cells**: a label slab (stride = the arity; a cell's key is its
+//!   run of labels), and columns for the leaf, the weight, the max grades
+//!   and statistics (slabs, stride = the arity) and the per-source
+//!   weights (one row per cell, sorted by source; rows are recycled).
+//!   A drained cell keeps its rows but leaves the index.
+//! * **Index**: the live cells' ids sorted by key. A cell is looked up by
+//!   binary search on its labels, and [`SummaryTree::cells`] iterates in
+//!   key order, the order the wire encoding, the flat forms of
+//!   [`crate::delta`] and the canonical merged build rely on.
+//!
+//! Structural edits are primitives the engine composes (create leaf,
 //! create internal host, promote children, prune). Every primitive keeps
 //! the cached per-node histograms, counts and intents consistent, and
-//! [`SummaryTree::check_invariants`] verifies all of it for tests.
+//! [`SummaryTree::check_invariants`] verifies all of it for tests: the
+//! slab strides, the sibling links and child counts, the index (sorted,
+//! one live leaf per cell and one cell per live leaf), and the two
+//! invariants below.
 //!
 //! Two of those invariants let the hot paths skip work without changing
 //! a bit:
@@ -29,18 +55,23 @@
 //!   each of which holds the leaf's count. The descent scores a leaf
 //!   from those slots alone.
 
-use std::collections::BTreeMap;
+use std::cmp::Ordering;
+use std::fmt;
 
 use fuzzy::descriptor::{DescriptorSet, Grade, LabelId};
 use relation::stats::AttributeStats;
 
-use crate::cell::{CellContent, CellKey, SourceId};
+use crate::cell::{CellKey, SourceId};
 
 /// The weight a histogram slot must exceed for its label to enter the
 /// node's intent. Fainter support counts as absent, so a cell whose
 /// contributions sum to this or less has an empty intent on every
 /// attribute.
 pub const INTENT_THRESHOLD: f64 = 1e-12;
+
+/// No node or cell: the root's parent, an empty sibling link, an
+/// internal node's cell.
+const NONE: u32 = u32::MAX;
 
 /// Node identifier inside one [`SummaryTree`] arena.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -84,7 +115,7 @@ impl Intent {
 
     /// True when the cell's labels are all inside the intent.
     pub fn covers_cell(&self, key: &[LabelId]) -> bool {
-        self.sets.iter().zip(key).all(|(s, &l)| s.contains(l))
+        covers(&self.sets, key)
     }
 
     /// Component-wise union.
@@ -111,92 +142,229 @@ impl Intent {
     }
 }
 
-/// One tree node. Its fields are private: read them through the
-/// accessors.
-#[derive(Debug, Clone)]
-pub struct Node {
-    /// Parent link (`None` for the root).
-    parent: Option<NodeId>,
-    /// Children in insertion order (empty for leaves).
-    children: Vec<NodeId>,
-    /// Cached intent: union of the intents below.
-    intent: Intent,
-    /// Total cell weight below (fractional tuple count).
-    count: f64,
-    /// Per-label weight histogram (drives the partition score and keeps
-    /// intents exact under removals), flat and attribute-major: the
-    /// labels of attribute 0, then those of attribute 1, and so on. Label
-    /// `l` of attribute `a` sits at [`SummaryTree::slot`]`(a, l)`.
-    hist: Vec<f64>,
-    /// For a leaf: the grid cell it stands for.
-    cell: Option<CellKey>,
-    /// Tombstone flag: dead nodes stay in the arena until rebuild.
-    alive: bool,
+/// True when every label of `key` is in its attribute's set.
+fn covers(sets: &[DescriptorSet], key: &[LabelId]) -> bool {
+    sets.iter().zip(key).all(|(s, &l)| s.contains(l))
 }
 
-impl Node {
-    fn new(arity: usize, slots: usize, parent: Option<NodeId>) -> Self {
-        Self {
-            parent,
-            children: Vec::new(),
-            intent: Intent::empty(arity),
-            count: 0.0,
-            hist: vec![0.0; slots],
-            cell: None,
-            alive: true,
-        }
+/// One node's row of the links column.
+#[derive(Debug, Clone, Copy)]
+struct Links {
+    parent: u32,
+    first_child: u32,
+    last_child: u32,
+    prev_sibling: u32,
+    next_sibling: u32,
+    children: u32,
+    /// The cell a leaf stands for; [`NONE`] for an internal node.
+    cell: u32,
+}
+
+/// One tree node, as [`SummaryTree::node`] lends it: a view of its rows
+/// in the arena's columns.
+#[derive(Clone, Copy)]
+pub struct Node<'a> {
+    tree: &'a SummaryTree,
+    id: usize,
+}
+
+impl<'a> Node<'a> {
+    fn links(&self) -> &'a Links {
+        &self.tree.links[self.id]
     }
 
     /// The parent (`None` for the root).
     pub fn parent(&self) -> Option<NodeId> {
-        self.parent
+        let p = self.links().parent;
+        (p != NONE).then_some(NodeId(p))
     }
 
     /// The children, in order (none for a leaf).
-    pub fn children(&self) -> impl DoubleEndedIterator<Item = NodeId> + '_ {
-        self.children.iter().copied()
+    pub fn children(&self) -> Children<'a> {
+        let l = self.links();
+        Children {
+            links: &self.tree.links,
+            front: l.first_child,
+            back: l.last_child,
+            left: l.children,
+        }
     }
 
     /// Number of children.
     pub fn child_count(&self) -> usize {
-        self.children.len()
+        self.links().children as usize
     }
 
     /// Total cell weight below (fractional tuple count).
     pub fn count(&self) -> f64 {
-        self.count
+        self.tree.count[self.id]
     }
 
     /// The flat, attribute-major label histogram: label `l` of attribute
     /// `a` sits at [`SummaryTree::slot`]`(a, l)`.
-    pub fn hist(&self) -> &[f64] {
-        &self.hist
+    pub fn hist(&self) -> &'a [f64] {
+        self.tree.hist_row(self.id)
     }
 
     /// The intent: one descriptor set per attribute, the labels whose
     /// histogram slot exceeds [`INTENT_THRESHOLD`].
-    pub fn intent(&self) -> &[DescriptorSet] {
-        &self.intent.sets
+    pub fn intent(&self) -> &'a [DescriptorSet] {
+        self.tree.intent_row(self.id)
     }
 
     /// True when every label of `key` is in the intent.
     pub fn covers_cell(&self, key: &[LabelId]) -> bool {
-        self.intent.covers_cell(key)
+        covers(self.intent(), key)
     }
 
     /// For a leaf, the grid cell it stands for.
-    pub fn cell(&self) -> Option<&[LabelId]> {
-        self.cell.as_ref().map(|k| &k.0[..])
+    pub fn cell(&self) -> Option<&'a [LabelId]> {
+        let c = self.links().cell;
+        (c != NONE).then(|| self.tree.cell_key(c as usize))
+    }
+
+    /// For a leaf, its cell's content, read without a lookup.
+    pub fn leaf_cell(&self) -> Option<Cell<'a>> {
+        let c = self.links().cell;
+        (c != NONE).then_some(Cell {
+            tree: self.tree,
+            cell: c as usize,
+        })
     }
 
     /// True when the node is a leaf (stands for one cell).
     pub fn is_leaf(&self) -> bool {
-        self.cell.is_some()
+        self.links().cell != NONE
     }
 
     /// False once the node was pruned or dissolved.
     pub fn is_alive(&self) -> bool {
-        self.alive
+        self.tree.alive[self.id]
+    }
+}
+
+impl fmt::Debug for Node<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Node")
+            .field("id", &self.id)
+            .field("parent", &self.parent())
+            .field("children", &self.children().collect::<Vec<_>>())
+            .field("count", &self.count())
+            .field("cell", &self.cell())
+            .field("alive", &self.is_alive())
+            .finish()
+    }
+}
+
+/// The children of a node, in order: a walk along the sibling links.
+#[derive(Debug, Clone)]
+pub struct Children<'a> {
+    links: &'a [Links],
+    front: u32,
+    back: u32,
+    left: u32,
+}
+
+impl Iterator for Children<'_> {
+    type Item = NodeId;
+
+    fn next(&mut self) -> Option<NodeId> {
+        if self.left == 0 {
+            return None;
+        }
+        self.left -= 1;
+        let id = self.front;
+        self.front = self.links[id as usize].next_sibling;
+        Some(NodeId(id))
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        (self.left as usize, Some(self.left as usize))
+    }
+}
+
+impl DoubleEndedIterator for Children<'_> {
+    fn next_back(&mut self) -> Option<NodeId> {
+        if self.left == 0 {
+            return None;
+        }
+        self.left -= 1;
+        let id = self.back;
+        self.back = self.links[id as usize].prev_sibling;
+        Some(NodeId(id))
+    }
+}
+
+impl ExactSizeIterator for Children<'_> {}
+
+/// One cell of a [`SummaryTree`], as [`SummaryTree::cells`] and
+/// [`SummaryTree::cell`] lend it: a view of its rows in the cell
+/// columns.
+#[derive(Clone, Copy)]
+pub struct Cell<'a> {
+    tree: &'a SummaryTree,
+    cell: usize,
+}
+
+impl<'a> Cell<'a> {
+    /// The cell's grid coordinate, one label per attribute.
+    pub fn key(&self) -> &'a [LabelId] {
+        self.tree.cell_key(self.cell)
+    }
+
+    /// The leaf standing for the cell.
+    pub fn leaf(&self) -> NodeId {
+        NodeId(self.tree.cell_leaf[self.cell])
+    }
+
+    /// Sum of the record weights mapped into the cell (the "tuple count"
+    /// column of Table 2).
+    pub fn weight(&self) -> f64 {
+        self.tree.cell_weight[self.cell]
+    }
+
+    /// Each contributing source with its weight, in source-id order (the
+    /// cell's peer-extent).
+    pub fn sources(&self) -> impl Iterator<Item = (SourceId, f64)> + 'a {
+        self.tree.cell_sources[self.cell].iter().copied()
+    }
+
+    /// Number of contributing sources.
+    pub fn source_count(&self) -> usize {
+        self.tree.cell_sources[self.cell].len()
+    }
+
+    /// `source`'s weight in the cell, if it contributes.
+    pub fn source_weight(&self, source: SourceId) -> Option<f64> {
+        let row = &self.tree.cell_sources[self.cell];
+        let i = row.binary_search_by_key(&source, |&(s, _)| s).ok()?;
+        Some(row[i].1)
+    }
+
+    /// Per-attribute maximum membership grade observed in the cell.
+    pub fn max_grades(&self) -> &'a [Grade] {
+        let a = self.tree.arity();
+        &self.tree.cell_grades[self.cell * a..(self.cell + 1) * a]
+    }
+
+    /// Per *BK attribute* statistics of the raw numeric values mapped into
+    /// the cell (entries for categorical attributes stay empty).
+    pub fn stats(&self) -> &'a [AttributeStats] {
+        let a = self.tree.arity();
+        &self.tree.cell_stats[self.cell * a..(self.cell + 1) * a]
+    }
+}
+
+impl fmt::Debug for Cell<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Cell")
+            .field("key", &self.key())
+            .field("leaf", &self.leaf())
+            .field("weight", &self.weight())
+            .field("sources", &self.tree.cell_sources[self.cell])
+            .field("max_grades", &self.max_grades())
+            .field("stats", &self.stats())
+            .finish()
     }
 }
 
@@ -207,71 +375,6 @@ struct SlotDelta {
     slot: usize,
     attr: usize,
     weight: f64,
-}
-
-/// Per-cell bookkeeping held by the tree.
-#[derive(Debug, Clone)]
-struct CellEntry {
-    /// Aggregated weight / per-source contributions / max grades.
-    content: CellContent,
-    /// The leaf node standing for this cell.
-    leaf: NodeId,
-    /// Per *BK attribute* statistics of the raw numeric values mapped
-    /// into the cell (entries for categorical attributes stay empty).
-    stats: Vec<AttributeStats>,
-}
-
-/// One cell of a [`SummaryTree`], as [`SummaryTree::cells`] and
-/// [`SummaryTree::cell`] lend it.
-#[derive(Debug, Clone, Copy)]
-pub struct Cell<'a> {
-    key: &'a [LabelId],
-    entry: &'a CellEntry,
-}
-
-impl<'a> Cell<'a> {
-    /// The cell's grid coordinate, one label per attribute.
-    pub fn key(&self) -> &'a [LabelId] {
-        self.key
-    }
-
-    /// The leaf standing for the cell.
-    pub fn leaf(&self) -> NodeId {
-        self.entry.leaf
-    }
-
-    /// Sum of the record weights mapped into the cell (the "tuple count"
-    /// column of Table 2).
-    pub fn weight(&self) -> f64 {
-        self.entry.content.weight
-    }
-
-    /// Each contributing source with its weight, in source-id order (the
-    /// cell's peer-extent).
-    pub fn sources(&self) -> impl Iterator<Item = (SourceId, f64)> + 'a {
-        self.entry.content.per_source.iter().map(|(&s, &w)| (s, w))
-    }
-
-    /// Number of contributing sources.
-    pub fn source_count(&self) -> usize {
-        self.entry.content.per_source.len()
-    }
-
-    /// `source`'s weight in the cell, if it contributes.
-    pub fn source_weight(&self, source: SourceId) -> Option<f64> {
-        self.entry.content.per_source.get(&source).copied()
-    }
-
-    /// Per-attribute maximum membership grade observed in the cell.
-    pub fn max_grades(&self) -> &'a [Grade] {
-        &self.entry.content.max_grades
-    }
-
-    /// Per *BK attribute* statistics of the raw numeric values mapped into
-    /// the cell (entries for categorical attributes stay empty).
-    pub fn stats(&self) -> &'a [AttributeStats] {
-        &self.entry.stats
-    }
 }
 
 /// How one [`Contribution`] updates its cell's per-attribute statistics.
@@ -303,7 +406,8 @@ pub struct Contribution<'a> {
     pub stats: StatsUpdate<'a>,
 }
 
-/// A hierarchy of summaries over a fixed Background Knowledge.
+/// A hierarchy of summaries over a fixed Background Knowledge, stored as
+/// the flat arena the module docs describe.
 #[derive(Debug, Clone)]
 pub struct SummaryTree {
     /// Name of the BK this tree was built against (merge compatibility).
@@ -313,9 +417,34 @@ pub struct SummaryTree {
     /// `offsets[a]` = flat histogram index of attribute `a`'s first label;
     /// the last entry is the histogram length.
     offsets: Vec<usize>,
-    nodes: Vec<Node>,
-    root: NodeId,
-    cells: BTreeMap<CellKey, CellEntry>,
+    /// Histogram slots per node: the histogram slab's stride.
+    slots: usize,
+    // ---- node columns, indexed by node id ----
+    links: Vec<Links>,
+    count: Vec<f64>,
+    alive: Vec<bool>,
+    /// One row of `slots` weights per node.
+    hist: Vec<f64>,
+    /// One row of `arity` descriptor sets per node.
+    intent: Vec<DescriptorSet>,
+    // ---- cell columns, indexed by cell id ----
+    /// One row of `arity` labels per cell: its key.
+    cell_labels: Vec<LabelId>,
+    cell_leaf: Vec<u32>,
+    cell_weight: Vec<f64>,
+    /// One row of `arity` max grades per cell.
+    cell_grades: Vec<Grade>,
+    /// One row of `arity` statistics per cell.
+    cell_stats: Vec<AttributeStats>,
+    /// Per-source weights, one row per cell sorted by source. Rows past
+    /// the cell count are spare: [`SummaryTree::clear`] keeps them, and
+    /// a new cell takes the next one, emptied.
+    cell_sources: Vec<Vec<(SourceId, f64)>>,
+    /// The live cells' ids, sorted by key.
+    index: Vec<u32>,
+    /// The moved histogram of [`SummaryTree::reparent`] and the key
+    /// slots of a removal, reused from call to call.
+    delta: Vec<SlotDelta>,
 }
 
 impl SummaryTree {
@@ -328,15 +457,46 @@ impl SummaryTree {
         for &n in &label_counts {
             offsets.push(offsets[offsets.len() - 1] + n);
         }
-        let root_node = Node::new(arity, offsets[arity], None);
-        Self {
+        let slots = offsets[arity];
+        let mut tree = Self {
             bk_name: bk_name.into(),
             label_counts,
             offsets,
-            nodes: vec![root_node],
-            root: NodeId(0),
-            cells: BTreeMap::new(),
-        }
+            slots,
+            links: Vec::new(),
+            count: Vec::new(),
+            alive: Vec::new(),
+            hist: Vec::new(),
+            intent: Vec::new(),
+            cell_labels: Vec::new(),
+            cell_leaf: Vec::new(),
+            cell_weight: Vec::new(),
+            cell_grades: Vec::new(),
+            cell_stats: Vec::new(),
+            cell_sources: Vec::new(),
+            index: Vec::new(),
+            delta: Vec::new(),
+        };
+        tree.push_node(NONE, NONE);
+        tree
+    }
+
+    /// Empties the tree to a lone root over the same BK, keeping every
+    /// column's capacity: building the next tree in it allocates nothing
+    /// until it outgrows the largest one built so far.
+    pub fn clear(&mut self) {
+        self.links.clear();
+        self.count.clear();
+        self.alive.clear();
+        self.hist.clear();
+        self.intent.clear();
+        self.cell_labels.clear();
+        self.cell_leaf.clear();
+        self.cell_weight.clear();
+        self.cell_grades.clear();
+        self.cell_stats.clear();
+        self.index.clear();
+        self.push_node(NONE, NONE);
     }
 
     /// The BK name the tree is bound to.
@@ -368,44 +528,57 @@ impl SummaryTree {
 
     /// The root node id.
     pub fn root(&self) -> NodeId {
-        self.root
+        NodeId(0)
     }
 
     /// Immutable node access.
-    pub fn node(&self, id: NodeId) -> &Node {
-        &self.nodes[id.idx()]
+    pub fn node(&self, id: NodeId) -> Node<'_> {
+        assert!(id.idx() < self.links.len(), "no node {id:?}");
+        Node {
+            tree: self,
+            id: id.idx(),
+        }
     }
 
-    fn node_mut(&mut self, id: NodeId) -> &mut Node {
-        &mut self.nodes[id.idx()]
+    fn hist_row(&self, id: usize) -> &[f64] {
+        &self.hist[id * self.slots..(id + 1) * self.slots]
+    }
+
+    fn intent_row(&self, id: usize) -> &[DescriptorSet] {
+        let a = self.arity();
+        &self.intent[id * a..(id + 1) * a]
+    }
+
+    fn cell_key(&self, cell: usize) -> &[LabelId] {
+        let a = self.arity();
+        &self.cell_labels[cell * a..(cell + 1) * a]
     }
 
     /// Number of live nodes.
     pub fn live_node_count(&self) -> usize {
-        self.nodes.iter().filter(|n| n.alive).count()
+        self.alive.iter().filter(|&&a| a).count()
     }
 
     /// Number of live leaves (= number of distinct cells).
     pub fn leaf_count(&self) -> usize {
-        self.cells.len()
+        self.index.len()
     }
 
     /// Total tuple weight in the tree.
     pub fn total_count(&self) -> f64 {
-        self.node(self.root).count
+        self.count[0]
     }
 
     /// Depth of the tree (root = 0; empty tree = 0).
     pub fn depth(&self) -> usize {
         fn walk(t: &SummaryTree, id: NodeId) -> usize {
-            let n = t.node(id);
-            n.children
-                .iter()
-                .map(|&c| 1 + walk(t, c))
+            t.node(id)
+                .children()
+                .map(|c| 1 + walk(t, c))
                 .max()
                 .unwrap_or(0)
         }
-        walk(self, self.root)
+        walk(self, self.root())
     }
 
     /// `(B, d)`: average branching factor over internal nodes and average
@@ -416,7 +589,7 @@ impl SummaryTree {
         let mut child_sum = 0usize;
         let mut leaf_depth_sum = 0usize;
         let mut leaves = 0usize;
-        let mut stack = vec![(self.root, 0usize)];
+        let mut stack = vec![(self.root(), 0usize)];
         while let Some((id, depth)) = stack.pop() {
             let n = self.node(id);
             if n.is_leaf() {
@@ -424,10 +597,8 @@ impl SummaryTree {
                 leaf_depth_sum += depth;
             } else {
                 internal += 1;
-                child_sum += n.children.len();
-                for &c in &n.children {
-                    stack.push((c, depth + 1));
-                }
+                child_sum += n.child_count();
+                stack.extend(n.children().map(|c| (c, depth + 1)));
             }
         }
         let b = if internal == 0 {
@@ -456,21 +627,30 @@ impl SummaryTree {
     }
 
     /// The cells, in key order.
-    pub fn cells(&self) -> impl Iterator<Item = Cell<'_>> + '_ {
-        self.cells
-            .iter()
-            .map(|(key, entry)| Cell { key: &key.0, entry })
+    pub fn cells(&self) -> impl ExactSizeIterator<Item = Cell<'_>> + '_ {
+        self.index.iter().map(|&c| Cell {
+            tree: self,
+            cell: c as usize,
+        })
     }
 
     /// The cell with these labels, if present.
     pub fn cell(&self, key: &[LabelId]) -> Option<Cell<'_>> {
-        let (key, entry) = self.cells.get_key_value(key)?;
-        Some(Cell { key: &key.0, entry })
+        let cell = self.find(key).ok()?;
+        Some(Cell { tree: self, cell })
     }
 
     /// The leaf standing for `key`, if the cell is present.
     pub fn leaf_of(&self, key: &[LabelId]) -> Option<NodeId> {
-        self.cells.get(key).map(|e| e.leaf)
+        self.cell(key).map(|c| c.leaf())
+    }
+
+    /// The live cell with labels `key` (its cell id), or the index
+    /// position a cell with these labels would take.
+    fn find(&self, key: &[LabelId]) -> Result<usize, usize> {
+        self.index
+            .binary_search_by(|&c| self.cell_key(c as usize).cmp(key))
+            .map(|pos| self.index[pos] as usize)
     }
 
     /// Peer-extent of a summary node (Definition 3): the union of sources
@@ -478,8 +658,8 @@ impl SummaryTree {
     pub fn peer_extent(&self, id: NodeId) -> Vec<SourceId> {
         let mut out: Vec<SourceId> = Vec::new();
         self.for_each_leaf(id, |key, _| {
-            if let Some(e) = self.cells.get(key) {
-                out.extend(e.content.sources());
+            if let Some(c) = self.cell(key) {
+                out.extend(c.sources().map(|(s, _)| s));
             }
         });
         out.sort_unstable();
@@ -491,9 +671,8 @@ impl SummaryTree {
     /// set `P_S`).
     pub fn all_sources(&self) -> Vec<SourceId> {
         let mut out: Vec<SourceId> = self
-            .cells
-            .values()
-            .flat_map(|e| e.content.sources())
+            .cells()
+            .flat_map(|c| c.sources().map(|(s, _)| s))
             .collect();
         out.sort_unstable();
         out.dedup();
@@ -504,8 +683,8 @@ impl SummaryTree {
     pub fn stats_of(&self, id: NodeId) -> Vec<AttributeStats> {
         let mut acc = vec![AttributeStats::new(); self.arity()];
         self.for_each_leaf(id, |key, _| {
-            if let Some(e) = self.cells.get(key) {
-                for (a, s) in acc.iter_mut().zip(&e.stats) {
+            if let Some(c) = self.cell(key) {
+                for (a, s) in acc.iter_mut().zip(c.stats()) {
                     a.merge(s);
                 }
             }
@@ -519,110 +698,192 @@ impl SummaryTree {
         let mut stack = vec![id];
         while let Some(n) = stack.pop() {
             let node = self.node(n);
-            if !node.alive {
+            if !node.is_alive() {
                 continue;
             }
-            if let Some(key) = &node.cell {
-                f(&key.0, n);
-            } else {
-                stack.extend(node.children.iter().copied());
+            match node.cell() {
+                Some(key) => f(key, n),
+                None => stack.extend(node.children()),
             }
         }
     }
 
     // ---- structural primitives (used by the engine) ----
 
-    fn alloc(&mut self, parent: Option<NodeId>) -> NodeId {
-        let node = Node::new(self.arity(), self.offsets[self.arity()], parent);
-        self.push(node)
+    /// Appends a node with zeroed rows under `parent` (or as the root when
+    /// `parent` is [`NONE`]), standing for `cell` ([`NONE`] for an
+    /// internal node).
+    fn push_node(&mut self, parent: u32, cell: u32) -> usize {
+        let id = self.links.len();
+        self.links.push(Links {
+            parent: NONE,
+            first_child: NONE,
+            last_child: NONE,
+            prev_sibling: NONE,
+            next_sibling: NONE,
+            children: 0,
+            cell,
+        });
+        self.count.push(0.0);
+        self.alive.push(true);
+        self.hist.resize(self.hist.len() + self.slots, 0.0);
+        let arity = self.arity();
+        self.intent
+            .resize(self.intent.len() + arity, DescriptorSet::EMPTY);
+        if parent != NONE {
+            self.append_child(parent as usize, id);
+        }
+        id
     }
 
-    fn push(&mut self, node: Node) -> NodeId {
-        let id = NodeId(self.nodes.len() as u32);
-        self.nodes.push(node);
-        id
+    /// Links the detached node `child` as `parent`'s last child.
+    fn append_child(&mut self, parent: usize, child: usize) {
+        let last = self.links[parent].last_child;
+        let c = &mut self.links[child];
+        c.parent = parent as u32;
+        c.prev_sibling = last;
+        c.next_sibling = NONE;
+        match last {
+            NONE => self.links[parent].first_child = child as u32,
+            _ => self.links[last as usize].next_sibling = child as u32,
+        }
+        let p = &mut self.links[parent];
+        p.last_child = child as u32;
+        p.children += 1;
+    }
+
+    /// Unlinks `child` from its parent's children; its parent link stays.
+    fn unlink(&mut self, child: usize) {
+        let Links {
+            parent,
+            prev_sibling: prev,
+            next_sibling: next,
+            ..
+        } = self.links[child];
+        let parent = parent as usize;
+        match prev {
+            NONE => self.links[parent].first_child = next,
+            _ => self.links[prev as usize].next_sibling = next,
+        }
+        match next {
+            NONE => self.links[parent].last_child = prev,
+            _ => self.links[next as usize].prev_sibling = prev,
+        }
+        self.links[parent].children -= 1;
+        let c = &mut self.links[child];
+        c.prev_sibling = NONE;
+        c.next_sibling = NONE;
+    }
+
+    /// Puts `id`'s children, in order, in `id`'s place among its parent's
+    /// children, and kills `id`.
+    fn promote_children(&mut self, id: usize) {
+        let l = self.links[id];
+        let mut c = l.first_child;
+        while c != NONE {
+            self.links[c as usize].parent = l.parent;
+            c = self.links[c as usize].next_sibling;
+        }
+        if l.first_child == NONE {
+            self.unlink(id);
+        } else {
+            let parent = l.parent as usize;
+            match l.prev_sibling {
+                NONE => self.links[parent].first_child = l.first_child,
+                prev => self.links[prev as usize].next_sibling = l.first_child,
+            }
+            self.links[l.first_child as usize].prev_sibling = l.prev_sibling;
+            match l.next_sibling {
+                NONE => self.links[parent].last_child = l.last_child,
+                next => self.links[next as usize].prev_sibling = l.last_child,
+            }
+            self.links[l.last_child as usize].next_sibling = l.next_sibling;
+            self.links[parent].children += l.children - 1;
+        }
+        let dead = &mut self.links[id];
+        dead.first_child = NONE;
+        dead.last_child = NONE;
+        dead.prev_sibling = NONE;
+        dead.next_sibling = NONE;
+        dead.children = 0;
+        self.alive[id] = false;
     }
 
     /// Creates an empty leaf for `key` under `parent` and registers the
     /// cell. The caller then adds weight via [`SummaryTree::add_to_cell`].
     pub fn create_leaf(&mut self, parent: NodeId, key: CellKey) -> NodeId {
-        self.attach_leaf(parent, key, &[])
+        self.attach_leaf(parent, &key, &[])
     }
 
-    /// Creates the leaf for `key` under `parent`, registers the cell and
-    /// folds `run` into it as [`SummaryTree::fold_into_cell`] would.
+    /// Creates the leaf for cell `labels` under `parent`, registers the
+    /// cell and folds `run` into it as [`SummaryTree::fold_into_cell`]
+    /// would.
     pub(crate) fn attach_leaf(
         &mut self,
         parent: NodeId,
-        key: CellKey,
+        labels: &[LabelId],
         run: &[Contribution<'_>],
     ) -> NodeId {
         debug_assert!(!self.node(parent).is_leaf(), "cannot parent under a leaf");
-        debug_assert!(!self.cells.contains_key(&key), "cell already present");
-        let id = self.push(Node {
-            parent: Some(parent),
-            children: Vec::new(),
-            intent: Intent::of_cell(&key),
-            count: 0.0,
-            hist: vec![0.0; self.offsets[self.arity()]],
-            cell: None,
-            alive: true,
-        });
-        self.node_mut(parent).children.push(id);
-        let stats = vec![AttributeStats::new(); self.arity()];
-        let entry = self.cells.entry(key.clone()).or_insert(CellEntry {
-            content: CellContent::default(),
-            leaf: id,
-            stats,
-        });
-        if !run.is_empty() {
-            Self::fold(&mut self.nodes, &self.offsets, entry, &key.0, run);
+        let arity = self.arity();
+        assert_eq!(labels.len(), arity, "cell key arity");
+        let pos = self.find(labels).expect_err("cell already present");
+        let cell = self.cell_leaf.len();
+        let leaf = self.push_node(parent.0, cell as u32);
+        for (set, &l) in self.intent[leaf * arity..].iter_mut().zip(labels) {
+            *set = DescriptorSet::singleton(l);
         }
-        self.node_mut(id).cell = Some(key);
-        id
+        self.cell_labels.extend_from_slice(labels);
+        self.cell_leaf.push(leaf as u32);
+        self.cell_weight.push(0.0);
+        self.cell_grades.resize(self.cell_grades.len() + arity, 0.0);
+        self.cell_stats
+            .resize(self.cell_stats.len() + arity, AttributeStats::new());
+        match self.cell_sources.get_mut(cell) {
+            Some(row) => row.clear(),
+            None => self.cell_sources.push(Vec::new()),
+        }
+        self.index.insert(pos, cell as u32);
+        if !run.is_empty() {
+            self.fold(cell, run);
+        }
+        NodeId(leaf as u32)
     }
 
     /// Creates an empty internal node under `parent`.
     pub fn create_internal(&mut self, parent: NodeId) -> NodeId {
         debug_assert!(!self.node(parent).is_leaf());
-        let id = self.alloc(Some(parent));
-        self.node_mut(parent).children.push(id);
-        id
+        NodeId(self.push_node(parent.0, NONE) as u32)
     }
 
     /// Moves `child` under `new_parent`, transferring its aggregates along
     /// both paths (up to their common ancestor the net change is zero, so
     /// we simply subtract along the old path and add along the new one).
     pub fn reparent(&mut self, child: NodeId, new_parent: NodeId) {
-        let old_parent = self.node(child).parent.expect("cannot reparent the root");
+        let old_parent = self.node(child).parent().expect("cannot reparent the root");
         if old_parent == new_parent {
             return;
         }
         // Detach.
-        let pos = self
-            .node(old_parent)
-            .children
-            .iter()
-            .position(|&c| c == child)
-            .expect("child listed under parent");
-        self.node_mut(old_parent).children.remove(pos);
+        self.unlink(child.idx());
         // Subtract aggregates along the old ancestor chain, add them along
         // the new one.
-        let count = self.node(child).count;
-        let delta = self.nonzero_slots(&self.node(child).hist);
+        let count = self.count[child.idx()];
+        let mut delta = std::mem::take(&mut self.delta);
+        self.nonzero_slots(child.idx(), &mut delta);
         let mut cur = Some(old_parent);
         while let Some(id) = cur {
             self.apply_delta(id, -count, &delta, -1.0);
-            cur = self.node(id).parent;
+            cur = self.node(id).parent();
         }
         // Attach.
-        self.node_mut(child).parent = Some(new_parent);
-        self.node_mut(new_parent).children.push(child);
+        self.append_child(new_parent.idx(), child.idx());
         let mut cur = Some(new_parent);
         while let Some(id) = cur {
             self.apply_delta(id, count, &delta, 1.0);
-            cur = self.node(id).parent;
+            cur = self.node(id).parent();
         }
+        self.delta = delta;
     }
 
     /// Applies a signed count delta and the histogram delta `delta` to one
@@ -634,23 +895,26 @@ impl SummaryTree {
     /// already equals its support (the intent-support invariant; see the
     /// module docs), so it is not visited.
     fn apply_delta(&mut self, id: NodeId, dcount: f64, delta: &[SlotDelta], sign: f64) {
-        let node = &mut self.nodes[id.idx()];
-        node.count = (node.count + dcount).max(0.0);
+        let (n, slots, arity) = (id.idx(), self.slots, self.arity());
+        self.count[n] = (self.count[n] + dcount).max(0.0);
         for d in delta {
-            let slot = &mut node.hist[d.slot];
+            let slot = &mut self.hist[n * slots + d.slot];
             *slot = (*slot + sign * d.weight).max(0.0);
             let label = LabelId((d.slot - self.offsets[d.attr]) as u16);
+            let set = &mut self.intent[n * arity + d.attr];
             if *slot > INTENT_THRESHOLD {
-                node.intent.sets[d.attr].insert(label);
+                set.insert(label);
             } else {
-                node.intent.sets[d.attr].remove(label);
+                set.remove(label);
             }
         }
     }
 
-    /// The non-zero slots of a flat histogram, in slot order.
-    fn nonzero_slots(&self, hist: &[f64]) -> Vec<SlotDelta> {
-        let mut delta = Vec::new();
+    /// Fills `delta` with the non-zero slots of node `id`'s histogram, in
+    /// slot order.
+    fn nonzero_slots(&self, id: usize, delta: &mut Vec<SlotDelta>) {
+        delta.clear();
+        let hist = self.hist_row(id);
         for (attr, span) in self.offsets.windows(2).enumerate() {
             for (slot, &weight) in hist.iter().enumerate().take(span[1]).skip(span[0]) {
                 if weight != 0.0 {
@@ -658,18 +922,16 @@ impl SummaryTree {
                 }
             }
         }
-        delta
     }
 
-    /// The key's slots, each holding `weight`.
-    fn key_slots(&self, key: &[LabelId], weight: f64) -> Vec<SlotDelta> {
-        (key.iter().enumerate())
-            .map(|(attr, &l)| SlotDelta {
-                slot: self.slot(attr, l),
-                attr,
-                weight,
-            })
-            .collect()
+    /// Fills `delta` with the key's slots, each holding `weight`.
+    fn key_slots(&self, key: &[LabelId], weight: f64, delta: &mut Vec<SlotDelta>) {
+        delta.clear();
+        delta.extend(key.iter().enumerate().map(|(attr, &l)| SlotDelta {
+            slot: self.slot(attr, l),
+            attr,
+            weight,
+        }));
     }
 
     /// Adds `weight` of cell `key` from `source`, updating the leaf's
@@ -725,69 +987,86 @@ impl SummaryTree {
         labels: &[LabelId],
         contributions: &[Contribution<'_>],
     ) -> bool {
-        let Some(entry) = self.cells.get_mut(labels) else {
+        let Ok(cell) = self.find(labels) else {
             return false;
         };
-        Self::fold(&mut self.nodes, &self.offsets, entry, labels, contributions);
+        self.fold(cell, contributions);
         true
     }
 
-    /// The body of [`SummaryTree::fold_into_cell`], on the cell's entry
-    /// and labels.
-    fn fold(
-        nodes: &mut [Node],
-        offsets: &[usize],
-        entry: &mut CellEntry,
-        labels: &[LabelId],
-        contributions: &[Contribution<'_>],
-    ) {
+    /// The body of [`SummaryTree::fold_into_cell`], on the cell's id.
+    fn fold(&mut self, cell: usize, contributions: &[Contribution<'_>]) {
+        let (arity, slots) = (self.arity(), self.slots);
         for c in contributions {
             if c.weight > 0.0 {
-                entry.content.add(c.source, c.weight, c.grades);
+                self.add_content(cell, c.source, c.weight, c.grades);
             }
+            let stats = &mut self.cell_stats[cell * arity..(cell + 1) * arity];
             match c.stats {
                 StatsUpdate::None => {}
                 StatsUpdate::Raw(raw) => {
-                    for (s, v) in entry.stats.iter_mut().zip(raw) {
+                    for (s, v) in stats.iter_mut().zip(raw) {
                         if let Some(x) = v {
                             s.push_weighted(*x, c.weight);
                         }
                     }
                 }
-                StatsUpdate::Merge(attrs, stats) => {
-                    for (&attr, other) in attrs.iter().zip(stats) {
-                        entry.stats[usize::from(attr)].merge(other);
+                StatsUpdate::Merge(attrs, merged) => {
+                    for (&attr, other) in attrs.iter().zip(merged) {
+                        stats[usize::from(attr)].merge(other);
                     }
                 }
             }
         }
         let weights = || contributions.iter().map(|c| c.weight).filter(|&w| w > 0.0);
-        let mut cur = Some(entry.leaf);
-        while let Some(id) = cur {
-            let node = &mut nodes[id.idx()];
+        let mut cur = self.cell_leaf[cell];
+        while cur != NONE {
+            let n = cur as usize;
             for w in weights() {
-                node.count = (node.count + w).max(0.0);
+                self.count[n] = (self.count[n] + w).max(0.0);
             }
-            for (attr, &label) in labels.iter().enumerate() {
-                let slot = &mut node.hist[offsets[attr] + label.index()];
+            for attr in 0..arity {
+                let label = self.cell_labels[cell * arity + attr];
+                let slot = &mut self.hist[n * slots + self.offsets[attr] + label.index()];
                 for w in weights() {
                     *slot = (*slot + w).max(0.0);
                 }
+                let set = &mut self.intent[n * arity + attr];
                 if *slot > INTENT_THRESHOLD {
-                    node.intent.sets[attr].insert(label);
+                    set.insert(label);
                 } else {
-                    node.intent.sets[attr].remove(label);
+                    set.remove(label);
                 }
             }
-            cur = node.parent;
+            cur = self.links[n].parent;
+        }
+    }
+
+    /// Adds `source`'s `weight` to the cell's weight and per-source
+    /// weights, and raises its max grades to `grades`.
+    fn add_content(&mut self, cell: usize, source: SourceId, weight: f64, grades: &[Grade]) {
+        self.cell_weight[cell] += weight;
+        let row = &mut self.cell_sources[cell];
+        match row.binary_search_by_key(&source, |&(s, _)| s) {
+            Ok(i) => row[i].1 += weight,
+            Err(i) => row.insert(i, (source, weight)),
+        }
+        let arity = self.arity();
+        let max = &mut self.cell_grades[cell * arity..(cell + 1) * arity];
+        for (slot, &g) in max.iter_mut().zip(grades) {
+            if g > *slot {
+                *slot = g;
+            }
         }
     }
 
     /// Merges externally-computed statistics into a cell (used when
     /// merging two hierarchies, where raw values are no longer available).
     pub fn merge_cell_stats(&mut self, key: &[LabelId], stats: &[AttributeStats]) {
-        if let Some(entry) = self.cells.get_mut(key) {
-            for (own, other) in entry.stats.iter_mut().zip(stats) {
+        if let Ok(cell) = self.find(key) {
+            let arity = self.arity();
+            let own = &mut self.cell_stats[cell * arity..(cell + 1) * arity];
+            for (own, other) in own.iter_mut().zip(stats) {
                 own.merge(other);
             }
         }
@@ -799,48 +1078,64 @@ impl SummaryTree {
     /// Used by push-mode deletes/updates: the before-image maps to cells
     /// whose weights are retracted.
     pub fn remove_from_cell(&mut self, key: &[LabelId], source: SourceId, weight: f64) -> f64 {
-        let Some(entry) = self.cells.get_mut(key) else {
+        let Ok(cell) = self.find(key) else {
             return 0.0;
         };
-        let leaf = entry.leaf;
-        let removed = entry.content.remove(source, weight);
-        if removed == 0.0 {
+        let row = &mut self.cell_sources[cell];
+        let Ok(i) = row.binary_search_by_key(&source, |&(s, _)| s) else {
             return 0.0;
+        };
+        let w = &mut row[i].1;
+        let removed = weight.min(*w);
+        *w -= removed;
+        if *w <= 1e-12 {
+            row.remove(i);
         }
-        let drained = entry.content.is_empty();
-        let delta = self.key_slots(key, removed);
-        let mut cur = Some(leaf);
-        while let Some(id) = cur {
-            self.apply_delta(id, -removed, &delta, -1.0);
-            cur = self.node(id).parent;
-        }
-        if drained {
-            self.cells.remove(key);
-            self.kill_and_prune(leaf);
-        }
-        removed
+        self.retract(cell, removed)
     }
 
     /// Removes every contribution of `source` from cell `key`; prunes the
     /// leaf if it drains. Returns the removed weight.
     pub fn remove_source_from_cell(&mut self, key: &[LabelId], source: SourceId) -> f64 {
-        let Some(entry) = self.cells.get_mut(key) else {
-            return 0.0;
+        match self.find(key) {
+            Ok(cell) => self.remove_source_from(cell, source),
+            Err(_) => 0.0,
+        }
+    }
+
+    /// [`SummaryTree::remove_source_from_cell`] on a cell id.
+    fn remove_source_from(&mut self, cell: usize, source: SourceId) -> f64 {
+        let row = &mut self.cell_sources[cell];
+        let removed = match row.binary_search_by_key(&source, |&(s, _)| s) {
+            Ok(i) => row.remove(i).1,
+            Err(_) => 0.0,
         };
-        let leaf = entry.leaf;
-        let removed = entry.content.remove_source(source);
+        self.retract(cell, removed)
+    }
+
+    /// Takes `removed` (already taken out of the cell's per-source
+    /// weights) off the cell's weight and the leaf-to-root path; drops
+    /// the cell and prunes its leaf if it drained. Returns `removed`.
+    fn retract(&mut self, cell: usize, removed: f64) -> f64 {
+        self.cell_weight[cell] = (self.cell_weight[cell] - removed).max(0.0);
         if removed == 0.0 {
             return 0.0;
         }
-        let drained = entry.content.is_empty();
-        let delta = self.key_slots(key, removed);
+        let drained = self.cell_weight[cell] <= 1e-12;
+        let leaf = NodeId(self.cell_leaf[cell]);
+        let mut delta = std::mem::take(&mut self.delta);
+        self.key_slots(self.cell_key(cell), removed, &mut delta);
         let mut cur = Some(leaf);
         while let Some(id) = cur {
             self.apply_delta(id, -removed, &delta, -1.0);
-            cur = self.node(id).parent;
+            cur = self.node(id).parent();
         }
+        self.delta = delta;
         if drained {
-            self.cells.remove(key);
+            let pos = (self.index.iter())
+                .position(|&c| c as usize == cell)
+                .expect("live cell indexed");
+            self.index.remove(pos);
             self.kill_and_prune(leaf);
         }
         removed
@@ -851,14 +1146,14 @@ impl SummaryTree {
     /// rebuilding is not desired (§4.3's first alternative keeps the
     /// descriptions; this primitive implements the second).
     pub fn remove_source(&mut self, source: SourceId) -> f64 {
-        let keys: Vec<CellKey> = self
-            .cells
-            .iter()
-            .filter(|(_, e)| e.content.per_source.contains_key(&source))
-            .map(|(k, _)| k.clone())
+        let cells: Vec<usize> = self
+            .cells()
+            .filter(|c| c.source_weight(source).is_some())
+            .map(|c| c.cell)
             .collect();
-        keys.iter()
-            .map(|k| self.remove_source_from_cell(k, source))
+        cells
+            .into_iter()
+            .map(|c| self.remove_source_from(c, source))
             .sum()
     }
 
@@ -866,52 +1161,22 @@ impl SummaryTree {
     /// nodes die; internal nodes left with a single child are collapsed
     /// (the child is spliced up), keeping the tree compact.
     fn kill_and_prune(&mut self, id: NodeId) {
-        let parent = self.node(id).parent;
-        self.node_mut(id).alive = false;
-        if let Some(p) = parent {
-            let pos = self.node(p).children.iter().position(|&c| c == id);
-            if let Some(pos) = pos {
-                self.node_mut(p).children.remove(pos);
-            }
+        self.alive[id.idx()] = false;
+        if let Some(p) = self.node(id).parent() {
+            self.unlink(id.idx());
             self.prune_upwards(p);
         }
     }
 
     fn prune_upwards(&mut self, id: NodeId) {
-        if id == self.root {
-            return;
-        }
         let node = self.node(id);
-        if node.is_leaf() || !node.alive {
+        if id == self.root() || node.is_leaf() || !node.is_alive() {
             return;
         }
-        match node.children.len() {
-            0 => {
-                let parent = node.parent;
-                self.node_mut(id).alive = false;
-                if let Some(p) = parent {
-                    let pos = self.node(p).children.iter().position(|&c| c == id);
-                    if let Some(pos) = pos {
-                        self.node_mut(p).children.remove(pos);
-                    }
-                    self.prune_upwards(p);
-                }
-            }
-            1 => {
-                // Splice the only child into the grandparent.
-                let child = self.node(id).children[0];
-                let parent = self.node(id).parent.expect("non-root");
-                let pos = self
-                    .node(parent)
-                    .children
-                    .iter()
-                    .position(|&c| c == id)
-                    .expect("listed");
-                self.node_mut(parent).children[pos] = child;
-                self.node_mut(child).parent = Some(parent);
-                self.node_mut(id).alive = false;
-                self.node_mut(id).children.clear();
-            }
+        match node.child_count() {
+            0 => self.kill_and_prune(id),
+            // Splice the only child into the grandparent.
+            1 => self.promote_children(id.idx()),
             _ => {}
         }
     }
@@ -919,27 +1184,9 @@ impl SummaryTree {
     /// Splits `id` (an internal, non-root node): its children are promoted
     /// into its parent and `id` dies. This is the Cobweb *split* operator.
     pub fn split_node(&mut self, id: NodeId) {
-        assert!(id != self.root, "cannot split the root");
-        let node = self.node(id);
-        assert!(!node.is_leaf(), "cannot split a leaf");
-        let parent = node.parent.expect("non-root");
-        let children = node.children.clone();
-        let pos = self
-            .node(parent)
-            .children
-            .iter()
-            .position(|&c| c == id)
-            .expect("listed");
-        self.node_mut(parent).children.remove(pos);
-        for c in &children {
-            self.node_mut(*c).parent = Some(parent);
-        }
-        let insert_at = pos.min(self.node(parent).children.len());
-        for (i, c) in children.into_iter().enumerate() {
-            self.node_mut(parent).children.insert(insert_at + i, c);
-        }
-        self.node_mut(id).alive = false;
-        self.node_mut(id).children.clear();
+        assert!(id != self.root(), "cannot split the root");
+        assert!(!self.node(id).is_leaf(), "cannot split a leaf");
+        self.promote_children(id.idx());
         // Aggregates of parent are unchanged: same leaves below.
     }
 
@@ -958,52 +1205,114 @@ impl SummaryTree {
     /// description on violation. Used heavily by tests and property
     /// tests.
     pub fn check_invariants(&self) {
-        // Cell registry ↔ leaves.
-        for (key, entry) in &self.cells {
-            let leaf = self.node(entry.leaf);
-            assert!(leaf.alive, "cell {key:?} points at dead leaf");
-            assert_eq!(leaf.cell.as_ref(), Some(key), "leaf/cell key mismatch");
+        let (arity, nodes, cells) = (self.arity(), self.links.len(), self.cell_leaf.len());
+        // Column lengths and slab strides.
+        assert_eq!(self.slots, self.offsets[arity], "histogram stride");
+        assert_eq!(
+            (self.count.len(), self.alive.len()),
+            (nodes, nodes),
+            "node column lengths"
+        );
+        assert_eq!(self.hist.len(), nodes * self.slots, "histogram slab stride");
+        assert_eq!(self.intent.len(), nodes * arity, "intent slab stride");
+        assert_eq!(self.cell_labels.len(), cells * arity, "label slab stride");
+        assert_eq!(self.cell_grades.len(), cells * arity, "grade slab stride");
+        assert_eq!(
+            self.cell_stats.len(),
+            cells * arity,
+            "statistics slab stride"
+        );
+        assert_eq!(self.cell_weight.len(), cells, "cell column lengths");
+        assert!(self.cell_sources.len() >= cells, "per-source rows");
+        // Index: strictly sorted by key, and every indexed cell stands on
+        // a live leaf that stands for it.
+        for pair in self.index.windows(2) {
+            assert_eq!(
+                self.cell_key(pair[0] as usize)
+                    .cmp(self.cell_key(pair[1] as usize)),
+                Ordering::Less,
+                "cell index not sorted"
+            );
+        }
+        for cell in self.cells() {
+            let key = cell.key();
+            let leaf = self.node(cell.leaf());
+            assert!(leaf.is_alive(), "cell {key:?} points at dead leaf");
+            assert_eq!(
+                self.links[cell.leaf().idx()].cell as usize,
+                cell.cell,
+                "leaf/cell id mismatch at {key:?}"
+            );
             assert!(
-                (leaf.count - entry.content.weight).abs() < 1e-6,
+                (leaf.count() - cell.weight()).abs() < 1e-6,
                 "leaf count {} != cell weight {}",
-                leaf.count,
-                entry.content.weight
+                leaf.count(),
+                cell.weight()
+            );
+            let sources = &self.cell_sources[cell.cell];
+            assert!(
+                sources.windows(2).all(|p| p[0].0 < p[1].0),
+                "per-source weights of {key:?} not sorted by source"
             );
         }
         // Tree structure + aggregates.
+        assert_eq!(self.links[0].parent, NONE, "root has a parent");
         let mut seen_leaves = 0usize;
-        let mut stack = vec![self.root];
+        let mut stack = vec![self.root()];
         while let Some(id) = stack.pop() {
             let node = self.node(id);
-            assert!(node.alive, "dead node {id:?} reachable");
+            assert!(node.is_alive(), "dead node {id:?} reachable");
+            // Sibling links: both directions agree with the child count.
+            let l = &self.links[id.idx()];
+            let walk = |mut c: u32, step: fn(&Links) -> u32| {
+                let mut out = Vec::new();
+                while c != NONE {
+                    out.push(NodeId(c));
+                    assert!(out.len() <= nodes, "sibling cycle at {id:?}");
+                    c = step(&self.links[c as usize]);
+                }
+                out
+            };
+            let forward = walk(l.first_child, |l| l.next_sibling);
+            let mut backward = walk(l.last_child, |l| l.prev_sibling);
+            backward.reverse();
+            assert_eq!(forward, backward, "sibling links broken at {id:?}");
+            assert_eq!(forward.len(), l.children as usize, "child count at {id:?}");
             // Intent bits are exactly the histogram support: the sparse
             // path update of `fold_into_cell` never revisits other slots.
             for (attr, span) in self.offsets.windows(2).enumerate() {
-                for (l, &w) in node.hist[span[0]..span[1]].iter().enumerate() {
+                for (l, &w) in node.hist()[span[0]..span[1]].iter().enumerate() {
                     assert_eq!(
-                        node.intent.sets[attr].contains(LabelId(l as u16)),
+                        node.intent()[attr].contains(LabelId(l as u16)),
                         w > INTENT_THRESHOLD,
                         "intent bit ({attr}, {l}) != histogram support at {id:?}"
                     );
                 }
             }
-            if let Some(key) = &node.cell {
-                assert!(node.children.is_empty(), "leaf with children");
-                assert!(self.cells.contains_key(key), "leaf for unregistered cell");
+            if let Some(key) = node.cell() {
+                assert_eq!(node.child_count(), 0, "leaf with children");
+                assert_eq!(
+                    self.find(key).ok(),
+                    Some(l.cell as usize),
+                    "leaf {id:?} for an unindexed cell"
+                );
+                assert_eq!(
+                    self.cell_leaf[l.cell as usize], id.0,
+                    "cell/leaf id mismatch"
+                );
                 // A leaf's weight sits in its key's slots and nowhere else;
                 // a wrong flat offset would move it.
                 let key_slots: Vec<usize> = key
-                    .0
                     .iter()
                     .enumerate()
                     .map(|(a, &l)| self.slot(a, l))
                     .collect();
-                for (s, &w) in node.hist.iter().enumerate() {
+                for (s, &w) in node.hist().iter().enumerate() {
                     if key_slots.contains(&s) {
                         assert!(
-                            (w - node.count).abs() < 1e-6,
+                            (w - node.count()).abs() < 1e-6,
                             "leaf slot {s} holds {w}, not the leaf count {} at {id:?}",
-                            node.count
+                            node.count()
                         );
                     } else {
                         assert_eq!(w, 0.0, "leaf support outside its key: slot {s} at {id:?}");
@@ -1012,42 +1321,46 @@ impl SummaryTree {
                 seen_leaves += 1;
             } else {
                 let mut count = 0.0;
-                let mut intent = Intent::empty(self.arity());
-                for &c in &node.children {
+                let mut intent = Intent::empty(arity);
+                for c in node.children() {
                     let child = self.node(c);
-                    assert_eq!(child.parent, Some(id), "parent link broken");
-                    count += child.count;
-                    intent.union_with(&child.intent);
+                    assert_eq!(child.parent(), Some(id), "parent link broken");
+                    count += child.count();
+                    intent.union_with(&Intent::from(child.intent()));
                     stack.push(c);
                 }
                 assert!(
-                    (node.count - count).abs() < 1e-6,
+                    (node.count() - count).abs() < 1e-6,
                     "count mismatch at {id:?}: {} vs children {}",
-                    node.count,
+                    node.count(),
                     count
                 );
-                if id != self.root || !node.children.is_empty() {
-                    assert_eq!(node.intent, intent, "intent != union of children at {id:?}");
+                if id != self.root() || node.child_count() != 0 {
+                    assert_eq!(
+                        node.intent(),
+                        &intent.sets[..],
+                        "intent != union of children at {id:?}"
+                    );
                 }
                 // Histogram totals must match the count on every attribute.
                 for span in self.offsets.windows(2) {
-                    let total: f64 = node.hist[span[0]..span[1]].iter().sum();
+                    let total: f64 = node.hist()[span[0]..span[1]].iter().sum();
                     assert!(
-                        (total - node.count).abs() < 1e-6,
+                        (total - node.count()).abs() < 1e-6,
                         "hist mass {total} != count {} at {id:?}",
-                        node.count
+                        node.count()
                     );
                 }
                 // No internal node (except a root that still has < 2
                 // leaves overall) may have exactly one child.
-                if id != self.root {
-                    assert!(node.children.len() != 1, "unary internal node {id:?}");
+                if id != self.root() {
+                    assert!(node.child_count() != 1, "unary internal node {id:?}");
                 }
             }
         }
         assert_eq!(
             seen_leaves,
-            self.cells.len(),
+            self.index.len(),
             "unreachable or duplicate leaves"
         );
     }
@@ -1084,7 +1397,7 @@ mod tests {
         t.add_to_cell(&k, SourceId(1), 0.7, &[0.7, 1.0], Some(&[Some(20.0), None]));
         t.check_invariants();
         assert!((t.total_count() - 0.7).abs() < 1e-12);
-        assert!(t.node(root).intent.covers_cell(&k));
+        assert!(t.node(root).covers_cell(&k));
         let stats = t.stats_of(root);
         assert_eq!(stats[0].count(), 0.7);
         assert_eq!(stats[0].mean(), Some(20.0));
@@ -1130,7 +1443,7 @@ mod tests {
         assert_eq!(t.leaf_count(), 1, "cell a fully drained");
         assert!((t.total_count() - 0.5).abs() < 1e-12);
         // Intent no longer covers the drained cell's labels.
-        assert!(!t.node(t.root()).intent.covers_cell(&ka));
+        assert!(!t.node(t.root()).covers_cell(&ka));
     }
 
     #[test]
@@ -1147,10 +1460,10 @@ mod tests {
 
         t.reparent(leaf_b, host);
         t.check_invariants();
-        assert!((t.node(host).count - 2.0).abs() < 1e-12);
-        assert!(t.node(host).intent.covers_cell(&kb));
+        assert!((t.node(host).count() - 2.0).abs() < 1e-12);
+        assert!(t.node(host).covers_cell(&kb));
         assert_eq!(
-            t.node(root).children.len(),
+            t.node(root).child_count(),
             1,
             "root now holds just the host"
         );
@@ -1160,20 +1473,23 @@ mod tests {
     fn split_promotes_children() {
         let mut t = tree();
         let root = t.root();
+        let first = t.create_leaf(root, key(&[2, 0]));
         let host = t.create_internal(root);
+        let last = t.create_leaf(root, key(&[2, 3]));
         let ka = key(&[0, 0]);
         let kb = key(&[1, 1]);
-        let kc = key(&[2, 2]);
-        t.create_leaf(host, ka.clone());
-        t.create_leaf(host, kb.clone());
-        t.create_leaf(root, kc.clone());
-        for k in [&ka, &kb, &kc] {
+        let la = t.create_leaf(host, ka.clone());
+        let lb = t.create_leaf(host, kb.clone());
+        for k in [&ka, &kb, &key(&[2, 0]), &key(&[2, 3])] {
             t.add_to_cell(k, SourceId(1), 1.0, &[1.0, 1.0], None);
         }
         t.split_node(host);
         t.check_invariants();
-        assert_eq!(t.node(root).children.len(), 3);
-        assert!((t.total_count() - 3.0).abs() < 1e-12);
+        // The promoted children take the host's place, in order.
+        let children: Vec<NodeId> = t.node(root).children().collect();
+        assert_eq!(children, [first, la, lb, last]);
+        assert!(!t.node(host).is_alive());
+        assert!((t.total_count() - 4.0).abs() < 1e-12);
     }
 
     #[test]
@@ -1191,11 +1507,11 @@ mod tests {
         }
         let host = t.merge_children(root, la, lb);
         t.check_invariants();
-        assert_eq!(t.node(root).children.len(), 2);
-        assert!((t.node(host).count - 2.0).abs() < 1e-12);
-        assert!(t.node(host).intent.covers_cell(&ka));
-        assert!(t.node(host).intent.covers_cell(&kb));
-        assert!(!t.node(host).intent.covers_cell(&kc));
+        assert_eq!(t.node(root).child_count(), 2);
+        assert!((t.node(host).count() - 2.0).abs() < 1e-12);
+        assert!(t.node(host).covers_cell(&ka));
+        assert!(t.node(host).covers_cell(&kb));
+        assert!(!t.node(host).covers_cell(&kc));
     }
 
     #[test]
@@ -1212,7 +1528,7 @@ mod tests {
         // Drain cell a; host becomes unary and must collapse.
         t.remove_source(SourceId(1));
         t.check_invariants();
-        let root_children = &t.node(root).children;
+        let root_children: Vec<NodeId> = t.node(root).children().collect();
         assert_eq!(root_children.len(), 1);
         assert!(t.node(root_children[0]).is_leaf(), "host collapsed away");
     }
@@ -1245,30 +1561,30 @@ mod tests {
     /// The dense path update `add_to_cell` used to make: a full-histogram
     /// delta swept over every slot of every node on the path.
     fn add_dense(t: &mut SummaryTree, key: &CellKey, source: SourceId, weight: f64) {
-        let entry = t.cells.get_mut(key).expect("cell registered");
-        entry.content.add(source, weight, &[1.0, 1.0]);
-        let leaf = entry.leaf;
-        let mut hist = vec![0.0; t.offsets[t.arity()]];
-        for (attr, &l) in key.0.iter().enumerate() {
+        let cell = t.find(key).expect("cell registered");
+        t.add_content(cell, source, weight, &[1.0, 1.0]);
+        let mut hist = vec![0.0; t.slots];
+        for (attr, &l) in key.iter().enumerate() {
             hist[t.slot(attr, l)] = weight;
         }
-        let offsets = t.offsets.clone();
-        let mut cur = Some(leaf);
-        while let Some(id) = cur {
-            let node = &mut t.nodes[id.idx()];
-            node.count = (node.count + weight).max(0.0);
+        let (offsets, slots, arity) = (t.offsets.clone(), t.slots, t.arity());
+        let mut cur = t.cell_leaf[cell];
+        while cur != NONE {
+            let n = cur as usize;
+            t.count[n] = (t.count[n] + weight).max(0.0);
             for (attr, span) in offsets.windows(2).enumerate() {
                 for (l, s) in (span[0]..span[1]).enumerate() {
-                    node.hist[s] = (node.hist[s] + hist[s]).max(0.0);
+                    let slot = &mut t.hist[n * slots + s];
+                    *slot = (*slot + hist[s]).max(0.0);
                     let label = LabelId(l as u16);
-                    if node.hist[s] > INTENT_THRESHOLD {
-                        node.intent.sets[attr].insert(label);
+                    if *slot > INTENT_THRESHOLD {
+                        t.intent[n * arity + attr].insert(label);
                     } else {
-                        node.intent.sets[attr].remove(label);
+                        t.intent[n * arity + attr].remove(label);
                     }
                 }
             }
-            cur = node.parent;
+            cur = t.links[n].parent;
         }
     }
 
@@ -1305,7 +1621,7 @@ mod tests {
                 }
                 if t.leaf_of(k).is_none() {
                     let host = hosts[i % 3];
-                    let parent = if t.node(host).alive { host } else { root };
+                    let parent = if t.node(host).is_alive() { host } else { root };
                     t.create_leaf(parent, k.clone());
                 }
                 if is_dense {
@@ -1314,16 +1630,69 @@ mod tests {
                     t.add_to_cell(k, src, *w, &[1.0, 1.0], None);
                 }
             }
-            assert_eq!(sparse.nodes.len(), dense.nodes.len(), "step {i}");
-            for (n, (s, d)) in sparse.nodes.iter().zip(&dense.nodes).enumerate() {
-                assert_eq!(s.alive, d.alive, "step {i}, node {n}");
-                assert_eq!(s.count.to_bits(), d.count.to_bits(), "step {i}, node {n}");
-                for (hs, hd) in s.hist.iter().zip(&d.hist) {
+            assert_eq!(sparse.links.len(), dense.links.len(), "step {i}");
+            for n in 0..sparse.links.len() {
+                let (s, d) = (sparse.node(NodeId(n as u32)), dense.node(NodeId(n as u32)));
+                assert_eq!(s.is_alive(), d.is_alive(), "step {i}, node {n}");
+                assert_eq!(
+                    s.count().to_bits(),
+                    d.count().to_bits(),
+                    "step {i}, node {n}"
+                );
+                for (hs, hd) in s.hist().iter().zip(d.hist()) {
                     assert_eq!(hs.to_bits(), hd.to_bits(), "step {i}, node {n}");
                 }
-                assert_eq!(s.intent, d.intent, "step {i}, node {n}");
+                assert_eq!(s.intent(), d.intent(), "step {i}, node {n}");
             }
         }
+    }
+
+    /// A tree with three leaves under the root, one of them hosted.
+    fn three_cells() -> SummaryTree {
+        let mut t = tree();
+        let root = t.root();
+        let host = t.create_internal(root);
+        for (parent, labels) in [(host, [0u16, 0]), (host, [1, 1]), (root, [2, 2])] {
+            let k = key(&labels);
+            t.create_leaf(parent, k.clone());
+            t.add_to_cell(&k, SourceId(1), 1.0, &[1.0, 1.0], None);
+        }
+        t.check_invariants();
+        t
+    }
+
+    #[test]
+    fn a_cleared_tree_is_a_new_one_with_its_capacity() {
+        let mut t = three_cells();
+        let capacity = (t.hist.capacity(), t.links.capacity(), t.cell_sources.len());
+        t.clear();
+        t.check_invariants();
+        assert_eq!(t.live_node_count(), 1);
+        assert_eq!(t.leaf_count(), 0);
+        assert_eq!(t.total_count(), 0.0);
+        let new = tree();
+        assert_eq!(t.node(t.root()).hist(), new.node(new.root()).hist());
+        assert_eq!(t.node(t.root()).intent(), new.node(new.root()).intent());
+        assert_eq!(t.node(t.root()).child_count(), 0);
+        assert_eq!(t.hist.capacity(), capacity.0, "histogram slab kept");
+        assert_eq!(t.links.capacity(), capacity.1, "links kept");
+        assert_eq!(t.cell_sources.len(), capacity.2, "per-source rows kept");
+        // Rebuilt in the recycled arena, the tree is the fresh one.
+        let mut rebuilt = t;
+        let root = rebuilt.root();
+        let host = rebuilt.create_internal(root);
+        for (parent, labels) in [(host, [0u16, 0]), (host, [1, 1]), (root, [2, 2])] {
+            let k = key(&labels);
+            rebuilt.create_leaf(parent, k.clone());
+            rebuilt.add_to_cell(&k, SourceId(1), 1.0, &[1.0, 1.0], None);
+        }
+        let fresh = three_cells();
+        assert_eq!(format!("{:?}", rebuilt.cells().collect::<Vec<_>>()), {
+            format!("{:?}", fresh.cells().collect::<Vec<_>>())
+        });
+        assert_eq!(rebuilt.hist, fresh.hist);
+        assert_eq!(rebuilt.intent, fresh.intent);
+        assert_eq!(rebuilt.count, fresh.count);
     }
 
     #[test]
@@ -1338,7 +1707,7 @@ mod tests {
         // The same stale bit on the leaf and the root still passes the
         // union-of-children check; only the support check sees it.
         for id in [t.leaf_of(&k).unwrap(), root] {
-            t.node_mut(id).intent.sets[0].insert(LabelId(0));
+            t.intent[id.idx() * 2].insert(LabelId(0));
         }
         t.check_invariants();
     }
@@ -1358,10 +1727,44 @@ mod tests {
         // unions all still agree; only the leaf check sees it.
         let (right, wrong) = (t.slot(0, LabelId(1)), t.slot(0, LabelId(0)));
         for id in [t.leaf_of(&k).unwrap(), root] {
-            let node = t.node_mut(id);
-            node.hist.swap(right, wrong);
-            node.intent.sets[0] = DescriptorSet::singleton(LabelId(0));
+            let row = id.idx() * t.slots;
+            t.hist.swap(row + right, row + wrong);
+            t.intent[id.idx() * 2] = DescriptorSet::singleton(LabelId(0));
         }
+        t.check_invariants();
+    }
+
+    #[test]
+    #[should_panic(expected = "cell index not sorted")]
+    fn invariants_catch_an_unsorted_cell_index() {
+        let mut t = three_cells();
+        t.index.swap(0, 2);
+        t.check_invariants();
+    }
+
+    #[test]
+    #[should_panic(expected = "histogram slab stride")]
+    fn invariants_catch_a_wrong_histogram_stride() {
+        let mut t = three_cells();
+        t.hist.push(0.0);
+        t.check_invariants();
+    }
+
+    #[test]
+    #[should_panic(expected = "sibling links broken")]
+    fn invariants_catch_a_broken_sibling_link() {
+        let mut t = three_cells();
+        let host = t.links[0].first_child as usize;
+        let first = t.links[host].first_child as usize;
+        t.links[first].next_sibling = NONE;
+        t.check_invariants();
+    }
+
+    #[test]
+    #[should_panic(expected = "leaf/cell id mismatch")]
+    fn invariants_catch_a_cell_on_the_wrong_leaf() {
+        let mut t = three_cells();
+        t.cell_leaf.swap(0, 1);
         t.check_invariants();
     }
 
@@ -1373,7 +1776,7 @@ mod tests {
             .chain((0..4).map(|l| t.slot(1, LabelId(l))))
             .collect();
         assert_eq!(slots, (0..7).collect::<Vec<_>>());
-        assert_eq!(t.node(t.root()).hist.len(), 7);
+        assert_eq!(t.node(t.root()).hist().len(), 7);
     }
 
     #[test]

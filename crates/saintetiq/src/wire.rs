@@ -7,12 +7,21 @@
 //! the tree structure plus leaf contents; inner aggregates (counts,
 //! histograms, intents) are recomputed on decode, which both shrinks the
 //! wire format and guarantees decoded trees satisfy every invariant.
+//!
+//! Cost model: [`encode`] walks the tree twice — once to size the buffer
+//! ([`encoded_size`]), once to write it — and reads each leaf's content
+//! straight from its row in the tree's cell columns, in child order, so
+//! an encoding makes two allocations (the buffer and the shared bytes)
+//! whatever the tree's size. [`decode`] builds the tree into the same
+//! flat storage as summarization does: one descent-free leaf attach per
+//! cell (the encoding gives the structure) with one path walk that folds
+//! the cell's sources as one run.
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use fuzzy::descriptor::LabelId;
 use relation::stats::AttributeStats;
 
-use crate::cell::{CellKey, SourceId};
+use crate::cell::SourceId;
 use crate::error::SummaryError;
 use crate::hierarchy::{Cell, Contribution, NodeId, StatsUpdate, SummaryTree};
 
@@ -21,7 +30,7 @@ const VERSION: u8 = 1;
 
 /// Encodes a summary tree.
 pub fn encode(tree: &SummaryTree) -> Bytes {
-    let mut buf = BytesMut::with_capacity(1024);
+    let mut buf = BytesMut::with_capacity(encoded_size(tree));
     buf.put_slice(MAGIC);
     buf.put_u8(VERSION);
     let name = tree.bk_name().as_bytes();
@@ -37,12 +46,11 @@ pub fn encode(tree: &SummaryTree) -> Bytes {
 
 fn encode_node(tree: &SummaryTree, id: NodeId, buf: &mut BytesMut) {
     let node = tree.node(id);
-    if let Some(key) = node.cell() {
+    if let Some(cell) = node.leaf_cell() {
         buf.put_u8(1); // leaf
-        for &l in key {
+        for &l in cell.key() {
             buf.put_u16(l.0);
         }
-        let cell = tree.cell(key).expect("leaf cell registered");
         buf.put_f64(cell.weight());
         buf.put_u32(cell.source_count() as u32);
         for (s, w) in cell.sources() {
@@ -108,21 +116,31 @@ pub fn decode(bytes: &[u8]) -> Result<SummaryTree, SummaryError> {
     }
     let mut tree = SummaryTree::new(name, label_counts);
     let root = tree.root();
-    decode_node(&mut tree, root, &mut buf, arity, true)?;
+    decode_node(&mut tree, root, &mut buf, &mut LeafBuffers::default(), true)?;
     if buf.has_remaining() {
         return Err(err("trailing bytes"));
     }
     Ok(tree)
 }
 
+/// The buffers one decode reads its leaves into, reused from leaf to
+/// leaf.
+#[derive(Default)]
+struct LeafBuffers {
+    labels: Vec<LabelId>,
+    grades: Vec<f64>,
+    stats: Vec<AttributeStats>,
+}
+
 fn decode_node(
     tree: &mut SummaryTree,
     parent: NodeId,
     buf: &mut &[u8],
-    arity: usize,
+    leaf: &mut LeafBuffers,
     is_root: bool,
 ) -> Result<(), SummaryError> {
     let err = |m: &str| SummaryError::Codec(m.to_string());
+    let arity = tree.arity();
     if !buf.has_remaining() {
         return Err(err("truncated node"));
     }
@@ -133,7 +151,17 @@ fn decode_node(
             if buf.remaining() < arity * 2 {
                 return Err(err("truncated cell key"));
             }
-            let key = CellKey((0..arity).map(|_| LabelId(buf.get_u16())).collect());
+            leaf.labels.clear();
+            leaf.labels
+                .extend((0..arity).map(|_| LabelId(buf.get_u16())));
+            let key = &leaf.labels[..];
+            let in_range = |(&l, &n): (&LabelId, &usize)| l.index() < n;
+            if !key.iter().zip(tree.label_counts()).all(in_range) {
+                return Err(err("label out of range"));
+            }
+            if tree.leaf_of(key).is_some() {
+                return Err(err("duplicate cell"));
+            }
             if buf.remaining() < 8 + 4 {
                 return Err(err("truncated cell content"));
             }
@@ -148,8 +176,10 @@ fn decode_node(
             if buf.remaining() < arity * 8 {
                 return Err(err("truncated grades"));
             }
-            let grades: Vec<f64> = (0..arity).map(|_| buf.get_f64()).collect();
-            let mut stats = Vec::with_capacity(arity);
+            leaf.grades.clear();
+            leaf.grades.extend((0..arity).map(|_| buf.get_f64()));
+            let stats = &mut leaf.stats;
+            stats.clear();
             for _ in 0..arity {
                 if !buf.has_remaining() {
                     return Err(err("truncated stats"));
@@ -172,17 +202,17 @@ fn decode_node(
             }
             // A leaf directly at the root slot: the decoded parent here is
             // always an internal node we created, so attach normally.
-            tree.create_leaf(parent, key.clone());
+            tree.attach_leaf(parent, key, &[]);
             let run: Vec<Contribution> = (0..n_sources)
                 .map(|_| Contribution {
                     source: SourceId(sources.get_u32()),
                     weight: sources.get_f64(),
-                    grades: &grades,
+                    grades: &leaf.grades,
                     stats: StatsUpdate::None,
                 })
                 .collect();
-            tree.fold_into_cell(&key, &run);
-            tree.merge_cell_stats(&key, &stats);
+            tree.fold_into_cell(key, &run);
+            tree.merge_cell_stats(key, stats);
             Ok(())
         }
         0 => {
@@ -196,7 +226,7 @@ fn decode_node(
                 tree.create_internal(parent)
             };
             for _ in 0..n {
-                decode_node(tree, host, buf, arity, false)?;
+                decode_node(tree, host, buf, leaf, false)?;
             }
             Ok(())
         }
@@ -212,8 +242,8 @@ pub fn encoded_size(tree: &SummaryTree) -> usize {
     let mut stack = vec![tree.root()];
     while let Some(id) = stack.pop() {
         let node = tree.node(id);
-        match node.cell() {
-            Some(key) => size += leaf_size(tree.cell(key).expect("leaf cell registered")),
+        match node.leaf_cell() {
+            Some(cell) => size += leaf_size(cell),
             None => {
                 // Tag and child count.
                 size += 3;

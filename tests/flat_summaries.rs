@@ -223,10 +223,10 @@ fn reference_build(a: &GsAccumulator) -> SummaryTree {
 /// histogram's support.
 fn assert_same_tree(a: &SummaryTree, b: &SummaryTree) {
     assert_eq!(wire::encode(a), wire::encode(b));
-    let hist_bits = |n: &Node| -> Vec<u64> { n.hist().iter().map(|w| w.to_bits()).collect() };
+    let hist_bits = |n: Node| -> Vec<u64> { n.hist().iter().map(|w| w.to_bits()).collect() };
     let support =
-        |n: &Node| -> Vec<bool> { n.hist().iter().map(|&w| w > INTENT_THRESHOLD).collect() };
-    let intent_bits = |n: &Node| -> Vec<bool> {
+        |n: Node| -> Vec<bool> { n.hist().iter().map(|&w| w > INTENT_THRESHOLD).collect() };
+    let intent_bits = |n: Node| -> Vec<bool> {
         a.label_counts()
             .iter()
             .zip(n.intent())
