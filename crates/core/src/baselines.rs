@@ -9,7 +9,7 @@
 //!   any query processing algorithm" when complete and consistent: one
 //!   message to the index, one to each relevant peer, one response each.
 
-use p2psim::network::{Network, NodeId};
+use p2psim::network::{FloodScratch, Network, NodeId};
 use rand::Rng;
 
 /// Result of one baseline query.
@@ -36,19 +36,31 @@ impl BaselineOutcome {
 
 /// Pure flooding from `origin` with the given TTL. `matches(peer)` is
 /// the ground truth; reached matching peers respond (one message each).
+///
+/// One flood gives both counts. Every forwarder sends the query to each
+/// of its live neighbours ([`Network::flood_message_count`]), and the
+/// forwarders of a TTL-`ttl` flood are the origin (when up and `ttl > 0`)
+/// and the nodes it reaches in fewer than `ttl` hops.
 pub fn flood_query<F: Fn(NodeId) -> bool>(
     net: &Network,
     origin: NodeId,
     ttl: u32,
     matches: F,
 ) -> BaselineOutcome {
-    let forwards = net.flood_message_count(origin, ttl);
-    let reached = net.flood_reach(origin, ttl);
+    let mut reached = Vec::new();
+    net.flood_reach_into(origin, ttl, &mut FloodScratch::default(), &mut reached);
+    let live_degree = |v: NodeId| net.live_neighbors(v).count() as u64;
+    let forwards = if ttl == 0 || !net.is_up(origin) {
+        0
+    } else {
+        let relayed = reached.iter().filter(|&&(_, hops, _)| hops < ttl);
+        live_degree(origin) + relayed.map(|&(v, _, _)| live_degree(v)).sum::<u64>()
+    };
     let hits_total = (0..net.len() as u32)
         .map(NodeId)
         .filter(|&p| net.is_up(p) && matches(p))
         .count();
-    let hits_reached = reached.iter().filter(|&&(p, _)| matches(p)).count()
+    let hits_reached = reached.iter().filter(|&&(p, _, _)| matches(p)).count()
         + usize::from(matches(origin) && net.is_up(origin));
     BaselineOutcome {
         messages: forwards + hits_reached as u64,
@@ -166,6 +178,57 @@ mod tests {
         let out = flood_query(&net, NodeId(0), 2, |p| p.0 == 2);
         assert_eq!(out.hits_reached, 1);
         assert_eq!(out.messages, 2 + 4 + 1);
+    }
+
+    /// The baseline before it shared one flood: a TTL − 1 flood for the
+    /// forwards and a TTL flood for the reached peers.
+    fn two_flood_query<F: Fn(NodeId) -> bool>(
+        net: &Network,
+        origin: NodeId,
+        ttl: u32,
+        matches: F,
+    ) -> BaselineOutcome {
+        let forwards = net.flood_message_count(origin, ttl);
+        let reached = net.flood_reach(origin, ttl);
+        let hits_total = (0..net.len() as u32)
+            .map(NodeId)
+            .filter(|&p| net.is_up(p) && matches(p))
+            .count();
+        let hits_reached = reached.iter().filter(|&&(p, _)| matches(p)).count()
+            + usize::from(matches(origin) && net.is_up(origin));
+        BaselineOutcome {
+            messages: forwards + hits_reached as u64,
+            hits_reached,
+            hits_total,
+        }
+    }
+
+    #[test]
+    fn one_flood_matches_the_two_flood_baseline() {
+        use rand::Rng;
+        let mut rng = StdRng::seed_from_u64(12);
+        let mut downed_origins = 0;
+        for seed in 0..12 {
+            let mut net = power_law_net(rng.gen_range(20..300), seed);
+            let n = net.len() as u32;
+            for _ in 0..rng.gen_range(0..n / 3) {
+                net.take_down(NodeId(rng.gen_range(0..n)));
+            }
+            let modulus: u32 = rng.gen_range(2..8);
+            let matches = |p: NodeId| p.0.is_multiple_of(modulus);
+            for _ in 0..8 {
+                let origin = NodeId(rng.gen_range(0..n));
+                downed_origins += usize::from(!net.is_up(origin));
+                for ttl in 0..=5 {
+                    assert_eq!(
+                        flood_query(&net, origin, ttl, matches),
+                        two_flood_query(&net, origin, ttl, matches),
+                        "graph {seed}, origin {origin:?}, ttl {ttl}"
+                    );
+                }
+            }
+        }
+        assert!(downed_origins > 0, "no flood from a down origin");
     }
 
     #[test]

@@ -207,11 +207,6 @@ impl AlphaController {
         }
     }
 
-    /// The policy this controller runs (`None`: α stays fixed).
-    pub fn policy(&self) -> Option<ControlPolicy> {
-        self.policy
-    }
-
     /// The control epoch (`None` without a policy, which schedules no
     /// control ticks at all).
     pub fn epoch(&self) -> Option<SimTime> {
@@ -226,16 +221,6 @@ impl AlphaController {
     /// The recorded α trajectory of domain `d`.
     pub fn trajectory(&self, d: usize) -> &[(f64, f64)] {
         &self.domains[d].trajectory
-    }
-
-    /// Number of domain slots.
-    pub fn len(&self) -> usize {
-        self.domains.len()
-    }
-
-    /// True when no domain slot exists.
-    pub fn is_empty(&self) -> bool {
-        self.domains.is_empty()
     }
 
     /// Records one processed query at domain `d`'s SP: `ok` validated

@@ -67,7 +67,7 @@ pub fn make_templates(count: usize) -> Vec<QueryTemplate> {
             disease: d.to_string(),
             query: SelectQuery::new(vec!["age".into()], vec![Predicate::eq("disease", *d)]),
             target: MatchTarget {
-                disease: Some(d.to_string()),
+                disease: Some((*d).into()),
                 ..Default::default()
             },
         })
@@ -80,7 +80,7 @@ pub fn background_distributions() -> PatientDistributions {
     PatientDistributions {
         diseases: BACKGROUND_DISEASES
             .iter()
-            .map(|d| (d.to_string(), 1.0))
+            .map(|&d| (d.into(), 1.0))
             .collect(),
         ..Default::default()
     }
@@ -312,7 +312,7 @@ mod tests {
         let bg = background_distributions();
         for (d, _) in &bg.diseases {
             assert!(
-                !TEMPLATE_DISEASES.contains(&d.as_str()),
+                !TEMPLATE_DISEASES.contains(&&**d),
                 "{d} is a template disease"
             );
         }

@@ -6,6 +6,12 @@
 //! of peers must hold tuples matching a query template while the rest must
 //! not. The discriminating attribute is `disease` (crisp categorical), so
 //! match/avoid generation is exact, not probabilistic.
+//!
+//! Sex and disease names are interned: the distributions and targets hold
+//! them as `Arc<str>`, and a generated row's text values share those, so
+//! a row costs one allocation (its value vector), not one per text value.
+
+use std::sync::Arc;
 
 use rand::Rng;
 
@@ -26,8 +32,10 @@ pub struct PatientDistributions {
     pub bmi_range: (f64, f64),
     /// Probability that a patient is female.
     pub female_prob: f64,
+    /// The sex values drawn: `[female, male]`.
+    pub sexes: [Arc<str>; 2],
     /// Disease names with relative weights (need not sum to 1).
-    pub diseases: Vec<(String, f64)>,
+    pub diseases: Vec<(Arc<str>, f64)>,
 }
 
 impl Default for PatientDistributions {
@@ -38,6 +46,7 @@ impl Default for PatientDistributions {
             bmi: (23.0, 4.5),
             bmi_range: (12.0, 45.0),
             female_prob: 0.5,
+            sexes: ["female".into(), "male".into()],
             diseases: [
                 ("malaria", 2.0),
                 ("tuberculosis", 1.0),
@@ -49,7 +58,7 @@ impl Default for PatientDistributions {
                 ("asthma", 1.5),
             ]
             .into_iter()
-            .map(|(n, w)| (n.to_string(), w))
+            .map(|(n, w)| (n.into(), w))
             .collect(),
         }
     }
@@ -60,9 +69,9 @@ impl Default for PatientDistributions {
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct MatchTarget {
     /// Required sex value.
-    pub sex: Option<String>,
+    pub sex: Option<Arc<str>>,
     /// Required disease value.
-    pub disease: Option<String>,
+    pub disease: Option<Arc<str>>,
     /// Required age interval (inclusive).
     pub age: Option<(f64, f64)>,
     /// Required BMI interval (inclusive).
@@ -77,12 +86,12 @@ impl MatchTarget {
         let bmi = row[2].as_f64().unwrap_or(f64::NAN);
         let disease = row[3].as_str().unwrap_or("");
         if let Some(s) = &self.sex {
-            if s != sex {
+            if **s != *sex {
                 return false;
             }
         }
         if let Some(d) = &self.disease {
-            if d != disease {
+            if **d != *disease {
                 return false;
             }
         }
@@ -117,37 +126,43 @@ fn clamped_normal<R: Rng + ?Sized>(rng: &mut R, mean: f64, std: f64, range: (f64
 /// rounding.
 fn weighted_choice<'a, R: Rng + ?Sized>(
     rng: &mut R,
-    items: impl Iterator<Item = &'a (String, f64)> + Clone,
-) -> &'a str {
+    items: impl Iterator<Item = &'a (Arc<str>, f64)> + Clone,
+) -> Value {
     let total: f64 = items.clone().map(|(_, w)| w.max(0.0)).sum();
     debug_assert!(total > 0.0, "weights must be positive");
     let mut pick = rng.gen_range(0.0..total);
-    let mut last = "";
+    let mut last = None;
     for (name, w) in items {
         pick -= w.max(0.0);
         if pick <= 0.0 {
-            return name;
+            return Value::Text(Arc::clone(name));
         }
-        last = name;
+        last = Some(name);
     }
-    last
+    last.map_or_else(|| Value::text(""), |name| Value::Text(Arc::clone(name)))
+}
+
+/// The interned name of the sex drawn with probability `female_prob`.
+fn draw_sex<R: Rng + ?Sized>(rng: &mut R, dist: &PatientDistributions, female_prob: f64) -> Value {
+    let [female, male] = &dist.sexes;
+    Value::Text(Arc::clone(if rng.gen_bool(female_prob) {
+        female
+    } else {
+        male
+    }))
 }
 
 /// Generates one background patient row from the distributions.
 pub fn random_patient<R: Rng + ?Sized>(rng: &mut R, dist: &PatientDistributions) -> Vec<Value> {
     let age = clamped_normal(rng, dist.age.0, dist.age.1, dist.age_range).round();
-    let sex = if rng.gen_bool(dist.female_prob.clamp(0.0, 1.0)) {
-        "female"
-    } else {
-        "male"
-    };
+    let sex = draw_sex(rng, dist, dist.female_prob.clamp(0.0, 1.0));
     let bmi = clamped_normal(rng, dist.bmi.0, dist.bmi.1, dist.bmi_range);
     let disease = weighted_choice(rng, dist.diseases.iter());
     vec![
         Value::Int(age as i64),
-        Value::text(sex),
+        sex,
         Value::Float((bmi * 10.0).round() / 10.0),
-        Value::text(disease),
+        disease,
     ]
 }
 
@@ -161,26 +176,20 @@ pub fn matching_patient<R: Rng + ?Sized>(
     let (age_lo, age_hi) = target.age.unwrap_or(dist.age_range);
     let age = rng.gen_range(age_lo..=age_hi).round();
     let sex = match &target.sex {
-        Some(s) => s.clone(),
-        None => {
-            if rng.gen_bool(dist.female_prob) {
-                "female".into()
-            } else {
-                "male".into()
-            }
-        }
+        Some(s) => Value::Text(Arc::clone(s)),
+        None => draw_sex(rng, dist, dist.female_prob),
     };
     let (bmi_lo, bmi_hi) = target.bmi.unwrap_or(dist.bmi_range);
     let bmi = rng.gen_range(bmi_lo..=bmi_hi);
     let disease = match &target.disease {
-        Some(d) => d.clone(),
-        None => weighted_choice(rng, dist.diseases.iter()).to_string(),
+        Some(d) => Value::Text(Arc::clone(d)),
+        None => weighted_choice(rng, dist.diseases.iter()),
     };
     vec![
         Value::Int(age as i64),
-        Value::text(sex),
+        sex,
         Value::Float((bmi * 10.0).round() / 10.0),
-        Value::text(disease),
+        disease,
     ]
 }
 
@@ -195,6 +204,9 @@ pub fn avoiding_patient<R: Rng + ?Sized>(
     dist: &PatientDistributions,
     target: &MatchTarget,
 ) -> Vec<Value> {
+    // The row's own disease draw is overwritten below when the target
+    // constrains the disease; it is still drawn, so the RNG stream does
+    // not depend on the target.
     let mut row = random_patient(rng, dist);
     if let Some(d) = &target.disease {
         let pool = dist.diseases.iter().filter(|(n, _)| n != d);
@@ -202,11 +214,13 @@ pub fn avoiding_patient<R: Rng + ?Sized>(
             pool.clone().next().is_some(),
             "cannot avoid the only disease in the pool"
         );
-        row[3] = Value::text(weighted_choice(rng, pool));
+        row[3] = weighted_choice(rng, pool);
         return row;
     }
     if let Some(s) = &target.sex {
-        row[1] = Value::text(if s == "female" { "male" } else { "female" });
+        let [female, male] = &dist.sexes;
+        let other = if **s == **female { male } else { female };
+        row[1] = Value::Text(Arc::clone(other));
         return row;
     }
     if let Some((lo, hi)) = target.age {

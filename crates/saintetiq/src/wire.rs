@@ -409,6 +409,31 @@ mod tests {
     }
 
     #[test]
+    fn duplicate_cells_and_foreign_labels_error_not_panic() {
+        let mut t = SummaryTree::new("bk", vec![3, 4]);
+        let root = t.root();
+        for labels in [[0u16, 0], [2, 3]] {
+            let key = crate::cell::CellKey(labels.iter().map(|&l| LabelId(l)).collect());
+            t.create_leaf(root, key.clone());
+            t.add_to_cell(&key, SourceId(1), 1.0, &[1.0, 1.0], None);
+        }
+        let bytes = encode(&t).to_vec();
+        assert!(decode(&bytes).is_ok());
+        // The second leaf: its tag, then its key (2, 3).
+        let at = (bytes.windows(5))
+            .position(|w| w == [1, 0, 2, 0, 3])
+            .expect("second leaf encoded");
+        for (key, why) in [
+            ([0u8, 0, 0, 0], "duplicate cell"),
+            ([0, 3, 0, 3], "label out of range"),
+        ] {
+            let mut bad = bytes.clone();
+            bad[at + 1..at + 5].copy_from_slice(&key);
+            assert_eq!(decode(&bad).unwrap_err(), SummaryError::Codec(why.into()));
+        }
+    }
+
+    #[test]
     fn node_size_is_in_the_papers_ballpark() {
         // §6.1.1 estimates ~512 B per summary; our leaner codec must stay
         // within the same order of magnitude (and below it).

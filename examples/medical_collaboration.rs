@@ -56,7 +56,7 @@ fn hospital_table(rng: &mut StdRng, idx: usize) -> Table {
     let bg = PatientDistributions {
         diseases: ["anorexia", "diabetes", "asthma", "hypertension"]
             .iter()
-            .map(|d| (d.to_string(), 1.0))
+            .map(|&d| (d.into(), 1.0))
             .collect(),
         ..Default::default()
     };

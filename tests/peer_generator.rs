@@ -2,9 +2,11 @@
 //!
 //! The simulation kernel keeps one `PeerGenerator` and regenerates every
 //! drifted database with it: the engine's mapper stays bound, its
-//! buffers are reused and its tree is taken out after each peer. Each
-//! peer must still come out exactly as a generator bound for that call
-//! alone would make it, from the same RNG draws.
+//! buffers are reused and its tree arena is encoded and flattened in
+//! place, then cleared with its capacity kept. Each peer must still come
+//! out exactly as a generator bound for that call alone would make it,
+//! from the same RNG draws, however much larger or smaller the previous
+//! peer's summary was.
 
 use fuzzy::bk::BackgroundKnowledge;
 use rand::rngs::StdRng;
@@ -13,6 +15,7 @@ use relation::generator::{patient_table, MatchTarget, PatientDistributions};
 use relation::schema::Schema;
 use relation::value::Value;
 use saintetiq::cell::SourceId;
+use saintetiq::delta::SourceDelta;
 use saintetiq::engine::{EngineConfig, SaintEtiQEngine};
 use saintetiq::wire;
 use summary_p2p::error::P2pError;
@@ -98,6 +101,101 @@ fn a_reused_engine_summarizes_each_table_as_a_fresh_one() -> Result<(), P2pError
             wire::encode(fresh.tree())[..],
             "table {i}"
         );
+    }
+    Ok(())
+}
+
+/// Record counts that grow the recycled arena, shrink it to one record,
+/// and grow it again.
+const GROW_AND_SHRINK: [usize; 4] = [1, 24, 1, 16];
+
+/// A bound generator whose arena grows and shrinks makes each peer as a
+/// fresh generator per peer does: summary bytes, flat form and match
+/// bits.
+#[test]
+fn a_recycled_arena_grows_and_shrinks_without_a_trace() -> Result<(), P2pError> {
+    let bk = BackgroundKnowledge::medical_cbk();
+    let templates = make_templates(3);
+    let mut bound = PeerGenerator::new(&bk, &templates)?;
+    let (mut reused_rng, mut fresh_rng) = (StdRng::seed_from_u64(79), StdRng::seed_from_u64(79));
+    for round in 0..12u32 {
+        let fraction = [0.0, 0.1, 1.0][round as usize % 3];
+        for (i, records) in GROW_AND_SHRINK.into_iter().enumerate() {
+            let peer = round * 4 + i as u32;
+            let reused = bound.generate(&mut reused_rng, peer, fraction, records)?;
+            let fresh =
+                generate_peer_data(&mut fresh_rng, peer, &bk, &templates, fraction, records)?;
+            let ctx = format!("peer {peer}, match fraction {fraction}, {records} records");
+            assert_eq!(reused.match_bits, fresh.match_bits, "{ctx}");
+            assert_eq!(reused.summary[..], fresh.summary[..], "{ctx}");
+            assert_eq!(
+                format!("{:?}", reused.flat),
+                format!("{:?}", fresh.flat),
+                "{ctx}"
+            );
+            wire::decode(&reused.summary)?.check_invariants();
+        }
+    }
+    Ok(())
+}
+
+/// An engine that clears its tree between tables summarizes each one as
+/// a fresh engine does, through an arena that grows and shrinks, with an
+/// unmappable record in one table: same invariants, bytes, flat form and
+/// unmappable count.
+#[test]
+fn a_cleared_engine_summarizes_each_table_as_a_fresh_one() -> Result<(), P2pError> {
+    let bk = BackgroundKnowledge::medical_cbk();
+    let dist = PatientDistributions::default();
+    let mut rng = StdRng::seed_from_u64(80);
+    let new_engine = |source| {
+        SaintEtiQEngine::new(
+            bk.clone(),
+            &Schema::patient(),
+            EngineConfig::default(),
+            source,
+        )
+    };
+    let mut reused = new_engine(SourceId(0))?;
+    for round in 0..3 {
+        for (i, records) in GROW_AND_SHRINK.into_iter().enumerate() {
+            let mut table = patient_table(&mut rng, records, &dist, &MatchTarget::default(), 0);
+            let skipped = usize::from(i == 2);
+            if skipped == 1 {
+                let no_bmi = vec![
+                    Value::Int(30),
+                    Value::text("male"),
+                    Value::Null,
+                    Value::text("influenza"),
+                ];
+                table.insert(no_bmi)?;
+            }
+            let source = SourceId(round * 4 + i as u32 + 1);
+            let ctx = format!("round {round}, table {i}, {records} records");
+            reused.set_source(source);
+            reused.summarize_table(&table);
+            assert_eq!(reused.unmappable(), skipped, "{ctx}");
+            let tree = reused.tree();
+            tree.check_invariants();
+
+            let mut fresh = new_engine(source)?;
+            fresh.summarize_table(&table);
+            assert_eq!(fresh.unmappable(), skipped, "{ctx}");
+            assert_eq!(
+                wire::encode(tree)[..],
+                wire::encode(fresh.tree())[..],
+                "{ctx}"
+            );
+            assert_eq!(
+                format!("{:?}", SourceDelta::from_tree(tree, source)),
+                format!("{:?}", SourceDelta::from_tree(fresh.tree(), source)),
+                "{ctx}"
+            );
+            reused.clear_tree();
+            assert_eq!(reused.unmappable(), 0, "{ctx}");
+            assert_eq!(reused.tree().live_node_count(), 1, "{ctx}");
+            reused.tree().check_invariants();
+        }
     }
     Ok(())
 }
