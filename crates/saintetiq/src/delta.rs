@@ -31,7 +31,10 @@
 //!
 //! Cost model: an update stores the changed source's flattened
 //! contribution and nothing else. A peer flattens its summary once,
-//! when it builds it ([`SourceDelta::from_tree`]), and every accumulator
+//! when it builds it ([`SourceDelta::from_tree`]: one pass over the
+//! tree's key-sorted cell index to size the arrays exactly, one to fill
+//! them, reading each cell's rows from the tree's cell columns — eight
+//! allocations whatever the summary's size), and every accumulator
 //! that pulls it shares that flat form
 //! ([`GsAccumulator::update_source_flat`]), so a pull pays no decode and
 //! no flatten; [`GsAccumulator::update_source_encoded`] still decodes
@@ -55,7 +58,9 @@
 //! the walk; per contribution, those additions plus the content and
 //! statistics folds. At 1000 members a build takes about 4 ms (traced
 //! `domain_pull` runs of `perfbench/` on a 2-core Xeon host), so the
-//! P2P layer builds only when the stored GS is observed, not per pull.
+//! P2P layer builds only when the stored GS is observed, not per pull,
+//! and [`GsAccumulator::build_merged_into`] builds into the stored GS's
+//! arena, which keeps its capacity from one build to the next.
 
 use std::collections::BTreeMap;
 use std::rc::Rc;

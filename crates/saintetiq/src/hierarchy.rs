@@ -477,8 +477,26 @@ impl SummaryTree {
             index: Vec::new(),
             delta: Vec::new(),
         };
+        tree.reserve(64, 32);
         tree.push_node(NONE, NONE);
         tree
+    }
+
+    /// Reserves room for `nodes` nodes and `cells` cells.
+    fn reserve(&mut self, nodes: usize, cells: usize) {
+        let arity = self.arity();
+        self.links.reserve(nodes);
+        self.count.reserve(nodes);
+        self.alive.reserve(nodes);
+        self.hist.reserve(nodes * self.slots);
+        self.intent.reserve(nodes * arity);
+        self.cell_labels.reserve(cells * arity);
+        self.cell_leaf.reserve(cells);
+        self.cell_weight.reserve(cells);
+        self.cell_grades.reserve(cells * arity);
+        self.cell_stats.reserve(cells * arity);
+        self.cell_sources.reserve(cells);
+        self.index.reserve(cells);
     }
 
     /// Empties the tree to a lone root over the same BK, keeping every
