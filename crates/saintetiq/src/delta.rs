@@ -56,9 +56,11 @@
 //! and the key's histogram slots only (arity + 1 additions per node,
 //! not a sweep over every label). Per cell that leaves the descent and
 //! the walk; per contribution, those additions plus the content and
-//! statistics folds. At 1000 members a build takes about 4 ms (traced
-//! `domain_pull` runs of `perfbench/` on a 2-core Xeon host), so the
-//! P2P layer builds only when the stored GS is observed, not per pull,
+//! statistics folds. At 1000 members a build takes milliseconds (about
+//! 4 ms in traced `domain_pull` runs of `perfbench/` on a 2-core Xeon
+//! host; about 10 ms at seed 1 on a slower shared 2-core container, 11
+//! there before the flat tree arena), so the P2P layer builds only when
+//! the stored GS is observed, not per pull,
 //! and [`GsAccumulator::build_merged_into`] builds into the stored GS's
 //! arena, which keeps its capacity from one build to the next.
 

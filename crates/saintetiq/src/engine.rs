@@ -545,8 +545,7 @@ fn cu_hosted_in(mut cu: f64, terms: &[ChildTerms], host: Option<usize>) -> f64 {
 /// The engine owns the buffers a record passes through — its mapped
 /// cells, its raw values and the descent's — and the tree's arena.
 /// [`SaintEtiQEngine::clear_tree`] empties the tree for the next table
-/// and keeps the bound mapper, the buffers and the arena's capacity;
-/// [`SaintEtiQEngine::take_tree`] hands the tree out instead.
+/// and keeps the bound mapper, the buffers and the arena's capacity.
 #[derive(Debug, Clone)]
 pub struct SaintEtiQEngine {
     mapper: Mapper,
@@ -616,18 +615,6 @@ impl SaintEtiQEngine {
     pub fn clear_tree(&mut self) {
         self.tree.clear();
         self.unmappable = 0;
-    }
-
-    /// Takes the hierarchy out, leaving an empty one over the same BK and
-    /// no unmappable record counted: the engine then summarizes its next
-    /// table as a fresh one would.
-    pub fn take_tree(&mut self) -> SummaryTree {
-        let empty = SummaryTree::new(
-            self.tree.bk_name().to_string(),
-            self.tree.label_counts().to_vec(),
-        );
-        self.unmappable = 0;
-        std::mem::replace(&mut self.tree, empty)
     }
 
     /// Records skipped as unmappable so far.

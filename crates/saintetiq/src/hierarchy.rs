@@ -106,18 +106,6 @@ impl Intent {
         }
     }
 
-    /// The intent of a single cell.
-    pub fn of_cell(key: &[LabelId]) -> Self {
-        Self {
-            sets: key.iter().map(|&l| DescriptorSet::singleton(l)).collect(),
-        }
-    }
-
-    /// True when the cell's labels are all inside the intent.
-    pub fn covers_cell(&self, key: &[LabelId]) -> bool {
-        covers(&self.sets, key)
-    }
-
     /// Component-wise union.
     pub fn union_with(&mut self, other: &Intent) {
         for (s, o) in self.sets.iter_mut().zip(&other.sets) {
@@ -140,11 +128,6 @@ impl Intent {
             .map(|(a, b)| a.symmetric_distance(b))
             .sum()
     }
-}
-
-/// True when every label of `key` is in its attribute's set.
-fn covers(sets: &[DescriptorSet], key: &[LabelId]) -> bool {
-    sets.iter().zip(key).all(|(s, &l)| s.contains(l))
 }
 
 /// One node's row of the links column.
@@ -214,7 +197,7 @@ impl<'a> Node<'a> {
 
     /// True when every label of `key` is in the intent.
     pub fn covers_cell(&self, key: &[LabelId]) -> bool {
-        covers(self.intent(), key)
+        self.intent().iter().zip(key).all(|(s, &l)| s.contains(l))
     }
 
     /// For a leaf, the grid cell it stands for.
@@ -294,8 +277,6 @@ impl DoubleEndedIterator for Children<'_> {
         Some(NodeId(id))
     }
 }
-
-impl ExactSizeIterator for Children<'_> {}
 
 /// One cell of a [`SummaryTree`], as [`SummaryTree::cells`] and
 /// [`SummaryTree::cell`] lend it: a view of its rows in the cell

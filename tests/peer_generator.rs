@@ -21,9 +21,14 @@ use saintetiq::wire;
 use summary_p2p::error::P2pError;
 use summary_p2p::workload::{generate_peer_data, make_templates, PeerGenerator};
 
+/// Record counts that grow the recycled arena, shrink it to one record,
+/// and grow it again.
+const GROW_AND_SHRINK: [usize; 4] = [1, 24, 1, 16];
+
 /// 216 peers from one bound generator, cycling through match fractions
-/// {0, 0.1, 1} and record counts {1, 16, 24} so that neighbours differ,
-/// against a fresh generator per peer fed the same RNG stream.
+/// {0, 0.1, 1} and record counts 1, 24, 1, 16 so that neighbours differ
+/// and the arena grows and shrinks, against a fresh generator per peer
+/// fed the same RNG stream.
 #[test]
 fn a_bound_generator_makes_each_peer_as_a_fresh_one() -> Result<(), P2pError> {
     let bk = BackgroundKnowledge::medical_cbk();
@@ -32,7 +37,7 @@ fn a_bound_generator_makes_each_peer_as_a_fresh_one() -> Result<(), P2pError> {
     let (mut reused_rng, mut fresh_rng) = (StdRng::seed_from_u64(77), StdRng::seed_from_u64(77));
     for peer in 0..216u32 {
         let fraction = [0.0, 0.1, 1.0][peer as usize % 3];
-        let records = [1, 16, 24][peer as usize / 3 % 3];
+        let records = GROW_AND_SHRINK[peer as usize / 3 % 4];
         let reused = bound.generate(&mut reused_rng, peer, fraction, records)?;
         let fresh = generate_peer_data(&mut fresh_rng, peer, &bk, &templates, fraction, records)?;
         let ctx = format!("peer {peer}, match fraction {fraction}, {records} records");
@@ -55,8 +60,10 @@ fn a_bound_generator_makes_each_peer_as_a_fresh_one() -> Result<(), P2pError> {
     Ok(())
 }
 
-/// An engine whose tree is taken out summarizes its next table as a
-/// fresh engine would, and forgets the unmappable records it skipped.
+/// An engine whose tree is cleared summarizes its next table as a fresh
+/// engine would, through an arena that grows and shrinks, and forgets
+/// the unmappable records it skipped: same invariants, bytes and flat
+/// form.
 #[test]
 fn a_reused_engine_summarizes_each_table_as_a_fresh_one() -> Result<(), P2pError> {
     let bk = BackgroundKnowledge::medical_cbk();
@@ -71,7 +78,8 @@ fn a_reused_engine_summarizes_each_table_as_a_fresh_one() -> Result<(), P2pError
         )
     };
     let mut reused = new_engine(SourceId(0))?;
-    for (i, records) in [24usize, 1, 16, 60, 5, 16].into_iter().enumerate() {
+    let records = GROW_AND_SHRINK.into_iter().chain([60, 5, 16]);
+    for (i, records) in records.enumerate() {
         let mut table = patient_table(&mut rng, records, &dist, &MatchTarget::default(), 0);
         let skipped = i % 2;
         if skipped == 1 {
@@ -87,9 +95,7 @@ fn a_reused_engine_summarizes_each_table_as_a_fresh_one() -> Result<(), P2pError
         reused.set_source(source);
         reused.summarize_table(&table);
         assert_eq!(reused.unmappable(), skipped, "table {i}");
-        let tree = reused.take_tree();
-        assert_eq!(reused.unmappable(), 0, "table {i}");
-        assert_eq!(reused.tree().live_node_count(), 1, "table {i}");
+        let tree = reused.tree();
         tree.check_invariants();
 
         let mut fresh = new_engine(source)?;
@@ -97,105 +103,19 @@ fn a_reused_engine_summarizes_each_table_as_a_fresh_one() -> Result<(), P2pError
         assert_eq!(fresh.unmappable(), skipped, "table {i}");
         fresh.tree().check_invariants();
         assert_eq!(
-            wire::encode(&tree)[..],
+            wire::encode(tree)[..],
             wire::encode(fresh.tree())[..],
             "table {i}"
         );
-    }
-    Ok(())
-}
-
-/// Record counts that grow the recycled arena, shrink it to one record,
-/// and grow it again.
-const GROW_AND_SHRINK: [usize; 4] = [1, 24, 1, 16];
-
-/// A bound generator whose arena grows and shrinks makes each peer as a
-/// fresh generator per peer does: summary bytes, flat form and match
-/// bits.
-#[test]
-fn a_recycled_arena_grows_and_shrinks_without_a_trace() -> Result<(), P2pError> {
-    let bk = BackgroundKnowledge::medical_cbk();
-    let templates = make_templates(3);
-    let mut bound = PeerGenerator::new(&bk, &templates)?;
-    let (mut reused_rng, mut fresh_rng) = (StdRng::seed_from_u64(79), StdRng::seed_from_u64(79));
-    for round in 0..12u32 {
-        let fraction = [0.0, 0.1, 1.0][round as usize % 3];
-        for (i, records) in GROW_AND_SHRINK.into_iter().enumerate() {
-            let peer = round * 4 + i as u32;
-            let reused = bound.generate(&mut reused_rng, peer, fraction, records)?;
-            let fresh =
-                generate_peer_data(&mut fresh_rng, peer, &bk, &templates, fraction, records)?;
-            let ctx = format!("peer {peer}, match fraction {fraction}, {records} records");
-            assert_eq!(reused.match_bits, fresh.match_bits, "{ctx}");
-            assert_eq!(reused.summary[..], fresh.summary[..], "{ctx}");
-            assert_eq!(
-                format!("{:?}", reused.flat),
-                format!("{:?}", fresh.flat),
-                "{ctx}"
-            );
-            wire::decode(&reused.summary)?.check_invariants();
-        }
-    }
-    Ok(())
-}
-
-/// An engine that clears its tree between tables summarizes each one as
-/// a fresh engine does, through an arena that grows and shrinks, with an
-/// unmappable record in one table: same invariants, bytes, flat form and
-/// unmappable count.
-#[test]
-fn a_cleared_engine_summarizes_each_table_as_a_fresh_one() -> Result<(), P2pError> {
-    let bk = BackgroundKnowledge::medical_cbk();
-    let dist = PatientDistributions::default();
-    let mut rng = StdRng::seed_from_u64(80);
-    let new_engine = |source| {
-        SaintEtiQEngine::new(
-            bk.clone(),
-            &Schema::patient(),
-            EngineConfig::default(),
-            source,
-        )
-    };
-    let mut reused = new_engine(SourceId(0))?;
-    for round in 0..3 {
-        for (i, records) in GROW_AND_SHRINK.into_iter().enumerate() {
-            let mut table = patient_table(&mut rng, records, &dist, &MatchTarget::default(), 0);
-            let skipped = usize::from(i == 2);
-            if skipped == 1 {
-                let no_bmi = vec![
-                    Value::Int(30),
-                    Value::text("male"),
-                    Value::Null,
-                    Value::text("influenza"),
-                ];
-                table.insert(no_bmi)?;
-            }
-            let source = SourceId(round * 4 + i as u32 + 1);
-            let ctx = format!("round {round}, table {i}, {records} records");
-            reused.set_source(source);
-            reused.summarize_table(&table);
-            assert_eq!(reused.unmappable(), skipped, "{ctx}");
-            let tree = reused.tree();
-            tree.check_invariants();
-
-            let mut fresh = new_engine(source)?;
-            fresh.summarize_table(&table);
-            assert_eq!(fresh.unmappable(), skipped, "{ctx}");
-            assert_eq!(
-                wire::encode(tree)[..],
-                wire::encode(fresh.tree())[..],
-                "{ctx}"
-            );
-            assert_eq!(
-                format!("{:?}", SourceDelta::from_tree(tree, source)),
-                format!("{:?}", SourceDelta::from_tree(fresh.tree(), source)),
-                "{ctx}"
-            );
-            reused.clear_tree();
-            assert_eq!(reused.unmappable(), 0, "{ctx}");
-            assert_eq!(reused.tree().live_node_count(), 1, "{ctx}");
-            reused.tree().check_invariants();
-        }
+        assert_eq!(
+            format!("{:?}", SourceDelta::from_tree(tree, source)),
+            format!("{:?}", SourceDelta::from_tree(fresh.tree(), source)),
+            "table {i}"
+        );
+        reused.clear_tree();
+        assert_eq!(reused.unmappable(), 0, "table {i}");
+        assert_eq!(reused.tree().live_node_count(), 1, "table {i}");
+        reused.tree().check_invariants();
     }
     Ok(())
 }
