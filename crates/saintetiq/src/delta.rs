@@ -241,23 +241,22 @@ impl SourceDelta {
 
     /// The cells, in the order they were flattened.
     pub fn cells(&self) -> impl Iterator<Item = FlatCell<'_>> {
+        (0..self.cell_count()).map(|i| self.cell(i))
+    }
+
+    /// Cell `i`, in the order the cells were flattened.
+    fn cell(&self, i: usize) -> FlatCell<'_> {
         let arity = self.label_counts.len();
-        let starts = std::iter::once(0).chain(self.stat_ends.iter().copied());
-        let stat_ranges = starts
-            .zip(&self.stat_ends)
-            .map(|(a, &b)| a as usize..b as usize);
-        self.labels
-            .chunks_exact(arity)
-            .zip(&self.weights)
-            .zip(self.grades.chunks_exact(arity))
-            .zip(stat_ranges)
-            .map(|(((key, &weight), grades), range)| FlatCell {
-                key,
-                weight,
-                grades,
-                stat_attrs: &self.stat_attrs[range.clone()],
-                stats: &self.stats[range],
-            })
+        let row = i * arity..(i + 1) * arity;
+        let start = i.checked_sub(1).map_or(0, |p| self.stat_ends[p] as usize);
+        let stats = start..self.stat_ends[i] as usize;
+        FlatCell {
+            key: &self.labels[row.clone()],
+            weight: self.weights[i],
+            grades: &self.grades[row],
+            stat_attrs: &self.stat_attrs[stats.clone()],
+            stats: &self.stats[stats],
+        }
     }
 
     /// Number of cells this source contributes.
@@ -453,19 +452,33 @@ impl GsAccumulator {
             "a merged view over another BK"
         );
         tree.clear();
-        let mut by_cell: BTreeMap<&[LabelId], Vec<Contribution<'_>>> = BTreeMap::new();
-        for (&source, delta) in &self.sources {
-            for cell in delta.cells() {
-                by_cell.entry(cell.key).or_default().push(Contribution {
+        // Every stored cell as (key, source, cell), stably sorted by key:
+        // the contributions to one cell stay in source-id order. A flat
+        // form from a tree is in key order, so the sort merges presorted
+        // runs.
+        let deltas: Vec<(SourceId, &SourceDelta)> = self.deltas().collect();
+        let cells = deltas.iter().map(|(_, d)| d.cell_count()).sum();
+        let mut order: Vec<(&[LabelId], u32, u32)> = Vec::with_capacity(cells);
+        for (d, (_, delta)) in deltas.iter().enumerate() {
+            let keys = (0..delta.cell_count()).map(|c| (delta.cell(c).key, d as u32, c as u32));
+            order.extend(keys);
+        }
+        order.sort_by(|a, b| a.0.cmp(b.0));
+        let mut run = Vec::new();
+        let mut buffers = DescentBuffers::default();
+        for contributors in order.chunk_by(|a, b| a.0 == b.0) {
+            run.clear();
+            run.extend(contributors.iter().map(|&(_, d, c)| {
+                let (source, delta) = deltas[d as usize];
+                let cell = delta.cell(c as usize);
+                Contribution {
                     source,
                     weight: cell.weight,
                     grades: cell.grades,
                     stats: StatsUpdate::Merge(cell.stat_attrs, cell.stats),
-                });
-            }
-        }
-        let mut buffers = DescentBuffers::default();
-        for (labels, run) in by_cell {
+                }
+            }));
+            let labels = contributors[0].0;
             incorporate_contributions(tree, &self.config, labels, &run, &mut buffers);
         }
     }

@@ -1018,20 +1018,24 @@ impl SummaryTree {
             }
         }
         let weights = || contributions.iter().map(|c| c.weight).filter(|&w| w > 0.0);
+        let labels = &self.cell_labels[cell * arity..(cell + 1) * arity];
         let mut cur = self.cell_leaf[cell];
         while cur != NONE {
             let n = cur as usize;
+            let hist = &mut self.hist[n * slots..(n + 1) * slots];
+            // The count and each key slot add the positive weights in run
+            // order. The sums are independent, so one pass over the run
+            // feeds them all without reordering any of them.
             for w in weights() {
                 self.count[n] = (self.count[n] + w).max(0.0);
-            }
-            for attr in 0..arity {
-                let label = self.cell_labels[cell * arity + attr];
-                let slot = &mut self.hist[n * slots + self.offsets[attr] + label.index()];
-                for w in weights() {
+                for (&offset, label) in self.offsets.iter().zip(labels) {
+                    let slot = &mut hist[offset + label.index()];
                     *slot = (*slot + w).max(0.0);
                 }
-                let set = &mut self.intent[n * arity + attr];
-                if *slot > INTENT_THRESHOLD {
+            }
+            let sets = &mut self.intent[n * arity..(n + 1) * arity];
+            for ((set, &offset), &label) in sets.iter_mut().zip(&self.offsets).zip(labels) {
+                if hist[offset + label.index()] > INTENT_THRESHOLD {
                     set.insert(label);
                 } else {
                     set.remove(label);
