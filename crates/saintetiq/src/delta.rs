@@ -49,14 +49,16 @@
 //! merged summary stores one per-source entry per (source, cell) pair,
 //! so materializing it, like the SP storing the full `NewGS` token in
 //! §4.2.2, is linear in Σ per-source cells — but a contribution costs
-//! only its own arithmetic. The contributions to one cell are folded as
+//! only its own arithmetic. The runs are formed by one stable sort of
+//! (key, source, cell) entries, 24 bytes each; each stored flat form is
+//! one presorted run of it. The contributions to one cell are folded as
 //! one run ([`crate::engine::incorporate_contributions`]): one Cobweb
-//! descent for the contribution that creates the leaf, one cell-map
-//! lookup, and one leaf-to-root walk that adds each weight to the count
-//! and the key's histogram slots only (arity + 1 additions per node,
-//! not a sweep over every label). Per cell that leaves the descent and
-//! the walk; per contribution, those additions plus the content and
-//! statistics folds. At 1000 members a build takes milliseconds (about
+//! descent for the contribution that creates the leaf, one cell lookup,
+//! and one leaf-to-root walk that adds each weight to the count and the
+//! key's histogram slots only (arity + 1 additions per node, in one
+//! pass over the run, not a sweep over every label). Per cell that
+//! leaves the descent and the walk; per contribution, those additions
+//! plus the content and statistics folds. At 1000 members a build takes milliseconds (about
 //! 4 ms in traced `domain_pull` runs of `perfbench/` on a 2-core Xeon
 //! host; about 10 ms at seed 1 on a slower shared 2-core container, 11
 //! there before the flat tree arena), so the P2P layer builds only when
