@@ -7,17 +7,22 @@
 //! not. The discriminating attribute is `disease` (crisp categorical), so
 //! match/avoid generation is exact, not probabilistic.
 //!
-//! Sex and disease names are interned: the distributions and targets hold
-//! them as `Arc<str>`, and a generated row's text values share those, so
+//! Sex and disease names are interned: the sex names once per process,
+//! the disease names in the distributions, and the targets' values as
+//! `Arc<str>`; a generated row's text values share those, so
 //! a row costs one allocation (its value vector), not one per text value.
 
-use std::sync::Arc;
+use std::sync::{Arc, LazyLock};
 
 use rand::Rng;
 
 use crate::schema::Schema;
 use crate::table::Table;
 use crate::value::Value;
+
+/// The two sex values, `[female, male]`, interned once: the BK's sex
+/// labels name exactly these.
+static SEXES: LazyLock<[Arc<str>; 2]> = LazyLock::new(|| ["female".into(), "male".into()]);
 
 /// Distribution parameters for a synthetic Patient population.
 #[derive(Debug, Clone)]
@@ -32,8 +37,6 @@ pub struct PatientDistributions {
     pub bmi_range: (f64, f64),
     /// Probability that a patient is female.
     pub female_prob: f64,
-    /// The sex values drawn: `[female, male]`.
-    pub sexes: [Arc<str>; 2],
     /// Disease names with relative weights (need not sum to 1).
     pub diseases: Vec<(Arc<str>, f64)>,
 }
@@ -46,7 +49,6 @@ impl Default for PatientDistributions {
             bmi: (23.0, 4.5),
             bmi_range: (12.0, 45.0),
             female_prob: 0.5,
-            sexes: ["female".into(), "male".into()],
             diseases: [
                 ("malaria", 2.0),
                 ("tuberculosis", 1.0),
@@ -143,8 +145,8 @@ fn weighted_choice<'a, R: Rng + ?Sized>(
 }
 
 /// The interned name of the sex drawn with probability `female_prob`.
-fn draw_sex<R: Rng + ?Sized>(rng: &mut R, dist: &PatientDistributions, female_prob: f64) -> Value {
-    let [female, male] = &dist.sexes;
+fn draw_sex<R: Rng + ?Sized>(rng: &mut R, female_prob: f64) -> Value {
+    let [female, male] = &*SEXES;
     Value::Text(Arc::clone(if rng.gen_bool(female_prob) {
         female
     } else {
@@ -155,7 +157,7 @@ fn draw_sex<R: Rng + ?Sized>(rng: &mut R, dist: &PatientDistributions, female_pr
 /// Generates one background patient row from the distributions.
 pub fn random_patient<R: Rng + ?Sized>(rng: &mut R, dist: &PatientDistributions) -> Vec<Value> {
     let age = clamped_normal(rng, dist.age.0, dist.age.1, dist.age_range).round();
-    let sex = draw_sex(rng, dist, dist.female_prob.clamp(0.0, 1.0));
+    let sex = draw_sex(rng, dist.female_prob.clamp(0.0, 1.0));
     let bmi = clamped_normal(rng, dist.bmi.0, dist.bmi.1, dist.bmi_range);
     let disease = weighted_choice(rng, dist.diseases.iter());
     vec![
@@ -177,7 +179,7 @@ pub fn matching_patient<R: Rng + ?Sized>(
     let age = rng.gen_range(age_lo..=age_hi).round();
     let sex = match &target.sex {
         Some(s) => Value::Text(Arc::clone(s)),
-        None => draw_sex(rng, dist, dist.female_prob),
+        None => draw_sex(rng, dist.female_prob),
     };
     let (bmi_lo, bmi_hi) = target.bmi.unwrap_or(dist.bmi_range);
     let bmi = rng.gen_range(bmi_lo..=bmi_hi);
@@ -218,7 +220,7 @@ pub fn avoiding_patient<R: Rng + ?Sized>(
         return row;
     }
     if let Some(s) = &target.sex {
-        let [female, male] = &dist.sexes;
+        let [female, male] = &*SEXES;
         let other = if **s == **female { male } else { female };
         row[1] = Value::Text(Arc::clone(other));
         return row;

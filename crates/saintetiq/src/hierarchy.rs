@@ -27,7 +27,13 @@
 //!   run of labels), and columns for the leaf, the weight, the max grades
 //!   and statistics (slabs, stride = the arity) and the per-source
 //!   weights (one row per cell, sorted by source; rows are recycled).
-//!   A drained cell keeps its rows but leaves the index.
+//!   A drained cell keeps its rows but leaves the index, as a pruned
+//!   node keeps its rows as a tombstone: rows are reclaimed only by
+//!   [`SummaryTree::clear`]. A tree that takes push-mode removals
+//!   ([`SummaryTree::remove_from_cell`]) for a long time without being
+//!   rebuilt therefore keeps a row for every cell it ever held. The
+//!   simulator never does that: its trees are rebuilt from scratch
+//!   (regeneration, merged builds, decoding).
 //! * **Index**: the live cells' ids sorted by key. A cell is looked up by
 //!   binary search on its labels, and [`SummaryTree::cells`] iterates in
 //!   key order, the order the wire encoding, the flat forms of
@@ -458,26 +464,8 @@ impl SummaryTree {
             index: Vec::new(),
             delta: Vec::new(),
         };
-        tree.reserve(64, 32);
         tree.push_node(NONE, NONE);
         tree
-    }
-
-    /// Reserves room for `nodes` nodes and `cells` cells.
-    fn reserve(&mut self, nodes: usize, cells: usize) {
-        let arity = self.arity();
-        self.links.reserve(nodes);
-        self.count.reserve(nodes);
-        self.alive.reserve(nodes);
-        self.hist.reserve(nodes * self.slots);
-        self.intent.reserve(nodes * arity);
-        self.cell_labels.reserve(cells * arity);
-        self.cell_leaf.reserve(cells);
-        self.cell_weight.reserve(cells);
-        self.cell_grades.reserve(cells * arity);
-        self.cell_stats.reserve(cells * arity);
-        self.cell_sources.reserve(cells);
-        self.index.reserve(cells);
     }
 
     /// Empties the tree to a lone root over the same BK, keeping every
@@ -1135,8 +1123,9 @@ impl SummaryTree {
         }
         self.delta = delta;
         if drained {
-            let pos = (self.index.iter())
-                .position(|&c| c as usize == cell)
+            let key = self.cell_key(cell);
+            let pos = (self.index)
+                .binary_search_by(|&c| self.cell_key(c as usize).cmp(key))
                 .expect("live cell indexed");
             self.index.remove(pos);
             self.kill_and_prune(leaf);
@@ -1447,6 +1436,89 @@ mod tests {
         assert!((t.total_count() - 0.5).abs() < 1e-12);
         // Intent no longer covers the drained cell's labels.
         assert!(!t.node(t.root()).covers_cell(&ka));
+    }
+
+    #[test]
+    fn cell_content_accumulates_weight_sources_and_max_grades() {
+        let mut t = tree();
+        let k = key(&[1, 2]);
+        t.create_leaf(t.root(), k.clone());
+        t.add_to_cell(&k, SourceId(2), 1.0, &[1.0, 0.9], None);
+        t.add_to_cell(&k, SourceId(1), 0.7, &[0.7, 1.0], None);
+        t.check_invariants();
+        let c = t.cell(&k).unwrap();
+        assert!((c.weight() - 1.7).abs() < 1e-12);
+        let sources: Vec<_> = c.sources().collect();
+        assert_eq!(sources, vec![(SourceId(1), 0.7), (SourceId(2), 1.0)]);
+        assert_eq!(c.max_grades(), &[1.0, 1.0]);
+    }
+
+    #[test]
+    fn remove_from_cell_caps_at_the_sources_weight() {
+        let mut t = tree();
+        let k = key(&[0, 3]);
+        t.create_leaf(t.root(), k.clone());
+        t.add_to_cell(&k, SourceId(1), 1.0, &[1.0, 1.0], None);
+        t.add_to_cell(&k, SourceId(2), 0.5, &[0.5, 0.5], None);
+
+        let r = t.remove_from_cell(&k, SourceId(1), 0.4);
+        assert!((r - 0.4).abs() < 1e-12);
+        t.check_invariants();
+        let c = t.cell(&k).unwrap();
+        assert_eq!(c.source_count(), 2);
+        assert!((c.source_weight(SourceId(1)).unwrap() - 0.6).abs() < 1e-12);
+
+        // An over-large removal takes only what is left and drops the
+        // source once its weight is used up.
+        let r = t.remove_from_cell(&k, SourceId(1), 10.0);
+        assert!((r - 0.6).abs() < 1e-12);
+        t.check_invariants();
+        let c = t.cell(&k).unwrap();
+        assert_eq!(c.source_count(), 1, "drained source is dropped");
+        assert_eq!(c.source_weight(SourceId(1)), None);
+        assert!((c.weight() - 0.5).abs() < 1e-12);
+        assert!((t.total_count() - 0.5).abs() < 1e-12);
+        assert_eq!(t.remove_from_cell(&k, SourceId(1), 1.0), 0.0);
+    }
+
+    #[test]
+    fn remove_source_from_cell_is_wholesale_and_once() {
+        let mut t = tree();
+        let k = key(&[2, 1]);
+        t.create_leaf(t.root(), k.clone());
+        t.add_to_cell(&k, SourceId(7), 0.3, &[0.3, 0.3], None);
+        t.add_to_cell(&k, SourceId(8), 0.7, &[0.7, 0.7], None);
+
+        assert!((t.remove_source_from_cell(&k, SourceId(7)) - 0.3).abs() < 1e-12);
+        assert_eq!(t.remove_source_from_cell(&k, SourceId(7)), 0.0);
+        t.check_invariants();
+        let c = t.cell(&k).unwrap();
+        assert!((c.weight() - 0.7).abs() < 1e-12);
+        assert_eq!(c.source_count(), 1);
+
+        assert!((t.remove_source_from_cell(&k, SourceId(8)) - 0.7).abs() < 1e-12);
+        t.check_invariants();
+        assert!(t.cell(&k).is_none(), "drained cell leaves the index");
+        assert_eq!(t.leaf_count(), 0);
+    }
+
+    #[test]
+    fn removing_an_unknown_source_or_cell_changes_nothing() {
+        let mut t = tree();
+        let k = key(&[1, 1]);
+        t.create_leaf(t.root(), k.clone());
+        t.add_to_cell(&k, SourceId(1), 1.0, &[1.0, 1.0], None);
+
+        assert_eq!(t.remove_from_cell(&k, SourceId(9), 1.0), 0.0);
+        assert_eq!(t.remove_source_from_cell(&k, SourceId(9)), 0.0);
+        assert_eq!(t.remove_from_cell(&key(&[0, 0]), SourceId(1), 1.0), 0.0);
+        assert_eq!(t.remove_source_from_cell(&key(&[0, 0]), SourceId(1)), 0.0);
+        t.check_invariants();
+        let c = t.cell(&k).unwrap();
+        assert!((c.weight() - 1.0).abs() < 1e-12);
+        assert_eq!(c.source_weight(SourceId(1)), Some(1.0));
+        assert!((t.total_count() - 1.0).abs() < 1e-12);
+        assert!(t.node(t.root()).covers_cell(&k));
     }
 
     #[test]
