@@ -9,9 +9,16 @@ use crate::freshness::Freshness;
 
 /// The cooperation list `CL` of one global summary: an element per
 /// partner peer holding its freshness value.
+///
+/// The list keeps its count of stale entries up to date as entries
+/// change, so the α trigger ([`CooperationList::stale_fraction`],
+/// [`CooperationList::needs_reconciliation`]) costs O(1) however long
+/// the list is.
 #[derive(Debug, Clone, Default)]
 pub struct CooperationList {
     entries: BTreeMap<NodeId, Freshness>,
+    /// Entries whose freshness has its stale bit set.
+    stale: usize,
 }
 
 impl CooperationList {
@@ -24,12 +31,22 @@ impl CooperationList {
     /// construction-time partners, `NeedsRefresh` for §4.3's late
     /// joiners whose data awaits the next pull).
     pub fn add_partner(&mut self, peer: NodeId, freshness: Freshness) {
-        self.entries.insert(peer, freshness);
+        let old = self.entries.insert(peer, freshness);
+        self.recount(old, Some(freshness));
     }
 
     /// Removes a partner (on `drop` messages or reconciliation cleanup).
     pub fn remove_partner(&mut self, peer: NodeId) -> bool {
-        self.entries.remove(&peer).is_some()
+        let old = self.entries.remove(&peer);
+        self.recount(old, None);
+        old.is_some()
+    }
+
+    /// Moves the stale count from an entry's `old` freshness (`None`:
+    /// absent) to its `new` one.
+    fn recount(&mut self, old: Option<Freshness>, new: Option<Freshness>) {
+        let stale = |f: Option<Freshness>| usize::from(f.is_some_and(Freshness::as_stale_bit));
+        self.stale = self.stale + stale(new) - stale(old);
     }
 
     /// True when the peer is a partner.
@@ -47,7 +64,8 @@ impl CooperationList {
     pub fn set_freshness(&mut self, peer: NodeId, freshness: Freshness) -> bool {
         match self.entries.get_mut(&peer) {
             Some(slot) => {
-                *slot = freshness;
+                let old = std::mem::replace(slot, freshness);
+                self.recount(Some(old), Some(freshness));
                 true
             }
             None => false,
@@ -91,8 +109,7 @@ impl CooperationList {
         if self.entries.is_empty() {
             return 0.0;
         }
-        let stale = self.entries.values().filter(|f| f.as_stale_bit()).count();
-        stale as f64 / self.entries.len() as f64
+        self.stale as f64 / self.entries.len() as f64
     }
 
     /// True when reconciliation must fire.
@@ -108,6 +125,7 @@ impl CooperationList {
         for f in self.entries.values_mut() {
             *f = Freshness::Fresh;
         }
+        self.stale = 0;
     }
 }
 
@@ -186,6 +204,38 @@ mod tests {
                 prop_assert_eq!(cl.needs_reconciliation(expect), !cl.is_empty());
                 if old < cl.len() {
                     prop_assert!(!cl.needs_reconciliation(expect + 0.01));
+                }
+            }
+
+            /// The stale count kept through any sequence of adds,
+            /// removals, freshness updates and reconciliations equals a
+            /// recount of the entries, and the fraction is the same
+            /// quotient.
+            #[test]
+            fn kept_stale_count_matches_a_recount(
+                ops in prop::collection::vec((0u8..4, 0u32..24, 0u8..3), 1..200),
+            ) {
+                let mut cl = CooperationList::new();
+                for (op, peer, state) in ops {
+                    let (p, f) = (NodeId(peer), Freshness::from_u2(state).unwrap());
+                    match op {
+                        0 => cl.add_partner(p, f),
+                        1 => {
+                            cl.remove_partner(p);
+                        }
+                        2 => {
+                            cl.set_freshness(p, f);
+                        }
+                        _ => cl.reconcile(|q| q.0 % 3 != peer % 3),
+                    }
+                    let recount = cl.old_partners().count();
+                    prop_assert_eq!(cl.stale, recount);
+                    let fraction = if cl.is_empty() {
+                        0.0
+                    } else {
+                        recount as f64 / cl.len() as f64
+                    };
+                    prop_assert_eq!(cl.stale_fraction().to_bits(), fraction.to_bits());
                 }
             }
 

@@ -5,8 +5,13 @@
 //! multi-domain network:
 //!
 //! * **summary drift** — per-peer lifetimes from Table 3's lognormal;
-//!   on expiry the peer's database is regenerated and a `push` flags its
-//!   cooperation-list entry;
+//!   on expiry the peer's database is redrawn and a `push` flags its
+//!   cooperation-list entry. The new local summary is built through the
+//!   kernel's [`crate::summary_pool::SummaryPool`], on its summary
+//!   worker when the host has a second CPU, and installed before
+//!   anything reads it (`SimKernel::settle`, `SimKernel::settle_all`);
+//!   summarization draws nothing, so the results cannot depend on
+//!   thread timing;
 //! * **churn** — session schedules with graceful leaves (`v = 2`
 //!   pushes) and silent failures (GS poison until the next pull), plus —
 //!   when [`crate::config::SimConfig::sp_lifetime`] is set — summary-peer
@@ -143,7 +148,8 @@ use crate::routing::{
     visited_peers, DenseSet, LookupConversation, QueryOutcome, RebirthConversation,
     RingConversation,
 };
-use crate::workload::{make_templates, PeerGenerator, ZipfSampler};
+use crate::summary_pool::SummaryPool;
+use crate::workload::{make_templates, PeerData, PeerGenerator, PeerSummary, ZipfSampler};
 
 /// Sentinel id for the implicit summary peer of the single-domain
 /// simulation (it has no slot in the peer vector or the topology).
@@ -254,9 +260,11 @@ pub enum KernelEvent {
         sent_at: SimTime,
     },
     /// Latency mode: a run of query hits reaches a lookup's originator.
-    /// Boxed so that the variant does not grow every queued event: the
-    /// queue holds thousands of pending events in both delivery modes.
-    Hits(Box<HitRun>),
+    /// The run waits in the kernel's hit-run slab under this slot, so
+    /// that the variant does not grow every queued event (the queue
+    /// holds thousands of pending events in both delivery modes) and a
+    /// run costs no allocation of its own.
+    Hits(u32),
     /// Latency mode: watchdog of a reconciliation ring — if the token
     /// was dropped at a churned-out member, the SP completes the pull
     /// with the snapshots gathered so far.
@@ -317,12 +325,15 @@ pub enum KernelEvent {
 /// `QueryHit` message per peer of `peers[range]`, each about the peer
 /// it names, handled in send order.
 #[derive(Debug, Clone)]
-pub struct HitRun {
+struct HitRun {
     conv: u64,
     /// The answer list the run is a range of, shared with the caches
     /// that hold it.
     peers: Rc<[NodeId]>,
-    range: std::ops::Range<usize>,
+    /// The run's range of `peers`: answer lists are indexed by peer, so
+    /// `u32` bounds suffice.
+    start: u32,
+    end: u32,
     /// True for answers the SP's global summary selected, false for
     /// answers recovered from a flooded neighbour's cache.
     summary_selected: bool,
@@ -330,13 +341,65 @@ pub struct HitRun {
     sent_at: SimTime,
 }
 
+/// The hit runs in flight, each under a slot that a queued
+/// [`KernelEvent::Hits`] names. Slots are reused through a free list,
+/// and the slab grows by fixed-size chunks that never move, so neither
+/// a run nor the slab's growth copies or reallocates what is in flight.
+/// When the last run in flight is taken the chunks are released, so the
+/// slab holds memory only while runs are in flight.
+#[derive(Default)]
+struct HitSlab {
+    chunks: Vec<Box<[Option<HitRun>]>>,
+    free: Vec<u32>,
+}
+
+impl HitSlab {
+    /// Runs per chunk.
+    const CHUNK: usize = 256;
+
+    /// Stores `run`, returning its slot.
+    fn insert(&mut self, run: HitRun) -> u32 {
+        let slot = match self.free.pop() {
+            Some(slot) => slot,
+            None => {
+                let first = (self.chunks.len() * Self::CHUNK) as u32;
+                self.chunks
+                    .push((0..Self::CHUNK).map(|_| None).collect::<Box<[_]>>());
+                self.free
+                    .extend((first + 1..first + Self::CHUNK as u32).rev());
+                first
+            }
+        };
+        let entry = &mut self.chunks[slot as usize / Self::CHUNK][slot as usize % Self::CHUNK];
+        debug_assert!(entry.is_none(), "hit-run slot {slot} in use");
+        *entry = Some(run);
+        slot
+    }
+
+    /// Takes the run under `slot` out, freeing the slot.
+    fn take(&mut self, slot: u32) -> HitRun {
+        let run = self.chunks[slot as usize / Self::CHUNK][slot as usize % Self::CHUNK]
+            .take()
+            .expect("a scheduled hit run");
+        self.free.push(slot);
+        if self.free.len() == self.chunks.len() * Self::CHUNK {
+            self.chunks.clear();
+            self.free = Vec::new();
+        }
+        run
+    }
+}
+
 /// The unified simulation state: peers + domains + (optionally) the
 /// physical network, driven by one event loop.
 pub struct SimKernel {
     pub(crate) cfg: SimConfig,
     /// Generates every peer's database and local summary, at
-    /// construction, drift and promoted-SP re-entry.
-    generator: PeerGenerator,
+    /// construction, drift and promoted-SP re-entry: the draws on the
+    /// event loop, the summaries on the pool's worker when there is one.
+    /// Whatever reads a peer's summary or flat form installs the peer's
+    /// outstanding result first ([`Self::settle`], [`Self::settle_all`]).
+    pool: SummaryPool,
     reformulated: Vec<SummaryQuery>,
     sim: Simulator<KernelEvent>,
     pub(crate) peers: Vec<Option<PeerState>>,
@@ -355,6 +418,8 @@ pub struct SimKernel {
     flood_scratch: FloodScratch,
     /// The last flood's reach, reused by every flood.
     flood_out: Vec<(NodeId, u32, SimTime)>,
+    /// Hit runs in flight, by the slot their [`KernelEvent::Hits`] names.
+    hit_runs: HitSlab,
     caches: Vec<QueryCache>,
     cache_hits: u64,
     target: LookupTarget,
@@ -425,17 +490,59 @@ struct RebirthSeed {
     stalled: bool,
 }
 
-/// The medical workload every kernel mode shares: a peer generator bound
-/// to the CBK and the query templates, plus the templates reformulated
-/// against the CBK.
-fn build_workload(cfg: &SimConfig) -> Result<(PeerGenerator, Vec<SummaryQuery>), P2pError> {
+/// The medical workload every kernel mode shares: a summary pool over a
+/// peer generator bound to the CBK and the query templates, plus the
+/// templates reformulated against the CBK.
+fn build_workload(cfg: &SimConfig) -> Result<(SummaryPool, Vec<SummaryQuery>), P2pError> {
     let bk = BackgroundKnowledge::medical_cbk();
     let templates = make_templates(cfg.template_count);
     let reformulated: Vec<SummaryQuery> = templates
         .iter()
         .map(|t| reformulate(&t.query, &bk))
         .collect::<Result<_, _>>()?;
-    Ok((PeerGenerator::new(&bk, &templates)?, reformulated))
+    let generator = PeerGenerator::new(&bk, &templates)?;
+    Ok((SummaryPool::new(generator), reformulated))
+}
+
+/// Installs `summary` as `peer`'s local summary (a result of the
+/// kernel's [`SummaryPool`]); a peer with no state any more drops it.
+fn install(peers: &mut [Option<PeerState>], peer: u32, summary: PeerSummary) {
+    if let Some(st) = peers.get_mut(peer as usize).and_then(Option::as_mut) {
+        st.data.summary = summary.summary;
+        st.data.flat = summary.flat;
+    }
+}
+
+/// Generates, in id order, the database and local summary of every
+/// peer `wanted` names into a new live state in `peers`, as both
+/// constructors do: the draws on this thread, the summaries through
+/// `pool`, all installed before this returns.
+fn generate_all<R: Rng + ?Sized>(
+    pool: &mut SummaryPool,
+    rng: &mut R,
+    cfg: &SimConfig,
+    peers: &mut [Option<PeerState>],
+    wanted: impl Fn(usize) -> bool,
+) -> Result<(), P2pError> {
+    // What a peer holds between its draw and its summary's install.
+    let blank = pool.generator().summarizer().empty_summary();
+    for i in (0..peers.len()).filter(|&i| wanted(i)) {
+        peers[i] = Some(PeerState::new(PeerData {
+            match_bits: 0,
+            summary: blank.summary.clone(),
+            flat: Rc::clone(&blank.flat),
+        }));
+        let match_bits = pool.regenerate(
+            rng,
+            i as u32,
+            cfg.match_fraction,
+            cfg.records_per_peer,
+            |q, s| install(peers, q, s),
+        )?;
+        peers[i].as_mut().expect("set above").data.match_bits = match_bits;
+    }
+    pool.settle_all(|q, s| install(peers, q, s));
+    Ok(())
 }
 
 /// The answer a peer returns to a lookup's originator: one result tuple
@@ -467,21 +574,13 @@ impl SimKernel {
     /// [`crate::domain::DomainSim`] semantics.
     pub fn single_domain(cfg: SimConfig) -> Result<Self, P2pError> {
         cfg.validate()?;
-        let (mut generator, reformulated) = build_workload(&cfg)?;
+        let (mut pool, reformulated) = build_workload(&cfg)?;
 
         let mut sim = Simulator::<KernelEvent>::new(cfg.seed);
         sim.set_horizon(cfg.horizon);
 
-        let mut peers: Vec<Option<PeerState>> = Vec::with_capacity(cfg.n_peers);
-        for p in 0..cfg.n_peers {
-            let data = generator.generate(
-                sim.rng(),
-                p as u32,
-                cfg.match_fraction,
-                cfg.records_per_peer,
-            )?;
-            peers.push(Some(PeerState::new(data)));
-        }
+        let mut peers: Vec<Option<PeerState>> = vec![None; cfg.n_peers];
+        generate_all(&mut pool, sim.rng(), &cfg, &mut peers, |_| true)?;
 
         let mut ledger = MessageLedger::new();
         let mut domain = DomainCore::new(None, (0..cfg.n_peers as u32).map(NodeId).collect());
@@ -489,7 +588,7 @@ impl SimKernel {
 
         let mut this = Self {
             cfg,
-            generator,
+            pool,
             reformulated,
             sim,
             peers,
@@ -504,6 +603,7 @@ impl SimKernel {
             topo_epoch: 0,
             flood_scratch: FloodScratch::default(),
             flood_out: Vec::new(),
+            hit_runs: HitSlab::default(),
             caches: Vec::new(),
             cache_hits: 0,
             target: LookupTarget::Total,
@@ -530,8 +630,8 @@ impl SimKernel {
         let zipf = this
             .cfg
             .zipf_exponent
-            .map(|s| ZipfSampler::new(this.generator.templates().len(), s));
-        for (template, at) in query_sample_times(&this.cfg, this.generator.templates().len()) {
+            .map(|s| ZipfSampler::new(this.template_count(), s));
+        for (template, at) in query_sample_times(&this.cfg, this.template_count()) {
             let template = match &zipf {
                 Some(z) => z.sample(this.sim.rng()),
                 None => template,
@@ -567,19 +667,12 @@ impl SimKernel {
         let superpeers = elect_superpeers(&net, sp_count);
         let topo = construct_domains(&net, &superpeers, cfg.sumpeer_ttl);
 
-        let (mut generator, reformulated) = build_workload(&cfg)?;
+        let (mut pool, reformulated) = build_workload(&cfg)?;
 
         let mut peers: Vec<Option<PeerState>> = vec![None; cfg.n_peers];
-        for (i, assignment) in topo.assignment.iter().enumerate() {
-            if assignment.is_some() {
-                peers[i] = Some(PeerState::new(generator.generate(
-                    &mut rng,
-                    i as u32,
-                    cfg.match_fraction,
-                    cfg.records_per_peer,
-                )?));
-            }
-        }
+        generate_all(&mut pool, &mut rng, &cfg, &mut peers, |i| {
+            topo.assignment[i].is_some()
+        })?;
 
         let mut ledger = MessageLedger::new();
         let mut domains = Vec::with_capacity(superpeers.len());
@@ -620,7 +713,7 @@ impl SimKernel {
         let n_domains = domains.len();
         let mut this = Self {
             cfg,
-            generator,
+            pool,
             reformulated,
             sim,
             peers,
@@ -635,6 +728,7 @@ impl SimKernel {
             topo_epoch: 0,
             flood_scratch: FloodScratch::default(),
             flood_out: Vec::new(),
+            hit_runs: HitSlab::default(),
             caches,
             cache_hits: 0,
             target: dynamics.unwrap_or(LookupTarget::Total),
@@ -760,8 +854,8 @@ impl SimKernel {
         let zipf = self
             .cfg
             .zipf_exponent
-            .map(|s| ZipfSampler::new(self.generator.templates().len(), s));
-        for (template, at) in query_sample_times(&self.cfg, self.generator.templates().len()) {
+            .map(|s| ZipfSampler::new(self.template_count(), s));
+        for (template, at) in query_sample_times(&self.cfg, self.template_count()) {
             let origin = partners[self.sim.rng().gen_range(0..partners.len())];
             let template = match &zipf {
                 Some(z) => z.sample(self.sim.rng()),
@@ -779,19 +873,23 @@ impl SimKernel {
                 let idx = p.index();
                 let up = self.peers[idx].as_ref().is_some_and(|s| s.up);
                 if up {
-                    // The data drifted: regenerate the database and its
-                    // local summary, then push the stale flag. A
+                    // The data drifted: redraw the database and submit
+                    // its local summary, then push the stale flag. A
                     // generation failure (impossible for a config that
                     // built) is counted and keeps the previous data.
-                    match self.generator.generate(
+                    let peers = &mut self.peers;
+                    match self.pool.regenerate(
                         self.sim.rng(),
                         p.0,
                         self.cfg.match_fraction,
                         self.cfg.records_per_peer,
+                        |q, s| install(peers, q, s),
                     ) {
-                        Ok(data) => {
+                        Ok(match_bits) => {
                             let st = self.peers[idx].as_mut().expect("up peer has state");
-                            st.data = data;
+                            // The summary follows when installed; the
+                            // ground truth is current from now on.
+                            st.data.match_bits = match_bits;
                             // Stays set until the new summary is merged
                             // into an accumulator — the rebirth seeding
                             // signal for pushes lost to a dissolving
@@ -910,7 +1008,8 @@ impl SimKernel {
                 conv,
                 sent_at,
             } => self.deliver(from, to, msg, conv, sent_at),
-            KernelEvent::Hits(run) => {
+            KernelEvent::Hits(slot) => {
+                let run = self.hit_runs.take(slot);
                 if self.deliver_hits(&run) {
                     self.lookups.remove(&run.conv);
                 }
@@ -970,6 +1069,7 @@ impl SimKernel {
     /// routes it to the localized peers. `send_msg` already counted the
     /// client→SP query message.
     fn process_local_query(&mut self, template: usize) {
+        self.settle_all();
         let prop = &self.reformulated[template].proposition;
         let outcome = self.domains[0].route_local(prop, self.cfg.policy, &self.peers, template);
         self.ledger
@@ -1091,6 +1191,7 @@ impl SimKernel {
     /// their conversation id so arrivals confirm the re-home instead
     /// of re-entering the CL stale.
     fn send_localsum(&mut self, p: NodeId, d: usize, extra: SimTime, conv: u64) {
+        self.settle(p);
         let bytes = self.peers[p.index()]
             .as_ref()
             .map(|s| s.data.summary.len())
@@ -1181,6 +1282,7 @@ impl SimKernel {
         if route.is_empty() {
             // Every stale entry is a departed member: nothing to pull,
             // just expire them at once.
+            self.settle_all();
             if let Err(e) = self.domains[d].apply_snapshots(&[], &mut self.peers, &mut self.ledger)
             {
                 self.note_error(e);
@@ -1225,12 +1327,16 @@ impl SimKernel {
         // The member must still be up to stamp the token; a hop landing
         // on a churned-out peer silently drops it — the SP's watchdog
         // completes the pull with what was gathered.
-        let Some(st) = self.peers.get(to.index()).and_then(|s| s.as_ref()) else {
-            return;
-        };
-        if !st.up {
+        let up = self
+            .peers
+            .get(to.index())
+            .and_then(|s| s.as_ref())
+            .is_some_and(|s| s.up);
+        if !up {
             return;
         }
+        self.settle(to);
+        let st = self.peers[to.index()].as_ref().expect("checked above");
         let snap = SummarySnapshot::of(to, st);
         let rc = self.rings.get_mut(&conv).expect("checked above");
         rc.gathered.push(snap);
@@ -1264,6 +1370,7 @@ impl SimKernel {
             self.ring_of_domain[d] = None;
         }
         if !self.domains[d].dissolved {
+            self.settle_all();
             if let Err(e) =
                 self.domains[d].apply_snapshots(&gathered, &mut self.peers, &mut self.ledger)
             {
@@ -1402,17 +1509,16 @@ impl SimKernel {
         self.charge(&mut lc.messages, &hit_msg(summary_selected), n);
         self.in_flight += n;
         self.peak_in_flight = self.peak_in_flight.max(self.in_flight);
-        let sent_at = self.sim.now();
-        self.sim.schedule_in(
-            transit,
-            KernelEvent::Hits(Box::new(HitRun {
-                conv,
-                peers: Rc::clone(peers),
-                range: run,
-                summary_selected,
-                sent_at,
-            })),
-        );
+        let run = HitRun {
+            conv,
+            peers: Rc::clone(peers),
+            start: run.start as u32,
+            end: run.end as u32,
+            summary_selected,
+            sent_at: self.sim.now(),
+        };
+        let slot = self.hit_runs.insert(run);
+        self.sim.schedule_in(transit, KernelEvent::Hits(slot));
     }
 
     /// A lookup's query arrives at a domain SP: the SP consults its
@@ -1538,7 +1644,7 @@ impl SimKernel {
             sent_at,
             ..
         } = *run;
-        let peers = &run.peers[run.range.clone()];
+        let peers = &run.peers[run.start as usize..run.end as usize];
         let n = peers.len() as u64;
         let now = self.sim.now();
         self.in_flight = self.in_flight.saturating_sub(n);
@@ -1614,6 +1720,7 @@ impl SimKernel {
         if self.domains[d].dissolved {
             return;
         }
+        self.settle_all();
         let graceful = !self
             .sim
             .rng()
@@ -1751,8 +1858,10 @@ impl SimKernel {
         // otherwise every rebirth would permanently drain one peer.
         if self.promoted_sps.remove(&sp) {
             // A generation failure is counted and keeps the previous
-            // data.
-            match self.generator.generate(
+            // data. The new state is generated here, whole: no summary
+            // submitted earlier may overwrite it.
+            self.pool.cancel(sp.0);
+            match self.pool.generator_mut().generate(
                 self.sim.rng(),
                 sp.0,
                 self.cfg.match_fraction,
@@ -1852,6 +1961,7 @@ impl SimKernel {
         let Some(seed) = self.pending_rebirths.remove(&d) else {
             return;
         };
+        self.settle_all();
         // The winner may have churned out (or walked into another
         // domain) between election and takeover: re-run the election
         // over the remaining candidates.
@@ -2056,6 +2166,10 @@ impl SimKernel {
     /// including for domains reborn from retained descriptions (the
     /// rebirth property tests rely on this probe).
     pub fn live_gs_matches_oracle(&self) -> Result<bool, P2pError> {
+        debug_assert!(
+            self.pool.is_settled(),
+            "control returned with summaries pending"
+        );
         for dom in &self.domains {
             if dom.dissolved {
                 continue;
@@ -2099,11 +2213,32 @@ impl SimKernel {
         }
     }
 
+    /// Installs `p`'s outstanding local summary, if any: whatever reads
+    /// one peer's summary or flat form calls this first.
+    fn settle(&mut self, p: NodeId) {
+        let peers = &mut self.peers;
+        self.pool.settle(p.0, |q, s| install(peers, q, s));
+    }
+
+    /// Installs every outstanding local summary: whatever hands `peers`
+    /// to a [`DomainCore`] call, and every return of control to the
+    /// caller, calls this first.
+    fn settle_all(&mut self) {
+        let peers = &mut self.peers;
+        self.pool.settle_all(|q, s| install(peers, q, s));
+    }
+
+    /// Number of query templates of the workload.
+    fn template_count(&self) -> usize {
+        self.pool.generator().templates().len()
+    }
+
     /// Runs every scheduled event to the horizon.
     pub fn run_to_horizon(&mut self) {
         while let Some((_, ev)) = self.sim.next_event() {
             self.handle(ev);
         }
+        self.settle_all();
         self.materialize();
         if let (n, Some(e)) = self.error_status() {
             eprintln!("warning: {n} domain-state error(s) swallowed during the run; first: {e}");
@@ -2117,6 +2252,7 @@ impl SimKernel {
             self.handle(ev);
         }
         self.sim.fast_forward(t);
+        self.settle_all();
         self.materialize();
     }
 
@@ -2350,6 +2486,10 @@ impl SimKernel {
     /// The third value counts the down peers whose summary failed to
     /// decode or merge; they contribute nothing.
     fn approximate_coverage(&self) -> (Vec<f64>, Vec<f64>, u64) {
+        debug_assert!(
+            self.pool.is_settled(),
+            "control returned with summaries pending"
+        );
         let gs = &self.domains[0].gs;
         let weight_of = |gs: &saintetiq::hierarchy::SummaryTree| -> Vec<f64> {
             self.reformulated
@@ -2444,6 +2584,7 @@ impl SimKernel {
     /// Forces a reconciliation round in every domain (used by probes and
     /// SP-initiated maintenance scenarios).
     pub fn reconcile_all(&mut self) {
+        self.settle_all();
         for d in 0..self.domains.len() {
             let result = {
                 let (domains, peers, ledger) =
@@ -2726,7 +2867,7 @@ mod tests {
             m.retain(|p| !k.sp_index.contains_key(p));
             m
         };
-        let template = (0..k.generator.templates().len())
+        let template = (0..k.template_count())
             .find(|&t| partners(&k, t).len() >= 7)
             .expect("a template with seven matching partners");
         let m = partners(&k, template);
@@ -2753,10 +2894,11 @@ mod tests {
         // done conversation in place for the checks below (`handle`
         // drops it).
         while let Some((_, ev)) = k.sim.next_event() {
-            let KernelEvent::Hits(run) = ev else {
+            let KernelEvent::Hits(slot) = ev else {
                 panic!("{ev:?}")
             };
             events += 1;
+            let run = k.hit_runs.take(slot);
             k.deliver_hits(&run);
         }
         assert_eq!(events, 3, "far ×3, near, far ×2: three runs");

@@ -60,6 +60,8 @@
 //! * [`cache`] — §5.2.2's group-locality answer caches;
 //! * [`workload`] — the Table 3 workload: query templates matched by a
 //!   configurable fraction of peers, with exact ground truth;
+//! * [`summary_pool`] — local summaries built on a summary worker
+//!   thread while the event loop runs on, installed before any read;
 //! * [`costmodel`] — the closed-form cost model of §6.1 (equations (1)
 //!   and (2));
 //! * [`baselines`] — §6.2.3's comparators: pure TTL-3 flooding and a
@@ -85,6 +87,7 @@ pub mod metrics;
 pub mod peerstate;
 pub mod routing;
 pub mod scenario;
+pub mod summary_pool;
 pub mod system;
 pub mod workload;
 

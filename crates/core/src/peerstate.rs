@@ -400,6 +400,9 @@ impl DomainCore {
     pub fn materialize(&mut self) {
         if self.gs_stale {
             self.acc.build_merged_into(&mut self.gs);
+            // The stored GS stays resident until the next observation:
+            // it keeps no spare capacity from its build.
+            self.gs.shrink_to_fit();
             self.gs_bytes_last = wire::encoded_size(&self.gs);
             self.gs_stale = false;
         }

@@ -9,23 +9,31 @@
 //! the stale-answer accounting of Figures 4–5 requires.
 //!
 //! A [`PeerGenerator`] is bound once to the BK and the templates, and
-//! then generates peer after peer: it keeps the patient schema, the
-//! background distributions and one summarization engine whose mapper is
-//! bound once, whose buffers are reused, and whose tree arena is encoded
-//! and flattened in place for each peer, then cleared with its capacity
-//! kept. A simulation kernel owns one and regenerates a drifted database
-//! with it. [`generate_peer_data`] binds one for a single call.
+//! then generates peer after peer in two steps. [`PeerGenerator::draw`]
+//! makes every RNG draw of a peer's database into a recycled row set and
+//! checks its ground truth; [`Summarizer::summarize`] turns the rows into
+//! the local summary, a pure function of the rows and the peer id that
+//! draws nothing. The summarizer keeps one engine whose mapper is bound
+//! once, whose buffers are reused, and whose tree arena is encoded and
+//! flattened into reused output buffers for each peer, then cleared with
+//! its capacity kept. A simulation kernel keeps one generator and
+//! summarizes drifted databases through a [`crate::summary_pool`], which
+//! may run the second step on another thread. [`generate_peer_data`]
+//! binds a generator for a single call.
 
 use std::rc::Rc;
 
 use bytes::Bytes;
 use fuzzy::bk::BackgroundKnowledge;
 use rand::Rng;
-use relation::generator::{avoiding_patient, matching_patient, MatchTarget, PatientDistributions};
+use relation::generator::{
+    avoiding_patient_into, matching_patient_into, random_patient_into, MatchTarget,
+    PatientDistributions,
+};
 use relation::predicate::Predicate;
 use relation::query::SelectQuery;
 use relation::schema::Schema;
-use relation::table::Table;
+use relation::value::Value;
 use saintetiq::cell::SourceId;
 use saintetiq::delta::SourceDelta;
 use saintetiq::engine::{EngineConfig, SaintEtiQEngine};
@@ -164,6 +172,95 @@ impl PeerData {
     }
 }
 
+/// One peer's database as drawn: its rows in insertion order, one value
+/// per attribute of the patient schema each.
+pub type Rows = Vec<Vec<Value>>;
+
+/// One peer's local summary in the two forms a peer keeps
+/// ([`PeerData::summary`] and [`PeerData::flat`]).
+#[derive(Debug, Clone)]
+pub struct PeerSummary {
+    /// The encoded local summary.
+    pub summary: Bytes,
+    /// The summary flattened for its peer, its encoded size recorded.
+    pub flat: Rc<SourceDelta>,
+}
+
+/// A summarizer's output buffers: the last summary's encoding and flat
+/// form, overwritten by the next summary and copied out by
+/// [`SummaryBuf::to_summary`].
+#[derive(Debug, Clone)]
+pub struct SummaryBuf {
+    bytes: Vec<u8>,
+    flat: SourceDelta,
+}
+
+impl SummaryBuf {
+    /// The summary held, copied into fresh allocations of exactly its
+    /// size, made by the calling thread.
+    pub fn to_summary(&self) -> PeerSummary {
+        PeerSummary {
+            summary: Bytes::copy_from_slice(&self.bytes),
+            flat: Rc::new(self.flat.clone()),
+        }
+    }
+}
+
+/// The summarization step of peer generation: rows to local summary.
+///
+/// A pure function of the rows and the peer id — it draws nothing and
+/// reads no state shared with anyone — so two summarizers bound to the
+/// same BK make the same bytes and flat form from the same rows, on any
+/// thread. Nothing carries over from one peer to the next but the
+/// capacity of the engine's buffers and tree arena.
+#[derive(Debug, Clone)]
+pub struct Summarizer {
+    engine: SaintEtiQEngine,
+}
+
+impl Summarizer {
+    /// Binds a summarizer to `bk` over the patient schema.
+    pub fn new(bk: &BackgroundKnowledge) -> Result<Self, P2pError> {
+        let engine = SaintEtiQEngine::new(
+            bk.clone(),
+            &Schema::patient(),
+            EngineConfig::default(),
+            SourceId(0),
+        )?;
+        Ok(Self { engine })
+    }
+
+    /// Empty output buffers over this summarizer's BK.
+    pub fn buffer(&self) -> SummaryBuf {
+        SummaryBuf {
+            bytes: Vec::new(),
+            flat: SourceDelta::from_tree(self.engine.tree(), SourceId(0)),
+        }
+    }
+
+    /// An empty summary over the summarizer's BK: a placeholder for a
+    /// peer whose first summary is still being built.
+    pub fn empty_summary(&self) -> PeerSummary {
+        self.buffer().to_summary()
+    }
+
+    /// Summarizes `rows`, in order, as `peer`'s local summary into
+    /// `out`: SaintEtiQ incorporation, the wire encoding and the flat
+    /// form.
+    ///
+    /// # Panics
+    /// When a row is shorter than the patient schema.
+    pub fn summarize(&mut self, peer: u32, rows: &[Vec<Value>], out: &mut SummaryBuf) {
+        self.engine.set_source(SourceId(peer));
+        self.engine.summarize_rows(rows.iter().map(Vec::as_slice));
+        let tree = self.engine.tree();
+        wire::encode_into(tree, &mut out.bytes);
+        out.flat.refill_from_tree(tree, SourceId(peer));
+        out.flat.set_encoded_bytes(out.bytes.len());
+        self.engine.clear_tree();
+    }
+}
+
 /// Generates peers' databases and local summaries, bound once to a BK
 /// and a template set.
 ///
@@ -171,26 +268,30 @@ impl PeerData {
 /// [`PeerGenerator::generate`] makes the same RNG draws and returns the
 /// same [`PeerData`] as a generator bound for that call alone. Nothing
 /// carries over from one peer to the next but the capacity of the
-/// buffers and the tree arena the engine reuses.
+/// buffers, the row sets and the tree arena it reuses.
 #[derive(Debug, Clone)]
 pub struct PeerGenerator {
     templates: Vec<QueryTemplate>,
     schema: Schema,
     background: PatientDistributions,
-    engine: SaintEtiQEngine,
+    summarizer: Summarizer,
+    /// The summarizer's output buffers on this generator's thread.
+    out: SummaryBuf,
+    /// Row sets to draw into, their rows' capacity kept.
+    spare_rows: Vec<Rows>,
 }
 
 impl PeerGenerator {
     /// Binds a generator to `bk` and `templates`.
     pub fn new(bk: &BackgroundKnowledge, templates: &[QueryTemplate]) -> Result<Self, P2pError> {
-        let schema = Schema::patient();
-        let engine =
-            SaintEtiQEngine::new(bk.clone(), &schema, EngineConfig::default(), SourceId(0))?;
+        let summarizer = Summarizer::new(bk)?;
         Ok(Self {
             templates: templates.to_vec(),
-            schema,
+            schema: Schema::patient(),
             background: background_distributions(),
-            engine,
+            out: summarizer.buffer(),
+            summarizer,
+            spare_rows: Vec::new(),
         })
     }
 
@@ -199,15 +300,13 @@ impl PeerGenerator {
         &self.templates
     }
 
-    /// Generates one peer's database and local summary.
-    ///
-    /// Each template is matched independently with probability
-    /// `match_fraction`; matched templates contribute one guaranteed
-    /// matching tuple, the rest of the `records` rows are background.
-    /// Ground truth is re-verified by exact evaluation before the table
-    /// is discarded, in every build: a mismatch is a
-    /// [`P2pError::GroundTruth`]. Relational and summarization failures
-    /// propagate as [`P2pError`] instead of panicking.
+    /// The summarization step, for another thread to own a copy of.
+    pub fn summarizer(&self) -> &Summarizer {
+        &self.summarizer
+    }
+
+    /// Generates one peer's database and local summary: [`Self::draw`],
+    /// then [`Self::summarize`].
     pub fn generate<R: Rng + ?Sized>(
         &mut self,
         rng: &mut R,
@@ -215,52 +314,111 @@ impl PeerGenerator {
         match_fraction: f64,
         records: usize,
     ) -> Result<PeerData, P2pError> {
+        let mut rows = self.take_rows();
+        let drawn = self.draw(rng, match_fraction, records, &mut rows);
+        let data = drawn.map(|match_bits| {
+            let PeerSummary { summary, flat } = self.summarize(peer, &rows);
+            PeerData {
+                match_bits,
+                summary,
+                flat,
+            }
+        });
+        self.recycle_rows(rows);
+        data
+    }
+
+    /// Draws one peer's database into `rows`, replacing its contents,
+    /// and returns its match bits.
+    ///
+    /// Each template is matched independently with probability
+    /// `match_fraction`; matched templates contribute one guaranteed
+    /// matching tuple, the rest of the `records` rows are background.
+    /// Every row is checked against the patient schema, and ground
+    /// truth is re-verified by exact evaluation, in every build: a
+    /// mismatch is a [`P2pError::GroundTruth`]. Relational failures
+    /// propagate as [`P2pError`] instead of panicking. Every RNG draw of
+    /// generation happens here.
+    pub fn draw<R: Rng + ?Sized>(
+        &mut self,
+        rng: &mut R,
+        match_fraction: f64,
+        records: usize,
+        rows: &mut Rows,
+    ) -> Result<u32, P2pError> {
         let bg = &self.background;
-        let mut table = Table::new(self.schema.clone());
+        let arity = self.schema.arity();
+        let mut n = 0;
         let mut match_bits = 0u32;
         for (t, tpl) in self.templates.iter().enumerate() {
             if rng.gen_bool(match_fraction.clamp(0.0, 1.0)) {
                 match_bits |= 1 << t;
-                table.insert(matching_patient(rng, bg, &tpl.target))?;
+                let row = next_row(rows, &mut n, arity);
+                matching_patient_into(rng, bg, &tpl.target, row);
+                self.schema.check_row(row)?;
             }
         }
-        while table.len() < records.max(1) {
+        while n < records.max(1) {
             // Background rows avoid every template disease by construction
             // (the background distribution's pool is disjoint); `avoiding`
             // against the first template keeps the intent explicit.
-            let row = match self.templates.first() {
-                None => relation::generator::random_patient(rng, bg),
-                Some(first) => avoiding_patient(rng, bg, &first.target),
-            };
-            table.insert(row)?;
+            let row = next_row(rows, &mut n, arity);
+            match self.templates.first() {
+                None => random_patient_into(rng, bg, row),
+                Some(first) => avoiding_patient_into(rng, bg, &first.target, row),
+            }
+            self.schema.check_row(row)?;
         }
-        check_ground_truth(&self.templates, &table, match_bits)?;
+        rows.truncate(n);
+        check_ground_truth(&self.templates, &self.schema, rows, match_bits)?;
+        Ok(match_bits)
+    }
 
-        self.engine.set_source(SourceId(peer));
-        self.engine.summarize_table(&table);
-        let tree = self.engine.tree();
-        let summary = wire::encode(tree);
-        let flat = SourceDelta::from_tree(tree, SourceId(peer)).with_encoded_bytes(summary.len());
-        self.engine.clear_tree();
-        Ok(PeerData {
-            match_bits,
-            summary,
-            flat: Rc::new(flat),
-        })
+    /// Summarizes `rows` as `peer`'s local summary on the calling thread
+    /// (see [`Summarizer::summarize`]).
+    pub fn summarize(&mut self, peer: u32, rows: &[Vec<Value>]) -> PeerSummary {
+        self.summarizer.summarize(peer, rows, &mut self.out);
+        self.out.to_summary()
+    }
+
+    /// A row set to draw into: a recycled one when there is one.
+    pub fn take_rows(&mut self) -> Rows {
+        self.spare_rows.pop().unwrap_or_default()
+    }
+
+    /// Keeps `rows` for a later draw.
+    pub fn recycle_rows(&mut self, rows: Rows) {
+        self.spare_rows.push(rows);
     }
 }
 
+/// Row `*n` of `rows` to draw into, a recycled one when there is one;
+/// bumps `*n`.
+fn next_row<'r>(rows: &'r mut Rows, n: &mut usize, arity: usize) -> &'r mut Vec<Value> {
+    if *n == rows.len() {
+        rows.push(Vec::with_capacity(arity));
+    }
+    *n += 1;
+    &mut rows[*n - 1]
+}
+
 /// Exact ground-truth verification (the workload's core guarantee):
-/// `table` matches template `t` exactly when bit `t` of `match_bits` is
-/// set.
+/// `rows` match template `t` exactly when bit `t` of `match_bits` is
+/// set. Each template scans the rows in order and stops at the first
+/// match, as [`SelectQuery::matches_any`] does over a table.
 fn check_ground_truth(
     templates: &[QueryTemplate],
-    table: &Table,
+    schema: &Schema,
+    rows: &[Vec<Value>],
     match_bits: u32,
 ) -> Result<(), P2pError> {
     for (t, tpl) in templates.iter().enumerate() {
         let claimed = match_bits & (1 << t) != 0;
-        if tpl.query.matches_any(table)? != claimed {
+        if tpl
+            .query
+            .matches_any_row(schema, rows.iter().map(Vec::as_slice))?
+            != claimed
+        {
             return Err(P2pError::GroundTruth {
                 template: t,
                 claimed,
@@ -378,17 +536,17 @@ mod tests {
     #[test]
     fn broken_ground_truth_is_an_error() -> Result<(), P2pError> {
         let templates = make_templates(2);
-        let mut table = Table::new(Schema::patient());
+        let schema = Schema::patient();
         let mut rng = StdRng::seed_from_u64(3);
-        table.insert(matching_patient(
+        let rows = vec![relation::generator::matching_patient(
             &mut rng,
             &background_distributions(),
             &templates[1].target,
-        ))?;
-        check_ground_truth(&templates, &table, 0b10)?;
-        // The table matches template 1, not template 0.
+        )];
+        check_ground_truth(&templates, &schema, &rows, 0b10)?;
+        // The rows match template 1, not template 0.
         for (bits, template, claimed) in [(0b00, 1, false), (0b11, 0, true), (0b01, 0, true)] {
-            let err = check_ground_truth(&templates, &table, bits).unwrap_err();
+            let err = check_ground_truth(&templates, &schema, &rows, bits).unwrap_err();
             assert_eq!(err, P2pError::GroundTruth { template, claimed });
             assert!(
                 err.to_string().contains(&format!("template {template}")),

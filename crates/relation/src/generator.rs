@@ -156,16 +156,29 @@ fn draw_sex<R: Rng + ?Sized>(rng: &mut R, female_prob: f64) -> Value {
 
 /// Generates one background patient row from the distributions.
 pub fn random_patient<R: Rng + ?Sized>(rng: &mut R, dist: &PatientDistributions) -> Vec<Value> {
+    let mut row = Vec::with_capacity(4);
+    random_patient_into(rng, dist, &mut row);
+    row
+}
+
+/// [`random_patient`] into `row`, replacing its contents: the same
+/// draws and values, in a vector that may be reused.
+pub fn random_patient_into<R: Rng + ?Sized>(
+    rng: &mut R,
+    dist: &PatientDistributions,
+    row: &mut Vec<Value>,
+) {
     let age = clamped_normal(rng, dist.age.0, dist.age.1, dist.age_range).round();
     let sex = draw_sex(rng, dist.female_prob.clamp(0.0, 1.0));
     let bmi = clamped_normal(rng, dist.bmi.0, dist.bmi.1, dist.bmi_range);
     let disease = weighted_choice(rng, dist.diseases.iter());
-    vec![
+    row.clear();
+    row.extend([
         Value::Int(age as i64),
         sex,
         Value::Float((bmi * 10.0).round() / 10.0),
         disease,
-    ]
+    ]);
 }
 
 /// Generates a patient row guaranteed to satisfy `target`; unconstrained
@@ -175,6 +188,18 @@ pub fn matching_patient<R: Rng + ?Sized>(
     dist: &PatientDistributions,
     target: &MatchTarget,
 ) -> Vec<Value> {
+    let mut row = Vec::with_capacity(4);
+    matching_patient_into(rng, dist, target, &mut row);
+    row
+}
+
+/// [`matching_patient`] into `row`, replacing its contents.
+pub fn matching_patient_into<R: Rng + ?Sized>(
+    rng: &mut R,
+    dist: &PatientDistributions,
+    target: &MatchTarget,
+    row: &mut Vec<Value>,
+) {
     let (age_lo, age_hi) = target.age.unwrap_or(dist.age_range);
     let age = rng.gen_range(age_lo..=age_hi).round();
     let sex = match &target.sex {
@@ -187,12 +212,13 @@ pub fn matching_patient<R: Rng + ?Sized>(
         Some(d) => Value::Text(Arc::clone(d)),
         None => weighted_choice(rng, dist.diseases.iter()),
     };
-    vec![
+    row.clear();
+    row.extend([
         Value::Int(age as i64),
         sex,
         Value::Float((bmi * 10.0).round() / 10.0),
         disease,
-    ]
+    ]);
 }
 
 /// Generates a patient row guaranteed to *not* satisfy `target`.
@@ -206,10 +232,22 @@ pub fn avoiding_patient<R: Rng + ?Sized>(
     dist: &PatientDistributions,
     target: &MatchTarget,
 ) -> Vec<Value> {
+    let mut row = Vec::with_capacity(4);
+    avoiding_patient_into(rng, dist, target, &mut row);
+    row
+}
+
+/// [`avoiding_patient`] into `row`, replacing its contents.
+pub fn avoiding_patient_into<R: Rng + ?Sized>(
+    rng: &mut R,
+    dist: &PatientDistributions,
+    target: &MatchTarget,
+    row: &mut Vec<Value>,
+) {
     // The row's own disease draw is overwritten below when the target
     // constrains the disease; it is still drawn, so the RNG stream does
     // not depend on the target.
-    let mut row = random_patient(rng, dist);
+    random_patient_into(rng, dist, row);
     if let Some(d) = &target.disease {
         let pool = dist.diseases.iter().filter(|(n, _)| n != d);
         assert!(
@@ -217,13 +255,13 @@ pub fn avoiding_patient<R: Rng + ?Sized>(
             "cannot avoid the only disease in the pool"
         );
         row[3] = weighted_choice(rng, pool);
-        return row;
+        return;
     }
     if let Some(s) = &target.sex {
         let [female, male] = &*SEXES;
         let other = if **s == **female { male } else { female };
         row[1] = Value::Text(Arc::clone(other));
-        return row;
+        return;
     }
     if let Some((lo, hi)) = target.age {
         // Ages are integers, so avoidance works on integer bands that
@@ -240,7 +278,7 @@ pub fn avoiding_patient<R: Rng + ?Sized>(
             rng.gen_range(above_lo..=dhi)
         };
         row[0] = Value::Int(age);
-        return row;
+        return;
     }
     if let Some((lo, hi)) = target.bmi {
         // BMIs are stored with one decimal, so keep a 0.1 guard band
@@ -255,7 +293,7 @@ pub fn avoiding_patient<R: Rng + ?Sized>(
             rng.gen_range((hi + 0.2)..=dhi)
         };
         row[2] = Value::Float((bmi * 10.0).round() / 10.0);
-        return row;
+        return;
     }
     panic!("avoiding_patient needs a constrained target");
 }

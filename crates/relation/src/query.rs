@@ -10,6 +10,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::error::RelationError;
 use crate::predicate::Predicate;
+use crate::schema::Schema;
 use crate::table::Table;
 use crate::tuple::TupleId;
 use crate::value::Value;
@@ -48,8 +49,14 @@ impl SelectQuery {
 
     /// True when the row satisfies every predicate.
     pub fn matches_row(&self, table: &Table, row: &[Value]) -> Result<bool, RelationError> {
+        self.matches_values(table.schema(), row)
+    }
+
+    /// True when the row satisfies every predicate, its attributes
+    /// resolved against `schema`.
+    pub fn matches_values(&self, schema: &Schema, row: &[Value]) -> Result<bool, RelationError> {
         for p in &self.predicates {
-            if !p.matches(table.schema(), row)? {
+            if !p.matches(schema, row)? {
                 return Ok(false);
             }
         }
@@ -96,8 +103,18 @@ impl SelectQuery {
     /// True when at least one tuple matches — the per-peer relevance bit
     /// the routing metrics need.
     pub fn matches_any(&self, table: &Table) -> Result<bool, RelationError> {
-        for (_, row) in table.iter() {
-            if self.matches_row(table, row)? {
+        self.matches_any_row(table.schema(), table.iter().map(|(_, row)| row))
+    }
+
+    /// [`SelectQuery::matches_any`] over rows held outside a table, in
+    /// the order given: true at the first matching row.
+    pub fn matches_any_row<'r>(
+        &self,
+        schema: &Schema,
+        rows: impl IntoIterator<Item = &'r [Value]>,
+    ) -> Result<bool, RelationError> {
+        for row in rows {
+            if self.matches_values(schema, row)? {
                 return Ok(true);
             }
         }

@@ -68,6 +68,7 @@
 
 use std::collections::BTreeMap;
 use std::rc::Rc;
+use std::sync::Arc;
 
 use fuzzy::descriptor::{Grade, LabelId};
 use relation::stats::AttributeStats;
@@ -85,9 +86,10 @@ use crate::query::proposition::Proposition;
 pub struct SourceDelta {
     /// The source the cells were flattened for.
     source: SourceId,
-    /// The BK the cells are keyed over: its name and label counts.
-    bk_name: String,
-    label_counts: Vec<usize>,
+    /// The BK the cells are keyed over: its name and label counts,
+    /// shared with the tree the delta was flattened from.
+    bk_name: Arc<str>,
+    label_counts: Arc<[usize]>,
     /// The cells' keys, one label per attribute each, back to back:
     /// localization reads them contiguously.
     labels: Vec<LabelId>,
@@ -130,25 +132,60 @@ impl SourceDelta {
     /// and statistics are shared across contributors, so the flattening
     /// is an upper bound; the P2P layer never needs that case.
     pub fn from_tree(tree: &SummaryTree, source: SourceId) -> Self {
-        let cells = || {
-            tree.cells().filter_map(move |cell| {
-                let weight = cell.source_weight(source)?;
-                Some((cell.key(), weight, cell.max_grades(), cell.stats()))
-            })
-        };
         // Every peer keeps its flat form resident: size each array
         // exactly up front rather than trimming it afterwards.
         let (mut n, mut n_stats) = (0, 0);
-        for (_, _, _, stats) in cells() {
+        for (_, _, _, stats) in Self::source_cells(tree, source) {
             n += 1;
             n_stats += stats.iter().filter(|st| st.count() > 0.0).count();
         }
-        let mut delta =
-            Self::with_capacity(source, tree.bk_name(), tree.label_counts(), n, n_stats);
-        for (key, weight, grades, stats) in cells() {
-            delta.push(key, weight, grades, stats);
-        }
+        let (bk_name, label_counts) = tree.shared_bk();
+        let mut delta = Self::with_capacity(
+            source,
+            Arc::clone(bk_name),
+            Arc::clone(label_counts),
+            n,
+            n_stats,
+        );
+        delta.push_cells(tree);
         delta
+    }
+
+    /// Flattens `source`'s contribution out of `tree` into `self`, as
+    /// [`SourceDelta::from_tree`] would, reusing the arrays' capacity:
+    /// the encoded size recorded is reset to 0.
+    pub fn refill_from_tree(&mut self, tree: &SummaryTree, source: SourceId) {
+        let (bk_name, label_counts) = tree.shared_bk();
+        self.source = source;
+        self.bk_name = Arc::clone(bk_name);
+        self.label_counts = Arc::clone(label_counts);
+        self.labels.clear();
+        self.weights.clear();
+        self.grades.clear();
+        self.stat_ends.clear();
+        self.stat_attrs.clear();
+        self.stats.clear();
+        self.encoded_bytes = 0;
+        self.push_cells(tree);
+    }
+
+    /// `source`'s cells of `tree`, in key order: key, weight, grades and
+    /// statistics.
+    fn source_cells(
+        tree: &SummaryTree,
+        source: SourceId,
+    ) -> impl Iterator<Item = (&[LabelId], f64, &[Grade], &[AttributeStats])> + '_ {
+        tree.cells().filter_map(move |cell| {
+            let weight = cell.source_weight(source)?;
+            Some((cell.key(), weight, cell.max_grades(), cell.stats()))
+        })
+    }
+
+    /// Appends the delta's source's cells of `tree`.
+    fn push_cells(&mut self, tree: &SummaryTree) {
+        for (key, weight, grades, stats) in Self::source_cells(tree, self.source) {
+            self.push(key, weight, grades, stats);
+        }
     }
 
     /// A delta of explicit `(key, weight, grades, statistics)` cells for
@@ -163,7 +200,7 @@ impl SourceDelta {
     ) -> Self {
         let cells = cells.into_iter();
         let n = cells.size_hint().1.unwrap_or(0);
-        let mut delta = Self::with_capacity(source, bk_name, label_counts, n, 0);
+        let mut delta = Self::with_capacity(source, bk_name.into(), label_counts.into(), n, 0);
         for (key, weight, grades, stats) in cells {
             delta.push(key, weight, grades, stats);
         }
@@ -181,16 +218,16 @@ impl SourceDelta {
     /// statistics.
     fn with_capacity(
         source: SourceId,
-        bk_name: &str,
-        label_counts: &[usize],
+        bk_name: Arc<str>,
+        label_counts: Arc<[usize]>,
         cells: usize,
         stats: usize,
     ) -> Self {
         let arity = label_counts.len();
         Self {
             source,
-            bk_name: bk_name.to_string(),
-            label_counts: label_counts.to_vec(),
+            bk_name,
+            label_counts,
             labels: Vec::with_capacity(cells * arity),
             weights: Vec::with_capacity(cells),
             grades: Vec::with_capacity(cells * arity),
@@ -222,8 +259,14 @@ impl SourceDelta {
     /// Records `bytes` as the encoded size of the summary the delta was
     /// flattened from.
     pub fn with_encoded_bytes(mut self, bytes: usize) -> Self {
-        self.encoded_bytes = bytes;
+        self.set_encoded_bytes(bytes);
         self
+    }
+
+    /// Records `bytes` as the encoded size of the summary the delta was
+    /// flattened from, in place.
+    pub fn set_encoded_bytes(&mut self, bytes: usize) {
+        self.encoded_bytes = bytes;
     }
 
     /// The source the delta was flattened for.
@@ -341,10 +384,10 @@ impl GsAccumulator {
         source: SourceId,
         delta: &Rc<SourceDelta>,
     ) -> Result<usize, SummaryError> {
-        if delta.bk_name != self.bk_name || delta.label_counts != self.label_counts {
+        if *delta.bk_name != *self.bk_name || *delta.label_counts != *self.label_counts {
             return Err(SummaryError::IncompatibleBk {
                 left: self.bk_name.clone(),
-                right: delta.bk_name.clone(),
+                right: delta.bk_name.to_string(),
             });
         }
         if delta.source != source {

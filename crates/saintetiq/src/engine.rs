@@ -569,8 +569,8 @@ impl SaintEtiQEngine {
         config: EngineConfig,
         source: SourceId,
     ) -> Result<Self, SummaryError> {
-        let label_counts = bk.attributes().iter().map(|a| a.label_count()).collect();
-        let tree = SummaryTree::new(bk.name().to_string(), label_counts);
+        let label_counts: Vec<usize> = bk.attributes().iter().map(|a| a.label_count()).collect();
+        let tree = SummaryTree::new(bk.name(), label_counts);
         let mapper = Mapper::bind(bk, schema)?;
         Ok(Self {
             mapper,
@@ -662,7 +662,16 @@ impl SaintEtiQEngine {
     /// Summarizes a whole table (initial build). Raw data is parsed once,
     /// as §3.2.3 highlights.
     pub fn summarize_table(&mut self, table: &Table) {
-        for (_, row) in table.iter() {
+        self.summarize_rows(table.iter().map(|(_, row)| row));
+    }
+
+    /// Summarizes rows in the order given — a table's insertion order
+    /// makes the same tree as [`SaintEtiQEngine::summarize_table`].
+    pub fn summarize_rows<'r>(
+        &mut self,
+        rows: impl IntoIterator<Item = &'r [relation::value::Value]>,
+    ) {
+        for row in rows {
             self.add_record(row);
         }
     }

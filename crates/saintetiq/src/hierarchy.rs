@@ -63,6 +63,7 @@
 
 use std::cmp::Ordering;
 use std::fmt;
+use std::sync::Arc;
 
 use fuzzy::descriptor::{DescriptorSet, Grade, LabelId};
 use relation::stats::AttributeStats;
@@ -397,10 +398,11 @@ pub struct Contribution<'a> {
 /// the flat arena the module docs describe.
 #[derive(Debug, Clone)]
 pub struct SummaryTree {
-    /// Name of the BK this tree was built against (merge compatibility).
-    bk_name: String,
-    /// Labels per attribute (histogram dimensions).
-    label_counts: Vec<usize>,
+    /// Name of the BK this tree was built against (merge compatibility),
+    /// shared with the flat forms flattened out of the tree.
+    bk_name: Arc<str>,
+    /// Labels per attribute (histogram dimensions), shared likewise.
+    label_counts: Arc<[usize]>,
     /// `offsets[a]` = flat histogram index of attribute `a`'s first label;
     /// the last entry is the histogram length.
     offsets: Vec<usize>,
@@ -437,11 +439,12 @@ pub struct SummaryTree {
 impl SummaryTree {
     /// Creates an empty tree for a BK with the given per-attribute label
     /// counts.
-    pub fn new(bk_name: impl Into<String>, label_counts: Vec<usize>) -> Self {
+    pub fn new(bk_name: impl Into<Arc<str>>, label_counts: impl Into<Arc<[usize]>>) -> Self {
+        let label_counts = label_counts.into();
         let arity = label_counts.len();
         let mut offsets = Vec::with_capacity(arity + 1);
         offsets.push(0);
-        for &n in &label_counts {
+        for &n in label_counts.iter() {
             offsets.push(offsets[offsets.len() - 1] + n);
         }
         let slots = offsets[arity];
@@ -486,6 +489,29 @@ impl SummaryTree {
         self.push_node(NONE, NONE);
     }
 
+    /// Releases the arena's spare capacity, spare per-source rows
+    /// included, for a tree kept resident after its build. The next
+    /// build into the arena grows it again.
+    pub fn shrink_to_fit(&mut self) {
+        self.cell_sources.truncate(self.cell_leaf.len());
+        for row in &mut self.cell_sources {
+            row.shrink_to_fit();
+        }
+        self.cell_sources.shrink_to_fit();
+        self.links.shrink_to_fit();
+        self.count.shrink_to_fit();
+        self.alive.shrink_to_fit();
+        self.hist.shrink_to_fit();
+        self.intent.shrink_to_fit();
+        self.cell_labels.shrink_to_fit();
+        self.cell_leaf.shrink_to_fit();
+        self.cell_weight.shrink_to_fit();
+        self.cell_grades.shrink_to_fit();
+        self.cell_stats.shrink_to_fit();
+        self.index.shrink_to_fit();
+        self.delta = Vec::new();
+    }
+
     /// The BK name the tree is bound to.
     pub fn bk_name(&self) -> &str {
         &self.bk_name
@@ -494,6 +520,12 @@ impl SummaryTree {
     /// Per-attribute label counts.
     pub fn label_counts(&self) -> &[usize] {
         &self.label_counts
+    }
+
+    /// The BK name and label counts as the tree holds them, for flat
+    /// forms to share rather than copy.
+    pub(crate) fn shared_bk(&self) -> (&Arc<str>, &Arc<[usize]>) {
+        (&self.bk_name, &self.label_counts)
     }
 
     /// Number of attributes.

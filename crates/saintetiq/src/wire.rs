@@ -12,12 +12,14 @@
 //! ([`encoded_size`]), once to write it — and reads each leaf's content
 //! straight from its row in the tree's cell columns, in child order, so
 //! an encoding makes two allocations (the buffer and the shared bytes)
-//! whatever the tree's size. [`decode`] builds the tree into the same
+//! whatever the tree's size. [`encode_into`] writes the same bytes into
+//! a caller's buffer, which allocates only when it outgrows its
+//! capacity. [`decode`] builds the tree into the same
 //! flat storage as summarization does: one descent-free leaf attach per
 //! cell (the encoding gives the structure) with one path walk that folds
 //! the cell's sources as one run.
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{Buf, BufMut, Bytes};
 use fuzzy::descriptor::LabelId;
 use relation::stats::AttributeStats;
 
@@ -30,7 +32,15 @@ const VERSION: u8 = 1;
 
 /// Encodes a summary tree.
 pub fn encode(tree: &SummaryTree) -> Bytes {
-    let mut buf = BytesMut::with_capacity(encoded_size(tree));
+    let mut buf = Vec::with_capacity(encoded_size(tree));
+    encode_into(tree, &mut buf);
+    Bytes::from(buf)
+}
+
+/// Encodes a summary tree into `buf`, replacing its contents: the same
+/// bytes as [`encode`].
+pub fn encode_into(tree: &SummaryTree, buf: &mut Vec<u8>) {
+    buf.clear();
     buf.put_slice(MAGIC);
     buf.put_u8(VERSION);
     let name = tree.bk_name().as_bytes();
@@ -40,11 +50,10 @@ pub fn encode(tree: &SummaryTree) -> Bytes {
     for &n in tree.label_counts() {
         buf.put_u16(n as u16);
     }
-    encode_node(tree, tree.root(), &mut buf);
-    buf.freeze()
+    encode_node(tree, tree.root(), buf);
 }
 
-fn encode_node(tree: &SummaryTree, id: NodeId, buf: &mut BytesMut) {
+fn encode_node(tree: &SummaryTree, id: NodeId, buf: &mut Vec<u8>) {
     let node = tree.node(id);
     if let Some(cell) = node.leaf_cell() {
         buf.put_u8(1); // leaf
