@@ -8,9 +8,14 @@
 //!   on expiry the peer's database is redrawn and a `push` flags its
 //!   cooperation-list entry. The new local summary is built through the
 //!   kernel's [`crate::summary_pool::SummaryPool`], on its summary
-//!   worker when the host has a second CPU, and installed before
-//!   anything reads it (`SimKernel::settle`, `SimKernel::settle_all`);
-//!   summarization draws nothing, so the results cannot depend on
+//!   worker when the host has a second CPU. Each read settles its own
+//!   peer (`SimKernel::settle`): a token hop, a ring completion (its
+//!   gathered peers) and a `localsum`. Only where control leaves the
+//!   event loop or the whole membership is read does the kernel install
+//!   every outstanding summary (`SimKernel::settle_all`). Until its
+//!   summary is installed a drifted peer holds the blank placeholder, so
+//!   a read that skipped its settle sees that, not an old summary.
+//!   Summarization draws nothing, so the results cannot depend on
 //!   thread timing;
 //! * **churn** — session schedules with graceful leaves (`v = 2`
 //!   pushes) and silent failures (GS poison until the next pull), plus —
@@ -397,9 +402,14 @@ pub struct SimKernel {
     /// Generates every peer's database and local summary, at
     /// construction, drift and promoted-SP re-entry: the draws on the
     /// event loop, the summaries on the pool's worker when there is one.
-    /// Whatever reads a peer's summary or flat form installs the peer's
-    /// outstanding result first ([`Self::settle`], [`Self::settle_all`]).
+    /// Each read of a peer's summary or flat form settles that peer
+    /// first ([`Self::settle`]); [`Self::settle_all`] runs only where
+    /// control leaves the event loop or the whole membership is read.
     pool: SummaryPool,
+    /// The empty summary a peer holds between its draw and its
+    /// summary's install: at construction, and after a drift whose
+    /// summary is still outstanding.
+    blank: PeerSummary,
     reformulated: Vec<SummaryQuery>,
     sim: Simulator<KernelEvent>,
     pub(crate) peers: Vec<Option<PeerState>>,
@@ -491,9 +501,12 @@ struct RebirthSeed {
 }
 
 /// The medical workload every kernel mode shares: a summary pool over a
-/// peer generator bound to the CBK and the query templates, plus the
-/// templates reformulated against the CBK.
-fn build_workload(cfg: &SimConfig) -> Result<(SummaryPool, Vec<SummaryQuery>), P2pError> {
+/// peer generator bound to the CBK and the query templates, the blank
+/// summary a peer holds until its own is installed, and the templates
+/// reformulated against the CBK.
+fn build_workload(
+    cfg: &SimConfig,
+) -> Result<(SummaryPool, PeerSummary, Vec<SummaryQuery>), P2pError> {
     let bk = BackgroundKnowledge::medical_cbk();
     let templates = make_templates(cfg.template_count);
     let reformulated: Vec<SummaryQuery> = templates
@@ -501,7 +514,8 @@ fn build_workload(cfg: &SimConfig) -> Result<(SummaryPool, Vec<SummaryQuery>), P
         .map(|t| reformulate(&t.query, &bk))
         .collect::<Result<_, _>>()?;
     let generator = PeerGenerator::new(&bk, &templates)?;
-    Ok((SummaryPool::new(generator), reformulated))
+    let blank = generator.summarizer().empty_summary();
+    Ok((SummaryPool::new(generator), blank, reformulated))
 }
 
 /// Installs `summary` as `peer`'s local summary (a result of the
@@ -516,16 +530,16 @@ fn install(peers: &mut [Option<PeerState>], peer: u32, summary: PeerSummary) {
 /// Generates, in id order, the database and local summary of every
 /// peer `wanted` names into a new live state in `peers`, as both
 /// constructors do: the draws on this thread, the summaries through
-/// `pool`, all installed before this returns.
+/// `pool`, all installed before this returns. Each peer holds `blank`
+/// until its summary is installed.
 fn generate_all<R: Rng + ?Sized>(
     pool: &mut SummaryPool,
     rng: &mut R,
     cfg: &SimConfig,
     peers: &mut [Option<PeerState>],
+    blank: &PeerSummary,
     wanted: impl Fn(usize) -> bool,
 ) -> Result<(), P2pError> {
-    // What a peer holds between its draw and its summary's install.
-    let blank = pool.generator().summarizer().empty_summary();
     for i in (0..peers.len()).filter(|&i| wanted(i)) {
         peers[i] = Some(PeerState::new(PeerData {
             match_bits: 0,
@@ -574,13 +588,13 @@ impl SimKernel {
     /// [`crate::domain::DomainSim`] semantics.
     pub fn single_domain(cfg: SimConfig) -> Result<Self, P2pError> {
         cfg.validate()?;
-        let (mut pool, reformulated) = build_workload(&cfg)?;
+        let (mut pool, blank, reformulated) = build_workload(&cfg)?;
 
         let mut sim = Simulator::<KernelEvent>::new(cfg.seed);
         sim.set_horizon(cfg.horizon);
 
         let mut peers: Vec<Option<PeerState>> = vec![None; cfg.n_peers];
-        generate_all(&mut pool, sim.rng(), &cfg, &mut peers, |_| true)?;
+        generate_all(&mut pool, sim.rng(), &cfg, &mut peers, &blank, |_| true)?;
 
         let mut ledger = MessageLedger::new();
         let mut domain = DomainCore::new(None, (0..cfg.n_peers as u32).map(NodeId).collect());
@@ -589,6 +603,7 @@ impl SimKernel {
         let mut this = Self {
             cfg,
             pool,
+            blank,
             reformulated,
             sim,
             peers,
@@ -667,10 +682,10 @@ impl SimKernel {
         let superpeers = elect_superpeers(&net, sp_count);
         let topo = construct_domains(&net, &superpeers, cfg.sumpeer_ttl);
 
-        let (mut pool, reformulated) = build_workload(&cfg)?;
+        let (mut pool, blank, reformulated) = build_workload(&cfg)?;
 
         let mut peers: Vec<Option<PeerState>> = vec![None; cfg.n_peers];
-        generate_all(&mut pool, &mut rng, &cfg, &mut peers, |i| {
+        generate_all(&mut pool, &mut rng, &cfg, &mut peers, &blank, |i| {
             topo.assignment[i].is_some()
         })?;
 
@@ -714,6 +729,7 @@ impl SimKernel {
         let mut this = Self {
             cfg,
             pool,
+            blank,
             reformulated,
             sim,
             peers,
@@ -873,31 +889,9 @@ impl SimKernel {
                 let idx = p.index();
                 let up = self.peers[idx].as_ref().is_some_and(|s| s.up);
                 if up {
-                    // The data drifted: redraw the database and submit
-                    // its local summary, then push the stale flag. A
-                    // generation failure (impossible for a config that
-                    // built) is counted and keeps the previous data.
-                    let peers = &mut self.peers;
-                    match self.pool.regenerate(
-                        self.sim.rng(),
-                        p.0,
-                        self.cfg.match_fraction,
-                        self.cfg.records_per_peer,
-                        |q, s| install(peers, q, s),
-                    ) {
-                        Ok(match_bits) => {
-                            let st = self.peers[idx].as_mut().expect("up peer has state");
-                            // The summary follows when installed; the
-                            // ground truth is current from now on.
-                            st.data.match_bits = match_bits;
-                            // Stays set until the new summary is merged
-                            // into an accumulator — the rebirth seeding
-                            // signal for pushes lost to a dissolving
-                            // domain.
-                            st.dirty = true;
-                        }
-                        Err(e) => self.note_error(e),
-                    }
+                    // The data drifted: redraw the database, then push
+                    // the stale flag.
+                    self.redraw(p);
                     if let Some(d) = self.domain_of[idx] {
                         self.send_push(p, d, 1);
                     }
@@ -1045,6 +1039,40 @@ impl SimKernel {
         );
     }
 
+    /// Redraws drifted peer `p`'s database and submits its local
+    /// summary. A generation failure (impossible for a config that
+    /// built) is counted and keeps the previous data.
+    fn redraw(&mut self, p: NodeId) {
+        let peers = &mut self.peers;
+        match self.pool.regenerate(
+            self.sim.rng(),
+            p.0,
+            self.cfg.match_fraction,
+            self.cfg.records_per_peer,
+            |q, s| install(peers, q, s),
+        ) {
+            Ok(match_bits) => {
+                let st = self.peers[p.index()]
+                    .as_mut()
+                    .expect("drifted peer has state");
+                // The summary follows when installed; the ground truth
+                // is current from now on.
+                st.data.match_bits = match_bits;
+                // Until then the peer holds the blank summary, so a read
+                // that skipped its settle reads no old one.
+                if self.pool.is_pending(p.0) {
+                    st.data.summary = self.blank.summary.clone();
+                    st.data.flat = Rc::clone(&self.blank.flat);
+                }
+                // Stays set until the new summary is merged into an
+                // accumulator — the rebirth seeding signal for pushes
+                // lost to a dissolving domain.
+                st.dirty = true;
+            }
+            Err(e) => self.note_error(e),
+        }
+    }
+
     /// One control epoch: every live domain's controller folds the
     /// epoch's measured feedback (query staleness, pull cost) into its
     /// effective α, and a tightened α may arm a pull right away.
@@ -1069,7 +1097,8 @@ impl SimKernel {
     /// routes it to the localized peers. `send_msg` already counted the
     /// client→SP query message.
     fn process_local_query(&mut self, template: usize) {
-        self.settle_all();
+        // `route_local` reads liveness and match bits, both set at draw
+        // time: no summary to wait for.
         let prop = &self.reformulated[template].proposition;
         let outcome = self.domains[0].route_local(prop, self.cfg.policy, &self.peers, template);
         self.ledger
@@ -1281,8 +1310,7 @@ impl SimKernel {
         });
         if route.is_empty() {
             // Every stale entry is a departed member: nothing to pull,
-            // just expire them at once.
-            self.settle_all();
+            // just expire them at once. Expiry reads no summary.
             if let Err(e) = self.domains[d].apply_snapshots(&[], &mut self.peers, &mut self.ledger)
             {
                 self.note_error(e);
@@ -1370,7 +1398,11 @@ impl SimKernel {
             self.ring_of_domain[d] = None;
         }
         if !self.domains[d].dissolved {
-            self.settle_all();
+            // The pull compares each gathered peer's current summary
+            // with its snapshot, and reads no other peer's.
+            for snap in &gathered {
+                self.settle(snap.peer);
+            }
             if let Err(e) =
                 self.domains[d].apply_snapshots(&gathered, &mut self.peers, &mut self.ledger)
             {
@@ -2220,9 +2252,9 @@ impl SimKernel {
         self.pool.settle(p.0, |q, s| install(peers, q, s));
     }
 
-    /// Installs every outstanding local summary: whatever hands `peers`
-    /// to a [`DomainCore`] call, and every return of control to the
-    /// caller, calls this first.
+    /// Installs every outstanding local summary: where control returns
+    /// to the caller, and where the whole membership may be read (SP
+    /// departure, the rebirth takeover, [`Self::reconcile_all`]).
     fn settle_all(&mut self) {
         let peers = &mut self.peers;
         self.pool.settle_all(|q, s| install(peers, q, s));
@@ -3100,6 +3132,100 @@ mod tests {
             };
             assert_eq!((release, probes), want, "graceful {graceful}");
         }
+    }
+
+    /// A fresh summary pool for `cfg`'s workload, with a summary worker
+    /// or without one whatever the host.
+    fn test_pool(cfg: &SimConfig, worker: bool) -> SummaryPool {
+        let generator = PeerGenerator::new(
+            &BackgroundKnowledge::medical_cbk(),
+            &make_templates(cfg.template_count),
+        )
+        .unwrap();
+        SummaryPool::with_worker(generator, worker)
+    }
+
+    /// A summary built on the worker and one built on the event loop
+    /// are the same bytes, installed before the same reads: churn-heavy
+    /// runs (doubled churn, SP churn with rebirth, and the single-domain
+    /// workload) report the same with a summary worker and without one,
+    /// in both delivery modes.
+    #[test]
+    fn worker_and_inline_summaries_agree() {
+        let mut churny = crate::scenario::with_sp_churn(
+            &crate::scenario::scale_churn(&cfg(120, 9), 2.0),
+            3600.0,
+        );
+        churny.rebirth = true;
+        let mut single = crate::scenario::scale_churn(&cfg(40, 9), 2.0);
+        single.alpha = 0.1;
+        for latency in [false, true] {
+            let mode = |mut c: SimConfig| {
+                if latency {
+                    c.delivery = DeliveryMode::Latency { default_hop: HOP };
+                }
+                c
+            };
+            let (churny, single) = (mode(churny), mode(single));
+            let report = |worker: bool, networked: bool| {
+                let mut k = if networked {
+                    SimKernel::networked(churny, 20, Some(LookupTarget::Total)).unwrap()
+                } else {
+                    SimKernel::single_domain(single).unwrap()
+                };
+                k.pool = test_pool(&k.cfg, worker);
+                k.run_to_horizon();
+                assert_eq!(k.error_status(), (0, None));
+                let pulls: u64 = k.domains.iter().map(|d| d.reconciliations).sum();
+                assert!(pulls > 0, "the run must pull");
+                // `Debug` prints every float in its shortest round-trip
+                // form, so equal strings mean equal bits.
+                if networked {
+                    assert!(k.rebirths() > 0, "the run must hand a domain over");
+                    format!("{:?}", k.multi_report())
+                } else {
+                    format!("{:?}", k.single_report())
+                }
+            };
+            for networked in [true, false] {
+                assert_eq!(
+                    report(true, networked),
+                    report(false, networked),
+                    "latency {latency}, networked {networked}"
+                );
+            }
+        }
+    }
+
+    /// A member that drifts after the token passed it, to a summary
+    /// whose bytes equal its snapshot, is clean once the ring completes:
+    /// the completion installs the gathered members' outstanding
+    /// summaries before comparing them with their snapshots, instead of
+    /// comparing the blank placeholder.
+    #[test]
+    fn ring_completion_installs_the_gathered_summaries() {
+        let mut k = SimKernel::networked(cfg(60, 3), 20, None).unwrap();
+        k.pool = test_pool(&k.cfg, true);
+        let p = k.domains[0].cl.partners().next().expect("a member");
+        let before = k.sim.rng().clone();
+        k.redraw(p);
+        k.settle(p);
+        let snap = SummarySnapshot::of(p, k.peers[p.index()].as_ref().unwrap());
+        // The same draw again: the same summary, still outstanding.
+        *k.sim.rng() = before;
+        k.redraw(p);
+        assert!(k.pool.is_pending(p.0));
+        let conv = k.next_conv;
+        k.next_conv += 1;
+        let mut rc = RingConversation::new(0, Vec::new());
+        rc.gathered.push(snap.clone());
+        k.rings.insert(conv, rc);
+        k.ring_of_domain[0] = Some(conv);
+        k.finish_ring(conv);
+        assert_eq!(k.error_status(), (0, None));
+        let st = k.peers[p.index()].as_ref().unwrap();
+        assert_eq!(st.data.summary, snap.summary, "installed at completion");
+        assert!(!st.dirty, "a redraw equal to its snapshot is merged");
     }
 
     #[test]

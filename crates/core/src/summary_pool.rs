@@ -6,16 +6,19 @@
 //! loop draws a peer's database ([`PeerGenerator::draw`], every RNG draw
 //! and the ground-truth check) and submits the rows; one summary worker
 //! thread turns queued rows into summaries ([`Summarizer::summarize`])
-//! while the event loop handles the next events; the event loop installs
-//! a result into the peer's state before anything reads that peer's
-//! summary.
+//! while the event loop handles the next events. Each read of a peer's
+//! summary settles that peer first ([`SummaryPool::settle`]), so the
+//! event loop waits only for the summaries it reads;
+//! [`SummaryPool::settle_all`] is for where every peer may be read.
 //!
 //! Summarization draws nothing and reads no state it shares with the
 //! event loop — its input is the rows and the peer id, and the worker
 //! owns its own engine — so a summary is the same bytes and flat form
 //! whichever thread built it and whenever it did. Thread timing decides
 //! only *when* a result is ready, never *what* it is, and every read of
-//! a summary waits for its result.
+//! a summary waits for its result. [`SummaryPool::is_pending`] names the
+//! peers whose result is still outstanding, so a caller can give them a
+//! placeholder that no read should ever see.
 //!
 //! The queue is bounded at [`SUMMARY_QUEUE_DEPTH`] jobs. When it is full,
 //! or when a result is needed that no one has started, the calling
@@ -41,8 +44,9 @@ use crate::error::P2pError;
 use crate::workload::{PeerGenerator, PeerSummary, Rows, Summarizer, SummaryBuf};
 
 /// Jobs the summary queue holds before the submitting thread summarizes
-/// queued jobs itself.
-pub const SUMMARY_QUEUE_DEPTH: usize = 2;
+/// queued jobs itself: deep enough that the worker rarely runs dry
+/// between the event loop's reads.
+pub const SUMMARY_QUEUE_DEPTH: usize = 16;
 
 /// One queued summary: the peer's rows, under the ticket that names it.
 #[derive(Debug)]
@@ -236,6 +240,11 @@ impl SummaryPool {
         self.outstanding == 0
     }
 
+    /// True when `peer` has a submitted summary still to be installed.
+    pub fn is_pending(&self, peer: u32) -> bool {
+        self.ticket(peer) != 0
+    }
+
     /// Draws `peer`'s database with the generator (see
     /// [`PeerGenerator::draw`]) and submits its rows; returns the match
     /// bits. A draw error submits nothing.
@@ -293,11 +302,15 @@ impl SummaryPool {
 
     /// Installs `peer`'s outstanding summary, if it has one: collects
     /// what the worker finished, summarizes the peer's job here if it is
-    /// still queued, or waits for the worker to finish it.
+    /// still queued, or waits for the worker to finish it. A peer with
+    /// nothing outstanding returns at once, without taking the lock.
     ///
     /// # Panics
     /// When the worker panicked.
     pub fn settle(&mut self, peer: u32, mut install: impl FnMut(u32, PeerSummary)) {
+        if !self.is_pending(peer) {
+            return;
+        }
         let Some(worker) = &self.worker else {
             return;
         };

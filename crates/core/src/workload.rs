@@ -239,7 +239,7 @@ impl Summarizer {
     }
 
     /// An empty summary over the summarizer's BK: a placeholder for a
-    /// peer whose first summary is still being built.
+    /// peer whose summary is still being built.
     pub fn empty_summary(&self) -> PeerSummary {
         self.buffer().to_summary()
     }

@@ -6,8 +6,9 @@
 //! a summary, and whenever it is installed, it must be exactly what a
 //! `PeerGenerator` makes from the same RNG stream on the calling thread;
 //! a summary superseded by a later submission for the same peer must
-//! never be installed; and a panic on the worker must surface on the
-//! calling thread instead of leaving it waiting.
+//! never be installed; the queue never holds more than its depth; and a
+//! panic on the worker must surface on the calling thread instead of
+//! leaving it waiting.
 
 use std::collections::BTreeMap;
 use std::panic::{self, AssertUnwindSafe};
@@ -20,7 +21,7 @@ use rand::{Rng, SeedableRng};
 use relation::value::Value;
 use saintetiq::cell::SourceId;
 use summary_p2p::error::P2pError;
-use summary_p2p::summary_pool::SummaryPool;
+use summary_p2p::summary_pool::{SummaryPool, SUMMARY_QUEUE_DEPTH};
 use summary_p2p::workload::{make_templates, PeerData, PeerGenerator, PeerSummary};
 
 /// Row sets pushed through the pool per run.
@@ -69,11 +70,12 @@ fn check_installs(
 }
 
 /// Pushes `STEPS` drawn row sets through a pool, with or without a
-/// worker, waiting for one peer, for all peers or for nobody after each
-/// submission, and checks every install against a calling-thread
-/// generator fed the same RNG stream. Every seventh submission repeats
-/// the previous peer, which supersedes its summary when the worker has
-/// not finished it yet.
+/// worker, waiting for one peer, for a peer with nothing outstanding,
+/// for all peers or for nobody after each submission, and checks every
+/// install against a calling-thread generator fed the same RNG stream,
+/// and the queue against its depth. Every seventh submission repeats the
+/// previous peer, which supersedes its summary when the worker has not
+/// finished it yet.
 fn pool_matches_the_generator(worker: bool) -> Result<(), P2pError> {
     let bk = BackgroundKnowledge::medical_cbk();
     let templates = make_templates(3);
@@ -103,14 +105,39 @@ fn pool_matches_the_generator(worker: bool) -> Result<(), P2pError> {
             installs.push((q, s))
         })?;
         assert_eq!(drawn, bits, "step {step}: match bits");
+        // Only a worker leaves a submitted summary outstanding.
+        assert_eq!(pool.is_pending(peer), worker, "step {step}: pending");
+        assert!(
+            pool.queued() <= SUMMARY_QUEUE_DEPTH,
+            "step {step}: {} jobs queued",
+            pool.queued()
+        );
         let ctx = format!("step {step}");
-        match schedule.gen_range(0..6) {
+        match schedule.gen_range(0..7) {
             0 => {
                 let waited = schedule.gen_range(0..PEERS);
                 pool.settle(waited, |q, s| installs.push((q, s)));
+                assert!(!pool.is_pending(waited), "{ctx}: waited for");
                 check_installs(&mut installs, &latest, &mut installed, &ctx);
                 if let Some(want) = latest.get(&waited) {
                     assert_same(waited, &installed[&waited], want, &ctx);
+                }
+            }
+            6 => {
+                // A peer with nothing outstanding (one never submitted,
+                // or one already installed): the wait returns at once
+                // and installs nothing.
+                check_installs(&mut installs, &latest, &mut installed, &ctx);
+                let idle = (0..PEERS + 1).find(|&p| !pool.is_pending(p));
+                let idle = idle.expect("at most PEERS peers are outstanding");
+                pool.settle(idle, |q, s| installs.push((q, s)));
+                assert!(
+                    installs.is_empty(),
+                    "{ctx}: peer {idle} had nothing to install"
+                );
+                assert!(!pool.is_pending(idle), "{ctx}");
+                if let Some(want) = latest.get(&idle) {
+                    assert_same(idle, &installed[&idle], want, &ctx);
                 }
             }
             1 => {
