@@ -8,15 +8,15 @@
 //!   on expiry the peer's database is redrawn and a `push` flags its
 //!   cooperation-list entry. The new local summary is built through the
 //!   kernel's [`crate::summary_pool::SummaryPool`], on its summary
-//!   worker when the host has a second CPU. Each read settles its own
-//!   peer (`SimKernel::settle`): a token hop, a ring completion (its
-//!   gathered peers) and a `localsum`. Only where control leaves the
-//!   event loop or the whole membership is read does the kernel install
-//!   every outstanding summary (`SimKernel::settle_all`). Until its
-//!   summary is installed a drifted peer holds the blank placeholder, so
-//!   a read that skipped its settle sees that, not an old summary.
-//!   Summarization draws nothing, so the results cannot depend on
-//!   thread timing;
+//!   worker when the host has a second CPU, and installed only when a
+//!   read settles its peer (`SimKernel::settle`): a token hop, a ring
+//!   completion (its gathered peers) and a `localsum`. Only where control
+//!   leaves the event loop or the whole membership is read does the
+//!   kernel install every outstanding summary (`SimKernel::settle_all`).
+//!   Until then a drifted peer holds the blank placeholder, so a read
+//!   that skipped its settle sees that, on every host, not an old
+//!   summary. Summarization draws nothing, so the results cannot depend
+//!   on thread timing;
 //! * **churn** — session schedules with graceful leaves (`v = 2`
 //!   pushes) and silent failures (GS poison until the next pull), plus —
 //!   when [`crate::config::SimConfig::sp_lifetime`] is set — summary-peer
@@ -402,13 +402,13 @@ pub struct SimKernel {
     /// Generates every peer's database and local summary, at
     /// construction, drift and promoted-SP re-entry: the draws on the
     /// event loop, the summaries on the pool's worker when there is one.
-    /// Each read of a peer's summary or flat form settles that peer
-    /// first ([`Self::settle`]); [`Self::settle_all`] runs only where
-    /// control leaves the event loop or the whole membership is read.
+    /// A summary is installed only when a read settles its peer
+    /// ([`Self::settle`]); [`Self::settle_all`] runs only where control
+    /// leaves the event loop or the whole membership is read.
     pool: SummaryPool,
-    /// The empty summary a peer holds between its draw and its
-    /// summary's install: at construction, and after a drift whose
-    /// summary is still outstanding.
+    /// The empty summary every peer holds between its draw and its
+    /// summary's install ([`drawn`]): at construction, after a drift and
+    /// at promoted-SP re-entry.
     blank: PeerSummary,
     reformulated: Vec<SummaryQuery>,
     sim: Simulator<KernelEvent>,
@@ -527,11 +527,21 @@ fn install(peers: &mut [Option<PeerState>], peer: u32, summary: PeerSummary) {
     }
 }
 
+/// A peer's data from its draw until its summary is installed: the
+/// drawn match bits and the `blank` summary, which a read that skipped
+/// its settle sees instead of an old summary.
+fn drawn(blank: &PeerSummary, match_bits: u32) -> PeerData {
+    PeerData {
+        match_bits,
+        summary: blank.summary.clone(),
+        flat: Rc::clone(&blank.flat),
+    }
+}
+
 /// Generates, in id order, the database and local summary of every
 /// peer `wanted` names into a new live state in `peers`, as both
 /// constructors do: the draws on this thread, the summaries through
-/// `pool`, all installed before this returns. Each peer holds `blank`
-/// until its summary is installed.
+/// `pool`, all installed before this returns.
 fn generate_all<R: Rng + ?Sized>(
     pool: &mut SummaryPool,
     rng: &mut R,
@@ -541,19 +551,9 @@ fn generate_all<R: Rng + ?Sized>(
     wanted: impl Fn(usize) -> bool,
 ) -> Result<(), P2pError> {
     for i in (0..peers.len()).filter(|&i| wanted(i)) {
-        peers[i] = Some(PeerState::new(PeerData {
-            match_bits: 0,
-            summary: blank.summary.clone(),
-            flat: Rc::clone(&blank.flat),
-        }));
-        let match_bits = pool.regenerate(
-            rng,
-            i as u32,
-            cfg.match_fraction,
-            cfg.records_per_peer,
-            |q, s| install(peers, q, s),
-        )?;
-        peers[i].as_mut().expect("set above").data.match_bits = match_bits;
+        let match_bits =
+            pool.regenerate(rng, i as u32, cfg.match_fraction, cfg.records_per_peer)?;
+        peers[i] = Some(PeerState::new(drawn(blank, match_bits)));
     }
     pool.settle_all(|q, s| install(peers, q, s));
     Ok(())
@@ -1043,27 +1043,19 @@ impl SimKernel {
     /// summary. A generation failure (impossible for a config that
     /// built) is counted and keeps the previous data.
     fn redraw(&mut self, p: NodeId) {
-        let peers = &mut self.peers;
         match self.pool.regenerate(
             self.sim.rng(),
             p.0,
             self.cfg.match_fraction,
             self.cfg.records_per_peer,
-            |q, s| install(peers, q, s),
         ) {
             Ok(match_bits) => {
                 let st = self.peers[p.index()]
                     .as_mut()
                     .expect("drifted peer has state");
-                // The summary follows when installed; the ground truth
-                // is current from now on.
-                st.data.match_bits = match_bits;
-                // Until then the peer holds the blank summary, so a read
-                // that skipped its settle reads no old one.
-                if self.pool.is_pending(p.0) {
-                    st.data.summary = self.blank.summary.clone();
-                    st.data.flat = Rc::clone(&self.blank.flat);
-                }
+                // The ground truth is current from now on; the summary
+                // follows when a read settles the peer.
+                st.data = drawn(&self.blank, match_bits);
                 // Stays set until the new summary is merged into an
                 // accumulator — the rebirth seeding signal for pushes
                 // lost to a dissolving domain.
@@ -1752,7 +1744,6 @@ impl SimKernel {
         if self.domains[d].dissolved {
             return;
         }
-        self.settle_all();
         let graceful = !self
             .sim
             .rng()
@@ -1890,17 +1881,16 @@ impl SimKernel {
         // otherwise every rebirth would permanently drain one peer.
         if self.promoted_sps.remove(&sp) {
             // A generation failure is counted and keeps the previous
-            // data. The new state is generated here, whole: no summary
-            // submitted earlier may overwrite it.
-            self.pool.cancel(sp.0);
-            match self.pool.generator_mut().generate(
+            // data. The new summary supersedes any the node left
+            // outstanding when it was promoted.
+            match self.pool.regenerate(
                 self.sim.rng(),
                 sp.0,
                 self.cfg.match_fraction,
                 self.cfg.records_per_peer,
             ) {
-                Ok(data) => {
-                    let mut st = PeerState::new(data);
+                Ok(match_bits) => {
+                    let mut st = PeerState::new(drawn(&self.blank, match_bits));
                     st.up = false;
                     st.merged_bits = 0;
                     st.drift_scheduled = false;
@@ -1993,7 +1983,6 @@ impl SimKernel {
         let Some(seed) = self.pending_rebirths.remove(&d) else {
             return;
         };
-        self.settle_all();
         // The winner may have churned out (or walked into another
         // domain) between election and takeover: re-run the election
         // over the remaining candidates.
@@ -2253,8 +2242,8 @@ impl SimKernel {
     }
 
     /// Installs every outstanding local summary: where control returns
-    /// to the caller, and where the whole membership may be read (SP
-    /// departure, the rebirth takeover, [`Self::reconcile_all`]).
+    /// to the caller, and where the whole membership may be read
+    /// ([`Self::reconcile_all`]).
     fn settle_all(&mut self) {
         let peers = &mut self.peers;
         self.pool.settle_all(|q, s| install(peers, q, s));
@@ -3201,31 +3190,40 @@ mod tests {
     /// whose bytes equal its snapshot, is clean once the ring completes:
     /// the completion installs the gathered members' outstanding
     /// summaries before comparing them with their snapshots, instead of
-    /// comparing the blank placeholder.
+    /// comparing the blank placeholder. The summary is outstanding with
+    /// a worker and without one.
     #[test]
     fn ring_completion_installs_the_gathered_summaries() {
-        let mut k = SimKernel::networked(cfg(60, 3), 20, None).unwrap();
-        k.pool = test_pool(&k.cfg, true);
-        let p = k.domains[0].cl.partners().next().expect("a member");
-        let before = k.sim.rng().clone();
-        k.redraw(p);
-        k.settle(p);
-        let snap = SummarySnapshot::of(p, k.peers[p.index()].as_ref().unwrap());
-        // The same draw again: the same summary, still outstanding.
-        *k.sim.rng() = before;
-        k.redraw(p);
-        assert!(k.pool.is_pending(p.0));
-        let conv = k.next_conv;
-        k.next_conv += 1;
-        let mut rc = RingConversation::new(0, Vec::new());
-        rc.gathered.push(snap.clone());
-        k.rings.insert(conv, rc);
-        k.ring_of_domain[0] = Some(conv);
-        k.finish_ring(conv);
-        assert_eq!(k.error_status(), (0, None));
-        let st = k.peers[p.index()].as_ref().unwrap();
-        assert_eq!(st.data.summary, snap.summary, "installed at completion");
-        assert!(!st.dirty, "a redraw equal to its snapshot is merged");
+        for worker in [false, true] {
+            let mut k = SimKernel::networked(cfg(60, 3), 20, None).unwrap();
+            k.pool = test_pool(&k.cfg, worker);
+            let p = k.domains[0].cl.partners().next().expect("a member");
+            let before = k.sim.rng().clone();
+            k.redraw(p);
+            k.settle(p);
+            let snap = SummarySnapshot::of(p, k.peers[p.index()].as_ref().unwrap());
+            // The same draw again: the same summary, still outstanding.
+            *k.sim.rng() = before;
+            k.redraw(p);
+            assert!(k.pool.is_pending(p.0), "worker {worker}");
+            let conv = k.next_conv;
+            k.next_conv += 1;
+            let mut rc = RingConversation::new(0, Vec::new());
+            rc.gathered.push(snap.clone());
+            k.rings.insert(conv, rc);
+            k.ring_of_domain[0] = Some(conv);
+            k.finish_ring(conv);
+            assert_eq!(k.error_status(), (0, None));
+            let st = k.peers[p.index()].as_ref().unwrap();
+            assert_eq!(
+                st.data.summary, snap.summary,
+                "installed at completion, worker {worker}"
+            );
+            assert!(
+                !st.dirty,
+                "a redraw equal to its snapshot is merged, worker {worker}"
+            );
+        }
     }
 
     #[test]

@@ -6,7 +6,8 @@
 //! a summary, and whenever it is installed, it must be exactly what a
 //! `PeerGenerator` makes from the same RNG stream on the calling thread;
 //! a summary superseded by a later submission for the same peer must
-//! never be installed; the queue never holds more than its depth; and a
+//! never be installed; a settle installs its own peer's summary and no
+//! other; the queue never holds more than its depth; and a
 //! panic on the worker must surface on the calling thread instead of
 //! leaving it waiting.
 
@@ -101,12 +102,10 @@ fn pool_matches_the_generator(worker: bool) -> Result<(), P2pError> {
         let want = reference.generate(&mut reference_rng, peer, fraction, records)?;
         let bits = want.match_bits;
         latest.insert(peer, want);
-        let drawn = pool.regenerate(&mut pool_rng, peer, fraction, records, |q, s| {
-            installs.push((q, s))
-        })?;
+        let drawn = pool.regenerate(&mut pool_rng, peer, fraction, records)?;
         assert_eq!(drawn, bits, "step {step}: match bits");
-        // Only a worker leaves a submitted summary outstanding.
-        assert_eq!(pool.is_pending(peer), worker, "step {step}: pending");
+        // A submitted summary is outstanding until a settle installs it.
+        assert!(pool.is_pending(peer), "step {step}: pending");
         assert!(
             pool.queued() <= SUMMARY_QUEUE_DEPTH,
             "step {step}: {} jobs queued",
@@ -118,6 +117,10 @@ fn pool_matches_the_generator(worker: bool) -> Result<(), P2pError> {
                 let waited = schedule.gen_range(0..PEERS);
                 pool.settle(waited, |q, s| installs.push((q, s)));
                 assert!(!pool.is_pending(waited), "{ctx}: waited for");
+                assert!(
+                    installs.len() <= 1 && installs.iter().all(|&(q, _)| q == waited),
+                    "{ctx}: a settle installs its own peer only"
+                );
                 check_installs(&mut installs, &latest, &mut installed, &ctx);
                 if let Some(want) = latest.get(&waited) {
                     assert_same(waited, &installed[&waited], want, &ctx);
@@ -188,7 +191,7 @@ fn cancelled_summaries_are_never_installed() -> Result<(), P2pError> {
     let mut peer_one = Vec::new();
     for _ in 0..3 {
         peer_one.push(reference.generate(&mut reference_rng, 1, 0.5, 16)?);
-        pool.regenerate(&mut pool_rng, 1, 0.5, 16, |q, s| installs.push((q, s)))?;
+        pool.regenerate(&mut pool_rng, 1, 0.5, 16)?;
     }
     pool.cancel(1);
     assert!(pool.is_settled());
@@ -202,12 +205,32 @@ fn cancelled_summaries_are_never_installed() -> Result<(), P2pError> {
         assert!(current, "an installed summary was never current");
     }
     let want = reference.generate(&mut reference_rng, 2, 0.5, 16)?;
-    pool.regenerate(&mut pool_rng, 2, 0.5, 16, |q, s| installs.push((q, s)))?;
+    pool.regenerate(&mut pool_rng, 2, 0.5, 16)?;
     pool.settle(1, |q, s| installs.push((q, s)));
     pool.settle_all(|q, s| installs.push((q, s)));
     assert_eq!(installs.len(), 1, "only peer 2's summary is installed");
     assert_eq!(installs[0].0, 2);
     assert_same(2, &installs[0].1, &want, "after a cancel");
+    Ok(())
+}
+
+/// Without a worker a submitted job waits in the queue for the read
+/// that settles it: submissions for distinct peers fill the queue to its
+/// depth, and the next one makes room by summarizing the oldest, which
+/// stays outstanding until a settle installs it.
+#[test]
+fn without_a_worker_jobs_wait_for_their_settle() -> Result<(), P2pError> {
+    let bk = BackgroundKnowledge::medical_cbk();
+    let mut pool = SummaryPool::with_worker(PeerGenerator::new(&bk, &make_templates(3))?, false);
+    let mut rng = StdRng::seed_from_u64(9);
+    let depth = SUMMARY_QUEUE_DEPTH as u32;
+    for peer in 0..depth {
+        pool.regenerate(&mut rng, peer, 0.5, 16)?;
+    }
+    assert_eq!(pool.queued(), SUMMARY_QUEUE_DEPTH);
+    pool.regenerate(&mut rng, depth, 0.5, 16)?;
+    assert_eq!(pool.queued(), SUMMARY_QUEUE_DEPTH);
+    assert!((0..=depth).all(|p| pool.is_pending(p)), "nothing installed");
     Ok(())
 }
 
@@ -220,9 +243,9 @@ fn a_worker_panic_surfaces_at_the_next_wait() -> Result<(), P2pError> {
     let bk = BackgroundKnowledge::medical_cbk();
     let generator = PeerGenerator::new(&bk, &make_templates(1))?;
     let mut pool = SummaryPool::with_worker(generator, true);
-    pool.submit(7, vec![vec![Value::Int(30)]], |_, _| {
-        panic!("a broken summary must not be installed")
-    });
+    // Without a worker the wait below would never end.
+    assert!(pool.has_worker(), "the worker thread was spawned");
+    pool.submit(7, vec![vec![Value::Int(30)]]);
     // Let the worker take the job, so that the calling thread does not
     // summarize it itself.
     while pool.queued() > 0 {
