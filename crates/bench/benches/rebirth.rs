@@ -40,7 +40,6 @@ fn bench_election(c: &mut Criterion) {
                 elect_replacement_sp(
                     &net,
                     &pool,
-                    &pool,
                     ElectionPolicy::LatencyAware {
                         ttl: 2,
                         default_hop: SimTime::from_millis(50),

@@ -278,6 +278,18 @@ impl SimConfig {
                 "latency default_hop must be positive".into(),
             ));
         }
+        if self
+            .latency()
+            .is_some_and(|hop| hop >= CONVERSATION_TIMEOUT)
+        {
+            // A conversation's messages must land before its watchdog
+            // fires: the kernel drops a conversation once it ends, and
+            // a message arriving after that finds nothing to act on.
+            return Err(P2pError::BadConfig(format!(
+                "latency default_hop must be below the {} s conversation timeout",
+                CONVERSATION_TIMEOUT.as_secs_f64()
+            )));
+        }
         validate_lifetime(&self.lifetime, "lifetime")?;
         if let Some(dist) = &self.sp_lifetime {
             validate_lifetime(dist, "sp_lifetime")?;
@@ -405,6 +417,15 @@ mod tests {
         };
         c.validate().unwrap();
         assert_eq!(c.latency(), Some(SimTime::from_millis(50)));
+        // A hop must be shorter than the conversation watchdog.
+        for (hop, ok) in [
+            (CONVERSATION_TIMEOUT, false),
+            (SimTime::from_hours(1), false),
+            (SimTime(CONVERSATION_TIMEOUT.0 - 1), true),
+        ] {
+            c.delivery = DeliveryMode::Latency { default_hop: hop };
+            assert_eq!(c.validate().is_ok(), ok, "default_hop {hop:?}");
+        }
     }
 
     #[test]

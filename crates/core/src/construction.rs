@@ -281,14 +281,13 @@ fn broadcast_distances(net: &Network, origin: NodeId, ttl: u32) -> Vec<Option<u6
 }
 
 /// Elects the replacement SP for a reborn domain from `live_members`
-/// (the dissolved domain's members that are still connected), serving
-/// `partners` (normally the same set). Returns `None` when no live
+/// (the dissolved domain's members that are still connected), who are
+/// also the partners it will serve. Returns `None` when no live
 /// candidate exists — the domain then stays dissolved and its members
 /// walk to surviving domains as they rejoin.
 pub fn elect_replacement_sp(
     net: &Network,
     live_members: &[NodeId],
-    partners: &[NodeId],
     policy: ElectionPolicy,
 ) -> Option<NodeId> {
     let mut hubs: Vec<NodeId> = live_members
@@ -306,7 +305,7 @@ pub fn elect_replacement_sp(
                 .copied()
                 .map(|c| {
                     let dist = broadcast_distances(net, c, ttl);
-                    let rtt_sum: u64 = partners
+                    let rtt_sum: u64 = live_members
                         .iter()
                         .filter(|&&p| p != c)
                         .map(|&p| 2 * dist[p.index()].unwrap_or(default_hop.0))
@@ -448,11 +447,11 @@ mod tests {
         g.add_edge(NodeId(3), NodeId(4), SimTime::from_millis(1));
         let n = Network::new(g);
         let members: Vec<NodeId> = (0..6).map(NodeId).collect();
-        let sp = elect_replacement_sp(&n, &members, &members, ElectionPolicy::Degree);
+        let sp = elect_replacement_sp(&n, &members, ElectionPolicy::Degree);
         assert_eq!(sp, Some(NodeId(0)), "the hub wins on degree");
         // Without the hub, 3 and 4 tie at degree 2: lowest id wins.
         let rest: Vec<NodeId> = (1..6).map(NodeId).collect();
-        let sp = elect_replacement_sp(&n, &rest, &rest, ElectionPolicy::Degree);
+        let sp = elect_replacement_sp(&n, &rest, ElectionPolicy::Degree);
         assert_eq!(sp, Some(NodeId(3)), "ties break by lowest id");
     }
 
@@ -470,7 +469,6 @@ mod tests {
         let sp = elect_replacement_sp(
             &n,
             &members,
-            &members,
             ElectionPolicy::LatencyAware {
                 ttl: 2,
                 default_hop: SimTime::from_millis(50),
@@ -479,7 +477,7 @@ mod tests {
         assert_eq!(sp, Some(NodeId(2)), "the center minimizes expected RTT");
         // Degree order alone cannot tell 1, 2, 3 apart and falls back
         // to the lowest id — the latency-aware policy does better.
-        let by_degree = elect_replacement_sp(&n, &members, &members, ElectionPolicy::Degree);
+        let by_degree = elect_replacement_sp(&n, &members, ElectionPolicy::Degree);
         assert_eq!(by_degree, Some(NodeId(1)));
     }
 
@@ -491,13 +489,13 @@ mod tests {
             net.take_down(m);
         }
         assert_eq!(
-            elect_replacement_sp(&net, &members, &members, ElectionPolicy::Degree),
+            elect_replacement_sp(&net, &members, ElectionPolicy::Degree),
             None,
             "no live candidate, no rebirth"
         );
         net.bring_up(NodeId(7));
         assert_eq!(
-            elect_replacement_sp(&net, &members, &members, ElectionPolicy::Degree),
+            elect_replacement_sp(&net, &members, ElectionPolicy::Degree),
             Some(NodeId(7))
         );
     }
@@ -516,8 +514,8 @@ mod tests {
         assert!(domains.assignment.iter().all(|a| *a != Some(sp)));
 
         let live: Vec<NodeId> = orphans.iter().copied().filter(|&m| n.is_up(m)).collect();
-        let ns = elect_replacement_sp(&n, &live, &live, ElectionPolicy::Degree)
-            .expect("live members exist");
+        let ns =
+            elect_replacement_sp(&n, &live, ElectionPolicy::Degree).expect("live members exist");
         let dist = rebirth_broadcast(&n, &mut domains, ns, 2);
         assert!(domains.superpeers.contains(&ns));
         assert_eq!(domains.assignment[ns.index()], None, "SPs are not partners");

@@ -116,17 +116,6 @@ impl CooperationList {
     pub fn needs_reconciliation(&self, alpha: f64) -> bool {
         !self.is_empty() && self.stale_fraction() >= alpha
     }
-
-    /// Post-reconciliation reset (§4.2.2: "all the freshness values in CL
-    /// are reset to zero"); `retain` keeps only the peers that took part
-    /// (departed partners are dropped, since the rebuilt GS omits them).
-    pub fn reconcile<F: Fn(NodeId) -> bool>(&mut self, retain: F) {
-        self.entries.retain(|&p, _| retain(p));
-        for f in self.entries.values_mut() {
-            *f = Freshness::Fresh;
-        }
-        self.stale = 0;
-    }
 }
 
 #[cfg(test)]
@@ -208,12 +197,11 @@ mod tests {
             }
 
             /// The stale count kept through any sequence of adds,
-            /// removals, freshness updates and reconciliations equals a
-            /// recount of the entries, and the fraction is the same
-            /// quotient.
+            /// removals and freshness updates equals a recount of the
+            /// entries, and the fraction is the same quotient.
             #[test]
             fn kept_stale_count_matches_a_recount(
-                ops in prop::collection::vec((0u8..4, 0u32..24, 0u8..3), 1..200),
+                ops in prop::collection::vec((0u8..3, 0u32..24, 0u8..3), 1..200),
             ) {
                 let mut cl = CooperationList::new();
                 for (op, peer, state) in ops {
@@ -223,10 +211,9 @@ mod tests {
                         1 => {
                             cl.remove_partner(p);
                         }
-                        2 => {
+                        _ => {
                             cl.set_freshness(p, f);
                         }
-                        _ => cl.reconcile(|q| q.0 % 3 != peer % 3),
                     }
                     let recount = cl.old_partners().count();
                     prop_assert_eq!(cl.stale, recount);
@@ -238,39 +225,6 @@ mod tests {
                     prop_assert_eq!(cl.stale_fraction().to_bits(), fraction.to_bits());
                 }
             }
-
-            /// After reconcile, no stale entries remain and only retained
-            /// peers survive.
-            #[test]
-            fn reconcile_postconditions(
-                states in prop::collection::vec(0u8..3, 1..120),
-                keep_mod in 2u32..5,
-            ) {
-                let mut cl = CooperationList::new();
-                for (i, &s) in states.iter().enumerate() {
-                    cl.add_partner(NodeId(i as u32), Freshness::from_u2(s).unwrap());
-                }
-                cl.reconcile(|p| p.0 % keep_mod == 0);
-                prop_assert_eq!(cl.stale_fraction(), 0.0);
-                for p in cl.partners() {
-                    prop_assert_eq!(p.0 % keep_mod, 0);
-                    prop_assert_eq!(cl.freshness(p), Some(Freshness::Fresh));
-                }
-            }
         }
-    }
-
-    #[test]
-    fn reconcile_resets_and_retains() {
-        let mut cl = CooperationList::new();
-        cl.add_partner(peer(1), Freshness::NeedsRefresh);
-        cl.add_partner(peer(2), Freshness::Unavailable);
-        cl.add_partner(peer(3), Freshness::NeedsRefresh);
-        // Peer 2 departed: drop it, refresh the rest.
-        cl.reconcile(|p| p != peer(2));
-        assert_eq!(cl.len(), 2);
-        assert!(!cl.contains(peer(2)));
-        assert_eq!(cl.stale_fraction(), 0.0);
-        assert_eq!(cl.freshness(peer(1)), Some(Freshness::Fresh));
     }
 }

@@ -92,7 +92,15 @@
 //!     stale answers, and the recorded
 //!     [`MultiDomainOutcome::time_to_answer_s`] is the genuine virtual
 //!     time between posing the query and meeting (or abandoning) its
-//!     target. The conversation is dropped once it completes.
+//!     target;
+//!   - a rebirth hand-over (`RebirthConversation`) of `localsum`
+//!     confirmations to a newborn SP.
+//!
+//!   A conversation is open exactly while it sits in its map (`rings`,
+//!   `lookups`, `rebirth_convs`): finishing it or cancelling it (its
+//!   SP departed) removes it, and a delivery or watchdog that finds no
+//!   conversation does nothing. Each conversation has one
+//!   [`KernelEvent::Watchdog`], armed when it opens.
 //!
 //! Floods in both modes reuse the kernel's one `FloodScratch` and reach
 //! buffer, so a flood allocates nothing (see `docs/ARCHITECTURE.md`,
@@ -270,17 +278,14 @@ pub enum KernelEvent {
     /// holds thousands of pending events in both delivery modes) and a
     /// run costs no allocation of its own.
     Hits(u32),
-    /// Latency mode: watchdog of a reconciliation ring — if the token
-    /// was dropped at a churned-out member, the SP completes the pull
-    /// with the snapshots gathered so far.
-    RingTimeout {
-        /// The ring conversation.
-        conv: u64,
-    },
-    /// Latency mode: watchdog of an inter-domain lookup — records the
-    /// outcome with whatever answers arrived.
-    LookupTimeout {
-        /// The lookup conversation.
+    /// Latency mode: a conversation's watchdog, [`CONVERSATION_TIMEOUT`]
+    /// after it opened. A conversation still open completes with what
+    /// it has: a ring stores the snapshots gathered so far, a lookup
+    /// records the answers that arrived, a rebirth hand-over the
+    /// confirmations that landed. A conversation that already ended is
+    /// in no map, and its watchdog does nothing.
+    Watchdog {
+        /// The conversation.
         conv: u64,
     },
     /// A summary peer's session ends (§4.3): the domain dissolves and
@@ -309,12 +314,6 @@ pub enum KernelEvent {
         domain: usize,
         /// The election winner.
         sp: NodeId,
-    },
-    /// Latency mode: watchdog of a rebirth hand-over — completes the
-    /// conversation with whatever confirmations arrived.
-    RebirthTimeout {
-        /// The rebirth conversation.
-        conv: u64,
     },
     /// One control epoch of the maintenance control plane
     /// ([`crate::control`]): every live domain's controller folds the
@@ -1004,33 +1003,20 @@ impl SimKernel {
             } => self.deliver(from, to, msg, conv, sent_at),
             KernelEvent::Hits(slot) => {
                 let run = self.hit_runs.take(slot);
-                if self.deliver_hits(&run) {
-                    self.lookups.remove(&run.conv);
-                }
+                self.deliver_hits(&run);
             }
-            KernelEvent::RingTimeout { conv } => {
-                if self.rings.get(&conv).is_some_and(|rc| !rc.done) {
-                    self.finish_ring(conv);
-                }
-            }
-            KernelEvent::LookupTimeout { conv } => {
-                if let Some(mut lc) = self.lookups.remove(&conv) {
-                    self.inter_outcomes.extend(lc.finish(self.sim.now()));
+            KernelEvent::Watchdog { conv } => {
+                // Ids are unique across the three maps: at most one of
+                // these finds the conversation.
+                self.finish_ring(conv);
+                self.finish_rebirth(conv);
+                if let Some(lc) = self.lookups.remove(&conv) {
+                    self.inter_outcomes.push(lc.finish(self.sim.now()));
                 }
             }
             KernelEvent::SpDeparture { sp } => self.handle_sp_departure_event(sp),
             KernelEvent::SpElection { domain } => self.handle_sp_election(domain),
             KernelEvent::SpTakeover { domain, sp } => self.handle_sp_takeover(domain, sp),
-            KernelEvent::RebirthTimeout { conv } => {
-                if self.rebirth_convs.get(&conv).is_some_and(|rc| rc.done) {
-                    // Cancelled mid-flight (the reborn SP departed
-                    // again): the watchdog is the last reference, so
-                    // it reaps the entry.
-                    self.rebirth_convs.remove(&conv);
-                } else {
-                    self.finish_rebirth(conv);
-                }
-            }
             KernelEvent::ControlTick => self.control_tick(),
         }
         debug_assert!(
@@ -1235,9 +1221,8 @@ impl SimKernel {
     fn dispatch(&mut self, from: NodeId, to: NodeId, msg: Message, conv: u64) {
         match msg {
             Message::Push { value } => self.deliver_push(from, value),
-            Message::LocalSum { .. } if conv != 0 && self.rebirth_convs.contains_key(&conv) => {
-                self.deliver_rebirth_localsum(conv, from)
-            }
+            // Only rebirth hand-overs send a `localsum` in a conversation.
+            Message::LocalSum { .. } if conv != 0 => self.deliver_rebirth_localsum(conv, from),
             Message::LocalSum { .. } => self.deliver_localsum(from),
             Message::ReconciliationToken { .. } => self.deliver_token(conv, to),
             Message::Query { template } => {
@@ -1286,6 +1271,23 @@ impl SimKernel {
     // Reconciliation rings as conversations.
     // ------------------------------------------------------------------
 
+    /// Takes the next conversation id.
+    fn open_conversation(&mut self) -> u64 {
+        let conv = self.next_conv;
+        self.next_conv += 1;
+        conv
+    }
+
+    /// Schedules `conv`'s [`KernelEvent::Watchdog`] on the latency
+    /// plane; with instantaneous delivery a conversation ends within
+    /// the event that opened it.
+    fn arm_watchdog(&mut self, conv: u64) {
+        if self.lat.is_some() {
+            self.sim
+                .schedule_in(CONVERSATION_TIMEOUT, KernelEvent::Watchdog { conv });
+        }
+    }
+
     /// Starts a ring conversation when α crossed and none is running.
     /// The route covers only the *stale* live members (§4.2.2's pull
     /// needs nothing from fresh ones — their contributions already sit
@@ -1309,8 +1311,7 @@ impl SimKernel {
             }
             return;
         }
-        let conv = self.next_conv;
-        self.next_conv += 1;
+        let conv = self.open_conversation();
         let mut rc = RingConversation::new(d, route);
         let first = rc.route.pop_front().expect("non-empty route");
         let bytes = RingConversation::token_bytes(&rc.gathered);
@@ -1324,10 +1325,7 @@ impl SimKernel {
             conv,
             SimTime::ZERO,
         );
-        if self.lat.is_some() {
-            self.sim
-                .schedule_in(CONVERSATION_TIMEOUT, KernelEvent::RingTimeout { conv });
-        }
+        self.arm_watchdog(conv);
     }
 
     /// The token arrives at its next hop (or back at the SP).
@@ -1335,9 +1333,6 @@ impl SimKernel {
         let Some(rc) = self.rings.get(&conv) else {
             return;
         };
-        if rc.done {
-            return;
-        }
         let d = rc.domain;
         let sp = self.sp_node(d);
         if to == sp {
@@ -1376,34 +1371,28 @@ impl SimKernel {
     /// gathered snapshots into its accumulator (`NewGS`, built when
     /// observed) and resets the CL.
     fn finish_ring(&mut self, conv: u64) {
-        let Some(rc) = self.rings.get_mut(&conv) else {
+        let Some(RingConversation {
+            domain: d,
+            gathered,
+            ..
+        }) = self.rings.remove(&conv)
+        else {
             return;
         };
-        if rc.done {
-            return;
+        self.ring_of_domain[d] = None;
+        // The pull compares each gathered peer's current summary with
+        // its snapshot, and reads no other peer's.
+        for snap in &gathered {
+            self.settle(snap.peer);
         }
-        rc.done = true;
-        let d = rc.domain;
-        let gathered = std::mem::take(&mut rc.gathered);
-        self.rings.remove(&conv);
-        if self.ring_of_domain[d] == Some(conv) {
-            self.ring_of_domain[d] = None;
+        if let Err(e) =
+            self.domains[d].apply_snapshots(&gathered, &mut self.peers, &mut self.ledger)
+        {
+            self.note_error(e);
         }
-        if !self.domains[d].dissolved {
-            // The pull compares each gathered peer's current summary
-            // with its snapshot, and reads no other peer's.
-            for snap in &gathered {
-                self.settle(snap.peer);
-            }
-            if let Err(e) =
-                self.domains[d].apply_snapshots(&gathered, &mut self.peers, &mut self.ledger)
-            {
-                self.note_error(e);
-            }
-            // Members the token missed kept their stale flags, so α may
-            // re-arm a follow-up ring immediately.
-            self.maybe_start_ring(d);
-        }
+        // Members the token missed kept their stale flags, so α may
+        // re-arm a follow-up ring immediately.
+        self.maybe_start_ring(d);
     }
 
     // ------------------------------------------------------------------
@@ -1412,9 +1401,6 @@ impl SimKernel {
 
     /// Poses an inter-domain lookup on the message plane.
     fn start_lookup(&mut self, origin: NodeId, template: usize) {
-        if self.lat.is_none() {
-            return;
-        }
         let Some(home) = self.domain_of.get(origin.index()).copied().flatten() else {
             return;
         };
@@ -1423,26 +1409,21 @@ impl SimKernel {
             LookupTarget::Partial(ct) => ct,
             LookupTarget::Total => usize::MAX,
         };
-        let conv = self.next_conv;
-        self.next_conv += 1;
+        let conv = self.open_conversation();
         let mut lc = LookupConversation::new(origin, template, need, self.sim.now(), results_total);
         self.schedule_domain_query(&mut lc, conv, home, origin, SimTime::ZERO);
         self.lookups.insert(conv, lc);
-        self.sim
-            .schedule_in(CONVERSATION_TIMEOUT, KernelEvent::LookupTimeout { conv });
+        self.arm_watchdog(conv);
     }
 
-    /// Puts back a conversation a handler took out of `lookups` — so
-    /// the handler pays one map lookup, not one per message it sends —
-    /// completing it first when no branch is left in flight. A
-    /// completed conversation is dropped: later deliveries find no
-    /// conversation, which leaves them as the no-ops a done one made
-    /// them.
-    fn settle_lookup(&mut self, conv: u64, mut lc: LookupConversation) {
+    /// Ends a conversation a handler took out of `lookups` — so the
+    /// handler pays one map lookup, not one per message it sends: it
+    /// records the outcome when no branch is left in flight, and puts
+    /// the conversation back otherwise.
+    fn settle_lookup(&mut self, conv: u64, lc: LookupConversation) {
         if lc.branches == 0 {
-            self.inter_outcomes.extend(lc.finish(self.sim.now()));
-        }
-        if !lc.done {
+            self.inter_outcomes.push(lc.finish(self.sim.now()));
+        } else {
             self.lookups.insert(conv, lc);
         }
     }
@@ -1456,7 +1437,7 @@ impl SimKernel {
         from: NodeId,
         extra: SimTime,
     ) {
-        if lc.done || !lc.seen_domains.insert(d) {
+        if !lc.seen_domains.insert(d) {
             return;
         }
         lc.branches += 1;
@@ -1561,10 +1542,9 @@ impl SimKernel {
     /// conversation.
     fn query_at_sp(&mut self, lc: &mut LookupConversation, conv: u64, to: NodeId) {
         let sp_up = self.net.as_ref().is_some_and(|n| n.is_up(to));
-        let live = |d: &usize| !lc.done && !self.domains[*d].dissolved && sp_up;
+        let live = |d: &usize| !self.domains[*d].dissolved && sp_up;
         let Some(d) = self.sp_index.get(&to).copied().filter(live) else {
-            // Dissolved domain, departed SP or finished lookup: the
-            // branch dies here.
+            // Dissolved domain or departed SP: the branch dies here.
             return;
         };
         let template = lc.template;
@@ -1628,7 +1608,7 @@ impl SimKernel {
             .get(f.index())
             .and_then(|s| s.as_ref())
             .is_some_and(|s| s.up);
-        let Some(net) = self.net.as_ref().filter(|_| !lc.done && f_up) else {
+        let Some(net) = self.net.as_ref().filter(|_| f_up) else {
             // A churned-out flooder drops the request.
             return;
         };
@@ -1658,10 +1638,9 @@ impl SimKernel {
     /// that churned out or drifted while it was in flight do not count,
     /// and summary-selected ones surface as stale answers. The run is
     /// handled in send order, exactly as if each answer had arrived on
-    /// its own: once the lookup completes, later answers only drain
-    /// their branch. Returns true when the lookup is done, so the
-    /// caller can drop it.
-    fn deliver_hits(&mut self, run: &HitRun) -> bool {
+    /// its own, up to the answer that completes the lookup: the lookup
+    /// then leaves `lookups`, so the answers after it find nothing.
+    fn deliver_hits(&mut self, run: &HitRun) {
         let HitRun {
             conv,
             summary_selected,
@@ -1675,14 +1654,12 @@ impl SimKernel {
         self.ledger
             .count_deliveries(MessageClass::QueryResponse, now.saturating_sub(sent_at), n);
         let Some(lc) = self.lookups.get_mut(&conv) else {
-            return false;
+            return;
         };
         let mut answered_live = false;
+        let mut finished = false;
         for &q in peers {
             lc.branches = lc.branches.saturating_sub(1);
-            if lc.done {
-                continue;
-            }
             let valid = self
                 .peers
                 .get(q.index())
@@ -1709,7 +1686,8 @@ impl SimKernel {
                 lc.stale_answers += 1;
             }
             if lc.satisfied() || lc.branches == 0 {
-                self.inter_outcomes.extend(lc.finish(now));
+                finished = true;
+                break;
             }
         }
         // The originator remembers everyone who answered. Every valid
@@ -1721,7 +1699,10 @@ impl SimKernel {
             let answered = lc.answered.shared_list(&mut lc.answer_list);
             self.caches[lc.origin.index()].insert(lc.template, answered);
         }
-        lc.done
+        if finished {
+            let lc = self.lookups.remove(&conv).expect("checked above");
+            self.inter_outcomes.push(lc.finish(now));
+        }
     }
 
     // ------------------------------------------------------------------
@@ -1759,19 +1740,13 @@ impl SimKernel {
                 members.push(m);
             }
         }
-        // Cancel the domain's in-flight ring, if any.
+        // Cancel the domain's in-flight ring, if any, and — a reborn
+        // domain's SP can itself depart while the hand-over
+        // confirmations are still in flight — its hand-over.
         if let Some(conv) = self.ring_of_domain[d].take() {
-            if let Some(rc) = self.rings.get_mut(&conv) {
-                rc.done = true;
-            }
+            self.rings.remove(&conv);
         }
-        // A reborn domain's SP can itself depart while the hand-over
-        // confirmations are still in flight: cancel that conversation.
-        for rc in self.rebirth_convs.values_mut() {
-            if rc.domain == d {
-                rc.done = true;
-            }
-        }
+        self.rebirth_convs.retain(|_, rc| rc.domain != d);
         if self.cfg.rebirth {
             self.dissolve_for_rebirth(d, sp, graceful, members);
             return;
@@ -1944,7 +1919,7 @@ impl SimKernel {
         };
         let winner = {
             let net = self.net.as_ref().expect("networked kernel");
-            elect_replacement_sp(net, &live, &live, policy)
+            elect_replacement_sp(net, &live, policy)
         };
         let Some(ns) = winner else {
             // Nobody is up to take over right now. The seed stays
@@ -2072,23 +2047,18 @@ impl SimKernel {
         if live.is_empty() {
             return;
         }
-        let conv = self.next_conv;
-        self.next_conv += 1;
+        let conv = self.open_conversation();
         self.rebirth_convs.insert(
             conv,
             RebirthConversation {
                 domain: d,
                 outstanding: live.len() as u64,
-                done: false,
             },
         );
         for &m in &live {
             self.send_localsum(m, d, SimTime::ZERO, conv);
         }
-        if self.lat.is_some() {
-            self.sim
-                .schedule_in(CONVERSATION_TIMEOUT, KernelEvent::RebirthTimeout { conv });
-        }
+        self.arm_watchdog(conv);
     }
 
     /// A rebirth hand-over `localsum` arrives at the newborn SP. The
@@ -2099,14 +2069,9 @@ impl SimKernel {
         let Some(rc) = self.rebirth_convs.get_mut(&conv) else {
             return;
         };
-        if rc.done {
-            return;
-        }
         rc.outstanding = rc.outstanding.saturating_sub(1);
-        let d = rc.domain;
-        let outstanding = rc.outstanding;
-        let up = self.peers[from.index()].as_ref().is_some_and(|s| s.up);
-        if !up && !self.domains[d].dissolved {
+        let (d, outstanding) = (rc.domain, rc.outstanding);
+        if !self.peers[from.index()].as_ref().is_some_and(|s| s.up) {
             self.domains[d]
                 .cl
                 .set_freshness(from, Freshness::Unavailable);
@@ -2120,17 +2085,8 @@ impl SimKernel {
     /// watchdog): the reborn domain's seeded staleness may arm its
     /// first — delta — pull immediately.
     fn finish_rebirth(&mut self, conv: u64) {
-        let Some(rc) = self.rebirth_convs.get_mut(&conv) else {
-            return;
-        };
-        if rc.done {
-            return;
-        }
-        rc.done = true;
-        let d = rc.domain;
-        self.rebirth_convs.remove(&conv);
-        if !self.domains[d].dissolved {
-            self.maybe_start_ring(d);
+        if let Some(rc) = self.rebirth_convs.remove(&conv) {
+            self.maybe_start_ring(rc.domain);
         }
     }
 
@@ -2550,11 +2506,7 @@ impl SimKernel {
     /// compare survivorship-biased query populations.
     pub fn lookup_outcomes(&self) -> Vec<(SimTime, MultiDomainOutcome)> {
         let mut outcomes = self.inter_outcomes.clone();
-        for lc in self.lookups.values() {
-            if !lc.done {
-                outcomes.push((lc.started, lc.outcome(self.cfg.horizon)));
-            }
-        }
+        outcomes.extend(self.lookups.values().map(|lc| lc.finish(self.cfg.horizon)));
         outcomes.sort_by_key(|o| o.0);
         outcomes
     }
@@ -2877,7 +2829,8 @@ mod tests {
     /// A cached answer list whose peers sit at different distances from
     /// the originator leaves as one event per run of equal arrival
     /// time, with every answer still counted, and a partial lookup met
-    /// in the middle of a run lets the rest of the run only drain.
+    /// in the middle of a run completes there: the answers after it
+    /// change neither its outcome nor the originator's cache.
     #[test]
     fn hit_runs_split_by_arrival_and_finish_mid_run() {
         let mut c = cfg(120, 11);
@@ -2911,16 +2864,10 @@ mod tests {
         k.lookups.insert(conv, lc);
         assert_eq!(k.in_flight(), 6);
         let mut events = 0;
-        // Runs are handed to `deliver_hits` itself, which leaves the
-        // done conversation in place for the checks below (`handle`
-        // drops it).
         while let Some((_, ev)) = k.sim.next_event() {
-            let KernelEvent::Hits(slot) = ev else {
-                panic!("{ev:?}")
-            };
+            assert!(matches!(ev, KernelEvent::Hits(_)), "{ev:?}");
             events += 1;
-            let run = k.hit_runs.take(slot);
-            k.deliver_hits(&run);
+            k.handle(ev);
         }
         assert_eq!(events, 3, "far ×3, near, far ×2: three runs");
 
@@ -2936,29 +2883,26 @@ mod tests {
         assert_eq!(k.in_flight(), 0);
 
         // `near` arrives first; `far[0]`, first of the next run, meets
-        // the target; `far[1]`, `far[2]` and the last run only drain.
-        let lc = &k.lookups[&conv];
-        assert!(lc.done);
-        assert_eq!(lc.branches, 0);
-        assert_eq!(lc.messages, 6);
-        let mut want = vec![near, far[0]];
-        want.sort_unstable();
-        assert_eq!(lc.answered.iter().collect::<Vec<_>>(), want);
+        // the target and ends the lookup; `far[1]`, `far[2]` and the
+        // last run find no conversation.
+        assert!(k.lookups.is_empty(), "the completed lookup is dropped");
         assert_eq!(k.inter_outcomes.len(), 1);
         let out = &k.inter_outcomes[0].1;
         assert_eq!(out.results, 2);
+        assert_eq!(out.messages, 6);
         assert!(out.satisfied);
         assert_eq!(out.time_to_answer_s, t_far.as_secs_f64());
         // The originator's cache holds the set as of the answer that met
-        // the target.
+        // the target: `far[1]` and `far[2]` match too, but came after.
+        let mut want = [near, far[0]];
+        want.sort_unstable();
         let cached = k.caches[origin.index()].peek(template).unwrap();
         assert_eq!(&*cached.answering, &want[..]);
     }
 
     /// A lookup's conversation is dropped when it completes, whether
     /// its target was met, its branches drained or its watchdog fired:
-    /// once the run is past a lookup's watchdog the lookup is gone, and
-    /// no conversation left in `lookups` is done.
+    /// once the run is past a lookup's watchdog the lookup is gone.
     #[test]
     fn completed_lookups_are_dropped() {
         for target in [LookupTarget::Total, LookupTarget::Partial(3)] {
@@ -2969,7 +2913,6 @@ mod tests {
                 let now = SimTime::from_hours(hours);
                 k.run_until(now);
                 for lc in k.lookups.values() {
-                    assert!(!lc.done, "{target:?}: a done lookup is kept");
                     assert!(
                         lc.started + CONVERSATION_TIMEOUT >= now,
                         "{target:?}: a lookup outlived its watchdog"
@@ -3003,7 +2946,7 @@ mod tests {
         k.net.as_mut().expect("networked").bring_up(sp);
         let conv = k.next_conv;
         k.start_lookup(origin, 0);
-        k.handle(KernelEvent::LookupTimeout { conv });
+        k.handle(KernelEvent::Watchdog { conv });
         assert!(k.lookups.is_empty(), "dropped by its watchdog");
         assert_eq!(k.inter_outcomes.len(), 2);
         while let Some((_, ev)) = k.sim.next_event() {

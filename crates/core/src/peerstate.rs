@@ -562,10 +562,11 @@ impl DomainCore {
     ) -> Result<ReconcileWork, P2pError> {
         self.gs_stale = true;
         let mut work = ReconcileWork::default();
-        let visited: std::collections::BTreeSet<NodeId> = gathered.iter().map(|s| s.peer).collect();
         for snap in gathered {
             self.acc
                 .update_source_flat(SourceId(snap.peer.0), &snap.flat)?;
+            // §4.2.2: the pulled member's freshness resets to zero.
+            self.cl.set_freshness(snap.peer, Freshness::Fresh);
             if let Some(st) = peers.get_mut(snap.peer.index()).and_then(|s| s.as_mut()) {
                 st.merged_bits = snap.match_bits;
                 // The merged contribution is current again — unless the
@@ -578,30 +579,23 @@ impl DomainCore {
             work.merged += 1;
             work.delta_bytes += snap.summary.len() as u64;
         }
-        for m in self.cl.partners().collect::<Vec<_>>() {
-            if visited.contains(&m) {
-                continue;
-            }
+        // Unvisited live members keep their flags (partial pull);
+        // unvisited down members are expired and drop out of the CL.
+        let visited: std::collections::BTreeSet<NodeId> = gathered.iter().map(|s| s.peer).collect();
+        let missed: Vec<NodeId> = self
+            .cl
+            .partners()
+            .filter(|m| !visited.contains(m))
+            .collect();
+        for m in missed {
             if peer_up(peers, m) {
                 work.skipped += 1;
-            } else if self.expire_member(m, peers) {
+                continue;
+            }
+            if self.expire_member(m, peers) {
                 work.removed += 1;
             }
-        }
-        // Token-visited members reset to fresh; unvisited live members
-        // keep their flags (partial pull); unvisited down members drop.
-        // Only stale flags need restoring: the reset leaves the rest
-        // fresh.
-        let stale_survivors: Vec<(NodeId, Freshness)> = self
-            .cl
-            .old_partners()
-            .filter(|p| !visited.contains(p) && peer_up(peers, *p))
-            .map(|p| (p, self.cl.freshness(p).unwrap_or(Freshness::NeedsRefresh)))
-            .collect();
-        self.cl
-            .reconcile(|p| visited.contains(&p) || peer_up(peers, p));
-        for (p, f) in stale_survivors {
-            self.cl.set_freshness(p, f);
+            self.cl.remove_partner(m);
         }
         ledger.count_reconcile_work(work);
         self.delta_bytes_total += work.delta_bytes;

@@ -17,10 +17,13 @@
 //!
 //! The module also holds the state of the kernel's multi-event
 //! conversations: reconciliation rings, rebirth hand-overs and
-//! inter-domain lookups. A lookup keeps its answering peers and the
-//! domains it reached in `DenseSet`s — one bit per id, iterated in id
-//! order — and the answer list it last gave the originator's cache,
-//! rebuilt only when the answer set grew.
+//! inter-domain lookups. A conversation is open exactly while the
+//! kernel holds it in its map: finishing or cancelling one removes it,
+//! and a delivery or watchdog that finds no conversation does nothing.
+//! A lookup keeps its answering peers and the domains it reached in
+//! `DenseSet`s — one bit per id, iterated in id order — and the answer
+//! list it last gave the originator's cache, rebuilt only when the
+//! answer set grew.
 
 use std::collections::VecDeque;
 use std::marker::PhantomData;
@@ -89,9 +92,6 @@ pub(crate) struct RingConversation {
     pub route: VecDeque<NodeId>,
     /// Snapshots collected so far, in visit order.
     pub gathered: Vec<SummarySnapshot>,
-    /// Set once the SP stored `NewGS` (completion or watchdog): late
-    /// token deliveries and the unfired watchdog become no-ops.
-    pub done: bool,
 }
 
 impl RingConversation {
@@ -101,7 +101,6 @@ impl RingConversation {
             domain,
             route: route.into(),
             gathered: Vec::new(),
-            done: false,
         }
     }
 
@@ -131,18 +130,16 @@ impl RingConversation {
 /// arrival only re-validates the member — on the latency plane, one
 /// that churned out while its confirmation was in flight is flagged
 /// `Unavailable` for the next pull. The conversation completes when
-/// every confirmation landed or (latency plane) the watchdog fires;
-/// completion re-checks α so a stale-seeded membership can arm the
-/// reborn domain's first (delta) pull at once.
+/// every confirmation landed or (latency plane) the watchdog fires,
+/// and is cancelled when the reborn SP departs again; completion
+/// re-checks α so a stale-seeded membership can arm the reborn
+/// domain's first (delta) pull at once.
 #[derive(Debug)]
 pub(crate) struct RebirthConversation {
     /// The reborn domain slot.
     pub domain: usize,
     /// `localsum` confirmations still in flight.
     pub outstanding: u64,
-    /// Set once completion ran: late deliveries and the unfired
-    /// watchdog become no-ops.
-    pub done: bool,
 }
 
 /// An index a [`DenseSet`] can hold: a peer id or a domain slot.
@@ -248,7 +245,7 @@ impl DenseSet<NodeId> {
 /// per-peer answers and flood discoveries come back as further
 /// deliveries, and the lookup completes when its target is met, every
 /// branch has drained, or the watchdog fires. The kernel drops the
-/// conversation once it completes.
+/// conversation when it completes, so later deliveries find nothing.
 #[derive(Debug)]
 pub(crate) struct LookupConversation {
     /// The partner that posed the query.
@@ -281,8 +278,6 @@ pub(crate) struct LookupConversation {
     pub messages: u64,
     /// Outstanding scheduled deliveries of this conversation.
     pub branches: u64,
-    /// Set once the outcome was recorded: late deliveries are no-ops.
-    pub done: bool,
     /// `hop_latency(peer, origin)` per peer id, filled as answers are
     /// sent ([`LookupConversation::HOP_UNKNOWN`] = not computed yet).
     pub hop_to_origin: Vec<SimTime>,
@@ -317,7 +312,6 @@ impl LookupConversation {
             summary_ok: 0,
             messages: 0,
             branches: 0,
-            done: false,
             hop_to_origin: Vec::new(),
             hop_epoch: 0,
         }
@@ -328,21 +322,11 @@ impl LookupConversation {
         self.answered.len() >= self.need
     }
 
-    /// Completes the conversation at `now` (target met, branches
-    /// drained, or watchdog): returns its `(started, outcome)` the first
-    /// time, `None` once it is done — later deliveries are no-ops.
-    pub fn finish(&mut self, now: SimTime) -> Option<(SimTime, MultiDomainOutcome)> {
-        if self.done {
-            return None;
-        }
-        self.done = true;
-        Some((self.started, self.outcome(now)))
-    }
-
-    /// The recorded outcome when the conversation completes at
-    /// `finished` virtual time.
-    pub fn outcome(&self, finished: SimTime) -> MultiDomainOutcome {
-        MultiDomainOutcome {
+    /// The `(started, outcome)` recorded when the conversation
+    /// completes at `finished` virtual time (target met, branches
+    /// drained, watchdog, or cut off at the horizon).
+    pub fn finish(&self, finished: SimTime) -> (SimTime, MultiDomainOutcome) {
+        let outcome = MultiDomainOutcome {
             results: self.answered.len(),
             results_total: self.results_total,
             domains_visited: self.visited_domains,
@@ -351,7 +335,8 @@ impl LookupConversation {
             stale_answers: self.stale_answers,
             summary_results: self.summary_ok,
             time_to_answer_s: finished.saturating_sub(self.started).as_secs_f64(),
-        }
+        };
+        (self.started, outcome)
     }
 }
 

@@ -1,10 +1,19 @@
 //! Integration tests of the maintenance protocols (§4.2–§4.3) through
 //! the event-driven domain simulation.
 
+use std::collections::BTreeMap;
+
+use fuzzy::bk::BackgroundKnowledge;
+use p2psim::network::NodeId;
 use p2psim::time::SimTime;
+use saintetiq::cell::SourceId;
 use summary_p2p::config::SimConfig;
 use summary_p2p::domain::DomainSim;
+use summary_p2p::freshness::Freshness;
+use summary_p2p::kernel::SimKernel;
+use summary_p2p::messages::{Message, MessageClass};
 use summary_p2p::routing::RoutingPolicy;
+use summary_p2p::workload::{make_templates, PeerGenerator};
 
 fn cfg(n: usize, alpha: f64, seed: u64) -> SimConfig {
     let mut c = SimConfig::paper_defaults(n, alpha);
@@ -139,4 +148,107 @@ fn seeds_change_outcomes_but_not_validity() {
         assert!((0.0..=1.0).contains(&r.mean_recall()));
         assert!((0.0..=1.0).contains(&r.mean_precision()));
     }
+}
+
+/// A rejoining partner's `localsum` carries the summary it holds, not
+/// the blank placeholder a drifted peer keeps until a read settles it.
+/// At α = 1 a ring runs only once every partner is stale, so a drifted
+/// peer's summary is read by nothing but its rejoin. A twin run,
+/// stepped ten seconds at a time, finds a peer that drifts, leaves and
+/// rejoins with no other rejoin in between and no ring while it is up;
+/// the tested run covers that stretch with one `run_until`, so no
+/// return to the caller installs the drifted summary first.
+#[test]
+fn a_rejoin_localsum_carries_the_installed_summary() {
+    let mut c = cfg(4, 1.0, 3);
+    c.failure_fraction = 0.0;
+    // Single-domain construction traffic is the `localsum`s alone.
+    let localsums = |k: &SimKernel| {
+        let ledger = k.ledger();
+        let bytes = ledger.byte_counters()[&MessageClass::Construction];
+        (ledger.sent(MessageClass::Construction), bytes)
+    };
+    let flags = |k: &SimKernel| -> BTreeMap<NodeId, Freshness> {
+        let cl = &k.domain_cores()[0].cl;
+        cl.partners()
+            .filter_map(|p| Some((p, cl.freshness(p)?)))
+            .collect()
+    };
+
+    // Each peer whose drifted summary no read has settled yet, with the
+    // start of the step its drift fell in.
+    let mut drifted: BTreeMap<NodeId, SimTime> = BTreeMap::new();
+    let mut twin = SimKernel::single_domain(c).unwrap();
+    let mut t = SimTime::ZERO;
+    let (peer, from) = loop {
+        let (before, sent) = (flags(&twin), localsums(&twin).0);
+        let pulls = twin.domain_cores()[0].reconciliations;
+        let step_start = t;
+        t += SimTime::from_secs(10);
+        assert!(
+            t <= c.horizon,
+            "a drift, leave and rejoin within the horizon"
+        );
+        twin.run_until(t);
+        let after = flags(&twin);
+        let was = |p: &NodeId| before.get(p).copied();
+        if localsums(&twin).0 == sent + 1 {
+            // A rejoiner re-enters stale: from `Unavailable`, or anew
+            // when a ring expired it while it was away.
+            let rejoined = after.iter().find(|&(p, &f)| {
+                f == Freshness::NeedsRefresh
+                    && matches!(was(p), None | Some(Freshness::Unavailable))
+            });
+            if let Some((&p, &from)) = rejoined.and_then(|(p, _)| drifted.get_key_value(p)) {
+                break (p, from);
+            }
+        }
+        if localsums(&twin).0 != sent {
+            // This rejoin falls inside every stretch still open.
+            drifted.clear();
+            continue;
+        }
+        if twin.domain_cores()[0].reconciliations != pulls {
+            // A ring visits, and so settles, the stale peers that are
+            // up; it leaves them fresh.
+            drifted.retain(|p, _| after.get(p) != Some(&Freshness::Fresh));
+        }
+        for (&p, &f) in &after {
+            if f == Freshness::NeedsRefresh && was(&p) == Some(Freshness::Fresh) {
+                drifted.insert(p, step_start);
+            }
+        }
+    };
+
+    let mut k = SimKernel::single_domain(c).unwrap();
+    k.run_until(from);
+    let (sent, bytes) = localsums(&k);
+    k.run_until(t);
+    assert_eq!(localsums(&k).0, sent + 1, "one rejoin");
+    let header = Message::LocalSum { bytes: 0 }.wire_bytes() as u64;
+    let carried = localsums(&k).1 - bytes - header;
+    // The rejoiner is flagged stale, so a pull stores the summary it
+    // holds now.
+    k.reconcile_all();
+    let installed = k.domain_cores()[0]
+        .acc
+        .deltas()
+        .find(|&(s, _)| s == SourceId(peer.0))
+        .expect("the rejoiner is pulled")
+        .1
+        .encoded_bytes() as u64;
+    let blank = PeerGenerator::new(
+        &BackgroundKnowledge::medical_cbk(),
+        &make_templates(c.template_count),
+    )
+    .unwrap()
+    .summarizer()
+    .empty_summary()
+    .summary
+    .len() as u64;
+    assert_ne!(installed, blank, "the test tells the two apart");
+    assert_eq!(
+        carried, installed,
+        "{peer:?}'s localsum carries its summary, not the {blank}-byte blank"
+    );
 }

@@ -177,9 +177,9 @@ fn pooled_summaries_match_the_generator_without_a_worker() -> Result<(), P2pErro
 }
 
 /// A summary cancelled while outstanding is never installed, whatever
-/// the worker had done with it: back-to-back submissions for one peer
-/// install at most the summaries that were current when collected, and
-/// nothing for the peer after the cancel.
+/// the worker had done with it: a settle after each of a peer's first
+/// two regenerations installs that round's summary, and after a third
+/// regeneration is cancelled nothing is installed for the peer.
 #[test]
 fn cancelled_summaries_are_never_installed() -> Result<(), P2pError> {
     let bk = BackgroundKnowledge::medical_cbk();
@@ -188,22 +188,24 @@ fn cancelled_summaries_are_never_installed() -> Result<(), P2pError> {
     let mut reference = PeerGenerator::new(&bk, &templates)?;
     let (mut pool_rng, mut reference_rng) = (StdRng::seed_from_u64(5), StdRng::seed_from_u64(5));
     let mut installs: Vec<(u32, PeerSummary)> = Vec::new();
-    let mut peer_one = Vec::new();
-    for _ in 0..3 {
-        peer_one.push(reference.generate(&mut reference_rng, 1, 0.5, 16)?);
+    for round in 0..2 {
+        let want = reference.generate(&mut reference_rng, 1, 0.5, 16)?;
         pool.regenerate(&mut pool_rng, 1, 0.5, 16)?;
+        pool.settle(1, |q, s| installs.push((q, s)));
+        assert_eq!(installs.len(), 1, "round {round}: one install");
+        let (peer, summary) = installs.pop().expect("checked");
+        assert_eq!(peer, 1);
+        assert_same(1, &summary, &want, &format!("round {round}"));
     }
+    reference.generate(&mut reference_rng, 1, 0.5, 16)?;
+    pool.regenerate(&mut pool_rng, 1, 0.5, 16)?;
     pool.cancel(1);
     assert!(pool.is_settled());
-    for (peer, summary) in installs.drain(..) {
-        assert_eq!(peer, 1);
-        // Collected before its successor was submitted: one of the first
-        // two, never the cancelled third.
-        let current = peer_one[..2]
-            .iter()
-            .any(|want| want.summary[..] == summary.summary[..]);
-        assert!(current, "an installed summary was never current");
-    }
+    pool.settle(1, |q, s| installs.push((q, s)));
+    assert!(
+        installs.is_empty(),
+        "the cancelled summary is not installed"
+    );
     let want = reference.generate(&mut reference_rng, 2, 0.5, 16)?;
     pool.regenerate(&mut pool_rng, 2, 0.5, 16)?;
     pool.settle(1, |q, s| installs.push((q, s)));
