@@ -11,19 +11,9 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use p2psim::time::SimTime;
 use summary_p2p::config::SimConfig;
-use summary_p2p::control::{AlphaController, ControlPolicy};
+use summary_p2p::control::AlphaController;
 use summary_p2p::kernel::{LookupTarget, MultiDomainSim};
 use summary_p2p::scenario::with_heterogeneous_drift;
-
-fn policy() -> ControlPolicy {
-    ControlPolicy {
-        target_staleness: 0.2,
-        alpha_min: 0.05,
-        alpha_max: 0.9,
-        gain: 0.6,
-        epoch_s: 600.0,
-    }
-}
 
 /// One control epoch over growing domain counts: record a query per
 /// domain, tick every slot.
@@ -34,7 +24,7 @@ fn bench_controller_tick(c: &mut Criterion) {
             BenchmarkId::from_parameter(domains),
             &domains,
             |b, &domains| {
-                let mut ctl = AlphaController::new(Some(policy()), domains, 0.3);
+                let mut ctl = AlphaController::new(true, domains, 0.3);
                 let mut epoch = 0u64;
                 b.iter(|| {
                     epoch += 1;
@@ -72,7 +62,7 @@ fn bench_adaptive_vs_fixed_run(c: &mut Criterion) {
     });
     group.bench_function("adaptive", |b| {
         let mut cfg = base;
-        cfg.control = Some(policy());
+        cfg.adaptive_alpha = true;
         b.iter(|| {
             MultiDomainSim::new(cfg, 20, LookupTarget::Total)
                 .expect("valid config")

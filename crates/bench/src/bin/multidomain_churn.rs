@@ -53,7 +53,7 @@ use std::fs;
 
 use p2psim::time::SimTime;
 use summary_p2p::config::SimConfig;
-use summary_p2p::control::ControlPolicy;
+use summary_p2p::control::TARGET_STALENESS;
 use summary_p2p::kernel::LookupTarget;
 use summary_p2p::scenario::{
     figure_alpha_adaptive, figure_latency_sweep, figure_multidomain_churn, figure_rebirth,
@@ -204,14 +204,6 @@ fn write_latency_summary(cli: &Cli, n: usize) -> u64 {
 fn write_alpha_summary(cli: &Cli) -> u64 {
     let n = if cli.quick { 300 } else { 1500 };
     let fixed: &[f64] = &[0.1, 0.2, 0.3, 0.5, 0.8];
-    let target_staleness = 0.2;
-    let policy = ControlPolicy {
-        target_staleness,
-        alpha_min: 0.05,
-        alpha_max: 0.9,
-        gain: 0.6,
-        epoch_s: 600.0,
-    };
     // base.alpha doubles as the adaptive controller's starting point:
     // mid-range, so neither frontier end is favored by the transient.
     let mut base = SimConfig::paper_defaults(n, 0.5);
@@ -237,7 +229,7 @@ fn write_alpha_summary(cli: &Cli) -> u64 {
         if cli.zipf { ", zipf workload" } else { "" }
     );
     let points =
-        figure_alpha_adaptive(fixed, policy, &base, 50, LookupTarget::Total).expect("valid config");
+        figure_alpha_adaptive(fixed, &base, 50, LookupTarget::Total).expect("valid config");
 
     let headers = [
         "policy",
@@ -277,7 +269,7 @@ fn write_alpha_summary(cli: &Cli) -> u64 {
         .expect("adaptive row is always appended")
         .report;
     let stale_within_band =
-        (adaptive.mean_stale_answer_fraction - target_staleness).abs() <= 0.2 * target_staleness;
+        (adaptive.mean_stale_answer_fraction - TARGET_STALENESS).abs() <= 0.2 * TARGET_STALENESS;
     // The fixed comparator: cheapest pull bytes among the fixed rows
     // achieving staleness at least as good as the adaptive run did (a
     // staler fixed α is not achieving comparable staleness — it sits
@@ -326,7 +318,7 @@ fn write_alpha_summary(cli: &Cli) -> u64 {
          \"sweep\": [{}\n  ]\n}}\n",
         n,
         cli.seed,
-        target_staleness,
+        TARGET_STALENESS,
         adaptive.mean_stale_answer_fraction,
         stale_within_band,
         adaptive.reconcile_delta_bytes,

@@ -27,7 +27,7 @@
 //! | [`SimConfig::delivery`] | [`DeliveryMode::Instantaneous`] | [`DeliveryMode::Latency`] schedules every message as a virtual-time delivery event |
 //! | [`SimConfig::sp_lifetime`] | `None` (immortal SPs) | `Some(dist)` schedules §4.3 SP departures |
 //! | [`SimConfig::rebirth`] | `false` (terminal dissolutions) | `true` re-elects a replacement SP per dissolved domain |
-//! | [`SimConfig::control`] | `None` ⇒ α fixed at [`SimConfig::alpha`] | `Some(policy)` runs the per-domain feedback control plane |
+//! | [`SimConfig::adaptive_alpha`] | `false` ⇒ α fixed at [`SimConfig::alpha`] | `true` runs the per-domain feedback control plane |
 //! | [`SimConfig::drift_spread`] | `1.0` (homogeneous) | `> 1` gives domains log-spaced drift rates |
 //! | [`SimConfig::zipf_exponent`] | `None` (round-robin) | `Some(s)` draws templates from a Zipf(s) law |
 //!
@@ -35,8 +35,10 @@
 //! [`SimConfig::INTERDOMAIN_K`] (`k = 3.5` long links per SP),
 //! [`CONVERSATION_TIMEOUT`] (10 min) and
 //! [`crate::messages::BANDWIDTH_BYTES_PER_S`] (10 Mbit/s) on the
-//! latency plane, and the topology's plane side and link latencies
-//! ([`p2psim::topology`]).
+//! latency plane, the topology's plane side and link latencies
+//! ([`p2psim::topology`]), and the adaptive controller's target, clamps,
+//! gain and epoch ([`crate::control::TARGET_STALENESS`] and its
+//! neighbours).
 //!
 //! The determinism contract: every run is reproducible per
 //! [`SimConfig::seed`] in both delivery modes, and each disabled
@@ -48,7 +50,6 @@
 use p2psim::churn::LifetimeDistribution;
 use p2psim::time::SimTime;
 
-use crate::control::ControlPolicy;
 use crate::error::P2pError;
 use crate::routing::RoutingPolicy;
 
@@ -137,12 +138,13 @@ pub struct SimConfig {
     /// binaries in both delivery modes. Only meaningful together with
     /// [`SimConfig::sp_lifetime`].
     pub rebirth: bool,
-    /// The per-domain adaptive α control plane. `None` (the default)
+    /// The per-domain adaptive α control plane. `false` (the default)
     /// keeps every domain at [`SimConfig::alpha`] for the whole run —
     /// the paper's single threshold, with no control ticks and
-    /// byte-identical event and RNG streams. `Some(policy)` turns on
-    /// the per-domain feedback control plane ([`crate::control`]).
-    pub control: Option<ControlPolicy>,
+    /// byte-identical event and RNG streams. `true` turns on the
+    /// per-domain feedback control plane ([`crate::control`]), starting
+    /// from `alpha`.
+    pub adaptive_alpha: bool,
     /// Heterogeneous per-domain drift: domain `d` of `D` drifts at a
     /// rate scaled by `drift_spread^(2d/(D−1) − 1)` — log-spaced rates
     /// in `[1/spread, spread]` across domains. `1.0` (the default)
@@ -169,7 +171,6 @@ fn validate_lifetime(dist: &LifetimeDistribution, what: &str) -> Result<(), P2pE
             ok(mean_s) && ok(median_s) && mean_s >= median_s
         }
         LifetimeDistribution::Exponential { mean_s } => ok(mean_s),
-        LifetimeDistribution::Weibull { shape, scale_s } => ok(shape) && ok(scale_s),
     };
     if valid {
         Ok(())
@@ -202,7 +203,7 @@ impl SimConfig {
             delivery: DeliveryMode::Instantaneous,
             sp_lifetime: None,
             rebirth: false,
-            control: None,
+            adaptive_alpha: false,
             drift_spread: 1.0,
             zipf_exponent: None,
             seed: 42,
@@ -294,9 +295,6 @@ impl SimConfig {
         if let Some(dist) = &self.sp_lifetime {
             validate_lifetime(dist, "sp_lifetime")?;
         }
-        if let Some(policy) = &self.control {
-            policy.validate()?;
-        }
         if !(self.drift_spread.is_finite() && self.drift_spread >= 1.0) {
             return Err(P2pError::BadConfig(format!(
                 "drift_spread {} must be finite and >= 1",
@@ -387,10 +385,6 @@ mod tests {
             LifetimeDistribution::Exponential { mean_s: 0.0 },
             LifetimeDistribution::Exponential { mean_s: -5.0 },
             LifetimeDistribution::Exponential { mean_s: f64::NAN },
-            LifetimeDistribution::Weibull {
-                shape: 0.0,
-                scale_s: 100.0,
-            },
             LifetimeDistribution::LogNormalMeanMedian {
                 mean_s: f64::INFINITY,
                 median_s: 3600.0,
@@ -431,16 +425,6 @@ mod tests {
     #[test]
     fn validation_bounds_control_knobs() {
         let mut c = SimConfig::paper_defaults(100, 0.3);
-        c.control = Some(ControlPolicy::adaptive_default(0.2));
-        c.validate().unwrap();
-        c.control = Some(ControlPolicy {
-            alpha_min: 0.6,
-            alpha_max: 0.4,
-            ..ControlPolicy::adaptive_default(0.2)
-        });
-        assert!(c.validate().is_err());
-
-        let mut c = SimConfig::paper_defaults(100, 0.3);
         c.drift_spread = 0.5;
         assert!(c.validate().is_err());
         c.drift_spread = f64::NAN;
@@ -458,7 +442,7 @@ mod tests {
     #[test]
     fn default_control_policy_is_fixed_at_alpha() {
         let c = SimConfig::paper_defaults(100, 0.3);
-        assert!(c.control.is_none());
+        assert!(!c.adaptive_alpha);
         assert_eq!(c.drift_spread, 1.0);
         assert!(c.zipf_exponent.is_none());
     }

@@ -10,7 +10,7 @@
 //! ## Feedback signals
 //!
 //! Each control **epoch** (a recurring [`crate::kernel::KernelEvent::ControlTick`],
-//! every [`ControlPolicy::epoch_s`] virtual seconds), every
+//! every [`EPOCH`] of virtual time), every
 //! live domain's [`DomainController`] folds two signals:
 //!
 //! * **stale-answer fraction** — every query the domain's SP processes
@@ -32,7 +32,7 @@
 //!   the domain actually spent pull bandwidth during the epoch (there
 //!   is bandwidth to save), half speed when it pulled nothing (an idle
 //!   domain gains little from a laxer threshold, so it only drifts
-//!   slowly toward `α_max`). Tightening is never slowed — staleness
+//!   slowly toward [`ALPHA_MAX`]). Tightening is never slowed — staleness
 //!   over target is acted on at full gain regardless of cost.
 //!
 //! ## The control law
@@ -40,27 +40,26 @@
 //! A bounded proportional step per epoch:
 //!
 //! ```text
-//! err    = measured_staleness − target_staleness
-//! α_next = clamp(α − gain · err, α_min, α_max)
+//! err    = measured_staleness − TARGET_STALENESS
+//! α_next = clamp(α − GAIN · err, ALPHA_MIN, ALPHA_MAX)
 //! ```
 //!
 //! Staleness above target tightens α (reconcile sooner); staleness
 //! below target relaxes it (save bandwidth), at the cost-modulated
 //! rate above. The clamp makes the controller *bounded*: whatever the
 //! feedback does, the effective α of every domain stays inside
-//! `[α_min, α_max]` (property-tested in `tests/alpha_control.rs`).
+//! `[ALPHA_MIN, ALPHA_MAX]` (property-tested in `tests/alpha_control.rs`).
 //!
 //! ## Epoch scheduling and determinism
 //!
-//! Without a policy — [`crate::config::SimConfig::control`] of `None`,
-//! the default — every domain keeps [`crate::config::SimConfig::alpha`],
-//! no control tick is scheduled and α never moves: the kernel's event
-//! and RNG streams are byte-identical to the pre-control-plane
-//! behavior, which is what keeps the seed figures (and
-//! `tests/latency_plane.rs` / `tests/gs_incremental.rs`) unchanged. A
-//! [`ControlPolicy`] schedules one recurring `ControlTick`; the tick
-//! draws no randomness, so adaptive runs stay deterministic per seed in
-//! both delivery modes.
+//! With [`crate::config::SimConfig::adaptive_alpha`] off, the default,
+//! every domain keeps [`crate::config::SimConfig::alpha`], no control
+//! tick is scheduled and α never moves: the kernel's event and RNG
+//! streams are byte-identical to the pre-control-plane behavior, which
+//! is what keeps the seed figures (and `tests/latency_plane.rs` /
+//! `tests/gs_incremental.rs`) unchanged. Turned on, it schedules one
+//! recurring `ControlTick`; the tick draws no randomness, so adaptive
+//! runs stay deterministic per seed in both delivery modes.
 //!
 //! Controller state is **per domain slot** and follows the domain's
 //! §4.3 lifecycle: when a summary peer departs and its domain
@@ -71,79 +70,16 @@
 
 use p2psim::time::SimTime;
 
-use crate::error::P2pError;
-
-/// The parameters of per-domain feedback control: each control epoch,
-/// every domain's α takes one bounded proportional step toward the
-/// staleness target (see the module docs for the law and the signals).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ControlPolicy {
-    /// The stale-answer fraction the controller steers toward.
-    pub target_staleness: f64,
-    /// Lower clamp of the effective α.
-    pub alpha_min: f64,
-    /// Upper clamp of the effective α.
-    pub alpha_max: f64,
-    /// Proportional gain of the per-epoch step.
-    pub gain: f64,
-    /// Control epoch length in virtual seconds.
-    pub epoch_s: f64,
-}
-
-impl ControlPolicy {
-    /// A reasonable adaptive default around the given staleness target:
-    /// α free in `[0.05, 0.9]`, gain 0.5, 10-minute epochs.
-    pub fn adaptive_default(target_staleness: f64) -> Self {
-        Self {
-            target_staleness,
-            alpha_min: 0.05,
-            alpha_max: 0.9,
-            gain: 0.5,
-            epoch_s: 600.0,
-        }
-    }
-
-    /// Validates ranges.
-    pub fn validate(&self) -> Result<(), P2pError> {
-        let Self {
-            target_staleness,
-            alpha_min,
-            alpha_max,
-            gain,
-            epoch_s,
-        } = *self;
-        if !(target_staleness.is_finite() && (0.0..1.0).contains(&target_staleness)) {
-            return Err(P2pError::BadConfig(format!(
-                "target_staleness {target_staleness} not in [0,1)"
-            )));
-        }
-        let bounds_ok = (0.0..=1.0).contains(&alpha_min)
-            && (0.0..=1.0).contains(&alpha_max)
-            && alpha_min <= alpha_max;
-        if !bounds_ok {
-            return Err(P2pError::BadConfig(format!(
-                "alpha bounds [{alpha_min}, {alpha_max}] must satisfy \
-                 0 <= min <= max <= 1"
-            )));
-        }
-        if !(gain.is_finite() && gain > 0.0) {
-            return Err(P2pError::BadConfig(format!(
-                "control gain {gain} must be finite and positive"
-            )));
-        }
-        if !(epoch_s.is_finite() && epoch_s > 0.0) {
-            return Err(P2pError::BadConfig(format!(
-                "control epoch_s {epoch_s} must be finite and positive"
-            )));
-        }
-        Ok(())
-    }
-
-    /// The epoch as virtual time.
-    pub fn epoch(&self) -> SimTime {
-        SimTime::from_secs_f64(self.epoch_s)
-    }
-}
+/// The stale-answer fraction the adaptive controller steers toward.
+pub const TARGET_STALENESS: f64 = 0.2;
+/// Lower clamp of the adaptive effective α.
+pub const ALPHA_MIN: f64 = 0.05;
+/// Upper clamp of the adaptive effective α.
+pub const ALPHA_MAX: f64 = 0.9;
+/// Proportional gain of the per-epoch step.
+pub const GAIN: f64 = 0.6;
+/// Control epoch length.
+pub const EPOCH: SimTime = SimTime::from_mins(10);
 
 /// One domain's controller state: its current effective α, the epoch's
 /// accumulated query feedback, and the recorded α trajectory.
@@ -182,35 +118,36 @@ impl DomainController {
     }
 }
 
-/// The control plane of one kernel run: the policy (if any) plus one
+/// The control plane of one kernel run: whether α adapts, plus one
 /// [`DomainController`] per domain slot.
 #[derive(Debug, Clone)]
 pub struct AlphaController {
-    policy: Option<ControlPolicy>,
+    adaptive: bool,
     domains: Vec<DomainController>,
 }
 
 impl AlphaController {
-    /// Builds the controller for `n_domains` slots. Without a policy
-    /// every slot starts (and stays) at `alpha0`; with one every slot
-    /// starts at `alpha0` clamped into the policy's bounds.
-    pub fn new(policy: Option<ControlPolicy>, n_domains: usize, alpha0: f64) -> Self {
-        let start = match policy {
-            None => alpha0,
-            Some(p) => alpha0.clamp(p.alpha_min, p.alpha_max),
+    /// Builds the controller for `n_domains` slots. A fixed controller
+    /// keeps every slot at `alpha0`; an adaptive one starts every slot
+    /// at `alpha0` clamped into `[ALPHA_MIN, ALPHA_MAX]`.
+    pub fn new(adaptive: bool, n_domains: usize, alpha0: f64) -> Self {
+        let start = if adaptive {
+            alpha0.clamp(ALPHA_MIN, ALPHA_MAX)
+        } else {
+            alpha0
         };
         Self {
-            policy,
+            adaptive,
             domains: (0..n_domains)
                 .map(|_| DomainController::new(start))
                 .collect(),
         }
     }
 
-    /// The control epoch (`None` without a policy, which schedules no
-    /// control ticks at all).
+    /// The control epoch (`None` for a fixed controller, which
+    /// schedules no control ticks at all).
     pub fn epoch(&self) -> Option<SimTime> {
-        self.policy.map(|p| p.epoch())
+        self.adaptive.then_some(EPOCH)
     }
 
     /// The current effective α of domain `d`.
@@ -262,7 +199,8 @@ impl AlphaController {
     /// list's current trigger metric (the fallback staleness signal);
     /// `cum_delta_bytes` is the domain's cumulative pull payload
     /// (`DomainCore::delta_bytes_total`), whose per-epoch difference is
-    /// the cost signal. No-op without a policy or after dissolution.
+    /// the cost signal. No-op on a fixed controller or after
+    /// dissolution.
     pub fn tick_domain(
         &mut self,
         d: usize,
@@ -270,18 +208,8 @@ impl AlphaController {
         cl_stale_fraction: f64,
         cum_delta_bytes: u64,
     ) -> f64 {
-        let Some(ControlPolicy {
-            target_staleness,
-            alpha_min,
-            alpha_max,
-            gain,
-            ..
-        }) = self.policy
-        else {
-            return self.domains[d].alpha;
-        };
         let ctl = &mut self.domains[d];
-        if ctl.dissolved {
+        if !self.adaptive || ctl.dissolved {
             return ctl.alpha;
         }
         let sampled = ctl.epoch_ok + ctl.epoch_stale;
@@ -299,17 +227,17 @@ impl AlphaController {
         ctl.last_delta_bytes = cum_delta_bytes;
         ctl.epoch_ok = 0;
         ctl.epoch_stale = 0;
-        let err = measured - target_staleness;
+        let err = measured - TARGET_STALENESS;
         if err > 0.0 {
             // Too stale: tighten (reconcile sooner).
-            ctl.alpha = (ctl.alpha - gain * err).clamp(alpha_min, alpha_max);
+            ctl.alpha = (ctl.alpha - GAIN * err).clamp(ALPHA_MIN, ALPHA_MAX);
         } else if err < 0.0 {
             // Fresher than asked: relax to save bandwidth — at the
             // full proportional step while pulls are actually being
             // paid for, at half speed otherwise (an idle domain has
             // little to save, so it only drifts slowly toward α_max).
             let rate = if spent { 1.0 } else { 0.5 };
-            ctl.alpha = (ctl.alpha - gain * rate * err).clamp(alpha_min, alpha_max);
+            ctl.alpha = (ctl.alpha - GAIN * rate * err).clamp(ALPHA_MIN, ALPHA_MAX);
         }
         ctl.trajectory.push((now_s, ctl.alpha));
         ctl.alpha
@@ -329,21 +257,11 @@ impl AlphaController {
 mod tests {
     use super::*;
 
-    fn adaptive() -> Option<ControlPolicy> {
-        Some(ControlPolicy {
-            target_staleness: 0.2,
-            alpha_min: 0.1,
-            alpha_max: 0.8,
-            gain: 0.5,
-            epoch_s: 600.0,
-        })
-    }
-
     #[test]
     fn fixed_policy_never_moves() {
-        let mut c = AlphaController::new(None, 2, 0.3);
+        let mut c = AlphaController::new(false, 2, 0.3);
         assert_eq!(c.alpha(0), 0.3);
-        assert!(c.epoch().is_none(), "no ticks without a policy");
+        assert!(c.epoch().is_none(), "no ticks on a fixed controller");
         c.record_query(0, 1, 99);
         assert_eq!(c.tick_domain(0, 600.0, 1.0, 1 << 20), 0.3);
         assert_eq!(c.trajectory(0), &[(0.0, 0.3)]);
@@ -351,12 +269,13 @@ mod tests {
 
     #[test]
     fn adaptive_tightens_when_stale_and_relaxes_when_spending() {
-        let mut c = AlphaController::new(adaptive(), 1, 0.4);
-        // Epoch 1: 90% stale answers → err = 0.7, the 0.35 step hits
+        let mut c = AlphaController::new(true, 1, 0.4);
+        assert_eq!(c.epoch(), Some(EPOCH));
+        // Epoch 1: 90% stale answers → err = 0.7, the 0.42 step hits
         // the lower clamp.
         c.record_query(0, 1, 9);
         let a1 = c.tick_domain(0, 600.0, 0.0, 100);
-        assert!((a1 - 0.1).abs() < 1e-12, "0.4 - 0.35 clamps to alpha_min");
+        assert_eq!(a1, ALPHA_MIN, "0.4 - 0.42 clamps to ALPHA_MIN");
         // Fresh epochs while still pulling: the EWMA decays below the
         // target and α relaxes.
         let mut bytes = 100;
@@ -390,11 +309,11 @@ mod tests {
 
     #[test]
     fn cl_fraction_is_the_no_query_fallback() {
-        let mut c = AlphaController::new(adaptive(), 1, 0.4);
+        let mut c = AlphaController::new(true, 1, 0.4);
         // No query ever touched the domain: the CL fraction (0.3)
         // drives the step.
         let a = c.tick_domain(0, 600.0, 0.3, 0);
-        assert!((a - (0.4 - 0.5 * (0.3 - 0.2))).abs() < 1e-12);
+        assert!((a - (0.4 - GAIN * (0.3 - TARGET_STALENESS))).abs() < 1e-12);
         // Once a real sample exists, the worst-case CL proxy is out:
         // a perfectly fresh measurement beats a 0.9 CL fraction.
         c.record_query(0, 10, 0);
@@ -404,54 +323,29 @@ mod tests {
 
     #[test]
     fn alpha_stays_clamped_under_extreme_feedback() {
-        let mut c = AlphaController::new(adaptive(), 1, 0.4);
+        let mut c = AlphaController::new(true, 1, 0.4);
         for i in 0..50 {
             c.record_query(0, 0, 100);
             c.tick_domain(0, i as f64 * 600.0, 1.0, 0);
         }
-        assert_eq!(c.alpha(0), 0.1, "pinned at alpha_min");
+        assert_eq!(c.alpha(0), ALPHA_MIN, "pinned at ALPHA_MIN");
         for i in 50..120 {
             c.record_query(0, 100, 0);
             c.tick_domain(0, i as f64 * 600.0, 0.0, i as u64 + 1);
         }
-        assert_eq!(c.alpha(0), 0.8, "pinned at alpha_max");
+        assert_eq!(c.alpha(0), ALPHA_MAX, "pinned at ALPHA_MAX");
         for &(_, a) in c.trajectory(0) {
-            assert!((0.1..=0.8).contains(&a));
+            assert!((ALPHA_MIN..=ALPHA_MAX).contains(&a));
         }
     }
 
     #[test]
     fn dissolution_freezes_the_slot() {
-        let mut c = AlphaController::new(adaptive(), 3, 0.4);
+        let mut c = AlphaController::new(true, 3, 0.4);
         c.record_query(1, 0, 10);
         c.on_dissolve(1);
         let before = c.alpha(1);
         assert_eq!(c.tick_domain(1, 600.0, 1.0, 50), before);
         assert_eq!(c.final_alphas().len(), 2, "dissolved slot excluded");
-    }
-
-    #[test]
-    fn policy_validation() {
-        let ok = adaptive().unwrap();
-        ok.validate().unwrap();
-        ControlPolicy::adaptive_default(0.2).validate().unwrap();
-        let bad_bounds = ControlPolicy {
-            alpha_min: 0.6,
-            alpha_max: 0.4,
-            ..ok
-        };
-        assert!(bad_bounds.validate().is_err());
-        let bad_gain = ControlPolicy { gain: 0.0, ..ok };
-        assert!(bad_gain.validate().is_err());
-        let bad_epoch = ControlPolicy {
-            epoch_s: f64::NAN,
-            ..ok
-        };
-        assert!(bad_epoch.validate().is_err());
-        let bad_target = ControlPolicy {
-            target_staleness: 1.0,
-            ..ok
-        };
-        assert!(bad_target.validate().is_err());
     }
 }

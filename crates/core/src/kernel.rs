@@ -41,9 +41,9 @@
 //!   protocol;
 //! * **α control** — every α-gated decision reads the domain's
 //!   *effective* threshold from the maintenance control plane
-//!   ([`crate::control`]). Without a control policy (the default) it
-//!   never moves and nothing is scheduled; under a
-//!   [`crate::control::ControlPolicy`] a recurring
+//!   ([`crate::control`]). With a fixed α (the default) it never moves
+//!   and nothing is scheduled; with
+//!   [`crate::config::SimConfig::adaptive_alpha`] on, a recurring
 //!   [`KernelEvent::ControlTick`] feeds each live domain's measured
 //!   stale-answer fraction and pull cost into one bounded proportional
 //!   step per epoch.
@@ -318,8 +318,8 @@ pub enum KernelEvent {
     /// One control epoch of the maintenance control plane
     /// ([`crate::control`]): every live domain's controller folds the
     /// epoch's measured feedback into its effective α. Scheduled
-    /// recurring only under a [`crate::control::ControlPolicy`],
-    /// so fixed-α runs keep their event streams byte-identical. Draws
+    /// recurring only with [`crate::config::SimConfig::adaptive_alpha`]
+    /// on, so fixed-α runs keep their event streams byte-identical. Draws
     /// no randomness.
     ControlTick,
 }
@@ -503,9 +503,10 @@ struct RebirthSeed {
 /// peer generator bound to the CBK and the query templates, the blank
 /// summary a peer holds until its own is installed, and the templates
 /// reformulated against the CBK.
-fn build_workload(
-    cfg: &SimConfig,
-) -> Result<(SummaryPool, PeerSummary, Vec<SummaryQuery>), P2pError> {
+type Workload = (SummaryPool, PeerSummary, Vec<SummaryQuery>);
+
+/// Builds the kernel's [`Workload`].
+fn build_workload(cfg: &SimConfig) -> Result<Workload, P2pError> {
     let bk = BackgroundKnowledge::medical_cbk();
     let templates = make_templates(cfg.template_count);
     let reformulated: Vec<SummaryQuery> = templates
@@ -540,13 +541,12 @@ fn drawn(blank: &PeerSummary, match_bits: u32) -> PeerData {
 /// Generates, in id order, the database and local summary of every
 /// peer `wanted` names into a new live state in `peers`, as both
 /// constructors do: the draws on this thread, the summaries through
-/// `pool`, all installed before this returns.
+/// the workload's pool, all installed before this returns.
 fn generate_all<R: Rng + ?Sized>(
-    pool: &mut SummaryPool,
+    (pool, blank, _): &mut Workload,
     rng: &mut R,
     cfg: &SimConfig,
     peers: &mut [Option<PeerState>],
-    blank: &PeerSummary,
     wanted: impl Fn(usize) -> bool,
 ) -> Result<(), P2pError> {
     for i in (0..peers.len()).filter(|&i| wanted(i)) {
@@ -556,6 +556,22 @@ fn generate_all<R: Rng + ?Sized>(
     }
     pool.settle_all(|q, s| install(peers, q, s));
     Ok(())
+}
+
+/// An SP's long-range links (§5.2.2): `round(k)` of the other SPs in
+/// `roster`, sampled without replacement from the shuffled roster (so
+/// small SP sets still receive their full `k`), in id order. The
+/// shuffle follows the roster's order, so callers must keep it stable.
+fn sample_long_links<R: Rng>(
+    roster: impl Iterator<Item = NodeId>,
+    own: NodeId,
+    rng: &mut R,
+) -> Vec<NodeId> {
+    let mut links: Vec<NodeId> = roster.filter(|&o| o != own).collect();
+    links.shuffle(rng);
+    links.truncate(SimConfig::INTERDOMAIN_K.round() as usize);
+    links.sort_unstable_by_key(|n| n.0);
+    links
 }
 
 /// The answer a peer returns to a lookup's originator: one result tuple
@@ -587,58 +603,16 @@ impl SimKernel {
     /// [`crate::domain::DomainSim`] semantics.
     pub fn single_domain(cfg: SimConfig) -> Result<Self, P2pError> {
         cfg.validate()?;
-        let (mut pool, blank, reformulated) = build_workload(&cfg)?;
+        let mut workload = build_workload(&cfg)?;
 
         let mut sim = Simulator::<KernelEvent>::new(cfg.seed);
         sim.set_horizon(cfg.horizon);
 
         let mut peers: Vec<Option<PeerState>> = vec![None; cfg.n_peers];
-        generate_all(&mut pool, sim.rng(), &cfg, &mut peers, &blank, |_| true)?;
+        generate_all(&mut workload, sim.rng(), &cfg, &mut peers, |_| true)?;
 
-        let mut ledger = MessageLedger::new();
-        let mut domain = DomainCore::new(None, (0..cfg.n_peers as u32).map(NodeId).collect());
-        domain.enroll_all(&mut peers, &mut ledger)?;
-
-        let mut this = Self {
-            cfg,
-            pool,
-            blank,
-            reformulated,
-            sim,
-            peers,
-            domains: vec![domain],
-            domain_of: vec![Some(0); cfg.n_peers],
-            sp_index: BTreeMap::new(),
-            ledger,
-            outcomes: Vec::new(),
-            inter_outcomes: Vec::new(),
-            net: None,
-            topo: None,
-            topo_epoch: 0,
-            flood_scratch: FloodScratch::default(),
-            flood_out: Vec::new(),
-            hit_runs: HitSlab::default(),
-            caches: Vec::new(),
-            cache_hits: 0,
-            target: LookupTarget::Total,
-            lat: cfg.latency(),
-            next_conv: 1,
-            rings: BTreeMap::new(),
-            ring_of_domain: vec![None; 1],
-            lookups: BTreeMap::new(),
-            now_queue: VecDeque::new(),
-            draining: false,
-            in_flight: 0,
-            peak_in_flight: 0,
-            domain_errors: 0,
-            first_error: None,
-            ctl: AlphaController::new(cfg.control, 1, cfg.alpha),
-            pending_rebirths: BTreeMap::new(),
-            rebirth_convs: BTreeMap::new(),
-            promoted_sps: BTreeSet::new(),
-            rebirths: 0,
-            domain_trajectory: Vec::new(),
-        };
+        let domain = DomainCore::new(None, (0..cfg.n_peers as u32).map(NodeId).collect());
+        let mut this = Self::assemble(cfg, sim, workload, peers, vec![domain], None)?;
         this.schedule_drift_all();
         this.schedule_churn();
         let zipf = this
@@ -681,51 +655,73 @@ impl SimKernel {
         let superpeers = elect_superpeers(&net, sp_count);
         let topo = construct_domains(&net, &superpeers, cfg.sumpeer_ttl);
 
-        let (mut pool, blank, reformulated) = build_workload(&cfg)?;
+        let mut workload = build_workload(&cfg)?;
 
         let mut peers: Vec<Option<PeerState>> = vec![None; cfg.n_peers];
-        generate_all(&mut pool, &mut rng, &cfg, &mut peers, &blank, |i| {
+        generate_all(&mut workload, &mut rng, &cfg, &mut peers, |i| {
             topo.assignment[i].is_some()
         })?;
 
-        let mut ledger = MessageLedger::new();
-        let mut domains = Vec::with_capacity(superpeers.len());
-        let mut sp_index = BTreeMap::new();
-        let mut domain_of: Vec<Option<usize>> = vec![None; cfg.n_peers];
-        for &sp in &superpeers {
-            let members = topo.members(sp);
-            for &m in &members {
-                domain_of[m.index()] = Some(domains.len());
-            }
-            sp_index.insert(sp, domains.len());
-            let mut core = DomainCore::new(Some(sp), members);
-            core.enroll_all(&mut peers, &mut ledger)?;
-            domains.push(core);
-        }
+        let domains = superpeers
+            .iter()
+            .map(|&sp| {
+                let mut core = DomainCore::new(Some(sp), topo.members(sp));
+                core.long_links = sample_long_links(superpeers.iter().copied(), sp, &mut rng);
+                core
+            })
+            .collect();
 
-        // Long-range SP links, sampled *without replacement* from a
-        // shuffled candidate list so small SP sets still receive their
-        // full k links, deterministically from the seeded RNG.
-        let k = SimConfig::INTERDOMAIN_K.round() as usize;
-        let sp_ids: Vec<NodeId> = superpeers.clone();
-        for core in &mut domains {
-            let sp = core.sp.expect("networked domains have an SP");
-            let mut candidates: Vec<NodeId> = sp_ids.iter().copied().filter(|&o| o != sp).collect();
-            candidates.shuffle(&mut rng);
-            candidates.truncate(k);
-            candidates.sort_unstable_by_key(|n| n.0);
-            core.long_links = candidates;
-        }
-
-        let caches = (0..cfg.n_peers).map(|_| QueryCache::new(8)).collect();
         // The event loop's RNG is decorrelated from the build RNG (both
         // derive from cfg.seed, so an XOR constant keeps their streams
         // distinct while staying reproducible).
         let mut sim = Simulator::<KernelEvent>::new(cfg.seed ^ 0x5D1F_77A3_9C24_E8B1);
         sim.set_horizon(cfg.horizon);
 
+        let mut this = Self::assemble(cfg, sim, workload, peers, domains, Some((net, topo)))?;
+        this.target = dynamics.unwrap_or(LookupTarget::Total);
+        if dynamics.is_some() {
+            this.schedule_drift_all();
+            this.schedule_churn();
+            this.schedule_inter_queries();
+            this.schedule_sp_sessions();
+            this.schedule_control();
+            this.record_domain_count();
+        }
+        Ok(this)
+    }
+
+    /// The state both constructors share: enrolls each domain in order
+    /// (its first global summary), indexes every CL member's domain and
+    /// every SP's slot, and sizes the per-domain controller and ring
+    /// slots. A networked kernel (`overlay` holds its physical network
+    /// and domain construction) also gets one answer cache per peer.
+    fn assemble(
+        cfg: SimConfig,
+        sim: Simulator<KernelEvent>,
+        (pool, blank, reformulated): Workload,
+        mut peers: Vec<Option<PeerState>>,
+        mut domains: Vec<DomainCore>,
+        overlay: Option<(Network, Domains)>,
+    ) -> Result<Self, P2pError> {
+        let mut ledger = MessageLedger::new();
+        let mut domain_of = vec![None; cfg.n_peers];
+        let mut sp_index = BTreeMap::new();
+        for (d, core) in domains.iter_mut().enumerate() {
+            core.enroll_all(&mut peers, &mut ledger)?;
+            for m in core.cl.partners() {
+                domain_of[m.index()] = Some(d);
+            }
+            if let Some(sp) = core.sp {
+                sp_index.insert(sp, d);
+            }
+        }
+        let caches = match overlay {
+            Some(_) => (0..cfg.n_peers).map(|_| QueryCache::new(8)).collect(),
+            None => Vec::new(),
+        };
+        let (net, topo) = overlay.unzip();
         let n_domains = domains.len();
-        let mut this = Self {
+        Ok(Self {
             cfg,
             pool,
             blank,
@@ -738,15 +734,15 @@ impl SimKernel {
             ledger,
             outcomes: Vec::new(),
             inter_outcomes: Vec::new(),
-            net: Some(net),
-            topo: Some(topo),
+            net,
+            topo,
             topo_epoch: 0,
             flood_scratch: FloodScratch::default(),
             flood_out: Vec::new(),
             hit_runs: HitSlab::default(),
             caches,
             cache_hits: 0,
-            target: dynamics.unwrap_or(LookupTarget::Total),
+            target: LookupTarget::Total,
             lat: cfg.latency(),
             next_conv: 1,
             rings: BTreeMap::new(),
@@ -758,27 +754,17 @@ impl SimKernel {
             peak_in_flight: 0,
             domain_errors: 0,
             first_error: None,
-            ctl: AlphaController::new(cfg.control, n_domains, cfg.alpha),
+            ctl: AlphaController::new(cfg.adaptive_alpha, n_domains, cfg.alpha),
             pending_rebirths: BTreeMap::new(),
             rebirth_convs: BTreeMap::new(),
             promoted_sps: BTreeSet::new(),
             rebirths: 0,
             domain_trajectory: Vec::new(),
-        };
-
-        if dynamics.is_some() {
-            this.schedule_drift_all();
-            this.schedule_churn();
-            this.schedule_inter_queries();
-            this.schedule_sp_sessions();
-            this.schedule_control();
-            this.record_domain_count();
-        }
-        Ok(this)
+        })
     }
 
-    /// Schedules the first control epoch when the adaptive policy is
-    /// on. Fixed-α runs schedule nothing, keeping their event streams
+    /// Schedules the first control epoch when adaptive α is on.
+    /// Fixed-α runs schedule nothing, keeping their event streams
     /// byte-identical to the pre-control-plane kernel.
     fn schedule_control(&mut self) {
         if let Some(epoch) = self.ctl.epoch() {
@@ -2024,15 +2010,10 @@ impl SimKernel {
                 self.domain_of[m.index()] = Some(d);
             }
         }
-        // Long-range links for the newborn SP: sampled without
-        // replacement from the current SP roster, like construction.
-        let k = SimConfig::INTERDOMAIN_K.round() as usize;
-        let mut candidates: Vec<NodeId> =
-            self.sp_index.keys().copied().filter(|&o| o != ns).collect();
-        candidates.shuffle(self.sim.rng());
-        candidates.truncate(k);
-        candidates.sort_unstable_by_key(|n| n.0);
-        self.domains[d].long_links = candidates;
+        // Long-range links for the newborn SP, from the current SP
+        // roster, like construction.
+        self.domains[d].long_links =
+            sample_long_links(self.sp_index.keys().copied(), ns, self.sim.rng());
         // The newborn SP's own session will end too — that is what
         // keeps the domain population stationary instead of saved-once.
         if let Some(lifetimes) = self.cfg.sp_lifetime {
@@ -2724,6 +2705,40 @@ mod tests {
                 k_target.min(sp_count - 1),
                 "k links even on small SP sets"
             );
+        }
+    }
+
+    /// Construction and a rebirth's takeover both sample long links
+    /// through `sample_long_links`: after each, every live domain's
+    /// links are sorted, distinct, at most `round(k)`, and name only
+    /// other live SPs.
+    #[test]
+    fn reborn_sps_link_only_to_live_sps() {
+        let mut c = crate::scenario::with_sp_churn(&cfg(300, 6), 3600.0);
+        c.rebirth = true;
+        let mut k = SimKernel::networked(c, 30, Some(LookupTarget::Total)).unwrap();
+        let k_target = SimConfig::INTERDOMAIN_K.round() as usize;
+        let mut t = SimTime::ZERO;
+        loop {
+            for dom in k.domains.iter().filter(|d| !d.dissolved) {
+                let links = &dom.long_links;
+                assert!(
+                    links.windows(2).all(|w| w[0].0 < w[1].0),
+                    "sorted and distinct: {links:?}"
+                );
+                assert!(!links.contains(&dom.sp.unwrap()), "no self-links");
+                assert!(
+                    links.iter().all(|l| k.sp_index.contains_key(l)),
+                    "every link names a live SP: {links:?}"
+                );
+                assert!(links.len() <= k_target);
+            }
+            if k.rebirths() > 0 {
+                break;
+            }
+            t += SimTime::from_mins(10);
+            assert!(t <= c.horizon, "the run must exercise rebirth");
+            k.run_until(t);
         }
     }
 

@@ -44,9 +44,9 @@
 //! * [`config`] — Table 3's simulation parameters as a typed config;
 //! * [`control`] — the maintenance control plane: per-domain effective
 //!   α, fixed at [`config::SimConfig::alpha`] (the default — the
-//!   paper's single global threshold) or, under a
-//!   [`control::ControlPolicy`], fed back each control epoch from
-//!   measured stale-answer fractions and reconciliation cost;
+//!   paper's single global threshold) or, with
+//!   [`config::SimConfig::adaptive_alpha`] on, fed back each control
+//!   epoch from measured stale-answer fractions and reconciliation cost;
 //! * [`freshness`] / [`coop`] — the 2-bit freshness values and the
 //!   cooperation list (§4.1, §4.3);
 //! * [`messages`] — the protocol vocabulary (`sumpeer`, `localsum`,
@@ -92,7 +92,7 @@ pub mod system;
 pub mod workload;
 
 pub use config::{DeliveryMode, SimConfig};
-pub use control::{AlphaController, ControlPolicy};
+pub use control::AlphaController;
 pub use coop::CooperationList;
 pub use domain::DomainSim;
 pub use error::P2pError;

@@ -73,12 +73,12 @@ pub struct DomainReport {
     /// (§4.3's alternative 1).
     pub approx_weight_with_departed: Vec<f64>,
     /// The domain's effective α at the end of the run — equals
-    /// [`DomainReport::alpha`] without a control policy, the converged
-    /// value under a [`crate::control::ControlPolicy`].
+    /// [`DomainReport::alpha`] with a fixed α, the converged value with
+    /// [`crate::config::SimConfig::adaptive_alpha`] on.
     pub final_alpha: f64,
     /// `(virtual seconds, α)` trajectory of the domain's controller:
     /// the initial point plus one sample per control epoch (just the
-    /// initial point without a control policy).
+    /// initial point with a fixed α).
     pub alpha_trajectory: Vec<(f64, f64)>,
     /// Domain-state errors the event loop swallowed
     /// ([`crate::kernel::SimKernel::error_status`]); 0 on every healthy
@@ -298,8 +298,8 @@ pub struct MultiDomainReport {
     /// order — the raw series behind recall-over-time analyses.
     pub samples: Vec<(f64, f64)>,
     /// Final effective α of every non-dissolved domain — the converged
-    /// α distribution under a control policy, a constant vector
-    /// without one.
+    /// α distribution with adaptive α on, a constant vector with a
+    /// fixed α.
     pub final_alphas: Vec<f64>,
     /// Mean of [`MultiDomainReport::final_alphas`] (the configured α
     /// when no domain survived).

@@ -17,7 +17,6 @@ use saintetiq::wire;
 
 use crate::baselines;
 use crate::config::{DeliveryMode, SimConfig};
-use crate::control::ControlPolicy;
 use crate::costmodel;
 use crate::domain::DomainSim;
 use crate::error::P2pError;
@@ -241,10 +240,6 @@ pub fn scale_churn(cfg: &SimConfig, scale: f64) -> SimConfig {
         LifetimeDistribution::Exponential { mean_s } => LifetimeDistribution::Exponential {
             mean_s: mean_s / scale,
         },
-        LifetimeDistribution::Weibull { shape, scale_s } => LifetimeDistribution::Weibull {
-            shape,
-            scale_s: scale_s / scale,
-        },
     };
     out.mean_downtime_s = cfg.mean_downtime_s / scale;
     out
@@ -335,16 +330,16 @@ pub fn with_heterogeneous_drift(cfg: &SimConfig, spread: f64) -> SimConfig {
 }
 
 /// The staleness/bandwidth frontier: the same heterogeneous-drift
-/// dynamic multi-domain run once per fixed α, then once under the
-/// `adaptive` [`ControlPolicy`]. Fixed rows trace the frontier a single
-/// global threshold can reach; the adaptive row shows where per-domain
-/// feedback control lands — holding the network-wide stale-answer
-/// fraction near the policy's target while spending no more pull
+/// dynamic multi-domain run once per fixed α, then once with
+/// [`SimConfig::adaptive_alpha`] on, starting from `base.alpha`. Fixed
+/// rows trace the frontier a single global threshold can reach; the
+/// adaptive row shows where per-domain feedback control lands — holding
+/// the network-wide stale-answer fraction near
+/// [`crate::control::TARGET_STALENESS`] while spending no more pull
 /// bandwidth than the cheapest fixed α of comparable staleness
 /// (`BENCH_alpha.json` reports the comparison).
 pub fn figure_alpha_adaptive(
     fixed_alphas: &[f64],
-    adaptive: ControlPolicy,
     base: &SimConfig,
     domain_target: usize,
     target: LookupTarget,
@@ -353,7 +348,7 @@ pub fn figure_alpha_adaptive(
     for &alpha in fixed_alphas {
         let mut cfg = *base;
         cfg.alpha = alpha;
-        cfg.control = None;
+        cfg.adaptive_alpha = false;
         let report = MultiDomainSim::new(cfg, domain_target, target)?.run();
         out.push(AlphaAdaptivePoint {
             label: format!("fixed-{alpha:.2}"),
@@ -362,7 +357,7 @@ pub fn figure_alpha_adaptive(
         });
     }
     let mut cfg = *base;
-    cfg.control = Some(adaptive);
+    cfg.adaptive_alpha = true;
     let report = MultiDomainSim::new(cfg, domain_target, target)?.run();
     out.push(AlphaAdaptivePoint {
         label: "adaptive".into(),
@@ -541,6 +536,7 @@ pub fn smoke_run(seed: u64) -> Result<DomainReport, P2pError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::control::{ALPHA_MAX, ALPHA_MIN};
 
     fn quick_base() -> SimConfig {
         let mut c = SimConfig::paper_defaults(32, 0.3);
@@ -634,19 +630,12 @@ mod tests {
         base.n_peers = 120;
         base.query_count = 40;
         let base = with_heterogeneous_drift(&base, 4.0);
-        let rows = figure_alpha_adaptive(
-            &[0.2, 0.6],
-            ControlPolicy::adaptive_default(0.2),
-            &base,
-            20,
-            LookupTarget::Total,
-        )
-        .unwrap();
+        let rows = figure_alpha_adaptive(&[0.2, 0.6], &base, 20, LookupTarget::Total).unwrap();
         assert_eq!(rows.len(), 3);
         assert_eq!(rows[2].label, "adaptive");
         assert!(rows[2].fixed_alpha.is_none());
         // Fixed rows never move off their pinned threshold; the
-        // adaptive row stays inside the policy bounds.
+        // adaptive row stays inside the controller's clamps.
         assert!(rows[0].report.final_alphas.iter().all(|&a| a == 0.2));
         assert!(rows[1].report.final_alphas.iter().all(|&a| a == 0.6));
         assert!(!rows[2].report.final_alphas.is_empty());
@@ -654,7 +643,7 @@ mod tests {
             .report
             .final_alphas
             .iter()
-            .all(|&a| (0.05..=0.9).contains(&a)));
+            .all(|&a| (ALPHA_MIN..=ALPHA_MAX).contains(&a)));
         for r in &rows {
             assert!((0.0..=1.0 + 1e-12).contains(&r.report.mean_stale_answer_fraction));
             assert!(r.report.queries > 0);

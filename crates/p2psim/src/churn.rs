@@ -10,7 +10,7 @@
 use rand::Rng;
 
 use crate::network::NodeId;
-use crate::rng::{exponential, lognormal_mean_median, weibull};
+use crate::rng::{exponential, lognormal_mean_median};
 use crate::time::SimTime;
 
 /// Lifetime (session length) distributions.
@@ -28,13 +28,6 @@ pub enum LifetimeDistribution {
     Exponential {
         /// Mean session length in seconds.
         mean_s: f64,
-    },
-    /// Weibull sessions (heavy tail when `shape < 1`).
-    Weibull {
-        /// Shape parameter.
-        shape: f64,
-        /// Scale parameter in seconds.
-        scale_s: f64,
     },
 }
 
@@ -54,7 +47,6 @@ impl LifetimeDistribution {
                 lognormal_mean_median(rng, mean_s, median_s)
             }
             Self::Exponential { mean_s } => exponential(rng, mean_s),
-            Self::Weibull { shape, scale_s } => weibull(rng, shape, scale_s),
         };
         SimTime::from_secs_f64(secs.max(1.0))
     }

@@ -9,7 +9,7 @@
 //!   timestamped event queue with FIFO tie-breaking and a seeded RNG, so
 //!   every experiment is reproducible from a `--seed`;
 //! * [`rng`] — the distributions the paper's setup needs (skewed lognormal
-//!   lifetimes with mean 3 h / median 1 h, exponential, Weibull, Zipf),
+//!   lifetimes with mean 3 h / median 1 h, exponential),
 //!   implemented on plain `rand`;
 //! * [`topology`] — a BRITE-style generator: Barabási–Albert
 //!   preferential attachment ("power law P2P network, with an average

@@ -3,9 +3,8 @@
 //! The paper's Table 3 requires a *skewed* lifetime distribution with
 //! mean 3 hours and median 60 minutes — a lognormal pins both moments
 //! exactly: `median = e^μ`, `mean = e^{μ + σ²/2}`, hence
-//! `σ = sqrt(2 ln(mean/median))`. Zipf and Pareto cover workload skew;
-//! all samplers take any `rand::Rng` so the simulator's seeded generator
-//! keeps experiments deterministic.
+//! `σ = sqrt(2 ln(mean/median))`. All samplers take any `rand::Rng` so
+//! the simulator's seeded generator keeps experiments deterministic.
 
 use rand::Rng;
 
@@ -45,29 +44,6 @@ pub fn lognormal_params(mean: f64, median: f64) -> (f64, f64) {
 pub fn exponential<R: Rng + ?Sized>(rng: &mut R, mean: f64) -> f64 {
     let u: f64 = rng.gen_range(f64::EPSILON..1.0);
     -mean * u.ln()
-}
-
-/// Weibull with shape `k` and scale `lambda` (k < 1 gives the heavy tail
-/// often measured for P2P session times).
-pub fn weibull<R: Rng + ?Sized>(rng: &mut R, shape: f64, scale: f64) -> f64 {
-    let u: f64 = rng.gen_range(f64::EPSILON..1.0);
-    scale * (-u.ln()).powf(1.0 / shape)
-}
-
-/// Zipf-distributed rank in `0..n` with exponent `s` (inverse-CDF over
-/// precomputed weights would be faster for hot loops; this direct method
-/// is O(n) and fine for workload generation).
-pub fn zipf<R: Rng + ?Sized>(rng: &mut R, n: usize, s: f64) -> usize {
-    debug_assert!(n > 0);
-    let h: f64 = (1..=n).map(|k| (k as f64).powf(-s)).sum();
-    let mut u = rng.gen_range(0.0..h);
-    for k in 1..=n {
-        u -= (k as f64).powf(-s);
-        if u <= 0.0 {
-            return k - 1;
-        }
-    }
-    n - 1
 }
 
 #[cfg(test)]
@@ -134,35 +110,6 @@ mod tests {
             (median - 5.0 * 2f64.ln().abs()).abs() < 0.2,
             "median {median}"
         );
-    }
-
-    #[test]
-    fn weibull_heavy_tail() {
-        let mut r = rng();
-        // Shape 0.5: mean = scale * Γ(3) = 2·scale.
-        let xs: Vec<f64> = (0..60_000).map(|_| weibull(&mut r, 0.5, 1.0)).collect();
-        let (mean, _) = sample_stats(&xs);
-        assert!((mean - 2.0).abs() < 0.15, "mean {mean}");
-    }
-
-    #[test]
-    fn zipf_is_skewed_and_in_range() {
-        let mut r = rng();
-        let n = 50;
-        let mut counts = vec![0usize; n];
-        for _ in 0..30_000 {
-            counts[zipf(&mut r, n, 1.0)] += 1;
-        }
-        assert!(counts[0] > counts[9] && counts[9] > counts[49]);
-        // Rank 0 under s=1 over n=50: p ≈ 1/H_50 ≈ 0.222.
-        let p0 = counts[0] as f64 / 30_000.0;
-        assert!((p0 - 0.222).abs() < 0.03, "p0 {p0}");
-    }
-
-    #[test]
-    fn zipf_single_element() {
-        let mut r = rng();
-        assert_eq!(zipf(&mut r, 1, 1.2), 0);
     }
 
     #[test]

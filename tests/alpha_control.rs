@@ -1,11 +1,11 @@
 //! Integration tests of the maintenance control plane (`core::control`):
 //! bounded per-domain adaptive α, deterministic runs in both delivery
-//! modes, a fixed α when no policy is set, and the Zipf workload knob
+//! modes, a fixed α when adaptation is off, and the Zipf workload knob
 //! that rides along.
 
 use p2psim::time::SimTime;
 use summary_p2p::config::SimConfig;
-use summary_p2p::control::ControlPolicy;
+use summary_p2p::control::{ALPHA_MAX, ALPHA_MIN};
 use summary_p2p::domain::DomainSim;
 use summary_p2p::kernel::{LookupTarget, MultiDomainSim};
 use summary_p2p::metrics::MultiDomainReport;
@@ -20,16 +20,6 @@ fn base(n: usize, seed: u64) -> SimConfig {
     c
 }
 
-fn adaptive(target: f64, alpha_min: f64, alpha_max: f64, gain: f64) -> ControlPolicy {
-    ControlPolicy {
-        target_staleness: target,
-        alpha_min,
-        alpha_max,
-        gain,
-        epoch_s: 600.0,
-    }
-}
-
 fn run_multi(cfg: SimConfig) -> MultiDomainReport {
     MultiDomainSim::new(cfg, 25, LookupTarget::Total)
         .unwrap()
@@ -37,8 +27,8 @@ fn run_multi(cfg: SimConfig) -> MultiDomainReport {
 }
 
 /// Every α the controller ever held — trajectory samples and final
-/// values — must sit inside the policy's clamp.
-fn assert_bounded(report: &MultiDomainReport, alpha_min: f64, alpha_max: f64) {
+/// values — must sit inside the controller's clamp.
+fn assert_bounded(report: &MultiDomainReport) {
     assert!(
         !report.alpha_trajectories.is_empty(),
         "trajectories recorded"
@@ -46,13 +36,13 @@ fn assert_bounded(report: &MultiDomainReport, alpha_min: f64, alpha_max: f64) {
     for traj in &report.alpha_trajectories {
         for &(_, a) in traj.iter().skip(1) {
             assert!(
-                (alpha_min..=alpha_max).contains(&a),
-                "alpha {a} escaped [{alpha_min}, {alpha_max}]"
+                (ALPHA_MIN..=ALPHA_MAX).contains(&a),
+                "alpha {a} escaped [{ALPHA_MIN}, {ALPHA_MAX}]"
             );
         }
     }
     for &a in &report.final_alphas {
-        assert!((alpha_min..=alpha_max).contains(&a));
+        assert!((ALPHA_MIN..=ALPHA_MAX).contains(&a));
     }
 }
 
@@ -63,19 +53,17 @@ mod properties {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(6))]
 
-        /// Whatever the feedback does — any seed, gain, target or drift
-        /// spread — adaptive α never leaves `[alpha_min, alpha_max]`.
+        /// Whatever the feedback does — any seed or drift spread —
+        /// adaptive α never leaves `[ALPHA_MIN, ALPHA_MAX]`.
         #[test]
         fn adaptive_alpha_stays_within_bounds(
             seed in 0u64..1000,
-            gain in 0.1f64..2.0,
-            target in 0.05f64..0.5,
             spread in 1.0f64..8.0,
         ) {
             let mut cfg = with_heterogeneous_drift(&base(80, seed), spread);
-            cfg.control = Some(adaptive(target, 0.1, 0.8, gain));
+            cfg.adaptive_alpha = true;
             let report = run_multi(cfg);
-            assert_bounded(&report, 0.1, 0.8);
+            assert_bounded(&report);
         }
     }
 }
@@ -83,7 +71,7 @@ mod properties {
 #[test]
 fn adaptive_runs_are_deterministic_in_both_delivery_modes() {
     let mut instant = with_heterogeneous_drift(&base(120, 9), 4.0);
-    instant.control = Some(adaptive(0.2, 0.05, 0.9, 0.6));
+    instant.adaptive_alpha = true;
     let a = run_multi(instant);
     let b = run_multi(instant);
     assert_eq!(a.queries, b.queries);
@@ -102,10 +90,10 @@ fn adaptive_runs_are_deterministic_in_both_delivery_modes() {
     assert_eq!(c.final_alphas, d.final_alphas);
     assert_eq!(c.alpha_trajectories, d.alpha_trajectories);
     assert!((c.mean_time_to_answer_s - d.mean_time_to_answer_s).abs() < 1e-12);
-    assert_bounded(&c, 0.05, 0.9);
+    assert_bounded(&c);
 }
 
-/// Without a control policy (the default `control: None`) α stays at
+/// With adaptation off (the default `adaptive_alpha: false`) α stays at
 /// the configured value: no control tick fires, so every trajectory is
 /// its initial point and every final α the configured one.
 #[test]
@@ -140,7 +128,7 @@ fn fixed_policy_reproduces_the_seed_figures_byte_identically() {
 fn adaptive_alpha_spreads_across_heterogeneous_domains() {
     let mut cfg = with_heterogeneous_drift(&base(200, 11), 6.0);
     cfg.query_count = 80;
-    cfg.control = Some(adaptive(0.2, 0.05, 0.9, 0.6));
+    cfg.adaptive_alpha = true;
     let report = run_multi(cfg);
     assert!(report.final_alphas.len() >= 4, "several domains survived");
     let lo = report
@@ -158,7 +146,7 @@ fn adaptive_alpha_spreads_across_heterogeneous_domains() {
         "per-domain alphas converged to distinct values: {:?}",
         report.final_alphas
     );
-    assert_bounded(&report, 0.05, 0.9);
+    assert_bounded(&report);
     // Trajectories carry one sample per epoch beyond the initial point.
     assert!(report.alpha_trajectories.iter().any(|t| t.len() > 3));
 }

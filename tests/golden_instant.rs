@@ -19,7 +19,6 @@ use std::collections::BTreeMap;
 
 use p2psim::time::SimTime;
 use summary_p2p::config::SimConfig;
-use summary_p2p::control::ControlPolicy;
 use summary_p2p::domain::DomainSim;
 use summary_p2p::kernel::{LookupTarget, MultiDomainSim};
 use summary_p2p::metrics::{DomainReport, MultiDomainReport};
@@ -127,13 +126,7 @@ fn rebirth_report() -> MultiDomainReport {
 /// pulls are also armed by the control plane's epoch ticks.
 fn adaptive_report() -> MultiDomainReport {
     let mut cfg = with_heterogeneous_drift(&multi_config(), 4.0);
-    cfg.control = Some(ControlPolicy {
-        target_staleness: 0.2,
-        alpha_min: 0.05,
-        alpha_max: 0.9,
-        gain: 0.6,
-        epoch_s: 600.0,
-    });
+    cfg.adaptive_alpha = true;
     multi_report(cfg)
 }
 
